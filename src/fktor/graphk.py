@@ -20,7 +20,7 @@ from .ntcat import SpaceCategory, builtin_category
 from .ntmod import GradedModule, TorReport, tor
 from .zexact import (AbGroupNF, GradedGroup, GradedHom, GroupHom, IntMatrix,
                      Presentation, block_diag, hnf_columns, kernel, smith,
-                     solve, subquotient_homology)
+                     solve_columns, subquotient_homology)
 
 
 class GraphError(Exception):
@@ -106,40 +106,63 @@ class GraphReport:
     no_sinks: bool
     no_sources: bool
     condition_k: bool
-    condition_k_checked: bool
+    condition_k_checked: bool  # always True; kept in the report schema
     problems: List[str] = field(default_factory=list)
 
 
-def _count_simple_cycles_through(G: BlockGraph, limit: int = 2) -> List[int]:
-    """Number of simple cycles through each vertex (counts capped at limit).
+def _single_cycle_components(G: BlockGraph) -> List[List[int]]:
+    """Strongly connected components that are one cycle and nothing more.
 
-    Parallel edges give distinct cycles.  Exhaustive enumeration; fine at
-    desk scale but exponential, hence the vertex guard in graph_checks."""
+    A strongly connected component has at least as many edges as vertices
+    when it contains a cycle, with equality exactly when it is a single
+    cycle; edges count with multiplicity, loops included.  Components come
+    from an iterative Tarjan (1972) pass, linear in the graph's size."""
     n = G.n
     A = G.adjacency
-    counts = [0] * n
+    succ = [[w for w in range(n) if A[v, w]] for v in range(n)]
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    out = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, i = work[-1]
+            if i == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            if i < len(succ[v]):
+                work[-1] = (v, i + 1)
+                w = succ[v][i]
+                if index[w] < 0:
+                    work.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                if sum(A[a, b] for a in comp for b in comp) == len(comp):
+                    out.append(sorted(comp))
+    return out
 
-    def bump(path_vertices, weight):
-        for v in path_vertices:
-            counts[v] = min(limit, counts[v] + weight)
 
-    for start in range(n):
-        # simple cycles whose minimal vertex is `start`
-        stack = [(start, [start], 1)]
-        while stack:
-            at, path, weight = stack.pop()
-            for nxt in range(start, n):
-                mult = A[at, nxt]
-                if not mult:
-                    continue
-                if nxt == start:
-                    bump(path, weight * mult)
-                elif nxt not in path:
-                    stack.append((nxt, path + [nxt], weight * mult))
-    return counts
-
-
-def graph_checks(G: BlockGraph, condition_k_vertex_limit: int = 16) -> GraphReport:
+def graph_checks(G: BlockGraph) -> GraphReport:
     problems = []
     X = G.space
     triangular = True
@@ -159,17 +182,11 @@ def graph_checks(G: BlockGraph, condition_k_vertex_limit: int = 16) -> GraphRepo
         problems.append("graph has a sink")
     if not no_sources:
         problems.append("graph has a source")
-    cond_k = True
-    checked = G.n <= condition_k_vertex_limit
-    if checked:
-        counts = _count_simple_cycles_through(G)
-        bad = [v for v, c in enumerate(counts) if c == 1]
-        cond_k = not bad
-        if bad:
-            problems.append(f"vertices on exactly one simple cycle: {bad}")
-    else:
-        problems.append("condition (K) not checked: too many vertices")
-    return GraphReport(triangular, no_sinks, no_sources, cond_k, checked, problems)
+    # (K): no vertex on a cycle has exactly one return path
+    bad = sorted(v for comp in _single_cycle_components(G) for v in comp)
+    if bad:
+        problems.append(f"vertices with exactly one return path: {bad}")
+    return GraphReport(triangular, no_sinks, no_sources, not bad, True, problems)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +225,18 @@ def k_groups(G: BlockGraph, Y) -> SubquotientK:
 # The module of subquotient K-groups
 # ---------------------------------------------------------------------------
 
+def _coord_matrix(G: BlockGraph, src, dst) -> IntMatrix:
+    """0/1 matrix sending each vertex of src to the same vertex of dst."""
+    vs = G.vertices_of(frozenset(src))
+    vd = G.vertices_of(frozenset(dst))
+    pos = {v: i for i, v in enumerate(vd)}
+    out = [[0] * len(vs) for _ in range(len(vd))]
+    for j, v in enumerate(vs):
+        if v in pos:
+            out[pos[v]][j] = 1
+    return IntMatrix(out, len(vd), len(vs))
+
+
 def fk_module(G: BlockGraph, sc: Optional[SpaceCategory] = None) -> GradedModule:
     """Assemble the left module of subquotient K-groups over the builtin
     category of the graph's space.
@@ -225,33 +254,16 @@ def fk_module(G: BlockGraph, sc: Optional[SpaceCategory] = None) -> GradedModule
         kd[obj] = sub
         entries[obj] = GradedGroup(sub.k0, Presentation.free(sub.k1_basis.cols))
 
-    def coord_matrix(src_obj, dst_obj):
-        vs = G.vertices_of(frozenset(src_obj))
-        vd = G.vertices_of(frozenset(dst_obj))
-        pos = {v: i for i, v in enumerate(vd)}
-        out = [[0] * len(vs) for _ in range(len(vd))]
-        for j, v in enumerate(vs):
-            if v in pos:
-                out[pos[v]][j] = 1
-        return IntMatrix(out, len(vd), len(vs))
-
-    def kernel_coords(vecs: IntMatrix, basis: IntMatrix) -> IntMatrix:
-        cols = []
-        for j in range(vecs.cols):
-            x = solve(basis, vecs.column(j))
-            if x is None:
-                raise GraphError("kernel vector does not restrict; "
-                                 "triangularity violated")
-            cols.append(x)
-        return IntMatrix.from_columns(cols, basis.cols)
-
     actions: Dict[str, GradedHom] = {}
     for name, a in sc.presentation.arrows.items():
         se, te = entries[a.src], entries[a.dst]
         if a.kind in ("i", "r"):
-            C = coord_matrix(a.src, a.dst)
+            C = _coord_matrix(G, a.src, a.dst)
             ev = C  # cokernel classes map by coordinates
-            od = kernel_coords(C * kd[a.src].k1_basis, kd[a.dst].k1_basis)
+            od = solve_columns(kd[a.dst].k1_basis, C * kd[a.src].k1_basis)
+            if od is None:
+                raise GraphError("kernel vector does not restrict; "
+                                 "triangularity violated")
             actions[name] = GradedHom.build(0, se, te, ev, od)
         else:
             # delta: K1(src) -> K0(dst) by the off-diagonal block; the
@@ -293,23 +305,14 @@ def z3_fast_tor1(G: BlockGraph) -> FastTorResult:
     phi1 = block_diag([G.bprime_block(frozenset(s), frozenset(s)) for s in triples])
     phi2 = G.bprime_block(frozenset("1234"), frozenset("1234"))
 
-    def coord(src_subset, dst_subset):
-        vs = G.vertices_of(frozenset(src_subset))
-        vd = G.vertices_of(frozenset(dst_subset))
-        pos = {v: i for i, v in enumerate(vd)}
-        out = [[0] * len(vs) for _ in range(len(vd))]
-        for j, v in enumerate(vs):
-            out[pos[v]][j] = 1
-        return IntMatrix(out, len(vd), len(vs))
-
     signs = [[1, -1, 0], [-1, 0, 1], [0, 1, -1]]
-    f_blocks = [[coord(j4s[j], triples[k]).scale(signs[k][j])
+    f_blocks = [[_coord_matrix(G, j4s[j], triples[k]).scale(signs[k][j])
                  if signs[k][j] else
                  IntMatrix.zero(len(G.vertices_of(frozenset(triples[k]))),
                                 len(G.vertices_of(frozenset(j4s[j]))))
                  for j in range(3)] for k in range(3)]
     f = IntMatrix.block(f_blocks)
-    g = IntMatrix.block([[coord(t, "1234") for t in triples]])
+    g = IntMatrix.block([[_coord_matrix(G, t, "1234") for t in triples]])
 
     # odd part two ways: the lattice identification
     # (ker f ∩ im φ0)/φ0(ker f), which carries the witness generators, and
@@ -318,13 +321,10 @@ def z3_fast_tor1(G: BlockGraph) -> FastTorResult:
     ker_f_phi0 = kernel(f * phi0)
     L1 = hnf_columns(phi0 * ker_f_phi0)        # ker(f) ∩ im(φ0)
     L2 = hnf_columns(phi0 * kerf)              # φ0(ker f)
-    coords = []
-    for j in range(L2.cols):
-        x = solve(L1, L2.column(j))
-        if x is None:
-            raise GraphError("φ0(ker f) not inside ker(f) ∩ im(φ0)")
-        coords.append(x)
-    quotient = Presentation(L1.cols, IntMatrix.from_columns(coords, L1.cols))
+    coords = solve_columns(L1, L2)
+    if coords is None:
+        raise GraphError("φ0(ker f) not inside ker(f) ∩ im(φ0)")
+    quotient = Presentation(L1.cols, coords)
     odd = quotient.normal_form()
 
     k0, k1b, k2 = kernel(phi0), kernel(phi1), kernel(phi2)
@@ -356,13 +356,10 @@ def z3_fast_tor1(G: BlockGraph) -> FastTorResult:
 
 
 def _restrict(M: IntMatrix, src_basis: IntMatrix, dst_basis: IntMatrix) -> IntMatrix:
-    cols = []
-    for j in range(src_basis.cols):
-        x = solve(dst_basis, M.apply(src_basis.column(j)))
-        if x is None:
-            raise GraphError("map does not restrict to kernels")
-        cols.append(x)
-    return IntMatrix.from_columns(cols, dst_basis.cols)
+    X = solve_columns(dst_basis, M * src_basis)
+    if X is None:
+        raise GraphError("map does not restrict to kernels")
+    return X
 
 
 def s_fast_tor1(G: BlockGraph) -> FastTorResult:
@@ -383,31 +380,18 @@ def s_fast_tor1(G: BlockGraph) -> FastTorResult:
     k34, k1, k24 = K("34"), K("1"), K("24")
     k234 = K("234")
 
-    def coordinate(src_k, dst_k):
-        vs = G.vertices_of(frozenset(src_k.subset))
-        vd = G.vertices_of(frozenset(dst_k.subset))
-        pos = {v: i for i, v in enumerate(vd)}
-        out = [[0] * len(vs) for _ in range(len(vd))]
-        for j, v in enumerate(vs):
-            if v in pos:
-                out[pos[v]][j] = 1
-        return IntMatrix(out, len(vd), len(vs))
-
     def restrict_to(M, basis):
-        cols = []
-        for j in range(M.cols):
-            x = solve(basis, M.column(j))
-            if x is None:
-                raise GraphError("projection does not land in the kernel")
-            cols.append(x)
-        return IntMatrix.from_columns(cols, basis.cols)
+        X = solve_columns(basis, M)
+        if X is None:
+            raise GraphError("projection does not land in the kernel")
+        return X
 
     def k1_map(src_k, dst_k, sign=1):
-        M = coordinate(src_k, dst_k) * src_k.k1_basis
+        M = _coord_matrix(G, src_k.subset, dst_k.subset) * src_k.k1_basis
         return restrict_to(M, dst_k.k1_basis).scale(sign)
 
     def k0_map(src_k, dst_k, sign=1):
-        return coordinate(src_k, dst_k).scale(sign)
+        return _coord_matrix(G, src_k.subset, dst_k.subset).scale(sign)
 
     def delta(src_k, dst_k, sign=1):
         blk = G.bprime_block(frozenset(dst_k.subset), frozenset(src_k.subset))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .finspace import (FiniteSpace, builtin_space, label, lc_subsets)
-from .zexact import IntMatrix, ZExactError, smith
+from .zexact import Echelon, IntMatrix, ZExactError, smith, solve_columns
 
 
 class CategoryError(Exception):
@@ -637,49 +637,6 @@ def builtin_presentation(space_name: str) -> CatPresentation:
 # Hom table computation
 # ---------------------------------------------------------------------------
 
-class _Echelon:
-    """Mutable integer row-echelon lattice, rows over a fixed index set."""
-
-    __slots__ = ("n", "pivots")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.pivots: Dict[int, list] = {}
-
-    def add(self, vec) -> bool:
-        """Insert; returns True if the lattice grew or changed."""
-        cur = list(vec)
-        changed = False
-        while True:
-            p = next((i for i, x in enumerate(cur) if x), None)
-            if p is None:
-                return changed
-            row = self.pivots.get(p)
-            if row is None:
-                self.pivots[p] = cur
-                return True
-            q = cur[p] // row[p]
-            if q:
-                cur = [a - q * b for a, b in zip(cur, row)]
-            if cur[p]:
-                self.pivots[p], cur = cur, row
-                changed = True
-
-    def contains(self, vec) -> bool:
-        cur = list(vec)
-        for p in sorted(self.pivots):
-            if cur[p]:
-                row = self.pivots[p]
-                if cur[p] % row[p]:
-                    return False
-                q = cur[p] // row[p]
-                cur = [a - q * b for a, b in zip(cur, row)]
-        return not any(cur)
-
-    def basis(self) -> list:
-        return [self.pivots[p] for p in sorted(self.pivots)]
-
-
 @dataclass
 class _Bucket:
     src: str
@@ -878,12 +835,12 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
         words_from[src] = acc
 
     # saturate relation lattices per source
-    lattices: Dict[Tuple[str, str, int], _Echelon] = {}
+    lattices: Dict[Tuple[str, str, int], Echelon] = {}
 
-    def lattice(key, n) -> _Echelon:
+    def lattice(key, n) -> Echelon:
         lat = lattices.get(key)
         if lat is None:
-            lat = lattices[key] = _Echelon(n)
+            lat = lattices[key] = Echelon(n)
         return lat
 
     rel_info = []
@@ -943,11 +900,11 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
         table.rank[key] = rank
         proj[key] = P
         if rank:
-            sfp = smith(P)
+            X = solve_columns(P, IntMatrix.identity(rank))
+            if X is None:
+                raise ZExactError("unsolvable system")
             reps = []
-            for k in range(rank):
-                e = tuple(1 if i == k else 0 for i in range(rank))
-                x = _solve_from_smith(sfp, e)
+            for x in X.columns():
                 rep: Combo = {}
                 for i, c in enumerate(x):
                     if c:
@@ -963,7 +920,7 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
         if rank == 0:
             continue
         P = proj[key]
-        span = _Echelon(rank)
+        span = Echelon(rank)
         for w, i in b.index.items():
             if len(w) <= max_len - 2:
                 span.add(list(P.column(i)))
@@ -1016,31 +973,15 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     return table
 
 
-def _solve_from_smith(sf, b):
-    diag = sf.diagonal()
-    rows = sf.U.rows
-    cols = sf.V.rows
-    c = sf.U.apply(b)
-    y = [0] * cols
-    for i in range(rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                raise ZExactError("unsolvable system")
-        else:
-            if c[i] % d:
-                raise ZExactError("unsolvable system")
-            y[i] = c[i] // d
-    return sf.V.apply(y)
-
-
 def _solve_transform(sf_short, C_short, cols_target, rank, rank2):
     """Find integer M (rank2 x rank) with M * C_short = C_target."""
     # transpose: C_short^T * M^T = C_target^T, solve column by column of M^T
     mt_cols = []
     for i in range(rank2):
-        b = tuple(col[i] for col in cols_target)
-        mt_cols.append(_solve_from_smith(sf_short, b))
+        x = sf_short.solve(tuple(col[i] for col in cols_target))
+        if x is None:
+            raise ZExactError("unsolvable system")
+        mt_cols.append(x)
     # mt_cols[i] is row i of M
     return IntMatrix(mt_cols, rank2, rank)
 
@@ -1075,7 +1016,7 @@ def nil_basis(table: HomTable) -> Dict[Tuple[str, str, int], List[tuple]]:
                         tuple(1 if i == k else 0 for i in range(rank))
                         for k in range(rank)]
                     continue
-                lat = _Echelon(rank)
+                lat = Echelon(rank)
                 for a in pres.by_dst.get(dst, ()):
                     key = (src, a.src, parity ^ a.parity)
                     r0 = table.rank.get(key, 0)
@@ -1102,7 +1043,7 @@ def ideal_checks(table: HomTable, max_index: int = 24) -> RingIdealData:
         rank_ev = table.rank.get((obj, obj, 0), 0)
         rank_od = table.rank.get((obj, obj, 1), 0)
         # odd part must be entirely nil
-        lat = _Echelon(rank_od)
+        lat = Echelon(rank_od)
         for v in od:
             lat.add(list(v))
         odd_full = len(lat.basis()) == rank_od
@@ -1123,7 +1064,7 @@ def ideal_checks(table: HomTable, max_index: int = 24) -> RingIdealData:
         if not current:
             nilpotent = True
             break
-        nxt: Dict[Tuple[str, str, int], _Echelon] = {}
+        nxt: Dict[Tuple[str, str, int], Echelon] = {}
         for (a, b, p1), vecs in current.items():
             for (b2, c, p2), gens2 in nil.items():
                 if b2 != b or not gens2:
@@ -1138,7 +1079,7 @@ def ideal_checks(table: HomTable, max_index: int = 24) -> RingIdealData:
                         key = (a, c, (p1 + p2) % 2)
                         lat = nxt.get(key)
                         if lat is None:
-                            lat = nxt[key] = _Echelon(len(res.vec))
+                            lat = nxt[key] = Echelon(len(res.vec))
                         lat.add(list(res.vec))
         current = {k: lat.basis() for k, lat in nxt.items() if lat.basis()}
         index += 1

@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .finspace import label, lc_subsets
 from .ntcat import (Combo, Element, SpaceCategory, builtin_category,
                     combo_compose, nil_basis)
-from .zexact import (AbGroupNF, GradedGroup, GradedHom, GroupHom, IntMatrix,
-                     Presentation, block_diag, graded_direct_sum, kernel,
-                     hnf_columns, shift as shift_group, solve,
+from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
+                     IntMatrix, Presentation, block_diag, graded_direct_sum,
+                     kernel, hnf_columns, shift as shift_group, solve,
                      subquotient_homology)
 
 
@@ -701,12 +701,12 @@ def extend_resolution(res: FreeResolution, depth: int,
                                 nildec[target].append(list(img))
         # choose generators
         chosen: List[Tuple[str, int, tuple]] = []
-        span: Dict[Tuple[str, int], "_SpanEchelon"] = {}
+        span: Dict[Tuple[str, int], Echelon] = {}
 
         def span_of(key, dim):
             s = span.get(key)
             if s is None:
-                s = span[key] = _SpanEchelon(dim)
+                s = span[key] = Echelon(dim)
             return s
 
         def add_to_span(W, parity, vec):
@@ -731,7 +731,7 @@ def extend_resolution(res: FreeResolution, depth: int,
                 if K.cols == 0:
                     continue
                 dim = K.rows
-                auxiliary = _SpanEchelon(dim)
+                auxiliary = Echelon(dim)
                 for v in nildec[(W, parity)]:
                     auxiliary.add(v)
                 for j in range(K.cols):
@@ -775,47 +775,8 @@ def extend_resolution(res: FreeResolution, depth: int,
         diffs.append(matrix)
 
 
-class _SpanEchelon:
-    __slots__ = ("n", "pivots")
-
-    def __init__(self, n):
-        self.n = n
-        self.pivots: Dict[int, list] = {}
-
-    def add(self, vec) -> bool:
-        cur = list(vec)
-        changed = False
-        while True:
-            p = next((i for i, x in enumerate(cur) if x), None)
-            if p is None:
-                return changed
-            row = self.pivots.get(p)
-            if row is None:
-                self.pivots[p] = cur
-                return True
-            q = cur[p] // row[p]
-            if q:
-                cur = [a - q * b for a, b in zip(cur, row)]
-            if cur[p]:
-                self.pivots[p], cur = cur, row
-                changed = True
-
-    def contains(self, vec) -> bool:
-        cur = list(vec)
-        for p in sorted(self.pivots):
-            if cur[p]:
-                row = self.pivots[p]
-                if cur[p] % row[p]:
-                    return False
-                cur = [a - (cur[p] // row[p]) * b for a, b in zip(cur, row)]
-        return not any(cur)
-
-    def basis(self):
-        return [self.pivots[p] for p in sorted(self.pivots)]
-
-
-def _in_joint_span(s: _SpanEchelon, aux: _SpanEchelon, vec) -> bool:
-    joint = _SpanEchelon(s.n)
+def _in_joint_span(s: Echelon, aux: Echelon, vec) -> bool:
+    joint = Echelon(s.n)
     for b in s.basis():
         joint.add(list(b))
     for b in aux.basis():

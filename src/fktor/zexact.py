@@ -9,7 +9,7 @@ explicit unimodular transforms.  No floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 
 class ZExactError(Exception):
@@ -195,6 +195,24 @@ class SmithForm:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
+    def solve(self, b: Sequence[int]) -> Optional[tuple]:
+        """One integer solution x of A x = b for the factored A, or None."""
+        if len(b) != self.U.rows:
+            raise ZExactError("rhs length mismatch")
+        c = self.U.apply(b)
+        y = [0] * self.V.rows
+        diag = self.diagonal()
+        for i in range(self.U.rows):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if c[i] != 0:
+                    return None
+            else:
+                if c[i] % d != 0:
+                    return None
+                y[i] = c[i] // d
+        return self.V.apply(y)
+
 
 def smith(A: IntMatrix) -> SmithForm:
     """Smith normal form with transforms.
@@ -346,68 +364,68 @@ def kernel(A: IntMatrix) -> IntMatrix:
 
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     """One integer solution x of A x = b, or None."""
-    if len(b) != A.rows:
-        raise ZExactError("rhs length mismatch")
+    return smith(A).solve(b)
+
+
+def solve_columns(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
+    """Integer X with A X = B, or None if some column of B is not in the
+    column lattice of A.  A is factored once for the whole block."""
+    if B.rows != A.rows:
+        raise ZExactError("rhs row count mismatch")
+    if B.cols == 0:
+        return IntMatrix.zero(A.cols, 0)
     sf = smith(A)
-    c = sf.U.apply(b)
-    y = [0] * A.cols
-    diag = sf.diagonal()
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return sf.V.apply(y)
+    cols = []
+    for j in range(B.cols):
+        x = sf.solve(B.column(j))
+        if x is None:
+            return None
+        cols.append(x)
+    return IntMatrix.from_columns(cols, A.cols)
 
 
-def in_column_span(A: IntMatrix, b: Sequence[int]) -> bool:
-    return solve(A, b) is not None
+class Echelon:
+    """Mutable integer row-echelon lattice, rows over a fixed index set."""
 
+    __slots__ = ("n", "pivots")
 
-def _hnf_rows(rows: list, width: int) -> list:
-    """Canonical Hermite basis (row style) of the lattice spanned by rows."""
-    basis = {}  # pivot column -> row (list)
+    def __init__(self, n: int):
+        self.n = n
+        self.pivots: Dict[int, list] = {}  # pivot column -> row
 
-    def first_nz(r):
-        for i, x in enumerate(r):
-            if x:
-                return i
-        return None
-
-    for r0 in rows:
-        cur = list(r0)
+    def add(self, vec) -> bool:
+        """Insert; returns True if the lattice grew or changed."""
+        cur = list(vec)
+        changed = False
         while True:
-            p = first_nz(cur)
+            p = next((i for i, x in enumerate(cur) if x), None)
             if p is None:
-                break
-            if p not in basis:
-                basis[p] = cur
-                break
-            b = basis[p]
-            q = cur[p] // b[p]
-            cur = [x - q * y for x, y in zip(cur, b)]
+                return changed
+            row = self.pivots.get(p)
+            if row is None:
+                self.pivots[p] = cur
+                return True
+            q = cur[p] // row[p]
+            if q:
+                cur = [a - q * b for a, b in zip(cur, row)]
             if cur[p]:
-                # b[p] did not divide: swap roles and continue Euclid
-                basis[p], cur = cur, b
-    out = [basis[p] for p in sorted(basis)]
-    for r in out:
-        p = first_nz(r)
-        if r[p] < 0:
-            r[:] = [-x for x in r]
-    # reduce entries above each pivot into [0, pivot)
-    pivots = [(first_nz(r), r) for r in out]
-    for j in range(len(out)):
-        pj, rj = pivots[j]
-        for i in range(j):
-            ri = pivots[i][1]
-            if ri[pj]:
-                q = ri[pj] // rj[pj]
-                ri[:] = [x - q * y for x, y in zip(ri, rj)]
-    return out
+                # row[p] did not divide: swap roles and continue Euclid
+                self.pivots[p], cur = cur, row
+                changed = True
+
+    def contains(self, vec) -> bool:
+        cur = list(vec)
+        for p in sorted(self.pivots):
+            if cur[p]:
+                row = self.pivots[p]
+                if cur[p] % row[p]:
+                    return False
+                q = cur[p] // row[p]
+                cur = [a - q * b for a, b in zip(cur, row)]
+        return not any(cur)
+
+    def basis(self) -> list:
+        return [self.pivots[p] for p in sorted(self.pivots)]
 
 
 def hnf_columns(A: IntMatrix) -> IntMatrix:
@@ -415,12 +433,21 @@ def hnf_columns(A: IntMatrix) -> IntMatrix:
 
     Zero columns are dropped; equal lattices yield equal matrices.
     """
-    rows = _hnf_rows([list(A.column(j)) for j in range(A.cols)], A.rows)
-    return IntMatrix.from_columns([tuple(r) for r in rows], A.rows)
-
-
-def lattice_rank(A: IntMatrix) -> int:
-    return smith(A).rank()
+    ech = Echelon(A.rows)
+    for j in range(A.cols):
+        ech.add(A.column(j))
+    pivots = sorted(ech.pivots)
+    out = ech.basis()
+    for p, r in zip(pivots, out):
+        if r[p] < 0:
+            r[:] = [-x for x in r]
+    # reduce entries above each pivot into [0, pivot)
+    for j, (pj, rj) in enumerate(zip(pivots, out)):
+        for ri in out[:j]:
+            if ri[pj]:
+                q = ri[pj] // rj[pj]
+                ri[:] = [x - q * y for x, y in zip(ri, rj)]
+    return IntMatrix.from_columns([tuple(r) for r in out], A.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -539,17 +566,12 @@ class GroupHom:
 
     def is_well_defined(self) -> bool:
         R = self.source.relations
-        for j in range(R.cols):
-            img = self.matrix.apply(R.column(j))
-            if not in_column_span(self.target.relations, img):
-                return False
-        return True
+        return all(self.target.is_zero_class(self.matrix.apply(R.column(j)))
+                   for j in range(R.cols))
 
     def is_zero_hom(self) -> bool:
-        for j in range(self.matrix.cols):
-            if not in_column_span(self.target.relations, self.matrix.column(j)):
-                return False
-        return True
+        return all(self.target.is_zero_class(self.matrix.column(j))
+                   for j in range(self.matrix.cols))
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
@@ -615,15 +637,10 @@ def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:
     K = kernel(stacked)
     cyc = hnf_columns(K.submatrix(range(n), range(K.cols)))
     # boundaries: images of f plus relations of B
-    bound = f.matrix.hstack(B.relations)
-    rel_cols = []
-    for j in range(bound.cols):
-        col = bound.column(j)
-        coords = solve(cyc, col)
-        if coords is None:
-            raise ZExactError("boundary not contained in cycles")
-        rel_cols.append(coords)
-    quotient = Presentation(cyc.cols, IntMatrix.from_columns(rel_cols, cyc.cols))
+    rels = solve_columns(cyc, f.matrix.hstack(B.relations))
+    if rels is None:
+        raise ZExactError("boundary not contained in cycles")
+    quotient = Presentation(cyc.cols, rels)
     return HomologyResult(quotient.normal_form(), cyc, quotient)
 
 
@@ -734,7 +751,3 @@ class GradedHom:
 
     def component(self, source_parity: int) -> GroupHom:
         return self.from_even if source_parity % 2 == 0 else self.from_odd
-
-
-def format_group(nf: AbGroupNF) -> str:
-    return str(nf)

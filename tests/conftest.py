@@ -1,6 +1,7 @@
 """Shared helpers: random triangular block graphs and random valid modules."""
 
 import random
+import zlib
 
 from fktor.finspace import builtin_space
 from fktor.graphk import BlockGraph
@@ -36,7 +37,7 @@ def graph_corpus(space_name, count=20):
     """A fixed corpus of random triangular graphs per space, shared across
     test modules so Tor reports can be cached."""
     if space_name not in _GRAPH_CORPUS:
-        rng = random.Random(2024 + hash(space_name) % 1000)
+        rng = random.Random(2024 + zlib.crc32(space_name.encode()) % 1000)
         _GRAPH_CORPUS[space_name] = [random_block_graph(space_name, rng)
                                      for _ in range(count)]
     return _GRAPH_CORPUS[space_name]

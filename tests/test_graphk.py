@@ -64,6 +64,12 @@ def test_condition_k_single_loop_fails():
     assert not graph_checks(G1).condition_k
     G2 = BlockGraph(X, [("1", 1)], IntMatrix([[2]]))
     assert graph_checks(G2).condition_k
+    # golden-mean graph: vertex 0 lies on one simple cycle but has
+    # infinitely many return paths, so (K) holds
+    G3 = BlockGraph(X, [("1", 2)], IntMatrix([[0, 1], [1, 1]]))
+    assert graph_checks(G3).condition_k
+    G4 = BlockGraph(X, [("1", 2)], IntMatrix([[0, 1], [1, 0]]))
+    assert not graph_checks(G4).condition_k
 
 
 def test_triangularity_violation_detected():

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fktor.zexact import (
-    AbGroupNF, CompositionNonZeroError, GradedGroup, GradedHom, GroupHom,
-    IntMatrix, Presentation, det, graded_direct_sum, hnf_columns, kernel,
-    normal_form, shift, smith, solve, subquotient_homology,
+    AbGroupNF, CompositionNonZeroError, Echelon, GradedGroup, GradedHom,
+    GroupHom, IntMatrix, Presentation, det, graded_direct_sum, hnf_columns,
+    kernel, normal_form, shift, smith, solve, solve_columns,
+    subquotient_homology,
 )
+
+PROPS = settings(derandomize=True, max_examples=80, deadline=None)
 
 
 def M(rows):
@@ -15,6 +19,14 @@ def M(rows):
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def int_matrices(draw, rows=None):
+    m = draw(st.integers(0, 4)) if rows is None else rows
+    n = draw(st.integers(0, 4))
+    entry = st.integers(-4, 4)
+    return IntMatrix([[draw(entry) for _ in range(n)] for _ in range(m)], m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +75,21 @@ def test_smith_properties_random(seed):
             assert d == 0
 
 
+@PROPS
+@given(int_matrices())
+def test_smith_transforms_and_divisibility_property(A):
+    sf = smith(A)
+    assert sf.U * A * sf.V == sf.S
+    assert abs(det(sf.U)) == 1
+    assert abs(det(sf.V)) == 1
+    diag = sf.diagonal()
+    assert all(sf.S[i, j] == 0 for i in range(A.rows) for j in range(A.cols)
+               if i != j)
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b % a == 0) if a else b == 0
+
+
 # ---------------------------------------------------------------------------
 # Kernels and solving
 # ---------------------------------------------------------------------------
@@ -106,6 +133,67 @@ def test_hnf_columns_canonical():
     b = hnf_columns(M([[4, 2, 6], [0, 0, 0]]))
     assert a == b
     assert a.column(0) == (2, 0)
+
+
+@PROPS
+@given(int_matrices(), st.randoms(use_true_random=False))
+def test_hnf_columns_ignores_order_and_redundant_generators(A, rnd):
+    cols = A.columns()
+    if cols:
+        cols += [cols[0], tuple(x + y for x, y in zip(cols[0], cols[-1]))]
+    rnd.shuffle(cols)
+    assert hnf_columns(IntMatrix.from_columns(cols, A.rows)) == hnf_columns(A)
+
+
+def test_solve_columns_block():
+    A = M([[2, 0], [0, 3]])
+    B = M([[4, 2], [9, -3]])
+    X = solve_columns(A, B)
+    assert X == M([[2, 1], [3, -1]])
+    assert A * X == B
+    # one column outside the lattice spoils the whole block
+    assert solve_columns(A, M([[4, 1], [9, 0]])) is None
+
+
+def test_solve_columns_empty_shapes():
+    A = M([[2, 0], [0, 3]])
+    assert solve_columns(A, IntMatrix.zero(2, 0)) == IntMatrix.zero(2, 0)
+    no_cols = IntMatrix.zero(2, 0)
+    assert solve_columns(no_cols, IntMatrix.zero(2, 3)) == IntMatrix.zero(0, 3)
+    assert solve_columns(no_cols, M([[1], [0]])) is None
+
+
+@st.composite
+def rhs_blocks(draw):
+    """A with a block B = A X, sometimes followed by arbitrary columns."""
+    A = draw(int_matrices())
+    B = A * draw(int_matrices(rows=A.cols))
+    if draw(st.booleans()):
+        B = B.hstack(draw(int_matrices(rows=A.rows)))
+    return A, B
+
+
+@PROPS
+@given(rhs_blocks())
+def test_solve_columns_agrees_with_solve(AB):
+    A, B = AB
+    X = solve_columns(A, B)
+    per_column = [solve(A, B.column(j)) for j in range(B.cols)]
+    if any(x is None for x in per_column):
+        assert X is None
+    else:
+        assert X == IntMatrix.from_columns(per_column, A.cols)
+        assert A * X == B
+
+
+def test_echelon_add_reports_growth():
+    e = Echelon(2)
+    assert e.add([2, 0])
+    assert not e.add([4, 0])      # already in the lattice
+    assert not e.add([0, 0])
+    assert e.add([3, 0])          # refines the lattice to Z(1, 0)
+    assert e.basis() == [[1, 0]]
+    assert e.contains([5, 0]) and not e.contains([0, 1])
 
 
 # ---------------------------------------------------------------------------
