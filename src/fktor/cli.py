@@ -49,8 +49,10 @@ def _load_json_file(path: str):
             try:
                 with open(c) as fh:
                     return json.load(fh)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, UnicodeDecodeError) as e:
                 raise CliParseError(f"invalid JSON in {c}: {e}")
+            except OSError as e:
+                raise CliParseError(f"cannot read {c}: {e}")
     raise CliParseError(f"no such file: {path}")
 
 
@@ -69,26 +71,38 @@ def _get_category(args):
     return builtin_category(name)
 
 
-def _get_module(args):
-    sc = _get_category(args)
+def _file_data(args, kind: str, space_name: str) -> dict:
     if not args.file:
         raise CliParseError("--file is required")
     data = _load_json_file(args.file)
-    if data.get("space") not in (None, sc.space.name):
+    if not isinstance(data, dict):
+        raise CliParseError(f"{kind} file must hold a JSON object")
+    if data.get("space") not in (None, space_name):
         raise CliParseError(
-            f"module file is over {data.get('space')}, not {sc.space.name}")
-    return GradedModule.from_json(data, sc)
+            f"{kind} file is over {data.get('space')}, not {space_name}")
+    return data
+
+
+def _parse(kind: str, build):
+    """build(), with malformed file data reported as a parse error."""
+    try:
+        return build()
+    except KeyError as e:
+        raise CliParseError(f"{kind} file lacks the key {e}")
+    except (TypeError, ValueError, ZExactError) as e:
+        raise CliParseError(f"malformed {kind} file: {e}")
+
+
+def _get_module(args):
+    sc = _get_category(args)
+    data = _file_data(args, "module", sc.space.name)
+    return _parse("module", lambda: GradedModule.from_json(data, sc))
 
 
 def _get_graph(args):
     space = _get_space(args)
-    if not args.file:
-        raise CliParseError("--file is required")
-    data = _load_json_file(args.file)
-    if data.get("space") not in (None, space.name):
-        raise CliParseError(
-            f"graph file is over {data.get('space')}, not {space.name}")
-    return BlockGraph.from_json(data, space)
+    data = _file_data(args, "graph", space.name)
+    return _parse("graph", lambda: BlockGraph.from_json(data, space))
 
 
 def _reconstruction_warnings(sc):
@@ -374,7 +388,7 @@ def run(argv=None, out=None):
         return EXIT_PARSE if e.code else EXIT_OK
     try:
         report, text = _DISPATCH[args.verb](args)
-    except (CliParseError, SpaceError, json.JSONDecodeError, KeyError,
+    except (CliParseError, SpaceError, json.JSONDecodeError,
             FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -86,6 +86,9 @@ class BlockGraph:
         if space is None:
             space = builtin_space(data["space"])
         blocks = [(b["point"], b["vertices"]) for b in data["blocks"]]
+        for _, k in blocks:
+            if type(k) is not int:
+                raise TypeError(f"block vertex counts must be integers, not {k!r}")
         return BlockGraph(space, blocks, IntMatrix(data["adjacency"]))
 
     def to_json(self) -> dict:
@@ -234,7 +237,7 @@ def _coord_matrix(G: BlockGraph, src, dst) -> IntMatrix:
     for j, v in enumerate(vs):
         if v in pos:
             out[pos[v]][j] = 1
-    return IntMatrix(out, len(vd), len(vs))
+    return IntMatrix._of(tuple(map(tuple, out)), len(vd), len(vs))
 
 
 def fk_module(G: BlockGraph, sc: Optional[SpaceCategory] = None) -> GradedModule:

@@ -856,28 +856,29 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
             for r, s, t, p, maxw in rel_info:
                 if at == s and len(w) + maxw <= max_len:
                     b = bucket(src, t, par ^ p)
-                    vec = [0] * len(b.words)
+                    vec: Dict[int, int] = {}
                     for rw, c in r.items():
-                        vec[b.index[w + rw]] += c
+                        i = b.index[w + rw]
+                        vec[i] = vec.get(i, 0) + c
                     queue.append((b, vec))
+        # queued vectors are sparse: {word index: nonzero coefficient}
         while queue:
             b, vec = queue.pop()
+            vec = {i: c for i, c in vec.items() if c}
             key = (b.src, b.dst, b.parity)
             lat = lattice(key, len(b.words))
-            if len(vec) < len(b.words):
-                vec = vec + [0] * (len(b.words) - len(vec))
-            if not lat.add(vec):
+            if not lat.add_sparse(vec):
                 continue
             # extend by one arrow if every support word stays short enough
-            support = [i for i, x in enumerate(vec) if x]
-            maxlen = max(len(b.words[i]) for i in support)
+            maxlen = max(len(b.words[i]) for i in vec)
             if maxlen >= max_len:
                 continue
             for a in pres.by_src.get(b.dst, ()):
                 b2 = bucket(b.src, a.dst, b.parity ^ a.parity)
-                vec2 = [0] * len(b2.words)
-                for i in support:
-                    vec2[b2.index[b.words[i] + (a.name,)]] += vec[i]
+                vec2: Dict[int, int] = {}
+                for i, c in vec.items():
+                    j = b2.index[b.words[i] + (a.name,)]
+                    vec2[j] = vec2.get(j, 0) + c
                 queue.append((b2, vec2))
 
     # quotient per bucket
@@ -983,7 +984,7 @@ def _solve_transform(sf_short, C_short, cols_target, rank, rank2):
             raise ZExactError("unsolvable system")
         mt_cols.append(x)
     # mt_cols[i] is row i of M
-    return IntMatrix(mt_cols, rank2, rank)
+    return IntMatrix._of(tuple(mt_cols), rank2, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,7 +1050,8 @@ def ideal_checks(table: HomTable, max_index: int = 24) -> RingIdealData:
         odd_full = len(lat.basis()) == rank_od
         # even part must split as Z*id + nil with a unimodular change of basis
         stack = [list(table.id_coords[obj])] + [list(v) for v in ev]
-        M = IntMatrix(stack, len(stack), rank_ev) if rank_ev else IntMatrix.zero(0, 0)
+        M = IntMatrix._of(tuple(map(tuple, stack)), len(stack), rank_ev) if rank_ev \
+            else IntMatrix.zero(0, 0)
         sf = smith(M) if rank_ev else None
         even_split = rank_ev == 0 or (
             len(stack) == rank_ev and all(d == 1 for d in sf.diagonal()))

@@ -162,6 +162,8 @@ class GradedModule:
 
         def pres(d):
             gens = d["gens"]
+            if type(gens) is not int or gens < 0:
+                raise ValueError(f"gens must be a nonnegative integer, not {gens!r}")
             rels = d.get("rels") or []
             if not rels:
                 return Presentation(gens)
@@ -620,7 +622,7 @@ def _ss_projection(sc: SpaceCategory, Y: str) -> IntMatrix:
     x = solve(B.transpose(), tuple(1 if i == 0 else 0 for i in range(rank)))
     if x is None:
         raise ModuleError(f"End({Y}) does not split as Z·id + nil")
-    return IntMatrix([list(x)], 1, rank)
+    return IntMatrix._of((tuple(x),), 1, rank)
 
 
 def _augmentation_matrix(sc: SpaceCategory, Y: str, W: str, parity: int) -> IntMatrix:
@@ -1160,52 +1162,53 @@ def _nf_from_parts(rank: int, torsions: List[int]) -> AbGroupNF:
     if not torsions:
         return AbGroupNF(rank, ())
     # merge torsion coefficients into a divisibility chain via a diagonal SNF
-    mat = IntMatrix([[torsions[j] if i == j else 0 for j in range(len(torsions))]
-                     for i in range(len(torsions))])
-    P = Presentation(len(torsions), mat)
+    n = len(torsions)
+    mat = IntMatrix._of(tuple((0,) * i + (d,) + (0,) * (n - 1 - i)
+                              for i, d in enumerate(torsions)), n, n)
+    P = Presentation(n, mat)
     nf = P.normal_form()
     return AbGroupNF(rank + nf.rank, nf.torsion)
 
 
+def _tensor_diff(res: FreeResolution, M: GradedModule, k: int) -> GradedHom:
+    """The differential d_k⊗M from level k to level k-1."""
+    src_level = res.level(k)
+    dst_level = res.level(k - 1)
+    entries = res.diff(k)
+    sources = [_shifted(M.entries[A], e) for A, e in src_level]
+    targets = [_shifted(M.entries[B], e) for B, e in dst_level]
+    blocks = []
+    for i, (B, eB) in enumerate(dst_level):
+        row = []
+        for j, (A, eA) in enumerate(src_level):
+            el = entries[i][j]
+            if el is None:
+                row.append(None)
+            else:
+                h = M.action_element(el)
+                # shift routing: as a degree-0 map of the shifted groups
+                if eA % 2 == 1:
+                    h = h.shift()
+                row.append(h)
+        blocks.append(row)
+    return _block_graded_hom(0, sources, targets, blocks)
+
+
 def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int):
-    """The maps d_{n+1}⊗M and d_n⊗M of the tensored complex around level n."""
-
-    def level_group(k):
-        return graded_direct_sum([_shifted(M.entries[A], e) for A, e in res.level(k)])
-
-    def diff_hom(k):
-        src_level = res.level(k)
-        dst_level = res.level(k - 1)
-        entries = res.diff(k)
-        sources = [_shifted(M.entries[A], e) for A, e in src_level]
-        targets = [_shifted(M.entries[B], e) for B, e in dst_level]
-        blocks = []
-        for i, (B, eB) in enumerate(dst_level):
-            row = []
-            for j, (A, eA) in enumerate(src_level):
-                el = entries[i][j]
-                if el is None:
-                    row.append(None)
-                else:
-                    h = M.action_element(el)
-                    # shift routing: as a degree-0 map of the shifted groups
-                    if eA % 2 == 1:
-                        h = h.shift()
-                    row.append(h)
-            blocks.append(row)
-        return _block_graded_hom(0, sources, targets, blocks)
-
-    return diff_hom(n + 1), (diff_hom(n) if n >= 1 else None), level_group(n)
+    """The maps d_{n+1}⊗M and d_n⊗M (None for n = 0) of the tensored
+    complex around level n."""
+    return (_tensor_diff(res, M, n + 1),
+            _tensor_diff(res, M, n) if n >= 1 else None)
 
 
-def tor_single(res: FreeResolution, M: GradedModule, n: int) -> Tuple[AbGroupNF, AbGroupNF]:
-    """Tor_n(S_Y, M) from a resolution of S_Y."""
-    d_in, d_out, Gn = tensor_complex_maps(res, M, n)
+def _homology_at(d_in: GradedHom,
+                 d_out: Optional[GradedHom]) -> Tuple[AbGroupNF, AbGroupNF]:
+    """ker(d_out)/im(d_in) per parity; no d_out means the zero map."""
     parts = []
     for parity in (0, 1):
         f = d_in.from_even if parity == 0 else d_in.from_odd
         if d_out is None:
-            g = GroupHom.zero(Gn.part(parity), Presentation.zero())
+            g = GroupHom.zero(f.target, Presentation.zero())
         else:
             g = d_out.from_even if parity == 0 else d_out.from_odd
         h = subquotient_homology(f, g)
@@ -1213,17 +1216,23 @@ def tor_single(res: FreeResolution, M: GradedModule, n: int) -> Tuple[AbGroupNF,
     return parts[0], parts[1]
 
 
+def tor_single(res: FreeResolution, M: GradedModule, n: int) -> Tuple[AbGroupNF, AbGroupNF]:
+    """Tor_n(S_Y, M) from a resolution of S_Y."""
+    return _homology_at(*tensor_complex_maps(res, M, n))
+
+
 def tor(M: GradedModule, n: int, engine: str = "auto",
         objects: Optional[Sequence[str]] = None) -> TorReport:
-    """Tor_k(S_Y, M) for all Y and k = 0..n; aggregate = Tor(NT_ss, M)."""
+    """Tor_k(S_Y, M) for all Y and k = 0..n; aggregate = Tor(NT_ss, M).
+
+    Each tensored differential d_k⊗M is built once per Y and serves as the
+    outgoing map at level k and the incoming map at level k-1."""
     sc = M.category
     groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]] = {}
     for Y in (objects if objects is not None else sc.objects):
         res = resolution_for(sc, Y, n + 1, engine)
-        degs = {}
-        for k in range(n + 1):
-            degs[k] = tor_single(res, M, k)
-        groups[Y] = degs
+        d = [None] + [_tensor_diff(res, M, k) for k in range(1, n + 2)]
+        groups[Y] = {k: _homology_at(d[k + 1], d[k]) for k in range(n + 1)}
     return TorReport(sc.space.name, groups)
 
 

@@ -8,7 +8,9 @@ explicit unimodular transforms.  No floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
+from operator import add, itemgetter, mul, neg
 from typing import Dict, Iterable, Optional, Sequence
 
 
@@ -25,13 +27,23 @@ class CompositionNonZeroError(ZExactError):
 # ---------------------------------------------------------------------------
 
 class IntMatrix:
-    """Immutable integer matrix, row major."""
+    """Immutable integer matrix, row major.
+
+    The public constructor checks its input: every entry must be an ``int``
+    (``bool`` and ``float`` are refused) and every row must have the same
+    length.  Matrices built inside this module from data that is already a
+    tuple of int tuples go through the unchecked ``_of``.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int]], rows: Optional[int] = None,
                  cols: Optional[int] = None):
-        d = tuple(tuple(int(x) for x in row) for row in data)
+        d = tuple(map(tuple, data))
+        for row in d:
+            for x in row:
+                if type(x) is not int:
+                    raise ZExactError(f"matrix entries must be integers, not {x!r}")
         if rows is None:
             rows = len(d)
         if cols is None:
@@ -42,6 +54,16 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", d)
 
+    @classmethod
+    def _of(cls, data: tuple, rows: int, cols: int) -> "IntMatrix":
+        """Trusted constructor: `data` must already be a tuple of `rows`
+        tuples of `cols` ints each.  Nothing is checked or copied."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", data)
+        return m
+
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("IntMatrix is immutable")
 
@@ -49,11 +71,13 @@ class IntMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)], rows, cols)
+        return IntMatrix._of(((0,) * cols,) * rows, rows, cols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        zeros = (0,) * n
+        return IntMatrix._of(tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)),
+                             n, n)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntMatrix":
@@ -62,7 +86,9 @@ class IntMatrix:
                 raise ZExactError("from_columns needs nrows for an empty column list")
             return IntMatrix.zero(nrows, 0)
         n = len(cols[0])
-        return IntMatrix([[c[i] for c in cols] for i in range(n)], n, len(cols))
+        if any(len(c) != n for c in cols) or nrows not in (None, n):
+            raise ZExactError("ragged or mis-sized columns")
+        return IntMatrix._of(tuple(zip(*cols)), n, len(cols))
 
     # -- basic queries -----------------------------------------------------
 
@@ -84,68 +110,75 @@ class IntMatrix:
         return self.data[i]
 
     def column(self, j) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple([r[j] for r in self.data])
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ZExactError("shape mismatch in add")
-        return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)],
-                         self.rows, self.cols)
+        return IntMatrix._of(tuple(tuple(map(add, r1, r2))
+                                   for r1, r2 in zip(self.data, other.data)),
+                             self.rows, self.cols)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self.data],
-                         self.rows, self.cols)
+        return IntMatrix._of(tuple(tuple(map(neg, row)) for row in self.data),
+                             self.rows, self.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * x for x in row] for row in self.data],
-                         self.rows, self.cols)
+        return IntMatrix._of(tuple(tuple([c * x for x in row]) for row in self.data),
+                             self.rows, self.cols)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ZExactError(f"shape mismatch in mul: {self.cols} vs {other.rows}")
         if self.cols == 0 or other.cols == 0 or self.rows == 0:
             return IntMatrix.zero(self.rows, other.cols)
-        ot = list(zip(*other.data))
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                          for row in self.data], self.rows, other.cols)
+        ot = tuple(zip(*other.data))
+        return IntMatrix._of(tuple(tuple([sum(map(mul, row, col)) for col in ot])
+                                   for row in self.data), self.rows, other.cols)
 
     def apply(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
             raise ZExactError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        return tuple([sum(map(mul, row, vec)) for row in self.data])
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.data)) if self.data else [[] for _ in range(self.cols)],
-                         self.cols, self.rows)
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return IntMatrix._of(data, self.cols, self.rows)
 
     # -- assembly ----------------------------------------------------------
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ZExactError("hstack row mismatch")
-        return IntMatrix([r1 + r2 for r1, r2 in zip(self.data, other.data)],
-                         self.rows, self.cols + other.cols)
+        return IntMatrix._of(tuple(map(add, self.data, other.data)),
+                             self.rows, self.cols + other.cols)
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ZExactError("vstack col mismatch")
-        return IntMatrix(self.data + other.data, self.rows + other.rows, self.cols)
+        return IntMatrix._of(self.data + other.data, self.rows + other.rows, self.cols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        return IntMatrix([[self.data[i][j] for j in col_idx] for i in row_idx],
-                         len(row_idx), len(col_idx))
+        data = self.data
+        if not col_idx:
+            return IntMatrix.zero(len(row_idx), 0)
+        pick = itemgetter(*col_idx)
+        if len(col_idx) == 1:
+            rows = tuple((pick(data[i]),) for i in row_idx)
+        else:
+            rows = tuple(pick(data[i]) for i in row_idx)
+        return IntMatrix._of(rows, len(row_idx), len(col_idx))
 
     @staticmethod
     def block(rows_of_blocks: Sequence[Sequence["IntMatrix"]]) -> "IntMatrix":
@@ -167,15 +200,13 @@ class IntMatrix:
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
-    i0 = j0 = 0
+    out = []
+    j0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[i0 + i][j0 + j] = b.data[i][j]
-        i0 += b.rows
+        left, right = (0,) * j0, (0,) * (cols - j0 - b.cols)
+        out.extend(left + r + right for r in b.data)
         j0 += b.cols
-    return IntMatrix(out, rows, cols)
+    return IntMatrix._of(tuple(out), rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -219,78 +250,102 @@ def smith(A: IntMatrix) -> SmithForm:
 
     Pivots are chosen with minimal absolute value to keep intermediate
     entries small; divisibility of the diagonal is enforced at the end.
+    V is kept transposed while it is built, so that a column operation on
+    it is a row operation on VT.
     """
     m, n = A.rows, A.cols
     M = [list(row) for row in A.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    U = [[0] * m for _ in range(m)]
+    for i in range(m):
+        U[i][i] = 1
+    VT = [[0] * n for _ in range(n)]
+    for i in range(n):
+        VT[i][i] = 1
 
     def swap_rows(i, j):
         if i != j:
             M[i], M[j] = M[j], M[i]
             U[i], U[j] = U[j], U[i]
 
-    def swap_cols(i, j):
-        if i != j:
-            for r in M:
-                r[i], r[j] = r[j], r[i]
-            for r in V:
-                r[i], r[j] = r[j], r[i]
+    def swap_cols(k, j):
+        # rows above k are zero in columns k and j (main-loop invariant)
+        if k != j:
+            for r in M[k:]:
+                r[k], r[j] = r[j], r[k]
+            VT[k], VT[j] = VT[j], VT[k]
+
+    # Row and column operations visit only the nonzero entries of the
+    # source row; the rows of M, U and VT stay sparse in practice.
+    all_cols, all_rows = range(n), range(m)
 
     def add_row(src, dst, q):
         # row[dst] += q*row[src]
         Ms, Md = M[src], M[dst]
-        for jj in range(n):
-            Md[jj] += q * Ms[jj]
+        for j in compress(all_cols, Ms):
+            Md[j] += q * Ms[j]
         Us, Ud = U[src], U[dst]
-        for jj in range(m):
-            Ud[jj] += q * Us[jj]
+        for j in compress(all_rows, Us):
+            Ud[j] += q * Us[j]
+
+    def add_col_v(src, dst, q):
+        Vs, Vd = VT[src], VT[dst]
+        for j in compress(all_cols, Vs):
+            Vd[j] += q * Vs[j]
 
     def add_col(src, dst, q):
         for r in M:
-            r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
+            if r[src]:
+                r[dst] += q * r[src]
+        add_col_v(src, dst, q)
 
     def negate_row(i):
-        M[i] = [-x for x in M[i]]
-        U[i] = [-x for x in U[i]]
+        M[i] = list(map(neg, M[i]))
+        U[i] = list(map(neg, U[i]))
 
+    # Invariant of the main loop: rows and columns before k are zero off the
+    # diagonal, so column operations at step k only meet rows k and below.
     k = 0
     limit = min(m, n)
     while k < limit:
-        # minimal-absolute-value nonzero pivot in the trailing block
+        # minimal-absolute-value nonzero pivot in the trailing block, the
+        # first one in row-major order
         piv = None
-        best = None
+        best = 0
         for i in range(k, m):
-            for j in range(k, n):
-                v = abs(M[i][j])
-                if v and (best is None or v < best):
-                    best, piv = v, (i, j)
-                    if v == 1:
-                        break
-            if best == 1:
-                break
+            a = list(map(abs, M[i][k:]))
+            v = min(filter(None, a), default=0)
+            if v and (not best or v < best):
+                best, piv = v, (i, k + a.index(v))
+                if v == 1:
+                    break
         if piv is None:
             break
         swap_rows(k, piv[0])
         swap_cols(k, piv[1])
+        below = range(k + 1, m)
+        right = range(k + 1, n)
+        at_k = itemgetter(k)
         while True:
-            for i in range(k + 1, m):
-                if M[i][k]:
-                    add_row(k, i, -(M[i][k] // M[k][k]))
-            pending = [i for i in range(k + 1, m) if M[i][k]]
+            pending = list(compress(below, map(at_k, M[k + 1:])))
+            for i in pending:
+                add_row(k, i, -(M[i][k] // M[k][k]))
+            pending = [i for i in pending if M[i][k]]
             if pending:
                 # remainder smaller than pivot; promote it
                 i = min(pending, key=lambda r: abs(M[r][k]))
                 swap_rows(k, i)
                 continue
-            for j in range(k + 1, n):
-                if M[k][j]:
-                    add_col(k, j, -(M[k][j] // M[k][k]))
-            pending = [j for j in range(k + 1, n) if M[k][j]]
+            # column k is now zero below the pivot: a column operation
+            # from it changes row k of M only
+            Mk = M[k]
+            d = Mk[k]
+            for j in list(compress(right, Mk[k + 1:])):
+                q = -(Mk[j] // d)
+                Mk[j] += q * d
+                add_col_v(k, j, q)
+            pending = list(compress(right, Mk[k + 1:]))
             if pending:
-                j = min(pending, key=lambda c: abs(M[k][c]))
+                j = min(pending, key=lambda c: abs(Mk[c]))
                 swap_cols(k, j)
                 continue
             break
@@ -311,7 +366,6 @@ def smith(A: IntMatrix) -> SmithForm:
                 add_col(i + 1, i, 1)
                 # now column i has entries a (row i) and b (row i+1)
                 while M[i + 1][i]:
-                    q = M[i][i] // M[i + 1][i] if M[i + 1][i] else 0
                     if abs(M[i][i]) >= abs(M[i + 1][i]):
                         add_row(i + 1, i, -(M[i][i] // M[i + 1][i]))
                     swap_rows(i, i + 1)
@@ -323,7 +377,10 @@ def smith(A: IntMatrix) -> SmithForm:
                 if M[i + 1][i + 1] < 0:
                     negate_row(i + 1)
                 changed = True
-    return SmithForm(IntMatrix(U, m, m), IntMatrix(M, m, n), IntMatrix(V, n, n))
+    V = tuple(zip(*VT)) if n else ()
+    return SmithForm(IntMatrix._of(tuple(map(tuple, U)), m, m),
+                     IntMatrix._of(tuple(map(tuple, M)), m, n),
+                     IntMatrix._of(V, n, n))
 
 
 def det(A: IntMatrix) -> int:
@@ -384,45 +441,86 @@ def solve_columns(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     return IntMatrix.from_columns(cols, A.cols)
 
 
-class Echelon:
-    """Mutable integer row-echelon lattice, rows over a fixed index set."""
+def _nonzeros(vec) -> dict:
+    """The nonzero entries {index: value} of a dense vector."""
+    return dict(filter(itemgetter(1), enumerate(vec)))
 
-    __slots__ = ("n", "pivots")
+
+class Echelon:
+    """Mutable integer row-echelon lattice, rows over a fixed index set.
+
+    `pivots` maps each pivot column to its dense row; the rows are updated
+    and scanned only at their nonzero entries, which `_support` lists per
+    pivot column in increasing order.
+    """
+
+    __slots__ = ("n", "pivots", "_support")
 
     def __init__(self, n: int):
         self.n = n
         self.pivots: Dict[int, list] = {}  # pivot column -> row
+        self._support: Dict[int, list] = {}  # pivot column -> nonzero columns
 
     def add(self, vec) -> bool:
         """Insert; returns True if the lattice grew or changed."""
-        cur = list(vec)
+        if len(vec) != self.n:
+            raise ZExactError("vector length mismatch")
+        return self._insert(_nonzeros(vec))
+
+    def add_sparse(self, entries: Dict[int, int]) -> bool:
+        """`add` for the vector whose nonzero entries are {index: value}."""
+        return self._insert(dict(entries))
+
+    def _insert(self, cur: dict) -> bool:
+        # Euclid on the leading entry: reduce by the pivot row there, and if
+        # a remainder is left it becomes the pivot row and the old pivot row
+        # is reduced in turn.  `cur` holds only nonzero entries, so its
+        # leading column is min(cur).
+        pivots, support = self.pivots, self._support
         changed = False
-        while True:
-            p = next((i for i, x in enumerate(cur) if x), None)
-            if p is None:
-                return changed
-            row = self.pivots.get(p)
+        while cur:
+            p = min(cur)
+            row = pivots.get(p)
             if row is None:
-                self.pivots[p] = cur
+                self._store(p, cur)
                 return True
             q = cur[p] // row[p]
             if q:
-                cur = [a - q * b for a, b in zip(cur, row)]
-            if cur[p]:
+                self._subtract(cur, p, q)
+            if p in cur:
                 # row[p] did not divide: swap roles and continue Euclid
-                self.pivots[p], cur = cur, row
+                old = support[p]
+                self._store(p, cur)
+                cur = {i: row[i] for i in old}
                 changed = True
+        return changed
+
+    def _subtract(self, cur: dict, p: int, q: int) -> None:
+        """cur -= q * (pivot row p), at the nonzero entries of that row."""
+        row = self.pivots[p]
+        for i in self._support[p]:
+            x = cur.get(i, 0) - q * row[i]
+            if x:
+                cur[i] = x
+            else:
+                del cur[i]
+
+    def _store(self, p: int, cur: dict) -> None:
+        row = [0] * self.n
+        for i, x in cur.items():
+            row[i] = x
+        self.pivots[p] = row
+        self._support[p] = sorted(cur)
 
     def contains(self, vec) -> bool:
-        cur = list(vec)
-        for p in sorted(self.pivots):
-            if cur[p]:
-                row = self.pivots[p]
-                if cur[p] % row[p]:
-                    return False
-                q = cur[p] // row[p]
-                cur = [a - q * b for a, b in zip(cur, row)]
-        return not any(cur)
+        cur = _nonzeros(vec)
+        while cur:
+            p = min(cur)
+            row = self.pivots.get(p)
+            if row is None or cur[p] % row[p]:
+                return False
+            self._subtract(cur, p, cur[p] // row[p])
+        return True
 
     def basis(self) -> list:
         return [self.pivots[p] for p in sorted(self.pivots)]
@@ -434,20 +532,20 @@ def hnf_columns(A: IntMatrix) -> IntMatrix:
     Zero columns are dropped; equal lattices yield equal matrices.
     """
     ech = Echelon(A.rows)
-    for j in range(A.cols):
-        ech.add(A.column(j))
+    for c in A.columns():
+        ech.add(c)
     pivots = sorted(ech.pivots)
     out = ech.basis()
     for p, r in zip(pivots, out):
         if r[p] < 0:
-            r[:] = [-x for x in r]
+            r[:] = map(neg, r)
     # reduce entries above each pivot into [0, pivot)
     for j, (pj, rj) in enumerate(zip(pivots, out)):
         for ri in out[:j]:
             if ri[pj]:
                 q = ri[pj] // rj[pj]
                 ri[:] = [x - q * y for x, y in zip(ri, rj)]
-    return IntMatrix.from_columns([tuple(r) for r in out], A.rows)
+    return IntMatrix.from_columns(out, A.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +698,18 @@ class HomologyResult:
     # presentation of ker(g)/im(f) in terms of a kernel lattice basis
     lattice_basis: IntMatrix      # columns: basis of the lifted cycle lattice
     quotient: Presentation        # ker/im presented on that basis
+    # Smith form of lattice_basis, factored by the first class_of call
+    _basis_smith: Optional[SmithForm] = field(default=None, repr=False,
+                                              compare=False)
 
     def class_of(self, v: Sequence[int]) -> tuple:
         """Canonical class of an element of the middle group given by a
         coordinate vector in its generators.  The vector must be a cycle."""
-        coords = solve(self.lattice_basis, v)
+        sf = self._basis_smith
+        if sf is None:
+            sf = smith(self.lattice_basis)
+            object.__setattr__(self, "_basis_smith", sf)
+        coords = sf.solve(v)
         if coords is None:
             raise ZExactError("element is not a cycle")
         return self.quotient.class_vector(coords)

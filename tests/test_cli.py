@@ -2,6 +2,8 @@ import io
 import json
 import os
 
+import pytest
+
 from fktor.cli import (EXIT_COMPUTE, EXIT_HYPOTHESIS, EXIT_OK, EXIT_PARSE, run)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "fktor", "data")
@@ -156,3 +158,79 @@ def test_hypothesis_exit_code(monkeypatch):
     monkeypatch.setitem(nm._IDEAL_FLAG_CACHE, "Z4", FakeFlags())
     code, _ = run_cli("module-pd", "--space", "Z4", "--file", "m_example.json")
     assert code == EXIT_HYPOTHESIS
+
+
+GOOD_Z3_GRAPH = {
+    "space": "Z3",
+    "blocks": [{"point": "4", "vertices": 1}, {"point": "1", "vertices": 1},
+               {"point": "2", "vertices": 1}, {"point": "3", "vertices": 1}],
+    "adjacency": [[2, 0, 0, 0], [1, 2, 0, 0], [1, 0, 2, 0], [1, 0, 0, 2]],
+}
+
+
+def _write_json(tmp_path, data):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+def _graph_with_entry(value):
+    data = json.loads(json.dumps(GOOD_Z3_GRAPH))
+    data["adjacency"][1][0] = value
+    return data
+
+
+def test_graph_file_reference_input_is_accepted(tmp_path):
+    code, out = run_cli("graph-check", "--space", "Z3", "--file",
+                        _write_json(tmp_path, GOOD_Z3_GRAPH))
+    assert code == EXIT_OK and "triangular: yes" in out
+
+
+def _no_adjacency():
+    data = dict(GOOD_Z3_GRAPH)
+    del data["adjacency"]
+    return data
+
+
+def _fractional_block():
+    data = json.loads(json.dumps(GOOD_Z3_GRAPH))
+    data["blocks"][0]["vertices"] = 1.5
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    _graph_with_entry(1.5), _graph_with_entry(True), _graph_with_entry("x"),
+    [GOOD_Z3_GRAPH], _no_adjacency(), _fractional_block(),
+], ids=["float-entry", "bool-entry", "string-entry", "list-root",
+        "missing-key", "fractional-vertices"])
+@pytest.mark.parametrize("verb", ["graph-check", "graph-tor"])
+def test_parse_error_malformed_graph_file(tmp_path, capsys, data, verb):
+    code, out = run_cli(verb, "--space", "Z3", "--file",
+                        _write_json(tmp_path, data))
+    assert code == EXIT_PARSE and out == ""
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_parse_error_unreadable_file(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (binary, tmp_path):
+        code, _ = run_cli("graph-check", "--space", "Z3", "--file", str(path))
+        assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: next(iter(d["entries"].values()))["even"].update(gens=1.5),
+    lambda d: d["actions"].clear() or d["actions"].update(nope={}),
+    lambda d: d.pop("entries"),
+], ids=["fractional-gens", "unknown-arrow", "missing-key"])
+def test_parse_error_malformed_module_file(tmp_path, mutate):
+    with open(os.path.join(DATA, "m_example.json")) as fh:
+        data = json.load(fh)
+    mutate(data)
+    code, _ = run_cli("module-validate", "--space", "Z4", "--file",
+                      _write_json(tmp_path, data))
+    assert code == EXIT_PARSE
+    code, _ = run_cli("module-validate", "--space", "Z4", "--file",
+                      _write_json(tmp_path, [data]))
+    assert code == EXIT_PARSE

@@ -287,6 +287,22 @@ def test_engine_agreement_z4_catalogued_object():
         assert tor_single(res_b, M, n) == tor_single(res_g, M, n), n
 
 
+def test_tor_builds_each_tensored_differential_once(monkeypatch):
+    import fktor.ntmod as nm
+    rng = random.Random(4)
+    M = fk_module(random_block_graph("Z3", rng))
+    sc = M.category
+    expected = {Y: {n: tor_single(nm.resolution_for(sc, Y, 3), M, n)
+                    for n in range(3)} for Y in sc.objects}
+    built = []
+    real = nm._tensor_diff
+    monkeypatch.setattr(nm, "_tensor_diff",
+                        lambda res, M, k: built.append((res.Y, k)) or real(res, M, k))
+    rep = tor(M, 2)
+    assert sorted(built) == sorted((Y, k) for Y in sc.objects for k in (1, 2, 3))
+    assert rep.groups == expected
+
+
 def test_sign_robustness_delta_negation():
     # negating every odd-parity generator action gives an isomorphic module
     rng = random.Random(9)

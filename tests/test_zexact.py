@@ -1,14 +1,17 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fktor.zexact import (
     AbGroupNF, CompositionNonZeroError, Echelon, GradedGroup, GradedHom,
-    GroupHom, IntMatrix, Presentation, det, graded_direct_sum, hnf_columns,
-    kernel, normal_form, shift, smith, solve, solve_columns,
+    GroupHom, IntMatrix, Presentation, ZExactError, det, graded_direct_sum,
+    hnf_columns, kernel, normal_form, shift, smith, solve, solve_columns,
     subquotient_homology,
 )
+import fktor.zexact as zexact
 
 PROPS = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -27,6 +30,41 @@ def int_matrices(draw, rows=None):
     n = draw(st.integers(0, 4))
     entry = st.integers(-4, 4)
     return IntMatrix([[draw(entry) for _ in range(n)] for _ in range(m)], m, n)
+
+
+# ---------------------------------------------------------------------------
+# Construction
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [1.5, True, "x", None, 2.0])
+def test_public_constructor_rejects_non_integers(bad):
+    with pytest.raises(ZExactError):
+        IntMatrix([[1, 0], [bad, 1]])
+
+
+def test_public_constructor_checks_shape():
+    assert IntMatrix([[1, -2], [0, 3]]).data == ((1, -2), (0, 3))
+    with pytest.raises(ZExactError):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ZExactError):
+        IntMatrix.from_columns([(1, 2), (3,)])
+
+
+@PROPS
+@given(int_matrices(), int_matrices())
+def test_internal_results_equal_checked_matrices(A, B):
+    """Matrices built on the unchecked path compare and hash like the same
+    entries passed through the public constructor."""
+    checked = [A.transpose(), -A, A.scale(3), A.submatrix(range(A.rows), range(A.cols))]
+    if (A.rows, A.cols) == (B.rows, B.cols):
+        checked += [A + B, A - B]
+    if A.cols == B.rows:
+        checked.append(A * B)
+    if A.rows == B.rows:
+        checked.append(A.hstack(B))
+    for X in checked:
+        Y = IntMatrix(X.to_lists(), X.rows, X.cols)
+        assert X == Y and hash(X) == hash(Y)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +126,35 @@ def test_smith_transforms_and_divisibility_property(A):
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         assert (b % a == 0) if a else b == 0
+
+
+def determinantal_divisors(A):
+    """D_k = gcd of all k x k minors of A (0 if they all vanish), by
+    cofactor-free Bareiss determinants; independent of the Smith code."""
+    out = []
+    for k in range(1, min(A.rows, A.cols) + 1):
+        g = 0
+        for rows in combinations(range(A.rows), k):
+            for cols in combinations(range(A.cols), k):
+                g = gcd(g, det(A.submatrix(rows, cols)))
+        out.append(g)
+    return out
+
+
+@PROPS
+@given(int_matrices())
+def test_smith_diagonal_matches_determinantal_divisors(A):
+    diag = smith(A).diagonal()
+    prod = 1
+    for d, D in zip(diag, determinantal_divisors(A)):
+        prod *= d
+        assert prod == D
+
+
+def test_smith_determinantal_divisors_need_divisibility_fix():
+    # diag(2, 3) is diagonal but not in Smith form: D_1 = 1, D_2 = 6
+    assert determinantal_divisors(M([[2, 0], [0, 3]])) == [1, 6]
+    assert smith(M([[2, 0], [0, 3]])).diagonal() == [1, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +263,77 @@ def test_echelon_add_reports_growth():
     assert e.contains([5, 0]) and not e.contains([0, 1])
 
 
+class DenseEchelon:
+    """Reference insertion: dense rows, leading entry found by a scan from
+    index 0, whole-row subtraction; the oracle for the sparse Echelon."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def add(self, vec) -> bool:
+        cur = list(vec)
+        changed = False
+        while True:
+            p = next((i for i, x in enumerate(cur) if x), None)
+            if p is None:
+                return changed
+            row = self.pivots.get(p)
+            if row is None:
+                self.pivots[p] = cur
+                return True
+            q = cur[p] // row[p]
+            if q:
+                cur = [a - q * b for a, b in zip(cur, row)]
+            if cur[p]:
+                self.pivots[p], cur = cur, row
+                changed = True
+
+    def contains(self, vec) -> bool:
+        cur = list(vec)
+        for p in sorted(self.pivots):
+            if cur[p]:
+                row = self.pivots[p]
+                if cur[p] % row[p]:
+                    return False
+                q = cur[p] // row[p]
+                cur = [a - q * b for a, b in zip(cur, row)]
+        return not any(cur)
+
+
+@st.composite
+def vector_streams(draw):
+    """A length n and a stream of vectors of that length: mostly sparse
+    0/±1 vectors (word coordinates), some dense ones with small entries."""
+    n = draw(st.integers(1, 40))
+    count = draw(st.integers(0, 60))
+    stream = []
+    for _ in range(count):
+        if draw(st.integers(0, 4)):
+            vec = [0] * n
+            for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+                vec[i] += draw(st.sampled_from((-1, 1)))
+        else:
+            vec = [draw(st.integers(-3, 3)) for _ in range(n)]
+        stream.append(vec)
+    return n, stream
+
+
+@PROPS
+@given(vector_streams())
+def test_sparse_echelon_matches_dense_reference(ns):
+    n, stream = ns
+    ech, ref = Echelon(n), DenseEchelon()
+    for vec in stream:
+        assert ech.add(vec) == ref.add(vec)
+        assert ech.pivots == ref.pivots
+    for vec in stream[:5] + [[1] * n, [2] + [0] * (n - 1)]:
+        assert ech.contains(vec) == ref.contains(vec)
+    sparse = Echelon(n)
+    for vec in stream:
+        sparse.add_sparse({i: x for i, x in enumerate(vec) if x})
+    assert sparse.pivots == ref.pivots
+
+
 # ---------------------------------------------------------------------------
 # Presentations
 # ---------------------------------------------------------------------------
@@ -302,6 +440,24 @@ def test_homology_witness_class():
     assert res.group == AbGroupNF(0, (2, 2))
     assert any(c for c in res.class_of((1, 0)))
     assert not any(c for c in res.class_of((2, 0)))
+
+
+def test_class_of_factors_the_cycle_basis_once(monkeypatch):
+    B = Presentation.free(2)
+    f = GroupHom(B, B, M([[2, 0], [0, 4]]))
+    g = GroupHom.zero(B, Presentation.zero())
+    res = subquotient_homology(f, g)
+    calls = []
+    real = zexact.smith
+    monkeypatch.setattr(zexact, "smith", lambda A: calls.append(A) or real(A))
+    assert res.class_of((1, 1)) == (1, 1)
+    assert res.class_of((3, 2)) == (1, 2)
+    assert len(calls) == 1
+    C = Presentation(2, M([[0], [1]]))
+    h = subquotient_homology(GroupHom.zero(Presentation.zero(), B),
+                             GroupHom(B, C, M([[1, 0], [0, 1]])))
+    with pytest.raises(ZExactError, match="element is not a cycle"):
+        h.class_of((1, 0))
 
 
 def test_homology_sign_flip_invariance():
