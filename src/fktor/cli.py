@@ -89,7 +89,8 @@ def _parse(kind: str, build):
         return build()
     except KeyError as e:
         raise CliParseError(f"{kind} file lacks the key {e}")
-    except (TypeError, ValueError, ZExactError) as e:
+    except (TypeError, ValueError, OverflowError, ZExactError) as e:
+        # OverflowError: a count too large to index, such as gens = 2**70
         raise CliParseError(f"malformed {kind} file: {e}")
 
 

@@ -676,6 +676,19 @@ class Element:
         return f"Element({self.src}->{self.dst}, parity {self.parity}, {self.vec})"
 
 
+def _add_scaled(acc: list, row: Sequence[int], c: int) -> None:
+    """acc += c·row, in place."""
+    for i, v in enumerate(row):
+        if v:
+            acc[i] += c * v
+
+
+def _from_cols(cols: List[list], nrows: int) -> IntMatrix:
+    """The nrows x len(cols) matrix with the given columns."""
+    data = tuple(zip(*cols)) if cols else ((),) * nrows
+    return IntMatrix._of(data, nrows, len(cols))
+
+
 class HomTable:
     """Computed Hom groups with composition data.
 
@@ -694,6 +707,7 @@ class HomTable:
         self.pre: Dict[Tuple[str, str, int, str], IntMatrix] = {}
         self.id_coords: Dict[str, tuple] = {}
         self._compose_cache: Dict[tuple, tuple] = {}
+        self._nil_cache: Optional[Dict[Tuple[str, str, int], Tuple[tuple, ...]]] = None
 
     # -- element helpers -----------------------------------------------------
 
@@ -753,38 +767,75 @@ class HomTable:
             out = self.add(out, self.scale(self.eval_word(src, w), coeff))
         return out
 
+    def _constants(self, first_key, then_key, k) -> tuple:
+        """Structure constants: row j holds the coordinates of
+        (basis k of then_key) ∘ (basis j of first_key), computed once through
+        the representative words of basis k and cached."""
+        key = first_key + then_key + (k,)
+        rows = self._compose_cache.get(key)
+        if rows is None:
+            src, dst, parity = first_key
+            rep = self.rep_combo(*then_key, k)
+            r = self.rank.get(first_key, 0)
+            out_key = (src, then_key[1], parity ^ then_key[2])
+            acc = []
+            for j in range(r):
+                base = Element(src, dst, parity,
+                               tuple(1 if i == j else 0 for i in range(r)))
+                acc_j = self.zero(*out_key)
+                for w, coeff in rep.items():
+                    cur = base
+                    for nm in w:
+                        cur = self.post_compose_arrow(cur, nm)
+                    acc_j = self.add(acc_j, self.scale(cur, coeff))
+                acc.append(acc_j.vec)
+            rows = self._compose_cache[key] = tuple(acc)
+        return rows
+
     def compose(self, first: Element, then: Element) -> Element:
         """then ∘ first."""
         if first.dst != then.src:
             raise CategoryError("endpoints do not match in compose")
         out = self.zero(first.src, then.dst, first.parity ^ then.parity)
+        first_key = (first.src, first.dst, first.parity)
+        then_key = (then.src, then.dst, then.parity)
         for k, c in enumerate(then.vec):
             if not c:
                 continue
-            key = (first.src, first.dst, first.parity, then.src, then.dst,
-                   then.parity, k)
-            basis_val = self._compose_cache.get(key)
-            if basis_val is None:
-                rep = self.rep_combo(then.src, then.dst, then.parity, k)
-                # compute action of basis element k on each basis vector once
-                cache_rows = []
-                for j in range(len(first.vec)):
-                    base = Element(first.src, first.dst, first.parity,
-                                   tuple(1 if i == j else 0 for i in range(len(first.vec))))
-                    acc_j = self.zero(first.src, then.dst, first.parity ^ then.parity)
-                    for w, coeff in rep.items():
-                        cur = base
-                        for nm in w:
-                            cur = self.post_compose_arrow(cur, nm)
-                        acc_j = self.add(acc_j, self.scale(cur, coeff))
-                    cache_rows.append(acc_j.vec)
-                basis_val = tuple(cache_rows)
-                self._compose_cache[key] = basis_val
+            basis_val = self._constants(first_key, then_key, k)
             for j, x in enumerate(first.vec):
                 if x:
                     out = self.add(out, Element(out.src, out.dst, out.parity,
                                                 tuple(x * c * v for v in basis_val[j])))
         return out
+
+    def post_matrix(self, el: Element, W: str, parity: int) -> IntMatrix:
+        """Matrix of x ↦ el∘x from NT(W, el.src) at `parity` to
+        NT(W, el.dst), read off the structure constants."""
+        n_in = self.rank.get((W, el.src, parity), 0)
+        n_out = self.rank.get((W, el.dst, parity ^ el.parity), 0)
+        cols = [[0] * n_out for _ in range(n_in)]
+        first_key, then_key = (W, el.src, parity), (el.src, el.dst, el.parity)
+        for k, c in enumerate(el.vec):
+            if c:
+                for col, row in zip(cols, self._constants(first_key, then_key, k)):
+                    _add_scaled(col, row, c)
+        return _from_cols(cols, n_out)
+
+    def pre_matrix(self, el: Element, W: str, parity: int) -> IntMatrix:
+        """Matrix of x ↦ x∘el from NT(el.dst, W) at `parity` to
+        NT(el.src, W), read off the structure constants."""
+        n_in = self.rank.get((el.dst, W, parity), 0)
+        n_out = self.rank.get((el.src, W, parity ^ el.parity), 0)
+        cols = []
+        first_key, then_key = (el.src, el.dst, el.parity), (el.dst, W, parity)
+        for k in range(n_in):
+            col = [0] * n_out
+            for c, row in zip(el.vec, self._constants(first_key, then_key, k)):
+                if c:
+                    _add_scaled(col, row, c)
+            cols.append(col)
+        return _from_cols(cols, n_out)
 
     def graded_rank(self, src, dst) -> Tuple[int, int]:
         return (self.rank.get((src, dst, 0), 0), self.rank.get((src, dst, 1), 0))
@@ -999,23 +1050,27 @@ class RingIdealData:
     end_nil_ranks: Dict[str, Tuple[int, int]]
 
 
-def nil_basis(table: HomTable) -> Dict[Tuple[str, str, int], List[tuple]]:
+def nil_basis(table: HomTable) -> Dict[Tuple[str, str, int], Tuple[tuple, ...]]:
     """Lattice bases of the nil part of every Hom group: the classes of all
     composites of at least one generator (everything between distinct
-    objects, and the non-identity part of each End group)."""
+    objects, and the non-identity part of each End group).
+
+    Computed once per table; every caller shares the returned dict."""
+    if table._nil_cache is not None:
+        return table._nil_cache
     pres = table.presentation
-    out: Dict[Tuple[str, str, int], List[tuple]] = {}
+    out: Dict[Tuple[str, str, int], Tuple[tuple, ...]] = {}
     for src in table.objects:
         for dst in table.objects:
             for parity in (0, 1):
                 rank = table.rank.get((src, dst, parity), 0)
                 if rank == 0:
-                    out[(src, dst, parity)] = []
+                    out[(src, dst, parity)] = ()
                     continue
                 if src != dst or parity == 1:
-                    out[(src, dst, parity)] = [
+                    out[(src, dst, parity)] = tuple(
                         tuple(1 if i == k else 0 for i in range(rank))
-                        for k in range(rank)]
+                        for k in range(rank))
                     continue
                 lat = Echelon(rank)
                 for a in pres.by_dst.get(dst, ()):
@@ -1026,7 +1081,8 @@ def nil_basis(table: HomTable) -> Dict[Tuple[str, str, int], List[tuple]]:
                         continue
                     for j in range(r0):
                         lat.add(list(M.column(j)))
-                out[(src, dst, parity)] = [tuple(v) for v in lat.basis()]
+                out[(src, dst, parity)] = tuple(tuple(v) for v in lat.basis())
+    table._nil_cache = out
     return out
 
 
@@ -1060,6 +1116,12 @@ def ideal_checks(table: HomTable, max_index: int = 24) -> RingIdealData:
 
     # nilpotency by powers of the ideal
     current = {k: [list(v) for v in vs] for k, vs in nil.items() if vs}
+    # source object -> [(target, parity, nil basis)], so that each power
+    # only visits the nil generators it can be composed with
+    nil_from: Dict[str, List[tuple]] = defaultdict(list)
+    for (b, c, p2), gens2 in nil.items():
+        if gens2:
+            nil_from[b].append((c, p2, gens2))
     index = 1
     nilpotent = False
     while index <= max_index:
@@ -1068,9 +1130,7 @@ def ideal_checks(table: HomTable, max_index: int = 24) -> RingIdealData:
             break
         nxt: Dict[Tuple[str, str, int], Echelon] = {}
         for (a, b, p1), vecs in current.items():
-            for (b2, c, p2), gens2 in nil.items():
-                if b2 != b or not gens2:
-                    continue
+            for c, p2, gens2 in nil_from[b]:
                 for v in vecs:
                     el = Element(a, b, p1, tuple(v))
                     for g in gens2:

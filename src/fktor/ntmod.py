@@ -223,58 +223,6 @@ def free_module(sc: SpaceCategory, Y: str, side: str = "right",
     return GradedModule(sc, "left" if side == "left" else "right", entries, actions)
 
 
-def _pre_matrix_element(sc: SpaceCategory, el: Element, W: str, parity: int) -> IntMatrix:
-    """Matrix of pre-composition by el: NT(el.dst, W) -> NT(el.src, W)."""
-    t = sc.table
-    n_in = t.rank.get((el.dst, W, parity), 0)
-    n_out = t.rank.get((el.src, W, parity ^ el.parity), 0)
-    out = IntMatrix.zero(n_out, n_in)
-    for k, c in enumerate(el.vec):
-        if not c:
-            continue
-        for w, coeff in t.rep_combo(el.src, el.dst, el.parity, k).items():
-            M = IntMatrix.identity(n_in)
-            cur_src, cur_par = el.dst, parity
-            ok = True
-            for name in reversed(w):
-                a = sc.presentation.arrows[name]
-                Mstep = t.pre.get((cur_src, W, cur_par, name))
-                if Mstep is None:
-                    ok = False
-                    break
-                M = Mstep * M
-                cur_src, cur_par = a.src, cur_par ^ a.parity
-            if ok:
-                out = out + M.scale(c * coeff)
-    return out
-
-
-def _post_matrix_element(sc: SpaceCategory, el: Element, W: str, parity: int) -> IntMatrix:
-    """Matrix of post-composition by el: NT(W, el.src) -> NT(W, el.dst)."""
-    t = sc.table
-    n_in = t.rank.get((W, el.src, parity), 0)
-    n_out = t.rank.get((W, el.dst, parity ^ el.parity), 0)
-    out = IntMatrix.zero(n_out, n_in)
-    for k, c in enumerate(el.vec):
-        if not c:
-            continue
-        for w, coeff in t.rep_combo(el.src, el.dst, el.parity, k).items():
-            M = IntMatrix.identity(n_in)
-            cur_dst, cur_par = el.src, parity
-            ok = True
-            for name in w:
-                a = sc.presentation.arrows[name]
-                Mstep = t.post.get((W, cur_dst, cur_par, name))
-                if Mstep is None:
-                    ok = False
-                    break
-                M = Mstep * M
-                cur_dst, cur_par = a.dst, cur_par ^ a.parity
-            if ok:
-                out = out + M.scale(c * coeff)
-    return out
-
-
 def coker_module(sc: SpaceCategory, targets: Sequence[Tuple[str, int]],
                  sources: Sequence[Tuple[str, int]],
                  entries_matrix: Sequence[Sequence[Optional[Element]]]) -> GradedModule:
@@ -308,7 +256,7 @@ def coker_module(sc: SpaceCategory, targets: Sequence[Tuple[str, int]],
                     if el is None:
                         row.append(IntMatrix.zero(dims_t[i], dims_s[j]))
                     else:
-                        row.append(_pre_matrix_element(sc, el, W, (parity + eA) % 2))
+                        row.append(t.pre_matrix(el, W, (parity + eA) % 2))
                 blocks.append(row)
             total_t = sum(dims_t)
             if total_t == 0:
@@ -597,17 +545,13 @@ class FreeResolution:
                 if el is None:
                     row.append(IntMatrix.zero(n_out, n_in))
                 else:
-                    row.append(_post_matrix_element(sc, el, W, pin))
+                    row.append(t.post_matrix(el, W, pin))
             blocks.append(row)
         if not blocks or not blocks[0]:
             nrows = sum(t.rank.get((W, B, (parity + eB) % 2), 0) for B, eB in dst_level)
             ncols = sum(t.rank.get((W, A, (parity + eA) % 2), 0) for A, eA in src_level)
             return IntMatrix.zero(nrows, ncols)
         return IntMatrix.block(blocks)
-
-    def level_dims(self, n: int, W: str, parity: int) -> int:
-        t = self.sc.table
-        return sum(t.rank.get((W, A, (parity + eA) % 2), 0) for A, eA in self.level(n))
 
 
 def _ss_projection(sc: SpaceCategory, Y: str) -> IntMatrix:
@@ -667,64 +611,34 @@ def extend_resolution(res: FreeResolution, depth: int,
     Y = res.Y
     t = sc.table
     objs = sc.objects
-    nil = nil_basis(t)
     levels = res.levels
     diffs = res.diffs
 
     while len(levels) <= depth:
         n = len(diffs)  # building d_{n+1}: L_{n+1} -> L_n
-        # kernel of d_n (or of the augmentation for n = 0), per (W, parity)
-        kernels: Dict[Tuple[str, int], IntMatrix] = {}
-        for W in objs:
-            for parity in (0, 1):
-                if n == 0:
-                    mat = _augmentation_matrix(sc, Y, W, parity)
-                else:
-                    mat = res.underlying_diff(n, W, parity)
-                kernels[(W, parity)] = kernel(mat)
-        # nil-decomposable part of the kernel module
-        nildec: Dict[Tuple[str, int], List[list]] = {(W, p): []
-                                                     for W in objs for p in (0, 1)}
-        for (V, pv), K in kernels.items():
-            if K.cols == 0:
-                continue
-            for W in objs:
-                for pt in (0, 1):
-                    basis = nil.get((W, V, pt), [])
-                    if not basis:
-                        continue
-                    target = (W, (pv + pt) % 2)
-                    for vvec in basis:
-                        el = Element(W, V, pt, vvec)
-                        act = _free_right_pre_action(sc, res.level(n), el, pv)
-                        for j in range(K.cols):
-                            img = act.apply(K.column(j))
-                            if any(img):
-                                nildec[target].append(list(img))
+        cur_level = res.level(n)
+        kernels = _level_kernels(res, n)
+        pre = _pre_arrow_blocks(sc, cur_level)
+        nildec = _nil_part(sc, kernels, pre)
         # choose generators
         chosen: List[Tuple[str, int, tuple]] = []
         span: Dict[Tuple[str, int], Echelon] = {}
 
-        def span_of(key, dim):
-            s = span.get(key)
-            if s is None:
-                s = span[key] = Echelon(dim)
-            return s
-
         def add_to_span(W, parity, vec):
             # right-module span closure under generator pre-composition
-            queue = [(W, parity, list(vec))]
+            queue = [(W, parity, vec)]
             while queue:
                 W2, p2, v2 = queue.pop()
-                dim = res.level_dims(n, W2, p2)
+                dim = kernels[(W2, p2)].rows
                 if dim == 0 or not any(v2):
                     continue
-                if not span_of((W2, p2), dim).add(v2):
+                s = span.get((W2, p2))
+                if s is None:
+                    s = span[(W2, p2)] = Echelon(dim)
+                if not s.add(v2):
                     continue
                 for a in sc.presentation.by_dst.get(W2, []):
-                    act = _free_right_pre_arrow(sc, res.level(n), a, p2)
-                    img = act.apply(v2)
-                    queue.append((a.src, p2 ^ a.parity, list(img)))
+                    queue.append((a.src, p2 ^ a.parity, pre(a, p2).apply(v2)))
 
         order = sorted(objs, key=lambda o: (len(o), o))
         for W in order:
@@ -737,26 +651,25 @@ def extend_resolution(res: FreeResolution, depth: int,
                 for v in nildec[(W, parity)]:
                     auxiliary.add(v)
                 for j in range(K.cols):
-                    v = list(K.column(j))
+                    v = K.column(j)
                     s = span.get((W, parity))
                     if s is not None and _in_joint_span(s, auxiliary, v):
                         continue
                     if s is None and auxiliary.contains(v):
                         continue
-                    chosen.append((W, parity, K.column(j)))
+                    chosen.append((W, parity, v))
                     add_to_span(W, parity, v)
         # safety: ensure everything is covered by the chosen module span
         for (W, parity), K in kernels.items():
             s = span.get((W, parity))
             for j in range(K.cols):
-                v = list(K.column(j))
+                v = K.column(j)
                 if (s is None and any(v)) or (s is not None and not s.contains(v)):
-                    chosen.append((W, parity, K.column(j)))
+                    chosen.append((W, parity, v))
                     add_to_span(W, parity, v)
                     s = span.get((W, parity))
         new_level = [(W, parity) for W, parity, _ in chosen]
         # differential entries: the components of each chosen kernel vector
-        cur_level = res.level(n)
         matrix: List[List[Optional[Element]]] = [[None] * len(chosen)
                                                  for _ in cur_level]
         for col, (W, parity, vec) in enumerate(chosen):
@@ -777,6 +690,45 @@ def extend_resolution(res: FreeResolution, depth: int,
         diffs.append(matrix)
 
 
+def _level_kernels(res: FreeResolution, n: int) -> Dict[Tuple[str, int], IntMatrix]:
+    """Kernel lattice of d_n (of the augmentation for n = 0) per (W, parity)."""
+    sc = res.sc
+    kernels: Dict[Tuple[str, int], IntMatrix] = {}
+    for W in sc.objects:
+        for parity in (0, 1):
+            if n == 0:
+                mat = _augmentation_matrix(sc, res.Y, W, parity)
+            else:
+                mat = res.underlying_diff(n, W, parity)
+            kernels[(W, parity)] = kernel(mat)
+    return kernels
+
+
+def _nil_part(sc: SpaceCategory, kernels: Dict[Tuple[str, int], IntMatrix],
+              pre) -> Dict[Tuple[str, int], List[tuple]]:
+    """Spanning vectors of the nil part of the kernel module K per
+    (W, parity), given the generator pre-actions pre(a, parity).
+
+    A nil element of NT(W, V) is a sum of nonempty words, and a word is
+    w∘a for its first generator a: W -> a.dst.  So k·(w∘a) = (k·w)·a, and
+    k·w lies in K(a.dst) because K is a submodule.  The nil part of K at W
+    is therefore spanned by the images K(a.dst)·a of the generators out of
+    W; no nil element needs to act on its own."""
+    out: Dict[Tuple[str, int], List[tuple]] = {key: [] for key in kernels}
+    for a in sc.presentation.arrows.values():
+        for pv in (0, 1):
+            K = kernels[(a.dst, pv)]
+            if K.cols == 0:
+                continue
+            act = pre(a, pv)
+            images = out[(a.src, pv ^ a.parity)]
+            for j in range(K.cols):
+                img = act.apply(K.column(j))
+                if any(img):
+                    images.append(img)
+    return out
+
+
 def _in_joint_span(s: Echelon, aux: Echelon, vec) -> bool:
     joint = Echelon(s.n)
     for b in s.basis():
@@ -786,59 +738,74 @@ def _in_joint_span(s: Echelon, aux: Echelon, vec) -> bool:
     return joint.contains(vec)
 
 
-def _free_right_pre_arrow(sc: SpaceCategory, level, a, parity: int) -> IntMatrix:
-    """Pre-composition by a generator on ⊕ Q_{A_i}[ε_i] at source parity."""
+def _pre_arrow_blocks(sc: SpaceCategory, level):
+    """pre(a, parity): pre-composition by the generator a on the level
+    ⊕ Q_{A_i}[ε_i] at source parity, one block-diagonal matrix per
+    (arrow, parity), built on first use."""
     t = sc.table
-    blocks = []
-    for (A, eA) in level:
-        pin = (parity + eA) % 2
-        M = t.pre.get((a.dst, A, pin, a.name))
+    blocks: Dict[Tuple[str, int], IntMatrix] = {}
+
+    def pre(a, parity: int) -> IntMatrix:
+        M = blocks.get((a.name, parity))
         if M is None:
-            M = IntMatrix.zero(t.rank.get((a.src, A, pin ^ a.parity), 0),
-                               t.rank.get((a.dst, A, pin), 0))
-        blocks.append(M)
-    return block_diag(blocks)
+            parts = []
+            for (A, eA) in level:
+                pin = (parity + eA) % 2
+                P = t.pre.get((a.dst, A, pin, a.name))
+                if P is None:
+                    P = IntMatrix.zero(t.rank.get((a.src, A, pin ^ a.parity), 0),
+                                       t.rank.get((a.dst, A, pin), 0))
+                parts.append(P)
+            M = blocks[(a.name, parity)] = block_diag(parts)
+        return M
+
+    return pre
 
 
-def _free_right_pre_action(sc: SpaceCategory, level, el: Element, parity: int) -> IntMatrix:
-    blocks = []
-    for (A, eA) in level:
-        pin = (parity + eA) % 2
-        blocks.append(_pre_matrix_element(sc, el, A, pin))
-    return block_diag(blocks)
+def _composite_problems(res: FreeResolution, n: int) -> List[str]:
+    """Blocks where d_n∘d_{n+1} is nonzero in the Hom table."""
+    t = res.sc.table
+    dn = res.diff(n)
+    dn1 = res.diff(n + 1)
+    Ln_1, Ln, Ln1 = res.level(n - 1), res.level(n), res.level(n + 1)
+    problems = []
+    for i in range(len(Ln_1)):
+        for j in range(len(Ln1)):
+            total = None
+            for k in range(len(Ln)):
+                a, b = dn[i][k], dn1[k][j]
+                if a is None or b is None:
+                    continue
+                term = t.compose(b, a)
+                total = term if total is None else t.add(total, term)
+            if total is not None and not total.is_zero():
+                problems.append(f"d_{n}∘d_{n + 1} nonzero at block ({i},{j})")
+    return problems
+
+
+def _exact_at(d_in: IntMatrix, d_out: IntMatrix) -> bool:
+    """ker(d_out) = im(d_in) for maps of free groups."""
+    A = Presentation.free(d_in.cols)
+    B = Presentation.free(d_in.rows)
+    C = Presentation.free(d_out.rows)
+    return subquotient_homology(GroupHom(A, B, d_in),
+                                GroupHom(B, C, d_out)).group.is_trivial()
 
 
 def validate_resolution(res: FreeResolution, depth: int) -> List[str]:
     """d∘d = 0 and exactness on underlying groups through the given depth,
-    including correctness of the augmentation level."""
+    including correctness of the augmentation level.  Each underlying
+    differential is built once per (W, parity)."""
     sc = res.sc
-    t = sc.table
     problems = []
     for n in range(1, depth):
-        dn = res.diff(n)
-        dn1 = res.diff(n + 1)
-        Ln_1, Ln, Ln1 = res.level(n - 1), res.level(n), res.level(n + 1)
-        for i in range(len(Ln_1)):
-            for j in range(len(Ln1)):
-                total = None
-                for k in range(len(Ln)):
-                    a, b = dn[i][k], dn1[k][j]
-                    if a is None or b is None:
-                        continue
-                    term = t.compose(b, a)
-                    total = term if total is None else t.add(total, term)
-                if total is not None and not total.is_zero():
-                    problems.append(f"d_{n}∘d_{n + 1} nonzero at block ({i},{j})")
+        problems += _composite_problems(res, n)
     for W in sc.objects:
         for parity in (0, 1):
             aug = _augmentation_matrix(sc, res.Y, W, parity)
-            d1 = res.underlying_diff(1, W, parity)
-            n0 = res.level_dims(0, W, parity)
-            A = Presentation.free(res.level_dims(1, W, parity))
-            B = Presentation.free(n0)
-            C = Presentation.free(aug.rows)
-            h = subquotient_homology(GroupHom(A, B, d1), GroupHom(B, C, aug))
-            if not h.group.is_trivial():
+            d = [aug] + [res.underlying_diff(n, W, parity)
+                         for n in range(1, max(depth, 1) + 1)]
+            if not _exact_at(d[1], aug):
                 problems.append(f"not exact under the augmentation at ({W},{parity})")
             if aug.rows:
                 # the augmentation must be onto S_Y
@@ -846,14 +813,22 @@ def validate_resolution(res: FreeResolution, depth: int) -> List[str]:
                 if img.cols != 1 or abs(img[0, 0]) != 1:
                     problems.append(f"augmentation not onto at ({W},{parity})")
             for n in range(1, depth):
-                dn = res.underlying_diff(n, W, parity)
-                dn1 = res.underlying_diff(n + 1, W, parity)
-                A2 = Presentation.free(dn1.cols)
-                B2 = Presentation.free(dn1.rows)
-                C2 = Presentation.free(dn.rows)
-                h = subquotient_homology(GroupHom(A2, B2, dn1), GroupHom(B2, C2, dn))
-                if not h.group.is_trivial():
+                if not _exact_at(d[n + 1], d[n]):
                     problems.append(f"not exact at level {n}, ({W},{parity})")
+    return problems
+
+
+def _seam_problems(res: FreeResolution) -> List[str]:
+    """What validate_resolution(res, len(res.levels)) adds to a validation
+    through len(res.levels) - 1: d∘d = 0 and exactness at the last built
+    level, whose outgoing differential is the periodic wrap-around."""
+    n = len(res.levels) - 1
+    problems = _composite_problems(res, n)
+    for W in res.sc.objects:
+        for parity in (0, 1):
+            if not _exact_at(res.underlying_diff(n + 1, W, parity),
+                             res.underlying_diff(n, W, parity)):
+                problems.append(f"not exact at level {n}, ({W},{parity})")
     return problems
 
 
@@ -1048,6 +1023,30 @@ def _z4_12345_entry(sc: SpaceCategory):
 _RESOLUTION_CACHE: Dict[Tuple[str, str], FreeResolution] = {}
 
 
+def _catalogue_entry(space_name: str, Y: str) -> Tuple[FreeResolution, Tuple[int, int]]:
+    """The catalogued resolution of S_Y, not yet validated, and its
+    periodic marker (not yet set on the resolution)."""
+    sc = builtin_category(space_name)
+    if space_name == "Z3":
+        cat = _z3_catalogue(sc)
+        if Y not in cat:
+            raise CatalogueError(f"no catalogued resolution for ({space_name}, {Y})")
+        e = cat[Y]
+        return FreeResolution(sc, Y, e["levels"], e["diffs"]), e["periodic"]
+    if space_name in ("C2", "S"):
+        shapes = _c2_shapes() if space_name == "C2" else _s_shapes()
+        if Y not in shapes:
+            raise CatalogueError(f"no catalogued resolution for ({space_name}, {Y})")
+        levels, marker = shapes[Y]
+        return resolve_simple(sc, Y, len(levels) - 1, prescribed=levels), marker
+    if space_name == "Z4" and Y == "12345":
+        e = _z4_12345_entry(sc)
+        res = resolve_simple(sc, Y, len(e["levels"]) - 1, prescribed=e["levels"],
+                             prefix_diffs=e["diffs"])
+        return res, e["periodic"]
+    raise CatalogueError(f"no catalogued resolution for ({space_name}, {Y})")
+
+
 def builtin_resolution(space_name: str, Y: str) -> FreeResolution:
     """Catalogued resolution of S_Y, validated at build time.
 
@@ -1059,35 +1058,16 @@ def builtin_resolution(space_name: str, Y: str) -> FreeResolution:
     key = (space_name, Y)
     if key in _RESOLUTION_CACHE:
         return _RESOLUTION_CACHE[key]
-    sc = builtin_category(space_name)
-    if space_name == "Z3":
-        cat = _z3_catalogue(sc)
-        if Y not in cat:
-            raise CatalogueError(f"no catalogued resolution for ({space_name}, {Y})")
-        e = cat[Y]
-        res = FreeResolution(sc, Y, e["levels"], e["diffs"], e["periodic"])
-        marker = e["periodic"]
-    elif space_name in ("C2", "S"):
-        shapes = _c2_shapes() if space_name == "C2" else _s_shapes()
-        if Y not in shapes:
-            raise CatalogueError(f"no catalogued resolution for ({space_name}, {Y})")
-        levels, marker = shapes[Y]
-        res = resolve_simple(sc, Y, len(levels) - 1, prescribed=levels)
-    elif space_name == "Z4" and Y == "12345":
-        e = _z4_12345_entry(sc)
-        res = resolve_simple(sc, Y, len(e["levels"]) - 1, prescribed=e["levels"],
-                             prefix_diffs=e["diffs"])
-        marker = e["periodic"]
-    else:
-        raise CatalogueError(f"no catalogued resolution for ({space_name}, {Y})")
+    res, marker = _catalogue_entry(space_name, Y)
     problems = validate_resolution(res, len(res.levels) - 1)
     if problems:
         raise CatalogueError(f"catalogued resolution for ({space_name}, {Y}) "
                              f"failed validation: {problems[:3]}")
-    # keep the periodicity marker only if the wrap-around step validates
+    # keep the periodicity marker only if the wrap-around step validates;
+    # the levels before it have just passed
     res.periodic = marker
     try:
-        seam = validate_resolution(res, len(res.levels))
+        seam = _seam_problems(res)
     except Exception:
         seam = ["wrap differential is not even a complex"]
     if seam:
@@ -1299,7 +1279,7 @@ def left_complex_underlying(sc: SpaceCategory, levels: List[List[Summand]],
                     row.append(IntMatrix.zero(t.rank.get((B, W, (parity + eB) % 2), 0),
                                               t.rank.get((A, W, pin), 0)))
                 else:
-                    row.append(_pre_matrix_element(sc, el, W, pin))
+                    row.append(t.pre_matrix(el, W, pin))
             blocks.append(row)
         if blocks and blocks[0]:
             out.append(IntMatrix.block(blocks))

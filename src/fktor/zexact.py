@@ -244,6 +244,19 @@ class SmithForm:
                 y[i] = c[i] // d
         return self.V.apply(y)
 
+    def solve_columns(self, B: IntMatrix) -> Optional[IntMatrix]:
+        """Integer X with A X = B for the factored A, or None if some
+        column of B is not in the column lattice of A."""
+        if B.rows != self.U.rows:
+            raise ZExactError("rhs row count mismatch")
+        cols = []
+        for j in range(B.cols):
+            x = self.solve(B.column(j))
+            if x is None:
+                return None
+            cols.append(x)
+        return IntMatrix.from_columns(cols, self.V.rows)
+
 
 def smith(A: IntMatrix) -> SmithForm:
     """Smith normal form with transforms.
@@ -431,14 +444,7 @@ def solve_columns(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
         raise ZExactError("rhs row count mismatch")
     if B.cols == 0:
         return IntMatrix.zero(A.cols, 0)
-    sf = smith(A)
-    cols = []
-    for j in range(B.cols):
-        x = sf.solve(B.column(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return IntMatrix.from_columns(cols, A.cols)
+    return smith(A).solve_columns(B)
 
 
 def _nonzeros(vec) -> dict:
@@ -698,7 +704,8 @@ class HomologyResult:
     # presentation of ker(g)/im(f) in terms of a kernel lattice basis
     lattice_basis: IntMatrix      # columns: basis of the lifted cycle lattice
     quotient: Presentation        # ker/im presented on that basis
-    # Smith form of lattice_basis, factored by the first class_of call
+    # Smith form of lattice_basis: the one subquotient_homology factored
+    # when there were boundaries to solve for, else by the first class_of
     _basis_smith: Optional[SmithForm] = field(default=None, repr=False,
                                               compare=False)
 
@@ -741,12 +748,15 @@ def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:
     stacked = g.matrix.hstack(g.target.relations)
     K = kernel(stacked)
     cyc = hnf_columns(K.submatrix(range(n), range(K.cols)))
-    # boundaries: images of f plus relations of B
-    rels = solve_columns(cyc, f.matrix.hstack(B.relations))
+    # boundaries: images of f plus relations of B; an empty block needs no
+    # factorisation of cyc
+    bnd = f.matrix.hstack(B.relations)
+    sf = smith(cyc) if bnd.cols else None
+    rels = sf.solve_columns(bnd) if sf is not None else IntMatrix.zero(cyc.cols, 0)
     if rels is None:
         raise ZExactError("boundary not contained in cycles")
     quotient = Presentation(cyc.cols, rels)
-    return HomologyResult(quotient.normal_form(), cyc, quotient)
+    return HomologyResult(quotient.normal_form(), cyc, quotient, sf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Shared helpers: random triangular block graphs and random valid modules."""
+"""Shared helpers: random triangular block graphs, random valid modules,
+and the word-product action matrices that the Hom table's structure-constant
+matrices are tested against."""
 
 import random
 import zlib
@@ -87,3 +89,54 @@ def random_valid_module(space_name, rng):
     if kind > 0.8:
         M = M.tensor_mod_k(rng.choice([2, 3, 4]))
     return M
+
+
+def word_pre_matrix(t, el, W, parity):
+    """Reference for t.pre_matrix: pre-composition by el, NT(el.dst, W) ->
+    NT(el.src, W), summed over the representative words of el's basis
+    classes as products of generator pre-composition matrices (a word with
+    a missing matrix contributes nothing)."""
+    n_in = t.rank.get((el.dst, W, parity), 0)
+    n_out = t.rank.get((el.src, W, parity ^ el.parity), 0)
+    out = IntMatrix.zero(n_out, n_in)
+    for k, c in enumerate(el.vec):
+        if not c:
+            continue
+        for w, coeff in t.rep_combo(el.src, el.dst, el.parity, k).items():
+            M = IntMatrix.identity(n_in)
+            cur_src, cur_par = el.dst, parity
+            for name in reversed(w):
+                Mstep = t.pre.get((cur_src, W, cur_par, name))
+                if Mstep is None:
+                    break
+                M = Mstep * M
+                a = t.presentation.arrows[name]
+                cur_src, cur_par = a.src, cur_par ^ a.parity
+            else:
+                out = out + M.scale(c * coeff)
+    return out
+
+
+def word_post_matrix(t, el, W, parity):
+    """Reference for t.post_matrix: post-composition by el, NT(W, el.src)
+    -> NT(W, el.dst), summed over the representative words of el's basis
+    classes as products of generator post-composition matrices."""
+    n_in = t.rank.get((W, el.src, parity), 0)
+    n_out = t.rank.get((W, el.dst, parity ^ el.parity), 0)
+    out = IntMatrix.zero(n_out, n_in)
+    for k, c in enumerate(el.vec):
+        if not c:
+            continue
+        for w, coeff in t.rep_combo(el.src, el.dst, el.parity, k).items():
+            M = IntMatrix.identity(n_in)
+            cur_dst, cur_par = el.src, parity
+            for name in w:
+                Mstep = t.post.get((W, cur_dst, cur_par, name))
+                if Mstep is None:
+                    break
+                M = Mstep * M
+                a = t.presentation.arrows[name]
+                cur_dst, cur_par = a.dst, cur_par ^ a.parity
+            else:
+                out = out + M.scale(c * coeff)
+    return out

@@ -3,6 +3,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fktor.cli import (EXIT_COMPUTE, EXIT_HYPOTHESIS, EXIT_OK, EXIT_PARSE, run)
 
@@ -233,4 +234,93 @@ def test_parse_error_malformed_module_file(tmp_path, mutate):
     assert code == EXIT_PARSE
     code, _ = run_cli("module-validate", "--space", "Z4", "--file",
                       _write_json(tmp_path, [data]))
+    assert code == EXIT_PARSE
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the file inputs against the exit-code contract
+# ---------------------------------------------------------------------------
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, prefix + (i,))
+
+
+# Integers are small or too large to index (2**64, 2**70): a count in
+# between is accepted and allocates accordingly, which would only test how
+# much memory the machine has.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.sampled_from([2 ** 64, 2 ** 70, -2 ** 70]) | st.text(max_size=4)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def malformed(draw, base):
+    """`base` with one to three positions replaced by arbitrary JSON values
+    or deleted; position () replaces the whole document."""
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(JSON_VALUES)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+FUZZ = settings(derandomize=True, max_examples=60, deadline=None)
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_PARSE, EXIT_HYPOTHESIS, EXIT_COMPUTE}
+
+
+def _run_file(tmp_dir, data, *argv):
+    path = tmp_dir / "fuzz.json"
+    path.write_text(json.dumps(data))
+    return run_cli(*argv, "--file", str(path))[0]
+
+
+@FUZZ
+@given(data=malformed(GOOD_Z3_GRAPH),
+       verb=st.sampled_from(["graph-check", "graph-k", "graph-tor"]))
+def test_malformed_graph_files_end_in_documented_exit_codes(tmp_path_factory,
+                                                           data, verb):
+    code = _run_file(tmp_path_factory.mktemp("graph"), data, verb,
+                     "--space", "Z3")
+    assert code in DOCUMENTED_EXITS
+
+
+with open(os.path.join(DATA, "m_example.json")) as _fh:
+    M_EXAMPLE = json.load(_fh)
+
+
+@FUZZ
+@given(data=malformed(M_EXAMPLE))
+def test_malformed_module_files_end_in_documented_exit_codes(tmp_path_factory,
+                                                            data):
+    code = _run_file(tmp_path_factory.mktemp("module"), data,
+                     "module-validate", "--space", "Z4")
+    assert code in DOCUMENTED_EXITS
+
+
+def test_uncountable_generator_count_is_a_parse_error(tmp_path):
+    data = json.loads(json.dumps(M_EXAMPLE))
+    next(iter(data["entries"].values()))["odd"] = {"gens": 2 ** 70, "rels": []}
+    code, _ = run_cli("module-validate", "--space", "Z4", "--file",
+                      _write_json(tmp_path, data))
     assert code == EXIT_PARSE

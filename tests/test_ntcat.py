@@ -1,10 +1,14 @@
+import random
+
 import pytest
+
+from conftest import word_post_matrix, word_pre_matrix
 
 from fktor.finspace import builtin_space
 from fktor.ntcat import (
-    Arrow, CatPresentation, CategoryError, InconsistentRelationError,
+    Arrow, CatPresentation, CategoryError, Element, InconsistentRelationError,
     NonStabilizedError, builtin_category, builtin_presentation, combo_add,
-    combo_compose, generate_relations, hom_closure, ideal_checks,
+    combo_compose, generate_relations, hom_closure, ideal_checks, nil_basis,
     table_from_json, table_to_json,
 )
 
@@ -297,3 +301,43 @@ def test_shipped_cache_matches_fresh_build(name):
     assert table.post == shipped.table.post
     assert table.pre == shipped.table.pre
     assert len(pres.relations) == len(shipped.presentation.relations)
+
+
+# ---------------------------------------------------------------------------
+# Action matrices from the structure constants
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["pt", "Z1", "Z2", "Z3", "Z4", "S", "C2"])
+def test_action_matrices_match_word_products(name):
+    """pre_matrix/post_matrix, read off the cached structure constants,
+    equal the word-product matrices for every basis element and for one
+    random combination per Hom group, at every object and parity."""
+    t = cat(name).table
+    rng = random.Random(name)
+    for (src, dst, p), r in sorted(t.rank.items()):
+        if not r:
+            continue
+        combo = Element(src, dst, p, [rng.randint(-2, 2) for _ in range(r)])
+        for el in t.basis_elements(src, dst, p) + [combo]:
+            for W in t.objects:
+                for parity in (0, 1):
+                    assert t.pre_matrix(el, W, parity) == \
+                        word_pre_matrix(t, el, W, parity), (el, W, parity)
+                    assert t.post_matrix(el, W, parity) == \
+                        word_post_matrix(t, el, W, parity), (el, W, parity)
+
+
+def test_nil_basis_is_computed_once_per_table():
+    t = cat("Z3").table
+    assert nil_basis(t) is nil_basis(t)
+    fresh = table_from_json(table_to_json(cat("Z3"))).table
+    assert nil_basis(fresh) == nil_basis(t) and nil_basis(fresh) is not nil_basis(t)
+
+
+def test_nilpotency_indices():
+    # the smallest k with NT_nil^k = 0, per built-in space
+    expected = {"pt": 1, "Z1": 2, "Z2": 3, "Z3": 5, "Z4": 7, "S": 5, "C2": 6}
+    for name, index in expected.items():
+        chk = ideal_checks(cat(name).table)
+        assert (chk.nilpotent, chk.semidirect, chk.nilpotency_index) == \
+            (True, True, index), name

@@ -2,18 +2,20 @@ import random
 
 import pytest
 
-from conftest import random_block_graph, random_valid_module
+from conftest import random_block_graph, random_valid_module, word_pre_matrix
 
 from fktor.graphk import fk_module
-from fktor.ntcat import builtin_category
+import fktor.ntmod as ntmod
+from fktor.ntcat import CategoryError, Element, builtin_category, nil_basis
 from fktor.ntmod import (
     CatalogueError, GradedModule, builtin_resolution, check_exact,
     coker_module, free_module, left_complex_underlying, m_ss,
-    projective_dimension, rational_tor, resolve_simple, tor, tor_single,
-    validate, validate_resolution,
+    projective_dimension, rational_tor, resolution_for, resolve_simple, tor,
+    tor_single, validate, validate_resolution,
 )
-from fktor.zexact import (AbGroupNF, GradedGroup, GradedHom, Presentation,
-                          graded_direct_sum, shift)
+from fktor.zexact import (AbGroupNF, GradedGroup, GradedHom, IntMatrix,
+                          Presentation, ZExactError, block_diag,
+                          graded_direct_sum, hnf_columns, shift)
 
 
 def cat(name):
@@ -180,6 +182,102 @@ def test_z4_resolution_shape():
         [("5", 0), ("2345", 1), ("1345", 1), ("1245", 1), ("1235", 1)])
     assert sorted(res.levels[5]) == sorted(
         [(p, 1) for p in ("345", "245", "145", "235", "135", "125")])
+
+
+def _nil_part_per_element(sc, level, kernels):
+    """Reference for ntmod._nil_part: pre-compose every kernel vector with
+    every nil basis element, each acting through its word products."""
+    t = sc.table
+    nil = nil_basis(t)
+    out = {key: [] for key in kernels}
+    for (V, pv), K in kernels.items():
+        if K.cols == 0:
+            continue
+        for W in sc.objects:
+            for pt in (0, 1):
+                for vec in nil[(W, V, pt)]:
+                    el = Element(W, V, pt, vec)
+                    act = block_diag([word_pre_matrix(t, el, A, (pv + eA) % 2)
+                                      for A, eA in level])
+                    for j in range(K.cols):
+                        img = act.apply(K.column(j))
+                        if any(img):
+                            out[(W, (pv + pt) % 2)].append(img)
+    return out
+
+
+@pytest.mark.parametrize("name", ["pt", "Z1", "Z2", "Z3", "S", "C2", "Z4"])
+def test_nil_part_from_generator_images(name):
+    """The nil part of each kernel module, spanned by the generator images
+    K(a.dst)·a, is the lattice spanned element by element by the nil basis,
+    at every level through 5 of every resolution resolution_for builds."""
+    sc = cat(name)
+    seen = set()
+    for engine in ("auto", "generic"):
+        for Y in sc.objects:
+            res = resolution_for(sc, Y, 5, engine)
+            if id(res) in seen:
+                continue
+            seen.add(id(res))
+            for n in range(6):
+                level = res.level(n)
+                kernels = ntmod._level_kernels(res, n)
+                fast = ntmod._nil_part(sc, kernels,
+                                       ntmod._pre_arrow_blocks(sc, level))
+                ref = _nil_part_per_element(sc, level, kernels)
+                for key, K in kernels.items():
+                    assert hnf_columns(IntMatrix.from_columns(fast[key], K.rows)) == \
+                        hnf_columns(IntMatrix.from_columns(ref[key], K.rows)), \
+                        (Y, engine, n, key)
+
+
+def _accepts(check):
+    """True when a validation check returns no problems; a check that
+    cannot even form the composites rejects."""
+    try:
+        return not check()
+    except (CategoryError, ZExactError):
+        return False
+
+
+CATALOGUE = [("Z3", Y) for Y in cat("Z3").objects] + \
+    [("S", Y) for Y in cat("S").objects] + \
+    [("C2", Y) for Y in cat("C2").objects] + [("Z4", "12345")]
+
+
+@pytest.mark.parametrize("name,Y", CATALOGUE)
+def test_seam_check_agrees_with_full_validation(name, Y):
+    res, marker = ntmod._catalogue_entry(name, Y)
+    assert not validate_resolution(res, len(res.levels) - 1)
+    res.periodic = marker
+    seam = _accepts(lambda: ntmod._seam_problems(res))
+    assert seam == _accepts(lambda: validate_resolution(res, len(res.levels)))
+    assert (builtin_resolution(name, Y).periodic is not None) == seam
+
+
+def test_tampered_wrap_around_drops_the_periodic_marker(monkeypatch):
+    catalogue = ntmod._z3_catalogue
+
+    def tampered(sc):
+        entries = catalogue(sc)
+        d1, d2 = entries["1234"]["diffs"][:2]
+        # negate the first summand of level 1: d_1 and d_2 still form an
+        # exact complex, but the stored d_4 fits the unnegated d_2, which
+        # the periodic marker reuses as d_5, so d_4∘d_5 is no longer zero
+        d1[0][0] = sc.table.scale(d1[0][0], -1)
+        d2[0] = [None if e is None else sc.table.scale(e, -1) for e in d2[0]]
+        return entries
+
+    monkeypatch.setattr(ntmod, "_z3_catalogue", tampered)
+    monkeypatch.setattr(ntmod, "_RESOLUTION_CACHE", {})
+    res, marker = ntmod._catalogue_entry("Z3", "1234")
+    assert not validate_resolution(res, len(res.levels) - 1)
+    res.periodic = marker
+    assert not _accepts(lambda: ntmod._seam_problems(res))
+    assert not _accepts(lambda: validate_resolution(res, len(res.levels)))
+    built = builtin_resolution("Z3", "1234")
+    assert built.periodic is None
+    assert not validate_resolution(built, len(built.levels) - 1)
 
 
 def test_missing_catalogue_entry():

@@ -446,18 +446,41 @@ def test_class_of_factors_the_cycle_basis_once(monkeypatch):
     B = Presentation.free(2)
     f = GroupHom(B, B, M([[2, 0], [0, 4]]))
     g = GroupHom.zero(B, Presentation.zero())
-    res = subquotient_homology(f, g)
     calls = []
     real = zexact.smith
     monkeypatch.setattr(zexact, "smith", lambda A: calls.append(A) or real(A))
+    res = subquotient_homology(f, g)
     assert res.class_of((1, 1)) == (1, 1)
     assert res.class_of((3, 2)) == (1, 2)
-    assert len(calls) == 1
+    # one factorisation of the cycle basis over the result's whole life
+    assert sum(A == res.lattice_basis for A in calls) == 1
     C = Presentation(2, M([[0], [1]]))
     h = subquotient_homology(GroupHom.zero(Presentation.zero(), B),
                              GroupHom(B, C, M([[1, 0], [0, 1]])))
     with pytest.raises(ZExactError, match="element is not a cycle"):
         h.class_of((1, 0))
+
+
+def test_homology_keeps_the_smith_form_of_its_cycles(monkeypatch):
+    calls = []
+    real = zexact.smith
+    monkeypatch.setattr(zexact, "smith", lambda A: calls.append(A) or real(A))
+    B = Presentation.free(2)
+    # boundaries to express in the cycle basis: the Smith form made for
+    # them is the one class_of uses, so class_of factors nothing
+    res = subquotient_homology(GroupHom(B, B, M([[2, 0], [0, 4]])),
+                               GroupHom.zero(B, Presentation.zero()))
+    before = len(calls)
+    assert res.class_of((1, 3)) == (1, 3)
+    assert len(calls) == before
+    # no boundaries (no f columns, free middle group): no Smith call on the
+    # cycle basis until class_of needs one
+    cyc_calls = len(calls)
+    empty = subquotient_homology(GroupHom.zero(Presentation.zero(), B),
+                                 GroupHom.zero(B, Presentation.zero()))
+    assert not any(A == empty.lattice_basis for A in calls[cyc_calls:])
+    assert empty.class_of((5, -1)) == (5, -1)
+    assert sum(A == empty.lattice_basis for A in calls[cyc_calls:]) == 1
 
 
 def test_homology_sign_flip_invariance():
