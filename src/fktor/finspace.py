@@ -256,13 +256,44 @@ def builtin_space(name: str) -> FiniteSpace:
     raise SpaceError(f"unknown builtin space {name!r}")
 
 
+def _point_names(value, what: str) -> list:
+    """A JSON list of point names, each a string."""
+    if not isinstance(value, list):
+        raise SpaceError(f"{what} must be a list of point names, not {value!r}")
+    for p in value:
+        if not isinstance(p, str):
+            raise SpaceError(f"point name {p!r} in {what} is not a string")
+    return value
+
+
 def space_from_json(data) -> FiniteSpace:
+    """A space from its JSON form, {"builtin": name} or {"points": [...],
+    "opens": [[...], ...], "name": ...} with points named by strings.
+    Malformed input raises SpaceError."""
     if isinstance(data, str):
-        data = json.loads(data)
-    if isinstance(data, dict) and "builtin" in data:
+        try:
+            data = json.loads(data)
+        except ValueError as e:
+            raise SpaceError(f"space JSON does not parse: {e}") from None
+    if not isinstance(data, dict):
+        raise SpaceError("space JSON must be an object")
+    if "builtin" in data:
+        if not isinstance(data["builtin"], str):
+            raise SpaceError("builtin space name must be a string")
         return builtin_space(data["builtin"])
-    return FiniteSpace(data["points"], [frozenset(o) for o in data["opens"]],
-                       name=data.get("name"))
+    for key in ("points", "opens"):
+        if key not in data:
+            raise SpaceError(f"space JSON lacks {key!r}")
+        if not isinstance(data[key], list):
+            raise SpaceError(f"space {key!r} must be a list")
+    points = _point_names(data["points"], "points")
+    if len(set(points)) != len(points):
+        raise SpaceError("points must be distinct")
+    opens = [frozenset(_point_names(o, "open set")) for o in data["opens"]]
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise SpaceError("space name must be a string")
+    return FiniteSpace(points, opens, name=name)
 
 
 def space_to_json(X: FiniteSpace) -> dict:

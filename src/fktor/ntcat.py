@@ -213,6 +213,7 @@ class Designator:
     inclusions/restrictions, naturality of the boundary under morphisms of
     extensions), so any successful derivation is a valid designation;
     alternative derivations are recorded for consistency relations.
+    A query whose word is memoised returns it before any route is built.
     """
 
     def __init__(self, space: FiniteSpace, arrows: Sequence[Arrow]):
@@ -233,8 +234,6 @@ class Designator:
         return {(a.name,): 1} if a else None
 
     def _run(self, key, routes, record_alternates=False):
-        if key in self.memo and not record_alternates:
-            return self.memo[key]
         if key in self.stack:
             raise _Cycle(key)
         self.stack.add(key)
@@ -266,6 +265,8 @@ class Designator:
         if not self.X.is_open_in(C, Y):
             raise DesignationError(f"{label(C)} not open in {label(Y)}")
         key = ("inc", C, Y)
+        if not alt and key in self.memo:
+            return self.memo[key]
         routes = []
         for D in self.lcstar:
             a = self.gen.get(("i", _skey(D), _skey(Y)))
@@ -294,6 +295,8 @@ class Designator:
         if not self.X.is_closed_in(E, Y):
             raise DesignationError(f"{label(E)} not closed in {label(Y)}")
         key = ("res", Y, E)
+        if not alt and key in self.memo:
+            return self.memo[key]
         routes = []
         for E2 in self.lcstar:
             a = self.gen.get(("r", _skey(Y), _skey(E2)))
@@ -334,6 +337,8 @@ class Designator:
 
     def _bnd_pure(self, C, E, Z, alt=False) -> Combo:
         key = ("bnd", C, Z)
+        if not alt and key in self.memo:
+            return self.memo[key]
         routes = []
         g = self._gen_word("d", E, C)
         if g is not None:

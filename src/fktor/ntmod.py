@@ -824,6 +824,9 @@ def _seam_problems(res: FreeResolution) -> List[str]:
     level, whose outgoing differential is the periodic wrap-around."""
     n = len(res.levels) - 1
     problems = _composite_problems(res, n)
+    if problems:
+        # not a complex at the seam, so there is no homology to test
+        return problems
     for W in res.sc.objects:
         for parity in (0, 1):
             if not _exact_at(res.underlying_diff(n + 1, W, parity),
@@ -841,7 +844,37 @@ def _el(sc: SpaceCategory, src: str, combo: Combo, sign: int = 1) -> Element:
     return sc.table.scale(el, sign) if sign != 1 else el
 
 
-def _z3_catalogue(sc: SpaceCategory):
+# Level shapes and periodic markers of the Z3 catalogue, one entry per
+# object; the S catalogue is transported from these shapes
+_Z3_SHAPES = {
+    # S_{j4}: Q_j[1] -> Q_4 -> Q_{j4}, periodic
+    "14": ([[("14", 0)], [("4", 0)], [("1", 1)], [("14", 1)]], (0, 3)),
+    "24": ([[("24", 0)], [("4", 0)], [("2", 1)], [("24", 1)]], (0, 3)),
+    "34": ([[("34", 0)], [("4", 0)], [("3", 1)], [("34", 1)]], (0, 3)),
+    # S_4: Q_1234[1] -> ⊕Q_j[1] -> Q_4, periodic
+    "4": ([[("4", 0)], [("1", 1), ("2", 1), ("3", 1)], [("1234", 1)], [("4", 1)]],
+          (0, 3)),
+    # S_j: Q_{1234∖j} -> Q_1234 -> Q_j, periodic
+    "1": ([[("1", 0)], [("1234", 0)], [("234", 0)], [("1", 1)]], (0, 3)),
+    "2": ([[("2", 0)], [("1234", 0)], [("134", 0)], [("2", 1)]], (0, 3)),
+    "3": ([[("3", 0)], [("1234", 0)], [("124", 0)], [("3", 1)]], (0, 3)),
+    # S_{jk4}: Q_4 -> Q_{j4}⊕Q_{k4} -> Q_{jk4}, periodic (Mayer-Vietoris)
+    "124": ([[("124", 0)], [("14", 0), ("24", 0)], [("4", 0)], [("124", 1)]], (0, 3)),
+    "134": ([[("134", 0)], [("14", 0), ("34", 0)], [("4", 0)], [("134", 1)]], (0, 3)),
+    "234": ([[("234", 0)], [("24", 0), ("34", 0)], [("4", 0)], [("234", 1)]], (0, 3)),
+    # S_1234: the four-term resolution with explicit ±i and delta entries
+    "1234": ([[("1234", 0)],
+              [("124", 0), ("134", 0), ("234", 0)],
+              [("14", 0), ("24", 0), ("34", 0)],
+              [("4", 0), ("1234", 1)],
+              [("124", 1), ("134", 1), ("234", 1)]], (1, 3)),
+}
+
+
+def _z3_catalogue(sc: SpaceCategory, Y: str) -> dict:
+    """The Z3 catalogue entry of S_Y: its levels, explicit differentials and
+    periodic marker.  Only Y's differentials are evaluated."""
+    shape, periodic = _Z3_SHAPES[Y]
     D = sc.designator
     f = frozenset
 
@@ -854,62 +887,40 @@ def _z3_catalogue(sc: SpaceCategory):
     def E(src, combo, sign=1):
         return _el(sc, src, combo, sign)
 
-    cat = {}
-    # S_{j4}: Q_j[1] -> Q_4 -> Q_{j4}, periodic
-    for j in "123":
-        j4 = "".join(sorted(j + "4"))
-        cat[j4] = dict(
-            levels=[[(j4, 0)], [("4", 0)], [(j, 1)], [(j4, 1)]],
-            diffs=[
-                [[E("4", inc("4", j4))]],
-                [[E(j, {("d:%s>4" % j,): 1})]],
-                [[E(j4, res(j4, j))]],
-            ],
-            periodic=(0, 3))
-    # S_4: Q_1234[1] -> ⊕Q_j[1] -> Q_4, periodic
-    cat["4"] = dict(
-        levels=[[("4", 0)], [("1", 1), ("2", 1), ("3", 1)], [("1234", 1)], [("4", 1)]],
-        diffs=[
+    if Y == "4":  # S_4
+        diffs = [
             [[E("1", {("d:1>4",): 1}), E("2", {("d:2>4",): 1}), E("3", {("d:3>4",): 1})]],
             [[E("1234", res("1234", "1"))], [E("1234", res("1234", "2"))],
              [E("1234", res("1234", "3"))]],
             [[E("4", inc("4", "1234"))]],
-        ],
-        periodic=(0, 3))
-    # S_j: Q_{1234∖j} -> Q_1234 -> Q_j, periodic
-    for j in "123":
-        comp = "".join(sorted(set("1234") - {j}))
-        cat[j] = dict(
-            levels=[[(j, 0)], [("1234", 0)], [(comp, 0)], [(j, 1)]],
-            diffs=[
-                [[E("1234", {("r:1234>%s" % j,): 1})]],
-                [[E(comp, inc(comp, "1234"))]],
-                [[E(j, combo_compose({("d:%s>4" % j,): 1}, inc("4", comp)))]],
-            ],
-            periodic=(0, 3))
-    # S_{jk4}: Q_4 -> Q_{j4}⊕Q_{k4} -> Q_{jk4}, periodic (Mayer-Vietoris)
-    for (j, k) in (("1", "2"), ("1", "3"), ("2", "3")):
-        jk4 = "".join(sorted(j + k + "4"))
-        j4, k4 = "".join(sorted(j + "4")), "".join(sorted(k + "4"))
-        cat[jk4] = dict(
-            levels=[[(jk4, 0)], [(j4, 0), (k4, 0)], [("4", 0)], [(jk4, 1)]],
-            diffs=[
-                [[E(j4, inc(j4, jk4)), E(k4, inc(k4, jk4))]],
-                [[E("4", inc("4", j4))], [E("4", inc("4", k4), -1)]],
-                [[E(jk4, combo_compose(res(jk4, j), {("d:%s>4" % j,): 1}))]],
-            ],
-            periodic=(0, 3))
-    # S_1234: the four-term resolution with explicit ±i and delta entries
-    d_1234_14 = combo_compose(combo_compose({("r:1234>3",): 1}, {("d:3>4",): 1}),
-                              inc("4", "14"))
-    d_234_4 = combo_compose(res("234", "2"), {("d:2>4",): 1})
-    cat["1234"] = dict(
-        levels=[[("1234", 0)],
-                [("124", 0), ("134", 0), ("234", 0)],
-                [("14", 0), ("24", 0), ("34", 0)],
-                [("4", 0), ("1234", 1)],
-                [("124", 1), ("134", 1), ("234", 1)]],
-        diffs=[
+        ]
+    elif len(Y) == 1:  # S_j
+        j, comp = Y, "".join(sorted(set("1234") - {Y}))
+        diffs = [
+            [[E("1234", {("r:1234>%s" % j,): 1})]],
+            [[E(comp, inc(comp, "1234"))]],
+            [[E(j, combo_compose({("d:%s>4" % j,): 1}, inc("4", comp)))]],
+        ]
+    elif len(Y) == 2:  # S_{j4}
+        j = Y[0]
+        diffs = [
+            [[E("4", inc("4", Y))]],
+            [[E(j, {("d:%s>4" % j,): 1})]],
+            [[E(Y, res(Y, j))]],
+        ]
+    elif len(Y) == 3:  # S_{jk4}
+        j, k = Y[0], Y[1]
+        j4, k4 = j + "4", k + "4"
+        diffs = [
+            [[E(j4, inc(j4, Y)), E(k4, inc(k4, Y))]],
+            [[E("4", inc("4", j4))], [E("4", inc("4", k4), -1)]],
+            [[E(Y, combo_compose(res(Y, j), {("d:%s>4" % j,): 1}))]],
+        ]
+    else:  # S_1234
+        d_1234_14 = combo_compose(combo_compose({("r:1234>3",): 1}, {("d:3>4",): 1}),
+                                  inc("4", "14"))
+        d_234_4 = combo_compose(res("234", "2"), {("d:2>4",): 1})
+        diffs = [
             [[E("124", inc("124", "1234")), E("134", inc("134", "1234")),
               E("234", inc("234", "1234"))]],
             # rows 124,134,234; cols 14,24,34; sign pattern (i -i 0; -i 0 i; 0 i -i)
@@ -926,9 +937,10 @@ def _z3_catalogue(sc: SpaceCategory):
             [[None, None, E("234", d_234_4)],
              [E("124", inc("124", "1234")), E("134", inc("134", "1234")),
               E("234", inc("234", "1234"))]],
-        ],
-        periodic=(1, 3))
-    return cat
+        ]
+    # a copy of the levels: a resolution that loses its marker grows them
+    return dict(levels=[list(lvl) for lvl in shape], diffs=diffs,
+                periodic=periodic)
 
 
 def _c2_shapes():
@@ -970,15 +982,13 @@ def _s_shapes():
     """Shapes for the S catalogue, transported from the Z3 shapes through the
     structural correspondence of the two categories (objects, with parity
     shifts)."""
-    z3 = builtin_category("Z3")
     shapes = {}
-    zcat = _z3_catalogue(z3)
-    for Yz, entry in zcat.items():
+    for Yz, (z3_levels, marker) in _Z3_SHAPES.items():
         Ys = _S_PHI[Yz]
         sY = _S_SIGMA[Yz]
         levels = [[(_S_PHI[A], (e + _S_SIGMA[A] + sY) % 2) for A, e in lvl]
-                  for lvl in entry["levels"]]
-        shapes[Ys] = (levels, entry["periodic"])
+                  for lvl in z3_levels]
+        shapes[Ys] = (levels, marker)
     return shapes
 
 
@@ -1028,10 +1038,9 @@ def _catalogue_entry(space_name: str, Y: str) -> Tuple[FreeResolution, Tuple[int
     periodic marker (not yet set on the resolution)."""
     sc = builtin_category(space_name)
     if space_name == "Z3":
-        cat = _z3_catalogue(sc)
-        if Y not in cat:
+        if Y not in _Z3_SHAPES:
             raise CatalogueError(f"no catalogued resolution for ({space_name}, {Y})")
-        e = cat[Y]
+        e = _z3_catalogue(sc, Y)
         return FreeResolution(sc, Y, e["levels"], e["diffs"]), e["periodic"]
     if space_name in ("C2", "S"):
         shapes = _c2_shapes() if space_name == "C2" else _s_shapes()

@@ -56,6 +56,40 @@ def test_json_round_trip():
     assert builtin_space("Z3").opens == z_space(3).opens
 
 
+def test_json_reads_builtin_and_string_forms():
+    assert space_from_json({"builtin": "S"}).opens == s_space().opens
+    X = space_from_json('{"points": ["1", "2"], "opens": [[], ["2"], ["1", "2"]],'
+                        ' "name": "Z1"}')
+    assert X.opens == z_space(1).opens and X.name == "Z1"
+
+
+MALFORMED_SPACES = {
+    "list-root": [],
+    "json-list-root": "[1, 2]",
+    "not-json": "not json",
+    "no-points": {"opens": [[], ["1"]]},
+    "no-opens": {"points": ["1"]},
+    "points-string": {"points": "1", "opens": [[], ["1"]]},
+    "opens-string": {"points": ["1"], "opens": "1"},
+    "opens-object": {"points": ["1"], "opens": {"a": ["1"]}},
+    "int-point": {"points": [1], "opens": [[], [1]]},
+    "null-point": {"points": ["1", None], "opens": [[], ["1", None]]},
+    "int-in-open": {"points": ["1"], "opens": [[], [1]]},
+    "string-open-set": {"points": ["1", "2"], "opens": [[], ["2"], "12"]},
+    "repeated-point": {"points": ["1", "1"], "opens": [[], ["1"]]},
+    "int-name": {"points": ["1"], "opens": [[], ["1"]], "name": 7},
+    "list-builtin": {"builtin": ["Z1"]},
+    "unknown-builtin": {"builtin": "Q"},
+}
+
+
+@pytest.mark.parametrize("data", list(MALFORMED_SPACES.values()),
+                         ids=list(MALFORMED_SPACES))
+def test_malformed_space_json_raises_space_error(data):
+    with pytest.raises(SpaceError):
+        space_from_json(data)
+
+
 # ---------------------------------------------------------------------------
 # Locally closed subsets
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,8 @@ from fktor.graphk import (
     tor_ck, z3_fast_tor1,
 )
 from fktor.ntmod import check_exact, projective_dimension, tor, validate
-from fktor.zexact import AbGroupNF, IntMatrix
+import fktor.zexact as zexact
+from fktor.zexact import AbGroupNF, IntMatrix, Presentation
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "fktor", "data")
 
@@ -135,6 +137,27 @@ def test_fk_module_is_valid_and_exact_for_ck_examples():
         M = fk_module(G)
         assert validate(M).ok
         assert check_exact(M).ok
+
+
+def test_check_exact_of_an_exact_module_factors_only_kernels(monkeypatch):
+    M = fk_module(ck_z3())
+    callers = []
+    real = zexact.smith
+
+    def smith(A):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(A)
+
+    monkeypatch.setattr(zexact, "smith", smith)
+    normal_forms = []
+    real_nf = Presentation.normal_form
+    monkeypatch.setattr(Presentation, "normal_form",
+                        lambda P: normal_forms.append(P) or real_nf(P))
+    assert check_exact(M).ok
+    # every node is exact: each homology factors the kernel of its outgoing
+    # map, and no cycle basis, quotient or target presentation
+    assert callers and set(callers) == {"kernel"}
+    assert normal_forms == []
 
 
 def test_fk_module_block_diagonal_graph():

@@ -5,8 +5,10 @@ import pytest
 from conftest import word_post_matrix, word_pre_matrix
 
 from fktor.finspace import builtin_space
+import fktor.ntcat as ntcat
 from fktor.ntcat import (
-    Arrow, CatPresentation, CategoryError, Element, InconsistentRelationError,
+    Arrow, CatPresentation, CategoryError, Designator, Element,
+    InconsistentRelationError,
     NonStabilizedError, builtin_category, builtin_presentation, combo_add,
     combo_compose, generate_relations, hom_closure, ideal_checks, nil_basis,
     table_from_json, table_to_json,
@@ -246,6 +248,29 @@ def test_designated_res_on_z3():
     combo = sc.designated_res(frozenset("14"), frozenset("1"))
     el = sc.table.eval_combo("14", combo)
     assert el.dst == "1" and not el.is_zero()
+
+
+@pytest.mark.parametrize("name", ["S", "C2"])
+def test_repeated_designation_is_read_from_the_memo(name, monkeypatch):
+    sc = cat(name)
+    X = sc.space
+    D = Designator(X, list(sc.presentation.arrows.values()))
+    queries = []
+    for U, Y in ntcat._proper_open_pairs(X):
+        for C in X.components(U):
+            queries.append((D.inc, (C, Y)))
+            for E in X.components(Y - U):
+                queries.append((D.bnd_block, (C, E, U, Y)))
+        for E in X.components(Y - U):
+            queries.append((D.res, (Y, E)))
+    first = [query(*args) for query, args in queries]
+    calls = []
+    real = ntcat._skey
+    monkeypatch.setattr(ntcat, "_skey", lambda s: calls.append(s) or real(s))
+    again = [query(*args) for query, args in queries]
+    assert again == first
+    assert all(a is b for a, b in zip(again, first) if a)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -79,19 +79,36 @@ def test_fk_module_validates():
     assert validate(fk_module(G)).ok
 
 
-def test_check_exact_flags_constructed_failure():
-    # module with M(U) = Z and everything else 0 cannot be exact
+def _concentrated_at_open_point(even, odd):
+    """The left Z1-module with M(2) = (even, odd), everything else 0, and
+    zero actions."""
     sc = cat("Z1")
     entries = {o: GradedGroup(Presentation.zero(), Presentation.zero())
                for o in sc.objects}
-    entries["2"] = GradedGroup(Presentation.free(1), Presentation.zero())
+    entries["2"] = GradedGroup(even, odd)
     actions = {}
     for name, a in sc.presentation.arrows.items():
         actions[name] = GradedHom.zero(a.parity, entries[a.src], entries[a.dst])
-    M = GradedModule(sc, "left", entries, actions)
+    return GradedModule(sc, "left", entries, actions)
+
+
+def test_check_exact_flags_constructed_failure():
+    # module with M(U) = Z and everything else 0 cannot be exact
+    M = _concentrated_at_open_point(Presentation.free(1), Presentation.zero())
     assert validate(M).ok
     rep = check_exact(M)
     assert not rep.ok
+    assert rep.failures == ["pair (2 ⊆ 12) fails at M(2) even: Z^1"]
+
+
+def test_check_exact_names_torsion_in_failures():
+    M = _concentrated_at_open_point(Presentation(2, IntMatrix([[2, 0], [0, 0]])),
+                                    Presentation(1, IntMatrix([[6]])))
+    assert validate(M).ok
+    assert check_exact(M).failures == [
+        "pair (2 ⊆ 12) fails at M(2) odd: Z/6",
+        "pair (2 ⊆ 12) fails at M(2) even: Z^1 + Z/2",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +275,15 @@ def test_seam_check_agrees_with_full_validation(name, Y):
 def test_tampered_wrap_around_drops_the_periodic_marker(monkeypatch):
     catalogue = ntmod._z3_catalogue
 
-    def tampered(sc):
-        entries = catalogue(sc)
-        d1, d2 = entries["1234"]["diffs"][:2]
+    def tampered(sc, Y):
+        entry = catalogue(sc, Y)
+        d1, d2 = entry["diffs"][:2]
         # negate the first summand of level 1: d_1 and d_2 still form an
         # exact complex, but the stored d_4 fits the unnegated d_2, which
         # the periodic marker reuses as d_5, so d_4∘d_5 is no longer zero
         d1[0][0] = sc.table.scale(d1[0][0], -1)
         d2[0] = [None if e is None else sc.table.scale(e, -1) for e in d2[0]]
-        return entries
+        return entry
 
     monkeypatch.setattr(ntmod, "_z3_catalogue", tampered)
     monkeypatch.setattr(ntmod, "_RESOLUTION_CACHE", {})
@@ -283,6 +300,20 @@ def test_tampered_wrap_around_drops_the_periodic_marker(monkeypatch):
 def test_missing_catalogue_entry():
     with pytest.raises(CatalogueError):
         builtin_resolution("Z4", "12")
+
+
+def test_catalogue_evaluates_only_the_requested_entry(monkeypatch):
+    evaluated = []
+    real = ntmod._el
+    monkeypatch.setattr(ntmod, "_el", lambda *a: evaluated.append(a) or real(*a))
+    for Y in cat("Z3").objects:
+        evaluated.clear()
+        res, _ = ntmod._catalogue_entry("Z3", Y)
+        assert len(evaluated) == sum(e is not None for d in res.diffs
+                                     for row in d for e in row)
+    # the S shapes are transported from the Z3 table without the Z3 category
+    monkeypatch.setattr(ntmod, "builtin_category", None)
+    assert sorted(ntmod._s_shapes()) == sorted(cat("S").objects)
 
 
 def test_generic_engine_one_point_space():
