@@ -245,15 +245,16 @@ BUILTIN_NAMES = ("Z1", "Z2", "Z3", "Z4", "S", "C2", "pt")
 
 
 def builtin_space(name: str) -> FiniteSpace:
-    if name.startswith("Z") and name[1:].isdigit():
+    """The builtin space of that name; exactly the names in BUILTIN_NAMES."""
+    if name not in BUILTIN_NAMES:
+        raise SpaceError(f"unknown builtin space {name!r}")
+    if name.startswith("Z"):
         return z_space(int(name[1:]))
     if name == "S":
         return s_space()
     if name == "C2":
         return pseudocircle()
-    if name == "pt":
-        return point_space()
-    raise SpaceError(f"unknown builtin space {name!r}")
+    return point_space()
 
 
 def _point_names(value, what: str) -> list:

@@ -70,13 +70,6 @@ class BlockGraph:
         return self.bprime.submatrix(self.vertices_of(row_subset),
                                      self.vertices_of(col_subset))
 
-    def point_of_vertex(self, v: int) -> str:
-        for p, _ in self.blocks:
-            lo, hi = self._offsets[p]
-            if lo <= v < hi:
-                return p
-        raise GraphError(f"no vertex {v}")
-
     # -- JSON schema -----------------------------------------------------------
 
     @staticmethod

@@ -1170,16 +1170,6 @@ class SpaceCategory:
     def objects(self):
         return self.table.objects
 
-    def designated_inc(self, C, Y) -> Combo:
-        return self.designator.inc(frozenset(C), frozenset(Y))
-
-    def designated_res(self, Y, E) -> Combo:
-        return self.designator.res(frozenset(Y), frozenset(E))
-
-    def designated_bnd(self, C, E, U, Y) -> Combo:
-        return self.designator.bnd_block(frozenset(C), frozenset(E),
-                                         frozenset(U), frozenset(Y))
-
 
 _CATEGORY_CACHE: Dict[str, SpaceCategory] = {}
 

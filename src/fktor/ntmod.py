@@ -12,12 +12,12 @@ input surface is exactly the generator actions.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .finspace import label, lc_subsets
-from .ntcat import (Combo, Element, SpaceCategory, builtin_category,
-                    combo_compose, nil_basis)
+from .ntcat import Combo, Element, SpaceCategory, builtin_category, nil_basis
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
                      IntMatrix, Presentation, block_diag, graded_direct_sum,
                      kernel, hnf_columns, shift as shift_group, solve,
@@ -319,13 +319,6 @@ def validate(M: GradedModule) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
-def module_value(M: GradedModule, subset) -> GradedGroup:
-    """M on a possibly disconnected locally closed subset: the direct sum of
-    the component entries (components in canonical order)."""
-    comps = M.category.space.components(subset)
-    return graded_direct_sum([M.entries[label(c)] for c in comps])
-
-
 def _block_graded_hom(degree, sources, targets, blocks) -> GradedHom:
     """Assemble a GradedHom between graded direct sums from a grid of
     GradedHoms (or None); blocks[i][j]: sources[j] -> targets[i]."""
@@ -578,37 +571,21 @@ def _augmentation_matrix(sc: SpaceCategory, Y: str, W: str, parity: int) -> IntM
     return _ss_projection(sc, Y)
 
 
-def resolve_simple(sc: SpaceCategory, Y: str, depth: int,
-                   prescribed: Optional[List[List[Summand]]] = None,
-                   prefix_diffs: Optional[List[List[List[Optional[Element]]]]] = None
-                   ) -> FreeResolution:
+def resolve_simple(sc: SpaceCategory, Y: str, depth: int) -> FreeResolution:
     """Generic syzygy resolution of the simple right-module S_Y.
 
     Covers S_Y by Q_Y, then repeatedly covers the kernel of the last
     differential by free modules on homogeneous generators chosen minimal
-    modulo the nil ideal.  With `prescribed`, each computed level is checked
-    against the expected summand multiset (the catalogue shapes); with
-    `prefix_diffs`, the first differentials are taken as given instead of
-    recomputed.
+    modulo the nil ideal.
     """
-    levels: List[List[Summand]] = [[(Y, 0)]]
-    diffs: List[List[List[Optional[Element]]]] = []
-    res = FreeResolution(sc, Y, levels, diffs, periodic=None)
-    if prefix_diffs:
-        for n, d in enumerate(prefix_diffs, start=1):
-            if prescribed is None or len(prescribed) <= n:
-                raise CatalogueError("prefix differentials need prescribed levels")
-            levels.append(list(prescribed[n]))
-            diffs.append(d)
-    extend_resolution(res, depth, prescribed)
+    res = FreeResolution(sc, Y, [[(Y, 0)]], [], periodic=None)
+    extend_resolution(res, depth)
     return res
 
 
-def extend_resolution(res: FreeResolution, depth: int,
-                      prescribed: Optional[List[List[Summand]]] = None) -> None:
+def extend_resolution(res: FreeResolution, depth: int) -> None:
     """Continue a resolution by syzygy steps until it has `depth` levels."""
     sc = res.sc
-    Y = res.Y
     t = sc.table
     objs = sc.objects
     levels = res.levels
@@ -680,12 +657,6 @@ def extend_resolution(res: FreeResolution, depth: int,
                 offset += r
                 if any(piece):
                     matrix[i][col] = Element(W, A, (parity + eA) % 2, piece)
-        if prescribed is not None and len(prescribed) > n + 1:
-            want = sorted(prescribed[n + 1])
-            got = sorted(new_level)
-            if want != got:
-                raise CatalogueError(
-                    f"resolution of S_{Y} level {n + 1}: expected {want}, got {got}")
         levels.append(new_level)
         diffs.append(matrix)
 
@@ -818,288 +789,58 @@ def validate_resolution(res: FreeResolution, depth: int) -> List[str]:
     return problems
 
 
-def _seam_problems(res: FreeResolution) -> List[str]:
-    """What validate_resolution(res, len(res.levels)) adds to a validation
-    through len(res.levels) - 1: d∘d = 0 and exactness at the last built
-    level, whose outgoing differential is the periodic wrap-around."""
-    n = len(res.levels) - 1
-    problems = _composite_problems(res, n)
-    if problems:
-        # not a complex at the seam, so there is no homology to test
-        return problems
-    for W in res.sc.objects:
-        for parity in (0, 1):
-            if not _exact_at(res.underlying_diff(n + 1, W, parity),
-                             res.underlying_diff(n, W, parity)):
-                problems.append(f"not exact at level {n}, ({W},{parity})")
-    return problems
-
-
 # ---------------------------------------------------------------------------
-# Built-in resolution catalogue
+# Shipped resolutions and the engine switch
 # ---------------------------------------------------------------------------
 
-def _el(sc: SpaceCategory, src: str, combo: Combo, sign: int = 1) -> Element:
-    el = sc.table.eval_combo(src, combo)
-    return sc.table.scale(el, sign) if sign != 1 else el
-
-
-# Level shapes and periodic markers of the Z3 catalogue, one entry per
-# object; the S catalogue is transported from these shapes
-_Z3_SHAPES = {
-    # S_{j4}: Q_j[1] -> Q_4 -> Q_{j4}, periodic
-    "14": ([[("14", 0)], [("4", 0)], [("1", 1)], [("14", 1)]], (0, 3)),
-    "24": ([[("24", 0)], [("4", 0)], [("2", 1)], [("24", 1)]], (0, 3)),
-    "34": ([[("34", 0)], [("4", 0)], [("3", 1)], [("34", 1)]], (0, 3)),
-    # S_4: Q_1234[1] -> ⊕Q_j[1] -> Q_4, periodic
-    "4": ([[("4", 0)], [("1", 1), ("2", 1), ("3", 1)], [("1234", 1)], [("4", 1)]],
-          (0, 3)),
-    # S_j: Q_{1234∖j} -> Q_1234 -> Q_j, periodic
-    "1": ([[("1", 0)], [("1234", 0)], [("234", 0)], [("1", 1)]], (0, 3)),
-    "2": ([[("2", 0)], [("1234", 0)], [("134", 0)], [("2", 1)]], (0, 3)),
-    "3": ([[("3", 0)], [("1234", 0)], [("124", 0)], [("3", 1)]], (0, 3)),
-    # S_{jk4}: Q_4 -> Q_{j4}⊕Q_{k4} -> Q_{jk4}, periodic (Mayer-Vietoris)
-    "124": ([[("124", 0)], [("14", 0), ("24", 0)], [("4", 0)], [("124", 1)]], (0, 3)),
-    "134": ([[("134", 0)], [("14", 0), ("34", 0)], [("4", 0)], [("134", 1)]], (0, 3)),
-    "234": ([[("234", 0)], [("24", 0), ("34", 0)], [("4", 0)], [("234", 1)]], (0, 3)),
-    # S_1234: the four-term resolution with explicit ±i and delta entries
-    "1234": ([[("1234", 0)],
-              [("124", 0), ("134", 0), ("234", 0)],
-              [("14", 0), ("24", 0), ("34", 0)],
-              [("4", 0), ("1234", 1)],
-              [("124", 1), ("134", 1), ("234", 1)]], (1, 3)),
-}
-
-
-def _z3_catalogue(sc: SpaceCategory, Y: str) -> dict:
-    """The Z3 catalogue entry of S_Y: its levels, explicit differentials and
-    periodic marker.  Only Y's differentials are evaluated."""
-    shape, periodic = _Z3_SHAPES[Y]
-    D = sc.designator
-    f = frozenset
-
-    def inc(a, b):
-        return D.inc(f(a), f(b))
-
-    def res(a, b):
-        return D.res(f(a), f(b))
-
-    def E(src, combo, sign=1):
-        return _el(sc, src, combo, sign)
-
-    if Y == "4":  # S_4
-        diffs = [
-            [[E("1", {("d:1>4",): 1}), E("2", {("d:2>4",): 1}), E("3", {("d:3>4",): 1})]],
-            [[E("1234", res("1234", "1"))], [E("1234", res("1234", "2"))],
-             [E("1234", res("1234", "3"))]],
-            [[E("4", inc("4", "1234"))]],
-        ]
-    elif len(Y) == 1:  # S_j
-        j, comp = Y, "".join(sorted(set("1234") - {Y}))
-        diffs = [
-            [[E("1234", {("r:1234>%s" % j,): 1})]],
-            [[E(comp, inc(comp, "1234"))]],
-            [[E(j, combo_compose({("d:%s>4" % j,): 1}, inc("4", comp)))]],
-        ]
-    elif len(Y) == 2:  # S_{j4}
-        j = Y[0]
-        diffs = [
-            [[E("4", inc("4", Y))]],
-            [[E(j, {("d:%s>4" % j,): 1})]],
-            [[E(Y, res(Y, j))]],
-        ]
-    elif len(Y) == 3:  # S_{jk4}
-        j, k = Y[0], Y[1]
-        j4, k4 = j + "4", k + "4"
-        diffs = [
-            [[E(j4, inc(j4, Y)), E(k4, inc(k4, Y))]],
-            [[E("4", inc("4", j4))], [E("4", inc("4", k4), -1)]],
-            [[E(Y, combo_compose(res(Y, j), {("d:%s>4" % j,): 1}))]],
-        ]
-    else:  # S_1234
-        d_1234_14 = combo_compose(combo_compose({("r:1234>3",): 1}, {("d:3>4",): 1}),
-                                  inc("4", "14"))
-        d_234_4 = combo_compose(res("234", "2"), {("d:2>4",): 1})
-        diffs = [
-            [[E("124", inc("124", "1234")), E("134", inc("134", "1234")),
-              E("234", inc("234", "1234"))]],
-            # rows 124,134,234; cols 14,24,34; sign pattern (i -i 0; -i 0 i; 0 i -i)
-            [[E("14", inc("14", "124")), E("24", inc("24", "124"), -1), None],
-             [E("14", inc("14", "134"), -1), None, E("34", inc("34", "134"))],
-             [None, E("24", inc("24", "234")), E("34", inc("34", "234"), -1)]],
-            # rows 14,24,34; cols 4, 1234[1]
-            [[E("4", inc("4", "14")), E("1234", d_1234_14)],
-             [E("4", inc("4", "24")), None],
-             [E("4", inc("4", "34")), None]],
-            # rows 4, 1234[1]; cols 124[1], 134[1], 234[1]; classically
-            # (0 0 -d_234^4; i i i) up to sign freedom; our designated words
-            # force the + sign for d∘d = 0
-            [[None, None, E("234", d_234_4)],
-             [E("124", inc("124", "1234")), E("134", inc("134", "1234")),
-              E("234", inc("234", "1234"))]],
-        ]
-    # a copy of the levels: a resolution that loses its marker grows them
-    return dict(levels=[list(lvl) for lvl in shape], diffs=diffs,
-                periodic=periodic)
-
-
-def _c2_shapes():
-    shapes = {}
-    shapes["3"] = ([[("3", 0)], [("1", 1), ("2", 1)], [("123", 1)], [("3", 1)]], (0, 3))
-    shapes["4"] = ([[("4", 0)], [("1", 1), ("2", 1)], [("124", 1)], [("4", 1)]], (0, 3))
-    shapes["134"] = ([[("134", 0)], [("3", 0), ("4", 0)], [("1", 1)], [("134", 1)]], (0, 3))
-    shapes["234"] = ([[("234", 0)], [("3", 0), ("4", 0)], [("2", 1)], [("234", 1)]], (0, 3))
-    shapes["13"] = ([[("13", 0)], [("134", 0)], [("4", 0)], [("13", 1)]], (0, 3))
-    shapes["14"] = ([[("14", 0)], [("134", 0)], [("3", 0)], [("14", 1)]], (0, 3))
-    shapes["23"] = ([[("23", 0)], [("234", 0)], [("4", 0)], [("23", 1)]], (0, 3))
-    shapes["24"] = ([[("24", 0)], [("234", 0)], [("3", 0)], [("24", 1)]], (0, 3))
-    shapes["1234"] = ([[("1234", 0)], [("134", 0), ("234", 0)],
-                       [("3", 0), ("4", 0)], [("1234", 1)]], (0, 3))
-    shapes["123"] = ([[("123", 0)], [("1234", 0), ("13", 0), ("23", 0)],
-                      [("134", 0), ("234", 0)], [("4", 0), ("123", 1)],
-                      [("1234", 1), ("13", 1), ("23", 1)]], (1, 3))
-    shapes["124"] = ([[("124", 0)], [("1234", 0), ("14", 0), ("24", 0)],
-                      [("134", 0), ("234", 0)], [("3", 0), ("124", 1)],
-                      [("1234", 1), ("14", 1), ("24", 1)]], (1, 3))
-    shapes["1"] = ([[("1", 0)], [("123", 0), ("124", 0)],
-                    [("1234", 0), ("23", 0), ("24", 0)], [("234", 0), ("1", 1)],
-                    [("123", 1), ("124", 1)]], (1, 3))
-    shapes["2"] = ([[("2", 0)], [("123", 0), ("124", 0)],
-                    [("1234", 0), ("13", 0), ("14", 0)], [("134", 0), ("2", 1)],
-                    [("123", 1), ("124", 1)]], (1, 3))
-    return shapes
-
-
-# object correspondence and parity shifts carrying the Z3 category to the S
-# category (verified against the computed Hom ranks of both tables)
-_S_PHI = {"1": "2", "2": "3", "3": "1234", "4": "123", "14": "13", "24": "12",
-          "34": "4", "124": "1", "134": "24", "234": "34", "1234": "234"}
-_S_SIGMA = {"1": 1, "2": 1, "3": 1, "4": 0, "14": 0, "24": 0, "34": 1,
-            "124": 0, "134": 1, "234": 1, "1234": 1}
-
-
-def _s_shapes():
-    """Shapes for the S catalogue, transported from the Z3 shapes through the
-    structural correspondence of the two categories (objects, with parity
-    shifts)."""
-    shapes = {}
-    for Yz, (z3_levels, marker) in _Z3_SHAPES.items():
-        Ys = _S_PHI[Yz]
-        sY = _S_SIGMA[Yz]
-        levels = [[(_S_PHI[A], (e + _S_SIGMA[A] + sY) % 2) for A, e in lvl]
-                  for lvl in z3_levels]
-        shapes[Ys] = (levels, marker)
-    return shapes
-
-
-def _z4_12345_entry(sc: SpaceCategory):
-    f = frozenset
-    D = sc.designator
-
-    def inc(a, b):
-        return D.inc(f(a), f(b))
-
-    def E(src, combo, sign=1):
-        return _el(sc, src, combo, sign)
-
-    co = ["2345", "1345", "1245", "1235"]  # 12345∖c for c = 1,2,3,4
-    pairs = ["345", "245", "145", "235", "135", "125"]  # pair objects jk5
-    # the classical 4x6 sign pattern, rows = co, cols = pairs
-    signs = [
-        [1, -1, 0, 1, 0, 0],
-        [-1, 0, 1, 0, -1, 0],
-        [0, 1, -1, 0, 0, 1],
-        [0, 0, 0, -1, 1, -1],
-    ]
-    d1 = [[E(c, inc(c, "12345")) for c in co]]
-    d2 = []
-    for i, c in enumerate(co):
-        row = []
-        for j, pr in enumerate(pairs):
-            s = signs[i][j]
-            row.append(E(pr, inc(pr, c), s) if s else None)
-        d2.append(row)
-    levels = [
-        [("12345", 0)],
-        [(c, 0) for c in co],
-        [(p, 0) for p in pairs],
-        [("15", 0), ("25", 0), ("35", 0), ("45", 0), ("12345", 1)],
-        [("5", 0), ("2345", 1), ("1345", 1), ("1245", 1), ("1235", 1)],
-        [(p, 1) for p in pairs],
-    ]
-    return dict(levels=levels, diffs=[d1, d2], periodic=(2, 3))
-
-
-_RESOLUTION_CACHE: Dict[Tuple[str, str], FreeResolution] = {}
-
-
-def _catalogue_entry(space_name: str, Y: str) -> Tuple[FreeResolution, Tuple[int, int]]:
-    """The catalogued resolution of S_Y, not yet validated, and its
-    periodic marker (not yet set on the resolution)."""
-    sc = builtin_category(space_name)
-    if space_name == "Z3":
-        if Y not in _Z3_SHAPES:
-            raise CatalogueError(f"no catalogued resolution for ({space_name}, {Y})")
-        e = _z3_catalogue(sc, Y)
-        return FreeResolution(sc, Y, e["levels"], e["diffs"]), e["periodic"]
-    if space_name in ("C2", "S"):
-        shapes = _c2_shapes() if space_name == "C2" else _s_shapes()
-        if Y not in shapes:
-            raise CatalogueError(f"no catalogued resolution for ({space_name}, {Y})")
-        levels, marker = shapes[Y]
-        return resolve_simple(sc, Y, len(levels) - 1, prescribed=levels), marker
-    if space_name == "Z4" and Y == "12345":
-        e = _z4_12345_entry(sc)
-        res = resolve_simple(sc, Y, len(e["levels"]) - 1, prescribed=e["levels"],
-                             prefix_diffs=e["diffs"])
-        return res, e["periodic"]
-    raise CatalogueError(f"no catalogued resolution for ({space_name}, {Y})")
+_RESOLUTIONS_PATH = os.path.join(os.path.dirname(__file__), "data", "resolutions.json")
+_SHIPPED: Dict[str, Dict[str, dict]] = {}
+_BUILTIN_CACHE: Dict[Tuple[str, str], FreeResolution] = {}
 
 
 def builtin_resolution(space_name: str, Y: str) -> FreeResolution:
-    """Catalogued resolution of S_Y, validated at build time.
+    """The shipped resolution of S_Y from data/resolutions.json.
 
-    Differentials beyond the explicitly shipped ones are completed by the
-    syzygy engine against the catalogued level shapes (the shapes are
-    reference data; the completed entries are reconstructed).  The periodic
-    marker is kept only when its wrap-around differential is itself
-    validated; otherwise deeper levels are built by further engine steps."""
+    The file is trusted data, like the table caches: it is generated from
+    the hand catalogue in tests/catalogue.py, which validates every entry,
+    and a test requires the shipped file to equal a fresh generation.  Its
+    periodic marker is present only where the resolution validated through
+    the wrap-around differential the marker implies."""
     key = (space_name, Y)
-    if key in _RESOLUTION_CACHE:
-        return _RESOLUTION_CACHE[key]
-    res, marker = _catalogue_entry(space_name, Y)
-    problems = validate_resolution(res, len(res.levels) - 1)
-    if problems:
-        raise CatalogueError(f"catalogued resolution for ({space_name}, {Y}) "
-                             f"failed validation: {problems[:3]}")
-    # keep the periodicity marker only if the wrap-around step validates;
-    # the levels before it have just passed
-    res.periodic = marker
-    try:
-        seam = _seam_problems(res)
-    except Exception:
-        seam = ["wrap differential is not even a complex"]
-    if seam:
-        res.periodic = None
-    _RESOLUTION_CACHE[key] = res
+    res = _BUILTIN_CACHE.get(key)
+    if res is not None:
+        return res
+    if not _SHIPPED:
+        with open(_RESOLUTIONS_PATH) as fh:
+            _SHIPPED.update(json.load(fh))
+    entry = _SHIPPED.get(space_name, {}).get(Y)
+    if entry is None:
+        raise CatalogueError(f"no catalogued resolution for ({space_name}, {Y})")
+    levels = [[(obj, eps) for obj, eps in lvl] for lvl in entry["levels"]]
+    diffs = [[[None if e is None else Element(*e) for e in row] for row in d]
+             for d in entry["diffs"]]
+    periodic = tuple(entry["periodic"]) if entry["periodic"] else None
+    res = _BUILTIN_CACHE[key] = FreeResolution(builtin_category(space_name), Y,
+                                                levels, diffs, periodic)
     return res
 
 
-_GENERIC_CACHE: Dict[Tuple[str, str], FreeResolution] = {}
+_GENERIC_CACHE: Dict[Tuple[int, str], FreeResolution] = {}
 
 
 def resolution_for(sc: SpaceCategory, Y: str, depth: int,
                    engine: str = "auto") -> FreeResolution:
-    name = sc.space.name
-    if engine in ("auto", "builtin"):
-        try:
-            res = builtin_resolution(name, Y)
-            if res.periodic is None and len(res.levels) <= depth:
-                extend_resolution(res, depth)
-            return res
-        except CatalogueError:
-            if engine == "builtin":
-                raise
+    """A resolution of S_Y with at least `depth` levels.  "auto" and
+    "generic" run the syzygy engine and share one cache; "builtin" reads the
+    shipped resolution and raises CatalogueError where none is shipped."""
+    if engine == "builtin":
+        res = builtin_resolution(sc.space.name, Y)
+        if res.periodic is None and len(res.levels) <= depth:
+            extend_resolution(res, depth)
+        return res
+    if engine not in ("auto", "generic"):
+        raise ModuleError(f"unknown resolution engine {engine!r}; "
+                          "expected auto, builtin or generic")
     key = (id(sc), Y)  # resolutions are tied to their table's basis choices
     res = _GENERIC_CACHE.get(key)
     if res is None:

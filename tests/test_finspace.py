@@ -3,9 +3,9 @@ from itertools import combinations
 import pytest
 
 from fktor.finspace import (
-    FiniteSpace, SpaceError, builtin_space, hasse_edges, is_accordion_union,
-    label, lc_subsets, open_pairs, point_space, pseudocircle, s_space,
-    space_from_json, space_to_json, z_space,
+    BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_space, hasse_edges,
+    is_accordion_union, label, lc_subsets, open_pairs, point_space,
+    pseudocircle, s_space, space_from_json, space_to_json, z_space,
 )
 
 
@@ -88,6 +88,18 @@ MALFORMED_SPACES = {
 def test_malformed_space_json_raises_space_error(data):
     with pytest.raises(SpaceError):
         space_from_json(data)
+
+
+@pytest.mark.parametrize("name", ["Z5", "Z04", "Z\u0663"])
+def test_builtin_space_refuses_names_outside_the_builtin_list(name):
+    # Z5 has no table, Z04 is Z4 misspelt, and "Z٣" has a non-ASCII digit
+    with pytest.raises(SpaceError):
+        builtin_space(name)
+
+
+def test_builtin_space_builds_every_builtin_name():
+    for name in BUILTIN_NAMES:
+        assert builtin_space(name).name == name
 
 
 # ---------------------------------------------------------------------------

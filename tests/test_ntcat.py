@@ -229,15 +229,15 @@ def test_trivial_category_ideal_checks():
 def test_designated_boundary_over_s_space():
     sc = cat("S")
     # boundary of the pair ({2} open in {1,2}) is r_{234}^2 ∘ d_1^{234}
-    combo = sc.designated_bnd(frozenset("2"), frozenset("1"),
-                              frozenset("2"), frozenset("12"))
+    combo = sc.designator.bnd_block(frozenset("2"), frozenset("1"),
+                                      frozenset("2"), frozenset("12"))
     assert combo == {("d:1>234", "r:234>2"): 1}
 
 
 def test_designated_inclusion_through_restriction():
     sc = cat("C2")
     # {3} open in {13} has no generator route; it factors as r∘i
-    combo = sc.designated_inc(frozenset("3"), frozenset("13"))
+    combo = sc.designator.inc(frozenset("3"), frozenset("13"))
     el = sc.table.eval_combo("3", combo)
     assert el.parity == 0 and not el.is_zero()
     assert el.dst == "13"
@@ -245,7 +245,7 @@ def test_designated_inclusion_through_restriction():
 
 def test_designated_res_on_z3():
     sc = cat("Z3")
-    combo = sc.designated_res(frozenset("14"), frozenset("1"))
+    combo = sc.designator.res(frozenset("14"), frozenset("1"))
     el = sc.table.eval_combo("14", combo)
     assert el.dst == "1" and not el.is_zero()
 

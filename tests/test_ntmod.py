@@ -2,20 +2,21 @@ import random
 
 import pytest
 
+import catalogue
 from conftest import random_block_graph, random_valid_module, word_pre_matrix
 
-from fktor.graphk import fk_module
+from fktor.graphk import fk_module, tor_ck
 import fktor.ntmod as ntmod
-from fktor.ntcat import CategoryError, Element, builtin_category, nil_basis
+from fktor.ntcat import Element, builtin_category, nil_basis
 from fktor.ntmod import (
-    CatalogueError, GradedModule, builtin_resolution, check_exact,
+    CatalogueError, GradedModule, ModuleError, builtin_resolution, check_exact,
     coker_module, free_module, left_complex_underlying, m_ss,
     projective_dimension, rational_tor, resolution_for, resolve_simple, tor,
     tor_single, validate, validate_resolution,
 )
 from fktor.zexact import (AbGroupNF, GradedGroup, GradedHom, IntMatrix,
-                          Presentation, ZExactError, block_diag,
-                          graded_direct_sum, hnf_columns, shift)
+                          Presentation, block_diag, graded_direct_sum,
+                          hnf_columns, shift)
 
 
 def cat(name):
@@ -160,10 +161,11 @@ def test_simple_module_validates_and_m_ss_is_Z_at_Y():
 # Resolutions
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["Z3", "S", "C2"])
+@pytest.mark.parametrize("name", ["Z3", "S", "C2", "Z4"])
 def test_builtin_resolutions_validate(name):
-    sc = cat(name)
-    for Y in sc.objects:
+    """Every shipped resolution validates, through the wrap-around
+    differential when it carries a periodic marker."""
+    for Y in [Y for space, Y in catalogue.ENTRIES if space == name]:
         res = builtin_resolution(name, Y)
         if res.periodic is not None:
             # the marker is only kept when the wrap differential validates
@@ -229,13 +231,12 @@ def test_nil_part_from_generator_images(name):
     K(a.dst)·a, is the lattice spanned element by element by the nil basis,
     at every level through 5 of every resolution resolution_for builds."""
     sc = cat(name)
-    seen = set()
-    for engine in ("auto", "generic"):
+    for engine in ("generic", "builtin"):
         for Y in sc.objects:
-            res = resolution_for(sc, Y, 5, engine)
-            if id(res) in seen:
+            try:
+                res = resolution_for(sc, Y, 5, engine)
+            except CatalogueError:
                 continue
-            seen.add(id(res))
             for n in range(6):
                 level = res.level(n)
                 kernels = ntmod._level_kernels(res, n)
@@ -248,35 +249,26 @@ def test_nil_part_from_generator_images(name):
                         (Y, engine, n, key)
 
 
-def _accepts(check):
-    """True when a validation check returns no problems; a check that
-    cannot even form the composites rejects."""
-    try:
-        return not check()
-    except (CategoryError, ZExactError):
-        return False
-
-
-CATALOGUE = [("Z3", Y) for Y in cat("Z3").objects] + \
-    [("S", Y) for Y in cat("S").objects] + \
-    [("C2", Y) for Y in cat("C2").objects] + [("Z4", "12345")]
-
-
-@pytest.mark.parametrize("name,Y", CATALOGUE)
+@pytest.mark.parametrize("name,Y", catalogue.ENTRIES)
 def test_seam_check_agrees_with_full_validation(name, Y):
-    res, marker = ntmod._catalogue_entry(name, Y)
+    """The catalogue entry validates through its last level, and the
+    generator keeps the periodic marker exactly when the resolution with the
+    marker validates through the wrap-around; the shipped resolution carries
+    the generator's verdict."""
+    res, marker = catalogue.catalogue_entry(name, Y)
     assert not validate_resolution(res, len(res.levels) - 1)
     res.periodic = marker
-    seam = _accepts(lambda: ntmod._seam_problems(res))
-    assert seam == _accepts(lambda: validate_resolution(res, len(res.levels)))
+    seam = catalogue.accepts(lambda: validate_resolution(res, len(res.levels)))
+    assert (catalogue.generate(name, Y).periodic is not None) == seam
     assert (builtin_resolution(name, Y).periodic is not None) == seam
 
 
 def test_tampered_wrap_around_drops_the_periodic_marker(monkeypatch):
-    catalogue = ntmod._z3_catalogue
+    """The test-side generator drops a marker whose wrap-around fails."""
+    z3_catalogue = catalogue._z3_catalogue
 
     def tampered(sc, Y):
-        entry = catalogue(sc, Y)
+        entry = z3_catalogue(sc, Y)
         d1, d2 = entry["diffs"][:2]
         # negate the first summand of level 1: d_1 and d_2 still form an
         # exact complex, but the stored d_4 fits the unnegated d_2, which
@@ -285,14 +277,12 @@ def test_tampered_wrap_around_drops_the_periodic_marker(monkeypatch):
         d2[0] = [None if e is None else sc.table.scale(e, -1) for e in d2[0]]
         return entry
 
-    monkeypatch.setattr(ntmod, "_z3_catalogue", tampered)
-    monkeypatch.setattr(ntmod, "_RESOLUTION_CACHE", {})
-    res, marker = ntmod._catalogue_entry("Z3", "1234")
+    monkeypatch.setattr(catalogue, "_z3_catalogue", tampered)
+    res, marker = catalogue.catalogue_entry("Z3", "1234")
     assert not validate_resolution(res, len(res.levels) - 1)
     res.periodic = marker
-    assert not _accepts(lambda: ntmod._seam_problems(res))
-    assert not _accepts(lambda: validate_resolution(res, len(res.levels)))
-    built = builtin_resolution("Z3", "1234")
+    assert not catalogue.accepts(lambda: validate_resolution(res, len(res.levels)))
+    built = catalogue.generate("Z3", "1234")
     assert built.periodic is None
     assert not validate_resolution(built, len(built.levels) - 1)
 
@@ -304,16 +294,42 @@ def test_missing_catalogue_entry():
 
 def test_catalogue_evaluates_only_the_requested_entry(monkeypatch):
     evaluated = []
-    real = ntmod._el
-    monkeypatch.setattr(ntmod, "_el", lambda *a: evaluated.append(a) or real(*a))
+    real = catalogue._el
+    monkeypatch.setattr(catalogue, "_el", lambda *a: evaluated.append(a) or real(*a))
     for Y in cat("Z3").objects:
         evaluated.clear()
-        res, _ = ntmod._catalogue_entry("Z3", Y)
+        res, _ = catalogue.catalogue_entry("Z3", Y)
         assert len(evaluated) == sum(e is not None for d in res.diffs
                                      for row in d for e in row)
     # the S shapes are transported from the Z3 table without the Z3 category
-    monkeypatch.setattr(ntmod, "builtin_category", None)
-    assert sorted(ntmod._s_shapes()) == sorted(cat("S").objects)
+    monkeypatch.setattr(catalogue, "builtin_category", None)
+    assert sorted(catalogue._s_shapes()) == sorted(cat("S").objects)
+
+
+def test_shipped_resolutions_are_the_generated_catalogue():
+    """data/resolutions.json is byte for byte what the catalogue generates."""
+    with open(ntmod._RESOLUTIONS_PATH) as fh:
+        assert fh.read() == catalogue.shipped_text()
+
+
+@pytest.mark.parametrize("name", ["pt", "Z1", "Z3", "S"])
+def test_auto_engine_is_the_generic_engine(name):
+    sc = cat(name)
+    for Y in sc.objects:
+        assert resolution_for(sc, Y, 3, "auto") is resolution_for(sc, Y, 3, "generic")
+
+
+def test_unknown_engine_name_is_refused():
+    sc = cat("Z1")
+    M = free_module(sc, sc.objects[0], "left")
+    G = random_block_graph("Z1", random.Random(1))
+    for call in (lambda: resolution_for(sc, sc.objects[0], 2, "bultin"),
+                 lambda: tor(M, 1, engine="bultin"),
+                 lambda: rational_tor(M, 1, engine="bultin"),
+                 lambda: projective_dimension(M, 1, engine="bultin"),
+                 lambda: tor_ck(G, 1, engine="bultin")):
+        with pytest.raises(ModuleError, match="unknown resolution engine"):
+            call()
 
 
 def test_generic_engine_one_point_space():
