@@ -281,11 +281,9 @@ def cmd_graph_fk(args):
 def cmd_graph_tor(args):
     G = _get_graph(args)
     rep = tor_ck(G, args.degree, engine=args.engine)
-    fast = None
-    if G.space.name == "Z3":
-        fast = z3_fast_tor1(G)
-    elif G.space.name == "S":
-        fast = s_fast_tor1(G)
+    fast_fn = {"Z3": z3_fast_tor1, "S": s_fast_tor1}.get(G.space.name)
+    # the fast paths compute Tor_1, which a Tor_0-only report does not hold
+    fast = fast_fn(G) if fast_fn is not None and args.degree >= 1 else None
     if fast is not None:
         agg1 = rep.aggregate(1)
         if agg1 != (fast.group_even, fast.group_odd):
@@ -322,6 +320,17 @@ def _yn(b):
 # Parser and dispatch
 # ---------------------------------------------------------------------------
 
+def _nonnegative(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, not {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fktor",
@@ -349,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, file=True)
     sp = sub.add_parser("module-tor", help="Tor groups of a module")
     common(sp, file=True, engine=True)
-    sp.add_argument("--degree", type=int, default=1)
+    sp.add_argument("--degree", type=_nonnegative, default=1)
     sp = sub.add_parser("module-pd", help="projective dimension of a module")
     common(sp, file=True, engine=True)
-    sp.add_argument("--max", type=int, default=3)
+    sp.add_argument("--max", type=_nonnegative, default=3)
     sp = sub.add_parser("graph-check", help="structural checks of a block graph")
     common(sp, file=True)
     sp = sub.add_parser("graph-k", help="subquotient K-groups of a block graph")
@@ -362,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, file=True)
     sp = sub.add_parser("graph-tor", help="Tor pipeline for a block graph")
     common(sp, file=True, engine=True)
-    sp.add_argument("--degree", type=int, default=1)
+    sp.add_argument("--degree", type=_nonnegative, default=1)
     return p
 
 

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .finspace import FiniteSpace, builtin_space, label, lc_subsets
 from .ntcat import SpaceCategory, builtin_category
 from .ntmod import GradedModule, TorReport, tor
-from .zexact import (AbGroupNF, GradedGroup, GradedHom, GroupHom, IntMatrix,
-                     Presentation, block_diag, hnf_columns, kernel, smith,
+from .zexact import (AbGroupNF, GradedGroup, GradedHom, IntMatrix, Presentation,
+                     block_graded_hom, hnf_columns, kernel, shift, smith,
                      solve_columns, subquotient_homology)
 
 
@@ -289,26 +289,48 @@ class FastTorResult:
     homology: Optional[object] = None  # HomologyResult for class queries
 
 
-def z3_fast_tor1(G: BlockGraph) -> FastTorResult:
-    """Tor_1 over Z3 from the kernel complex ker(φ0) -> ker(φ1) -> ker(φ2)
-    with the block maps f and g; the odd part is
-    (ker f ∩ im φ0) / φ0(ker f), reported with witness lattice generators."""
-    if G.space.name != "Z3":
-        raise GraphError("the Z3 fast path needs a graph over Z3")
-    j4s = ["14", "24", "34"]
-    triples = ["124", "134", "234"]
-    phi0 = block_diag([G.bprime_block(frozenset(s), frozenset(s)) for s in j4s])
-    phi1 = block_diag([G.bprime_block(frozenset(s), frozenset(s)) for s in triples])
-    phi2 = G.bprime_block(frozenset("1234"), frozenset("1234"))
+def _three_term(G: BlockGraph, space: str, *specs):
+    """The maps d1, d2 of a three-term complex of direct sums of fk_module
+    entries.  A spec is (sources, targets, blocks): summands are
+    (object, shift) pairs, and blocks[i][j] is None or (sign, arrow name),
+    read off the module's action of that generator arrow."""
+    if G.space.name != space:
+        raise GraphError(f"the {space} fast path needs a graph over {space}")
+    M = fk_module(G)
 
-    signs = [[1, -1, 0], [-1, 0, 1], [0, 1, -1]]
-    f_blocks = [[_coord_matrix(G, j4s[j], triples[k]).scale(signs[k][j])
-                 if signs[k][j] else
-                 IntMatrix.zero(len(G.vertices_of(frozenset(triples[k]))),
-                                len(G.vertices_of(frozenset(j4s[j]))))
-                 for j in range(3)] for k in range(3)]
-    f = IntMatrix.block(f_blocks)
-    g = IntMatrix.block([[_coord_matrix(G, t, "1234") for t in triples]])
+    def block(sign, name, src_shift):
+        h = M.actions[name] if sign > 0 else -M.actions[name]
+        # shift routing: as a degree-0 map of the shifted groups
+        return h.shift() if src_shift else h
+
+    def summands(objs):
+        return [shift(M.entries[o]) if e else M.entries[o] for o, e in objs]
+
+    return tuple(
+        block_graded_hom(0, summands(sources), summands(targets),
+                         [[None if b is None else block(*b, sources[j][1])
+                           for j, b in enumerate(row)] for row in blocks])
+        for sources, targets, blocks in specs)
+
+
+def z3_fast_tor1(G: BlockGraph) -> FastTorResult:
+    """Tor_1 over Z3 from the three-term complex
+
+        K(14) ⊕ K(24) ⊕ K(34) -> K(124) ⊕ K(134) ⊕ K(234) -> K(1234)
+
+    of coordinate inclusions; the even lane is f, g on the cokernels of the
+    B' blocks φ0, φ1, φ2, the odd lane the same maps on their kernels.  The
+    odd part is (ker f ∩ im φ0) / φ0(ker f), reported with witness lattice
+    generators and checked against the odd-lane homology."""
+    d1, d2 = _three_term(G, "Z3", (
+        [("14", 0), ("24", 0), ("34", 0)], [("124", 0), ("134", 0), ("234", 0)],
+        [[(1, "i:14>124"), (-1, "i:24>124"), None],
+         [(-1, "i:14>134"), None, (1, "i:34>134")],
+         [None, (1, "i:24>234"), (-1, "i:34>234")]]), (
+        [("124", 0), ("134", 0), ("234", 0)], [("1234", 0)],
+        [[(1, "i:124>1234"), (1, "i:134>1234"), (1, "i:234>1234")]]))
+    f = d1.from_even.matrix
+    phi0 = d1.from_even.source.relations
 
     # odd part two ways: the lattice identification
     # (ker f ∩ im φ0)/φ0(ker f), which carries the witness generators, and
@@ -322,40 +344,17 @@ def z3_fast_tor1(G: BlockGraph) -> FastTorResult:
         raise GraphError("φ0(ker f) not inside ker(f) ∩ im(φ0)")
     quotient = Presentation(L1.cols, coords)
     odd = quotient.normal_form()
-
-    k0, k1b, k2 = kernel(phi0), kernel(phi1), kernel(phi2)
-    fk = _restrict(f, k0, k1b)
-    gk_ = _restrict(g, k1b, k2)
-    h = subquotient_homology(
-        GroupHom(Presentation.free(k0.cols), Presentation.free(k1b.cols), fk),
-        GroupHom(Presentation.free(k1b.cols), Presentation.free(k2.cols), gk_))
-    if h.group != odd:
+    if subquotient_homology(d1.from_odd, d2.from_odd).group != odd:
         raise GraphError("kernel-complex homology disagrees with the "
                          "lattice identification")
 
-    # even part: the same complex on the cokernel presentations
-    c0 = _direct_sum([Presentation(G.bprime_block(frozenset(s), frozenset(s)).rows,
-                                   G.bprime_block(frozenset(s), frozenset(s)))
-                      for s in j4s])
-    c1 = _direct_sum([Presentation(G.bprime_block(frozenset(s), frozenset(s)).rows,
-                                   G.bprime_block(frozenset(s), frozenset(s)))
-                      for s in triples])
-    B = G.bprime_block(frozenset("1234"), frozenset("1234"))
-    c2 = Presentation(B.rows, B)
-    he = subquotient_homology(GroupHom(c0, c1, f), GroupHom(c1, c2, g))
+    he = subquotient_homology(d1.from_even, d2.from_even)
     witnesses = {}
     if L1.cols:
         witnesses["numerator"] = L1.column(0)
     if L2.cols:
         witnesses["image"] = L2.column(0)
     return FastTorResult(he.group, odd, witnesses)
-
-
-def _restrict(M: IntMatrix, src_basis: IntMatrix, dst_basis: IntMatrix) -> IntMatrix:
-    X = solve_columns(dst_basis, M * src_basis)
-    if X is None:
-        raise GraphError("map does not restrict to kernels")
-    return X
 
 
 def s_fast_tor1(G: BlockGraph) -> FastTorResult:
@@ -366,75 +365,15 @@ def s_fast_tor1(G: BlockGraph) -> FastTorResult:
     (the odd lane swaps the K-parities; the delta blocks vanish there).
     The even-lane homology carries a witness interface for generator
     classes, and the middle groups are reported in normal form."""
-    if G.space.name != "S":
-        raise GraphError("the S fast path needs a graph over S")
-
-    def K(sub):
-        return k_groups(G, frozenset(sub))
-
-    k12, k4, k13 = K("12"), K("4"), K("13")
-    k34, k1, k24 = K("34"), K("1"), K("24")
-    k234 = K("234")
-
-    def restrict_to(M, basis):
-        X = solve_columns(basis, M)
-        if X is None:
-            raise GraphError("projection does not land in the kernel")
-        return X
-
-    def k1_map(src_k, dst_k, sign=1):
-        M = _coord_matrix(G, src_k.subset, dst_k.subset) * src_k.k1_basis
-        return restrict_to(M, dst_k.k1_basis).scale(sign)
-
-    def k0_map(src_k, dst_k, sign=1):
-        return _coord_matrix(G, src_k.subset, dst_k.subset).scale(sign)
-
-    def delta(src_k, dst_k, sign=1):
-        blk = G.bprime_block(frozenset(dst_k.subset), frozenset(src_k.subset))
-        return (blk * src_k.k1_basis).scale(sign)
-
-    def free(k):
-        return Presentation.free(k.k1_basis.cols)
-
-    # even lane
-    srcP = _direct_sum([free(k12), k4.k0, free(k13)])
-    midP = _direct_sum([k34.k0, free(k1), k24.k0])
-    endP = k234.k0
-    Z34, Z1g, Z24 = k34.k0.generators, k1.k1_basis.cols, k24.k0.generators
-    n12, n4g, n13 = k12.k1_basis.cols, k4.k0.generators, k13.k1_basis.cols
-    d1 = IntMatrix.block([
-        [delta(k12, k34), k0_map(k4, k34, -1), IntMatrix.zero(Z34, n13)],
-        [k1_map(k12, k1, -1), IntMatrix.zero(Z1g, n4g), k1_map(k13, k1)],
-        [IntMatrix.zero(Z24, n12), k0_map(k4, k24), delta(k13, k24, -1)],
-    ])
-    d2 = IntMatrix.block([[k0_map(k34, k234), delta(k1, k234), k0_map(k24, k234)]])
-    hom = subquotient_homology(GroupHom(srcP, midP, d1), GroupHom(midP, endP, d2))
-    middle = (srcP.normal_form(), midP.normal_form(), endP.normal_form())
-
-    # odd lane: parities swap, boundary blocks vanish for graph modules
-    srcPo = _direct_sum([k12.k0, free(k4), k13.k0])
-    midPo = _direct_sum([free(k34), k1.k0, free(k24)])
-    endPo = free(k234)
-    d1o = IntMatrix.block([
-        [IntMatrix.zero(k34.k1_basis.cols, k12.k0.generators),
-         k1_map(k4, k34, -1),
-         IntMatrix.zero(k34.k1_basis.cols, k13.k0.generators)],
-        [k0_map(k12, k1, -1),
-         IntMatrix.zero(k1.k0.generators, k4.k1_basis.cols),
-         k0_map(k13, k1)],
-        [IntMatrix.zero(k24.k1_basis.cols, k12.k0.generators),
-         k1_map(k4, k24),
-         IntMatrix.zero(k24.k1_basis.cols, k13.k0.generators)],
-    ])
-    d2o = IntMatrix.block([[k1_map(k34, k234),
-                            IntMatrix.zero(k234.k1_basis.cols, k1.k0.generators),
-                            k1_map(k24, k234)]])
-    homo = subquotient_homology(GroupHom(srcPo, midPo, d1o),
-                                GroupHom(midPo, endPo, d2o))
+    d1, d2 = _three_term(G, "S", (
+        [("12", 1), ("4", 0), ("13", 1)], [("34", 0), ("1", 1), ("24", 0)],
+        [[(1, "d:12>34"), (-1, "i:4>34"), None],
+         [(-1, "r:12>1"), None, (1, "r:13>1")],
+         [None, (1, "i:4>24"), (-1, "d:13>24")]]), (
+        [("34", 0), ("1", 1), ("24", 0)], [("234", 0)],
+        [[(1, "i:34>234"), (1, "d:1>234"), (1, "i:24>234")]]))
+    hom = subquotient_homology(d1.from_even, d2.from_even)
+    homo = subquotient_homology(d1.from_odd, d2.from_odd)
+    middle = tuple(P.normal_form() for P in
+                   (d1.from_even.source, d1.from_even.target, d2.from_even.target))
     return FastTorResult(hom.group, homo.group, {}, middle, hom)
-
-
-def _direct_sum(parts: Sequence[Presentation]) -> Presentation:
-    gens = sum(p.generators for p in parts)
-    rels = block_diag([p.relations for p in parts])
-    return Presentation(gens, rels)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .finspace import label, lc_subsets
 from .ntcat import Combo, Element, SpaceCategory, builtin_category, nil_basis
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
-                     IntMatrix, Presentation, block_diag, graded_direct_sum,
+                     IntMatrix, Presentation, block_diag, block_graded_hom,
                      kernel, hnf_columns, shift as shift_group, solve,
                      subquotient_homology)
 
@@ -159,6 +159,8 @@ class GradedModule:
         if category is None:
             category = builtin_category(data["space"])
         variance = data.get("variance", "left")
+        if variance not in ("left", "right"):
+            raise ValueError(f"variance must be 'left' or 'right', not {variance!r}")
 
         def pres(d):
             gens = d["gens"]
@@ -169,6 +171,9 @@ class GradedModule:
                 return Presentation(gens)
             return Presentation(gens, IntMatrix(rels, gens, len(rels[0])))
 
+        unknown = sorted(set(data["entries"]) - set(category.objects))
+        if unknown:
+            raise ValueError(f"entries for objects not in the category: {unknown}")
         entries = {o: GradedGroup(pres(v["even"]), pres(v["odd"]))
                    for o, v in data["entries"].items()}
         actions = {}
@@ -246,25 +251,14 @@ def coker_module(sc: SpaceCategory, targets: Sequence[Tuple[str, int]],
     for W in sc.objects:
         parts = []
         for parity in (0, 1):
-            dims_t = [t.rank.get((B, W, (parity + eB) % 2), 0) for B, eB in targets]
-            dims_s = [t.rank.get((A, W, (parity + eA) % 2), 0) for A, eA in sources]
-            blocks = []
-            for i, (B, eB) in enumerate(targets):
-                row = []
-                for j, (A, eA) in enumerate(sources):
-                    el = entries_matrix[i][j]
-                    if el is None:
-                        row.append(IntMatrix.zero(dims_t[i], dims_s[j]))
-                    else:
-                        row.append(t.pre_matrix(el, W, (parity + eA) % 2))
-                blocks.append(row)
-            total_t = sum(dims_t)
-            if total_t == 0:
+            R = left_complex_underlying(sc, [targets, sources],
+                                        [entries_matrix], W, parity)[0]
+            if R.rows == 0:
                 parts.append(Presentation.zero())
-            elif sum(dims_s) == 0:
-                parts.append(Presentation.free(total_t))
+            elif R.cols == 0:
+                parts.append(Presentation.free(R.rows))
             else:
-                parts.append(Presentation(total_t, IntMatrix.block(blocks)))
+                parts.append(Presentation(R.rows, R))
         entries[W] = GradedGroup(parts[0], parts[1])
     actions = {}
     for name, a in sc.presentation.arrows.items():
@@ -319,31 +313,6 @@ def validate(M: GradedModule) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
-def _block_graded_hom(degree, sources, targets, blocks) -> GradedHom:
-    """Assemble a GradedHom between graded direct sums from a grid of
-    GradedHoms (or None); blocks[i][j]: sources[j] -> targets[i]."""
-    src = graded_direct_sum(sources)
-    tgt = graded_direct_sum(targets)
-    mats = []
-    for source_parity in (0, 1):
-        rows = []
-        for i, T in enumerate(targets):
-            row = []
-            for j, S in enumerate(sources):
-                b = blocks[i][j]
-                nrows = T.part((source_parity + degree) % 2).generators
-                ncols = S.part(source_parity).generators
-                if b is None:
-                    row.append(IntMatrix.zero(nrows, ncols))
-                else:
-                    row.append(b.component(source_parity).matrix)
-            rows.append(row)
-        mats.append(IntMatrix.block(rows) if rows and rows[0] else
-                    IntMatrix.zero(tgt.part(degree ^ source_parity).generators,
-                                   src.part(source_parity).generators))
-    return GradedHom.build(degree, src, tgt, mats[0], mats[1])
-
-
 def six_term_maps(M: GradedModule, U, Y):
     """The three maps of the six-term cycle of the pair (U open in Y).
 
@@ -379,20 +348,20 @@ def six_term_maps(M: GradedModule, U, Y):
     eY = [M.entries[label(d)] for d in compsY]
     eE = [M.entries[label(e)] for e in compsE]
     if M.variance == "left":
-        f = _block_graded_hom(0, eU, eY,
-                              [[inc_block(C, D) for C in compsU] for D in compsY])
-        g = _block_graded_hom(0, eY, eE,
-                              [[res_block(D, E) for D in compsY] for E in compsE])
-        h = _block_graded_hom(1, eE, eU,
-                              [[bnd_block(E, C) for E in compsE] for C in compsU])
+        f = block_graded_hom(0, eU, eY,
+                             [[inc_block(C, D) for C in compsU] for D in compsY])
+        g = block_graded_hom(0, eY, eE,
+                             [[res_block(D, E) for D in compsY] for E in compsE])
+        h = block_graded_hom(1, eE, eU,
+                             [[bnd_block(E, C) for E in compsE] for C in compsU])
         names = (f"M({label(U)})", f"M({label(Y)})", f"M({label(Y - U)})")
     else:
-        f = _block_graded_hom(0, eE, eY,
-                              [[res_block(D, E) for E in compsE] for D in compsY])
-        g = _block_graded_hom(0, eY, eU,
-                              [[inc_block(C, D) for D in compsY] for C in compsU])
-        h = _block_graded_hom(1, eU, eE,
-                              [[bnd_block(E, C) for C in compsU] for E in compsE])
+        f = block_graded_hom(0, eE, eY,
+                             [[res_block(D, E) for E in compsE] for D in compsY])
+        g = block_graded_hom(0, eY, eU,
+                             [[inc_block(C, D) for D in compsY] for C in compsU])
+        h = block_graded_hom(1, eU, eE,
+                             [[bnd_block(E, C) for C in compsU] for E in compsE])
         names = (f"M({label(Y - U)})", f"M({label(Y)})", f"M({label(U)})")
     return f, g, h, names
 
@@ -921,7 +890,7 @@ def _tensor_diff(res: FreeResolution, M: GradedModule, k: int) -> GradedHom:
                     h = h.shift()
                 row.append(h)
         blocks.append(row)
-    return _block_graded_hom(0, sources, targets, blocks)
+    return block_graded_hom(0, sources, targets, blocks)
 
 
 def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int):

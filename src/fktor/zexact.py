@@ -804,6 +804,34 @@ def graded_direct_sum(groups: Sequence[GradedGroup]) -> GradedGroup:
     return GradedGroup(Presentation(ev_g, ev_r), Presentation(od_g, od_r))
 
 
+def block_graded_hom(degree: int, sources: Sequence[GradedGroup],
+                     targets: Sequence[GradedGroup], blocks) -> GradedHom:
+    """Assemble a GradedHom between graded direct sums from a grid of
+    GradedHoms (or None); blocks[i][j]: sources[j] -> targets[i].  Each
+    block contributes its component at the source parity, so a block whose
+    summands are shifted enters as `GradedHom.shift()` of the action."""
+    src = graded_direct_sum(sources)
+    tgt = graded_direct_sum(targets)
+    mats = []
+    for source_parity in (0, 1):
+        rows = []
+        for i, T in enumerate(targets):
+            row = []
+            for j, S in enumerate(sources):
+                b = blocks[i][j]
+                nrows = T.part((source_parity + degree) % 2).generators
+                ncols = S.part(source_parity).generators
+                if b is None:
+                    row.append(IntMatrix.zero(nrows, ncols))
+                else:
+                    row.append(b.component(source_parity).matrix)
+            rows.append(row)
+        mats.append(IntMatrix.block(rows) if rows and rows[0] else
+                    IntMatrix.zero(tgt.part(degree ^ source_parity).generators,
+                                   src.part(source_parity).generators))
+    return GradedHom.build(degree, src, tgt, mats[0], mats[1])
+
+
 @dataclass(frozen=True)
 class GradedHom:
     """Parity respecting map of graded groups.

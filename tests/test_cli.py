@@ -48,6 +48,81 @@ def test_module_tor_json_reference_format():
     assert rep["tor"]["12345"]["2"] == {"even": "Z^1", "odd": "0"}
 
 
+# graph-tor --format json at --degree 1, pinned byte for byte with the
+# signed witness vectors of the Z3 lattice identification
+GRAPH_TOR_JSON = {
+    ("Z3", "ck_z3.json"):
+        '{"aggregate": {"0": {"even": "Z^4", "odd": "Z^4 + Z/2 + Z/2 + Z/2"}, '
+        '"1": {"even": "0", "odd": "Z/2"}}, "degree": 1, "space": "Z3", '
+        '"tor": {"1234": {"1": {"even": "0", "odd": "Z/2"}}, '
+        '"124": {"0": {"even": "0", "odd": "Z/2"}}, '
+        '"134": {"0": {"even": "0", "odd": "Z/2"}}, '
+        '"14": {"0": {"even": "Z^1", "odd": "Z^1"}}, '
+        '"234": {"0": {"even": "0", "odd": "Z/2"}}, '
+        '"24": {"0": {"even": "Z^1", "odd": "Z^1"}}, '
+        '"34": {"0": {"even": "Z^1", "odd": "Z^1"}}, '
+        '"4": {"0": {"even": "Z^1", "odd": "Z^1"}}}, '
+        '"witnesses": {"image": [2, 2, 0, 0, 2, 2, 0, 0, 2, 2, 0, 0], '
+        '"numerator": [1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0]}}\n',
+    ("S", "ck_s.json"):
+        '{"aggregate": {"0": {"even": "Z^1 + Z/2 + Z/2 + Z/2", '
+        '"odd": "Z^1 + Z/2"}, "1": {"even": "Z/2", "odd": "0"}}, '
+        '"degree": 1, "space": "S", '
+        '"tor": {"1": {"0": {"even": "0", "odd": "Z/2"}}, '
+        '"1234": {"0": {"even": "Z^1", "odd": "Z^1"}}, '
+        '"234": {"1": {"even": "Z/2", "odd": "0"}}, '
+        '"24": {"0": {"even": "Z/2", "odd": "0"}}, '
+        '"34": {"0": {"even": "Z/2", "odd": "0"}}, '
+        '"4": {"0": {"even": "Z/2", "odd": "0"}}}}\n',
+}
+
+
+@pytest.mark.parametrize("engine", ["auto", "generic", "builtin"])
+@pytest.mark.parametrize("space,name", sorted(GRAPH_TOR_JSON))
+def test_graph_tor_json_pinned(space, name, engine):
+    code, out = run_cli("graph-tor", "--space", space, "--file", name,
+                        "--engine", engine, "--format", "json")
+    assert code == EXIT_OK
+    assert out == GRAPH_TOR_JSON[space, name]
+
+
+@pytest.mark.parametrize("space,name", sorted(GRAPH_TOR_JSON))
+def test_graph_tor_degree_zero_reports_tor0_only(space, name):
+    # the fast paths compute Tor_1, so a Tor_0 report skips them
+    code, out = run_cli("graph-tor", "--space", space, "--file", name,
+                        "--degree", "0", "--format", "json")
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    pinned = json.loads(GRAPH_TOR_JSON[space, name])
+    assert rep["degree"] == 0 and list(rep["aggregate"]) == ["0"]
+    assert rep["aggregate"]["0"] == pinned["aggregate"]["0"]
+    assert "witnesses" not in rep
+
+
+def test_graph_tor_fast_path_disagreement_exits_4(monkeypatch):
+    import fktor.cli as cli
+    from fktor.graphk import FastTorResult
+    from fktor.zexact import AbGroupNF
+
+    monkeypatch.setattr(cli, "z3_fast_tor1", lambda G: FastTorResult(
+        AbGroupNF(0, ()), AbGroupNF(0, (3,))))
+    code, out = run_cli("graph-tor", "--space", "Z3", "--file", "ck_z3.json",
+                        "--degree", "1")
+    assert code == EXIT_COMPUTE and out == ""
+
+
+@pytest.mark.parametrize("verb,flag,name", [
+    ("module-tor", "--degree", "m_example.json"),
+    ("module-pd", "--max", "m_example.json"),
+    ("graph-tor", "--degree", "ck_z3.json"),
+])
+def test_negative_count_flags_are_parse_errors(capsys, verb, flag, name):
+    space = "Z3" if verb.startswith("graph") else "Z4"
+    code, out = run_cli(verb, "--space", space, "--file", name, flag, "-1")
+    assert code == EXIT_PARSE and out == ""
+    assert "nonnegative" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Formats and determinism
 # ---------------------------------------------------------------------------
@@ -220,18 +295,25 @@ def test_parse_error_unreadable_file(tmp_path):
         assert code == EXIT_PARSE
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda d: next(iter(d["entries"].values()))["even"].update(gens=1.5),
-    lambda d: d["actions"].clear() or d["actions"].update(nope={}),
-    lambda d: d.pop("entries"),
-], ids=["fractional-gens", "unknown-arrow", "missing-key"])
-def test_parse_error_malformed_module_file(tmp_path, mutate):
+@pytest.mark.parametrize("mutate,needle", [
+    (lambda d: next(iter(d["entries"].values()))["even"].update(gens=1.5),
+     "gens"),
+    (lambda d: d["actions"].clear() or d["actions"].update(nope={}), "nope"),
+    (lambda d: d.pop("entries"), "entries"),
+    (lambda d: d.update(variance="sideways"), "variance"),
+    (lambda d: d["entries"].update({"9": {"even": {"gens": 0},
+                                          "odd": {"gens": 0}}}),
+     "not in the category: ['9']"),
+], ids=["fractional-gens", "unknown-arrow", "missing-key", "unknown-variance",
+        "unknown-object"])
+def test_parse_error_malformed_module_file(tmp_path, capsys, mutate, needle):
     with open(os.path.join(DATA, "m_example.json")) as fh:
         data = json.load(fh)
     mutate(data)
     code, _ = run_cli("module-validate", "--space", "Z4", "--file",
                       _write_json(tmp_path, data))
     assert code == EXIT_PARSE
+    assert needle in capsys.readouterr().err
     code, _ = run_cli("module-validate", "--space", "Z4", "--file",
                       _write_json(tmp_path, [data]))
     assert code == EXIT_PARSE

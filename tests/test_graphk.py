@@ -199,6 +199,17 @@ def test_ck_s_identified_complex_and_generator():
     assert fast.homology.is_generator((0, 1, 1, 0, 1))
 
 
+def test_s_fast_path_signs_on_a_graph_where_they_matter():
+    # here d:1>234 r:13>1 does not vanish on K1(13), so a wrong sign on
+    # either block of that column leaves d2∘d1 nonzero
+    A = [[2, 1, 1, 1, 1, 1], [1, 2, 0, 0, 1, 0], [0, 0, 3, 0, 0, 2],
+         [0, 0, 0, 2, 0, 1], [0, 0, 0, 0, 2, 2], [0, 0, 0, 0, 2, 2]]
+    G = BlockGraph(builtin_space("S"), [("1", 2), ("2", 1), ("3", 1), ("4", 2)],
+                   IntMatrix(A))
+    fast = s_fast_tor1(G)
+    assert tor_ck(G, 1).aggregate(1) == (fast.group_even, fast.group_odd)
+
+
 def test_tor_ck_general_engine_matches_fast_paths_on_ck_examples():
     G = ck_z3()
     rep = tor_ck(G, 2)
