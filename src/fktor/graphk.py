@@ -19,7 +19,7 @@ from .finspace import FiniteSpace, builtin_space, label, lc_subsets
 from .ntcat import SpaceCategory, builtin_category
 from .ntmod import GradedModule, TorReport, tor
 from .zexact import (AbGroupNF, GradedGroup, GradedHom, IntMatrix, Presentation,
-                     block_graded_hom, hnf_columns, kernel, shift, smith,
+                     block_graded_hom, hnf_columns, kernel, shift,
                      solve_columns, subquotient_homology)
 
 
@@ -210,11 +210,7 @@ def k_groups(G: BlockGraph, Y) -> SubquotientK:
         if U and U != YY and not G.bprime_block(YY - U, U).is_zero():
             raise GraphError(f"triangularity violated on {label(YY)}")
     B = G.bprime_block(YY, YY)
-    k0 = Presentation(B.rows, B)
-    k1 = kernel(B)
-    # rank-nullity cross-check
-    assert k1.cols + smith(B).rank() == B.cols
-    return SubquotientK(label(YY), k0, k1)
+    return SubquotientK(label(YY), Presentation(B.rows, B), kernel(B))
 
 
 # ---------------------------------------------------------------------------

@@ -944,8 +944,7 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
         lat = lattices.get(key)
         base = lat.basis() if lat else []
         n = len(b.words)
-        R = IntMatrix.from_columns([tuple(v) for v in base], n) if base \
-            else IntMatrix.zero(n, 0)
+        R = IntMatrix.from_columns([tuple(v) for v in base], n)
         sf = smith(R)
         diag = sf.diagonal()
         t = sum(1 for d in diag if d != 0)
@@ -1003,7 +1002,7 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
         P = proj[key]
         short = [w for w in b.words if len(w) <= max_len - 1]
         cols_short = [P.column(b.index[w]) for w in short]
-        C_short = IntMatrix.from_columns(cols_short, rank) if rank else IntMatrix.zero(0, len(short))
+        C_short = IntMatrix.from_columns(cols_short, rank)
         sf_short = smith(C_short.transpose()) if rank else None
         for a in pres.by_src.get(dst, ()):
             key2 = (src, a.dst, parity ^ a.parity)
@@ -1014,7 +1013,7 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
             P2 = proj[key2]
             b2 = buckets[key2]
             cols_app = [P2.column(b2.index[w + (a.name,)]) for w in short]
-            M = _solve_transform(sf_short, C_short, cols_app, rank, rank2)
+            M = _solve_transform(sf_short, cols_app, rank2)
             table.post[(src, dst, parity, a.name)] = M
         for a in pres.by_dst.get(src, ()):
             key2 = (a.src, dst, parity ^ a.parity)
@@ -1025,22 +1024,18 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
             P2 = proj[key2]
             b2 = buckets[key2]
             cols_pre = [P2.column(b2.index[(a.name,) + w]) for w in short]
-            M = _solve_transform(sf_short, C_short, cols_pre, rank, rank2)
+            M = _solve_transform(sf_short, cols_pre, rank2)
             table.pre[(src, dst, parity, a.name)] = M
     return table
 
 
-def _solve_transform(sf_short, C_short, cols_target, rank, rank2):
-    """Find integer M (rank2 x rank) with M * C_short = C_target."""
-    # transpose: C_short^T * M^T = C_target^T, solve column by column of M^T
-    mt_cols = []
-    for i in range(rank2):
-        x = sf_short.solve(tuple(col[i] for col in cols_target))
-        if x is None:
-            raise ZExactError("unsolvable system")
-        mt_cols.append(x)
-    # mt_cols[i] is row i of M
-    return IntMatrix._of(tuple(mt_cols), rank2, rank)
+def _solve_transform(sf_short, cols_target, rank2):
+    """Find integer M (rank2 x rank) with M * C_short = C_target from the
+    Smith form of C_short^T: the columns of M^T solve C_short^T X = C_target^T."""
+    X = sf_short.solve_columns(IntMatrix._of(tuple(cols_target), len(cols_target), rank2))
+    if X is None:
+        raise ZExactError("unsolvable system")
+    return X.transpose()
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,9 @@ class GradedModule:
                    for o, v in data["entries"].items()}
         actions = {}
         for name, mats in data["actions"].items():
-            arrow = category.presentation.arrows[name]
+            arrow = category.presentation.arrows.get(name)
+            if arrow is None:
+                raise ValueError(f"action for an arrow not in the category: {name!r}")
             if variance == "left":
                 s, d = arrow.src, arrow.dst
             else:
@@ -264,15 +266,10 @@ def coker_module(sc: SpaceCategory, targets: Sequence[Tuple[str, int]],
     for name, a in sc.presentation.arrows.items():
         mats = []
         for parity in (0, 1):
-            blocks = []
-            for (B, eB) in targets:
-                pin = (parity + eB) % 2
-                Mb = t.post.get((B, a.src, pin, name))
-                if Mb is None:
-                    Mb = IntMatrix.zero(t.rank.get((B, a.dst, pin ^ a.parity), 0),
-                                        t.rank.get((B, a.src, pin), 0))
-                blocks.append(Mb)
-            mats.append(block_diag(blocks))
+            pins = [(B, (parity + eB) % 2) for B, eB in targets]
+            mats.append(block_diag([t.post.get((B, a.src, pin, name)) for B, pin in pins],
+                                   [t.rank.get((B, a.dst, pin ^ a.parity), 0) for B, pin in pins],
+                                   [t.rank.get((B, a.src, pin), 0) for B, pin in pins]))
         actions[name] = GradedHom.build(a.parity, entries[a.src], entries[a.dst],
                                         mats[0], mats[1])
     return GradedModule(sc, "left", entries, actions)
@@ -409,41 +406,23 @@ def check_exact(M: GradedModule) -> ExactnessReport:
 # ---------------------------------------------------------------------------
 
 def m_ss(M: GradedModule) -> Dict[str, GradedGroup]:
-    """Quotient of each entry by the images of all nil transformations."""
-    sc = M.category
-    nil = nil_basis(sc.table)
+    """Quotient of each entry by the images of all nil transformations.  A
+    nil word acts into M(obj) last through one generator (as in _nil_part):
+    an arrow into obj for a left module, out of obj for a right module."""
+    pres = M.category.presentation
+    arrows = pres.by_dst if M.variance == "left" else pres.by_src
     out = {}
-    for obj in sc.objects:
-        extra_even = []
-        extra_odd = []
-        for src in sc.objects:
-            for parity in (0, 1):
-                if M.variance == "left":
-                    vecs = nil.get((src, obj, parity), [])
-                    mk = lambda v: Element(src, obj, parity, v)
-                else:
-                    vecs = nil.get((obj, src, parity), [])
-                    mk = lambda v: Element(obj, src, parity, v)
-                for v in vecs:
-                    h = M.action_element(mk(v))
-                    # columns landing in each parity of M(obj)
-                    if h.degree == 0:
-                        extra_even.append(h.from_even.matrix)
-                        extra_odd.append(h.from_odd.matrix)
-                    else:
-                        extra_odd.append(h.from_even.matrix)
-                        extra_even.append(h.from_odd.matrix)
+    for obj in M.category.objects:
         g = M.entries[obj]
-
-        def quotient(P: Presentation, mats) -> Presentation:
-            rel = P.relations
-            for m in mats:
-                if m.cols:
-                    rel = rel.hstack(m)
-            return Presentation(P.generators, rel)
-
-        out[obj] = GradedGroup(quotient(g.even, extra_even),
-                               quotient(g.odd, extra_odd))
+        images = ([g.even.relations], [g.odd.relations])
+        for a in arrows.get(obj, ()):
+            h = M.actions[a.name]
+            images[h.degree].append(h.from_even.matrix)
+            images[1 - h.degree].append(h.from_odd.matrix)
+        out[obj] = GradedGroup(*(
+            Presentation(P.generators, IntMatrix.block([mats], [P.generators],
+                                                       [m.cols for m in mats]))
+            for P, mats in zip((g.even, g.odd), images)))
     return out
 
 
@@ -490,30 +469,14 @@ class FreeResolution:
 
     def underlying_diff(self, n: int, W: str, parity: int) -> IntMatrix:
         """Matrix of d_n on the underlying groups at (W, parity)."""
-        sc = self.sc
-        t = sc.table
-        src_level = self.level(n)
-        dst_level = self.level(n - 1)
-        entries = self.diff(n)
-        blocks = []
-        for i, (B, eB) in enumerate(dst_level):
-            row = []
-            for j, (A, eA) in enumerate(src_level):
-                el = entries[i][j]
-                pin = (parity + eA) % 2
-                pout = (parity + eB) % 2
-                n_in = t.rank.get((W, A, pin), 0)
-                n_out = t.rank.get((W, B, pout), 0)
-                if el is None:
-                    row.append(IntMatrix.zero(n_out, n_in))
-                else:
-                    row.append(t.post_matrix(el, W, pin))
-            blocks.append(row)
-        if not blocks or not blocks[0]:
-            nrows = sum(t.rank.get((W, B, (parity + eB) % 2), 0) for B, eB in dst_level)
-            ncols = sum(t.rank.get((W, A, (parity + eA) % 2), 0) for A, eA in src_level)
-            return IntMatrix.zero(nrows, ncols)
-        return IntMatrix.block(blocks)
+        t = self.sc.table
+        src = [(A, (parity + eA) % 2) for A, eA in self.level(n)]
+        dst = [(B, (parity + eB) % 2) for B, eB in self.level(n - 1)]
+        return IntMatrix.block(
+            [[None if el is None else t.post_matrix(el, W, pin)
+              for el, (_, pin) in zip(row, src)] for row in self.diff(n)],
+            [t.rank.get((W, B, pout), 0) for B, pout in dst],
+            [t.rank.get((W, A, pin), 0) for A, pin in src])
 
 
 def _ss_projection(sc: SpaceCategory, Y: str) -> IntMatrix:
@@ -688,15 +651,11 @@ def _pre_arrow_blocks(sc: SpaceCategory, level):
     def pre(a, parity: int) -> IntMatrix:
         M = blocks.get((a.name, parity))
         if M is None:
-            parts = []
-            for (A, eA) in level:
-                pin = (parity + eA) % 2
-                P = t.pre.get((a.dst, A, pin, a.name))
-                if P is None:
-                    P = IntMatrix.zero(t.rank.get((a.src, A, pin ^ a.parity), 0),
-                                       t.rank.get((a.dst, A, pin), 0))
-                parts.append(P)
-            M = blocks[(a.name, parity)] = block_diag(parts)
+            pins = [(A, (parity + eA) % 2) for A, eA in level]
+            M = blocks[(a.name, parity)] = block_diag(
+                [t.pre.get((a.dst, A, pin, a.name)) for A, pin in pins],
+                [t.rank.get((a.src, A, pin ^ a.parity), 0) for A, pin in pins],
+                [t.rank.get((a.dst, A, pin), 0) for A, pin in pins])
         return M
 
     return pre
@@ -925,7 +884,11 @@ def tor(M: GradedModule, n: int, engine: str = "auto",
     """Tor_k(S_Y, M) for all Y and k = 0..n; aggregate = Tor(NT_ss, M).
 
     Each tensored differential d_k⊗M is built once per Y and serves as the
-    outgoing map at level k and the incoming map at level k-1."""
+    outgoing map at level k and the incoming map at level k-1.  M must be a
+    left module: it is tensored with resolutions of right modules."""
+    if M.variance != "left":
+        raise ModuleError("Tor(S_Y, M) needs a left module M, "
+                          f"not a {M.variance} module")
     sc = M.category
     groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]] = {}
     for Y in (objects if objects is not None else sc.objects):
@@ -987,23 +950,11 @@ def left_complex_underlying(sc: SpaceCategory, levels: List[List[Summand]],
     t = sc.table
     out = []
     for k, mat in enumerate(diffs):
-        dst_level, src_level = levels[k], levels[k + 1]
-        blocks = []
-        for i, (B, eB) in enumerate(dst_level):
-            row = []
-            for j, (A, eA) in enumerate(src_level):
-                el = mat[i][j]
-                pin = (parity + eA) % 2
-                if el is None:
-                    row.append(IntMatrix.zero(t.rank.get((B, W, (parity + eB) % 2), 0),
-                                              t.rank.get((A, W, pin), 0)))
-                else:
-                    row.append(t.pre_matrix(el, W, pin))
-            blocks.append(row)
-        if blocks and blocks[0]:
-            out.append(IntMatrix.block(blocks))
-        else:
-            nrows = sum(t.rank.get((B, W, (parity + eB) % 2), 0) for B, eB in dst_level)
-            ncols = sum(t.rank.get((A, W, (parity + eA) % 2), 0) for A, eA in src_level)
-            out.append(IntMatrix.zero(nrows, ncols))
+        dst = [(B, (parity + eB) % 2) for B, eB in levels[k]]
+        src = [(A, (parity + eA) % 2) for A, eA in levels[k + 1]]
+        out.append(IntMatrix.block(
+            [[None if el is None else t.pre_matrix(el, W, pin)
+              for el, (_, pin) in zip(row, src)] for row in mat],
+            [t.rank.get((B, W, pout), 0) for B, pout in dst],
+            [t.rank.get((A, W, pin), 0) for A, pin in src]))
     return out

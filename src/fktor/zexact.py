@@ -164,11 +164,6 @@ class IntMatrix:
         return IntMatrix._of(tuple(map(add, self.data, other.data)),
                              self.rows, self.cols + other.cols)
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ZExactError("vstack col mismatch")
-        return IntMatrix._of(self.data + other.data, self.rows + other.rows, self.cols)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
         data = self.data
         if not col_idx:
@@ -181,32 +176,54 @@ class IntMatrix:
         return IntMatrix._of(rows, len(row_idx), len(col_idx))
 
     @staticmethod
-    def block(rows_of_blocks: Sequence[Sequence["IntMatrix"]]) -> "IntMatrix":
-        strips = []
-        for brow in rows_of_blocks:
-            strip = brow[0]
-            for b in brow[1:]:
-                strip = strip.hstack(b)
-            strips.append(strip)
-        out = strips[0]
-        for s in strips[1:]:
-            out = out.vstack(s)
-        return out
+    def block(grid: Sequence[Sequence[Optional["IntMatrix"]]],
+              row_dims: Sequence[int], col_dims: Sequence[int]) -> "IntMatrix":
+        """The matrix laid out from a grid of blocks: grid[i][j] fills the
+        row_dims[i] x col_dims[j] block, and None is a zero block.  An empty
+        grid, or rows with no column blocks, is the zero matrix of the
+        summed sizes."""
+        nrows, ncols = sum(row_dims), sum(col_dims)
+        if not grid:
+            return IntMatrix.zero(nrows, ncols)
+        if len(grid) != len(row_dims) or set(map(len, grid)) != {len(col_dims)}:
+            raise ZExactError("block grid does not match its row and column sizes")
+        data = []
+        for brow, h in zip(grid, row_dims):
+            # concatenate whole-row tuples block by block, as hstack does;
+            # neighbouring zero blocks merge into one gap
+            pieces, gap = [], 0
+            for b, w in zip(brow, col_dims):
+                if b is None:
+                    gap += w
+                    continue
+                if b.rows != h or b.cols != w:
+                    raise ZExactError(f"{b.rows}x{b.cols} block in a {h}x{w} slot")
+                if gap:
+                    pieces.append(((0,) * gap,) * h)
+                    gap = 0
+                pieces.append(b.data)
+            if gap or not pieces:
+                pieces.append(((0,) * gap,) * h)
+            strip = pieces[0]
+            for p in pieces[1:]:
+                strip = tuple(map(add, strip, p))
+            data += strip
+        return IntMatrix._of(tuple(data), nrows, ncols)
 
     def to_lists(self) -> list:
         return [list(row) for row in self.data]
 
 
-def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = []
-    j0 = 0
-    for b in blocks:
-        left, right = (0,) * j0, (0,) * (cols - j0 - b.cols)
-        out.extend(left + r + right for r in b.data)
-        j0 += b.cols
-    return IntMatrix._of(tuple(out), rows, cols)
+def block_diag(blocks: Sequence[Optional[IntMatrix]],
+               row_dims: Optional[Sequence[int]] = None,
+               col_dims: Optional[Sequence[int]] = None) -> IntMatrix:
+    """The diagonal case of IntMatrix.block; a block may be None (zero) when
+    the sizes are given."""
+    n = len(blocks)
+    return IntMatrix.block([[None] * i + [b] + [None] * (n - 1 - i)
+                            for i, b in enumerate(blocks)],
+                           [b.rows for b in blocks] if row_dims is None else row_dims,
+                           [b.cols for b in blocks] if col_dims is None else col_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +816,8 @@ def shift(G: GradedGroup) -> GradedGroup:
 def graded_direct_sum(groups: Sequence[GradedGroup]) -> GradedGroup:
     ev_g = sum(g.even.generators for g in groups)
     od_g = sum(g.odd.generators for g in groups)
-    ev_r = block_diag([g.even.relations for g in groups]) if groups else IntMatrix.zero(0, 0)
-    od_r = block_diag([g.odd.relations for g in groups]) if groups else IntMatrix.zero(0, 0)
+    ev_r = block_diag([g.even.relations for g in groups])
+    od_r = block_diag([g.odd.relations for g in groups])
     return GradedGroup(Presentation(ev_g, ev_r), Presentation(od_g, od_r))
 
 
@@ -810,26 +827,12 @@ def block_graded_hom(degree: int, sources: Sequence[GradedGroup],
     GradedHoms (or None); blocks[i][j]: sources[j] -> targets[i].  Each
     block contributes its component at the source parity, so a block whose
     summands are shifted enters as `GradedHom.shift()` of the action."""
-    src = graded_direct_sum(sources)
-    tgt = graded_direct_sum(targets)
-    mats = []
-    for source_parity in (0, 1):
-        rows = []
-        for i, T in enumerate(targets):
-            row = []
-            for j, S in enumerate(sources):
-                b = blocks[i][j]
-                nrows = T.part((source_parity + degree) % 2).generators
-                ncols = S.part(source_parity).generators
-                if b is None:
-                    row.append(IntMatrix.zero(nrows, ncols))
-                else:
-                    row.append(b.component(source_parity).matrix)
-            rows.append(row)
-        mats.append(IntMatrix.block(rows) if rows and rows[0] else
-                    IntMatrix.zero(tgt.part(degree ^ source_parity).generators,
-                                   src.part(source_parity).generators))
-    return GradedHom.build(degree, src, tgt, mats[0], mats[1])
+    mats = [IntMatrix.block(
+        [[None if b is None else b.component(p).matrix for b in row] for row in blocks],
+        [T.part(p + degree).generators for T in targets],
+        [S.part(p).generators for S in sources]) for p in (0, 1)]
+    return GradedHom.build(degree, graded_direct_sum(sources),
+                           graded_direct_sum(targets), mats[0], mats[1])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Shared helpers: random triangular block graphs, random valid modules,
-and the word-product action matrices that the Hom table's structure-constant
-matrices are tested against."""
+"""Shared helpers: random triangular block graphs, random valid modules, a
+right module that Tor must refuse, and the word-product action matrices that
+the Hom table's structure-constant matrices are tested against."""
 
 import random
 import zlib
@@ -8,8 +8,8 @@ import zlib
 from fktor.finspace import builtin_space
 from fktor.graphk import BlockGraph
 from fktor.ntcat import builtin_category
-from fktor.ntmod import coker_module, free_module
-from fktor.zexact import IntMatrix
+from fktor.ntmod import GradedModule, coker_module, free_module
+from fktor.zexact import GradedGroup, GradedHom, IntMatrix, Presentation
 
 
 def random_block_graph(space_name, rng, max_vertices=3, max_entry=3):
@@ -89,6 +89,21 @@ def random_valid_module(space_name, rng):
     if kind > 0.8:
         M = M.tensor_mod_k(rng.choice([2, 3, 4]))
     return M
+
+
+def z1_right_module_with_i_acting_by_one():
+    """A valid right Z1-module with Z in every entry: i:2>12 acts by 1, the
+    other generators by 0.  Read as a left module, the same matrices would
+    also give a Tor report."""
+    sc = builtin_category("Z1")
+    entries = {o: GradedGroup(Presentation.free(1), Presentation.zero())
+               for o in sc.objects}
+    actions = {}
+    for name, a in sc.presentation.arrows.items():
+        actions[name] = GradedHom.zero(a.parity, entries[a.dst], entries[a.src])
+    actions["i:2>12"] = GradedHom.build(0, entries["12"], entries["2"],
+                                        IntMatrix([[1]]), IntMatrix.zero(0, 0))
+    return GradedModule(sc, "right", entries, actions)
 
 
 def word_pre_matrix(t, el, W, parity):

@@ -5,6 +5,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import z1_right_module_with_i_acting_by_one
 from fktor.cli import (EXIT_COMPUTE, EXIT_HYPOTHESIS, EXIT_OK, EXIT_PARSE, run)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "fktor", "data")
@@ -298,7 +299,8 @@ def test_parse_error_unreadable_file(tmp_path):
 @pytest.mark.parametrize("mutate,needle", [
     (lambda d: next(iter(d["entries"].values()))["even"].update(gens=1.5),
      "gens"),
-    (lambda d: d["actions"].clear() or d["actions"].update(nope={}), "nope"),
+    (lambda d: d["actions"].clear() or d["actions"].update(nope={}),
+     "action for an arrow not in the category: 'nope'"),
     (lambda d: d.pop("entries"), "entries"),
     (lambda d: d.update(variance="sideways"), "variance"),
     (lambda d: d["entries"].update({"9": {"even": {"gens": 0},
@@ -317,6 +319,14 @@ def test_parse_error_malformed_module_file(tmp_path, capsys, mutate, needle):
     code, _ = run_cli("module-validate", "--space", "Z4", "--file",
                       _write_json(tmp_path, [data]))
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("verb", ["module-tor", "module-pd"])
+def test_module_tor_refuses_a_right_module(tmp_path, capsys, verb):
+    data = z1_right_module_with_i_acting_by_one().to_json()
+    code, out = run_cli(verb, "--space", "Z1", "--file", _write_json(tmp_path, data))
+    assert code == EXIT_COMPUTE and out == ""
+    assert "needs a left module" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

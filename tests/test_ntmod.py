@@ -3,7 +3,8 @@ import random
 import pytest
 
 import catalogue
-from conftest import random_block_graph, random_valid_module, word_pre_matrix
+from conftest import (random_block_graph, random_valid_module, word_pre_matrix,
+                      z1_right_module_with_i_acting_by_one)
 
 from fktor.graphk import fk_module, tor_ck
 import fktor.ntmod as ntmod
@@ -373,6 +374,24 @@ def test_tor_of_free_module_vanishes_positive_degrees():
     rep = tor(P, 2)
     for n in (1, 2):
         assert rep.is_zero(n), rep.aggregate(n)
+
+
+@pytest.mark.parametrize("module", ["Q_14 over Z3", "Z1 with i by 1"])
+@pytest.mark.parametrize("compute", [lambda M: tor(M, 1),
+                                     lambda M: rational_tor(M, 1),
+                                     lambda M: projective_dimension(M, 2)],
+                         ids=["tor", "rational_tor", "projective_dimension"])
+def test_tor_refuses_right_modules_before_resolving(monkeypatch, module, compute):
+    M = (free_module(cat("Z3"), "14", "right") if module.startswith("Q")
+         else z1_right_module_with_i_acting_by_one())
+    assert validate(M).ok
+
+    def no_resolution(*args, **kwargs):
+        raise AssertionError("a resolution was built for a right module")
+
+    monkeypatch.setattr(ntmod, "resolution_for", no_resolution)
+    with pytest.raises(ModuleError, match="needs a left module"):
+        compute(M)
 
 
 @pytest.mark.parametrize("name,count", [("Z3", 50), ("S", 15), ("C2", 15)])

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from fktor.zexact import (
     AbGroupNF, CompositionNonZeroError, Echelon, GradedGroup, GradedHom,
-    GroupHom, IntMatrix, Presentation, ZExactError, det, graded_direct_sum,
-    hnf_columns, kernel, normal_form, shift, smith, solve, solve_columns,
-    subquotient_homology,
+    GroupHom, IntMatrix, Presentation, ZExactError, block_diag, det,
+    graded_direct_sum, hnf_columns, kernel, normal_form, shift, smith, solve,
+    solve_columns, subquotient_homology,
 )
 import fktor.zexact as zexact
 
@@ -65,6 +65,61 @@ def test_internal_results_equal_checked_matrices(A, B):
     for X in checked:
         Y = IntMatrix(X.to_lists(), X.rows, X.cols)
         assert X == Y and hash(X) == hash(Y)
+
+
+@st.composite
+def block_grids(draw):
+    """(grid, row_dims, col_dims) with zero-size rows and columns, None
+    blocks, sometimes no column blocks and sometimes an empty grid."""
+    row_dims = draw(st.lists(st.integers(0, 3), max_size=4))
+    col_dims = draw(st.lists(st.integers(0, 3), max_size=4))
+    if draw(st.integers(0, 5)) == 0:
+        return [], row_dims, col_dims
+    entry = st.integers(-4, 4)
+    grid = [[None if draw(st.booleans()) else
+             IntMatrix([[draw(entry) for _ in range(w)] for _ in range(h)], h, w)
+             for w in col_dims] for h in row_dims]
+    return grid, row_dims, col_dims
+
+
+def dense_block(grid, row_dims, col_dims):
+    """Reference layout: paste every given block into a zero matrix."""
+    out = [[0] * sum(col_dims) for _ in range(sum(row_dims))]
+    for i, brow in enumerate(grid):
+        for j, b in enumerate(brow):
+            if b is not None:
+                r0, c0 = sum(row_dims[:i]), sum(col_dims[:j])
+                for r in range(b.rows):
+                    out[r0 + r][c0:c0 + b.cols] = b.row(r)
+    return IntMatrix(out, sum(row_dims), sum(col_dims))
+
+
+@PROPS
+@given(block_grids())
+def test_block_matches_pasting_into_zeros(args):
+    grid, row_dims, col_dims = args
+    B = IntMatrix.block(grid, row_dims, col_dims)
+    want = dense_block(grid, row_dims, col_dims)
+    assert B == want and hash(B) == hash(want)
+    k = min(len(grid), len(col_dims))
+    diag = [grid[i][i] for i in range(k)]
+    want = dense_block([[b if i == j else None for j in range(k)]
+                        for i, b in enumerate(diag)], row_dims[:k], col_dims[:k])
+    assert block_diag(diag, row_dims[:k], col_dims[:k]) == want
+    if all(b is not None for b in diag):
+        assert block_diag(diag) == want
+
+
+def test_block_rejects_a_block_that_does_not_fit():
+    A = IntMatrix([[1, 2]])
+    for grid, row_dims, col_dims in [
+            ([[A, None]], [1], [1, 1]),  # too wide for its column
+            ([[None, A]], [2], [1, 2]),  # too short for its row
+            ([[A, None]], [1], [2]),  # more blocks than column sizes
+            ([[A], [None]], [1], [2]),  # more block rows than row sizes
+    ]:
+        with pytest.raises(ZExactError):
+            IntMatrix.block(grid, row_dims, col_dims)
 
 
 # ---------------------------------------------------------------------------
