@@ -192,10 +192,9 @@ def cmd_module_exact(args):
     return report, text
 
 
-def cmd_module_tor(args):
-    M = _get_module(args)
-    n = args.degree
-    rep = tor(M, n, engine=args.engine)
+def _tor_report(rep, n):
+    """The report (space, degree, the nonzero Tor groups per object and the
+    aggregates through degree n) and its Tor_k text lines."""
     tor_json = {}
     for obj, degs in sorted(rep.groups.items()):
         entry = {}
@@ -205,14 +204,20 @@ def cmd_module_tor(args):
         if entry:
             tor_json[obj] = entry
     aggregates = {str(k): _nf_pair_json(rep.aggregate(k)) for k in range(n + 1)}
-    report = {"space": M.category.space.name, "degree": n, "tor": tor_json,
-              "aggregate": aggregates,
-              "warnings": _reconstruction_warnings(M.category)}
+    report = {"space": rep.space, "degree": n, "tor": tor_json,
+              "aggregate": aggregates}
     text = []
     for k in range(n + 1):
         ev, od = rep.aggregate(k)
         text.append(f"Tor_{k} even: {ev}")
         text.append(f"Tor_{k} odd: {od}")
+    return report, text
+
+
+def cmd_module_tor(args):
+    M = _get_module(args)
+    report, text = _tor_report(tor(M, args.degree, engine=args.engine), args.degree)
+    report["warnings"] = _reconstruction_warnings(M.category)
     return report, text
 
 
@@ -288,25 +293,9 @@ def cmd_graph_tor(args):
         agg1 = rep.aggregate(1)
         if agg1 != (fast.group_even, fast.group_odd):
             raise ModuleError("fast path and resolution engine disagree")
-    tor_json = {}
-    for obj, degs in sorted(rep.groups.items()):
-        entry = {}
-        for k, pair in sorted(degs.items()):
-            if not (pair[0].is_trivial() and pair[1].is_trivial()):
-                entry[str(k)] = _nf_pair_json(pair)
-        if entry:
-            tor_json[obj] = entry
-    report = {"space": G.space.name, "degree": args.degree, "tor": tor_json,
-              "aggregate": {str(k): _nf_pair_json(rep.aggregate(k))
-                            for k in range(args.degree + 1)}}
+    report, text = _tor_report(rep, args.degree)
     if fast is not None and fast.witnesses:
         report["witnesses"] = {k: list(v) for k, v in fast.witnesses.items()}
-    text = []
-    for k in range(args.degree + 1):
-        ev, od = rep.aggregate(k)
-        text.append(f"Tor_{k} even: {ev}")
-        text.append(f"Tor_{k} odd: {od}")
-    if fast is not None and fast.witnesses:
         for k in sorted(fast.witnesses):
             text.append(f"witness {k}: {tuple(fast.witnesses[k])}")
     return report, text

@@ -1169,23 +1169,24 @@ class SpaceCategory:
 _CATEGORY_CACHE: Dict[str, SpaceCategory] = {}
 
 
-def builtin_category(space_name: str, max_len: Optional[int] = None,
-                     use_cache_file: bool = True) -> SpaceCategory:
+def builtin_category(space_name: str) -> SpaceCategory:
+    """The category of a builtin space: once per process, from the shipped
+    table cache where it loads, else built fresh."""
     if space_name in _CATEGORY_CACHE:
         return _CATEGORY_CACHE[space_name]
-    sc = None
-    if use_cache_file:
-        sc = _load_cache_file(space_name)
-    if sc is None:
-        space = builtin_space(space_name)
-        arrows = _BUILTIN_ARROWS[space_name]()
-        rels, designator = generate_relations(space, arrows)
-        pres = CatPresentation(space, arrows, rels,
-                               reconstructed=_RECONSTRUCTED[space_name])
-        table = hom_closure(pres, max_len)
-        sc = SpaceCategory(space, pres, table, designator)
+    sc = _load_cache_file(space_name) or _fresh_category(space_name)
     _CATEGORY_CACHE[space_name] = sc
     return sc
+
+
+def _fresh_category(space_name: str) -> SpaceCategory:
+    """The category of a builtin space with its table built by hom_closure."""
+    space = builtin_space(space_name)
+    arrows = _BUILTIN_ARROWS[space_name]()
+    rels, designator = generate_relations(space, arrows)
+    pres = CatPresentation(space, arrows, rels,
+                           reconstructed=_RECONSTRUCTED[space_name])
+    return SpaceCategory(space, pres, hom_closure(pres), designator)
 
 
 # -- table cache files -------------------------------------------------------
@@ -1248,7 +1249,7 @@ def _load_cache_file(space_name: str) -> Optional[SpaceCategory]:
 
 def write_cache_file(space_name: str):
     import os
-    sc = builtin_category(space_name, use_cache_file=False)
+    sc = _fresh_category(space_name)
     path = _cache_path(space_name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:

@@ -77,7 +77,6 @@ class GradedModule:
     def action_word(self, word, src_obj: str, dst_obj: str) -> GradedHom:
         """Action of a composite word of generators, src/dst in category
         direction (the module map runs contravariantly for right modules)."""
-        pres = self.category.presentation
         if self.variance == "left":
             hom = GradedHom.identity(self.entries[src_obj])
             for name in word:
@@ -516,67 +515,43 @@ def resolve_simple(sc: SpaceCategory, Y: str, depth: int) -> FreeResolution:
 
 
 def extend_resolution(res: FreeResolution, depth: int) -> None:
-    """Continue a resolution by syzygy steps until it has `depth` levels."""
+    """Continue a resolution by syzygy steps until it has `depth` levels.
+
+    The kernel K of the last differential is a right module.  At each
+    (W, parity), in a fixed order, a kernel column becomes a generator
+    exactly when it lies outside the lattice spanned by the nil part J·K
+    there (see _nil_part) and the generators already chosen there.
+
+    This needs the nil ideal J of NT* to be nilpotent (graded Nakayama).
+    Every image of a generator under a nonempty word lies in J·K, so the
+    submodule S the generators span satisfies K = S + J·K, hence
+    K = S + J^m·K = S once J^m = 0.  Every builtin table satisfies this
+    (nilpotency index at most 7); it is not checked here."""
     sc = res.sc
     t = sc.table
-    objs = sc.objects
     levels = res.levels
     diffs = res.diffs
+    order = sorted(sc.objects, key=lambda o: (len(o), o))
 
     while len(levels) <= depth:
         n = len(diffs)  # building d_{n+1}: L_{n+1} -> L_n
         cur_level = res.level(n)
         kernels = _level_kernels(res, n)
-        pre = _pre_arrow_blocks(sc, cur_level)
-        nildec = _nil_part(sc, kernels, pre)
-        # choose generators
+        nil = _nil_part(sc, cur_level, kernels)
         chosen: List[Tuple[str, int, tuple]] = []
-        span: Dict[Tuple[str, int], Echelon] = {}
-
-        def add_to_span(W, parity, vec):
-            # right-module span closure under generator pre-composition
-            queue = [(W, parity, vec)]
-            while queue:
-                W2, p2, v2 = queue.pop()
-                dim = kernels[(W2, p2)].rows
-                if dim == 0 or not any(v2):
-                    continue
-                s = span.get((W2, p2))
-                if s is None:
-                    s = span[(W2, p2)] = Echelon(dim)
-                if not s.add(v2):
-                    continue
-                for a in sc.presentation.by_dst.get(W2, []):
-                    queue.append((a.src, p2 ^ a.parity, pre(a, p2).apply(v2)))
-
-        order = sorted(objs, key=lambda o: (len(o), o))
         for W in order:
             for parity in (0, 1):
                 K = kernels[(W, parity)]
                 if K.cols == 0:
                     continue
-                dim = K.rows
-                auxiliary = Echelon(dim)
-                for v in nildec[(W, parity)]:
-                    auxiliary.add(v)
+                covered = Echelon(K.rows)
+                for v in nil[(W, parity)]:
+                    covered.add(v)
                 for j in range(K.cols):
                     v = K.column(j)
-                    s = span.get((W, parity))
-                    if s is not None and _in_joint_span(s, auxiliary, v):
-                        continue
-                    if s is None and auxiliary.contains(v):
-                        continue
-                    chosen.append((W, parity, v))
-                    add_to_span(W, parity, v)
-        # safety: ensure everything is covered by the chosen module span
-        for (W, parity), K in kernels.items():
-            s = span.get((W, parity))
-            for j in range(K.cols):
-                v = K.column(j)
-                if (s is None and any(v)) or (s is not None and not s.contains(v)):
-                    chosen.append((W, parity, v))
-                    add_to_span(W, parity, v)
-                    s = span.get((W, parity))
+                    if not covered.contains(v):
+                        chosen.append((W, parity, v))
+                        covered.add(v)
         new_level = [(W, parity) for W, parity, _ in chosen]
         # differential entries: the components of each chosen kernel vector
         matrix: List[List[Optional[Element]]] = [[None] * len(chosen)
@@ -607,58 +582,32 @@ def _level_kernels(res: FreeResolution, n: int) -> Dict[Tuple[str, int], IntMatr
     return kernels
 
 
-def _nil_part(sc: SpaceCategory, kernels: Dict[Tuple[str, int], IntMatrix],
-              pre) -> Dict[Tuple[str, int], List[tuple]]:
-    """Spanning vectors of the nil part of the kernel module K per
-    (W, parity), given the generator pre-actions pre(a, parity).
+def _nil_part(sc: SpaceCategory, level: List[Summand],
+              kernels: Dict[Tuple[str, int], IntMatrix]
+              ) -> Dict[Tuple[str, int], List[tuple]]:
+    """Spanning vectors of the nil part of the kernel module K of the level
+    ⊕ Q_{A_i}[ε_i] per (W, parity).
 
     A nil element of NT(W, V) is a sum of nonempty words, and a word is
     w∘a for its first generator a: W -> a.dst.  So k·(w∘a) = (k·w)·a, and
     k·w lies in K(a.dst) because K is a submodule.  The nil part of K at W
     is therefore spanned by the images K(a.dst)·a of the generators out of
-    W; no nil element needs to act on its own."""
+    W; no nil element needs to act on its own.  Pre-composition by a on the
+    level is one block-diagonal matrix per (arrow, parity), applied to all
+    of K(a.dst) as one product."""
+    t = sc.table
     out: Dict[Tuple[str, int], List[tuple]] = {key: [] for key in kernels}
     for a in sc.presentation.arrows.values():
         for pv in (0, 1):
             K = kernels[(a.dst, pv)]
             if K.cols == 0:
                 continue
-            act = pre(a, pv)
-            images = out[(a.src, pv ^ a.parity)]
-            for j in range(K.cols):
-                img = act.apply(K.column(j))
-                if any(img):
-                    images.append(img)
+            pins = [(A, (pv + eA) % 2) for A, eA in level]
+            act = block_diag([t.pre.get((a.dst, A, pin, a.name)) for A, pin in pins],
+                             [t.rank.get((a.src, A, pin ^ a.parity), 0) for A, pin in pins],
+                             [t.rank.get((a.dst, A, pin), 0) for A, pin in pins])
+            out[(a.src, pv ^ a.parity)] += [img for img in (act * K).columns() if any(img)]
     return out
-
-
-def _in_joint_span(s: Echelon, aux: Echelon, vec) -> bool:
-    joint = Echelon(s.n)
-    for b in s.basis():
-        joint.add(list(b))
-    for b in aux.basis():
-        joint.add(list(b))
-    return joint.contains(vec)
-
-
-def _pre_arrow_blocks(sc: SpaceCategory, level):
-    """pre(a, parity): pre-composition by the generator a on the level
-    ⊕ Q_{A_i}[ε_i] at source parity, one block-diagonal matrix per
-    (arrow, parity), built on first use."""
-    t = sc.table
-    blocks: Dict[Tuple[str, int], IntMatrix] = {}
-
-    def pre(a, parity: int) -> IntMatrix:
-        M = blocks.get((a.name, parity))
-        if M is None:
-            pins = [(A, (parity + eA) % 2) for A, eA in level]
-            M = blocks[(a.name, parity)] = block_diag(
-                [t.pre.get((a.dst, A, pin, a.name)) for A, pin in pins],
-                [t.rank.get((a.src, A, pin ^ a.parity), 0) for A, pin in pins],
-                [t.rank.get((a.dst, A, pin), 0) for A, pin in pins])
-        return M
-
-    return pre
 
 
 def _composite_problems(res: FreeResolution, n: int) -> List[str]:
@@ -879,19 +828,23 @@ def tor_single(res: FreeResolution, M: GradedModule, n: int) -> Tuple[AbGroupNF,
     return _homology_at(*tensor_complex_maps(res, M, n))
 
 
-def tor(M: GradedModule, n: int, engine: str = "auto",
-        objects: Optional[Sequence[str]] = None) -> TorReport:
+def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
     """Tor_k(S_Y, M) for all Y and k = 0..n; aggregate = Tor(NT_ss, M).
 
     Each tensored differential d_k⊗M is built once per Y and serves as the
     outgoing map at level k and the incoming map at level k-1.  M must be a
-    left module: it is tensored with resolutions of right modules."""
+    left module with an action for every generator arrow: it is tensored
+    with resolutions of right modules."""
     if M.variance != "left":
         raise ModuleError("Tor(S_Y, M) needs a left module M, "
                           f"not a {M.variance} module")
     sc = M.category
+    missing = sorted(set(sc.presentation.arrows) - set(M.actions))
+    if missing:
+        raise ModuleError("Tor(S_Y, M) needs an action for every arrow; "
+                          f"missing: {missing}")
     groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]] = {}
-    for Y in (objects if objects is not None else sc.objects):
+    for Y in sc.objects:
         res = resolution_for(sc, Y, n + 1, engine)
         d = [None] + [_tensor_diff(res, M, k) for k in range(1, n + 2)]
         groups[Y] = {k: _homology_at(d[k + 1], d[k]) for k in range(n + 1)}

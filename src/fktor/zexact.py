@@ -793,10 +793,6 @@ class GradedGroup:
     even: Presentation
     odd: Presentation
 
-    @staticmethod
-    def zero() -> "GradedGroup":
-        return GradedGroup(Presentation.zero(), Presentation.zero())
-
     def part(self, parity: int) -> Presentation:
         return self.even if parity % 2 == 0 else self.odd
 
@@ -869,9 +865,6 @@ class GradedHom:
     @staticmethod
     def identity(G: GradedGroup) -> "GradedHom":
         return GradedHom(0, GroupHom.identity(G.even), GroupHom.identity(G.odd))
-
-    def source(self) -> GradedGroup:
-        return GradedGroup(self.from_even.source, self.from_odd.source)
 
     def is_well_defined(self) -> bool:
         return self.from_even.is_well_defined() and self.from_odd.is_well_defined()

@@ -329,6 +329,15 @@ def test_module_tor_refuses_a_right_module(tmp_path, capsys, verb):
     assert "needs a left module" in capsys.readouterr().err
 
 
+def test_module_tor_refuses_a_module_missing_an_action(tmp_path, capsys):
+    data = z1_right_module_with_i_acting_by_one().to_json()
+    data["variance"] = "left"
+    data["actions"] = {}
+    code, out = run_cli("module-tor", "--space", "Z1", "--file", _write_json(tmp_path, data))
+    assert code == EXIT_COMPUTE and out == ""
+    assert "needs an action for every arrow" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing the file inputs against the exit-code contract
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_associativity_z4_sampled():
 # Ring ideal data
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["Z1", "Z2", "Z3", "Z4", "S", "C2"])
+@pytest.mark.parametrize("name", ["pt", "Z1", "Z2", "Z3", "Z4", "S", "C2"])
 def test_nilpotent_and_semidirect(name):
     sc = cat(name)
     chk = ideal_checks(sc.table)
@@ -326,6 +326,21 @@ def test_shipped_cache_matches_fresh_build(name):
     assert table.post == shipped.table.post
     assert table.pre == shipped.table.pre
     assert len(pres.relations) == len(shipped.presentation.relations)
+
+
+def test_write_cache_file_builds_a_fresh_table(monkeypatch, tmp_path):
+    """The written cache comes from hom_closure, not from the table this
+    process loaded, and equals the shipped cache byte for byte."""
+    with open(ntcat._cache_path("Z1")) as fh:
+        shipped = fh.read()
+    builtin_category("Z1")
+    built = []
+    monkeypatch.setattr(ntcat, "hom_closure",
+                        lambda pres: built.append(pres) or hom_closure(pres))
+    monkeypatch.setattr(ntcat, "_cache_path", lambda name: str(tmp_path / f"{name}.json"))
+    with open(ntcat.write_cache_file("Z1")) as fh:
+        assert fh.read() == shipped
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -6,6 +8,7 @@ import catalogue
 from conftest import (random_block_graph, random_valid_module, word_pre_matrix,
                       z1_right_module_with_i_acting_by_one)
 
+from fktor.finspace import BUILTIN_NAMES
 from fktor.graphk import fk_module, tor_ck
 import fktor.ntmod as ntmod
 from fktor.ntcat import Element, builtin_category, nil_basis
@@ -241,8 +244,7 @@ def test_nil_part_from_generator_images(name):
             for n in range(6):
                 level = res.level(n)
                 kernels = ntmod._level_kernels(res, n)
-                fast = ntmod._nil_part(sc, kernels,
-                                       ntmod._pre_arrow_blocks(sc, level))
+                fast = ntmod._nil_part(sc, level, kernels)
                 ref = _nil_part_per_element(sc, level, kernels)
                 for key, K in kernels.items():
                     assert hnf_columns(IntMatrix.from_columns(fast[key], K.rows)) == \
@@ -341,27 +343,50 @@ def test_generic_engine_one_point_space():
     assert res.levels[2] == []
 
 
-@pytest.mark.parametrize("Y", ["1", "4", "14", "124", "1234"])
+@pytest.mark.parametrize("Y", cat("Z3").objects)
 def test_generic_engine_resolutions_are_valid_z3(Y):
     sc = cat("Z3")
     res = resolve_simple(sc, Y, 4)
     assert not validate_resolution(res, 4)
 
 
-def test_generic_engine_valid_on_s_and_c2():
-    for name in ("S", "C2"):
+def test_generic_engine_valid_on_s_c2_and_z4():
+    for name in ("S", "C2", "Z4"):
         sc = cat(name)
-        for Y in (sc.objects[0], sc.objects[-1]):
-            res = resolve_simple(sc, Y, 3)
-            assert not validate_resolution(res, 3)
+        for Y in sc.objects:
+            res = resolve_simple(sc, Y, 4)
+            assert not validate_resolution(res, 4), (name, Y)
 
 
 def test_generic_engine_on_accordion_spaces():
-    for name in ("Z1", "Z2"):
+    for name in ("pt", "Z1", "Z2"):
         sc = cat(name)
         for Y in sc.objects:
-            res = resolve_simple(sc, Y, 3)
-            assert not validate_resolution(res, 3)
+            res = resolve_simple(sc, Y, 4)
+            assert not validate_resolution(res, 4), (name, Y)
+
+
+# sha256 of the canonical JSON of the engine's levels and differentials
+ENGINE_DIGEST_DEPTH_5 = "c0b16877ec5445de8e974076d79f55ad0069b71ec7e67cd6624947a41108f729"
+
+
+def test_engine_resolutions_are_pinned():
+    """The syzygy engine's levels and differentials for all 65 objects of
+    the seven builtin spaces at depth 5 stay what they were when the digest
+    was recorded: every resolution, and so every Tor report, depends on the
+    generators the engine chooses and their order."""
+    runs = {}
+    for name in BUILTIN_NAMES:
+        sc = cat(name)
+        for Y in sc.objects:
+            res = resolve_simple(sc, Y, 5)
+            runs[f"{name}/{Y}"] = {
+                "levels": res.levels,
+                "diffs": [[[None if e is None else [e.src, e.dst, e.parity, e.vec]
+                            for e in row] for row in d] for d in res.diffs]}
+    assert len(runs) == 65
+    text = json.dumps(runs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENGINE_DIGEST_DEPTH_5
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +417,18 @@ def test_tor_refuses_right_modules_before_resolving(monkeypatch, module, compute
     monkeypatch.setattr(ntmod, "resolution_for", no_resolution)
     with pytest.raises(ModuleError, match="needs a left module"):
         compute(M)
+
+
+def test_tor_refuses_a_module_missing_an_action_before_resolving(monkeypatch):
+    M = free_module(cat("Z1"), "12", "left")
+    del M.actions["r:12>1"]
+
+    def no_resolution(*args, **kwargs):
+        raise AssertionError("a resolution was built for an incomplete module")
+
+    monkeypatch.setattr(ntmod, "resolution_for", no_resolution)
+    with pytest.raises(ModuleError, match=r"missing: \['r:12>1'\]"):
+        tor(M, 1)
 
 
 @pytest.mark.parametrize("name,count", [("Z3", 50), ("S", 15), ("C2", 15)])
