@@ -20,8 +20,7 @@ from .graphk import (BlockGraph, GraphError, fk_module, graph_checks,
                      k_groups, s_fast_tor1, tor_ck, z3_fast_tor1)
 from .ntcat import CategoryError, builtin_category, ideal_checks
 from .ntmod import (GradedModule, HypothesisNotVerifiedError, ModuleError,
-                    check_exact, projective_dimension, rational_tor, tor,
-                    validate)
+                    check_exact, check_hypotheses, tor, validate)
 from .zexact import ZExactError
 
 EXIT_OK = 0
@@ -226,12 +225,15 @@ def cmd_module_pd(args):
     rep = validate(M)
     if not rep.ok:
         raise ModuleError("module does not validate: " + "; ".join(rep.problems[:3]))
-    pd = projective_dimension(M, args.max, engine=args.engine)
-    rq = rational_tor(M, 1, engine=args.engine)
+    check_hypotheses(M.category)
+    tor_rep = tor(M, args.max + 1, engine=args.engine)
+    pd = tor_rep.projective_dimension(args.max)
+    # Q is flat, so the rational Tor_1 has the ranks of the integral one
+    ev, od = tor_rep.aggregate(1)
     report = {"space": M.category.space.name,
               "pd": pd if pd is not None else f"> {args.max}",
               "max": args.max,
-              "rational_tor1_rank": {"even": rq[0], "odd": rq[1]},
+              "rational_tor1_rank": {"even": ev.rank, "odd": od.rank},
               "warnings": _reconstruction_warnings(M.category)}
     text = [f"pd = {pd}" if pd is not None else f"pd > {args.max}"]
     return report, text

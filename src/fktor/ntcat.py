@@ -801,18 +801,8 @@ class HomTable:
         """then ∘ first."""
         if first.dst != then.src:
             raise CategoryError("endpoints do not match in compose")
-        out = self.zero(first.src, then.dst, first.parity ^ then.parity)
-        first_key = (first.src, first.dst, first.parity)
-        then_key = (then.src, then.dst, then.parity)
-        for k, c in enumerate(then.vec):
-            if not c:
-                continue
-            basis_val = self._constants(first_key, then_key, k)
-            for j, x in enumerate(first.vec):
-                if x:
-                    out = self.add(out, Element(out.src, out.dst, out.parity,
-                                                tuple(x * c * v for v in basis_val[j])))
-        return out
+        return Element(first.src, then.dst, first.parity ^ then.parity,
+                       self.post_matrix(then, first.src, first.parity).apply(first.vec))
 
     def post_matrix(self, el: Element, W: str, parity: int) -> IntMatrix:
         """Matrix of x ↦ el∘x from NT(W, el.src) at `parity` to
@@ -1086,65 +1076,56 @@ def nil_basis(table: HomTable) -> Dict[Tuple[str, str, int], Tuple[tuple, ...]]:
     return out
 
 
-def ideal_checks(table: HomTable, max_index: int = 24) -> RingIdealData:
+MAX_NILPOTENCY_INDEX = 24  # ideal_checks calls J nilpotent only if J^24 = 0
+
+
+def _nil_power_step(table: HomTable, power: dict) -> dict:
+    """Lattice bases of J^(i+1) = J·J^i from those of J^i (nonzero keys
+    only): the images of the basis of J^i under the generators span it,
+    since a nil element is a sum of nonempty words and J^i is closed under
+    post-composition."""
+    nxt: Dict[Tuple[str, str, int], Echelon] = {}
+    for (a, b, p), vecs in power.items():
+        V = IntMatrix.from_columns(vecs)
+        for g in table.presentation.by_src.get(b, ()):
+            M = table.post.get((a, b, p, g.name))
+            if M is None:
+                continue
+            key = (a, g.dst, p ^ g.parity)
+            lat = nxt.get(key)
+            if lat is None:
+                lat = nxt[key] = Echelon(M.rows)
+            for img in (M * V).columns():
+                if any(img):
+                    lat.add(list(img))
+    return {k: lat.basis() for k, lat in nxt.items() if lat.basis()}
+
+
+def ideal_checks(table: HomTable) -> RingIdealData:
     """NT_nil as the classes of nonempty words; nilpotency by lattice powers;
     semidirectness = Z·id ⊕ nil part in every End group."""
-    objs = table.objects
     nil = nil_basis(table)
     end_nil_ranks = {}
     semidirect = True
-    for obj in objs:
-        ev = nil[(obj, obj, 0)]
-        od = nil[(obj, obj, 1)]
+    for obj in table.objects:
+        ev, od = nil[(obj, obj, 0)], nil[(obj, obj, 1)]
         end_nil_ranks[obj] = (len(ev), len(od))
         rank_ev = table.rank.get((obj, obj, 0), 0)
-        rank_od = table.rank.get((obj, obj, 1), 0)
-        # odd part must be entirely nil
-        lat = Echelon(rank_od)
-        for v in od:
-            lat.add(list(v))
-        odd_full = len(lat.basis()) == rank_od
+        # odd part must be entirely nil (a nil basis is a lattice basis)
+        odd_full = len(od) == table.rank.get((obj, obj, 1), 0)
         # even part must split as Z*id + nil with a unimodular change of basis
-        stack = [list(table.id_coords[obj])] + [list(v) for v in ev]
-        M = IntMatrix._of(tuple(map(tuple, stack)), len(stack), rank_ev) if rank_ev \
-            else IntMatrix.zero(0, 0)
-        sf = smith(M) if rank_ev else None
-        even_split = rank_ev == 0 or (
-            len(stack) == rank_ev and all(d == 1 for d in sf.diagonal()))
+        stack = (tuple(table.id_coords[obj]),) + tuple(map(tuple, ev))
+        even_split = rank_ev == 0 or (len(stack) == rank_ev and all(
+            d == 1 for d in smith(IntMatrix._of(stack, rank_ev, rank_ev)).diagonal()))
         if not (odd_full and even_split):
             semidirect = False
 
-    # nilpotency by powers of the ideal
-    current = {k: [list(v) for v in vs] for k, vs in nil.items() if vs}
-    # source object -> [(target, parity, nil basis)], so that each power
-    # only visits the nil generators it can be composed with
-    nil_from: Dict[str, List[tuple]] = defaultdict(list)
-    for (b, c, p2), gens2 in nil.items():
-        if gens2:
-            nil_from[b].append((c, p2, gens2))
+    power = {k: vs for k, vs in nil.items() if vs}
     index = 1
-    nilpotent = False
-    while index <= max_index:
-        if not current:
-            nilpotent = True
-            break
-        nxt: Dict[Tuple[str, str, int], Echelon] = {}
-        for (a, b, p1), vecs in current.items():
-            for c, p2, gens2 in nil_from[b]:
-                for v in vecs:
-                    el = Element(a, b, p1, tuple(v))
-                    for g in gens2:
-                        gel = Element(b, c, p2, g)
-                        res = table.compose(el, gel)
-                        if res.is_zero():
-                            continue
-                        key = (a, c, (p1 + p2) % 2)
-                        lat = nxt.get(key)
-                        if lat is None:
-                            lat = nxt[key] = Echelon(len(res.vec))
-                        lat.add(list(res.vec))
-        current = {k: lat.basis() for k, lat in nxt.items() if lat.basis()}
+    while power and index < MAX_NILPOTENCY_INDEX:
+        power = _nil_power_step(table, power)
         index += 1
+    nilpotent = not power
     return RingIdealData(nilpotent, semidirect,
                          index if nilpotent else None, end_nil_ranks)
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .finspace import label, lc_subsets
-from .ntcat import Combo, Element, SpaceCategory, builtin_category, nil_basis
+from .ntcat import (Combo, Element, SpaceCategory, builtin_category,
+                    ideal_checks, nil_basis)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
                      IntMatrix, Presentation, block_diag, block_graded_hom,
                      kernel, hnf_columns, shift as shift_group, solve,
@@ -201,6 +202,8 @@ def free_module(sc: SpaceCategory, Y: str, side: str = "right",
                 shift: int = 0) -> GradedModule:
     """The free module on Y: left P_Y(Z) = NT(Y, Z), right Q_Y(Z) = NT(Z, Y),
     optionally degree shifted."""
+    if side not in ("left", "right"):
+        raise ModuleError("side must be 'left' or 'right'")
     t = sc.table
     entries = {}
     for Z in sc.objects:
@@ -226,7 +229,7 @@ def free_module(sc: SpaceCategory, Y: str, side: str = "right",
         if od is None:
             od = IntMatrix.zero(te.part(1 ^ a.parity).generators, se.odd.generators)
         actions[name] = GradedHom.build(a.parity, se, te, ev, od)
-    return GradedModule(sc, "left" if side == "left" else "right", entries, actions)
+    return GradedModule(sc, side, entries, actions)
 
 
 def coker_module(sc: SpaceCategory, targets: Sequence[Tuple[str, int]],
@@ -310,54 +313,35 @@ def validate(M: GradedModule) -> ValidationReport:
 
 
 def six_term_maps(M: GradedModule, U, Y):
-    """The three maps of the six-term cycle of the pair (U open in Y).
+    """The three maps of the six-term cycle of the pair (U open in a
+    connected Y).
 
     For a left module: M(U) -> M(Y) -> M(Y∖U) -> M(U)[1]; for a right module
     the arrows act contravariantly and the cycle runs
     M(Y∖U) -> M(Y) -> M(U) -> M(Y∖U)[1].  Returns (f, g, h, names) with
     f, g of degree 0 and h of degree 1 closing the cycle."""
     sc = M.category
-    X = sc.space
-    compsU = X.components(U)
-    compsY = X.components(Y)
-    compsE = X.components(Y - U)
+    d = sc.designator
+    compsU = sc.space.components(U)
+    compsE = sc.space.components(Y - U)
 
-    def inc_block(C, D):
-        if not C <= D:
-            return None
-        combo = sc.designator.inc(C, D)
-        return M.action_combo(combo, label(C), label(D), 0)
-
-    def res_block(D, E):
-        if not E <= D:
-            return None
-        combo = sc.designator.res(D, E)
-        return M.action_combo(combo, label(D), label(E), 0)
-
-    def bnd_block(E, C):
-        combo = sc.designator.bnd_block(C, E, U, Y)
-        if not combo:
-            return None
-        return M.action_combo(combo, label(E), label(C), 1)
+    def act(combo, src, dst, parity):
+        return M.action_combo(combo, label(src), label(dst), parity) if combo else None
 
     eU = [M.entries[label(c)] for c in compsU]
-    eY = [M.entries[label(d)] for d in compsY]
+    eY = [M.entries[label(Y)]]
     eE = [M.entries[label(e)] for e in compsE]
     if M.variance == "left":
-        f = block_graded_hom(0, eU, eY,
-                             [[inc_block(C, D) for C in compsU] for D in compsY])
-        g = block_graded_hom(0, eY, eE,
-                             [[res_block(D, E) for D in compsY] for E in compsE])
-        h = block_graded_hom(1, eE, eU,
-                             [[bnd_block(E, C) for E in compsE] for C in compsU])
+        f = block_graded_hom(0, eU, eY, [[act(d.inc(C, Y), C, Y, 0) for C in compsU]])
+        g = block_graded_hom(0, eY, eE, [[act(d.res(Y, E), Y, E, 0)] for E in compsE])
+        h = block_graded_hom(1, eE, eU, [[act(d.bnd_block(C, E, U, Y), E, C, 1)
+                                          for E in compsE] for C in compsU])
         names = (f"M({label(U)})", f"M({label(Y)})", f"M({label(Y - U)})")
     else:
-        f = block_graded_hom(0, eE, eY,
-                             [[res_block(D, E) for E in compsE] for D in compsY])
-        g = block_graded_hom(0, eY, eU,
-                             [[inc_block(C, D) for D in compsY] for C in compsU])
-        h = block_graded_hom(1, eU, eE,
-                             [[bnd_block(E, C) for C in compsU] for E in compsE])
+        f = block_graded_hom(0, eE, eY, [[act(d.res(Y, E), Y, E, 0) for E in compsE]])
+        g = block_graded_hom(0, eY, eU, [[act(d.inc(C, Y), C, Y, 0)] for C in compsU])
+        h = block_graded_hom(1, eU, eE, [[act(d.bnd_block(C, E, U, Y), E, C, 1)
+                                          for C in compsU] for E in compsE])
         names = (f"M({label(Y - U)})", f"M({label(Y)})", f"M({label(U)})")
     return f, g, h, names
 
@@ -759,6 +743,19 @@ class TorReport:
         ev, od = self.aggregate(n)
         return ev.is_free() and od.is_free()
 
+    def projective_dimension(self, max_n: int) -> Optional[int]:
+        """Smallest n <= max_n with Tor_n free and Tor_{n+1} = 0, or None.
+        The report must reach degree max_n + 1: a missing degree would read
+        as 0."""
+        reached = min(max(degs) for degs in self.groups.values())
+        if max_n + 1 > reached:
+            raise ModuleError(f"pd up to {max_n} needs Tor_{max_n + 1}; "
+                              f"the report stops at degree {reached}")
+        for n in range(max_n + 1):
+            if self.is_free(n) and self.is_zero(n + 1):
+                return n
+        return None
+
     def to_json(self) -> dict:
         return {obj: {str(n): {"even": str(g[0]), "odd": str(g[1])}
                       for n, g in sorted(degs.items())}
@@ -801,11 +798,10 @@ def _tensor_diff(res: FreeResolution, M: GradedModule, k: int) -> GradedHom:
     return block_graded_hom(0, sources, targets, blocks)
 
 
-def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int):
-    """The maps d_{n+1}⊗M and d_n⊗M (None for n = 0) of the tensored
-    complex around level n."""
-    return (_tensor_diff(res, M, n + 1),
-            _tensor_diff(res, M, n) if n >= 1 else None)
+def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int) -> list:
+    """The tensored complex [None, d_1⊗M, ..., d_{n+1}⊗M], enough for Tor
+    through degree n; entry k is the map out of level k."""
+    return [None] + [_tensor_diff(res, M, k) for k in range(1, n + 2)]
 
 
 def _homology_at(d_in: GradedHom,
@@ -825,7 +821,8 @@ def _homology_at(d_in: GradedHom,
 
 def tor_single(res: FreeResolution, M: GradedModule, n: int) -> Tuple[AbGroupNF, AbGroupNF]:
     """Tor_n(S_Y, M) from a resolution of S_Y."""
-    return _homology_at(*tensor_complex_maps(res, M, n))
+    d = tensor_complex_maps(res, M, n)
+    return _homology_at(d[n + 1], d[n])
 
 
 def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
@@ -845,8 +842,7 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
                           f"missing: {missing}")
     groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]] = {}
     for Y in sc.objects:
-        res = resolution_for(sc, Y, n + 1, engine)
-        d = [None] + [_tensor_diff(res, M, k) for k in range(1, n + 2)]
+        d = tensor_complex_maps(resolution_for(sc, Y, n + 1, engine), M, n)
         groups[Y] = {k: _homology_at(d[k + 1], d[k]) for k in range(n + 1)}
     return TorReport(sc.space.name, groups)
 
@@ -859,33 +855,24 @@ def rational_tor(M: GradedModule, n: int, engine: str = "auto") -> Tuple[int, in
     return ev.rank, od.rank
 
 
+def check_hypotheses(sc: SpaceCategory) -> None:
+    """Raise HypothesisNotVerifiedError unless the nil ideal of the space's
+    category is nilpotent and NT* = NT_nil ⋊ NT_ss, the hypotheses under
+    which Tor decides the projective dimension."""
+    chk = ideal_checks(sc.table)
+    if not (chk.nilpotent and chk.semidirect):
+        raise HypothesisNotVerifiedError(
+            f"nil/ss hypotheses not verified for {sc.space.name}")
+
+
 def projective_dimension(M: GradedModule, max_n: int,
                          engine: str = "auto") -> Optional[int]:
     """Smallest n with Tor_n free and Tor_{n+1} = 0, or None beyond max_n.
 
     Refuses (HypothesisNotVerifiedError) unless the nilpotency and
     semidirectness hypotheses hold for the space."""
-    sc = M.category
-    chk = _ideal_flags(sc)
-    if not (chk.nilpotent and chk.semidirect):
-        raise HypothesisNotVerifiedError(
-            f"nil/ss hypotheses not verified for {sc.space.name}")
-    rep = tor(M, max_n + 1, engine)
-    for n in range(max_n + 1):
-        if rep.is_free(n) and rep.is_zero(n + 1):
-            return n
-    return None
-
-
-_IDEAL_FLAG_CACHE: Dict[str, object] = {}
-
-
-def _ideal_flags(sc: SpaceCategory):
-    from .ntcat import ideal_checks
-    name = sc.space.name
-    if name not in _IDEAL_FLAG_CACHE:
-        _IDEAL_FLAG_CACHE[name] = ideal_checks(sc.table)
-    return _IDEAL_FLAG_CACHE[name]
+    check_hypotheses(M.category)
+    return tor(M, max_n + 1, engine).projective_dimension(max_n)
 
 
 # ---------------------------------------------------------------------------

@@ -232,9 +232,25 @@ def test_hypothesis_exit_code(monkeypatch):
         nilpotent = False
         semidirect = False
 
-    monkeypatch.setitem(nm._IDEAL_FLAG_CACHE, "Z4", FakeFlags())
+    monkeypatch.setattr(nm, "ideal_checks", lambda table: FakeFlags())
     code, _ = run_cli("module-pd", "--space", "Z4", "--file", "m_example.json")
     assert code == EXIT_HYPOTHESIS
+
+
+def test_module_pd_computes_tor_once(monkeypatch):
+    import fktor.cli as cli
+    import fktor.ntmod as nm
+
+    calls = []
+    real = nm.tor
+    monkeypatch.setattr(nm, "tor", lambda M, n, *a, **kw:
+                        calls.append(n) or real(M, n, *a, **kw))
+    monkeypatch.setattr(cli, "tor", nm.tor)
+    code, out = run_cli("module-pd", "--space", "Z4", "--file", "m_example.json",
+                        "--max", "3", "--format", "json")
+    assert code == EXIT_OK
+    assert calls == [4]
+    assert json.loads(out)["pd"] == 2
 
 
 GOOD_Z3_GRAPH = {

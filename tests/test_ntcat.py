@@ -13,6 +13,7 @@ from fktor.ntcat import (
     combo_compose, generate_relations, hom_closure, ideal_checks, nil_basis,
     table_from_json, table_to_json,
 )
+from fktor.zexact import Echelon, IntMatrix, hnf_columns
 
 
 def W(*names):
@@ -372,6 +373,56 @@ def test_nil_basis_is_computed_once_per_table():
     assert nil_basis(t) is nil_basis(t)
     fresh = table_from_json(table_to_json(cat("Z3"))).table
     assert nil_basis(fresh) == nil_basis(t) and nil_basis(fresh) is not nil_basis(t)
+
+
+def pairwise_nil_powers(table):
+    """Reference for the nil powers of ideal_checks: J^(i+1) spanned by all
+    products n∘x of a nil basis element n with a basis element x of J^i,
+    composed pairwise.  Returns the lattice bases [J^1, J^2, ...] (nonzero
+    keys only) through the first zero power."""
+    nil = nil_basis(table)
+    nil_from = {}
+    for (b, c, p2), gens2 in nil.items():
+        if gens2:
+            nil_from.setdefault(b, []).append((c, p2, gens2))
+    current = {k: [list(v) for v in vs] for k, vs in nil.items() if vs}
+    powers = [current]
+    while current and len(powers) <= ntcat.MAX_NILPOTENCY_INDEX:
+        nxt = {}
+        for (a, b, p1), vecs in current.items():
+            for c, p2, gens2 in nil_from.get(b, ()):
+                for v in vecs:
+                    for g in gens2:
+                        res = table.compose(Element(a, b, p1, tuple(v)),
+                                            Element(b, c, p2, g))
+                        if not res.is_zero():
+                            nxt.setdefault((a, c, p1 ^ p2),
+                                           Echelon(len(res.vec))).add(list(res.vec))
+        current = {k: lat.basis() for k, lat in nxt.items() if lat.basis()}
+        powers.append(current)
+    return powers
+
+
+@pytest.mark.parametrize("name", ["pt", "Z1", "Z2", "Z3", "Z4", "S", "C2"])
+def test_nil_powers_from_generator_images_match_pairwise_products(name):
+    t = cat(name).table
+    expected = pairwise_nil_powers(t)
+    power = {k: vs for k, vs in nil_basis(t).items() if vs}
+    for i, ref in enumerate(expected, 1):
+        assert sorted(power) == sorted(ref), (name, i)
+        for key, basis in ref.items():
+            assert hnf_columns(IntMatrix.from_columns(power[key])) == \
+                hnf_columns(IntMatrix.from_columns(basis)), (name, i, key)
+        power = ntcat._nil_power_step(t, power)
+    assert ideal_checks(t).nilpotency_index == len(expected)
+
+
+def test_compose_keeps_its_endpoint_check():
+    t = cat("Z3").table
+    a, b, p = next(k for k, r in sorted(t.rank.items()) if r and k[0] != k[1])
+    x = t.basis_elements(a, b, p)[0]
+    with pytest.raises(CategoryError, match="endpoints do not match"):
+        t.compose(x, x)
 
 
 def test_nilpotency_indices():

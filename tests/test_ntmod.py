@@ -61,6 +61,12 @@ def test_free_modules_validate_and_are_exact(name):
             assert check_exact(M).ok
 
 
+@pytest.mark.parametrize("side", ["lft", "Left", "", None])
+def test_free_module_refuses_an_unknown_side(side):
+    with pytest.raises(ModuleError, match="side must be 'left' or 'right'"):
+        free_module(cat("Z3"), "14", side)
+
+
 def test_validate_reports_broken_action():
     from fktor.zexact import GroupHom
     sc = cat("Z3")
@@ -504,6 +510,25 @@ def test_tor_builds_each_tensored_differential_once(monkeypatch):
     assert rep.groups == expected
 
 
+def test_tor_builds_through_the_tensored_complex(monkeypatch):
+    M = fk_module(random_block_graph("Z3", random.Random(4)))
+    sc = M.category
+    complexes = []
+    real = ntmod.tensor_complex_maps
+    monkeypatch.setattr(ntmod, "tensor_complex_maps",
+                        lambda res, M, n: complexes.append((res.Y, n)) or real(res, M, n))
+    rep = tor(M, 2)
+    assert complexes == [(Y, 2) for Y in sc.objects]
+    # the whole complex [None, d_1⊗M, d_2⊗M, d_3⊗M]; d_k⊗M leaves level k
+    res = resolution_for(sc, "1234", 3)
+    d = real(res, M, 2)
+    assert len(d) == 4 and d[0] is None
+    for k in (1, 2, 3):
+        assert d[k].from_even.source.generators == sum(
+            M.entries[A].part(e % 2).generators for A, e in res.level(k))
+    assert tor_single(res, M, 1) == rep.groups["1234"][1]
+
+
 def test_sign_robustness_delta_negation():
     # negating every odd-parity generator action gives an isomorphic module
     rng = random.Random(9)
@@ -638,6 +663,29 @@ def test_projective_dimension_of_free_module_is_zero():
     sc = cat("Z3")
     P = free_module(sc, "34", "left")
     assert projective_dimension(P, 2) == 0
+
+
+def test_tor_report_refuses_an_unreached_degree():
+    # a report through degree 2 decides pd <= 1 only: Tor_3 is missing, and
+    # a missing degree would read as 0
+    sc, M = z4_module()
+    rep = tor(M, 2)
+    assert rep.projective_dimension(1) is None
+    with pytest.raises(ModuleError, match="needs Tor_3"):
+        rep.projective_dimension(2)
+    assert tor(M, 3).projective_dimension(2) == 2
+
+
+def test_check_hypotheses_runs_ideal_checks(monkeypatch):
+    class Flags:
+        nilpotent, semidirect = True, False
+
+    ntmod.check_hypotheses(cat("Z4"))
+    monkeypatch.setattr(ntmod, "ideal_checks", lambda table: Flags())
+    with pytest.raises(ntmod.HypothesisNotVerifiedError, match="Z4"):
+        ntmod.check_hypotheses(cat("Z4"))
+    with pytest.raises(ntmod.HypothesisNotVerifiedError):
+        projective_dimension(z4_module()[1], 2)
 
 
 def test_tensor_mod_k_requires_k_at_least_2():
