@@ -312,38 +312,72 @@ def validate(M: GradedModule) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
-def six_term_maps(M: GradedModule, U, Y):
+def six_term_maps(M: GradedModule, U, Y, acts: dict):
     """The three maps of the six-term cycle of the pair (U open in a
     connected Y).
 
     For a left module: M(U) -> M(Y) -> M(Y∖U) -> M(U)[1]; for a right module
     the arrows act contravariantly and the cycle runs
     M(Y∖U) -> M(Y) -> M(U) -> M(Y∖U)[1].  Returns (f, g, h, names) with
-    f, g of degree 0 and h of degree 1 closing the cycle."""
+    f, g of degree 0 and h of degree 1 closing the cycle.
+
+    `acts` is the caller's table of designated actions on M, keyed by kind
+    and endpoints, so each action is built once however many pairs share
+    it.  As Y is connected, the boundary block bnd_block(C, E, U, Y) reduces
+    to _bnd_pure(C, E, C ∪ E) when C ∪ E is connected and to zero otherwise,
+    so it depends on (C, E) alone."""
     sc = M.category
     d = sc.designator
     compsU = sc.space.components(U)
     compsE = sc.space.components(Y - U)
 
-    def act(combo, src, dst, parity):
-        return M.action_combo(combo, label(src), label(dst), parity) if combo else None
+    def act(key, designate, src, dst, parity):
+        if key not in acts:
+            combo = designate()
+            acts[key] = M.action_combo(combo, label(src), label(dst), parity) \
+                if combo else None
+        return acts[key]
+
+    def inc(C):
+        return act(("inc", C, Y), lambda: d.inc(C, Y), C, Y, 0)
+
+    def res(E):
+        return act(("res", Y, E), lambda: d.res(Y, E), Y, E, 0)
+
+    def bnd(C, E):
+        return act(("bnd", C, E), lambda: d.bnd_block(C, E, U, Y), E, C, 1)
 
     eU = [M.entries[label(c)] for c in compsU]
     eY = [M.entries[label(Y)]]
     eE = [M.entries[label(e)] for e in compsE]
     if M.variance == "left":
-        f = block_graded_hom(0, eU, eY, [[act(d.inc(C, Y), C, Y, 0) for C in compsU]])
-        g = block_graded_hom(0, eY, eE, [[act(d.res(Y, E), Y, E, 0)] for E in compsE])
-        h = block_graded_hom(1, eE, eU, [[act(d.bnd_block(C, E, U, Y), E, C, 1)
-                                          for E in compsE] for C in compsU])
+        f = block_graded_hom(0, eU, eY, [[inc(C) for C in compsU]])
+        g = block_graded_hom(0, eY, eE, [[res(E)] for E in compsE])
+        h = block_graded_hom(1, eE, eU, [[bnd(C, E) for E in compsE] for C in compsU])
         names = (f"M({label(U)})", f"M({label(Y)})", f"M({label(Y - U)})")
     else:
-        f = block_graded_hom(0, eE, eY, [[act(d.res(Y, E), Y, E, 0) for E in compsE]])
-        g = block_graded_hom(0, eY, eU, [[act(d.inc(C, Y), C, Y, 0)] for C in compsU])
-        h = block_graded_hom(1, eU, eE, [[act(d.bnd_block(C, E, U, Y), E, C, 1)
-                                          for C in compsU] for E in compsE])
+        f = block_graded_hom(0, eE, eY, [[res(E) for E in compsE]])
+        g = block_graded_hom(0, eY, eU, [[inc(C)] for C in compsU])
+        h = block_graded_hom(1, eU, eE, [[bnd(C, E) for C in compsU] for E in compsE])
         names = (f"M({label(Y - U)})", f"M({label(Y)})", f"M({label(U)})")
     return f, g, h, names
+
+
+_TRIVIAL = AbGroupNF(0, ())
+
+
+def _node_homology(nodes: dict, f: GroupHom, g: GroupHom) -> AbGroupNF:
+    """The group ker(g)/im(f), from the caller's table `nodes` when an
+    earlier node of the same call had the same input.  The key is exactly
+    what subquotient_homology reads; a middle group with no generators is 0
+    without any lookup."""
+    if f.target.generators == 0 == g.source.generators:
+        return _TRIVIAL
+    key = (f.matrix, g.source.relations, g.matrix, g.target.relations)
+    group = nodes.get(key)
+    if group is None:
+        group = nodes[key] = subquotient_homology(f, g).group
+    return group
 
 
 @dataclass
@@ -358,15 +392,18 @@ def check_exact(M: GradedModule) -> ExactnessReport:
 
     Only connected Y need checking: a disconnected Y splits its sequence
     into the direct sum over components.  Trivial pairs (U empty or all of
-    Y) are vacuous and skipped."""
+    Y) are vacuous and skipped.  Each designated action and each distinct
+    node is computed once per call; both tables are dropped on return."""
     X = M.category.space
     failures = []
+    acts: dict = {}
+    nodes: dict = {}
     for lc in lc_subsets(X, connected_only=True):
         Y = lc.value
         for U in X.relative_opens(Y):
             if not U or U == Y:
                 continue
-            f, g, h, names = six_term_maps(M, U, Y)
+            f, g, h, names = six_term_maps(M, U, Y, acts)
             # the six nodes of the periodic cycle f, g, h[1], f[1], g[1], h
             maps = [
                 (f"{names[1]} even", f.from_even, g.from_even),
@@ -377,10 +414,10 @@ def check_exact(M: GradedModule) -> ExactnessReport:
                 (f"{names[0]} even", h.from_odd, f.from_even),
             ]
             for node, fin, fout in maps:
-                hom = subquotient_homology(fin, fout)
-                if not hom.group.is_trivial():
+                group = _node_homology(nodes, fin, fout)
+                if not group.is_trivial():
                     failures.append(
-                        f"pair ({label(U)} ⊆ {label(Y)}) fails at {node}: {hom.group}")
+                        f"pair ({label(U)} ⊆ {label(Y)}) fails at {node}: {group}")
     return ExactnessReport(not failures, failures)
 
 
@@ -804,32 +841,33 @@ def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int) -> list:
     return [None] + [_tensor_diff(res, M, k) for k in range(1, n + 2)]
 
 
-def _homology_at(d_in: GradedHom,
+def _homology_at(nodes: dict, d_in: GradedHom,
                  d_out: Optional[GradedHom]) -> Tuple[AbGroupNF, AbGroupNF]:
-    """ker(d_out)/im(d_in) per parity; no d_out means the zero map."""
+    """ker(d_out)/im(d_in) per parity; no d_out means the zero map.  `nodes`
+    is the caller's node table (see _node_homology)."""
     parts = []
     for parity in (0, 1):
-        f = d_in.from_even if parity == 0 else d_in.from_odd
+        f = d_in.component(parity)
         if d_out is None:
             g = GroupHom.zero(f.target, Presentation.zero())
         else:
-            g = d_out.from_even if parity == 0 else d_out.from_odd
-        h = subquotient_homology(f, g)
-        parts.append(h.group)
+            g = d_out.component(parity)
+        parts.append(_node_homology(nodes, f, g))
     return parts[0], parts[1]
 
 
 def tor_single(res: FreeResolution, M: GradedModule, n: int) -> Tuple[AbGroupNF, AbGroupNF]:
     """Tor_n(S_Y, M) from a resolution of S_Y."""
     d = tensor_complex_maps(res, M, n)
-    return _homology_at(d[n + 1], d[n])
+    return _homology_at({}, d[n + 1], d[n])
 
 
 def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
     """Tor_k(S_Y, M) for all Y and k = 0..n; aggregate = Tor(NT_ss, M).
 
     Each tensored differential d_k⊗M is built once per Y and serves as the
-    outgoing map at level k and the incoming map at level k-1.  M must be a
+    outgoing map at level k and the incoming map at level k-1; each distinct
+    node is computed once per call (see _node_homology).  M must be a
     left module with an action for every generator arrow: it is tensored
     with resolutions of right modules."""
     if M.variance != "left":
@@ -841,9 +879,10 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
         raise ModuleError("Tor(S_Y, M) needs an action for every arrow; "
                           f"missing: {missing}")
     groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]] = {}
+    nodes: dict = {}
     for Y in sc.objects:
         d = tensor_complex_maps(resolution_for(sc, Y, n + 1, engine), M, n)
-        groups[Y] = {k: _homology_at(d[k + 1], d[k]) for k in range(n + 1)}
+        groups[Y] = {k: _homology_at(nodes, d[k + 1], d[k]) for k in range(n + 1)}
     return TorReport(sc.space.name, groups)
 
 

@@ -181,12 +181,18 @@ class IntMatrix:
         """The matrix laid out from a grid of blocks: grid[i][j] fills the
         row_dims[i] x col_dims[j] block, and None is a zero block.  An empty
         grid, or rows with no column blocks, is the zero matrix of the
-        summed sizes."""
+        summed sizes.  A 1 x 1 grid holding a block that fits is that block
+        itself, not a copy."""
         nrows, ncols = sum(row_dims), sum(col_dims)
         if not grid:
             return IntMatrix.zero(nrows, ncols)
         if len(grid) != len(row_dims) or set(map(len, grid)) != {len(col_dims)}:
             raise ZExactError("block grid does not match its row and column sizes")
+        if len(grid) == 1 and len(col_dims) == 1 and grid[0][0] is not None:
+            b = grid[0][0]
+            if b.rows != nrows or b.cols != ncols:
+                raise ZExactError(f"{b.rows}x{b.cols} block in a {nrows}x{ncols} slot")
+            return b
         data = []
         for brow, h in zip(grid, row_dims):
             # concatenate whole-row tuples block by block, as hstack does;
@@ -753,21 +759,28 @@ class HomologyResult:
 def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:
     """Homology ker(g)/im(f) at the middle presented group.
 
-    Requires g∘f = 0 as maps of presented groups.  A trivial homology is
-    decided by one Hermite form: `hnf_columns` is canonical, so a boundary
-    basis equal to the cycle basis means the two lattices are equal and the
-    quotient is 0.  The columns of f are then cycles, which is g∘f = 0, so
-    that check runs only in the other case, before the cycle basis and the
-    quotient are factored.
+    Requires g∘f = 0 as maps of presented groups.  A middle group with no
+    generators has homology 0 on the empty cycle basis.  Otherwise the cycle
+    lattice is read off one Smith form of [g | relations of C]: the first n
+    rows of its kernel basis span it, and one Hermite form makes that basis
+    canonical.  A trivial homology is then decided by one more Hermite
+    form: a boundary basis equal to the cycle basis means the two lattices
+    are equal and the quotient is 0.  The columns of f are then cycles,
+    which is g∘f = 0, so that check runs only in the other case, before the
+    cycle basis and the quotient are factored.
     """
     if f.target is not g.source and f.target.generators != g.source.generators:
         raise ZExactError("homology maps not composable")
     B = g.source
     n = B.generators
+    if n == 0:
+        return HomologyResult(AbGroupNF(0, ()), IntMatrix.zero(0, 0), Presentation(0))
     # lattice of cycles: x with g(x) in the relation span of C
     stacked = g.matrix.hstack(g.target.relations)
-    K = kernel(stacked)
-    cyc = hnf_columns(K.submatrix(range(n), range(K.cols)))
+    ker = smith(stacked)
+    r = ker.rank()
+    cyc = hnf_columns(IntMatrix._of(tuple(row[r:] for row in ker.V.data[:n]),
+                                    n, stacked.cols - r))
     # boundaries: images of f plus relations of B
     bnd = f.matrix.hstack(B.relations)
     if hnf_columns(bnd) == cyc:

@@ -1,15 +1,19 @@
 """Shared helpers: random triangular block graphs, random valid modules, a
-right module that Tor must refuse, and the word-product action matrices that
-the Hom table's structure-constant matrices are tested against."""
+right module that Tor must refuse, the word-product action matrices that
+the Hom table's structure-constant matrices are tested against, and the
+uncached six-term and Tor loops that check_exact and tor are tested
+against."""
 
 import random
 import zlib
 
-from fktor.finspace import builtin_space
+from fktor.finspace import builtin_space, label, lc_subsets
 from fktor.graphk import BlockGraph
 from fktor.ntcat import builtin_category
-from fktor.ntmod import GradedModule, coker_module, free_module
-from fktor.zexact import GradedGroup, GradedHom, IntMatrix, Presentation
+from fktor.ntmod import (GradedModule, TorReport, coker_module, free_module,
+                         resolution_for, tensor_complex_maps)
+from fktor.zexact import (GradedGroup, GradedHom, GroupHom, IntMatrix,
+                          Presentation, block_graded_hom, subquotient_homology)
 
 
 def random_block_graph(space_name, rng, max_vertices=3, max_entry=3):
@@ -155,3 +159,92 @@ def word_post_matrix(t, el, W, parity):
             else:
                 out = out + M.scale(c * coeff)
     return out
+
+
+def reference_six_term_maps(M, U, Y):
+    """Reference for ntmod.six_term_maps: every designated action built
+    afresh from its word, the boundary block asked of the designator with
+    the pair's own U and Y."""
+    sc = M.category
+    d = sc.designator
+    compsU = sc.space.components(U)
+    compsE = sc.space.components(Y - U)
+
+    def act(combo, src, dst, parity):
+        return M.action_combo(combo, label(src), label(dst), parity) if combo else None
+
+    eU = [M.entries[label(c)] for c in compsU]
+    eY = [M.entries[label(Y)]]
+    eE = [M.entries[label(e)] for e in compsE]
+    if M.variance == "left":
+        f = block_graded_hom(0, eU, eY, [[act(d.inc(C, Y), C, Y, 0) for C in compsU]])
+        g = block_graded_hom(0, eY, eE, [[act(d.res(Y, E), Y, E, 0)] for E in compsE])
+        h = block_graded_hom(1, eE, eU, [[act(d.bnd_block(C, E, U, Y), E, C, 1)
+                                          for E in compsE] for C in compsU])
+        names = (f"M({label(U)})", f"M({label(Y)})", f"M({label(Y - U)})")
+    else:
+        f = block_graded_hom(0, eE, eY, [[act(d.res(Y, E), Y, E, 0) for E in compsE]])
+        g = block_graded_hom(0, eY, eU, [[act(d.inc(C, Y), C, Y, 0)] for C in compsU])
+        h = block_graded_hom(1, eU, eE, [[act(d.bnd_block(C, E, U, Y), E, C, 1)
+                                          for C in compsU] for E in compsE])
+        names = (f"M({label(Y - U)})", f"M({label(Y)})", f"M({label(U)})")
+    return f, g, h, names
+
+
+def reference_six_term_nodes(M):
+    """Every node of every six-term pair of M, in check_exact's order, as
+    (U, Y, node name, incoming map, outgoing map)."""
+    X = M.category.space
+    out = []
+    for lc in lc_subsets(X, connected_only=True):
+        Y = lc.value
+        for U in X.relative_opens(Y):
+            if not U or U == Y:
+                continue
+            f, g, h, names = reference_six_term_maps(M, U, Y)
+            out += [(U, Y, node, fin, fout) for node, fin, fout in [
+                (f"{names[1]} even", f.from_even, g.from_even),
+                (f"{names[2]} even", g.from_even, h.from_even),
+                (f"{names[0]} odd", h.from_even, f.from_odd),
+                (f"{names[1]} odd", f.from_odd, g.from_odd),
+                (f"{names[2]} odd", g.from_odd, h.from_odd),
+                (f"{names[0]} even", h.from_odd, f.from_even),
+            ]]
+    return out
+
+
+def reference_check_exact(M):
+    """Reference for ntmod.check_exact: the failure strings, in order, of
+    every node of every pair, each node's homology computed on its own."""
+    failures = []
+    for U, Y, node, fin, fout in reference_six_term_nodes(M):
+        group = subquotient_homology(fin, fout).group
+        if not group.is_trivial():
+            failures.append(f"pair ({label(U)} ⊆ {label(Y)}) fails at {node}: {group}")
+    return failures
+
+
+def reference_tor_nodes(M, n):
+    """Every node of tor(M, n), in its order, as (object, degree, incoming
+    map, outgoing map), the even part before the odd one."""
+    sc = M.category
+    out = []
+    for Y in sc.objects:
+        d = tensor_complex_maps(resolution_for(sc, Y, n + 1), M, n)
+        for k in range(n + 1):
+            for parity in (0, 1):
+                f = d[k + 1].component(parity)
+                g = GroupHom.zero(f.target, Presentation.zero()) if d[k] is None \
+                    else d[k].component(parity)
+                out.append((Y, k, f, g))
+    return out
+
+
+def reference_tor(M, n):
+    """Reference for ntmod.tor on a left module: each node's homology
+    computed on its own."""
+    groups = {}
+    for Y, k, f, g in reference_tor_nodes(M, n):
+        groups.setdefault(Y, {}).setdefault(k, ())
+        groups[Y][k] += (subquotient_homology(f, g).group,)
+    return TorReport(M.category.space.name, groups)

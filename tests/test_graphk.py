@@ -5,13 +5,14 @@ import sys
 
 import pytest
 
-from conftest import random_block_graph
+from conftest import random_block_graph, reference_six_term_nodes, reference_tor_nodes
 
 from fktor.finspace import builtin_space, point_space
 from fktor.graphk import (
     BlockGraph, GraphError, fk_module, graph_checks, k_groups, s_fast_tor1,
     tor_ck, z3_fast_tor1,
 )
+import fktor.ntmod as ntmod
 from fktor.ntmod import check_exact, projective_dimension, tor, validate
 import fktor.zexact as zexact
 from fktor.zexact import AbGroupNF, IntMatrix, Presentation
@@ -154,10 +155,37 @@ def test_check_exact_of_an_exact_module_factors_only_kernels(monkeypatch):
     monkeypatch.setattr(Presentation, "normal_form",
                         lambda P: normal_forms.append(P) or real_nf(P))
     assert check_exact(M).ok
-    # every node is exact: each homology factors the kernel of its outgoing
-    # map, and no cycle basis, quotient or target presentation
-    assert callers and set(callers) == {"kernel"}
+    # every node is exact: each homology factors [g | relations] of its
+    # outgoing map once, and no cycle basis, quotient or target presentation
+    assert callers and set(callers) == {"subquotient_homology"}
     assert normal_forms == []
+
+
+def _node_key(f, g):
+    return (f.matrix, g.source.relations, g.matrix, g.target.relations)
+
+
+@pytest.mark.parametrize("graph,exact_counts,tor_counts", [
+    (ck_z3, (114, 66), (88, 56)),
+    (ck_s, (84, 44), (88, 54)),
+])
+def test_each_distinct_node_is_factored_once_per_call(monkeypatch, graph,
+                                                      exact_counts, tor_counts):
+    """check_exact and tor(M, 3) compute one homology per distinct node
+    whose middle group has generators, and none for the others."""
+    M = fk_module(graph())
+    calls = []
+    real = ntmod.subquotient_homology
+    monkeypatch.setattr(ntmod, "subquotient_homology",
+                        lambda f, g: calls.append(_node_key(f, g)) or real(f, g))
+    for run, nodes, (total, distinct) in [
+            (lambda: check_exact(M), reference_six_term_nodes(M), exact_counts),
+            (lambda: tor(M, 3), reference_tor_nodes(M, 3), tor_counts)]:
+        calls.clear()
+        run()
+        wanted = {_node_key(f, g) for *_, f, g in nodes if g.source.generators}
+        assert (len(nodes), len(wanted)) == (total, distinct)
+        assert len(calls) == distinct and set(calls) == wanted
 
 
 def test_fk_module_block_diagonal_graph():

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import catalogue
-from conftest import (random_block_graph, random_valid_module, word_pre_matrix,
+from conftest import (random_block_graph, random_valid_module,
+                      reference_check_exact, reference_tor, word_pre_matrix,
                       z1_right_module_with_i_acting_by_one)
 
 from fktor.finspace import BUILTIN_NAMES
@@ -120,6 +121,42 @@ def test_check_exact_names_torsion_in_failures():
         "pair (2 ⊆ 12) fails at M(2) odd: Z/6",
         "pair (2 ⊆ 12) fails at M(2) even: Z^1 + Z/2",
     ]
+
+
+ORACLE_SPACES = ["Z1", "Z2", "Z3", "Z4", "S", "C2"]
+
+
+def oracle_corpus():
+    """Modules on which check_exact and tor must agree with their uncached
+    references: per space a random valid module and a graph module drawn
+    with rng 7, each also tensored with Z/2 and Z/3 (these include modules
+    that are not exact); the free left and right modules on the first and
+    the last object with both shifts; and the right Z1 module."""
+    out = []
+    for name in ORACLE_SPACES:
+        rng = random.Random(7)
+        for M in (random_valid_module(name, rng),
+                  fk_module(random_block_graph(name, rng))):
+            out += [M, M.tensor_mod_k(2), M.tensor_mod_k(3)]
+        sc = cat(name)
+        out += [free_module(sc, Y, side, s) for Y in (sc.objects[0], sc.objects[-1])
+                for side in ("left", "right") for s in (0, 1)]
+    return out + [z1_right_module_with_i_acting_by_one()]
+
+
+def test_check_exact_and_tor_agree_with_their_uncached_loops():
+    corpus = oracle_corpus()
+    non_exact = 0
+    for M in corpus:
+        failures = reference_check_exact(M)
+        assert check_exact(M).failures == failures
+        non_exact += bool(failures)
+        if M.variance == "left":
+            assert tor(M, 2).to_json() == reference_tor(M, 2).to_json()
+        else:
+            with pytest.raises(ModuleError, match="needs a left module"):
+                tor(M, 2)
+    assert non_exact > 0
 
 
 # ---------------------------------------------------------------------------

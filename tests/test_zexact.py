@@ -122,6 +122,19 @@ def test_block_rejects_a_block_that_does_not_fit():
             IntMatrix.block(grid, row_dims, col_dims)
 
 
+def test_block_of_a_one_by_one_grid_is_the_block_itself():
+    A = IntMatrix([[1, 2], [3, 4]])
+    assert IntMatrix.block([[A]], [2], [2]) is A
+    assert block_diag([A]) is A
+    E = IntMatrix.zero(0, 3)
+    assert IntMatrix.block([[E]], [0], [3]) is E
+    # the size check still comes first
+    for row_dims, col_dims in [([2], [3]), ([1], [2]), ([2, 0], [2]), ([2], [2, 0])]:
+        with pytest.raises(ZExactError):
+            IntMatrix.block([[A]], row_dims, col_dims)
+    assert IntMatrix.block([[None]], [2], [2]) == IntMatrix.zero(2, 2)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -564,10 +577,17 @@ def homology_pairs(draw):
     return GroupHom(A, B, cyc * mat(cyc.cols, a)), GroupHom(B, C, gm), trivial
 
 
+def reference_cycle_basis(g):
+    """The Hermite basis of the cycles of g: the kernel lattice of
+    [g | relations of C], put in Hermite form, projected to the generators
+    of the middle group and put in Hermite form again."""
+    K = kernel(g.matrix.hstack(g.target.relations))
+    return hnf_columns(K.submatrix(range(g.source.generators), range(K.cols)))
+
+
 def _smith_homology(f, g):
     """ker(g)/im(f) the long way: the boundaries solved in the cycle basis."""
-    K = kernel(g.matrix.hstack(g.target.relations))
-    cyc = hnf_columns(K.submatrix(range(g.source.generators), range(K.cols)))
+    cyc = reference_cycle_basis(g)
     rels = solve_columns(cyc, f.matrix.hstack(g.source.relations))
     return Presentation(cyc.cols, rels).normal_form()
 
@@ -586,6 +606,40 @@ def test_homology_matches_the_smith_path(pair):
         assert len(cls) == res.group.rank + len(res.group.torsion)
         if res.group.is_trivial():
             assert cls == ()
+
+
+@PROPS
+@given(homology_pairs())
+def test_cycle_basis_is_read_off_one_factorisation(pair):
+    f, g, _ = pair
+    assert subquotient_homology(f, g).lattice_basis == reference_cycle_basis(g)
+
+
+def test_zero_middle_group_gives_the_general_result(monkeypatch):
+    calls = []
+    real = zexact.smith
+    monkeypatch.setattr(zexact, "smith", lambda A: calls.append(A) or real(A))
+    Z0 = Presentation.zero()
+    for a, c in [(0, 0), (2, 0), (0, 3), (2, 3)]:
+        A = Presentation(a, IntMatrix.identity(a).scale(2))
+        C = Presentation(c, IntMatrix.identity(c).scale(5))
+        res = subquotient_homology(GroupHom.zero(A, Z0), GroupHom.zero(Z0, C))
+        assert not calls
+        # what the general path gave: the 0x0 cycle basis, presenting 0
+        assert res.group == AbGroupNF(0, ())
+        assert res.lattice_basis == reference_cycle_basis(GroupHom.zero(Z0, C)) \
+            == IntMatrix.zero(0, 0)
+        assert res.quotient.generators == 0
+        assert res.quotient.relations == IntMatrix.identity(0)
+        assert res.class_of(()) == ()
+        calls.clear()
+    # a middle group of 0 generators on one side only is still a mismatch
+    with pytest.raises(ZExactError, match="homology maps not composable"):
+        subquotient_homology(GroupHom.zero(Z0, Z0),
+                             GroupHom.zero(Presentation.free(1), Z0))
+    with pytest.raises(ZExactError, match="homology maps not composable"):
+        subquotient_homology(GroupHom.zero(Z0, Presentation.free(1)),
+                             GroupHom.zero(Z0, Z0))
 
 
 def test_homology_raises_on_a_non_complex():
