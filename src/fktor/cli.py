@@ -18,7 +18,8 @@ from .finspace import (SpaceError, builtin_space, is_accordion_union,
                        lc_subsets)
 from .graphk import (BlockGraph, GraphError, fk_module, graph_checks,
                      k_groups, s_fast_tor1, tor_ck, z3_fast_tor1)
-from .ntcat import CategoryError, builtin_category, ideal_checks
+from .ntcat import (CategoryError, builtin_category, ideal_checks,
+                    space_category)
 from .ntmod import (GradedModule, HypothesisNotVerifiedError, ModuleError,
                     check_exact, check_hypotheses, tor, validate)
 from .zexact import ZExactError
@@ -257,7 +258,7 @@ def cmd_graph_check(args):
 
 def cmd_graph_k(args):
     G = _get_graph(args)
-    sc = builtin_category(G.space.name)
+    sc = space_category(G.space)
     subsets = [args.subset] if args.subset else sc.objects
     groups = {}
     text = []

@@ -116,6 +116,15 @@ class FiniteSpace:
     def is_connected(self, s: Iterable[str]) -> bool:
         return len(self.components(s)) == 1
 
+    def __eq__(self, other):
+        """Spaces are equal when their points and opens are; the name is
+        only a label."""
+        return isinstance(other, FiniteSpace) and \
+            (self.points, self.opens) == (other.points, other.opens)
+
+    def __hash__(self):
+        return hash((self.points, self.opens))
+
     def __repr__(self):
         nm = self.name or "space"
         return f"FiniteSpace({nm}, points={''.join(self.points)})"
@@ -255,6 +264,13 @@ def builtin_space(name: str) -> FiniteSpace:
     if name == "C2":
         return pseudocircle()
     return point_space()
+
+
+def builtin_name(X: FiniteSpace) -> Optional[str]:
+    """The name of the builtin space with X's points and opens, or None.
+    X's own name is tried first; it decides nothing."""
+    names = sorted(BUILTIN_NAMES, key=lambda n: n != X.name)
+    return next((n for n in names if builtin_space(n) == X), None)
 
 
 def _point_names(value, what: str) -> list:

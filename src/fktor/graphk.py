@@ -15,8 +15,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .finspace import FiniteSpace, builtin_space, label, lc_subsets
-from .ntcat import SpaceCategory, builtin_category
+from .finspace import FiniteSpace, builtin_name, builtin_space, label, lc_subsets
+from .ntcat import SpaceCategory, space_category
 from .ntmod import GradedModule, TorReport, tor
 from .zexact import (AbGroupNF, GradedGroup, GradedHom, IntMatrix, Presentation,
                      block_graded_hom, hnf_columns, kernel, shift,
@@ -230,15 +230,15 @@ def _coord_matrix(G: BlockGraph, src, dst) -> IntMatrix:
 
 
 def fk_module(G: BlockGraph, sc: Optional[SpaceCategory] = None) -> GradedModule:
-    """Assemble the left module of subquotient K-groups over the builtin
-    category of the graph's space.
+    """Assemble the left module of subquotient K-groups over the category
+    of the graph's space.
 
     Even entries are the cokernels of the restricted B' matrices, odd entries
     are free on their kernel lattices.  Generators act by coordinate
     inclusion (i), coordinate projection (r), and multiplication by the
     off-diagonal B' block (delta, positive sign)."""
     if sc is None:
-        sc = builtin_category(G.space.name)
+        sc = space_category(G.space)
     entries: Dict[str, GradedGroup] = {}
     kd: Dict[str, SubquotientK] = {}
     for obj in sc.objects:
@@ -290,7 +290,7 @@ def _three_term(G: BlockGraph, space: str, *specs):
     entries.  A spec is (sources, targets, blocks): summands are
     (object, shift) pairs, and blocks[i][j] is None or (sign, arrow name),
     read off the module's action of that generator arrow."""
-    if G.space.name != space:
+    if builtin_name(G.space) != space:
         raise GraphError(f"the {space} fast path needs a graph over {space}")
     M = fk_module(G)
 

@@ -3,8 +3,8 @@ K-functors over a finite space.
 
 A category is presented by a quiver whose objects are the nonempty connected
 locally closed subsets and whose arrows are the indecomposable transformations
-(kinds i, r, delta), together with integer path relations.  For the built-in
-spaces the generating arrows come from the known diagrams; the relation set is
+(kinds i, r, delta), together with integer path relations.  The generating
+arrows are derived from the space (derive_arrows); the relation set is
 generated programmatically from six-term-sequence identities (consecutive
 composites vanish, boundary naturality, designated-word consistency) and is
 therefore flagged as reconstructed for the spaces whose classical relation
@@ -20,7 +20,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .finspace import (FiniteSpace, builtin_space, label, lc_subsets)
+from .finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space,
+                       label, lc_subsets)
 from .zexact import Echelon, IntMatrix, ZExactError, smith, solve_columns
 
 
@@ -556,86 +557,73 @@ def generate_relations(space: FiniteSpace, arrows: Sequence[Arrow]):
 
 
 # ---------------------------------------------------------------------------
-# Built-in generator diagrams
+# Generating arrows
 # ---------------------------------------------------------------------------
 
-def _z_arrows(m: int) -> List[Arrow]:
-    top = str(m + 1)
-    rest = [str(i) for i in range(1, m + 1)]
-    arrows = []
+def derive_arrows(space: FiniteSpace) -> List[Arrow]:
+    """The generating arrows of NT*(X), sorted by name.
 
-    def lbl(s):
-        return "".join(sorted(s))
-
-    from itertools import combinations
-    subs = []
-    for k in range(m + 1):
-        subs.extend(frozenset(c) for c in combinations(rest, k))
-    for s in subs:
-        for x in rest:
-            if x not in s:
-                a = lbl(s | {top})
-                b = lbl(s | {x, top})
-                arrows.append(Arrow(_arrow_name("i", a, b), a, b, 0, "i"))
-    full = lbl(set(rest) | {top})
-    for j in rest:
-        arrows.append(Arrow(_arrow_name("r", full, j), full, j, 0, "r"))
-        arrows.append(Arrow(_arrow_name("d", j, top), j, top, 1, "d"))
-    return arrows
-
-
-def _c2_arrows() -> List[Arrow]:
-    spec = [
-        ("i", "3", "134"), ("i", "3", "234"), ("i", "4", "134"), ("i", "4", "234"),
-        ("i", "134", "1234"), ("i", "234", "1234"),
-        ("i", "13", "123"), ("i", "23", "123"), ("i", "14", "124"), ("i", "24", "124"),
-        ("r", "134", "13"), ("r", "134", "14"), ("r", "234", "23"), ("r", "234", "24"),
-        ("r", "1234", "123"), ("r", "1234", "124"),
-        ("r", "123", "1"), ("r", "123", "2"), ("r", "124", "1"), ("r", "124", "2"),
-        ("d", "1", "3"), ("d", "1", "4"), ("d", "2", "3"), ("d", "2", "4"),
-    ]
-    return [Arrow(_arrow_name(k, s, d), s, d, 1 if k == "d" else 0, k)
-            for k, s, d in spec]
-
-
-def _s_arrows() -> List[Arrow]:
-    spec = [
-        ("i", "4", "34"), ("i", "4", "24"), ("i", "34", "234"), ("i", "24", "234"),
-        ("i", "234", "1234"), ("i", "2", "123"), ("i", "3", "123"),
-        ("r", "123", "12"), ("r", "123", "13"), ("r", "12", "1"), ("r", "13", "1"),
-        ("r", "234", "2"), ("r", "234", "3"), ("r", "1234", "123"),
-        ("d", "123", "4"), ("d", "12", "34"), ("d", "13", "24"), ("d", "1", "234"),
-    ]
-    return [Arrow(_arrow_name(k, s, d), s, d, 1 if k == "d" else 0, k)
-            for k, s, d in spec]
+    The candidates are the transformations of Meyer and Nest between objects
+    of LC(X)*: every i: U → Y (U open in Y), r: Y → E (E closed in Y) and,
+    of parity 1, δ: E → C (C open in C ∪ E).  Visited widest first (by
+    |src ∪ dst|, then by name), a candidate is dropped when a Designator
+    built from the remaining ones still derives its designated word."""
+    if not space.is_t0():
+        raise CategoryError("NT*(X) needs a T0 space")
+    objs = [lc.value for lc in lc_subsets(space, connected_only=True)]
+    objset = set(objs)
+    cands = []
+    for s in objs:
+        for t in objs:
+            if s < t and space.is_open_in(s, t):
+                kind = "i"
+            elif t < s and space.is_closed_in(t, s):
+                kind = "r"
+            elif not s & t and s | t in objset and space.is_open_in(t, s | t):
+                kind = "d"
+            else:
+                continue
+            cands.append((-len(s | t), _arrow_name(kind, label(s), label(t)), kind, s, t))
+    arrows = {nm: Arrow(nm, label(s), label(t), int(kind == "d"), kind)
+              for _, nm, kind, s, t in cands}
+    for _, nm, kind, s, t in sorted(cands):
+        rest = [a for n, a in arrows.items() if n != nm]
+        D = Designator(space, rest)
+        try:
+            if kind == "i":
+                D.inc(s, t)
+            elif kind == "r":
+                D.res(s, t)
+            else:
+                D._bnd_pure(t, s, s | t)
+        except DesignationError:
+            continue
+        del arrows[nm]
+    return sorted(arrows.values(), key=lambda a: a.name)
 
 
-_BUILTIN_ARROWS = {
-    "Z1": lambda: _z_arrows(1),
-    "Z2": lambda: _z_arrows(2),
-    "Z3": lambda: _z_arrows(3),
-    "Z4": lambda: _z_arrows(4),
-    "C2": _c2_arrows,
-    "S": _s_arrows,
-    "pt": lambda: [],
-}
+# relation sets are generated; every space but these, whose classical
+# relation lists are available in full, is flagged so reports can warn
+_CLASSICAL = ("Z1", "Z2", "Z3", "Z4", "pt")
 
-# relation sets are generated; flag the spaces whose classical relation
-# lists are not available in full, so reports can carry a warning
-_RECONSTRUCTED = {"C2": True, "S": True, "Z1": False, "Z2": False,
-                  "Z3": False, "Z4": False, "pt": False}
-
+# word bound of hom_closure per builtin; the shipped caches depend on it
 DEFAULT_MAX_LEN = {"Z1": 8, "Z2": 9, "Z3": 10, "Z4": 9, "C2": 10, "S": 10, "pt": 2}
 
 
+def _presentation(space: FiniteSpace):
+    """The presentation of NT*(X) on the derived arrows, with the Designator
+    that generated its relations."""
+    arrows = derive_arrows(space)
+    rels, designator = generate_relations(space, arrows)
+    pres = CatPresentation(space, arrows, rels,
+                           reconstructed=builtin_name(space) not in _CLASSICAL)
+    return pres, designator
+
+
 def builtin_presentation(space_name: str) -> CatPresentation:
-    if space_name not in _BUILTIN_ARROWS:
+    if space_name not in BUILTIN_NAMES:
         raise CategoryError(f"no builtin category for space {space_name!r}")
-    space = builtin_space(space_name)
-    arrows = _BUILTIN_ARROWS[space_name]()
-    rels, _ = generate_relations(space, arrows)
-    return CatPresentation(space, arrows, rels,
-                           reconstructed=_RECONSTRUCTED[space_name])
+    return _presentation(builtin_space(space_name))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -844,11 +832,12 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
 
     Enumerates words up to max_len, saturates the two-sided ideal generated
     by the relations within that bound, quotients per (pair, parity), and
-    checks that ranks are already spanned by words two steps shorter.
+    checks that ranks are already spanned by words two steps shorter.  The
+    default bound is that of the builtin equal to the space, else 10.
     """
     pres = presentation
     if max_len is None:
-        max_len = DEFAULT_MAX_LEN.get(pres.space.name, 10)
+        max_len = DEFAULT_MAX_LEN.get(builtin_name(pres.space), 10)
     if max_len < 1:
         raise CategoryError("max_len must be at least 1")
 
@@ -1147,27 +1136,32 @@ class SpaceCategory:
         return self.table.objects
 
 
-_CATEGORY_CACHE: Dict[str, SpaceCategory] = {}
+_CATEGORY_CACHE: Dict[FiniteSpace, SpaceCategory] = {}
 
 
-def builtin_category(space_name: str) -> SpaceCategory:
-    """The category of a builtin space: once per process, from the shipped
-    table cache where it loads, else built fresh."""
-    if space_name in _CATEGORY_CACHE:
-        return _CATEGORY_CACHE[space_name]
-    sc = _load_cache_file(space_name) or _fresh_category(space_name)
-    _CATEGORY_CACHE[space_name] = sc
+def build_category(space: FiniteSpace) -> SpaceCategory:
+    """NT*(X) with its table built fresh by hom_closure."""
+    pres, designator = _presentation(space)
+    return SpaceCategory(space, pres, hom_closure(pres), designator)
+
+
+def space_category(space: FiniteSpace) -> SpaceCategory:
+    """NT*(X), once per process for each set of points and opens.  A space
+    equal to a builtin, whatever its name, gets that builtin's category, from
+    the shipped table cache where it loads; any other space is built fresh."""
+    sc = _CATEGORY_CACHE.get(space)
+    if sc is None:
+        name = builtin_name(space)
+        if name is not None:
+            space = builtin_space(name)
+        sc = (name and _load_cache_file(name)) or build_category(space)
+        _CATEGORY_CACHE[space] = sc
     return sc
 
 
-def _fresh_category(space_name: str) -> SpaceCategory:
-    """The category of a builtin space with its table built by hom_closure."""
-    space = builtin_space(space_name)
-    arrows = _BUILTIN_ARROWS[space_name]()
-    rels, designator = generate_relations(space, arrows)
-    pres = CatPresentation(space, arrows, rels,
-                           reconstructed=_RECONSTRUCTED[space_name])
-    return SpaceCategory(space, pres, hom_closure(pres), designator)
+def builtin_category(space_name: str) -> SpaceCategory:
+    """The category of the builtin space of that name."""
+    return space_category(builtin_space(space_name))
 
 
 # -- table cache files -------------------------------------------------------
@@ -1230,7 +1224,7 @@ def _load_cache_file(space_name: str) -> Optional[SpaceCategory]:
 
 def write_cache_file(space_name: str):
     import os
-    sc = _fresh_category(space_name)
+    sc = build_category(builtin_space(space_name))
     path = _cache_path(space_name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:

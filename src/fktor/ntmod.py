@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .finspace import label, lc_subsets
+from .finspace import builtin_name, label, lc_subsets
 from .ntcat import (Combo, Element, SpaceCategory, builtin_category,
                     ideal_checks, nil_basis)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
@@ -732,7 +732,7 @@ def resolution_for(sc: SpaceCategory, Y: str, depth: int,
     "generic" run the syzygy engine and share one cache; "builtin" reads the
     shipped resolution and raises CatalogueError where none is shipped."""
     if engine == "builtin":
-        res = builtin_resolution(sc.space.name, Y)
+        res = builtin_resolution(builtin_name(sc.space), Y)
         if res.periodic is None and len(res.levels) <= depth:
             extend_resolution(res, depth)
         return res

@@ -419,33 +419,6 @@ def smith(A: IntMatrix) -> SmithForm:
                      IntMatrix._of(V, n, n))
 
 
-def det(A: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise ZExactError("det of non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    M = [list(row) for row in A.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 def kernel(A: IntMatrix) -> IntMatrix:
     """Columns form a lattice basis of ker(A) = {x : A x = 0}."""
     sf = smith(A)

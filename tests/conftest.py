@@ -1,15 +1,16 @@
 """Shared helpers: random triangular block graphs, random valid modules, a
 right module that Tor must refuse, the word-product action matrices that
-the Hom table's structure-constant matrices are tested against, and the
+the Hom table's structure-constant matrices are tested against, the
 uncached six-term and Tor loops that check_exact and tor are tested
-against."""
+against, and the hand-drawn generator quivers of the builtin spaces that
+ntcat.derive_arrows is tested against."""
 
 import random
 import zlib
 
 from fktor.finspace import builtin_space, label, lc_subsets
 from fktor.graphk import BlockGraph
-from fktor.ntcat import builtin_category
+from fktor.ntcat import Arrow, builtin_category
 from fktor.ntmod import (GradedModule, TorReport, coker_module, free_module,
                          resolution_for, tensor_complex_maps)
 from fktor.zexact import (GradedGroup, GradedHom, GroupHom, IntMatrix,
@@ -248,3 +249,55 @@ def reference_tor(M, n):
         groups.setdefault(Y, {}).setdefault(k, ())
         groups[Y][k] += (subquotient_homology(f, g).group,)
     return TorReport(M.category.space.name, groups)
+
+
+# ---------------------------------------------------------------------------
+# Hand-drawn generator quivers of the builtin spaces
+# ---------------------------------------------------------------------------
+
+def _arrows(spec):
+    return [Arrow(f"{k}:{s}>{d}", s, d, 1 if k == "d" else 0, k)
+            for k, s, d in spec]
+
+
+def _z_arrows(m):
+    """Z_m: i adds one closed point to an open set, r restricts the whole
+    space to each closed point, and δ runs from each closed point to the
+    open point m+1."""
+    from itertools import combinations
+    top = str(m + 1)
+    rest = [str(i) for i in range(1, m + 1)]
+    spec = []
+    for k in range(m + 1):
+        for c in combinations(rest, k):
+            spec += [("i", label(set(c) | {top}), label(set(c) | {x, top}))
+                     for x in rest if x not in c]
+    full = label(set(rest) | {top})
+    for j in rest:
+        spec += [("r", full, j), ("d", j, top)]
+    return _arrows(spec)
+
+
+HAND_ARROWS = {
+    "pt": lambda: [],
+    "Z1": lambda: _z_arrows(1),
+    "Z2": lambda: _z_arrows(2),
+    "Z3": lambda: _z_arrows(3),
+    "Z4": lambda: _z_arrows(4),
+    "C2": lambda: _arrows([
+        ("i", "3", "134"), ("i", "3", "234"), ("i", "4", "134"), ("i", "4", "234"),
+        ("i", "134", "1234"), ("i", "234", "1234"),
+        ("i", "13", "123"), ("i", "23", "123"), ("i", "14", "124"), ("i", "24", "124"),
+        ("r", "134", "13"), ("r", "134", "14"), ("r", "234", "23"), ("r", "234", "24"),
+        ("r", "1234", "123"), ("r", "1234", "124"),
+        ("r", "123", "1"), ("r", "123", "2"), ("r", "124", "1"), ("r", "124", "2"),
+        ("d", "1", "3"), ("d", "1", "4"), ("d", "2", "3"), ("d", "2", "4"),
+    ]),
+    "S": lambda: _arrows([
+        ("i", "4", "34"), ("i", "4", "24"), ("i", "34", "234"), ("i", "24", "234"),
+        ("i", "234", "1234"), ("i", "2", "123"), ("i", "3", "123"),
+        ("r", "123", "12"), ("r", "123", "13"), ("r", "12", "1"), ("r", "13", "1"),
+        ("r", "234", "2"), ("r", "234", "3"), ("r", "1234", "123"),
+        ("d", "123", "4"), ("d", "12", "34"), ("d", "13", "24"), ("d", "1", "234"),
+    ]),
+}

@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 
 from fktor.finspace import (
-    BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_space, hasse_edges,
+    BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_name, builtin_space,
+    hasse_edges,
     is_accordion_union, label, lc_subsets, open_pairs, point_space,
     pseudocircle, s_space, space_from_json, space_to_json, z_space,
 )
@@ -100,6 +101,18 @@ def test_builtin_space_refuses_names_outside_the_builtin_list(name):
 def test_builtin_space_builds_every_builtin_name():
     for name in BUILTIN_NAMES:
         assert builtin_space(name).name == name
+
+
+def test_spaces_are_known_by_points_and_opens_not_by_name():
+    S = builtin_space("S")
+    renamed = FiniteSpace(S.points, S.opens, name="Z3")
+    assert renamed == S and hash(renamed) == hash(S)
+    assert renamed != builtin_space("C2") and renamed != "S"
+    assert builtin_name(renamed) == "S"
+    assert builtin_name(FiniteSpace(S.points, S.opens)) == "S"
+    assert [builtin_name(builtin_space(n)) for n in BUILTIN_NAMES] == list(BUILTIN_NAMES)
+    chain = FiniteSpace("1234", ["", "4", "34", "234", "1234"], name="Z3")
+    assert builtin_name(chain) is None
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ import pytest
 
 from conftest import random_block_graph, reference_six_term_nodes, reference_tor_nodes
 
-from fktor.finspace import builtin_space, point_space
+from fktor.finspace import (FiniteSpace, builtin_space, point_space,
+                            space_from_json, space_to_json)
 from fktor.graphk import (
     BlockGraph, GraphError, fk_module, graph_checks, k_groups, s_fast_tor1,
     tor_ck, z3_fast_tor1,
 )
+from fktor.ntcat import builtin_category, space_category
 import fktor.ntmod as ntmod
 from fktor.ntmod import check_exact, projective_dimension, tor, validate
 import fktor.zexact as zexact
@@ -202,6 +204,23 @@ def test_fk_module_block_diagonal_graph():
     for Y in M.category.objects:
         for n in range(3):
             assert rb.groups[Y][n] == rg.groups[Y][n]
+
+
+def test_a_graph_gets_the_category_of_its_points_and_opens():
+    """A space is known by its points and opens: S's opens under the name
+    Z3 give S's category and module, and so does an unnamed copy of S."""
+    G = ck_s()
+    renamed = space_from_json({**space_to_json(G.space), "name": "Z3"})
+    G2 = BlockGraph(renamed, G.blocks, G.adjacency)
+    M = fk_module(G2)
+    assert M.category is builtin_category("S")
+    assert M.to_json() == fk_module(G).to_json()
+    assert s_fast_tor1(G2).group_odd == s_fast_tor1(G).group_odd
+    with pytest.raises(GraphError, match="Z3 fast path"):
+        z3_fast_tor1(G2)
+    unnamed = FiniteSpace(G.space.points, G.space.opens)
+    assert unnamed.name is None
+    assert space_category(unnamed) is builtin_category("S")
 
 
 def test_ck_z3_tor1_odd_is_z2_with_witnesses():

@@ -1,18 +1,25 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import word_post_matrix, word_pre_matrix
+from conftest import HAND_ARROWS, word_post_matrix, word_pre_matrix
 
-from fktor.finspace import builtin_space
+from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, builtin_space,
+                            is_accordion_union)
 import fktor.ntcat as ntcat
 from fktor.ntcat import (
     Arrow, CatPresentation, CategoryError, Designator, Element,
     InconsistentRelationError,
-    NonStabilizedError, builtin_category, builtin_presentation, combo_add,
-    combo_compose, generate_relations, hom_closure, ideal_checks, nil_basis,
+    NonStabilizedError, SpaceCategory, build_category, builtin_category,
+    builtin_presentation, combo_add, combo_compose, derive_arrows,
+    generate_relations, hom_closure, ideal_checks, nil_basis, space_category,
     table_from_json, table_to_json,
 )
+from fktor.ntmod import CatalogueError, resolution_for
 from fktor.zexact import Echelon, IntMatrix, hnf_columns
 
 
@@ -33,6 +40,96 @@ def test_builtin_object_counts():
     assert len(cat("Z4").objects) == 20
     assert len(cat("C2").objects) == 13
     assert len(cat("S").objects) == 11
+
+
+@pytest.mark.parametrize("name", ["pt", "Z1", "Z2", "Z3", "Z4", "S", "C2"])
+def test_derived_arrows_equal_hand_quivers(name):
+    hand = sorted(HAND_ARROWS[name](), key=lambda a: a.name)
+    assert derive_arrows(builtin_space(name)) == hand
+
+
+def chain():
+    """The chain 1 < 2 < 3 < 4: a four-point space that is not builtin."""
+    return FiniteSpace("1234", ["", "4", "34", "234", "1234"])
+
+
+def test_a_four_point_space_that_is_not_builtin_builds():
+    X = chain()
+    arrows = derive_arrows(X)
+    assert [a.name for a in arrows] == [
+        "d:123>4", "d:12>34", "d:1>234", "i:234>1234", "i:23>123", "i:2>12",
+        "i:34>234", "i:3>23", "i:4>34", "r:1234>123", "r:123>12", "r:12>1",
+        "r:234>23", "r:23>2", "r:34>3"]
+    sc = space_category(X)
+    assert sc is space_category(chain()) and sc.space == X
+    assert sc.presentation.reconstructed is True
+    assert len(sc.objects) == 10 and sc.table.total_rank() == 50
+    data = ideal_checks(sc.table)
+    assert data.nilpotent and data.semidirect
+    assert is_accordion_union(X)
+    # built at the documented bound 10
+    at_10 = SpaceCategory(X, sc.presentation, hom_closure(sc.presentation, 10),
+                          sc.designator)
+    assert table_to_json(sc) == table_to_json(at_10)
+    # the builtin resolution engine goes by points and opens, not by name
+    named_z3 = build_category(FiniteSpace(X.points, X.opens, name="Z3"))
+    with pytest.raises(CatalogueError):
+        resolution_for(named_z3, "1", 2, engine="builtin")
+
+
+def test_bound_and_flag_follow_points_and_opens_not_the_name(monkeypatch):
+    Z2 = builtin_space("Z2")
+    unnamed = build_category(FiniteSpace(Z2.points, Z2.opens))
+    assert unnamed.table.reps == builtin_category("Z2").table.reps
+    assert unnamed.presentation.reconstructed is False
+    monkeypatch.setitem(ntcat.DEFAULT_MAX_LEN, "Z2", 2)
+    with pytest.raises(NonStabilizedError):
+        hom_closure(unnamed.presentation)
+
+
+def test_a_bound_that_does_not_stabilize_is_not_retried(monkeypatch):
+    X = chain()
+    with pytest.raises(NonStabilizedError):
+        hom_closure(space_category(X).presentation, max_len=2)
+    calls = []
+
+    def short(pres, max_len=None):
+        calls.append(max_len)
+        return hom_closure(pres, max_len=2)
+
+    monkeypatch.setattr(ntcat, "_CATEGORY_CACHE", {})
+    monkeypatch.setattr(ntcat, "hom_closure", short)
+    with pytest.raises(NonStabilizedError):
+        space_category(X)
+    assert calls == [None] and ntcat._CATEGORY_CACHE == {}
+
+
+def test_a_space_that_is_not_t0_is_refused():
+    X = FiniteSpace("12", ["", "12"])
+    with pytest.raises(CategoryError, match="T0"):
+        space_category(X)
+
+
+DERIVE_SCRIPT = """
+import hashlib, json
+from fktor.finspace import builtin_space
+from fktor.ntcat import build_category, derive_arrows, table_to_json
+for name in ("Z3", "C2"):
+    print([a.name for a in derive_arrows(builtin_space(name))])
+table = json.dumps(table_to_json(build_category(builtin_space("Z2"))), sort_keys=True)
+print(hashlib.sha256(table.encode()).hexdigest())
+"""
+
+
+def test_derivation_is_the_same_in_every_process():
+    src = os.path.dirname(os.path.dirname(ntcat.__file__))
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", DERIVE_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] and outs[0].count("\n") == 3
 
 
 def test_unknown_space_rejected():
@@ -310,23 +407,27 @@ def test_table_json_round_trip():
     assert not el2.is_zero()
 
 
-@pytest.mark.parametrize("name", ["Z1", "Z2", "Z3", "S", "C2", "Z4"])
+TABLES = os.path.join(os.path.dirname(ntcat.__file__), "data", "tables")
+
+
+@pytest.mark.parametrize("name", ["pt", "Z1", "Z2", "Z3", "S", "C2", "Z4"])
 def test_shipped_cache_matches_fresh_build(name):
-    shipped = builtin_category(name)
-    from fktor.ntcat import (CatPresentation, _BUILTIN_ARROWS, _RECONSTRUCTED,
-                             generate_relations, hom_closure)
-    from fktor.finspace import builtin_space
-    space = builtin_space(name)
-    arrows = _BUILTIN_ARROWS[name]()
-    rels, _ = generate_relations(space, arrows)
-    pres = CatPresentation(space, arrows, rels,
-                           reconstructed=_RECONSTRUCTED[name])
-    table = hom_closure(pres)
-    assert table.rank == shipped.table.rank
-    assert table.id_coords == shipped.table.id_coords
-    assert table.post == shipped.table.post
-    assert table.pre == shipped.table.pre
-    assert len(pres.relations) == len(shipped.presentation.relations)
+    """A fresh build on the derived arrows serialises to the shipped cache
+    byte for byte."""
+    with open(os.path.join(TABLES, f"{name}.json")) as fh:
+        shipped = fh.read()
+    sc = build_category(builtin_space(name))
+    assert json.dumps(table_to_json(sc), sort_keys=True) == shipped
+
+
+def test_loading_a_shipped_cache_derives_no_arrows(monkeypatch):
+    def refuse(space):
+        raise AssertionError(f"derive_arrows called for {space}")
+
+    monkeypatch.setattr(ntcat, "_CATEGORY_CACHE", {})
+    monkeypatch.setattr(ntcat, "derive_arrows", refuse)
+    for name in BUILTIN_NAMES:
+        assert builtin_category(name).space == builtin_space(name)
 
 
 def test_write_cache_file_builds_a_fresh_table(monkeypatch, tmp_path):

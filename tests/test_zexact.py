@@ -7,13 +7,41 @@ from hypothesis import given, settings, strategies as st
 
 from fktor.zexact import (
     AbGroupNF, CompositionNonZeroError, Echelon, GradedGroup, GradedHom,
-    GroupHom, IntMatrix, Presentation, ZExactError, block_diag, det,
+    GroupHom, IntMatrix, Presentation, ZExactError, block_diag,
     graded_direct_sum, hnf_columns, kernel, normal_form, shift, smith, solve,
     solve_columns, subquotient_homology,
 )
 import fktor.zexact as zexact
 
 PROPS = settings(derandomize=True, max_examples=80, deadline=None)
+
+
+def det(A: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination, for the
+    unimodularity and determinantal-divisor checks below."""
+    if A.rows != A.cols:
+        raise ZExactError("det of non-square matrix")
+    n = A.rows
+    if n == 0:
+        return 1
+    M = [list(row) for row in A.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
 
 
 def M(rows):
