@@ -47,8 +47,16 @@ class FiniteSpace:
         self.name = name
         self._min_open = {p: frozenset.intersection(*[o for o in fam if p in o])
                           for p in self.points}
+        self._lc_star = None
 
     # -- basic structure ---------------------------------------------------
+
+    def lc_star(self) -> list:
+        """LC(X)*, as lc_subsets(X, connected_only=True) lists it; listed
+        once per space."""
+        if self._lc_star is None:
+            self._lc_star = lc_subsets(self, connected_only=True)
+        return self._lc_star
 
     def min_open(self, p: str) -> Subset:
         return self._min_open[p]

@@ -222,7 +222,7 @@ class Designator:
         self.gen = {}
         for a in arrows:
             self.gen[(a.kind, a.src, a.dst)] = a
-        self.lcstar = [lc.value for lc in lc_subsets(space, connected_only=True)]
+        self.lcstar = [lc.value for lc in space.lc_star()]
         self.lcstar.sort(key=lambda s: (len(s), label(s)))
         self.memo: Dict[tuple, Combo] = {}
         self.alternates: Dict[tuple, List[Combo]] = {}
@@ -570,7 +570,7 @@ def derive_arrows(space: FiniteSpace) -> List[Arrow]:
     built from the remaining ones still derives its designated word."""
     if not space.is_t0():
         raise CategoryError("NT*(X) needs a T0 space")
-    objs = [lc.value for lc in lc_subsets(space, connected_only=True)]
+    objs = [lc.value for lc in space.lc_star()]
     objset = set(objs)
     cands = []
     for s in objs:

@@ -63,6 +63,7 @@ class GradedModule:
         self.entries = dict(entries)
         self.actions = dict(actions)
         self._element_cache: Dict[tuple, GradedHom] = {}
+        self._word_cache: Dict[tuple, GradedHom] = {}
         for obj in category.objects:
             if obj not in self.entries:
                 raise ModuleError(f"missing entry for object {obj}")
@@ -77,15 +78,26 @@ class GradedModule:
 
     def action_word(self, word, src_obj: str, dst_obj: str) -> GradedHom:
         """Action of a composite word of generators, src/dst in category
-        direction (the module map runs contravariantly for right modules)."""
-        if self.variance == "left":
-            hom = GradedHom.identity(self.entries[src_obj])
-            for name in word:
-                hom = self.actions[name].compose(hom)
-            return hom
-        hom = GradedHom.identity(self.entries[dst_obj])
-        for name in reversed(word):
-            hom = self.actions[name].compose(hom)
+        direction (the module map runs contravariantly for right modules).
+
+        Each word is built once per module: a left module acts by its last
+        generator after its prefix, a right module by its first generator
+        after its suffix."""
+        word = tuple(word)
+        key = (word, src_obj, dst_obj)
+        hom = self._word_cache.get(key)
+        if hom is None:
+            arrows = self.category.presentation.arrows
+            if not word:
+                hom = GradedHom.identity(
+                    self.entries[src_obj if self.variance == "left" else dst_obj])
+            elif self.variance == "left":
+                rest = self.action_word(word[:-1], src_obj, arrows[word[-1]].src)
+                hom = self.actions[word[-1]].compose(rest)
+            else:
+                rest = self.action_word(word[1:], arrows[word[0]].dst, dst_obj)
+                hom = self.actions[word[0]].compose(rest)
+            self._word_cache[key] = hom
         return hom
 
     def action_combo(self, combo: Combo, src_obj: str, dst_obj: str,
@@ -162,35 +174,49 @@ class GradedModule:
         if variance not in ("left", "right"):
             raise ValueError(f"variance must be 'left' or 'right', not {variance!r}")
 
-        def pres(d):
+        # Every count is checked against the shapes the file gives before
+        # anything is allocated: a presentation or a zero action matrix on
+        # `gens` generators takes memory in proportion to `gens`.
+        def gens_of(d):
             gens = d["gens"]
             if type(gens) is not int or gens < 0:
                 raise ValueError(f"gens must be a nonnegative integer, not {gens!r}")
             rels = d.get("rels") or []
-            if not rels:
-                return Presentation(gens)
-            return Presentation(gens, IntMatrix(rels, gens, len(rels[0])))
+            if rels and len(rels) != gens:
+                raise ValueError(f"rels has {len(rels)} rows for {gens} generators")
+            return gens
 
         unknown = sorted(set(data["entries"]) - set(category.objects))
         if unknown:
             raise ValueError(f"entries for objects not in the category: {unknown}")
-        entries = {o: GradedGroup(pres(v["even"]), pres(v["odd"]))
-                   for o, v in data["entries"].items()}
-        actions = {}
+        gens = {o: (gens_of(v["even"]), gens_of(v["odd"]))
+                for o, v in data["entries"].items()}
+        shaped = []
         for name, mats in data["actions"].items():
             arrow = category.presentation.arrows.get(name)
             if arrow is None:
                 raise ValueError(f"action for an arrow not in the category: {name!r}")
-            if variance == "left":
-                s, d = arrow.src, arrow.dst
-            else:
-                s, d = arrow.dst, arrow.src
-            se, so = entries[s].even, entries[s].odd
-            ev = IntMatrix(mats["evenPart"]) if mats["evenPart"] else \
-                IntMatrix.zero(entries[d].part(arrow.parity).generators, se.generators)
-            od = IntMatrix(mats["oddPart"]) if mats["oddPart"] else \
-                IntMatrix.zero(entries[d].part(1 ^ arrow.parity).generators, so.generators)
-            actions[name] = GradedHom.build(arrow.parity, entries[s], entries[d], ev, od)
+            s, d = (arrow.src, arrow.dst) if variance == "left" else (arrow.dst, arrow.src)
+            parts = []
+            for part, p in (("evenPart", 0), ("oddPart", 1)):
+                mat, rows, cols = mats[part], gens[d][p ^ arrow.parity], gens[s][p]
+                if mat and (len(mat) != rows or any(len(r) != cols for r in mat)):
+                    raise ValueError(f"{part} of {name} is not a {rows}x{cols} matrix")
+                parts.append((mat, rows, cols))
+            shaped.append((name, arrow.parity, s, d, parts))
+
+        def pres(d, n):
+            rels = d.get("rels") or []
+            return Presentation(n, IntMatrix(rels, n, len(rels[0]))) if rels \
+                else Presentation(n)
+
+        entries = {o: GradedGroup(pres(v["even"], gens[o][0]), pres(v["odd"], gens[o][1]))
+                   for o, v in data["entries"].items()}
+        actions = {}
+        for name, parity, s, d, parts in shaped:
+            ev, od = (IntMatrix(mat) if mat else IntMatrix.zero(rows, cols)
+                      for mat, rows, cols in parts)
+            actions[name] = GradedHom.build(parity, entries[s], entries[d], ev, od)
         return GradedModule(category, variance, entries, actions)
 
 

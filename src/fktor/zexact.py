@@ -420,12 +420,8 @@ def smith(A: IntMatrix) -> SmithForm:
 
 
 def kernel(A: IntMatrix) -> IntMatrix:
-    """Columns form a lattice basis of ker(A) = {x : A x = 0}."""
-    sf = smith(A)
-    r = sf.rank()
-    cols = [sf.V.column(j) for j in range(r, A.cols)]
-    return hnf_columns(IntMatrix.from_columns(cols, A.cols)) if cols \
-        else IntMatrix.zero(A.cols, 0)
+    """Hermite basis (as hnf_columns gives it) of ker(A) = {x : A x = 0}."""
+    return _cycles(A, ())
 
 
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
@@ -528,6 +524,28 @@ class Echelon:
         return [self.pivots[p] for p in sorted(self.pivots)]
 
 
+def _hermite(ech: Echelon, start: int) -> IntMatrix:
+    """The Hermite basis of the lattice spanned by the rows of `ech` whose
+    pivot is at `start` or later, read on the coordinates from `start` on.
+
+    Those rows span exactly the vectors of the lattice that are zero before
+    `start`.  Each is made positive at its pivot, and the entries above
+    each pivot are reduced into [0, pivot); the result is unique, so equal
+    lattices yield equal matrices."""
+    pivots = sorted(p for p in ech.pivots if p >= start)
+    out = [ech.pivots[p][start:] for p in pivots]
+    pivots = [p - start for p in pivots]
+    for p, r in zip(pivots, out):
+        if r[p] < 0:
+            r[:] = map(neg, r)
+    for j, (pj, rj) in enumerate(zip(pivots, out)):
+        for ri in out[:j]:
+            if ri[pj]:
+                q = ri[pj] // rj[pj]
+                ri[:] = [x - q * y for x, y in zip(ri, rj)]
+    return IntMatrix.from_columns(out, ech.n - start)
+
+
 def hnf_columns(A: IntMatrix) -> IntMatrix:
     """Canonical basis of the column lattice of A (Hermite form).
 
@@ -536,18 +554,27 @@ def hnf_columns(A: IntMatrix) -> IntMatrix:
     ech = Echelon(A.rows)
     for c in A.columns():
         ech.add(c)
-    pivots = sorted(ech.pivots)
-    out = ech.basis()
-    for p, r in zip(pivots, out):
-        if r[p] < 0:
-            r[:] = map(neg, r)
-    # reduce entries above each pivot into [0, pivot)
-    for j, (pj, rj) in enumerate(zip(pivots, out)):
-        for ri in out[:j]:
-            if ri[pj]:
-                q = ri[pj] // rj[pj]
-                ri[:] = [x - q * y for x, y in zip(ri, rj)]
-    return IntMatrix.from_columns(out, A.rows)
+    return _hermite(ech, 0)
+
+
+def _cycles(g: IntMatrix, relations) -> IntMatrix:
+    """Hermite basis of the lattice {x : g x in the span of `relations`},
+    a sequence of columns of length g.rows, from one echelon.
+
+    The echelon holds the columns (g e_j ; e_j) and (rel ; 0) on the
+    coordinates of g's target followed by those of its source.  Its
+    vectors with a zero top part are exactly (0 ; x) with g x a sum of
+    relations, and they are spanned by the rows pivoting in the bottom
+    block."""
+    m = g.rows
+    ech = Echelon(m + g.cols)
+    for j, col in enumerate(g.columns()):
+        entries = _nonzeros(col)
+        entries[m + j] = 1
+        ech.add_sparse(entries)
+    for col in relations:
+        ech.add_sparse(_nonzeros(col))
+    return _hermite(ech, m)
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +760,12 @@ def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:
     """Homology ker(g)/im(f) at the middle presented group.
 
     Requires g∘f = 0 as maps of presented groups.  A middle group with no
-    generators has homology 0 on the empty cycle basis.  Otherwise the cycle
-    lattice is read off one Smith form of [g | relations of C]: the first n
-    rows of its kernel basis span it, and one Hermite form makes that basis
-    canonical.  A trivial homology is then decided by one more Hermite
-    form: a boundary basis equal to the cycle basis means the two lattices
-    are equal and the quotient is 0.  The columns of f are then cycles,
+    generators has homology 0 on the empty cycle basis.  Otherwise the
+    Hermite basis of the cycle lattice comes from one echelon of g augmented
+    by the identity and the relations of C, with no Smith form.  A trivial
+    homology is then decided by one Hermite form of the boundaries: a
+    boundary basis equal to the cycle basis means the two lattices are
+    equal and the quotient is 0.  The columns of f are then cycles,
     which is g∘f = 0, so that check runs only in the other case, before the
     cycle basis and the quotient are factored.
     """
@@ -748,12 +775,7 @@ def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:
     n = B.generators
     if n == 0:
         return HomologyResult(AbGroupNF(0, ()), IntMatrix.zero(0, 0), Presentation(0))
-    # lattice of cycles: x with g(x) in the relation span of C
-    stacked = g.matrix.hstack(g.target.relations)
-    ker = smith(stacked)
-    r = ker.rank()
-    cyc = hnf_columns(IntMatrix._of(tuple(row[r:] for row in ker.V.data[:n]),
-                                    n, stacked.cols - r))
+    cyc = _cycles(g.matrix, g.target.relations.columns())
     # boundaries: images of f plus relations of B
     bnd = f.matrix.hstack(B.relations)
     if hnf_columns(bnd) == cyc:
@@ -796,6 +818,10 @@ def shift(G: GradedGroup) -> GradedGroup:
 
 
 def graded_direct_sum(groups: Sequence[GradedGroup]) -> GradedGroup:
+    """The direct sum; a single summand is returned itself, so its
+    presentations keep their cached Smith forms."""
+    if len(groups) == 1:
+        return groups[0]
     ev_g = sum(g.even.generators for g in groups)
     od_g = sum(g.odd.generators for g in groups)
     ev_r = block_diag([g.even.relations for g in groups])

@@ -2,8 +2,10 @@
 right module that Tor must refuse, the word-product action matrices that
 the Hom table's structure-constant matrices are tested against, the
 uncached six-term and Tor loops that check_exact and tor are tested
-against, and the hand-drawn generator quivers of the builtin spaces that
-ntcat.derive_arrows is tested against."""
+against, the uncached word-action loop that GradedModule.action_word is
+tested against, the Smith-form kernels that zexact's echelon kernels are
+tested against, and the hand-drawn generator quivers of the builtin spaces
+that ntcat.derive_arrows is tested against."""
 
 import random
 import zlib
@@ -14,7 +16,8 @@ from fktor.ntcat import Arrow, builtin_category
 from fktor.ntmod import (GradedModule, TorReport, coker_module, free_module,
                          resolution_for, tensor_complex_maps)
 from fktor.zexact import (GradedGroup, GradedHom, GroupHom, IntMatrix,
-                          Presentation, block_graded_hom, subquotient_homology)
+                          Presentation, block_graded_hom, hnf_columns, smith,
+                          subquotient_homology)
 
 
 def random_block_graph(space_name, rng, max_vertices=3, max_entry=3):
@@ -109,6 +112,36 @@ def z1_right_module_with_i_acting_by_one():
     actions["i:2>12"] = GradedHom.build(0, entries["12"], entries["2"],
                                         IntMatrix([[1]]), IntMatrix.zero(0, 0))
     return GradedModule(sc, "right", entries, actions)
+
+
+def smith_cycles(g, relations):
+    """Reference for zexact's kernels: the Hermite basis of the lattice
+    {x : g x in the column span of `relations`}, read off the V of one
+    Smith form of [g | relations] (its columns past the rank, on the rows
+    of g's source).  With no relations it is the kernel of g."""
+    stacked = g.hstack(relations)
+    sf = smith(stacked)
+    cols = [sf.V.column(j)[:g.cols] for j in range(sf.rank(), stacked.cols)]
+    return hnf_columns(IntMatrix.from_columns(cols, g.cols))
+
+
+def smith_kernel(A):
+    """Reference for zexact.kernel."""
+    return smith_cycles(A, IntMatrix.zero(A.rows, 0))
+
+
+def word_action(M, word, src_obj, dst_obj):
+    """Reference for GradedModule.action_word: the generator actions
+    composed one by one from the identity, nothing cached."""
+    if M.variance == "left":
+        hom = GradedHom.identity(M.entries[src_obj])
+        for name in word:
+            hom = M.actions[name].compose(hom)
+        return hom
+    hom = GradedHom.identity(M.entries[dst_obj])
+    for name in reversed(word):
+        hom = M.actions[name].compose(hom)
+    return hom
 
 
 def word_pre_matrix(t, el, W, parity):

@@ -441,3 +441,26 @@ def test_uncountable_generator_count_is_a_parse_error(tmp_path):
     code, _ = run_cli("module-validate", "--space", "Z4", "--file",
                       _write_json(tmp_path, data))
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("rels", [[], [[1, -1, 0], [-1, 0, 1], [0, 1, -1]]])
+def test_a_generator_count_no_shape_matches_exits_before_allocating(tmp_path,
+                                                                   monkeypatch,
+                                                                   rels):
+    # M(1) even has 3 generators; the actions out of it are 3 columns wide
+    # and its relations have 3 rows, so a claim of 10**9 is refused before
+    # anything of that size is allocated
+    from fktor.zexact import IntMatrix
+    real = IntMatrix.zero
+
+    def zero(rows, cols):
+        if max(rows, cols) > 10 ** 6:
+            raise AssertionError(f"allocated a {rows}x{cols} zero matrix")
+        return real(rows, cols)
+
+    monkeypatch.setattr(IntMatrix, "zero", staticmethod(zero))
+    data = json.loads(json.dumps(M_EXAMPLE))
+    data["entries"]["1"]["even"] = {"gens": 10 ** 9, "rels": rels}
+    code, _ = run_cli("module-validate", "--space", "Z4", "--file",
+                      _write_json(tmp_path, data))
+    assert code == EXIT_PARSE

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from conftest import random_block_graph, reference_six_term_nodes, reference_tor_nodes
+from conftest import (random_block_graph, reference_six_term_nodes, reference_tor_nodes,
+                      word_action, z1_right_module_with_i_acting_by_one)
 
 from fktor.finspace import (FiniteSpace, builtin_space, point_space,
                             space_from_json, space_to_json)
@@ -157,10 +158,33 @@ def test_check_exact_of_an_exact_module_factors_only_kernels(monkeypatch):
     monkeypatch.setattr(Presentation, "normal_form",
                         lambda P: normal_forms.append(P) or real_nf(P))
     assert check_exact(M).ok
-    # every node is exact: each homology factors [g | relations] of its
-    # outgoing map once, and no cycle basis, quotient or target presentation
-    assert callers and set(callers) == {"subquotient_homology"}
+    # every node is exact: the cycle lattices come from echelons, and no
+    # kernel, cycle basis, quotient or target presentation is factored
+    assert callers == []
     assert normal_forms == []
+
+
+def _words(sc, length):
+    """Every composable word of at most `length` generators, with its ends."""
+    words = frontier = [((), Y, Y) for Y in sc.objects]
+    for _ in range(length):
+        frontier = [(w + (a.name,), s, a.dst) for w, s, d in frontier
+                    for a in sc.presentation.by_src.get(d, ())]
+        words = words + frontier
+    return words
+
+
+@pytest.mark.parametrize("module", [lambda: fk_module(ck_z3()),
+                                    z1_right_module_with_i_acting_by_one])
+def test_action_word_equals_the_uncached_loop(module):
+    M = module()
+    words = _words(M.category, 3)
+    assert len({len(w) for w, _, _ in words}) == 4
+    # longest first, so that shorter words come out of the cache
+    for w, s, d in reversed(words):
+        hom = M.action_word(w, s, d)
+        assert hom == word_action(M, w, s, d)
+        assert M.action_word(w, s, d) is hom
 
 
 def _node_key(f, g):

@@ -10,6 +10,7 @@ from conftest import HAND_ARROWS, word_post_matrix, word_pre_matrix
 
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, builtin_space,
                             is_accordion_union)
+import fktor.finspace as finspace
 import fktor.ntcat as ntcat
 from fktor.ntcat import (
     Arrow, CatPresentation, CategoryError, Designator, Element,
@@ -46,6 +47,17 @@ def test_builtin_object_counts():
 def test_derived_arrows_equal_hand_quivers(name):
     hand = sorted(HAND_ARROWS[name](), key=lambda a: a.name)
     assert derive_arrows(builtin_space(name)) == hand
+
+
+def test_derive_arrows_lists_lc_star_once(monkeypatch):
+    calls = []
+    real = finspace.lc_subsets
+    for module in (finspace, ntcat):
+        monkeypatch.setattr(module, "lc_subsets",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+    # 129 candidates for Z4, each tried on its own Designator
+    assert len(derive_arrows(builtin_space("Z4"))) == 40
+    assert len(calls) == 1
 
 
 def chain():

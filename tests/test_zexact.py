@@ -12,6 +12,7 @@ from fktor.zexact import (
     solve_columns, subquotient_homology,
 )
 import fktor.zexact as zexact
+from conftest import smith_cycles, smith_kernel
 
 PROPS = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -580,6 +581,38 @@ def test_homology_keeps_the_smith_form_of_its_cycles(monkeypatch):
 
 
 @st.composite
+def lattice_matrices(draw, rows=None, cols=None):
+    """Matrices of up to 6 rows and columns (either may be 0) that are all
+    zero, sparse or dense."""
+    m = draw(st.integers(0, 6)) if rows is None else rows
+    n = draw(st.integers(0, 6)) if cols is None else cols
+    entry = draw(st.sampled_from((st.just(0), st.sampled_from((0, 0, 0, 1, -1, 2, -3)),
+                                  st.integers(-6, 6))))
+    return IntMatrix([[draw(entry) for _ in range(n)] for _ in range(m)], m, n)
+
+
+def assert_hermite(H):
+    """Column echelon form with positive pivots and every entry beside a
+    pivot reduced into [0, pivot): the defining shape of the Hermite form."""
+    pivots = []
+    for j, col in enumerate(H.columns()):
+        p = next(i for i, x in enumerate(col) if x)
+        assert col[p] > 0 and (not pivots or p > pivots[-1])
+        pivots.append(p)
+        assert all(0 <= H[p, i] < col[p] for i in range(j))
+
+
+@PROPS
+@given(lattice_matrices())
+def test_kernel_matches_the_smith_oracle(A):
+    K = kernel(A)
+    assert K == smith_kernel(A)
+    assert (A * K).is_zero()
+    assert_hermite(K)
+    assert_hermite(hnf_columns(A))
+
+
+@st.composite
 def homology_pairs(draw):
     """Composable f: A -> B, g: B -> C with g∘f = 0, relations on all three
     groups, B possibly empty.  The relations of B and the columns of f are
@@ -593,7 +626,7 @@ def homology_pairs(draw):
 
     RC = mat(c, draw(st.integers(0, 2)))
     gm = mat(c, b)
-    K = kernel(gm.hstack(RC))
+    K = smith_kernel(gm.hstack(RC))
     cyc = K.submatrix(range(b), range(K.cols))
     trivial = draw(st.booleans())
     rb = mat(cyc.cols, draw(st.integers(0, 2)))
@@ -606,11 +639,22 @@ def homology_pairs(draw):
 
 
 def reference_cycle_basis(g):
-    """The Hermite basis of the cycles of g: the kernel lattice of
-    [g | relations of C], put in Hermite form, projected to the generators
-    of the middle group and put in Hermite form again."""
-    K = kernel(g.matrix.hstack(g.target.relations))
-    return hnf_columns(K.submatrix(range(g.source.generators), range(K.cols)))
+    """The Hermite basis of the cycles of g, read off a Smith form."""
+    return smith_cycles(g.matrix, g.target.relations)
+
+
+@st.composite
+def wide_homology_pairs(draw):
+    """f: A -> B, g: B -> C with g∘f = 0, all three groups of up to 6
+    generators with relations, the matrices zero, sparse or dense.  The
+    relations of B and the columns of f are combinations of cycles."""
+    g = draw(lattice_matrices())
+    RC = draw(lattice_matrices(rows=g.rows))
+    cyc = smith_cycles(g, RC)
+    F = draw(lattice_matrices(rows=cyc.cols))
+    A = Presentation(F.cols, draw(lattice_matrices(rows=F.cols)))
+    B = Presentation(g.cols, cyc * draw(lattice_matrices(rows=cyc.cols)))
+    return GroupHom(A, B, cyc * F), GroupHom(B, Presentation(g.rows, RC), g)
 
 
 def _smith_homology(f, g):
@@ -634,6 +678,15 @@ def test_homology_matches_the_smith_path(pair):
         assert len(cls) == res.group.rank + len(res.group.torsion)
         if res.group.is_trivial():
             assert cls == ()
+
+
+@PROPS
+@given(wide_homology_pairs())
+def test_homology_matches_the_smith_oracle(pair):
+    f, g = pair
+    res = subquotient_homology(f, g)
+    assert res.lattice_basis == reference_cycle_basis(g)
+    assert res.group == _smith_homology(f, g)
 
 
 @PROPS
@@ -692,16 +745,17 @@ def test_homology_factors_only_nonzero_homology(monkeypatch):
     B = Presentation.free(2)
     C = Presentation(1, M([[3]]))
     g = GroupHom(B, C, M([[3, 0]]))
-    # exact: the boundaries 2e1 + e2, e1 + e2 span the cycles Z^2; only the
-    # kernel of g is factored, not even C for the g∘f = 0 check
+    # exact: the boundaries 2e1 + e2, e1 + e2 span the cycles Z^2; the
+    # cycles come from an echelon, and nothing is factored, not even C for
+    # the g∘f = 0 check
     res = subquotient_homology(GroupHom(B, B, M([[2, 1], [1, 1]])), g)
     assert res.group.is_trivial()
-    assert len(calls) == 1
-    # not exact: C, the cycle basis and the quotient are factored too
+    assert len(calls) == 0
+    # not exact: C, the cycle basis and the quotient are factored
     calls.clear()
     assert subquotient_homology(GroupHom(B, B, M([[2, 0], [0, 4]])), g).group == \
         AbGroupNF(0, (2, 4))
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_homology_sign_flip_invariance():
