@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space,
-                       label, lc_subsets)
+                       label, lc_subsets, space_from_json, space_to_json)
 from .zexact import Echelon, IntMatrix, ZExactError, smith, solve_columns
 
 
@@ -167,8 +167,12 @@ class CatPresentation:
     # -- JSON schema ---------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The presentation as JSON.  A space with a builtin's points and
+        opens is written as that builtin's name, any other as the object
+        `space_to_json` gives."""
+        name = builtin_name(self.space)
         return {
-            "space": self.space.name,
+            "space": name if name is not None else space_to_json(self.space),
             "objects": list(self.objects),
             "arrows": [{"name": a.name, "src": a.src, "dst": a.dst,
                         "parity": a.parity, "kind": a.kind}
@@ -183,7 +187,9 @@ class CatPresentation:
         if isinstance(data, str):
             data = json.loads(data)
         if space is None:
-            space = builtin_space(data["space"])
+            given = data["space"]
+            space = space_from_json(given if isinstance(given, dict)
+                                    else {"builtin": given})
         arrows = [Arrow(a["name"], a["src"], a["dst"], a["parity"], a["kind"])
                   for a in data["arrows"]]
         rels = [{tuple(t["path"]): t["coeff"] for t in r} for r in data["relations"]]
@@ -931,7 +937,7 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
             raise InconsistentRelationError(
                 f"parallel paths with torsion in Hom({key[0]}, {key[1]})")
         rank = n - t
-        P = sf.U.submatrix(range(t, n), range(n))
+        P = sf.u_rows(t, n)
         table.rank[key] = rank
         proj[key] = P
         if rank:

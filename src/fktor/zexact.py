@@ -8,8 +8,9 @@ explicit unimodular transforms.  No floats anywhere.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
+from functools import cached_property
 from operator import add, itemgetter, mul, neg
 from typing import Dict, Iterable, Optional, Sequence
 
@@ -236,41 +237,110 @@ def block_diag(blocks: Sequence[Optional[IntMatrix]],
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _nonzeros(vec: Sequence[int]) -> dict:
+    """The nonzero entries {index: value} of a dense list or tuple.
+
+    Each nonzero is found by `index` from just past the one before it: the
+    entries in between are zero, so the first match is that nonzero.  The
+    zeros are skipped by `filter` and `index`, and Python code runs once
+    per nonzero."""
+    out = {}
+    i = -1
+    for x in filter(None, vec):
+        i = vec.index(x, i + 1)
+        out[i] = x
+    return out
+
+
+def _dense_rows(rows, width: int) -> tuple:
+    """The dense rows, `width` wide, of {column: nonzero} rows."""
+    out = []
+    for r in rows:
+        line = [0] * width
+        for j, x in r.items():
+            line[j] = x
+        out.append(tuple(line))
+    return tuple(out)
+
+
+def _add_scaled(dst: dict, src: dict, q: int) -> None:
+    """dst += q * src on {index: nonzero} rows, for a nonzero q."""
+    for j, x in src.items():
+        y = dst.get(j, 0) + q * x
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
+
+
 class SmithForm:
-    """U * A * V = S with U, V unimodular and S diagonal, d1 | d2 | ..."""
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
+    """U * A * V = S with U, V unimodular and S diagonal, d1 | d2 | ...
+
+    `rows` and `cols` are the shape of A.  `smith` hands over sparse rows: the rows of U and of V transposed (the
+    columns of V), each a {column: nonzero} dict, and the diagonal of S.
+    `solve`, `solve_columns`, `u_rows` and `Presentation.class_vector` work
+    on those rows.  The dense `U`, `S` and `V` are built when first read and
+    then kept, so a second read returns the same matrix."""
+
+    def __init__(self, rows: int, cols: int, u_rows: list, diag: list,
+                 vt_rows: list):
+        self.rows, self.cols = rows, cols
+        self._u, self._diag, self._vt = u_rows, diag, vt_rows
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return IntMatrix._of(_dense_rows(self._u, self.rows), self.rows, self.rows)
+
+    @cached_property
+    def S(self) -> IntMatrix:
+        rows = [{i: d} for i, d in enumerate(self._diag)]
+        rows += [{}] * (self.rows - len(rows))
+        return IntMatrix._of(_dense_rows(rows, self.cols), self.rows, self.cols)
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        n = self.cols
+        return IntMatrix._of(tuple(zip(*_dense_rows(self._vt, n))), n, n)
+
+    def u_rows(self, start: int, stop: int) -> IntMatrix:
+        """Rows start..stop-1 of U, without building the rest of U."""
+        return IntMatrix._of(_dense_rows(self._u[start:stop], self.rows),
+                             stop - start, self.rows)
+
+    def _u_dot(self, i: int, v: Sequence[int]) -> int:
+        """Entry i of U v."""
+        return sum([x * v[j] for j, x in self._u[i].items()])
 
     def diagonal(self) -> list:
-        return [self.S.data[i][i] for i in range(min(self.S.rows, self.S.cols))]
+        return list(self._diag)
 
     def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
+        return sum(1 for d in self._diag if d != 0)
 
     def solve(self, b: Sequence[int]) -> Optional[tuple]:
         """One integer solution x of A x = b for the factored A, or None."""
-        if len(b) != self.U.rows:
+        if len(b) != self.rows:
             raise ZExactError("rhs length mismatch")
-        c = self.U.apply(b)
-        y = [0] * self.V.rows
-        diag = self.diagonal()
-        for i in range(self.U.rows):
+        diag, vt = self._diag, self._vt
+        x = [0] * self.cols
+        for i in range(self.rows):
+            c = self._u_dot(i, b)
             d = diag[i] if i < len(diag) else 0
             if d == 0:
-                if c[i] != 0:
+                if c != 0:
                     return None
-            else:
-                if c[i] % d != 0:
-                    return None
-                y[i] = c[i] // d
-        return self.V.apply(y)
+            elif c % d != 0:
+                return None
+            elif c:
+                y = c // d
+                for j, q in vt[i].items():
+                    x[j] += y * q
+        return tuple(x)
 
     def solve_columns(self, B: IntMatrix) -> Optional[IntMatrix]:
         """Integer X with A X = B for the factored A, or None if some
         column of B is not in the column lattice of A."""
-        if B.rows != self.U.rows:
+        if B.rows != self.rows:
             raise ZExactError("rhs row count mismatch")
         cols = []
         for j in range(B.cols):
@@ -278,145 +348,167 @@ class SmithForm:
             if x is None:
                 return None
             cols.append(x)
-        return IntMatrix.from_columns(cols, self.V.rows)
+        return IntMatrix.from_columns(cols, self.cols)
 
 
 def smith(A: IntMatrix) -> SmithForm:
-    """Smith normal form with transforms.
+    """Smith normal form with transforms, on sparse rows.
 
-    Pivots are chosen with minimal absolute value to keep intermediate
-    entries small; divisibility of the diagonal is enforced at the end.
-    V is kept transposed while it is built, so that a column operation on
-    it is a row operation on VT.
+    M, U and V transposed are lists of {column: nonzero} rows, and the
+    column index `at[j]` is the set of rows of M with a nonzero in column j,
+    so a row or column operation touches only nonzero entries and no step
+    scans a dense row or column.  The pivot at step k is the nonzero of
+    least absolute value in the trailing block, the first one in row-major
+    order; the search stops at the first row holding a unit.  Rows below the
+    pivot are reduced by it, then the columns right of it; a remainder
+    smaller than the pivot becomes the pivot.  The diagonal is made
+    nonnegative and d_i | d_{i+1} is enforced at the end.  V is kept
+    transposed, so that a column operation on it is a row operation on VT.
     """
     m, n = A.rows, A.cols
-    M = [list(row) for row in A.data]
-    U = [[0] * m for _ in range(m)]
-    for i in range(m):
-        U[i][i] = 1
-    VT = [[0] * n for _ in range(n)]
-    for i in range(n):
-        VT[i][i] = 1
+    M = [_nonzeros(row) for row in A.data]
+    U = [{i: 1} for i in range(m)]
+    VT = [{j: 1} for j in range(n)]
+    at = defaultdict(set)
+    for i, row in enumerate(M):
+        for j in row:
+            at[j].add(i)
 
     def swap_rows(i, j):
         if i != j:
-            M[i], M[j] = M[j], M[i]
+            Mi, Mj = M[i], M[j]
+            for c in Mi.keys() - Mj.keys():
+                s = at[c]
+                s.discard(i)
+                s.add(j)
+            for c in Mj.keys() - Mi.keys():
+                s = at[c]
+                s.discard(j)
+                s.add(i)
+            M[i], M[j] = Mj, Mi
             U[i], U[j] = U[j], U[i]
 
     def swap_cols(k, j):
-        # rows above k are zero in columns k and j (main-loop invariant)
         if k != j:
-            for r in M[k:]:
-                r[k], r[j] = r[j], r[k]
+            for r in at[k] | at[j]:
+                row = M[r]
+                a, b = row.pop(k, 0), row.pop(j, 0)
+                if b:
+                    row[k] = b
+                if a:
+                    row[j] = a
+            at[k], at[j] = at[j], at[k]
             VT[k], VT[j] = VT[j], VT[k]
-
-    # Row and column operations visit only the nonzero entries of the
-    # source row; the rows of M, U and VT stay sparse in practice.
-    all_cols, all_rows = range(n), range(m)
 
     def add_row(src, dst, q):
         # row[dst] += q*row[src]
-        Ms, Md = M[src], M[dst]
-        for j in compress(all_cols, Ms):
-            Md[j] += q * Ms[j]
-        Us, Ud = U[src], U[dst]
-        for j in compress(all_rows, Us):
-            Ud[j] += q * Us[j]
-
-    def add_col_v(src, dst, q):
-        Vs, Vd = VT[src], VT[dst]
-        for j in compress(all_cols, Vs):
-            Vd[j] += q * Vs[j]
+        Md = M[dst]
+        for j, x in M[src].items():
+            y = Md.pop(j, 0) + q * x
+            if y:
+                Md[j] = y
+                at[j].add(dst)
+            else:
+                at[j].discard(dst)
+        _add_scaled(U[dst], U[src], q)
 
     def add_col(src, dst, q):
-        for r in M:
-            if r[src]:
-                r[dst] += q * r[src]
-        add_col_v(src, dst, q)
+        # column[dst] += q*column[src]
+        for r in at[src]:
+            row = M[r]
+            y = row.pop(dst, 0) + q * row[src]
+            if y:
+                row[dst] = y
+                at[dst].add(r)
+            else:
+                at[dst].discard(r)
+        _add_scaled(VT[dst], VT[src], q)
 
     def negate_row(i):
-        M[i] = list(map(neg, M[i]))
-        U[i] = list(map(neg, U[i]))
+        M[i] = {j: -x for j, x in M[i].items()}
+        U[i] = {j: -x for j, x in U[i].items()}
 
     # Invariant of the main loop: rows and columns before k are zero off the
-    # diagonal, so column operations at step k only meet rows k and below.
+    # diagonal, so the rows from k on hold entries in columns k and later
+    # only, and column operations at step k only meet rows k and below.
     k = 0
     limit = min(m, n)
     while k < limit:
-        # minimal-absolute-value nonzero pivot in the trailing block, the
-        # first one in row-major order
-        piv = None
-        best = 0
+        best, piv = 0, None
         for i in range(k, m):
-            a = list(map(abs, M[i][k:]))
-            v = min(filter(None, a), default=0)
-            if v and (not best or v < best):
-                best, piv = v, (i, k + a.index(v))
-                if v == 1:
-                    break
+            row = M[i]
+            if row:
+                v = min(map(abs, row.values()))
+                if not best or v < best:
+                    best, piv = v, i
+                    if v == 1:
+                        break
         if piv is None:
             break
-        swap_rows(k, piv[0])
-        swap_cols(k, piv[1])
-        below = range(k + 1, m)
-        right = range(k + 1, n)
-        at_k = itemgetter(k)
+        swap_rows(k, piv)
+        swap_cols(k, min(j for j, x in M[k].items() if abs(x) == best))
         while True:
-            pending = list(compress(below, map(at_k, M[k + 1:])))
+            Mk = M[k]
+            d = Mk[k]
+            pending = sorted(at[k])
+            pending.remove(k)
             for i in pending:
-                add_row(k, i, -(M[i][k] // M[k][k]))
-            pending = [i for i in pending if M[i][k]]
+                q = -(M[i][k] // d)
+                if q:
+                    add_row(k, i, q)
+            pending = [i for i in pending if k in M[i]]
             if pending:
                 # remainder smaller than pivot; promote it
-                i = min(pending, key=lambda r: abs(M[r][k]))
-                swap_rows(k, i)
+                swap_rows(k, min(pending, key=lambda r: abs(M[r][k])))
                 continue
             # column k is now zero below the pivot: a column operation
             # from it changes row k of M only
-            Mk = M[k]
-            d = Mk[k]
-            for j in list(compress(right, Mk[k + 1:])):
+            for j in [j for j in Mk if j != k]:
                 q = -(Mk[j] // d)
-                Mk[j] += q * d
-                add_col_v(k, j, q)
-            pending = list(compress(right, Mk[k + 1:]))
-            if pending:
-                j = min(pending, key=lambda c: abs(Mk[c]))
-                swap_cols(k, j)
+                if q:
+                    y = Mk[j] + q * d
+                    if y:
+                        Mk[j] = y
+                    else:
+                        del Mk[j]
+                        at[j].discard(k)
+                    _add_scaled(VT[j], VT[k], q)
+            if len(Mk) > 1:
+                swap_cols(k, min((j for j in Mk if j != k),
+                                 key=lambda c: (abs(Mk[c]), c)))
                 continue
             break
         k += 1
 
     # nonnegative diagonal
     for i in range(limit):
-        if M[i][i] < 0:
+        if M[i].get(i, 0) < 0:
             negate_row(i)
     # enforce divisibility d_i | d_{i+1}
     changed = True
     while changed:
         changed = False
         for i in range(limit - 1):
-            a, b = M[i][i], M[i + 1][i + 1]
+            a, b = M[i].get(i, 0), M[i + 1].get(i + 1, 0)
             if a and b % a != 0:
                 # fold the next pivot into position i and rediagonalise 2x2
                 add_col(i + 1, i, 1)
                 # now column i has entries a (row i) and b (row i+1)
-                while M[i + 1][i]:
-                    if abs(M[i][i]) >= abs(M[i + 1][i]):
+                while M[i + 1].get(i):
+                    if abs(M[i].get(i, 0)) >= abs(M[i + 1][i]):
                         add_row(i + 1, i, -(M[i][i] // M[i + 1][i]))
                     swap_rows(i, i + 1)
                 # clear the fill-in in row i / column i+1
-                if M[i][i]:
-                    add_col(i, i + 1, -(M[i][i + 1] // M[i][i]))
-                if M[i][i] < 0:
+                if M[i].get(i):
+                    q = -(M[i].get(i + 1, 0) // M[i][i])
+                    if q:
+                        add_col(i, i + 1, q)
+                if M[i].get(i, 0) < 0:
                     negate_row(i)
-                if M[i + 1][i + 1] < 0:
+                if M[i + 1].get(i + 1, 0) < 0:
                     negate_row(i + 1)
                 changed = True
-    V = tuple(zip(*VT)) if n else ()
-    return SmithForm(IntMatrix._of(tuple(map(tuple, U)), m, m),
-                     IntMatrix._of(tuple(map(tuple, M)), m, n),
-                     IntMatrix._of(V, n, n))
+    return SmithForm(m, n, U, [M[i].get(i, 0) for i in range(limit)], VT)
 
 
 def kernel(A: IntMatrix) -> IntMatrix:
@@ -437,11 +529,6 @@ def solve_columns(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     if B.cols == 0:
         return IntMatrix.zero(A.cols, 0)
     return smith(A).solve_columns(B)
-
-
-def _nonzeros(vec) -> dict:
-    """The nonzero entries {index: value} of a dense vector."""
-    return dict(filter(itemgetter(1), enumerate(vec)))
 
 
 class Echelon:
@@ -659,16 +746,15 @@ class Presentation:
         if len(v) != self.generators:
             raise ZExactError("vector length mismatch")
         sf = self._smith()
-        y = sf.U.apply(v)
         diag = sf.diagonal()
         tors = []
         free = []
         for i in range(self.generators):
             d = diag[i] if i < len(diag) else 0
             if d == 0:
-                free.append(y[i])
+                free.append(sf._u_dot(i, v))
             elif d > 1:
-                tors.append(y[i] % d)
+                tors.append(sf._u_dot(i, v) % d)
         return tuple(tors) + tuple(free)
 
     def is_zero_class(self, v: Sequence[int]) -> bool:

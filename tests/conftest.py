@@ -3,12 +3,16 @@ right module that Tor must refuse, the word-product action matrices that
 the Hom table's structure-constant matrices are tested against, the
 uncached six-term and Tor loops that check_exact and tor are tested
 against, the uncached word-action loop that GradedModule.action_word is
-tested against, the Smith-form kernels that zexact's echelon kernels are
+tested against, the dense Smith engine that zexact.smith is tested
+against and the Smith-form kernels that zexact's echelon kernels are
 tested against, and the hand-drawn generator quivers of the builtin spaces
 that ntcat.derive_arrows is tested against."""
 
 import random
 import zlib
+from itertools import compress
+from operator import itemgetter, neg
+from typing import NamedTuple
 
 from fktor.finspace import builtin_space, label, lc_subsets
 from fktor.graphk import BlockGraph
@@ -16,7 +20,7 @@ from fktor.ntcat import Arrow, builtin_category
 from fktor.ntmod import (GradedModule, TorReport, coker_module, free_module,
                          resolution_for, tensor_complex_maps)
 from fktor.zexact import (GradedGroup, GradedHom, GroupHom, IntMatrix,
-                          Presentation, block_graded_hom, hnf_columns, smith,
+                          Presentation, block_graded_hom, hnf_columns,
                           subquotient_homology)
 
 
@@ -117,17 +121,165 @@ def z1_right_module_with_i_acting_by_one():
 def smith_cycles(g, relations):
     """Reference for zexact's kernels: the Hermite basis of the lattice
     {x : g x in the column span of `relations`}, read off the V of one
-    Smith form of [g | relations] (its columns past the rank, on the rows
-    of g's source).  With no relations it is the kernel of g."""
+    dense Smith form of [g | relations] (its columns past the rank, on the
+    rows of g's source).  With no relations it is the kernel of g."""
     stacked = g.hstack(relations)
-    sf = smith(stacked)
-    cols = [sf.V.column(j)[:g.cols] for j in range(sf.rank(), stacked.cols)]
+    sf = smith_dense(stacked)
+    rank = sum(1 for i in range(min(stacked.rows, stacked.cols)) if sf.S[i, i])
+    cols = [sf.V.column(j)[:g.cols] for j in range(rank, stacked.cols)]
     return hnf_columns(IntMatrix.from_columns(cols, g.cols))
 
 
 def smith_kernel(A):
     """Reference for zexact.kernel."""
     return smith_cycles(A, IntMatrix.zero(A.rows, 0))
+
+
+class DenseSmith(NamedTuple):
+    """U * A * V = S, as smith_dense returns it."""
+    U: IntMatrix
+    S: IntMatrix
+    V: IntMatrix
+
+
+def smith_dense(A: IntMatrix) -> DenseSmith:
+    """Reference for zexact.smith: a dense Smith engine with the same pivot
+    choices and the same row and column operations, so its U, S and V must
+    equal smith's.  It scans and copies whole rows and columns.
+
+    Pivots are chosen with minimal absolute value to keep intermediate
+    entries small; divisibility of the diagonal is enforced at the end.
+    V is kept transposed while it is built, so that a column operation on
+    it is a row operation on VT.
+    """
+    m, n = A.rows, A.cols
+    M = [list(row) for row in A.data]
+    U = [[0] * m for _ in range(m)]
+    for i in range(m):
+        U[i][i] = 1
+    VT = [[0] * n for _ in range(n)]
+    for i in range(n):
+        VT[i][i] = 1
+
+    def swap_rows(i, j):
+        if i != j:
+            M[i], M[j] = M[j], M[i]
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(k, j):
+        # rows above k are zero in columns k and j (main-loop invariant)
+        if k != j:
+            for r in M[k:]:
+                r[k], r[j] = r[j], r[k]
+            VT[k], VT[j] = VT[j], VT[k]
+
+    # Row and column operations visit only the nonzero entries of the
+    # source row; the rows of M, U and VT stay sparse in practice.
+    all_cols, all_rows = range(n), range(m)
+
+    def add_row(src, dst, q):
+        # row[dst] += q*row[src]
+        Ms, Md = M[src], M[dst]
+        for j in compress(all_cols, Ms):
+            Md[j] += q * Ms[j]
+        Us, Ud = U[src], U[dst]
+        for j in compress(all_rows, Us):
+            Ud[j] += q * Us[j]
+
+    def add_col_v(src, dst, q):
+        Vs, Vd = VT[src], VT[dst]
+        for j in compress(all_cols, Vs):
+            Vd[j] += q * Vs[j]
+
+    def add_col(src, dst, q):
+        for r in M:
+            if r[src]:
+                r[dst] += q * r[src]
+        add_col_v(src, dst, q)
+
+    def negate_row(i):
+        M[i] = list(map(neg, M[i]))
+        U[i] = list(map(neg, U[i]))
+
+    # Invariant of the main loop: rows and columns before k are zero off the
+    # diagonal, so column operations at step k only meet rows k and below.
+    k = 0
+    limit = min(m, n)
+    while k < limit:
+        # minimal-absolute-value nonzero pivot in the trailing block, the
+        # first one in row-major order
+        piv = None
+        best = 0
+        for i in range(k, m):
+            a = list(map(abs, M[i][k:]))
+            v = min(filter(None, a), default=0)
+            if v and (not best or v < best):
+                best, piv = v, (i, k + a.index(v))
+                if v == 1:
+                    break
+        if piv is None:
+            break
+        swap_rows(k, piv[0])
+        swap_cols(k, piv[1])
+        below = range(k + 1, m)
+        right = range(k + 1, n)
+        at_k = itemgetter(k)
+        while True:
+            pending = list(compress(below, map(at_k, M[k + 1:])))
+            for i in pending:
+                add_row(k, i, -(M[i][k] // M[k][k]))
+            pending = [i for i in pending if M[i][k]]
+            if pending:
+                # remainder smaller than pivot; promote it
+                i = min(pending, key=lambda r: abs(M[r][k]))
+                swap_rows(k, i)
+                continue
+            # column k is now zero below the pivot: a column operation
+            # from it changes row k of M only
+            Mk = M[k]
+            d = Mk[k]
+            for j in list(compress(right, Mk[k + 1:])):
+                q = -(Mk[j] // d)
+                Mk[j] += q * d
+                add_col_v(k, j, q)
+            pending = list(compress(right, Mk[k + 1:]))
+            if pending:
+                j = min(pending, key=lambda c: abs(Mk[c]))
+                swap_cols(k, j)
+                continue
+            break
+        k += 1
+
+    # nonnegative diagonal
+    for i in range(limit):
+        if M[i][i] < 0:
+            negate_row(i)
+    # enforce divisibility d_i | d_{i+1}
+    changed = True
+    while changed:
+        changed = False
+        for i in range(limit - 1):
+            a, b = M[i][i], M[i + 1][i + 1]
+            if a and b % a != 0:
+                # fold the next pivot into position i and rediagonalise 2x2
+                add_col(i + 1, i, 1)
+                # now column i has entries a (row i) and b (row i+1)
+                while M[i + 1][i]:
+                    if abs(M[i][i]) >= abs(M[i + 1][i]):
+                        add_row(i + 1, i, -(M[i][i] // M[i + 1][i]))
+                    swap_rows(i, i + 1)
+                # clear the fill-in in row i / column i+1
+                if M[i][i]:
+                    add_col(i, i + 1, -(M[i][i + 1] // M[i][i]))
+                if M[i][i] < 0:
+                    negate_row(i)
+                if M[i + 1][i + 1] < 0:
+                    negate_row(i + 1)
+                changed = True
+    V = tuple(zip(*VT)) if n else ()
+    return DenseSmith(IntMatrix._of(tuple(map(tuple, U)), m, m),
+                      IntMatrix._of(tuple(map(tuple, M)), m, n),
+                      IntMatrix._of(V, n, n))
 
 
 def word_action(M, word, src_obj, dst_obj):

@@ -3,15 +3,18 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from functools import cached_property
 
 import pytest
 
-from conftest import HAND_ARROWS, word_post_matrix, word_pre_matrix
+from conftest import HAND_ARROWS, smith_dense, word_post_matrix, word_pre_matrix
 
-from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, builtin_space,
-                            is_accordion_union)
+from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_space,
+                            is_accordion_union, space_to_json)
 import fktor.finspace as finspace
 import fktor.ntcat as ntcat
+import fktor.zexact as zexact
 from fktor.ntcat import (
     Arrow, CatPresentation, CategoryError, Designator, Element,
     InconsistentRelationError,
@@ -21,7 +24,7 @@ from fktor.ntcat import (
     table_from_json, table_to_json,
 )
 from fktor.ntmod import CatalogueError, resolution_for
-from fktor.zexact import Echelon, IntMatrix, hnf_columns
+from fktor.zexact import Echelon, IntMatrix, Presentation, SmithForm, hnf_columns, smith
 
 
 def W(*names):
@@ -417,6 +420,72 @@ def test_table_json_round_trip():
     assert el.is_zero()
     el2 = clone.table.eval_combo("1", {("d:1>2",): 1})
     assert not el2.is_zero()
+
+
+def test_every_smith_call_of_a_fresh_z3_build_matches_the_dense_engine(monkeypatch):
+    seen = []
+
+    def checked(A):
+        sf, ref = smith(A), smith_dense(A)
+        assert (sf.U, sf.S, sf.V) == (ref.U, ref.S, ref.V)
+        seen.append((A.rows, A.cols))
+        return sf
+
+    # hom_closure factors through both names, its own and solve_columns'
+    monkeypatch.setattr(ntcat, "smith", checked)
+    monkeypatch.setattr(zexact, "smith", checked)
+    fresh = hom_closure(builtin_presentation("Z3"))
+    assert fresh.rank == cat("Z3").table.rank
+    assert len(seen) > 20 and max(map(max, seen)) >= 50
+
+
+def count_dense_reads(monkeypatch):
+    """Counts the first reads of SmithForm's lazy dense U, S and V, the
+    only places that build them."""
+    reads = Counter()
+    for name in ("U", "S", "V"):
+        def counted(sf, build=vars(SmithForm)[name].func, name=name):
+            reads[name] += 1
+            return build(sf)
+        prop = cached_property(counted)
+        prop.__set_name__(SmithForm, name)
+        monkeypatch.setattr(SmithForm, name, prop)
+    return reads
+
+
+def test_a_fresh_build_and_class_vector_build_no_dense_transform(monkeypatch):
+    reads = count_dense_reads(monkeypatch)
+    hom_closure(builtin_presentation("Z3"))
+    group = Presentation(3, IntMatrix([[2, 0], [0, 3], [4, 0]]))
+    assert str(group.normal_form()) == "Z^1 + Z/6"
+    assert group.class_vector((1, 1, 0)) == group.class_vector((3, 4, 4))
+    assert reads == Counter()
+    sf = smith(group.relations)
+    U = sf.U
+    assert sf.U is U and reads == Counter({"U": 1})
+
+
+def test_a_table_over_a_space_that_is_not_builtin_round_trips():
+    sc = space_category(chain())
+    data = json.loads(json.dumps(table_to_json(sc)))
+    assert data["presentation"]["space"] == space_to_json(chain())
+    clone = table_from_json(data)
+    assert clone.space == chain() and clone.table.rank == sc.table.rank
+    assert table_to_json(clone) == data
+    # a builtin space is written by its name, whatever the space's own name
+    Z2 = builtin_space("Z2")
+    unnamed = build_category(FiniteSpace(Z2.points, Z2.opens))
+    assert unnamed.presentation.to_json()["space"] == "Z2"
+
+
+@pytest.mark.parametrize("space", [
+    {"points": ["1"], "opens": 3}, {"points": [1], "opens": [[], [1]]},
+    {"points": ["1", "2"], "opens": [[], ["1"]]}, {"builtin": 5}, {}, None, "Q7"])
+def test_a_malformed_space_in_a_table_raises_space_error(space):
+    data = table_to_json(cat("Z1"))
+    data["presentation"]["space"] = space
+    with pytest.raises(SpaceError):
+        table_from_json(data)
 
 
 TABLES = os.path.join(os.path.dirname(ntcat.__file__), "data", "tables")

@@ -12,7 +12,7 @@ from fktor.zexact import (
     solve_columns, subquotient_homology,
 )
 import fktor.zexact as zexact
-from conftest import smith_cycles, smith_kernel
+from conftest import smith_cycles, smith_dense, smith_kernel
 
 PROPS = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -252,6 +252,56 @@ def test_smith_determinantal_divisors_need_divisibility_fix():
     # diag(2, 3) is diagonal but not in Smith form: D_1 = 1, D_2 = 6
     assert determinantal_divisors(M([[2, 0], [0, 3]])) == [1, 6]
     assert smith(M([[2, 0], [0, 3]])).diagonal() == [1, 6]
+
+
+@st.composite
+def smith_inputs(draw):
+    """Matrices of 0-8 rows and 0-8 columns, zero, sparse or dense, some
+    with zero rows and columns, some with every entry a multiple of 2, 3 or
+    6 (no unit pivot anywhere)."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = draw(st.sampled_from((st.just(0), st.sampled_from((0, 0, 0, 1, -1, 2, -3)),
+                                  st.integers(-9, 9))))
+    scale = draw(st.sampled_from((1, 1, 2, 3, 6)))
+    zero_rows = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m))
+    zero_cols = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    return IntMatrix([[0 if i in zero_rows or j in zero_cols else scale * draw(entry)
+                       for j in range(n)] for i in range(m)], m, n)
+
+
+def assert_matches_dense(A):
+    sf, ref = smith(A), smith_dense(A)
+    assert (sf.U, sf.S, sf.V) == (ref.U, ref.S, ref.V)
+    assert sf.diagonal() == [ref.S[i, i] for i in range(min(A.rows, A.cols))]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(smith_inputs())
+def test_sparse_smith_equals_the_dense_engine(A):
+    """Same pivots, same operations: U, S and V equal the dense engine's."""
+    assert_matches_dense(A)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 0], [0, 3]], [[2, 4], [6, 8]], [[0, 0, 0], [0, 4, 0]], [[6, 4], [4, 6], [0, 2]],
+    [[2, 0, 0], [0, 3, 0], [0, 0, 5]], [[0]], [[0, 0], [0, 0]]])
+def test_sparse_smith_equals_the_dense_engine_on_fix_ups(rows):
+    assert_matches_dense(M(rows))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 8), (8, 1)])
+def test_sparse_smith_equals_the_dense_engine_on_empty_and_thin_shapes(shape):
+    assert_matches_dense(IntMatrix.zero(*shape))
+    assert_matches_dense(IntMatrix([[(i + 2 * j) % 3 for j in range(shape[1])]
+                                    for i in range(shape[0])], *shape))
+
+
+def test_dense_transforms_are_built_once_on_first_read():
+    sf = smith(M([[2, 4], [6, 8]]))
+    assert "U" not in vars(sf) and "V" not in vars(sf)
+    U, V = sf.U, sf.V
+    assert sf.U is U and sf.V is V and sf.S is sf.S
+    assert sf.u_rows(1, 2) == U.submatrix([1], [0, 1])
 
 
 # ---------------------------------------------------------------------------
