@@ -327,3 +327,13 @@ def space_to_json(X: FiniteSpace) -> dict:
         "opens": [sorted(o) for o in sorted(X.opens, key=lambda s: (len(s), label(s)))],
         **({"name": X.name} if X.name else {}),
     }
+
+
+def space_ref(X: FiniteSpace):
+    """X for JSON: its builtin's name, else the `space_to_json` object."""
+    return builtin_name(X) or space_to_json(X)
+
+
+def space_from_ref(ref) -> FiniteSpace:
+    """The space `space_ref` wrote; malformed input raises SpaceError."""
+    return space_from_json(ref if isinstance(ref, dict) else {"builtin": ref})

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space,
-                       label, lc_subsets, space_from_json, space_to_json)
+                       label, lc_subsets, space_from_ref, space_ref)
 from .zexact import Echelon, IntMatrix, ZExactError, smith, solve_columns
 
 
@@ -167,12 +167,9 @@ class CatPresentation:
     # -- JSON schema ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        """The presentation as JSON.  A space with a builtin's points and
-        opens is written as that builtin's name, any other as the object
-        `space_to_json` gives."""
-        name = builtin_name(self.space)
+        """The presentation as JSON; the space as `space_ref` writes it."""
         return {
-            "space": name if name is not None else space_to_json(self.space),
+            "space": space_ref(self.space),
             "objects": list(self.objects),
             "arrows": [{"name": a.name, "src": a.src, "dst": a.dst,
                         "parity": a.parity, "kind": a.kind}
@@ -187,9 +184,7 @@ class CatPresentation:
         if isinstance(data, str):
             data = json.loads(data)
         if space is None:
-            given = data["space"]
-            space = space_from_json(given if isinstance(given, dict)
-                                    else {"builtin": given})
+            space = space_from_ref(data["space"])
         arrows = [Arrow(a["name"], a["src"], a["dst"], a["parity"], a["kind"])
                   for a in data["arrows"]]
         rels = [{tuple(t["path"]): t["coeff"] for t in r} for r in data["relations"]]
@@ -927,10 +922,8 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     proj: Dict[Tuple[str, str, int], IntMatrix] = {}
     for key, b in sorted(buckets.items()):
         lat = lattices.get(key)
-        base = lat.basis() if lat else []
         n = len(b.words)
-        R = IntMatrix.from_columns([tuple(v) for v in base], n)
-        sf = smith(R)
+        sf = smith(IntMatrix.from_sparse_columns(lat.sparse_basis() if lat else [], n))
         diag = sf.diagonal()
         t = sum(1 for d in diag if d != 0)
         if any(d not in (0, 1) for d in diag):
@@ -968,7 +961,7 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
         grew = [list(P.column(b.index[w])) for w in b.words
                 if len(w) > max_len - 2]
         ok = all(span.contains(v) for v in grew)
-        if not ok or len(span.basis()) < rank:
+        if not ok or len(span.pivots) < rank:
             raise NonStabilizedError(
                 f"Hom({key}) not spanned by short words at max_len={max_len}")
 
@@ -1093,7 +1086,7 @@ def _nil_power_step(table: HomTable, power: dict) -> dict:
             for img in (M * V).columns():
                 if any(img):
                     lat.add(list(img))
-    return {k: lat.basis() for k, lat in nxt.items() if lat.basis()}
+    return {k: lat.basis() for k, lat in nxt.items() if lat.pivots}
 
 
 def ideal_checks(table: HomTable) -> RingIdealData:

@@ -16,9 +16,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .finspace import builtin_name, label, lc_subsets
+from .finspace import builtin_name, label, lc_subsets, space_from_ref, space_ref
 from .ntcat import (Combo, Element, SpaceCategory, builtin_category,
-                    ideal_checks, nil_basis)
+                    ideal_checks, nil_basis, space_category)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
                      IntMatrix, Presentation, block_diag, block_graded_hom,
                      kernel, hnf_columns, shift as shift_group, solve,
@@ -155,7 +155,7 @@ class GradedModule:
             return {"gens": P.generators, "rels": P.relations.to_lists()}
 
         return {
-            "space": self.category.space.name,
+            "space": space_ref(self.category.space),
             "variance": self.variance,
             "entries": {o: {"even": pres_json(g.even), "odd": pres_json(g.odd)}
                         for o, g in sorted(self.entries.items())},
@@ -169,7 +169,7 @@ class GradedModule:
         if isinstance(data, str):
             data = json.loads(data)
         if category is None:
-            category = builtin_category(data["space"])
+            category = space_category(space_from_ref(data["space"]))
         variance = data.get("variance", "left")
         if variance not in ("left", "right"):
             raise ValueError(f"variance must be 'left' or 'right', not {variance!r}")

@@ -91,6 +91,15 @@ class IntMatrix:
             raise ZExactError("ragged or mis-sized columns")
         return IntMatrix._of(tuple(zip(*cols)), n, len(cols))
 
+    @staticmethod
+    def from_sparse_columns(cols: Sequence[dict], nrows: int) -> "IntMatrix":
+        """The matrix whose columns are the {row < nrows: nonzero} dicts."""
+        data = [[0] * len(cols) for _ in range(nrows)]
+        for k, col in enumerate(cols):
+            for i, x in col.items():
+                data[i][k] = x
+        return IntMatrix._of(tuple(map(tuple, data)), nrows, len(cols))
+
     # -- basic queries -----------------------------------------------------
 
     def __eq__(self, other):
@@ -534,17 +543,16 @@ def solve_columns(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
 class Echelon:
     """Mutable integer row-echelon lattice, rows over a fixed index set.
 
-    `pivots` maps each pivot column to its dense row; the rows are updated
-    and scanned only at their nonzero entries, which `_support` lists per
-    pivot column in increasing order.
+    `pivots` maps each pivot column to its row, a {column: nonzero} dict
+    whose least column is the pivot; a row holds no zero value and no
+    column outside range(n).
     """
 
-    __slots__ = ("n", "pivots", "_support")
+    __slots__ = ("n", "pivots")
 
     def __init__(self, n: int):
         self.n = n
-        self.pivots: Dict[int, list] = {}  # pivot column -> row
-        self._support: Dict[int, list] = {}  # pivot column -> nonzero columns
+        self.pivots: Dict[int, dict] = {}  # pivot column -> row
 
     def add(self, vec) -> bool:
         """Insert; returns True if the lattice grew or changed."""
@@ -553,49 +561,34 @@ class Echelon:
         return self._insert(_nonzeros(vec))
 
     def add_sparse(self, entries: Dict[int, int]) -> bool:
-        """`add` for the vector whose nonzero entries are {index: value}."""
-        return self._insert(dict(entries))
+        """`add` for the vector whose entries are {index: value}; zero
+        values are dropped."""
+        cur = {i: x for i, x in entries.items() if x}
+        if cur and not (0 <= min(cur) and max(cur) < self.n):
+            raise ZExactError("vector index out of range")
+        return self._insert(cur)
 
     def _insert(self, cur: dict) -> bool:
         # Euclid on the leading entry: reduce by the pivot row there, and if
-        # a remainder is left it becomes the pivot row and the old pivot row
-        # is reduced in turn.  `cur` holds only nonzero entries, so its
+        # a remainder is left it becomes the pivot row and the displaced
+        # row is reduced in turn.  `cur` holds only nonzero entries, so its
         # leading column is min(cur).
-        pivots, support = self.pivots, self._support
+        pivots = self.pivots
         changed = False
         while cur:
             p = min(cur)
             row = pivots.get(p)
             if row is None:
-                self._store(p, cur)
+                pivots[p] = cur
                 return True
             q = cur[p] // row[p]
             if q:
-                self._subtract(cur, p, q)
+                _add_scaled(cur, row, -q)
             if p in cur:
                 # row[p] did not divide: swap roles and continue Euclid
-                old = support[p]
-                self._store(p, cur)
-                cur = {i: row[i] for i in old}
+                pivots[p], cur = cur, row
                 changed = True
         return changed
-
-    def _subtract(self, cur: dict, p: int, q: int) -> None:
-        """cur -= q * (pivot row p), at the nonzero entries of that row."""
-        row = self.pivots[p]
-        for i in self._support[p]:
-            x = cur.get(i, 0) - q * row[i]
-            if x:
-                cur[i] = x
-            else:
-                del cur[i]
-
-    def _store(self, p: int, cur: dict) -> None:
-        row = [0] * self.n
-        for i, x in cur.items():
-            row[i] = x
-        self.pivots[p] = row
-        self._support[p] = sorted(cur)
 
     def contains(self, vec) -> bool:
         cur = _nonzeros(vec)
@@ -604,11 +597,16 @@ class Echelon:
             row = self.pivots.get(p)
             if row is None or cur[p] % row[p]:
                 return False
-            self._subtract(cur, p, cur[p] // row[p])
+            _add_scaled(cur, row, -(cur[p] // row[p]))
         return True
 
-    def basis(self) -> list:
+    def sparse_basis(self) -> list:
+        """The stored {column: nonzero} rows, in pivot order."""
         return [self.pivots[p] for p in sorted(self.pivots)]
+
+    def basis(self) -> list:
+        """The rows as dense lists, in pivot order."""
+        return [[r.get(i, 0) for i in range(self.n)] for r in self.sparse_basis()]
 
 
 def _hermite(ech: Echelon, start: int) -> IntMatrix:
@@ -619,18 +617,17 @@ def _hermite(ech: Echelon, start: int) -> IntMatrix:
     `start`.  Each is made positive at its pivot, and the entries above
     each pivot are reduced into [0, pivot); the result is unique, so equal
     lattices yield equal matrices."""
-    pivots = sorted(p for p in ech.pivots if p >= start)
-    out = [ech.pivots[p][start:] for p in pivots]
-    pivots = [p - start for p in pivots]
-    for p, r in zip(pivots, out):
-        if r[p] < 0:
-            r[:] = map(neg, r)
-    for j, (pj, rj) in enumerate(zip(pivots, out)):
-        for ri in out[:j]:
-            if ri[pj]:
-                q = ri[pj] // rj[pj]
-                ri[:] = [x - q * y for x, y in zip(ri, rj)]
-    return IntMatrix.from_columns(out, ech.n - start)
+    out = []  # (pivot, row) read from `start` on, positive at the pivot
+    for p in sorted(p for p in ech.pivots if p >= start):
+        row = ech.pivots[p]
+        s = 1 if row[p] > 0 else -1
+        out.append((p - start, {i - start: s * x for i, x in row.items()}))
+    for j, (pj, rj) in enumerate(out):
+        for _, ri in out[:j]:
+            q = ri.get(pj, 0) // rj[pj]
+            if q:
+                _add_scaled(ri, rj, -q)
+    return IntMatrix.from_sparse_columns([r for _, r in out], ech.n - start)
 
 
 def hnf_columns(A: IntMatrix) -> IntMatrix:

@@ -4,9 +4,9 @@ the Hom table's structure-constant matrices are tested against, the
 uncached six-term and Tor loops that check_exact and tor are tested
 against, the uncached word-action loop that GradedModule.action_word is
 tested against, the dense Smith engine that zexact.smith is tested
-against and the Smith-form kernels that zexact's echelon kernels are
-tested against, and the hand-drawn generator quivers of the builtin spaces
-that ntcat.derive_arrows is tested against."""
+against, the Smith-form kernels and the dense Hermite reduction that
+zexact's echelon kernels are tested against, and the hand-drawn generator
+quivers of the builtin spaces that ntcat.derive_arrows is tested against."""
 
 import random
 import zlib
@@ -280,6 +280,27 @@ def smith_dense(A: IntMatrix) -> DenseSmith:
     return DenseSmith(IntMatrix._of(tuple(map(tuple, U)), m, m),
                       IntMatrix._of(tuple(map(tuple, M)), m, n),
                       IntMatrix._of(V, n, n))
+
+
+def hermite_dense(pivots, n, start):
+    """Reference for zexact's Hermite bases: the Hermite basis of the
+    lattice spanned by the dense echelon rows `pivots` ({pivot column: row
+    of length n}) whose pivot is at `start` or later, read on the
+    coordinates from `start` on.  Each row is made positive at its pivot
+    and the entries above each pivot are reduced into [0, pivot) by
+    whole-row subtraction."""
+    pivots_at = sorted(p for p in pivots if p >= start)
+    out = [list(pivots[p][start:]) for p in pivots_at]
+    pivots_at = [p - start for p in pivots_at]
+    for p, r in zip(pivots_at, out):
+        if r[p] < 0:
+            r[:] = map(neg, r)
+    for j, (pj, rj) in enumerate(zip(pivots_at, out)):
+        for ri in out[:j]:
+            if ri[pj]:
+                q = ri[pj] // rj[pj]
+                ri[:] = [x - q * y for x, y in zip(ri, rj)]
+    return IntMatrix.from_columns(out, n - start)
 
 
 def word_action(M, word, src_obj, dst_obj):

@@ -9,10 +9,10 @@ from conftest import (random_block_graph, random_valid_module,
                       reference_check_exact, reference_tor, word_pre_matrix,
                       z1_right_module_with_i_acting_by_one)
 
-from fktor.finspace import BUILTIN_NAMES
+from fktor.finspace import BUILTIN_NAMES, FiniteSpace, SpaceError, space_to_json
 from fktor.graphk import fk_module, tor_ck
 import fktor.ntmod as ntmod
-from fktor.ntcat import Element, builtin_category, nil_basis
+from fktor.ntcat import Element, builtin_category, nil_basis, space_category
 from fktor.ntmod import (
     CatalogueError, GradedModule, ModuleError, builtin_resolution, check_exact,
     coker_module, free_module, left_complex_underlying, m_ss,
@@ -743,6 +743,20 @@ def test_module_json_round_trip():
     assert validate(clone).ok
     r1, r2 = tor(M, 1), tor(clone, 1)
     assert r1.aggregate(1) == r2.aggregate(1)
+
+
+def test_a_module_over_a_space_that_is_not_builtin_round_trips():
+    X = FiniteSpace("1234", ["", "4", "34", "234", "1234"])  # chain 1 < 2 < 3 < 4
+    sc = space_category(X)
+    M = free_module(sc, sc.objects[0])
+    data = json.loads(json.dumps(M.to_json()))
+    assert data["space"] == space_to_json(X)
+    clone = GradedModule.from_json(data)
+    assert clone.category is sc and clone.to_json() == data
+    assert free_module(cat("Z2"), "1").to_json()["space"] == "Z2"
+    for space in (None, {"builtin": 5}, {"points": ["1"]}):
+        with pytest.raises(SpaceError):
+            GradedModule.from_json({**data, "space": space})
 
 
 def test_coker_module_trivial_cases():

@@ -3,7 +3,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fktor.zexact import (
     AbGroupNF, CompositionNonZeroError, Echelon, GradedGroup, GradedHom,
@@ -12,7 +12,7 @@ from fktor.zexact import (
     solve_columns, subquotient_homology,
 )
 import fktor.zexact as zexact
-from conftest import smith_cycles, smith_dense, smith_kernel
+from conftest import hermite_dense, smith_cycles, smith_dense, smith_kernel
 
 PROPS = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -472,13 +472,64 @@ def test_sparse_echelon_matches_dense_reference(ns):
     ech, ref = Echelon(n), DenseEchelon()
     for vec in stream:
         assert ech.add(vec) == ref.add(vec)
-        assert ech.pivots == ref.pivots
+        assert_same_rows(ech, ref)
     for vec in stream[:5] + [[1] * n, [2] + [0] * (n - 1)]:
         assert ech.contains(vec) == ref.contains(vec)
     sparse = Echelon(n)
     for vec in stream:
         sparse.add_sparse({i: x for i, x in enumerate(vec) if x})
-    assert sparse.pivots == ref.pivots
+    assert_same_rows(sparse, ref)
+
+
+def assert_same_rows(ech, ref):
+    """The sparse rows of `ech` have the pivots of the DenseEchelon `ref`,
+    and each equals its dense row entry for entry."""
+    assert ech.pivots.keys() == ref.pivots.keys()
+    for p, row in ech.pivots.items():
+        assert [row.get(i, 0) for i in range(ech.n)] == ref.pivots[p]
+
+
+@PROPS
+@given(vector_streams())
+def test_stored_rows_hold_only_nonzeros_in_range(ns):
+    n, stream = ns
+    ech = Echelon(n)
+    for k, vec in enumerate(stream):
+        if k % 2:
+            ech.add(vec)
+        else:
+            ech.add_sparse(dict(enumerate(vec)))  # zero values included
+        for p, row in ech.pivots.items():
+            assert all(row.values())
+            assert min(row) == p >= 0 and max(row) < n
+    for bad in ({n: 1}, {-1: 1}, {0: 1, n + 3: -1}):
+        with pytest.raises(ZExactError):
+            ech.add_sparse(bad)
+
+
+@PROPS
+@given(vector_streams(), st.integers(0, 60))
+@example((3, [[-2, 1, 0], [0, -3, 1], [-1, 0, 2], [4, -1, -1]]), 2)
+def test_hermite_bases_match_the_dense_oracle(ns, k):
+    """hnf_columns of the stream, and kernel and _cycles of the matrix g of
+    its first k vectors (the rest as relations), equal the dense Hermite
+    reduction of a DenseEchelon holding the same vectors; kernel and
+    _cycles read it from start = g.rows on."""
+    n, stream = ns
+    ref = DenseEchelon()
+    for vec in stream:
+        ref.add(vec)
+    assert hnf_columns(IntMatrix.from_columns(stream, n)) == \
+        hermite_dense(ref.pivots, n, 0)
+    k = min(k, len(stream))
+    g, rels = IntMatrix.from_columns(stream[:k], n), stream[k:]
+    ref = DenseEchelon()
+    for j, col in enumerate(stream[:k]):
+        ref.add(list(col) + [int(i == j) for i in range(k)])
+    assert kernel(g) == hermite_dense(ref.pivots, n + k, n)
+    for rel in rels:
+        ref.add(list(rel) + [0] * k)
+    assert zexact._cycles(g, rels) == hermite_dense(ref.pivots, n + k, n)
 
 
 # ---------------------------------------------------------------------------
