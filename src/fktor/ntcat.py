@@ -677,12 +677,6 @@ def _add_scaled(acc: list, row: Sequence[int], c: int) -> None:
             acc[i] += c * v
 
 
-def _from_cols(cols: List[list], nrows: int) -> IntMatrix:
-    """The nrows x len(cols) matrix with the given columns."""
-    data = tuple(zip(*cols)) if cols else ((),) * nrows
-    return IntMatrix._of(data, nrows, len(cols))
-
-
 class HomTable:
     """Computed Hom groups with composition data.
 
@@ -804,7 +798,7 @@ class HomTable:
             if c:
                 for col, row in zip(cols, self._constants(first_key, then_key, k)):
                     _add_scaled(col, row, c)
-        return _from_cols(cols, n_out)
+        return IntMatrix.from_columns(cols, n_out)
 
     def pre_matrix(self, el: Element, W: str, parity: int) -> IntMatrix:
         """Matrix of x ↦ x∘el from NT(el.dst, W) at `parity` to
@@ -819,7 +813,7 @@ class HomTable:
                 if c:
                     _add_scaled(col, row, c)
             cols.append(col)
-        return _from_cols(cols, n_out)
+        return IntMatrix.from_columns(cols, n_out)
 
     def graded_rank(self, src, dst) -> Tuple[int, int]:
         return (self.rank.get((src, dst, 0), 0), self.rank.get((src, dst, 1), 0))
@@ -832,9 +826,16 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     """Compute the Hom table by bounded path closure.
 
     Enumerates words up to max_len, saturates the two-sided ideal generated
-    by the relations within that bound, quotients per (pair, parity), and
-    checks that ranks are already spanned by words two steps shorter.  The
-    default bound is that of the builtin equal to the space, else 10.
+    by the relations within that bound, and quotients per (pair, parity)
+    with one Smith form: its rows of U past the rank give the projection P
+    onto Z^rank, and a solve of P X = I the basis representatives.  The
+    bound is accepted when, per Hom group, the classes of the words of
+    length at most max_len - 2 span Z^rank (their echelon has a pivot ±1
+    in every coordinate) and every representative word is shorter than
+    max_len; otherwise NonStabilizedError.  Column k of the composition
+    matrix by an arrow a is then the class of rep_k·a (post) or a·rep_k
+    (pre), read off P of the target group.  The default bound is that of
+    the builtin equal to the space, else 10.
     """
     pres = presentation
     if max_len is None:
@@ -948,7 +949,10 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
         else:
             table.reps[key] = []
 
-    # verify short words span every bucket
+    # verify short words span every bucket: the columns of P span Z^rank
+    # (P X = I), so the short ones do exactly when their echelon has a
+    # pivot ±1 in every coordinate.  The composition matrices extend each
+    # representative word by one arrow, so that word must exist.
     for key, b in sorted(buckets.items()):
         rank = table.rank[key]
         if rank == 0:
@@ -958,12 +962,13 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
         for w, i in b.index.items():
             if len(w) <= max_len - 2:
                 span.add(list(P.column(i)))
-        grew = [list(P.column(b.index[w])) for w in b.words
-                if len(w) > max_len - 2]
-        ok = all(span.contains(v) for v in grew)
-        if not ok or len(span.pivots) < rank:
+        if len(span.pivots) < rank or any(
+                abs(row[p]) != 1 for p, row in span.pivots.items()):
             raise NonStabilizedError(
                 f"Hom({key}) not spanned by short words at max_len={max_len}")
+        if any(len(w) >= max_len for rep in table.reps[key] for w in rep):
+            raise NonStabilizedError(
+                f"Hom({key}) has a representative word of length max_len={max_len}")
 
     # identity coordinates
     for obj in pres.objects:
@@ -973,47 +978,29 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
         if all(x == 0 for x in table.id_coords[obj]):
             raise InconsistentRelationError(f"identity of {obj} collapsed to zero")
 
-    # pre/post composition matrices on the short-word span
-    for key, b in sorted(buckets.items()):
+    # pre/post composition matrices: column k of post by a is the class of
+    # rep_k·a, and of pre by a the class of a·rep_k
+    for key in sorted(buckets):
         src, dst, parity = key
-        rank = table.rank[key]
-        P = proj[key]
-        short = [w for w in b.words if len(w) <= max_len - 1]
-        cols_short = [P.column(b.index[w]) for w in short]
-        C_short = IntMatrix.from_columns(cols_short, rank)
-        sf_short = smith(C_short.transpose()) if rank else None
+        reps = table.reps[key]
+
+        def classes(key2, extend) -> IntMatrix:
+            rank2 = table.rank.get(key2, 0)
+            cols = []
+            for rep in reps:
+                col = [0] * rank2
+                for w, c in rep.items():
+                    _add_scaled(col, proj[key2].column(buckets[key2].index[extend(w)]), c)
+                cols.append(col)
+            return IntMatrix.from_columns(cols, rank2)
+
         for a in pres.by_src.get(dst, ()):
-            key2 = (src, a.dst, parity ^ a.parity)
-            rank2 = table.rank.get(key2, 0)
-            if rank == 0 or rank2 == 0:
-                table.post[(src, dst, parity, a.name)] = IntMatrix.zero(rank2, rank)
-                continue
-            P2 = proj[key2]
-            b2 = buckets[key2]
-            cols_app = [P2.column(b2.index[w + (a.name,)]) for w in short]
-            M = _solve_transform(sf_short, cols_app, rank2)
-            table.post[(src, dst, parity, a.name)] = M
+            table.post[key + (a.name,)] = classes(
+                (src, a.dst, parity ^ a.parity), lambda w: w + (a.name,))
         for a in pres.by_dst.get(src, ()):
-            key2 = (a.src, dst, parity ^ a.parity)
-            rank2 = table.rank.get(key2, 0)
-            if rank == 0 or rank2 == 0:
-                table.pre[(src, dst, parity, a.name)] = IntMatrix.zero(rank2, rank)
-                continue
-            P2 = proj[key2]
-            b2 = buckets[key2]
-            cols_pre = [P2.column(b2.index[(a.name,) + w]) for w in short]
-            M = _solve_transform(sf_short, cols_pre, rank2)
-            table.pre[(src, dst, parity, a.name)] = M
+            table.pre[key + (a.name,)] = classes(
+                (a.src, dst, parity ^ a.parity), lambda w: (a.name,) + w)
     return table
-
-
-def _solve_transform(sf_short, cols_target, rank2):
-    """Find integer M (rank2 x rank) with M * C_short = C_target from the
-    Smith form of C_short^T: the columns of M^T solve C_short^T X = C_target^T."""
-    X = sf_short.solve_columns(IntMatrix._of(tuple(cols_target), len(cols_target), rank2))
-    if X is None:
-        raise ZExactError("unsolvable system")
-    return X.transpose()
 
 
 # ---------------------------------------------------------------------------

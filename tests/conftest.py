@@ -5,16 +5,17 @@ uncached six-term and Tor loops that check_exact and tor are tested
 against, the uncached word-action loop that GradedModule.action_word is
 tested against, the dense Smith engine that zexact.smith is tested
 against, the Smith-form kernels and the dense Hermite reduction that
-zexact's echelon kernels are tested against, and the hand-drawn generator
-quivers of the builtin spaces that ntcat.derive_arrows is tested against."""
+zexact's echelon kernels are tested against, the hand-drawn generator
+quivers of the builtin spaces that ntcat.derive_arrows is tested against,
+and the connected T0 spaces on n points, one per homeomorphism class."""
 
 import random
 import zlib
-from itertools import compress
+from itertools import combinations, compress, permutations
 from operator import itemgetter, neg
 from typing import NamedTuple
 
-from fktor.finspace import builtin_space, label, lc_subsets
+from fktor.finspace import FiniteSpace, builtin_space, label, lc_subsets
 from fktor.graphk import BlockGraph
 from fktor.ntcat import Arrow, builtin_category
 from fktor.ntmod import (GradedModule, TorReport, coker_module, free_module,
@@ -507,3 +508,36 @@ HAND_ARROWS = {
         ("d", "123", "4"), ("d", "12", "34"), ("d", "13", "24"), ("d", "1", "234"),
     ]),
 }
+
+
+# ---------------------------------------------------------------------------
+# Finite spaces up to homeomorphism
+# ---------------------------------------------------------------------------
+
+def connected_t0_spaces(n):
+    """The connected T0 spaces on the points 1..n, one per homeomorphism
+    class, sorted by name.  A T0 space is its specialisation order, x < y
+    when every open set holding x holds y, and its opens are the up-sets.
+    Each space is named by its canonical order relation: of the labellings
+    on which x < y implies x < y as integers (every order has one, a linear
+    extension), the one whose sorted list of pairs is least (so Z3 is
+    "1<4,2<4,3<4")."""
+    pts = range(1, n + 1)
+    pairs = list(combinations(pts, 2))
+    orders = set()
+    for mask in range(1 << len(pairs)):
+        rel = [p for k, p in enumerate(pairs) if mask >> k & 1]
+        if any((x, z) not in rel for x, y in rel for y2, z in rel if y == y2):
+            continue  # not transitive
+        orders.add(min(tuple(sorted((s[x - 1], s[y - 1]) for x, y in rel))
+                       for s in permutations(pts)
+                       if all(s[x - 1] < s[y - 1] for x, y in rel)))
+    spaces = []
+    for rel in sorted(orders):
+        opens = [set(map(str, c)) for k in range(n + 1) for c in combinations(pts, k)
+                 if all(y in c for x, y in rel if x in c)]
+        X = FiniteSpace(map(str, pts), opens,
+                        name=",".join(f"{x}<{y}" for x, y in rel))
+        if X.is_connected(X.points):
+            spaces.append(X)
+    return spaces

@@ -157,6 +157,14 @@ def test_graph_k_single_subset():
     assert "4: K0 = Z^1 + Z/2, K1 = Z^1" in out
 
 
+@pytest.mark.parametrize("subset", ["99", "4x", ""])
+def test_graph_k_subset_that_names_no_points_is_a_parse_error(subset, capsys):
+    code, out = run_cli("graph-k", "--space", "Z3", "--file", "ck_z3.json",
+                        "--subset", subset)
+    assert code == EXIT_PARSE and out == ""
+    assert f"--subset {subset!r}" in capsys.readouterr().err
+
+
 def test_graph_check_text():
     code, out = run_cli("graph-check", "--space", "Z3", "--file", "ck_z3.json")
     assert code == EXIT_OK

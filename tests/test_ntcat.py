@@ -8,10 +8,11 @@ from functools import cached_property
 
 import pytest
 
-from conftest import HAND_ARROWS, smith_dense, word_post_matrix, word_pre_matrix
+from conftest import (HAND_ARROWS, connected_t0_spaces, smith_dense, word_post_matrix,
+                      word_pre_matrix)
 
-from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_space,
-                            is_accordion_union, space_to_json)
+from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_name,
+                            builtin_space, is_accordion_union, space_to_json)
 import fktor.finspace as finspace
 import fktor.ntcat as ntcat
 import fktor.zexact as zexact
@@ -24,7 +25,8 @@ from fktor.ntcat import (
     table_from_json, table_to_json,
 )
 from fktor.ntmod import CatalogueError, resolution_for
-from fktor.zexact import Echelon, IntMatrix, Presentation, SmithForm, hnf_columns, smith
+from fktor.zexact import (Echelon, IntMatrix, Presentation, SmithForm, hnf_columns, smith,
+                          solve_columns)
 
 
 def W(*names):
@@ -406,6 +408,84 @@ def test_inconsistent_relation_error():
     pres = CatPresentation(space, arrows, rels)
     with pytest.raises(InconsistentRelationError):
         hom_closure(pres)
+
+
+
+@pytest.mark.parametrize("relations", [[], [{("c",): 1, ("a", "b"): -2}]])
+def test_short_words_that_span_too_little_are_not_stabilized(relations):
+    # Hom(1, 12) is free on the classes of c and ab, or on that of ab when
+    # c = 2·ab; the only word there of length at most max_len - 2 = 1, c,
+    # spans a lattice of lower rank, or of index 2
+    arrows = [Arrow("a", "1", "2", 0, "i"), Arrow("b", "2", "12", 0, "i"),
+              Arrow("c", "1", "12", 0, "i")]
+    pres = CatPresentation(builtin_space("Z1"), arrows, relations)
+    with pytest.raises(NonStabilizedError, match=r"Hom\(\('1', '12', 0\)\) not spanned"):
+        hom_closure(pres, max_len=3)
+    assert hom_closure(pres, max_len=4).rank[("1", "12", 0)] == 2 - len(relations)
+
+
+def test_a_representative_word_as_long_as_the_bound_is_not_stabilized(monkeypatch):
+    """Composition matrices extend each representative word by one arrow,
+    so a representative holding a word of length max_len, whose extension
+    was never enumerated, raises NonStabilizedError and not KeyError."""
+    def shifted(P, B):
+        # P X = I; adding e_last - X P e_last to column 0 keeps P X = I and
+        # puts the bucket's last word, its longest, into representative 0
+        X = solve_columns(P, B)
+        last = P.cols - 1
+        v = [-x for x in X.apply(P.column(last))]
+        v[last] += 1
+        cols = X.columns()
+        cols[0] = [x + y for x, y in zip(cols[0], v)]
+        return IntMatrix.from_columns(cols, X.rows)
+
+    monkeypatch.setattr(ntcat, "solve_columns", shifted)
+    with pytest.raises(NonStabilizedError,
+                       match=r"Hom\(.*\) has a representative word of length max_len=9"):
+        hom_closure(builtin_presentation("Z2"))
+
+
+def test_a_fresh_z3_build_factors_each_bucket_once_and_each_nonzero_group_once(
+        monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append((A.rows, A.cols))
+        return smith(A)
+
+    monkeypatch.setattr(ntcat, "smith", counted)
+    monkeypatch.setattr(zexact, "smith", counted)
+    fresh = hom_closure(builtin_presentation("Z3"))
+    buckets, nonzero = len(fresh.rank), sum(1 for r in fresh.rank.values() if r)
+    assert (buckets, nonzero) == (239, 64)
+    assert len(calls) == buckets + nonzero
+
+
+def test_there_are_ten_connected_four_point_spaces():
+    spaces = connected_t0_spaces(4)
+    assert len(spaces) == 10
+    assert len(set(spaces)) == 10
+    assert {builtin_name(X) for X in spaces} == {None, "Z3", "S", "C2"}
+    assert [X.name for X in spaces if builtin_name(X) == "Z3"] == ["1<4,2<4,3<4"]
+
+
+@pytest.mark.parametrize("X", connected_t0_spaces(4), ids=lambda X: X.name)
+def test_the_tables_of_the_four_point_spaces_compose_consistently(X):
+    """Every relation evaluates to zero, every representative to its unit
+    vector, identities are neutral under compose, and column k of pre by
+    an arrow a is the class of a·rep_k evaluated through post."""
+    sc = space_category(X)
+    t, pres = sc.table, sc.presentation
+    for r in pres.relations:
+        assert t.eval_combo(pres.word_signature(next(iter(r)))[0], r).is_zero()
+    for (src, dst, parity), reps in t.reps.items():
+        for el, rep in zip(t.basis_elements(src, dst, parity), reps):
+            assert t.eval_combo(src, rep) == el
+            assert t.compose(t.identity(src), el) == el
+            assert t.compose(el, t.identity(dst)) == el
+            for a in pres.by_dst.get(src, ()):
+                prepended = t.eval_combo(a.src, combo_compose(W(a.name), rep))
+                assert t.pre[(src, dst, parity, a.name)].apply(el.vec) == prepended.vec
 
 
 # ---------------------------------------------------------------------------
