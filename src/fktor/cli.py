@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .finspace import (SpaceError, builtin_space, is_accordion_union,
+from .finspace import (SpaceError, builtin_space, is_accordion_union, label,
                        lc_subsets)
 from .graphk import (BlockGraph, GraphError, fk_module, graph_checks,
                      k_groups, s_fast_tor1, tor_ck, z3_fast_tor1)
@@ -263,7 +263,7 @@ def cmd_graph_k(args):
         raise CliParseError(
             f"--subset {args.subset!r} is not a label of points of {G.space.name}")
     sc = space_category(G.space)
-    subsets = [args.subset] if args.subset else sc.objects
+    subsets = [label(set(args.subset))] if args.subset else sc.objects
     groups = {}
     text = []
     for s in subsets:

@@ -826,9 +826,10 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     """Compute the Hom table by bounded path closure.
 
     Enumerates words up to max_len, saturates the two-sided ideal generated
-    by the relations within that bound, and quotients per (pair, parity)
-    with one Smith form: its rows of U past the rank give the projection P
-    onto Z^rank, and a solve of P X = I the basis representatives.  The
+    by the relations within that bound, and quotients per (pair, parity).
+    A bucket whose relations span Z^n is the zero group, with no Smith form;
+    any other takes one, whose rows of U past the rank give the projection
+    P onto Z^rank, and a solve of P X = I the basis representatives.  The
     bound is accepted when, per Hom group, the classes of the words of
     length at most max_len - 2 span Z^rank (their echelon has a pivot ±1
     in every coordinate) and every representative word is shorter than
@@ -924,6 +925,11 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     for key, b in sorted(buckets.items()):
         lat = lattices.get(key)
         n = len(b.words)
+        if lat is not None and lat.spans_all():
+            # the relations span Z^n: the zero group, with no Smith form
+            table.rank[key], table.reps[key] = 0, []
+            proj[key] = IntMatrix.zero(0, n)
+            continue
         sf = smith(IntMatrix.from_sparse_columns(lat.sparse_basis() if lat else [], n))
         diag = sf.diagonal()
         t = sum(1 for d in diag if d != 0)
@@ -962,8 +968,7 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
         for w, i in b.index.items():
             if len(w) <= max_len - 2:
                 span.add(list(P.column(i)))
-        if len(span.pivots) < rank or any(
-                abs(row[p]) != 1 for p, row in span.pivots.items()):
+        if not span.spans_all():
             raise NonStabilizedError(
                 f"Hom({key}) not spanned by short words at max_len={max_len}")
         if any(len(w) >= max_len for rep in table.reps[key] for w in rep):

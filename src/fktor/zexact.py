@@ -600,6 +600,11 @@ class Echelon:
             _add_scaled(cur, row, -(cur[p] // row[p]))
         return True
 
+    def spans_all(self) -> bool:
+        """True when the rows span Z^n: a pivot in every column, each ±1."""
+        return len(self.pivots) == self.n and all(
+            abs(row[p]) == 1 for p, row in self.pivots.items())
+
     def sparse_basis(self) -> list:
         """The stored {column: nonzero} rows, in pivot order."""
         return [self.pivots[p] for p in sorted(self.pivots)]

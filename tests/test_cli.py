@@ -157,6 +157,18 @@ def test_graph_k_single_subset():
     assert "4: K0 = Z^1 + Z/2, K1 = Z^1" in out
 
 
+@pytest.mark.parametrize("subset, key, groups", [
+    ("41", "14", "K0 = Z^2, K1 = Z^2"), ("44", "4", "K0 = Z^1 + Z/2, K1 = Z^1")])
+def test_graph_k_reports_a_subset_under_its_object_label(subset, key, groups):
+    code, out = run_cli("graph-k", "--space", "Z3", "--file", "ck_z3.json",
+                        "--subset", subset)
+    assert (code, out) == (EXIT_OK, f"{key}: {groups}\n")
+    code, out = run_cli("graph-k", "--space", "Z3", "--file", "ck_z3.json",
+                        "--subset", subset, "--format", "json")
+    assert code == EXIT_OK
+    assert list(json.loads(out)["k_groups"]) == [key]
+
+
 @pytest.mark.parametrize("subset", ["99", "4x", ""])
 def test_graph_k_subset_that_names_no_points_is_a_parse_error(subset, capsys):
     code, out = run_cli("graph-k", "--space", "Z3", "--file", "ck_z3.json",

@@ -406,7 +406,9 @@ def test_inconsistent_relation_error():
     rels, _ = generate_relations(space, arrows)
     rels = rels + [{("i:2>12",): 2}]  # forces 2·i = 0
     pres = CatPresentation(space, arrows, rels)
-    with pytest.raises(InconsistentRelationError):
+    # the relations of Hom(2, 12) span a full-rank lattice of diagonal
+    # [1, 2]: it is not Z^n, so it reaches the Smith form that finds the torsion
+    with pytest.raises(InconsistentRelationError, match=r"Hom\(2, 12\)"):
         hom_closure(pres)
 
 
@@ -445,20 +447,30 @@ def test_a_representative_word_as_long_as_the_bound_is_not_stabilized(monkeypatc
         hom_closure(builtin_presentation("Z2"))
 
 
-def test_a_fresh_z3_build_factors_each_bucket_once_and_each_nonzero_group_once(
+def test_a_fresh_z3_build_factors_each_nonzero_group_twice_and_no_zero_group(
         monkeypatch):
-    calls = []
+    """A bucket whose relations span Z^n is read off the echelon as the
+    zero group; each nonzero group takes one Smith form of its relations
+    (through ntcat) and one of P to solve P X = I (through zexact).  Each
+    call records the rank of its cokernel."""
+    factored, solved = [], []
 
-    def counted(A):
-        calls.append((A.rows, A.cols))
-        return smith(A)
+    def counted(calls):
+        def wrapped(A):
+            sf = smith(A)
+            calls.append(A.rows - sf.rank())
+            return sf
+        return wrapped
 
-    monkeypatch.setattr(ntcat, "smith", counted)
-    monkeypatch.setattr(zexact, "smith", counted)
+    monkeypatch.setattr(ntcat, "smith", counted(factored))
+    monkeypatch.setattr(zexact, "smith", counted(solved))
     fresh = hom_closure(builtin_presentation("Z3"))
-    buckets, nonzero = len(fresh.rank), sum(1 for r in fresh.rank.values() if r)
-    assert (buckets, nonzero) == (239, 64)
-    assert len(calls) == buckets + nonzero
+    ranks = sorted(r for r in fresh.rank.values() if r)
+    assert (len(fresh.rank), len(ranks)) == (239, 64)
+    assert len(factored) + len(solved) == 2 * 64
+    # the relation matrices factored are those of the nonzero groups only
+    assert sorted(factored) == ranks
+    assert solved == [0] * 64
 
 
 def test_there_are_ten_connected_four_point_spaces():

@@ -532,6 +532,27 @@ def test_hermite_bases_match_the_dense_oracle(ns, k):
     assert zexact._cycles(g, rels) == hermite_dense(ref.pivots, n + k, n)
 
 
+@PROPS
+@given(vector_streams(), st.integers(0, 40))
+@example((2, [[1, 0], [0, 2]]), 2)
+@example((3, [[1, 2, 3], [0, -1, 5], [0, 0, -1]]), 3)
+def test_an_echelon_spans_all_exactly_when_its_smith_diagonal_is_all_units(ns, k):
+    """The stream, then the unit vectors e_k, ..., e_(n-1): `spans_all` (a
+    pivot ±1 in every column) holds exactly when the Smith form of the
+    basis matrix has n unit diagonal entries, and then its cokernel
+    projection u_rows(n, n) is the empty 0×n matrix."""
+    n, stream = ns
+    ech = Echelon(n)
+    for vec in stream + [[int(i == j) for i in range(n)] for j in range(k, n)]:
+        ech.add(vec)
+    R = IntMatrix.from_sparse_columns(ech.sparse_basis(), n)
+    S = smith_dense(R).S
+    units = sum(1 for i in range(min(R.rows, R.cols)) if S.data[i][i] == 1)
+    assert ech.spans_all() == (units == n)
+    if ech.spans_all():
+        assert smith(R).u_rows(n, n) == IntMatrix.zero(0, n)
+
+
 # ---------------------------------------------------------------------------
 # Presentations
 # ---------------------------------------------------------------------------
