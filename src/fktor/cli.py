@@ -56,19 +56,24 @@ def _load_json_file(path: str):
     raise CliParseError(f"no such file: {path}")
 
 
+def _space_name(args) -> str:
+    """The --space name, or that of its alias --builtin; both may be given
+    only when they name the same space."""
+    space, alias = getattr(args, "space", None), getattr(args, "builtin", None)
+    if space and alias and space != alias:
+        raise CliParseError(f"--space {space} and --builtin {alias} name "
+                            "different spaces")
+    if not (space or alias):
+        raise CliParseError("a --space (or --builtin) name is required")
+    return space or alias
+
+
 def _get_space(args):
-    if getattr(args, "builtin", None):
-        return builtin_space(args.builtin)
-    if getattr(args, "space", None):
-        return builtin_space(args.space)
-    raise CliParseError("a --space (or --builtin) name is required")
+    return builtin_space(_space_name(args))
 
 
 def _get_category(args):
-    name = getattr(args, "space", None) or getattr(args, "builtin", None)
-    if not name:
-        raise CliParseError("a --space name is required")
-    return builtin_category(name)
+    return builtin_category(_space_name(args))
 
 
 def _file_data(args, kind: str, space_name: str) -> dict:

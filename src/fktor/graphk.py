@@ -17,10 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .finspace import FiniteSpace, builtin_name, builtin_space, label, lc_subsets
 from .ntcat import SpaceCategory, space_category
-from .ntmod import GradedModule, TorReport, tor
+from .ntmod import GradedModule, TorReport, sum_map, tor
 from .zexact import (AbGroupNF, GradedGroup, GradedHom, IntMatrix, Presentation,
-                     block_graded_hom, hnf_columns, kernel, shift,
-                     solve_columns, subquotient_homology)
+                     hnf_columns, kernel, solve_columns, subquotient_homology)
 
 
 class GraphError(Exception):
@@ -294,18 +293,14 @@ def _three_term(G: BlockGraph, space: str, *specs):
         raise GraphError(f"the {space} fast path needs a graph over {space}")
     M = fk_module(G)
 
-    def block(sign, name, src_shift):
-        h = M.actions[name] if sign > 0 else -M.actions[name]
-        # shift routing: as a degree-0 map of the shifted groups
-        return h.shift() if src_shift else h
-
-    def summands(objs):
-        return [shift(M.entries[o]) if e else M.entries[o] for o, e in objs]
+    def block(b):
+        if b is None:
+            return None
+        sign, name = b
+        return M.actions[name] if sign > 0 else -M.actions[name]
 
     return tuple(
-        block_graded_hom(0, summands(sources), summands(targets),
-                         [[None if b is None else block(*b, sources[j][1])
-                           for j, b in enumerate(row)] for row in blocks])
+        sum_map(M, sources, targets, [[block(b) for b in row] for row in blocks])
         for sources, targets, blocks in specs)
 
 

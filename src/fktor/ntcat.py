@@ -320,27 +320,20 @@ class Designator:
 
     # -- boundary words -------------------------------------------------------
 
-    def bnd_block(self, C: FrozenSet[str], E: FrozenSet[str],
-                  U: FrozenSet[str], Y: FrozenSet[str]) -> Combo:
-        """Block of the six-term boundary of the pair (U open in Y), from the
-        component E of Y∖U to the component C of U."""
-        comps = self.X.components(Y)
-        Yc = next(c for c in comps if C <= c)
-        if not E <= Yc:
-            return {}
-        U2 = U & Yc
-        if U2 != C:
-            # push out along the projection onto the summand A(C) of A(U)
-            return self.bnd_block(C, E, C, Yc - (U2 - C))
-        if Yc - C != E:
-            # pull back along the inclusion of the summand A(E) of A(Y∖U)
-            return self.bnd_block(C, E, C, C | E)
-        return self._bnd_pure(C, E, Yc)
-
-    def _bnd_pure(self, C, E, Z, alt=False) -> Combo:
+    def bnd(self, C: FrozenSet[str], E: FrozenSet[str], alt=False) -> Combo:
+        """The six-term boundary word from E to C.  For every pair U open in
+        Y with C a component of U and E one of Y∖U it is the boundary of
+        C ⊆ C ∪ E when C ∪ E is connected, and zero otherwise: pushing out
+        along the projection of A(U) onto A(C) and pulling back along the
+        inclusion of A(E) into A(Y∖U) turns (U, Y) into (C, C ∪ E), which
+        splits when C ∪ E is not connected.  Only connected keys are
+        memoised."""
+        Z = C | E
         key = ("bnd", C, Z)
         if not alt and key in self.memo:
             return self.memo[key]
+        if not self.X.is_connected(Z):
+            return {}
         routes = []
         g = self._gen_word("d", E, C)
         if g is not None:
@@ -352,20 +345,17 @@ class Designator:
                 Up = Zp - E
                 out: Combo = {}
                 for C0 in self.X.components(Up):
-                    term = combo_compose(self.bnd_block(C0, E, Up, Zp),
-                                         self.inc(C0, C))
-                    out = combo_add(out, term)
+                    out = combo_add(out, combo_compose(self.bnd(C0, E),
+                                                       self.inc(C0, C)))
                 return out
             routes.append(red3)
         # quotient away a relatively open piece of E
         for W in self._sorted(s for s in rel_opens if s and s <= E):
             def red5(W=W):
-                Z2 = Z - W
                 out: Combo = {}
                 for E2 in self.X.components(E - W):
-                    term = combo_compose(self.res(E, E2),
-                                         self.bnd_block(C, E2, C, Z2))
-                    out = combo_add(out, term)
+                    out = combo_add(out, combo_compose(self.res(E, E2),
+                                                       self.bnd(C, E2)))
                 return out
             routes.append(red5)
         # enlarge the ideal: realise (C, Z) as the quotient of a bigger pair
@@ -376,13 +366,12 @@ class Designator:
             if not self.X.is_open_in(Up, Yp):
                 continue
 
-            def red6(Yp=Yp, Up=Up):
+            def red6(Up=Up):
                 out: Combo = {}
                 for Cp in self.X.components(Up):
                     if C <= Cp:
-                        term = combo_compose(self.bnd_block(Cp, E, Up, Yp),
-                                             self.res(Cp, C))
-                        out = combo_add(out, term)
+                        out = combo_add(out, combo_compose(self.bnd(Cp, E),
+                                                           self.res(Cp, C)))
                 return out
             routes.append(red6)
         # grow the total space: Z relatively open in a bigger object
@@ -390,8 +379,7 @@ class Designator:
                                if Z < s and self.X.is_open_in(Z, s)):
             def red4(Zp=Zp):
                 Ep = next(c for c in self.X.components(Zp - C) if E <= c)
-                return combo_compose(self.inc(E, Ep),
-                                     self.bnd_block(C, Ep, C, Zp))
+                return combo_compose(self.inc(E, Ep), self.bnd(C, Ep))
             routes.append(red4)
         return self._run(key, routes, record_alternates=alt)
 
@@ -441,7 +429,7 @@ def generate_relations(space: FiniteSpace, arrows: Sequence[Arrow]):
         compsE = X.components(Y - U)
         incs = {C: D.inc(C, Y) for C in compsC}
         ress = {E: D.res(Y, E) for E in compsE}
-        bnds = {(E, C): D.bnd_block(C, E, U, Y) for E in compsE for C in compsC}
+        bnds = {(E, C): D.bnd(C, E) for E in compsE for C in compsC}
         for C in compsC:
             for E in compsE:
                 emit(combo_compose(incs[C], ress[E]))                     # (a)
@@ -470,18 +458,17 @@ def generate_relations(space: FiniteSpace, arrows: Sequence[Arrow]):
                     for Cp in X.components(Up):
                         if Cp <= C:
                             lhs = combo_add(lhs, combo_compose(
-                                D.bnd_block(Cp, Ep, Up, Yp), D.inc(Cp, C)))
+                                D.bnd(Cp, Ep), D.inc(Cp, C)))
                     rhs = combo_compose(D.inc(Ep, E), bnds[(E, C)])
                     emit(combo_sub(lhs, rhs))
         # (e2) quotient the ideal by a relatively open V ⊆ U
         for V in X.relative_opens(Y):
             if not V or not V < U:
                 continue
-            U2, Y2 = U - V, Y - V
-            for C2 in X.components(U2):
+            for C2 in X.components(U - V):
                 C = next(c for c in compsC if C2 <= c)
                 for E in compsE:
-                    lhs = D.bnd_block(C2, E, U2, Y2)
+                    lhs = D.bnd(C2, E)
                     rhs = combo_compose(bnds[(E, C)], D.res(C, C2))
                     emit(combo_sub(lhs, rhs))
         # (e3) cut down to a closed subspace Ycl ⊇ U
@@ -495,7 +482,7 @@ def generate_relations(space: FiniteSpace, arrows: Sequence[Arrow]):
                     for E2 in X.components(Ycl - U):
                         if E2 <= E:
                             rhs = combo_add(rhs, combo_compose(
-                                D.res(E, E2), D.bnd_block(C, E2, U, Ycl)))
+                                D.res(E, E2), D.bnd(C, E2)))
                     emit(combo_sub(bnds[(E, C)], rhs))
         # (e4) enlarge the ideal inside the same total space: for open
         # U ⊂ U2 ⊂ Y, inc∘bnd_(U,Y) = bnd_(U2,Y)∘res blockwise
@@ -513,7 +500,7 @@ def generate_relations(space: FiniteSpace, arrows: Sequence[Arrow]):
                     for E2 in X.components(Y - U2):
                         if E2 <= E:
                             rhs = combo_add(rhs, combo_compose(
-                                D.res(E, E2), D.bnd_block(C2, E2, U2, Y)))
+                                D.res(E, E2), D.bnd(C2, E2)))
                     emit(combo_sub(lhs, rhs))
 
     # (f) mixed squares: for Y relatively open and T relatively closed in a
@@ -548,7 +535,7 @@ def generate_relations(space: FiniteSpace, arrows: Sequence[Arrow]):
             elif kind == "res":
                 first = D.res(s1, s2, alt=True)
             else:
-                first = D._bnd_pure(s1, s2 - s1, s2, alt=True)
+                first = D.bnd(s1, s2 - s1, alt=True)
             alts = D.alternates.get(key, [])
         except DesignationError:
             continue
@@ -596,7 +583,7 @@ def derive_arrows(space: FiniteSpace) -> List[Arrow]:
             elif kind == "r":
                 D.res(s, t)
             else:
-                D._bnd_pure(t, s, s | t)
+                D.bnd(t, s)
         except DesignationError:
             continue
         del arrows[nm]
@@ -881,18 +868,17 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
             lat = lattices[key] = Echelon(n)
         return lat
 
-    rel_info = []
+    # relations by source object, in relation order
+    rels_from: Dict[str, list] = {}
     for r in pres.relations:
-        first = next(iter(r))
-        s, t, p = pres.word_signature(first)
-        maxw = max(len(w) for w in r)
-        rel_info.append((r, s, t, p, maxw))
+        s, t, p = pres.word_signature(next(iter(r)))
+        rels_from.setdefault(s, []).append((r, t, p, max(len(w) for w in r)))
 
     for src in pres.objects:
         queue = []
         for w, at, par in words_from[src]:
-            for r, s, t, p, maxw in rel_info:
-                if at == s and len(w) + maxw <= max_len:
+            for r, t, p, maxw in rels_from.get(at, ()):
+                if len(w) + maxw <= max_len:
                     b = bucket(src, t, par ^ p)
                     vec: Dict[int, int] = {}
                     for rw, c in r.items():

@@ -349,9 +349,7 @@ def six_term_maps(M: GradedModule, U, Y, acts: dict):
 
     `acts` is the caller's table of designated actions on M, keyed by kind
     and endpoints, so each action is built once however many pairs share
-    it.  As Y is connected, the boundary block bnd_block(C, E, U, Y) reduces
-    to _bnd_pure(C, E, C ∪ E) when C ∪ E is connected and to zero otherwise,
-    so it depends on (C, E) alone."""
+    it."""
     sc = M.category
     d = sc.designator
     compsU = sc.space.components(U)
@@ -371,7 +369,7 @@ def six_term_maps(M: GradedModule, U, Y, acts: dict):
         return act(("res", Y, E), lambda: d.res(Y, E), Y, E, 0)
 
     def bnd(C, E):
-        return act(("bnd", C, E), lambda: d.bnd_block(C, E, U, Y), E, C, 1)
+        return act(("bnd", C, E), lambda: d.bnd(C, E), E, C, 1)
 
     eU = [M.entries[label(c)] for c in compsU]
     eY = [M.entries[label(Y)]]
@@ -837,28 +835,25 @@ def _nf_from_parts(rank: int, torsions: List[int]) -> AbGroupNF:
     return AbGroupNF(rank + nf.rank, nf.torsion)
 
 
+def sum_map(M: GradedModule, sources: Sequence[Summand],
+            targets: Sequence[Summand], blocks) -> GradedHom:
+    """The degree-0 map between direct sums of shifted entries of M, whose
+    summands are (object, shift); blocks[i][j] is None or a GradedHom of M
+    from sources[j] to targets[i].  A block out of an odd summand enters as
+    its `shift()`, the same map between the shifted groups."""
+    def entries(summands):
+        return [_shifted(M.entries[obj], e) for obj, e in summands]
+
+    return block_graded_hom(0, entries(sources), entries(targets), [
+        [None if h is None else h.shift() if sources[j][1] % 2 else h
+         for j, h in enumerate(row)] for row in blocks])
+
+
 def _tensor_diff(res: FreeResolution, M: GradedModule, k: int) -> GradedHom:
     """The differential d_k⊗M from level k to level k-1."""
-    src_level = res.level(k)
-    dst_level = res.level(k - 1)
-    entries = res.diff(k)
-    sources = [_shifted(M.entries[A], e) for A, e in src_level]
-    targets = [_shifted(M.entries[B], e) for B, e in dst_level]
-    blocks = []
-    for i, (B, eB) in enumerate(dst_level):
-        row = []
-        for j, (A, eA) in enumerate(src_level):
-            el = entries[i][j]
-            if el is None:
-                row.append(None)
-            else:
-                h = M.action_element(el)
-                # shift routing: as a degree-0 map of the shifted groups
-                if eA % 2 == 1:
-                    h = h.shift()
-                row.append(h)
-        blocks.append(row)
-    return block_graded_hom(0, sources, targets, blocks)
+    return sum_map(M, res.level(k), res.level(k - 1), [
+        [None if el is None else M.action_element(el) for el in row]
+        for row in res.diff(k)])
 
 
 def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int) -> list:

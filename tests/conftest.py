@@ -369,9 +369,30 @@ def word_post_matrix(t, el, W, parity):
     return out
 
 
+def bnd_block_reference(D, C, E, U, Y, leaves=None):
+    """Reference for Designator.bnd: the block of the six-term boundary of
+    the pair (U open in Y) from the component E of Y∖U to the component C
+    of U, by the push-out/pull-back recursion over the pair.  The leaf, the
+    pair (C, Yc) with Yc ∖ C = E and Yc connected, asks D.bnd(C, E) and,
+    when `leaves` is given, appends Yc to it."""
+    Yc = next(c for c in D.X.components(Y) if C <= c)
+    if not E <= Yc:
+        return {}
+    U2 = U & Yc
+    if U2 != C:
+        # push out along the projection onto the summand A(C) of A(U)
+        return bnd_block_reference(D, C, E, C, Yc - (U2 - C), leaves)
+    if Yc - C != E:
+        # pull back along the inclusion of the summand A(E) of A(Y∖U)
+        return bnd_block_reference(D, C, E, C, C | E, leaves)
+    if leaves is not None:
+        leaves.append(Yc)
+    return D.bnd(C, E)
+
+
 def reference_six_term_maps(M, U, Y):
     """Reference for ntmod.six_term_maps: every designated action built
-    afresh from its word, the boundary block asked of the designator with
+    afresh from its word, the boundary block by bnd_block_reference with
     the pair's own U and Y."""
     sc = M.category
     d = sc.designator
@@ -381,20 +402,21 @@ def reference_six_term_maps(M, U, Y):
     def act(combo, src, dst, parity):
         return M.action_combo(combo, label(src), label(dst), parity) if combo else None
 
+    def bnd(C, E):
+        return act(bnd_block_reference(d, C, E, U, Y), E, C, 1)
+
     eU = [M.entries[label(c)] for c in compsU]
     eY = [M.entries[label(Y)]]
     eE = [M.entries[label(e)] for e in compsE]
     if M.variance == "left":
         f = block_graded_hom(0, eU, eY, [[act(d.inc(C, Y), C, Y, 0) for C in compsU]])
         g = block_graded_hom(0, eY, eE, [[act(d.res(Y, E), Y, E, 0)] for E in compsE])
-        h = block_graded_hom(1, eE, eU, [[act(d.bnd_block(C, E, U, Y), E, C, 1)
-                                          for E in compsE] for C in compsU])
+        h = block_graded_hom(1, eE, eU, [[bnd(C, E) for E in compsE] for C in compsU])
         names = (f"M({label(U)})", f"M({label(Y)})", f"M({label(Y - U)})")
     else:
         f = block_graded_hom(0, eE, eY, [[act(d.res(Y, E), Y, E, 0) for E in compsE]])
         g = block_graded_hom(0, eY, eU, [[act(d.inc(C, Y), C, Y, 0)] for C in compsU])
-        h = block_graded_hom(1, eU, eE, [[act(d.bnd_block(C, E, U, Y), E, C, 1)
-                                          for C in compsU] for E in compsE])
+        h = block_graded_hom(1, eU, eE, [[bnd(C, E) for C in compsU] for E in compsE])
         names = (f"M({label(Y - U)})", f"M({label(Y)})", f"M({label(U)})")
     return f, g, h, names
 

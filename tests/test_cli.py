@@ -221,6 +221,22 @@ def test_parse_error_unknown_space():
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("verb", ["space-info", "cat-table"])
+def test_space_and_builtin_naming_different_spaces_is_a_parse_error(verb, capsys):
+    code, out = run_cli(verb, "--space", "Z3", "--builtin", "S")
+    assert code == EXIT_PARSE and out == ""
+    err = capsys.readouterr().err
+    assert "--space Z3" in err and "--builtin S" in err
+
+
+@pytest.mark.parametrize("verb", ["space-info", "cat-table"])
+def test_space_and_builtin_naming_the_same_space(verb):
+    code, out = run_cli(verb, "--space", "Z3", "--builtin", "Z3", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["space"] == "Z3"
+    assert (code, out) == run_cli(verb, "--space", "Z3", "--format", "json")
+
+
 def test_parse_error_missing_file():
     code, _ = run_cli("graph-tor", "--space", "Z3", "--file", "nope.json")
     assert code == EXIT_PARSE

@@ -8,8 +8,8 @@ from functools import cached_property
 
 import pytest
 
-from conftest import (HAND_ARROWS, connected_t0_spaces, smith_dense, word_post_matrix,
-                      word_pre_matrix)
+from conftest import (HAND_ARROWS, bnd_block_reference, connected_t0_spaces,
+                      smith_dense, word_post_matrix, word_pre_matrix)
 
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_name,
                             builtin_space, is_accordion_union, space_to_json)
@@ -344,8 +344,7 @@ def test_trivial_category_ideal_checks():
 def test_designated_boundary_over_s_space():
     sc = cat("S")
     # boundary of the pair ({2} open in {1,2}) is r_{234}^2 ∘ d_1^{234}
-    combo = sc.designator.bnd_block(frozenset("2"), frozenset("1"),
-                                      frozenset("2"), frozenset("12"))
+    combo = sc.designator.bnd(frozenset("2"), frozenset("1"))
     assert combo == {("d:1>234", "r:234>2"): 1}
 
 
@@ -365,6 +364,28 @@ def test_designated_res_on_z3():
     assert el.dst == "1" and not el.is_zero()
 
 
+@pytest.mark.parametrize("X", [builtin_space(n) for n in BUILTIN_NAMES]
+                         + connected_t0_spaces(4), ids=lambda X: X.name)
+def test_boundary_block_recursion_reaches_bnd_of_its_two_components(X):
+    """For every open pair U ⊊ Y of nonempty locally closed sets, connected
+    or not, the push-out/pull-back recursion gives D.bnd(C, E) for every
+    component C of U and E of Y∖U, and reaches its leaf, with total space
+    C ∪ E, exactly when C ∪ E is connected; only such a word is memoised."""
+    D = Designator(X, derive_arrows(X))
+    for lc in finspace.lc_subsets(X):
+        Y = lc.value
+        for U in X.relative_opens(Y):
+            if not U or U == Y:
+                continue
+            for C in X.components(U):
+                for E in X.components(Y - U):
+                    leaves = []
+                    assert bnd_block_reference(D, C, E, U, Y, leaves) == D.bnd(C, E)
+                    connected = X.is_connected(C | E)
+                    assert leaves == ([C | E] if connected else [])
+                    assert (("bnd", C, C | E) in D.memo) == connected
+
+
 @pytest.mark.parametrize("name", ["S", "C2"])
 def test_repeated_designation_is_read_from_the_memo(name, monkeypatch):
     sc = cat(name)
@@ -375,7 +396,7 @@ def test_repeated_designation_is_read_from_the_memo(name, monkeypatch):
         for C in X.components(U):
             queries.append((D.inc, (C, Y)))
             for E in X.components(Y - U):
-                queries.append((D.bnd_block, (C, E, U, Y)))
+                queries.append((D.bnd, (C, E)))
         for E in X.components(Y - U):
             queries.append((D.res, (Y, E)))
     first = [query(*args) for query, args in queries]
