@@ -475,6 +475,7 @@ def m_ss(M: GradedModule) -> Dict[str, GradedGroup]:
 # ---------------------------------------------------------------------------
 
 Summand = Tuple[str, int]  # (object, shift)
+Slots = Dict[Tuple[str, int], List[int]]  # (W, parity) -> block sizes of a level
 
 
 class FreeResolution:
@@ -495,6 +496,8 @@ class FreeResolution:
         self.periodic = periodic
 
     def level(self, n: int) -> List[Summand]:
+        if n < 0:
+            raise ModuleError(f"a resolution has no level {n}")
         if n < len(self.levels):
             return self.levels[n]
         if not self.periodic:
@@ -504,6 +507,8 @@ class FreeResolution:
         return [(obj, (eps + 1) % 2) for obj, eps in base]
 
     def diff(self, n: int) -> List[List[Optional[Element]]]:
+        if n < 1:
+            raise ModuleError(f"a resolution has no d_{n}")
         if n - 1 < len(self.diffs):
             return self.diffs[n - 1]
         if not self.periodic:
@@ -511,16 +516,21 @@ class FreeResolution:
         _, p = self.periodic
         return self.diff(n - p)
 
-    def underlying_diff(self, n: int, W: str, parity: int) -> IntMatrix:
-        """Matrix of d_n on the underlying groups at (W, parity)."""
+    def dims(self, n: int, W: str, parity: int) -> List[int]:
+        """Block sizes of level n's underlying group at (W, parity): the rank
+        of NT(W, A) at parity + ε for each summand (A, ε)."""
         t = self.sc.table
-        src = [(A, (parity + eA) % 2) for A, eA in self.level(n)]
-        dst = [(B, (parity + eB) % 2) for B, eB in self.level(n - 1)]
+        return [t.rank.get((W, A, (parity + eA) % 2), 0) for A, eA in self.level(n)]
+
+    def underlying_diff(self, n: int, W: str, parity: int) -> IntMatrix:
+        """Matrix of d_n on the underlying groups at (W, parity).  Only
+        blocks with rows and columns are read off the Hom table."""
+        rows, cols = self.dims(n - 1, W, parity), self.dims(n, W, parity)
+        post = self.sc.table.post_matrix
         return IntMatrix.block(
-            [[None if el is None else t.post_matrix(el, W, pin)
-              for el, (_, pin) in zip(row, src)] for row in self.diff(n)],
-            [t.rank.get((W, B, pout), 0) for B, pout in dst],
-            [t.rank.get((W, A, pin), 0) for A, pin in src])
+            [[post(el, W, (parity + eA) % 2) if el is not None and r and c else None
+              for el, (_, eA), c in zip(row, self.level(n), cols)]
+             for row, r in zip(self.diff(n), rows)], rows, cols)
 
 
 def _ss_projection(sc: SpaceCategory, Y: str) -> IntMatrix:
@@ -565,7 +575,9 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
     The kernel K of the last differential is a right module.  At each
     (W, parity), in a fixed order, a kernel column becomes a generator
     exactly when it lies outside the lattice spanned by the nil part J·K
-    there (see _nil_part) and the generators already chosen there.
+    there (see _nil_part) and the generators already chosen there.  The
+    level's block sizes are read once per step, and only its nonzero
+    slots take a kernel (see _level_kernels).
 
     This needs the nil ideal J of NT* to be nilpotent (graded Nakayama).
     Every image of a generator under a nonempty word lies in J·K, so the
@@ -573,7 +585,6 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
     K = S + J^m·K = S once J^m = 0.  Every builtin table satisfies this
     (nilpotency index at most 7); it is not checked here."""
     sc = res.sc
-    t = sc.table
     levels = res.levels
     diffs = res.diffs
     order = sorted(sc.objects, key=lambda o: (len(o), o))
@@ -581,8 +592,9 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
     while len(levels) <= depth:
         n = len(diffs)  # building d_{n+1}: L_{n+1} -> L_n
         cur_level = res.level(n)
-        kernels = _level_kernels(res, n)
-        nil = _nil_part(sc, cur_level, kernels)
+        dims = {(W, p): res.dims(n, W, p) for W in order for p in (0, 1)}
+        kernels = _level_kernels(res, n, dims)
+        nil = _nil_part(sc, cur_level, dims, kernels)
         chosen: List[Tuple[str, int, tuple]] = []
         for W in order:
             for parity in (0, 1):
@@ -603,8 +615,7 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
                                                  for _ in cur_level]
         for col, (W, parity, vec) in enumerate(chosen):
             offset = 0
-            for i, (A, eA) in enumerate(cur_level):
-                r = t.rank.get((W, A, (parity + eA) % 2), 0)
+            for i, ((A, eA), r) in enumerate(zip(cur_level, dims[(W, parity)])):
                 piece = vec[offset:offset + r]
                 offset += r
                 if any(piece):
@@ -613,25 +624,28 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
         diffs.append(matrix)
 
 
-def _level_kernels(res: FreeResolution, n: int) -> Dict[Tuple[str, int], IntMatrix]:
-    """Kernel lattice of d_n (of the augmentation for n = 0) per (W, parity)."""
-    sc = res.sc
+def _level_kernels(res: FreeResolution, n: int, dims: Slots) -> Dict[Tuple[str, int], IntMatrix]:
+    """Kernel lattice of d_n (of the augmentation for n = 0) per (W, parity),
+    where dims[(W, parity)] = res.dims(n, W, parity).
+
+    Only a slot where level n and its target are both nonzero takes a
+    kernel.  The rest need none: a map out of 0 has the 0x0 basis
+    identity(0), and a map into 0 all of Z^c, Hermite basis identity(c)
+    (the augmentation's target S_Y is Z at (Y, 0) and 0 elsewhere)."""
     kernels: Dict[Tuple[str, int], IntMatrix] = {}
-    for W in sc.objects:
-        for parity in (0, 1):
-            if n == 0:
-                mat = _augmentation_matrix(sc, res.Y, W, parity)
-            else:
-                mat = res.underlying_diff(n, W, parity)
-            kernels[(W, parity)] = kernel(mat)
+    for key, cols in dims.items():
+        c = sum(cols)
+        both = c and (sum(res.dims(n - 1, *key)) if n else key == (res.Y, 0))
+        kernels[key] = (kernel(res.underlying_diff(n, *key) if n else
+                               _augmentation_matrix(res.sc, res.Y, *key))
+                        if both else IntMatrix.identity(c))
     return kernels
 
 
-def _nil_part(sc: SpaceCategory, level: List[Summand],
-              kernels: Dict[Tuple[str, int], IntMatrix]
-              ) -> Dict[Tuple[str, int], List[tuple]]:
+def _nil_part(sc: SpaceCategory, level: List[Summand], dims: Slots,
+              kernels: Dict[Tuple[str, int], IntMatrix]) -> Dict[Tuple[str, int], List[tuple]]:
     """Spanning vectors of the nil part of the kernel module K of the level
-    ⊕ Q_{A_i}[ε_i] per (W, parity).
+    ⊕ Q_{A_i}[ε_i] per (W, parity), with the level's block sizes `dims`.
 
     A nil element of NT(W, V) is a sum of nonempty words, and a word is
     w∘a for its first generator a: W -> a.dst.  So k·(w∘a) = (k·w)·a, and
@@ -639,18 +653,17 @@ def _nil_part(sc: SpaceCategory, level: List[Summand],
     is therefore spanned by the images K(a.dst)·a of the generators out of
     W; no nil element needs to act on its own.  Pre-composition by a on the
     level is one block-diagonal matrix per (arrow, parity), applied to all
-    of K(a.dst) as one product."""
+    of K(a.dst) as one product; where the level is 0 at the image's slot,
+    every image is the empty vector and nothing is built."""
     t = sc.table
     out: Dict[Tuple[str, int], List[tuple]] = {key: [] for key in kernels}
     for a in sc.presentation.arrows.values():
         for pv in (0, 1):
-            K = kernels[(a.dst, pv)]
-            if K.cols == 0:
+            K, rows = kernels[(a.dst, pv)], dims[(a.src, pv ^ a.parity)]
+            if K.cols == 0 or not sum(rows):
                 continue
-            pins = [(A, (pv + eA) % 2) for A, eA in level]
-            act = block_diag([t.pre.get((a.dst, A, pin, a.name)) for A, pin in pins],
-                             [t.rank.get((a.src, A, pin ^ a.parity), 0) for A, pin in pins],
-                             [t.rank.get((a.dst, A, pin), 0) for A, pin in pins])
+            act = block_diag([t.pre.get((a.dst, A, (pv + eA) % 2, a.name)) for A, eA in level],
+                             rows, dims[(a.dst, pv)])
             out[(a.src, pv ^ a.parity)] += [img for img in (act * K).columns() if any(img)]
     return out
 

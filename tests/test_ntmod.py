@@ -286,8 +286,9 @@ def test_nil_part_from_generator_images(name):
                 continue
             for n in range(6):
                 level = res.level(n)
-                kernels = ntmod._level_kernels(res, n)
-                fast = ntmod._nil_part(sc, level, kernels)
+                dims = {(W, p): res.dims(n, W, p) for W in sc.objects for p in (0, 1)}
+                kernels = ntmod._level_kernels(res, n, dims)
+                fast = ntmod._nil_part(sc, level, dims, kernels)
                 ref = _nil_part_per_element(sc, level, kernels)
                 for key, K in kernels.items():
                     assert hnf_columns(IntMatrix.from_columns(fast[key], K.rows)) == \
@@ -430,6 +431,72 @@ def test_engine_resolutions_are_pinned():
     assert len(runs) == 65
     text = json.dumps(runs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == ENGINE_DIGEST_DEPTH_5
+
+
+def test_level_and_diff_refuse_indices_below_the_resolution():
+    """level(n) for n < 0 and diff(n) for n < 1 name no level: they raise
+    instead of reading from the end of the lists, so underlying_diff(0, ...)
+    cannot lay the top differential out against level 0.  A level not yet
+    built is still a CatalogueError."""
+    sc = cat("Z3")
+    res = resolve_simple(sc, "14", 2)
+    for call in (lambda: res.level(-1), lambda: res.diff(0), lambda: res.diff(-1),
+                 lambda: res.underlying_diff(0, "14", 0)):
+        with pytest.raises(ModuleError, match="a resolution has no") as info:
+            call()
+        assert not isinstance(info.value, CatalogueError)
+    with pytest.raises(CatalogueError, match="not built to level 3"):
+        res.level(3)
+    with pytest.raises(CatalogueError, match="has no d_3"):
+        res.diff(3)
+
+
+def test_kernels_of_maps_out_of_and_into_zero():
+    """The two kernels the resolution engine takes without computing them:
+    a map into 0 has all of Z^c (Hermite basis: the identity), a map out
+    of 0 the 0x0 basis."""
+    for n in range(5):
+        assert ntmod.kernel(IntMatrix.zero(0, n)) == IntMatrix.identity(n)
+        assert ntmod.kernel(IntMatrix.zero(n, 0)) == IntMatrix.zero(0, 0)
+
+
+def test_resolution_work_only_on_nonzero_slots(monkeypatch):
+    """Building the Z4 resolutions to depth 5 takes one kernel per
+    (level, W, parity) slot where the level and its target are both
+    nonzero, and reads no post-composition block whose source or target
+    group is 0."""
+    sc = cat("Z4")
+    t = sc.table
+    shapes, posts = [], []
+    real_kernel, real_post = ntmod.kernel, type(t).post_matrix
+
+    def counted_kernel(A):
+        shapes.append((A.rows, A.cols))
+        return real_kernel(A)
+
+    def counted_post(table, el, W, parity):
+        posts.append((t.rank.get((W, el.src, parity), 0),
+                      t.rank.get((W, el.dst, parity ^ el.parity), 0)))
+        return real_post(table, el, W, parity)
+
+    monkeypatch.setattr(ntmod, "kernel", counted_kernel)
+    monkeypatch.setattr(type(t), "post_matrix", counted_post)
+
+    def size(level, W, parity):
+        return sum(t.rank.get((W, A, (parity + e) % 2), 0) for A, e in level)
+
+    expected = 0
+    for Y in sc.objects:
+        res = resolve_simple(sc, Y, 5)
+        for n in range(5):
+            for W in sc.objects:
+                for parity in (0, 1):
+                    target = size(res.levels[n - 1], W, parity) if n else (W, parity) == (Y, 0)
+                    expected += bool(size(res.levels[n], W, parity) and target)
+    assert expected and posts
+    assert len(shapes) == expected
+    assert all(rows and cols for rows, cols in shapes)
+    assert all(src and dst for src, dst in posts)
 
 
 # ---------------------------------------------------------------------------

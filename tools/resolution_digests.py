@@ -1,0 +1,64 @@
+"""Digests of freshly built free resolutions, one line per simple module.
+
+    python3 tools/resolution_digests.py > digests.txt
+
+For every object Y of the seven builtin spaces (shipped tables) and of the
+ten connected four-point T0 spaces (tables built in process), builds the
+syzygy resolution of S_Y to depth 5 with `resolve_simple` and prints
+`<space> <Y> <digest>`: the sha256 of its levels and differentials,
+serialised as `test_engine_resolutions_are_pinned` does, or the error the
+build raised.  Two checkouts whose outputs are equal build the same
+resolutions: the same generators in the same order.  Each space's wall
+time goes to stderr.  The package and the space enumerator of the tests are
+imported from the checkout that holds this file.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+
+from conftest import connected_t0_spaces  # noqa: E402
+from fktor.finspace import BUILTIN_NAMES  # noqa: E402
+from fktor.ntcat import build_category, builtin_category  # noqa: E402
+from fktor.ntmod import ModuleError, resolve_simple  # noqa: E402
+from fktor.zexact import ZExactError  # noqa: E402
+
+DEPTH = 5
+
+
+def digest(sc, Y) -> str:
+    try:
+        res = resolve_simple(sc, Y, DEPTH)
+    except (ModuleError, ZExactError) as e:  # the message is the result
+        return f"{type(e).__name__}: {e}"
+    run = {"levels": res.levels,
+           "diffs": [[[None if e is None else [e.src, e.dst, e.parity, e.vec]
+                       for e in row] for row in d] for d in res.diffs]}
+    text = json.dumps(run, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def categories():
+    for name in BUILTIN_NAMES:
+        yield name, lambda name=name: builtin_category(name)
+    for X in connected_t0_spaces(4):
+        yield X.name, lambda X=X: build_category(X)
+
+
+def main():
+    for name, make in categories():
+        start = time.perf_counter()
+        sc = make()
+        for Y in sc.objects:
+            print(name, Y, digest(sc, Y), flush=True)
+        print(f"{name}: {time.perf_counter() - start:.2f} s",
+              file=sys.stderr, flush=True)
+
+
+if __name__ == "__main__":
+    main()
