@@ -1079,10 +1079,11 @@ def ideal_checks(table: HomTable) -> RingIdealData:
         rank_ev = table.rank.get((obj, obj, 0), 0)
         # odd part must be entirely nil (a nil basis is a lattice basis)
         odd_full = len(od) == table.rank.get((obj, obj, 1), 0)
-        # even part must split as Z*id + nil with a unimodular change of basis
-        stack = (tuple(table.id_coords[obj]),) + tuple(map(tuple, ev))
-        even_split = rank_ev == 0 or (len(stack) == rank_ev and all(
-            d == 1 for d in smith(IntMatrix._of(stack, rank_ev, rank_ev)).diagonal()))
+        # even part must split as Z*id + nil: rank_ev rows that span Z^rank_ev
+        span = Echelon(rank_ev)
+        for row in [table.id_coords[obj], *ev]:
+            span.add(row)
+        even_split = rank_ev == 0 or (len(ev) + 1 == rank_ev and span.spans_all())
         if not (odd_full and even_split):
             semidirect = False
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .finspace import builtin_name, label, lc_subsets, space_from_ref, space_ref
-from .ntcat import (Combo, Element, SpaceCategory, builtin_category,
-                    ideal_checks, nil_basis, space_category)
+from .ntcat import (Arrow, Combo, Element, HomTable, SpaceCategory,
+                    builtin_category, ideal_checks, nil_basis, space_category)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
                      IntMatrix, Presentation, block_diag, block_graded_hom,
                      kernel, hnf_columns, shift as shift_group, solve,
@@ -37,8 +37,18 @@ class CatalogueError(ModuleError):
     pass
 
 
+Summand = Tuple[str, int]  # (object, shift)
+Blocks = Sequence[Sequence[Optional[Element]]]  # a map of free modules, None for 0
+
+
 def _shifted(G: GradedGroup, eps: int) -> GradedGroup:
     return shift_group(G) if eps % 2 else G
+
+
+def _along(side: str, src: str, dst: str) -> Tuple[str, str]:
+    """(src, dst) on a left module, (dst, src) on a right one: the ends of the
+    module map along an arrow src -> dst, and the Hom group of P_src or Q_src at dst."""
+    return (src, dst) if side == "left" else (dst, src)
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +81,6 @@ class GradedModule:
     def entry(self, obj: str) -> GradedGroup:
         return self.entries[obj]
 
-    def _arrow_endpoints(self, arrow):
-        if self.variance == "left":
-            return arrow.src, arrow.dst
-        return arrow.dst, arrow.src
-
     def action_word(self, word, src_obj: str, dst_obj: str) -> GradedHom:
         """Action of a composite word of generators, src/dst in category
         direction (the module map runs contravariantly for right modules).
@@ -90,7 +95,7 @@ class GradedModule:
             arrows = self.category.presentation.arrows
             if not word:
                 hom = GradedHom.identity(
-                    self.entries[src_obj if self.variance == "left" else dst_obj])
+                    self.entries[_along(self.variance, src_obj, dst_obj)[0]])
             elif self.variance == "left":
                 rest = self.action_word(word[:-1], src_obj, arrows[word[-1]].src)
                 hom = self.actions[word[-1]].compose(rest)
@@ -102,10 +107,7 @@ class GradedModule:
 
     def action_combo(self, combo: Combo, src_obj: str, dst_obj: str,
                      parity: int) -> GradedHom:
-        if self.variance == "left":
-            mod_src, mod_dst = src_obj, dst_obj
-        else:
-            mod_src, mod_dst = dst_obj, src_obj
+        mod_src, mod_dst = _along(self.variance, src_obj, dst_obj)
         total = GradedHom.zero(parity, self.entries[mod_src], self.entries[mod_dst])
         for w, c in combo.items():
             h = self.action_word(w, src_obj, dst_obj)
@@ -142,7 +144,7 @@ class GradedModule:
         new_actions = {}
         for name, h in self.actions.items():
             a = self.category.presentation.arrows[name]
-            s, d = self._arrow_endpoints(a)
+            s, d = _along(self.variance, a.src, a.dst)
             new_actions[name] = GradedHom.build(h.degree, new_entries[s],
                                                 new_entries[d],
                                                 h.from_even.matrix, h.from_odd.matrix)
@@ -186,6 +188,8 @@ class GradedModule:
                 raise ValueError(f"rels has {len(rels)} rows for {gens} generators")
             return gens
 
+        if not all(isinstance(data[key], dict) for key in ("entries", "actions")):
+            raise ValueError("entries and actions must be objects")
         unknown = sorted(set(data["entries"]) - set(category.objects))
         if unknown:
             raise ValueError(f"entries for objects not in the category: {unknown}")
@@ -196,7 +200,7 @@ class GradedModule:
             arrow = category.presentation.arrows.get(name)
             if arrow is None:
                 raise ValueError(f"action for an arrow not in the category: {name!r}")
-            s, d = (arrow.src, arrow.dst) if variance == "left" else (arrow.dst, arrow.src)
+            s, d = _along(variance, arrow.src, arrow.dst)
             parts = []
             for part, p in (("evenPart", 0), ("oddPart", 1)):
                 mat, rows, cols = mats[part], gens[d][p ^ arrow.parity], gens[s][p]
@@ -224,83 +228,86 @@ class GradedModule:
 # Free modules and cokernels
 # ---------------------------------------------------------------------------
 
-def free_module(sc: SpaceCategory, Y: str, side: str = "right",
-                shift: int = 0) -> GradedModule:
-    """The free module on Y: left P_Y(Z) = NT(Y, Z), right Q_Y(Z) = NT(Z, Y),
-    optionally degree shifted."""
+def free_ranks(t: HomTable, side: str, summands: Sequence[Summand], W: str,
+               parity: int) -> List[int]:
+    """Block sizes at (W, parity) of the free module on `summands` (A, ε):
+    the rank of NT(A, W) (left, P_A) or NT(W, A) (right, Q_A) at parity + ε."""
+    return [t.rank.get((*_along(side, A, W), (parity + eA) % 2), 0)
+            for A, eA in summands]
+
+
+def free_map(t: HomTable, side: str, targets: Sequence[Summand],
+             sources: Sequence[Summand], matrix: Blocks, W: str, parity: int) -> IntMatrix:
+    """Matrix at (W, parity) of the map of free modules from `sources` to
+    `targets` whose block (i, j) is matrix[i][j] (None for zero): an element
+    of NT(B_i, A_j) acting by pre-composition on a left module, of
+    NT(A_j, B_i) acting by post-composition on a right one.  Only blocks
+    with rows and columns are read off the Hom table."""
+    rows, cols = free_ranks(t, side, targets, W, parity), free_ranks(t, side, sources, W, parity)
+    act = t.pre_matrix if side == "left" else t.post_matrix
+    return IntMatrix.block(
+        [[act(el, W, (parity + eA) % 2) if el is not None and r and c else None
+          for el, (_, eA), c in zip(row, sources, cols)]
+         for row, r in zip(matrix, rows)], rows, cols)
+
+
+def free_action(t: HomTable, side: str, summands: Sequence[Summand], a: Arrow,
+                parity: int) -> IntMatrix:
+    """Matrix of the generator arrow a on the free module on `summands`, out
+    of its part of the given parity: block-diagonal, post-composition by a
+    on a left module, pre-composition on a right one."""
+    s, d = _along(side, a.src, a.dst)
+    acts = t.post if side == "left" else t.pre
+    return block_diag([acts.get((*_along(side, A, s), (parity + eA) % 2, a.name))
+                       for A, eA in summands],
+                      free_ranks(t, side, summands, d, parity ^ a.parity),
+                      free_ranks(t, side, summands, s, parity))
+
+
+def _free_cokernel(sc: SpaceCategory, side: str, targets: Sequence[Summand],
+                   sources: Sequence[Summand], matrix: Blocks) -> GradedModule:
+    """Objectwise cokernel of the map of free modules on `side` from
+    `sources` to `targets` given by `matrix` (see free_map), with the
+    actions induced from the targets."""
     if side not in ("left", "right"):
         raise ModuleError("side must be 'left' or 'right'")
+    for A, eA in [*targets, *sources]:
+        if A not in sc.objects or type(eA) is not int:
+            raise ModuleError(f"summand {(A, eA)!r} is not (object, integer shift)")
+    if len(matrix) != len(targets) or any(len(row) != len(sources) for row in matrix):
+        raise ModuleError(f"the entry matrix is not {len(targets)}x{len(sources)}")
+    for i, (B, eB) in enumerate(targets):
+        for j, ((A, eA), el) in enumerate(zip(sources, matrix[i])):
+            hom = (*_along(side, B, A), (eA + eB) % 2)
+            if el is not None and (el.src, el.dst, el.parity) != hom:
+                raise ModuleError("entry ({},{}) is not in NT({}, {}) at parity {}"
+                                  .format(i, j, *hom))
     t = sc.table
     entries = {}
-    for Z in sc.objects:
-        if side == "left":
-            re, ro = t.rank.get((Y, Z, shift % 2), 0), t.rank.get((Y, Z, 1 ^ (shift % 2)), 0)
-        else:
-            re, ro = t.rank.get((Z, Y, shift % 2), 0), t.rank.get((Z, Y, 1 ^ (shift % 2)), 0)
-        entries[Z] = GradedGroup(Presentation.free(re), Presentation.free(ro))
+    for W in sc.objects:
+        rels = (free_map(t, side, targets, sources, matrix, W, p) for p in (0, 1))
+        entries[W] = GradedGroup(*(Presentation(R.rows, R if R.rows else None) for R in rels))
     actions = {}
     for name, a in sc.presentation.arrows.items():
-        if side == "left":
-            src, dst = a.src, a.dst
-            ev = t.post.get((Y, a.src, shift % 2, name))
-            od = t.post.get((Y, a.src, 1 ^ (shift % 2), name))
-        else:
-            src, dst = a.dst, a.src
-            ev = t.pre.get((a.dst, Y, shift % 2, name))
-            od = t.pre.get((a.dst, Y, 1 ^ (shift % 2), name))
-        se = entries[src]
-        te = entries[dst]
-        if ev is None:
-            ev = IntMatrix.zero(te.part(a.parity).generators, se.even.generators)
-        if od is None:
-            od = IntMatrix.zero(te.part(1 ^ a.parity).generators, se.odd.generators)
-        actions[name] = GradedHom.build(a.parity, se, te, ev, od)
+        s, d = _along(side, a.src, a.dst)
+        actions[name] = GradedHom.build(a.parity, entries[s], entries[d],
+                                        *(free_action(t, side, targets, a, p) for p in (0, 1)))
     return GradedModule(sc, side, entries, actions)
 
 
-def coker_module(sc: SpaceCategory, targets: Sequence[Tuple[str, int]],
-                 sources: Sequence[Tuple[str, int]],
-                 entries_matrix: Sequence[Sequence[Optional[Element]]]) -> GradedModule:
-    """Objectwise cokernel of a map of free left modules
-    ⊕ P_{A_j}[ε_j] -> ⊕ P_{B_i}[ε_i], with the induced actions.
+def free_module(sc: SpaceCategory, Y: str, side: str = "right",
+                shift: int = 0) -> GradedModule:
+    """The free module on Y, left P_Y(Z) = NT(Y, Z) or right Q_Y(Z) = NT(Z, Y),
+    shifted by `shift`: the cokernel of the map from the empty sum."""
+    return _free_cokernel(sc, side, [(Y, shift)], [], [[]])
 
-    entries_matrix[i][j] is an element of NT(B_i, A_j) (the Yoneda description
-    of a map P_{A_j} -> P_{B_i}), or None for a zero block.
-    """
-    t = sc.table
-    for i, (B, eB) in enumerate(targets):
-        for j, (A, eA) in enumerate(sources):
-            el = entries_matrix[i][j]
-            if el is None:
-                continue
-            if (el.src, el.dst) != (B, A):
-                raise ModuleError(f"entry ({i},{j}) is not in NT({B}, {A})")
-            if el.parity != (eA + eB) % 2:
-                raise ModuleError(f"entry ({i},{j}) has the wrong parity")
-    entries: Dict[str, GradedGroup] = {}
-    for W in sc.objects:
-        parts = []
-        for parity in (0, 1):
-            R = left_complex_underlying(sc, [targets, sources],
-                                        [entries_matrix], W, parity)[0]
-            if R.rows == 0:
-                parts.append(Presentation.zero())
-            elif R.cols == 0:
-                parts.append(Presentation.free(R.rows))
-            else:
-                parts.append(Presentation(R.rows, R))
-        entries[W] = GradedGroup(parts[0], parts[1])
-    actions = {}
-    for name, a in sc.presentation.arrows.items():
-        mats = []
-        for parity in (0, 1):
-            pins = [(B, (parity + eB) % 2) for B, eB in targets]
-            mats.append(block_diag([t.post.get((B, a.src, pin, name)) for B, pin in pins],
-                                   [t.rank.get((B, a.dst, pin ^ a.parity), 0) for B, pin in pins],
-                                   [t.rank.get((B, a.src, pin), 0) for B, pin in pins]))
-        actions[name] = GradedHom.build(a.parity, entries[a.src], entries[a.dst],
-                                        mats[0], mats[1])
-    return GradedModule(sc, "left", entries, actions)
+
+def coker_module(sc: SpaceCategory, targets: Sequence[Summand],
+                 sources: Sequence[Summand], entries_matrix: Blocks) -> GradedModule:
+    """Objectwise cokernel of the map of free left modules ⊕ P_{A_j}[ε_j] ->
+    ⊕ P_{B_i}[ε_i] whose block (i, j) is an element of NT(B_i, A_j) (the
+    Yoneda description of P_{A_j} -> P_{B_i}) or None, with induced actions."""
+    return _free_cokernel(sc, "left", targets, sources, entries_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +481,6 @@ def m_ss(M: GradedModule) -> Dict[str, GradedGroup]:
 # Free resolutions of the simple right-modules
 # ---------------------------------------------------------------------------
 
-Summand = Tuple[str, int]  # (object, shift)
 Slots = Dict[Tuple[str, int], List[int]]  # (W, parity) -> block sizes of a level
 
 
@@ -487,7 +493,7 @@ class FreeResolution:
 
     def __init__(self, sc: SpaceCategory, Y: str,
                  levels: List[List[Summand]],
-                 diffs: List[List[List[Optional[Element]]]],
+                 diffs: List[Blocks],
                  periodic: Optional[Tuple[int, int]] = None):
         self.sc = sc
         self.Y = Y
@@ -517,20 +523,13 @@ class FreeResolution:
         return self.diff(n - p)
 
     def dims(self, n: int, W: str, parity: int) -> List[int]:
-        """Block sizes of level n's underlying group at (W, parity): the rank
-        of NT(W, A) at parity + ε for each summand (A, ε)."""
-        t = self.sc.table
-        return [t.rank.get((W, A, (parity + eA) % 2), 0) for A, eA in self.level(n)]
+        """Block sizes of level n's underlying group at (W, parity)."""
+        return free_ranks(self.sc.table, "right", self.level(n), W, parity)
 
     def underlying_diff(self, n: int, W: str, parity: int) -> IntMatrix:
-        """Matrix of d_n on the underlying groups at (W, parity).  Only
-        blocks with rows and columns are read off the Hom table."""
-        rows, cols = self.dims(n - 1, W, parity), self.dims(n, W, parity)
-        post = self.sc.table.post_matrix
-        return IntMatrix.block(
-            [[post(el, W, (parity + eA) % 2) if el is not None and r and c else None
-              for el, (_, eA), c in zip(row, self.level(n), cols)]
-             for row, r in zip(self.diff(n), rows)], rows, cols)
+        """Matrix of d_n on the underlying groups at (W, parity)."""
+        return free_map(self.sc.table, "right", self.level(n - 1), self.level(n),
+                        self.diff(n), W, parity)
 
 
 def _ss_projection(sc: SpaceCategory, Y: str) -> IntMatrix:
@@ -652,18 +651,16 @@ def _nil_part(sc: SpaceCategory, level: List[Summand], dims: Slots,
     k·w lies in K(a.dst) because K is a submodule.  The nil part of K at W
     is therefore spanned by the images K(a.dst)·a of the generators out of
     W; no nil element needs to act on its own.  Pre-composition by a on the
-    level is one block-diagonal matrix per (arrow, parity), applied to all
-    of K(a.dst) as one product; where the level is 0 at the image's slot,
-    every image is the empty vector and nothing is built."""
-    t = sc.table
+    level is one block-diagonal matrix (free_action) per (arrow, parity),
+    applied to all of K(a.dst) as one product; where the level is 0 at the
+    image's slot, every image is the empty vector and nothing is built."""
     out: Dict[Tuple[str, int], List[tuple]] = {key: [] for key in kernels}
     for a in sc.presentation.arrows.values():
         for pv in (0, 1):
-            K, rows = kernels[(a.dst, pv)], dims[(a.src, pv ^ a.parity)]
-            if K.cols == 0 or not sum(rows):
+            K = kernels[(a.dst, pv)]
+            if K.cols == 0 or not sum(dims[(a.src, pv ^ a.parity)]):
                 continue
-            act = block_diag([t.pre.get((a.dst, A, (pv + eA) % 2, a.name)) for A, eA in level],
-                             rows, dims[(a.dst, pv)])
+            act = free_action(sc.table, "right", level, a, pv)
             out[(a.src, pv ^ a.parity)] += [img for img in (act * K).columns() if any(img)]
     return out
 
@@ -953,21 +950,9 @@ def projective_dimension(M: GradedModule, max_n: int,
 # ---------------------------------------------------------------------------
 
 def left_complex_underlying(sc: SpaceCategory, levels: List[List[Summand]],
-                            diffs: List[List[List[Optional[Element]]]],
-                            W: str, parity: int) -> List[IntMatrix]:
+                            diffs: List[Blocks], W: str, parity: int) -> List[IntMatrix]:
     """Underlying matrices at (W, parity) of a complex of free left modules
-    ... -> ⊕P_A[ε] -> ⊕P_B[ε'] (diffs[k]: levels[k+1] -> levels[k]).
-
-    Matrix entry for a map P_A -> P_B is an element of NT(B, A) acting by
-    pre-composition."""
-    t = sc.table
-    out = []
-    for k, mat in enumerate(diffs):
-        dst = [(B, (parity + eB) % 2) for B, eB in levels[k]]
-        src = [(A, (parity + eA) % 2) for A, eA in levels[k + 1]]
-        out.append(IntMatrix.block(
-            [[None if el is None else t.pre_matrix(el, W, pin)
-              for el, (_, pin) in zip(row, src)] for row in mat],
-            [t.rank.get((B, W, pout), 0) for B, pout in dst],
-            [t.rank.get((A, W, pin), 0) for A, pin in src]))
-    return out
+    ... -> ⊕P_A[ε] -> ⊕P_B[ε'] (diffs[k]: levels[k+1] -> levels[k]), whose
+    entries act by pre-composition (see free_map)."""
+    return [free_map(sc.table, "left", levels[k], levels[k + 1], mat, W, parity)
+            for k, mat in enumerate(diffs)]

@@ -1,5 +1,6 @@
 """Shared helpers: random triangular block graphs, random valid modules, a
-right module that Tor must refuse, the word-product action matrices that
+right module that Tor must refuse, the corpus of free and random modules
+whose JSON pins the free-module layout, the word-product action matrices that
 the Hom table's structure-constant matrices are tested against, the
 uncached six-term and Tor loops that check_exact and tor are tested
 against, the uncached word-action loop that GradedModule.action_word is
@@ -15,7 +16,8 @@ from itertools import combinations, compress, permutations
 from operator import itemgetter, neg
 from typing import NamedTuple
 
-from fktor.finspace import FiniteSpace, builtin_space, label, lc_subsets
+from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, builtin_space, label,
+                            lc_subsets)
 from fktor.graphk import BlockGraph
 from fktor.ntcat import Arrow, builtin_category
 from fktor.ntmod import (GradedModule, TorReport, coker_module, free_module,
@@ -102,6 +104,22 @@ def random_valid_module(space_name, rng):
     if kind > 0.8:
         M = M.tensor_mod_k(rng.choice([2, 3, 4]))
     return M
+
+
+def layout_corpus(random_count=16):
+    """(space, name, module) for every free module over the seven builtins
+    (every object, both sides, shifts 0 and 1), then per builtin
+    `random_count` random valid modules drawn with a seed from its name."""
+    for space_name in BUILTIN_NAMES:
+        sc = builtin_category(space_name)
+        for Y in sc.objects:
+            for side in ("left", "right"):
+                for shift in (0, 1):
+                    yield (space_name, f"free {Y} {side} {shift}",
+                           free_module(sc, Y, side, shift))
+        rng = random.Random(2024 + zlib.crc32(space_name.encode()) % 1000)
+        for i in range(random_count):
+            yield space_name, f"random {i}", random_valid_module(space_name, rng)
 
 
 def z1_right_module_with_i_acting_by_one():

@@ -373,6 +373,21 @@ def test_parse_error_malformed_module_file(tmp_path, capsys, mutate, needle):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("key,value", [
+    ("actions", []), ("actions", 5), ("actions", "x"), ("entries", []),
+    ("entries", ["1"]), ("entries", 5), ("entries", "x"),
+], ids=["actions-list", "actions-int", "actions-string", "entries-list",
+        "entries-list-of-names", "entries-int", "entries-string"])
+def test_non_object_entries_or_actions_are_a_parse_error(tmp_path, capsys, key, value):
+    with open(os.path.join(DATA, "m_example.json")) as fh:
+        data = json.load(fh)
+    data[key] = value
+    code, out = run_cli("module-validate", "--space", "Z4", "--file",
+                        _write_json(tmp_path, data))
+    assert code == EXIT_PARSE and out == ""
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb", ["module-tor", "module-pd"])
 def test_module_tor_refuses_a_right_module(tmp_path, capsys, verb):
     data = z1_right_module_with_i_acting_by_one().to_json()

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -335,6 +336,16 @@ def test_trivial_category_ideal_checks():
     chk = ideal_checks(cat("pt").table)
     assert chk.nilpotent and chk.semidirect
     assert chk.end_nil_ranks["1"] == (0, 0)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_doubled_identity_is_not_semidirect(name):
+    # 2·id together with the nil part spans an index-2 sublattice of each
+    # even End group, so no End group splits as Z·id + nil
+    t = copy.copy(cat(name).table)
+    t.id_coords = {o: tuple(2 * x for x in v) for o, v in t.id_coords.items()}
+    chk = ideal_checks(t)
+    assert chk.nilpotent and not chk.semidirect
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import catalogue
-from conftest import (random_block_graph, random_valid_module,
+from conftest import (layout_corpus, random_block_graph, random_valid_module,
                       reference_check_exact, reference_tor, word_pre_matrix,
                       z1_right_module_with_i_acting_by_one)
 
@@ -66,6 +66,35 @@ def test_free_modules_validate_and_are_exact(name):
 def test_free_module_refuses_an_unknown_side(side):
     with pytest.raises(ModuleError, match="side must be 'left' or 'right'"):
         free_module(cat("Z3"), "14", side)
+
+
+@pytest.mark.parametrize("make,needle", [
+    (lambda sc, t: free_module(sc, "99", "left"), "not \\(object, integer shift\\)"),
+    (lambda sc, t: free_module(sc, "14", "right", 1.0), "integer shift"),
+    (lambda sc, t: free_module(sc, "14", "left", True), "integer shift"),
+    (lambda sc, t: coker_module(sc, [("99", 0)], [], [[]]), "integer shift"),
+    (lambda sc, t: coker_module(sc, [("14", 0)], [("4", "1")], [[None]]), "integer shift"),
+    (lambda sc, t: coker_module(sc, [("14", 0)], [("14", 0)], [[t.identity("14"), None]]),
+     "not 1x1"),
+    (lambda sc, t: coker_module(sc, [("14", 0)], [("14", 0), ("4", 0)],
+                                [[t.identity("14")]]), "not 1x2"),
+    (lambda sc, t: coker_module(sc, [("14", 0)], [("14", 0)], []), "not 1x1"),
+    (lambda sc, t: coker_module(sc, [("14", 0)], [("14", 0)], [[None], [None]]),
+     "not 1x1"),
+    (lambda sc, t: coker_module(sc, [("14", 0)], [("4", 0)], [[t.identity("14")]]),
+     "not in NT\\(14, 4\\) at parity 0"),
+    (lambda sc, t: coker_module(sc, [("14", 0)], [("14", 1)], [[t.identity("14")]]),
+     "not in NT\\(14, 14\\) at parity 1"),
+], ids=["unknown-object", "float-shift", "bool-shift", "unknown-target",
+        "string-shift", "wide-matrix", "narrow-matrix", "no-rows", "extra-row",
+        "entry-elsewhere", "entry-of-wrong-parity"])
+def test_free_module_builders_refuse_bad_summands_and_matrices(make, needle):
+    """An unknown object or a shift that is not an int is refused, not laid
+    out as a zero summand; an entry matrix that is not len(targets) x
+    len(sources) is refused, not truncated or indexed past its end."""
+    sc = cat("Z3")
+    with pytest.raises(ModuleError, match=needle):
+        make(sc, sc.table)
 
 
 def test_validate_reports_broken_action():
@@ -412,6 +441,41 @@ def test_generic_engine_on_accordion_spaces():
 
 # sha256 of the canonical JSON of the engine's levels and differentials
 ENGINE_DIGEST_DEPTH_5 = "c0b16877ec5445de8e974076d79f55ad0069b71ec7e67cd6624947a41108f729"
+# sha256 of the sorted canonical JSON of every module of layout_corpus
+MODULE_LAYOUT_DIGEST = "803f563de463b460bdcaf9d205ec0afc953aae1ec7ba87ce94cdeec8244c03cb"
+
+
+def test_module_layout_is_pinned():
+    """Every free module over the seven builtins (every object, both sides,
+    shifts 0 and 1) and every seeded random valid module of layout_corpus
+    has the JSON it had when the digest was recorded: the free-module
+    layout fixes each entry's generators and relations and each action
+    matrix.  tools/resolution_digests.py prints one digest per module."""
+    texts = sorted(json.dumps(M.to_json(), sort_keys=True) for _, _, M in layout_corpus())
+    assert len(texts) == 4 * 65 + 16 * len(BUILTIN_NAMES)
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == MODULE_LAYOUT_DIGEST
+
+
+def test_cokernel_reads_only_nonempty_blocks(monkeypatch):
+    """Laying out the Z4 cokernel module reads no pre-composition block
+    whose source or target group is 0; at 12345, where every P_B and P_A
+    is Z, its relations are the signs of the defining map."""
+    sc = cat("Z4")
+    t = sc.table
+    pres = []
+    real_pre = type(t).pre_matrix
+
+    def counted_pre(table, el, W, parity):
+        pres.append((t.rank.get((el.dst, W, parity), 0),
+                     t.rank.get((el.src, W, parity ^ el.parity), 0)))
+        return real_pre(table, el, W, parity)
+
+    monkeypatch.setattr(type(t), "pre_matrix", counted_pre)
+    _, M = z4_module()
+    assert pres and all(src and dst for src, dst in pres)
+    assert M.to_json()["entries"]["12345"]["even"] == {"gens": 6, "rels": [
+        [1, -1, 0, 0], [-1, 0, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1], [0, -1, 0, 1],
+        [0, 0, 1, -1]]}
 
 
 def test_engine_resolutions_are_pinned():

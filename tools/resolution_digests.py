@@ -1,4 +1,5 @@
-"""Digests of freshly built free resolutions, one line per simple module.
+"""Digests of freshly built free resolutions, one line per simple module,
+and of the free-module layout, one line per module of a fixed corpus.
 
     python3 tools/resolution_digests.py > digests.txt
 
@@ -7,10 +8,15 @@ ten connected four-point T0 spaces (tables built in process), builds the
 syzygy resolution of S_Y to depth 5 with `resolve_simple` and prints
 `<space> <Y> <digest>`: the sha256 of its levels and differentials,
 serialised as `test_engine_resolutions_are_pinned` does, or the error the
-build raised.  Two checkouts whose outputs are equal build the same
-resolutions: the same generators in the same order.  Each space's wall
-time goes to stderr.  The package and the space enumerator of the tests are
-imported from the checkout that holds this file.
+build raised.  Then, for every module of `layout_corpus` in the tests'
+conftest (each free module over the builtins, both sides and shifts 0 and
+1, and the seeded random valid modules), prints `<space> <name> <digest>`:
+the sha256 of its `to_json()` with sorted keys, as
+`test_module_layout_is_pinned` hashes it.  Two checkouts whose outputs are
+equal build the same resolutions, with the same generators in the same
+order, and lay out the same modules.  Each space's wall time goes to
+stderr.  The package and the helpers of the tests are imported from the
+checkout that holds this file.
 """
 
 import hashlib
@@ -22,7 +28,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from conftest import connected_t0_spaces  # noqa: E402
+from conftest import connected_t0_spaces, layout_corpus  # noqa: E402
 from fktor.finspace import BUILTIN_NAMES  # noqa: E402
 from fktor.ntcat import build_category, builtin_category  # noqa: E402
 from fktor.ntmod import ModuleError, resolve_simple  # noqa: E402
@@ -43,6 +49,10 @@ def digest(sc, Y) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def module_text(M) -> str:
+    return json.dumps(M.to_json(), sort_keys=True)
+
+
 def categories():
     for name in BUILTIN_NAMES:
         yield name, lambda name=name: builtin_category(name)
@@ -58,6 +68,11 @@ def main():
             print(name, Y, digest(sc, Y), flush=True)
         print(f"{name}: {time.perf_counter() - start:.2f} s",
               file=sys.stderr, flush=True)
+    start = time.perf_counter()
+    for space, name, M in layout_corpus():
+        print(space, name, hashlib.sha256(module_text(M).encode()).hexdigest())
+    print(f"module layout: {time.perf_counter() - start:.2f} s",
+          file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":
