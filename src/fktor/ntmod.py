@@ -21,8 +21,8 @@ from .ntcat import (Arrow, Combo, Element, HomTable, SpaceCategory,
                     builtin_category, ideal_checks, nil_basis, space_category)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
                      IntMatrix, Presentation, block_diag, block_graded_hom,
-                     kernel, hnf_columns, shift as shift_group, solve,
-                     subquotient_homology)
+                     exact_node, kernel, hnf_columns, map_echelon,
+                     shift as shift_group, solve, subquotient_homology)
 
 
 class ModuleError(Exception):
@@ -39,6 +39,7 @@ class CatalogueError(ModuleError):
 
 Summand = Tuple[str, int]  # (object, shift)
 Blocks = Sequence[Sequence[Optional[Element]]]  # a map of free modules, None for 0
+Slots = Dict[Tuple[str, int], List[int]]  # (W, parity) -> block sizes of a free module
 
 
 def _shifted(G: GradedGroup, eps: int) -> GradedGroup:
@@ -252,16 +253,16 @@ def free_map(t: HomTable, side: str, targets: Sequence[Summand],
 
 
 def free_action(t: HomTable, side: str, summands: Sequence[Summand], a: Arrow,
-                parity: int) -> IntMatrix:
+                parity: int, dims: Slots) -> IntMatrix:
     """Matrix of the generator arrow a on the free module on `summands`, out
     of its part of the given parity: block-diagonal, post-composition by a
-    on a left module, pre-composition on a right one."""
+    on a left module, pre-composition on a right one.  dims[(W, p)] holds
+    the module's block sizes, free_ranks(t, side, summands, W, p)."""
     s, d = _along(side, a.src, a.dst)
     acts = t.post if side == "left" else t.pre
     return block_diag([acts.get((*_along(side, A, s), (parity + eA) % 2, a.name))
                        for A, eA in summands],
-                      free_ranks(t, side, summands, d, parity ^ a.parity),
-                      free_ranks(t, side, summands, s, parity))
+                      dims[(d, parity ^ a.parity)], dims[(s, parity)])
 
 
 def _free_cokernel(sc: SpaceCategory, side: str, targets: Sequence[Summand],
@@ -287,11 +288,13 @@ def _free_cokernel(sc: SpaceCategory, side: str, targets: Sequence[Summand],
     for W in sc.objects:
         rels = (free_map(t, side, targets, sources, matrix, W, p) for p in (0, 1))
         entries[W] = GradedGroup(*(Presentation(R.rows, R if R.rows else None) for R in rels))
+    dims = {(W, p): free_ranks(t, side, targets, W, p) for W in sc.objects for p in (0, 1)}
     actions = {}
     for name, a in sc.presentation.arrows.items():
         s, d = _along(side, a.src, a.dst)
         actions[name] = GradedHom.build(a.parity, entries[s], entries[d],
-                                        *(free_action(t, side, targets, a, p) for p in (0, 1)))
+                                        *(free_action(t, side, targets, a, p, dims)
+                                          for p in (0, 1)))
     return GradedModule(sc, side, entries, actions)
 
 
@@ -345,7 +348,7 @@ def validate(M: GradedModule) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
-def six_term_maps(M: GradedModule, U, Y, acts: dict):
+def six_term_maps(M: GradedModule, U, Y, acts: dict, sums: dict):
     """The three maps of the six-term cycle of the pair (U open in a
     connected Y).
 
@@ -356,7 +359,7 @@ def six_term_maps(M: GradedModule, U, Y, acts: dict):
 
     `acts` is the caller's table of designated actions on M, keyed by kind
     and endpoints, so each action is built once however many pairs share
-    it."""
+    it; `sums` is its table of direct sums (see block_graded_hom)."""
     sc = M.category
     d = sc.designator
     compsU = sc.space.components(U)
@@ -382,14 +385,16 @@ def six_term_maps(M: GradedModule, U, Y, acts: dict):
     eY = [M.entries[label(Y)]]
     eE = [M.entries[label(e)] for e in compsE]
     if M.variance == "left":
-        f = block_graded_hom(0, eU, eY, [[inc(C) for C in compsU]])
-        g = block_graded_hom(0, eY, eE, [[res(E)] for E in compsE])
-        h = block_graded_hom(1, eE, eU, [[bnd(C, E) for E in compsE] for C in compsU])
+        f = block_graded_hom(0, eU, eY, [[inc(C) for C in compsU]], sums)
+        g = block_graded_hom(0, eY, eE, [[res(E)] for E in compsE], sums)
+        h = block_graded_hom(1, eE, eU, [[bnd(C, E) for E in compsE] for C in compsU],
+                             sums)
         names = (f"M({label(U)})", f"M({label(Y)})", f"M({label(Y - U)})")
     else:
-        f = block_graded_hom(0, eE, eY, [[res(E) for E in compsE]])
-        g = block_graded_hom(0, eY, eU, [[inc(C)] for C in compsU])
-        h = block_graded_hom(1, eU, eE, [[bnd(C, E) for C in compsU] for E in compsE])
+        f = block_graded_hom(0, eE, eY, [[res(E) for E in compsE]], sums)
+        g = block_graded_hom(0, eY, eU, [[inc(C)] for C in compsU], sums)
+        h = block_graded_hom(1, eU, eE, [[bnd(C, E) for C in compsU] for E in compsE],
+                             sums)
         names = (f"M({label(Y - U)})", f"M({label(Y)})", f"M({label(U)})")
     return f, g, h, names
 
@@ -398,17 +403,37 @@ _TRIVIAL = AbGroupNF(0, ())
 
 
 def _node_homology(nodes: dict, f: GroupHom, g: GroupHom) -> AbGroupNF:
-    """The group ker(g)/im(f), from the caller's table `nodes` when an
-    earlier node of the same call had the same input.  The key is exactly
-    what subquotient_homology reads; a middle group with no generators is 0
-    without any lookup."""
+    """The group ker(g)/im(f), from the caller's table `nodes`.
+
+    The table holds the group of each distinct node, keyed by exactly what
+    subquotient_homology reads, and the augmented echelon of each map
+    (see _map_echelon), so that one echelon serves both nodes a map
+    touches.  A node whose two echelons show ker(g) = im(f) + rel_B
+    (exact_node) is 0; every other node, and one whose maps disagree on
+    the relations of the middle group, is computed by subquotient_homology.
+    A middle group with no generators is 0 without any lookup."""
     if f.target.generators == 0 == g.source.generators:
         return _TRIVIAL
     key = (f.matrix, g.source.relations, g.matrix, g.target.relations)
     group = nodes.get(key)
     if group is None:
-        group = nodes[key] = subquotient_homology(f, g).group
+        if f.target.relations == g.source.relations and exact_node(
+                _map_echelon(nodes, f), _map_echelon(nodes, g), g.source.generators):
+            group = _TRIVIAL
+        else:
+            group = subquotient_homology(f, g).group
+        nodes[key] = group
     return group
+
+
+def _map_echelon(nodes: dict, h: GroupHom) -> Echelon:
+    """map_echelon of h with its target's relations, kept in the caller's
+    node table under (matrix, target relations)."""
+    key = (h.matrix, h.target.relations)
+    ech = nodes.get(key)
+    if ech is None:
+        ech = nodes[key] = map_echelon(h.matrix, h.target.relations.columns())
+    return ech
 
 
 @dataclass
@@ -423,18 +448,20 @@ def check_exact(M: GradedModule) -> ExactnessReport:
 
     Only connected Y need checking: a disconnected Y splits its sequence
     into the direct sum over components.  Trivial pairs (U empty or all of
-    Y) are vacuous and skipped.  Each designated action and each distinct
-    node is computed once per call; both tables are dropped on return."""
+    Y) are vacuous and skipped.  Each designated action, each direct sum
+    of entries, each map's echelon and each distinct node is computed once
+    per call; the tables are dropped on return."""
     X = M.category.space
     failures = []
     acts: dict = {}
+    sums: dict = {}
     nodes: dict = {}
     for lc in lc_subsets(X, connected_only=True):
         Y = lc.value
         for U in X.relative_opens(Y):
             if not U or U == Y:
                 continue
-            f, g, h, names = six_term_maps(M, U, Y, acts)
+            f, g, h, names = six_term_maps(M, U, Y, acts, sums)
             # the six nodes of the periodic cycle f, g, h[1], f[1], g[1], h
             maps = [
                 (f"{names[1]} even", f.from_even, g.from_even),
@@ -480,9 +507,6 @@ def m_ss(M: GradedModule) -> Dict[str, GradedGroup]:
 # ---------------------------------------------------------------------------
 # Free resolutions of the simple right-modules
 # ---------------------------------------------------------------------------
-
-Slots = Dict[Tuple[str, int], List[int]]  # (W, parity) -> block sizes of a level
-
 
 class FreeResolution:
     """Resolution of the simple right-module on an object by free
@@ -651,16 +675,17 @@ def _nil_part(sc: SpaceCategory, level: List[Summand], dims: Slots,
     k·w lies in K(a.dst) because K is a submodule.  The nil part of K at W
     is therefore spanned by the images K(a.dst)·a of the generators out of
     W; no nil element needs to act on its own.  Pre-composition by a on the
-    level is one block-diagonal matrix (free_action) per (arrow, parity),
-    applied to all of K(a.dst) as one product; where the level is 0 at the
-    image's slot, every image is the empty vector and nothing is built."""
+    level is one block-diagonal matrix (free_action, on the sizes `dims`)
+    per (arrow, parity), applied to all of K(a.dst) as one product; where
+    the level is 0 at the image's slot, every image is the empty vector and
+    nothing is built."""
     out: Dict[Tuple[str, int], List[tuple]] = {key: [] for key in kernels}
     for a in sc.presentation.arrows.values():
         for pv in (0, 1):
             K = kernels[(a.dst, pv)]
             if K.cols == 0 or not sum(dims[(a.src, pv ^ a.parity)]):
                 continue
-            act = free_action(sc.table, "right", level, a, pv)
+            act = free_action(sc.table, "right", level, a, pv, dims)
             out[(a.src, pv ^ a.parity)] += [img for img in (act * K).columns() if any(img)]
     return out
 
@@ -846,30 +871,36 @@ def _nf_from_parts(rank: int, torsions: List[int]) -> AbGroupNF:
 
 
 def sum_map(M: GradedModule, sources: Sequence[Summand],
-            targets: Sequence[Summand], blocks) -> GradedHom:
+            targets: Sequence[Summand], blocks,
+            sums: Optional[dict] = None) -> GradedHom:
     """The degree-0 map between direct sums of shifted entries of M, whose
     summands are (object, shift); blocks[i][j] is None or a GradedHom of M
     from sources[j] to targets[i].  A block out of an odd summand enters as
-    its `shift()`, the same map between the shifted groups."""
+    its `shift()`, the same map between the shifted groups.  `sums` is the
+    caller's table of direct sums (see block_graded_hom)."""
     def entries(summands):
         return [_shifted(M.entries[obj], e) for obj, e in summands]
 
     return block_graded_hom(0, entries(sources), entries(targets), [
         [None if h is None else h.shift() if sources[j][1] % 2 else h
-         for j, h in enumerate(row)] for row in blocks])
+         for j, h in enumerate(row)] for row in blocks], sums)
 
 
-def _tensor_diff(res: FreeResolution, M: GradedModule, k: int) -> GradedHom:
+def _tensor_diff(res: FreeResolution, M: GradedModule, k: int, sums: dict) -> GradedHom:
     """The differential d_k⊗M from level k to level k-1."""
     return sum_map(M, res.level(k), res.level(k - 1), [
         [None if el is None else M.action_element(el) for el in row]
-        for row in res.diff(k)])
+        for row in res.diff(k)], sums)
 
 
-def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int) -> list:
+def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int,
+                        sums: Optional[dict] = None) -> list:
     """The tensored complex [None, d_1⊗M, ..., d_{n+1}⊗M], enough for Tor
-    through degree n; entry k is the map out of level k."""
-    return [None] + [_tensor_diff(res, M, k) for k in range(1, n + 2)]
+    through degree n; entry k is the map out of level k.  The sum of a
+    level's entries is built once for its two differentials, and once per
+    caller's table `sums` when one is given (see block_graded_hom)."""
+    sums = {} if sums is None else sums
+    return [None] + [_tensor_diff(res, M, k, sums) for k in range(1, n + 2)]
 
 
 def _homology_at(nodes: dict, d_in: GradedHom,
@@ -897,8 +928,9 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
     """Tor_k(S_Y, M) for all Y and k = 0..n; aggregate = Tor(NT_ss, M).
 
     Each tensored differential d_k⊗M is built once per Y and serves as the
-    outgoing map at level k and the incoming map at level k-1; each distinct
-    node is computed once per call (see _node_homology).  M must be a
+    outgoing map at level k and the incoming map at level k-1; each direct
+    sum of a level's entries, each map's echelon and each distinct node is
+    computed once per call (see _node_homology).  M must be a
     left module with an action for every generator arrow: it is tensored
     with resolutions of right modules."""
     if M.variance != "left":
@@ -910,9 +942,10 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
         raise ModuleError("Tor(S_Y, M) needs an action for every arrow; "
                           f"missing: {missing}")
     groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]] = {}
+    sums: dict = {}
     nodes: dict = {}
     for Y in sc.objects:
-        d = tensor_complex_maps(resolution_for(sc, Y, n + 1, engine), M, n)
+        d = tensor_complex_maps(resolution_for(sc, Y, n + 1, engine), M, n, sums)
         groups[Y] = {k: _homology_at(nodes, d[k + 1], d[k]) for k in range(n + 1)}
     return TorReport(sc.space.name, groups)
 

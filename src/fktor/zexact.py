@@ -646,24 +646,70 @@ def hnf_columns(A: IntMatrix) -> IntMatrix:
     return _hermite(ech, 0)
 
 
-def _cycles(g: IntMatrix, relations) -> IntMatrix:
-    """Hermite basis of the lattice {x : g x in the span of `relations`},
-    a sequence of columns of length g.rows, from one echelon.
+def map_echelon(h: IntMatrix, relations) -> Echelon:
+    """The augmented echelon of the map h: the columns (h e_j ; e_j) and
+    (rel ; 0) on the coordinates of h's target followed by those of its
+    source, for `relations` a sequence of columns of length h.rows.
 
-    The echelon holds the columns (g e_j ; e_j) and (rel ; 0) on the
-    coordinates of g's target followed by those of its source.  Its
-    vectors with a zero top part are exactly (0 ; x) with g x a sum of
+    Its vectors with a zero top part are exactly (0 ; x) with h x a sum of
     relations, and they are spanned by the rows pivoting in the bottom
-    block."""
-    m = g.rows
-    ech = Echelon(m + g.cols)
-    for j, col in enumerate(g.columns()):
+    block: an echelon basis of the cycles at h's source.  The top parts of
+    the other rows span the projection im h + span(relations) and pivot in
+    distinct columns: an echelon basis of the boundaries at h's target."""
+    m = h.rows
+    ech = Echelon(m + h.cols)
+    # the entries are nonzero and in range by construction
+    for j, col in enumerate(h.columns()):
         entries = _nonzeros(col)
         entries[m + j] = 1
-        ech.add_sparse(entries)
+        ech._insert(entries)
     for col in relations:
-        ech.add_sparse(_nonzeros(col))
-    return _hermite(ech, m)
+        if len(col) != m:
+            raise ZExactError("vector length mismatch")
+        ech._insert(_nonzeros(col))
+    return ech
+
+
+def _cycles(g: IntMatrix, relations) -> IntMatrix:
+    """Hermite basis of the lattice {x : g x in the span of `relations`},
+    a sequence of columns of length g.rows (see map_echelon)."""
+    return _hermite(map_echelon(g, relations), g.rows)
+
+
+def exact_node(f_ech: Echelon, g_ech: Echelon, n: int) -> bool:
+    """True exactly when ker g = im f + rel_B at a middle group B of n
+    generators, for f_ech = map_echelon(f, rel_B) and
+    g_ech = map_echelon(g, rel_C).
+
+    The boundary rows are the rows of f_ech pivoting before n, read on the
+    first n coordinates; the cycle rows are those of g_ech pivoting at
+    m = g.rows or later, read from m on.  Echelon bases of one lattice
+    share their pivot columns and their pivots up to sign.  So the answer
+    is True when the two row sets pivot in the same columns, with pivots
+    equal in absolute value, and every boundary row reduces to 0 among the
+    cycle rows (the boundaries D lie in the cycles C): the change of basis
+    from C to D is then triangular with a ±1 diagonal, and D = C.  False
+    means D != C: the homology is not 0, or D is not contained in C
+    (g∘f is not zero, or a relation of B is not a cycle)."""
+    m = g_ech.n - n
+    cyc = g_ech.pivots
+    bnd = [(p, row) for p, row in f_ech.pivots.items() if p < n]
+    if len(bnd) != sum(1 for p in cyc if p >= m):
+        return False
+    for p, row in bnd:
+        c = cyc.get(p + m)
+        if c is None or abs(c[p + m]) != abs(row[p]):
+            return False
+    for _, row in bnd:
+        # cycle rows have no entry before m, so `cur` keeps none either
+        cur = {i + m: x for i, x in row.items() if i < n}
+        while cur:
+            q = min(cur)
+            c = cyc.get(q)
+            if c is None or cur[q] % c[q]:
+                return False
+            _add_scaled(cur, c, -(cur[q] // c[q]))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -849,13 +895,12 @@ def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:
 
     Requires g∘f = 0 as maps of presented groups.  A middle group with no
     generators has homology 0 on the empty cycle basis.  Otherwise the
-    Hermite basis of the cycle lattice comes from one echelon of g augmented
-    by the identity and the relations of C, with no Smith form.  A trivial
-    homology is then decided by one Hermite form of the boundaries: a
-    boundary basis equal to the cycle basis means the two lattices are
-    equal and the quotient is 0.  The columns of f are then cycles,
-    which is g∘f = 0, so that check runs only in the other case, before the
-    cycle basis and the quotient are factored.
+    Hermite basis of the cycle lattice is read off the augmented echelon of
+    g with the relations of C (map_echelon), with no Smith form.  A trivial
+    homology is decided by exact_node against the augmented echelon of f
+    with the relations of B; the columns of f are then cycles, which is
+    g∘f = 0, so that check runs only in the other case, before the cycle
+    basis and the quotient are factored.
     """
     if f.target is not g.source and f.target.generators != g.source.generators:
         raise ZExactError("homology maps not composable")
@@ -863,15 +908,16 @@ def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:
     n = B.generators
     if n == 0:
         return HomologyResult(AbGroupNF(0, ()), IntMatrix.zero(0, 0), Presentation(0))
-    cyc = _cycles(g.matrix, g.target.relations.columns())
-    # boundaries: images of f plus relations of B
-    bnd = f.matrix.hstack(B.relations)
-    if hnf_columns(bnd) == cyc:
+    g_ech = map_echelon(g.matrix, g.target.relations.columns())
+    cyc = _hermite(g_ech, g.matrix.rows)
+    if exact_node(map_echelon(f.matrix, B.relations.columns()), g_ech, n):
         return HomologyResult(AbGroupNF(0, ()), cyc,
                               Presentation(cyc.cols, IntMatrix.identity(cyc.cols)))
     if not g.compose(f).is_zero_hom():
         raise CompositionNonZeroError("g∘f is not zero on presentations")
-    # an empty boundary block needs no factorisation of cyc
+    # boundaries: images of f plus relations of B; an empty block needs no
+    # factorisation of cyc
+    bnd = f.matrix.hstack(B.relations)
     sf = smith(cyc) if bnd.cols else None
     rels = sf.solve_columns(bnd) if sf is not None else IntMatrix.zero(cyc.cols, 0)
     if rels is None:
@@ -918,17 +964,30 @@ def graded_direct_sum(groups: Sequence[GradedGroup]) -> GradedGroup:
 
 
 def block_graded_hom(degree: int, sources: Sequence[GradedGroup],
-                     targets: Sequence[GradedGroup], blocks) -> GradedHom:
+                     targets: Sequence[GradedGroup], blocks,
+                     sums: Optional[dict] = None) -> GradedHom:
     """Assemble a GradedHom between graded direct sums from a grid of
     GradedHoms (or None); blocks[i][j]: sources[j] -> targets[i].  Each
     block contributes its component at the source parity, so a block whose
-    summands are shifted enters as `GradedHom.shift()` of the action."""
+    summands are shifted enters as `GradedHom.shift()` of the action.
+
+    `sums`, when given, is the caller's table of direct sums keyed by the
+    tuple of summands: each list of several summands is summed once per
+    table, and maps that share a list share its sum."""
+    def total(groups):
+        if sums is None or len(groups) == 1:
+            return graded_direct_sum(groups)
+        key = tuple(groups)
+        G = sums.get(key)
+        if G is None:
+            G = sums[key] = graded_direct_sum(groups)
+        return G
+
     mats = [IntMatrix.block(
         [[None if b is None else b.component(p).matrix for b in row] for row in blocks],
         [T.part(p + degree).generators for T in targets],
         [S.part(p).generators for S in sources]) for p in (0, 1)]
-    return GradedHom.build(degree, graded_direct_sum(sources),
-                           graded_direct_sum(targets), mats[0], mats[1])
+    return GradedHom.build(degree, total(sources), total(targets), mats[0], mats[1])
 
 
 @dataclass(frozen=True)

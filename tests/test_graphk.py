@@ -197,21 +197,50 @@ def _node_key(f, g):
 ])
 def test_each_distinct_node_is_factored_once_per_call(monkeypatch, graph,
                                                       exact_counts, tor_counts):
-    """check_exact and tor(M, 3) compute one homology per distinct node
-    whose middle group has generators, and none for the others."""
+    """check_exact and tor(M, 3) decide each distinct node whose middle
+    group has generators once, from one augmented echelon per distinct
+    (map, target relations), and compute a homology with
+    subquotient_homology only at the nodes where it is not 0: none in
+    check_exact of these exact modules."""
     M = fk_module(graph())
-    calls = []
-    real = ntmod.subquotient_homology
-    monkeypatch.setattr(ntmod, "subquotient_homology",
-                        lambda f, g: calls.append(_node_key(f, g)) or real(f, g))
+    echelons, decided, computed = [], [], []
+    key_of = {}
+    real_echelon, real_exact = ntmod.map_echelon, ntmod.exact_node
+    real_homology = ntmod.subquotient_homology
+
+    def map_echelon(h, relations):
+        ech = real_echelon(h, relations)
+        key_of[id(ech)] = (h, tuple(relations))
+        echelons.append(key_of[id(ech)])
+        return ech
+
+    monkeypatch.setattr(ntmod, "map_echelon", map_echelon)
+    monkeypatch.setattr(ntmod, "exact_node", lambda fe, ge, n: decided.append(
+        (key_of[id(fe)], key_of[id(ge)])) or real_exact(fe, ge, n))
+    monkeypatch.setattr(ntmod, "subquotient_homology", lambda f, g: computed.append(
+        _node_key(f, g)) or real_homology(f, g))
+
+    def map_key(h):
+        return (h.matrix, tuple(h.target.relations.columns()))
+
     for run, nodes, (total, distinct) in [
             (lambda: check_exact(M), reference_six_term_nodes(M), exact_counts),
             (lambda: tor(M, 3), reference_tor_nodes(M, 3), tor_counts)]:
-        calls.clear()
+        for calls in (echelons, decided, computed, key_of):
+            calls.clear()
         run()
-        wanted = {_node_key(f, g) for *_, f, g in nodes if g.source.generators}
-        assert (len(nodes), len(wanted)) == (total, distinct)
-        assert len(calls) == distinct and set(calls) == wanted
+        live = [(f, g) for *_, f, g in nodes if g.source.generators]
+        assert all(f.target.relations == g.source.relations for f, g in live)
+        wanted = {(map_key(f), map_key(g)) for f, g in live}
+        assert (len(nodes), len({_node_key(f, g) for f, g in live})) == (total, distinct)
+        assert len(decided) == len(wanted) == distinct and set(decided) == wanted
+        maps = {k for pair in wanted for k in pair}
+        assert len(echelons) == len(maps) and set(echelons) == maps
+        nonzero = {_node_key(f, g) for f, g in live
+                   if not real_homology(f, g).group.is_trivial()}
+        assert len(computed) == len(nonzero) and set(computed) == nonzero
+    # ck_z3 and ck_s are exact, so only tor computed groups
+    assert computed and not check_exact(M).failures
 
 
 def test_fk_module_block_diagonal_graph():

@@ -672,7 +672,8 @@ def test_tor_builds_each_tensored_differential_once(monkeypatch):
     built = []
     real = nm._tensor_diff
     monkeypatch.setattr(nm, "_tensor_diff",
-                        lambda res, M, k: built.append((res.Y, k)) or real(res, M, k))
+                        lambda res, M, k, *sums: built.append((res.Y, k))
+                        or real(res, M, k, *sums))
     rep = tor(M, 2)
     assert sorted(built) == sorted((Y, k) for Y in sc.objects for k in (1, 2, 3))
     assert rep.groups == expected
@@ -684,7 +685,8 @@ def test_tor_builds_through_the_tensored_complex(monkeypatch):
     complexes = []
     real = ntmod.tensor_complex_maps
     monkeypatch.setattr(ntmod, "tensor_complex_maps",
-                        lambda res, M, n: complexes.append((res.Y, n)) or real(res, M, n))
+                        lambda res, M, n, *sums: complexes.append((res.Y, n))
+                        or real(res, M, n, *sums))
     rep = tor(M, 2)
     assert complexes == [(Y, 2) for Y in sc.objects]
     # the whole complex [None, d_1⊗M, d_2⊗M, d_3⊗M]; d_k⊗M leaves level k

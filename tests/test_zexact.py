@@ -11,6 +11,7 @@ from fktor.zexact import (
     graded_direct_sum, hnf_columns, kernel, normal_form, shift, smith, solve,
     solve_columns, subquotient_homology,
 )
+import fktor.ntmod as ntmod
 import fktor.zexact as zexact
 from conftest import hermite_dense, smith_cycles, smith_dense, smith_kernel
 
@@ -878,6 +879,89 @@ def test_homology_factors_only_nonzero_homology(monkeypatch):
     assert subquotient_homology(GroupHom(B, B, M([[2, 0], [0, 4]])), g).group == \
         AbGroupNF(0, (2, 4))
     assert len(calls) == 3
+
+
+@st.composite
+def free_node_pairs(draw):
+    """f: A -> B, g: B -> C of up to 3 generators each, every matrix and
+    relation drawn freely: g∘f = 0, and the relations of B being cycles,
+    hold only by chance."""
+    a, b, c = (draw(st.integers(0, 3)) for _ in range(3))
+
+    def mat(rows, cols):
+        return draw(lattice_matrices(rows=rows, cols=cols))
+
+    A, B, C = (Presentation(k, mat(k, draw(st.integers(0, 2)))) for k in (a, b, c))
+    return GroupHom(A, B, mat(b, a)), GroupHom(B, C, mat(c, b))
+
+
+def _outcome(run):
+    """The group a homology routine returns, or the type and message of the
+    error it raises."""
+    try:
+        return run()
+    except ZExactError as e:
+        return type(e), str(e)
+
+
+def _reference_node(f, g):
+    """What subquotient_homology(f, g) must give, found without it: the
+    error for a composite g∘f that is not 0, or for a relation of B that is
+    not a cycle, else the homology solved in a Smith cycle basis."""
+    if not g.source.generators:
+        return AbGroupNF(0, ())
+    if not g.compose(f).is_zero_hom():
+        return CompositionNonZeroError, "g∘f is not zero on presentations"
+    if not g.is_well_defined():
+        return ZExactError, "boundary not contained in cycles"
+    return _smith_homology(f, g)
+
+
+def _echelon(h):
+    return zexact.map_echelon(h.matrix, h.target.relations.columns())
+
+
+@PROPS
+@given(st.one_of(homology_pairs().map(lambda p: p[:2]), wide_homology_pairs(),
+                 free_node_pairs()))
+@example((GroupHom(Presentation.zero(), Presentation.free(1), M([[]])),
+          GroupHom(Presentation.free(1), Presentation.free(1), M([[0]]))))
+@example((GroupHom(Presentation.free(1), Presentation.free(1), M([[2]])),
+          GroupHom(Presentation.free(1), Presentation.zero(), IntMatrix.zero(0, 1))))
+@example((GroupHom(Presentation.free(1), Presentation.free(2), M([[1], [1]])),
+          GroupHom(Presentation.free(2), Presentation.free(1), M([[0, 1]]))))
+def test_exact_node_decides_exactly_the_zero_homology(pair):
+    """exact_node on the two augmented echelons says True exactly when the
+    homology is 0, and never when subquotient_homology must raise (g∘f is
+    not 0, or a relation of B is not a cycle); subquotient_homology and the
+    node routine of ntmod return the reference group or raise its error."""
+    f, g = pair
+    expected = _reference_node(f, g)
+    if g.source.generators:
+        decided = zexact.exact_node(_echelon(f), _echelon(g), g.source.generators)
+        assert decided == (expected == AbGroupNF(0, ()))
+    assert _outcome(lambda: subquotient_homology(f, g).group) == expected
+    assert _outcome(lambda: ntmod._node_homology({}, f, g)) == expected
+
+
+@PROPS
+@given(st.one_of(homology_pairs().map(lambda p: p[:2]), free_node_pairs()),
+       st.integers(1, 2))
+@example((GroupHom(Presentation.zero(), Presentation.free(1), M([[]])),
+          GroupHom(Presentation.free(1), Presentation.zero(), IntMatrix.zero(0, 1))), 1)
+def test_node_with_other_middle_relations_falls_back(pair, extra):
+    """When f lands in a presentation of B with other relations (extra·I
+    added) than g starts from, the node routine ignores f's echelon and
+    returns what subquotient_homology gives on the relations of g's source.
+    In the example f lands in Z/1 = 0, whose echelon would read the node
+    Z -> 0 as exact."""
+    f, g = pair
+    B = g.source
+    rels = IntMatrix.identity(B.generators).scale(extra).hstack(B.relations)
+    f = GroupHom(f.source, Presentation(B.generators, rels), f.matrix)
+    expected = _reference_node(f, g)
+    assert _outcome(lambda: subquotient_homology(f, g).group) == expected
+    assert _outcome(lambda: ntmod._node_homology({}, f, g)) == expected
 
 
 def test_homology_sign_flip_invariance():
