@@ -15,11 +15,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .finspace import FiniteSpace, builtin_name, builtin_space, label, lc_subsets
+from .finspace import FiniteSpace, builtin_name, label, lc_subsets, space_from_ref, space_ref
 from .ntcat import SpaceCategory, space_category
 from .ntmod import GradedModule, TorReport, sum_map, tor
 from .zexact import (AbGroupNF, GradedGroup, GradedHom, IntMatrix, Presentation,
-                     hnf_columns, kernel, solve_columns, subquotient_homology)
+                     hermite_coords, hnf_columns, kernel, subquotient_homology)
 
 
 class GraphError(Exception):
@@ -76,7 +76,7 @@ class BlockGraph:
         if isinstance(data, str):
             data = json.loads(data)
         if space is None:
-            space = builtin_space(data["space"])
+            space = space_from_ref(data["space"])
         blocks = [(b["point"], b["vertices"]) for b in data["blocks"]]
         for _, k in blocks:
             if type(k) is not int:
@@ -85,7 +85,7 @@ class BlockGraph:
 
     def to_json(self) -> dict:
         return {
-            "space": self.space.name,
+            "space": space_ref(self.space),
             "blocks": [{"point": p, "vertices": k} for p, k in self.blocks],
             "adjacency": self.adjacency.to_lists(),
         }
@@ -251,7 +251,7 @@ def fk_module(G: BlockGraph, sc: Optional[SpaceCategory] = None) -> GradedModule
         if a.kind in ("i", "r"):
             C = _coord_matrix(G, a.src, a.dst)
             ev = C  # cokernel classes map by coordinates
-            od = solve_columns(kd[a.dst].k1_basis, C * kd[a.src].k1_basis)
+            od = hermite_coords(kd[a.dst].k1_basis, C * kd[a.src].k1_basis)
             if od is None:
                 raise GraphError("kernel vector does not restrict; "
                                  "triangularity violated")
@@ -281,7 +281,7 @@ class FastTorResult:
     group_odd: AbGroupNF
     witnesses: Dict[str, tuple] = field(default_factory=dict)
     middle_groups: Tuple[AbGroupNF, ...] = ()
-    homology: Optional[object] = None  # HomologyResult for class queries
+    homology: Optional[object] = None  # HomologyResult; class_of factors nothing
 
 
 def _three_term(G: BlockGraph, space: str, *specs):
@@ -330,7 +330,7 @@ def z3_fast_tor1(G: BlockGraph) -> FastTorResult:
     ker_f_phi0 = kernel(f * phi0)
     L1 = hnf_columns(phi0 * ker_f_phi0)        # ker(f) ∩ im(φ0)
     L2 = hnf_columns(phi0 * kerf)              # φ0(ker f)
-    coords = solve_columns(L1, L2)
+    coords = hermite_coords(L1, L2)
     if coords is None:
         raise GraphError("φ0(ker f) not inside ker(f) ∩ im(φ0)")
     quotient = Presentation(L1.cols, coords)

@@ -2,14 +2,14 @@
 
 Everything here is arbitrary precision: matrices are tuples of tuples of
 Python ints, groups are finitely generated abelian groups given by
-presentations, and all normal forms come from the Smith normal form with
-explicit unimodular transforms.  No floats anywhere.
+presentations and normalised by the Smith normal form, and kernels, cycle lattices
+and coordinates in their Hermite bases come from row echelons.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import add, itemgetter, mul, neg
 from typing import Dict, Iterable, Optional, Sequence
@@ -285,11 +285,10 @@ def _add_scaled(dst: dict, src: dict, q: int) -> None:
 class SmithForm:
     """U * A * V = S with U, V unimodular and S diagonal, d1 | d2 | ...
 
-    `rows` and `cols` are the shape of A.  `smith` hands over sparse rows: the rows of U and of V transposed (the
-    columns of V), each a {column: nonzero} dict, and the diagonal of S.
-    `solve`, `solve_columns`, `u_rows` and `Presentation.class_vector` work
-    on those rows.  The dense `U`, `S` and `V` are built when first read and
-    then kept, so a second read returns the same matrix."""
+    `rows` and `cols` are the shape of A.  `smith` hands over sparse rows: the rows
+    of U and of V transposed (the columns of V), each a {column: nonzero} dict, and
+    the diagonal of S; `solve`, `u_rows` and `Presentation.class_vector` work on
+    them.  The dense `U`, `S` and `V` are built when first read and then kept."""
 
     def __init__(self, rows: int, cols: int, u_rows: list, diag: list,
                  vt_rows: list):
@@ -345,19 +344,6 @@ class SmithForm:
                 for j, q in vt[i].items():
                     x[j] += y * q
         return tuple(x)
-
-    def solve_columns(self, B: IntMatrix) -> Optional[IntMatrix]:
-        """Integer X with A X = B for the factored A, or None if some
-        column of B is not in the column lattice of A."""
-        if B.rows != self.rows:
-            raise ZExactError("rhs row count mismatch")
-        cols = []
-        for j in range(B.cols):
-            x = self.solve(B.column(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return IntMatrix.from_columns(cols, self.cols)
 
 
 def smith(A: IntMatrix) -> SmithForm:
@@ -537,7 +523,23 @@ def solve_columns(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
         raise ZExactError("rhs row count mismatch")
     if B.cols == 0:
         return IntMatrix.zero(A.cols, 0)
-    return smith(A).solve_columns(B)
+    sf = smith(A)
+    cols = [sf.solve(b) for b in B.columns()]
+    return None if None in cols else IntMatrix.from_columns(cols, A.cols)
+
+
+def _reduce(cur: dict, pivots: Dict[int, dict]) -> Optional[dict]:
+    """The coefficients {pivot: q} of the sparse vector `cur` (consumed) in the
+    rows `pivots`, each keyed by its least column, or None outside their span."""
+    coeffs = {}
+    while cur:
+        p = min(cur)
+        row = pivots.get(p)
+        if row is None or cur[p] % row[p]:
+            return None
+        q = coeffs[p] = cur[p] // row[p]
+        _add_scaled(cur, row, -q)
+    return coeffs
 
 
 class Echelon:
@@ -591,14 +593,7 @@ class Echelon:
         return changed
 
     def contains(self, vec) -> bool:
-        cur = _nonzeros(vec)
-        while cur:
-            p = min(cur)
-            row = self.pivots.get(p)
-            if row is None or cur[p] % row[p]:
-                return False
-            _add_scaled(cur, row, -(cur[p] // row[p]))
-        return True
+        return _reduce(_nonzeros(vec), self.pivots) is not None
 
     def spans_all(self) -> bool:
         """True when the rows span Z^n: a pivot in every column, each ±1."""
@@ -644,6 +639,27 @@ def hnf_columns(A: IntMatrix) -> IntMatrix:
     for c in A.columns():
         ech.add(c)
     return _hermite(ech, 0)
+
+
+def hermite_coords(H: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
+    """The unique X with H X = B, or None when a column of B is outside the
+    column lattice of H, read off by `_reduce` with no Smith form.  Each column
+    of H must pivot (have its least nonzero) in a row of its own, as the
+    Hermite bases of kernel, hnf_columns and _hermite do."""
+    if H.rows != B.rows:
+        raise ZExactError("rhs row count mismatch")
+    pivots = {}
+    for col in H.columns():
+        row = _nonzeros(col)
+        if not row or min(row) in pivots:
+            raise ZExactError("basis columns must pivot in distinct rows")
+        pivots[min(row)] = row
+    index = {p: k for k, p in enumerate(pivots)}
+    coords = [_reduce(_nonzeros(b), pivots) for b in B.columns()]
+    if None in coords:
+        return None
+    return IntMatrix.from_sparse_columns(
+        [{index[p]: q for p, q in c.items()} for c in coords], H.cols)
 
 
 def map_echelon(h: IntMatrix, relations) -> Echelon:
@@ -700,16 +716,9 @@ def exact_node(f_ech: Echelon, g_ech: Echelon, n: int) -> bool:
         c = cyc.get(p + m)
         if c is None or abs(c[p + m]) != abs(row[p]):
             return False
-    for _, row in bnd:
-        # cycle rows have no entry before m, so `cur` keeps none either
-        cur = {i + m: x for i, x in row.items() if i < n}
-        while cur:
-            q = min(cur)
-            c = cyc.get(q)
-            if c is None or cur[q] % c[q]:
-                return False
-            _add_scaled(cur, c, -(cur[q] // c[q]))
-    return True
+    # cycle rows have no entry before m, so the reduced rows keep none either
+    return all(_reduce({i + m: x for i, x in row.items() if i < n}, cyc) is not None
+               for _, row in bnd)
 
 
 # ---------------------------------------------------------------------------
@@ -861,22 +870,14 @@ class HomologyResult:
     # presentation of ker(g)/im(f) in terms of a kernel lattice basis
     lattice_basis: IntMatrix      # columns: basis of the lifted cycle lattice
     quotient: Presentation        # ker/im presented on that basis
-    # Smith form of lattice_basis: the one subquotient_homology factored
-    # when there were boundaries to solve for, else by the first class_of
-    _basis_smith: Optional[SmithForm] = field(default=None, repr=False,
-                                              compare=False)
 
     def class_of(self, v: Sequence[int]) -> tuple:
         """Canonical class of an element of the middle group given by a
         coordinate vector in its generators.  The vector must be a cycle."""
-        sf = self._basis_smith
-        if sf is None:
-            sf = smith(self.lattice_basis)
-            object.__setattr__(self, "_basis_smith", sf)
-        coords = sf.solve(v)
+        coords = hermite_coords(self.lattice_basis, IntMatrix.from_columns([v], len(v)))
         if coords is None:
             raise ZExactError("element is not a cycle")
-        return self.quotient.class_vector(coords)
+        return self.quotient.class_vector(coords.column(0))
 
     def is_generator(self, v: Sequence[int]) -> bool:
         """True if the class of v generates the homology group."""
@@ -899,8 +900,9 @@ def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:
     g with the relations of C (map_echelon), with no Smith form.  A trivial
     homology is decided by exact_node against the augmented echelon of f
     with the relations of B; the columns of f are then cycles, which is
-    g∘f = 0, so that check runs only in the other case, before the cycle
-    basis and the quotient are factored.
+    g∘f = 0.  Otherwise the quotient relations are the hermite_coords of f's
+    columns (None: g∘f is not 0) and of B's relations in the cycle basis, and
+    only the quotient is factored.
     """
     if f.target is not g.source and f.target.generators != g.source.generators:
         raise ZExactError("homology maps not composable")
@@ -913,17 +915,14 @@ def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:
     if exact_node(map_echelon(f.matrix, B.relations.columns()), g_ech, n):
         return HomologyResult(AbGroupNF(0, ()), cyc,
                               Presentation(cyc.cols, IntMatrix.identity(cyc.cols)))
-    if not g.compose(f).is_zero_hom():
+    images = hermite_coords(cyc, f.matrix)
+    if images is None:
         raise CompositionNonZeroError("g∘f is not zero on presentations")
-    # boundaries: images of f plus relations of B; an empty block needs no
-    # factorisation of cyc
-    bnd = f.matrix.hstack(B.relations)
-    sf = smith(cyc) if bnd.cols else None
-    rels = sf.solve_columns(bnd) if sf is not None else IntMatrix.zero(cyc.cols, 0)
+    rels = hermite_coords(cyc, B.relations)
     if rels is None:
         raise ZExactError("boundary not contained in cycles")
-    quotient = Presentation(cyc.cols, rels)
-    return HomologyResult(quotient.normal_form(), cyc, quotient, sf)
+    quotient = Presentation(cyc.cols, images.hstack(rels))
+    return HomologyResult(quotient.normal_form(), cyc, quotient)
 
 
 # ---------------------------------------------------------------------------

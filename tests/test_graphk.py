@@ -96,6 +96,23 @@ def test_graph_json_round_trip():
     clone = BlockGraph.from_json(G.to_json())
     assert clone.adjacency == G.adjacency
     assert clone.blocks == G.blocks
+    # the space is written as GradedModule writes it: a builtin by its name,
+    # whatever the space's own name, and any other space as an object
+    S = ck_s()
+    renamed = BlockGraph(FiniteSpace(S.space.points, S.space.opens, name="Z3"),
+                         S.blocks, S.adjacency)
+    data = json.loads(json.dumps(renamed.to_json()))
+    assert data == S.to_json() and data["space"] == "S"
+    clone = BlockGraph.from_json(data)
+    assert clone.space == builtin_space("S") and graph_checks(clone).triangular
+    two = FiniteSpace(["a", "b"], [[], ["b"], ["a", "b"]], name="two")
+    G = BlockGraph(two, [("a", 1), ("b", 2)],
+                   IntMatrix([[2, 1, 0], [0, 2, 1], [0, 1, 2]]))
+    data = json.loads(json.dumps(G.to_json()))
+    assert data["space"] == space_to_json(two)
+    clone = BlockGraph.from_json(data)
+    assert clone.space == two and clone.space.name == "two"
+    assert clone.to_json() == data and graph_checks(clone) == graph_checks(G)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +158,19 @@ def test_fk_module_is_valid_and_exact_for_ck_examples():
         M = fk_module(G)
         assert validate(M).ok
         assert check_exact(M).ok
+
+
+@pytest.mark.parametrize("graph", [ck_z3, ck_s])
+def test_fk_module_factors_nothing(monkeypatch, graph):
+    """The odd actions are coordinates in the Hermite kernel bases, read
+    off by reduction with no Smith form."""
+    G = graph()
+    sc = space_category(G.space)
+    calls = []
+    real = zexact.smith
+    monkeypatch.setattr(zexact, "smith", lambda A: calls.append(A) or real(A))
+    fk_module(G, sc)
+    assert calls == []
 
 
 def test_check_exact_of_an_exact_module_factors_only_kernels(monkeypatch):

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from fktor.zexact import (
     AbGroupNF, CompositionNonZeroError, Echelon, GradedGroup, GradedHom,
     GroupHom, IntMatrix, Presentation, ZExactError, block_diag,
-    graded_direct_sum, hnf_columns, kernel, normal_form, shift, smith, solve,
-    solve_columns, subquotient_homology,
+    graded_direct_sum, hermite_coords, hnf_columns, kernel, normal_form, shift,
+    smith, solve, solve_columns, subquotient_homology,
 )
 import fktor.ntmod as ntmod
 import fktor.zexact as zexact
@@ -662,7 +662,7 @@ def test_homology_witness_class():
     assert not any(c for c in res.class_of((2, 0)))
 
 
-def test_class_of_factors_the_cycle_basis_once(monkeypatch):
+def test_class_of_never_factors_the_cycle_basis(monkeypatch):
     B = Presentation.free(2)
     f = GroupHom(B, B, M([[2, 0], [0, 4]]))
     g = GroupHom.zero(B, Presentation.zero())
@@ -670,10 +670,13 @@ def test_class_of_factors_the_cycle_basis_once(monkeypatch):
     real = zexact.smith
     monkeypatch.setattr(zexact, "smith", lambda A: calls.append(A) or real(A))
     res = subquotient_homology(f, g)
+    before = len(calls)
     assert res.class_of((1, 1)) == (1, 1)
     assert res.class_of((3, 2)) == (1, 2)
-    # one factorisation of the cycle basis over the result's whole life
-    assert sum(A == res.lattice_basis for A in calls) == 1
+    # coordinates come off the Hermite cycle basis by reduction, and the
+    # quotient keeps the Smith form its normal form made
+    assert len(calls) == before
+    assert not any(A == res.lattice_basis for A in calls)
     C = Presentation(2, M([[0], [1]]))
     h = subquotient_homology(GroupHom.zero(Presentation.zero(), B),
                              GroupHom(B, C, M([[1, 0], [0, 1]])))
@@ -681,26 +684,27 @@ def test_class_of_factors_the_cycle_basis_once(monkeypatch):
         h.class_of((1, 0))
 
 
-def test_homology_keeps_the_smith_form_of_its_cycles(monkeypatch):
+def test_homology_never_factors_its_cycle_basis(monkeypatch):
     calls = []
     real = zexact.smith
     monkeypatch.setattr(zexact, "smith", lambda A: calls.append(A) or real(A))
     B = Presentation.free(2)
-    # boundaries to express in the cycle basis: the Smith form made for
-    # them is the one class_of uses, so class_of factors nothing
+    # boundaries to express in the cycle basis: they are reduced in it, and
+    # the one Smith form is the quotient's, which class_of reuses
     res = subquotient_homology(GroupHom(B, B, M([[2, 0], [0, 4]])),
                                GroupHom.zero(B, Presentation.zero()))
-    before = len(calls)
+    assert calls == [res.quotient.relations]
     assert res.class_of((1, 3)) == (1, 3)
-    assert len(calls) == before
-    # no boundaries (no f columns, free middle group): no Smith call on the
-    # cycle basis until class_of needs one
-    cyc_calls = len(calls)
+    assert len(calls) == 1
+    # no boundaries (no f columns, free middle group): the same, with the
+    # empty relation block
+    calls.clear()
     empty = subquotient_homology(GroupHom.zero(Presentation.zero(), B),
                                  GroupHom.zero(B, Presentation.zero()))
-    assert not any(A == empty.lattice_basis for A in calls[cyc_calls:])
+    assert calls == [empty.quotient.relations] == [IntMatrix.zero(2, 0)]
     assert empty.class_of((5, -1)) == (5, -1)
-    assert sum(A == empty.lattice_basis for A in calls[cyc_calls:]) == 1
+    assert len(calls) == 1
+    assert not any(A == empty.lattice_basis for A in calls)
 
 
 @st.composite
@@ -733,6 +737,43 @@ def test_kernel_matches_the_smith_oracle(A):
     assert (A * K).is_zero()
     assert_hermite(K)
     assert_hermite(hnf_columns(A))
+
+
+@st.composite
+def hermite_systems(draw):
+    """A Hermite basis H, hnf_columns(A) or kernel(A), and a block B of its
+    height: combinations of the columns of H, sometimes followed by drawn
+    columns, which may lie outside the lattice."""
+    A = draw(lattice_matrices())
+    H = draw(st.sampled_from((hnf_columns, kernel)))(A)
+    B = H * draw(lattice_matrices(rows=H.cols))
+    if draw(st.booleans()):
+        B = B.hstack(draw(lattice_matrices(rows=H.rows)))
+    return H, B
+
+
+@PROPS
+@given(hermite_systems())
+@example((M([[2, 0], [1, 3]]), M([[2], [4]])))
+@example((M([[2, 0], [1, 3]]), M([[2], [2]])))
+def test_hermite_coords_match_the_smith_solve(HB):
+    """The reduction gives the Smith oracle's solution, which is unique,
+    or None exactly when the oracle has none."""
+    H, B = HB
+    X = hermite_coords(H, B)
+    assert X == solve_columns(H, B)
+    if X is not None:
+        assert H * X == B
+
+
+def test_hermite_coords_need_distinct_pivots_and_equal_heights():
+    for H in (M([[1, 2], [0, 1]]),    # both columns pivot in row 0
+              M([[1, 0], [0, 0]]),    # a zero column has no pivot
+              IntMatrix.zero(0, 1)):
+        with pytest.raises(ZExactError, match="pivot in distinct rows"):
+            hermite_coords(H, IntMatrix.zero(H.rows, 1))
+    with pytest.raises(ZExactError, match="row count mismatch"):
+        hermite_coords(IntMatrix.identity(2), M([[1]]))
 
 
 @st.composite
@@ -874,11 +915,12 @@ def test_homology_factors_only_nonzero_homology(monkeypatch):
     res = subquotient_homology(GroupHom(B, B, M([[2, 1], [1, 1]])), g)
     assert res.group.is_trivial()
     assert len(calls) == 0
-    # not exact: C, the cycle basis and the quotient are factored
+    # not exact: the boundaries are reduced in the cycle basis and g∘f = 0
+    # is read off that reduction, so only the quotient is factored
     calls.clear()
-    assert subquotient_homology(GroupHom(B, B, M([[2, 0], [0, 4]])), g).group == \
-        AbGroupNF(0, (2, 4))
-    assert len(calls) == 3
+    res = subquotient_homology(GroupHom(B, B, M([[2, 0], [0, 4]])), g)
+    assert res.group == AbGroupNF(0, (2, 4))
+    assert calls == [res.quotient.relations]
 
 
 @st.composite

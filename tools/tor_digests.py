@@ -1,5 +1,5 @@
-"""Digests of exactness reports and Tor groups, one line per module of a
-fixed seeded corpus.
+"""Digests of exactness reports, Tor groups and Tor_1 fast-path results,
+one line per module or fast-path run of a fixed seeded corpus.
 
     python3 tools/tor_digests.py > digests.txt
 
@@ -11,10 +11,15 @@ that failure strings with their groups are printed too.  For each module
 the line is `<space> <name> <exact digest> <tor digest>`: the sha256 of the
 `check_exact` report (`ok` and the failure strings, in order) and of
 `tor(M, 3).to_json()`, both as JSON with sorted keys, or the error that
-call raised.  Two checkouts whose outputs are equal give the same
-verdicts, failure strings and Tor groups on the corpus.  The wall time
-goes to stderr.  The package and the helpers of the tests are imported
-from the checkout that holds this file.
+call raised.  Then one line per run of the Tor_1 fast paths
+(`z3_fast_tor1`, `s_fast_tor1`) on `ck_z3`, `ck_s` and seeded random block
+graphs over Z3 and S: `<space> <name>/fast <digest>`, the sha256 of the
+groups, witnesses and middle groups, and for S also of the even-lane
+homology's cycle basis, quotient generators and relations, and the
+`class_of` of each basis column.  Two checkouts whose outputs are equal
+give the same verdicts, failure strings, Tor groups and fast-path results
+on the corpus.  The wall time goes to stderr.  The package and the helpers
+of the tests are imported from the checkout that holds this file.
 """
 
 import hashlib
@@ -29,12 +34,14 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from conftest import random_block_graph  # noqa: E402
 from fktor.finspace import BUILTIN_NAMES  # noqa: E402
-from fktor.graphk import BlockGraph, fk_module  # noqa: E402
+from fktor.graphk import (BlockGraph, GraphError, fk_module, s_fast_tor1,  # noqa: E402
+                          z3_fast_tor1)
 from fktor.ntmod import GradedModule, ModuleError, check_exact, tor  # noqa: E402
 from fktor.zexact import ZExactError  # noqa: E402
 
 DATA = os.path.join(ROOT, "src", "fktor", "data")
 GRAPHS_PER_SPACE = 4
+FAST_GRAPHS_PER_SPACE = 8
 DEGREE = 3
 
 
@@ -55,10 +62,19 @@ def base_corpus():
         yield G.space.name, name, fk_module(G)
 
 
+def fast_corpus():
+    """(space, name, graph) of the fast-path runs."""
+    rng = random.Random(2022)
+    for space, fixture in (("Z3", "ck_z3"), ("S", "ck_s")):
+        yield space, fixture, BlockGraph.from_json(load(f"{fixture}.json"))
+        for i in range(FAST_GRAPHS_PER_SPACE):
+            yield space, f"graph{i}", random_block_graph(space, rng)
+
+
 def digest(run) -> str:
     try:
         text = json.dumps(run(), sort_keys=True)
-    except (ModuleError, ZExactError) as e:  # the message is the result
+    except (GraphError, ModuleError, ZExactError) as e:  # the message is the result
         return f"{type(e).__name__}: {e}"
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -66,6 +82,21 @@ def digest(run) -> str:
 def exact_json(M) -> dict:
     rep = check_exact(M)
     return {"ok": rep.ok, "failures": rep.failures}
+
+
+def fast_json(space, G) -> dict:
+    res = (z3_fast_tor1 if space == "Z3" else s_fast_tor1)(G)
+    out = {"groups": [str(res.group_even), str(res.group_odd)],
+           "witnesses": res.witnesses,
+           "middle": [str(g) for g in res.middle_groups]}
+    h = res.homology
+    if h is not None:
+        out["homology"] = {
+            "basis": h.lattice_basis.to_lists(),
+            "generators": h.quotient.generators,
+            "relations": h.quotient.relations.to_lists(),
+            "classes": [h.class_of(c) for c in h.lattice_basis.columns()]}
+    return out
 
 
 def main():
@@ -77,7 +108,11 @@ def main():
             print(space, name + suffix, digest(lambda: exact_json(module)),
                   digest(lambda: tor(module, DEGREE).to_json()), flush=True)
             count += 1
-    print(f"{count} modules: {time.perf_counter() - start:.2f} s",
+    runs = 0
+    for space, name, G in fast_corpus():
+        print(space, name + "/fast", digest(lambda: fast_json(space, G)), flush=True)
+        runs += 1
+    print(f"{count} modules, {runs} fast-path runs: {time.perf_counter() - start:.2f} s",
           file=sys.stderr, flush=True)
 
 
