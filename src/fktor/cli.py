@@ -128,7 +128,7 @@ def _nf_pair_json(pair):
 
 def cmd_space_info(args):
     space = _get_space(args)
-    lcs = lc_subsets(space, connected_only=True)
+    lcs = space.lc_star()
     all_lc = lc_subsets(space)
     accordion = is_accordion_union(space) if space.is_t0() else None
     report = {

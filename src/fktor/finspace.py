@@ -2,7 +2,8 @@
 
 Spaces are stored by their full open-set family; the specialization
 preorder, connectivity and locally closed subsets are all derived from it.
-Subsets are rendered as sorted label concatenations ("124"), matching the
+Points are named by single characters, so a subset is rendered, without
+ambiguity, as the sorted concatenation of its names ("124"), matching the
 usual notation for these spaces.
 """
 
@@ -30,6 +31,10 @@ class FiniteSpace:
 
     def __init__(self, points: Sequence[str], opens: Iterable[Iterable[str]],
                  name: Optional[str] = None):
+        points = tuple(points)
+        for p in points:
+            if not (isinstance(p, str) and len(p) == 1):
+                raise SpaceError(f"point name {p!r} is not a one-character string")
         self.points = tuple(sorted(points))
         pset = frozenset(self.points)
         fam = {frozenset(o) for o in opens}
@@ -48,15 +53,29 @@ class FiniteSpace:
         self._min_open = {p: frozenset.intersection(*[o for o in fam if p in o])
                           for p in self.points}
         self._lc_star = None
+        self._six_term_pairs = None
 
     # -- basic structure ---------------------------------------------------
 
     def lc_star(self) -> list:
-        """LC(X)*, as lc_subsets(X, connected_only=True) lists it; listed
-        once per space."""
+        """LC(X)*, the nonempty connected locally closed subsets, in the
+        order of lc_subsets; listed once per space."""
         if self._lc_star is None:
-            self._lc_star = lc_subsets(self, connected_only=True)
+            self._lc_star = [lc for lc in lc_subsets(self)
+                             if lc.value and self.is_connected(lc.value)]
         return self._lc_star
+
+    def six_term_pairs(self) -> list:
+        """(U, Y, components(U), components(Y∖U)) for Y in LC(X)* and U
+        relatively open in Y with ∅ ⊊ U ⊊ Y, in the order of lc_star and
+        relative_opens; listed once per space.  These are the pairs whose
+        six-term sequences are not vacuous."""
+        if self._six_term_pairs is None:
+            self._six_term_pairs = [
+                (U, Y, tuple(self.components(U)), tuple(self.components(Y - U)))
+                for Y in (lc.value for lc in self.lc_star())
+                for U in self.relative_opens(Y) if U and U != Y]
+        return self._six_term_pairs
 
     def min_open(self, p: str) -> Subset:
         return self._min_open[p]
@@ -156,12 +175,9 @@ class LCSubset:
         return label(self.value)
 
 
-def lc_subsets(X: FiniteSpace, connected_only: bool = False) -> list:
-    """All locally closed subsets as differences of open pairs.
-
-    With connected_only, exactly LC(X)*: nonempty and connected in the
-    subspace topology.
-    """
+def lc_subsets(X: FiniteSpace) -> list:
+    """All locally closed subsets, the empty one included, as differences
+    of open pairs, sorted by (size, label)."""
     seen = {}
     for u in X.opens:
         for v in X.opens:
@@ -169,20 +185,7 @@ def lc_subsets(X: FiniteSpace, connected_only: bool = False) -> list:
                 y = u - v
                 if y not in seen:
                     seen[y] = LCSubset(y, u, v)
-    out = []
-    for y, lc in seen.items():
-        if connected_only and (not y or not X.is_connected(y)):
-            continue
-        out.append(lc)
-    return sorted(out, key=lambda lc: (len(lc.value), lc.label))
-
-
-def open_pairs(X: FiniteSpace, Y: Iterable[str]) -> list:
-    """All pairs (U, Y∖U) with U relatively open in the locally closed Y."""
-    yy = frozenset(Y)
-    if not X.is_locally_closed(yy):
-        raise SpaceError(f"{label(yy)} is not locally closed")
-    return [(u, yy - u) for u in X.relative_opens(yy)]
+    return sorted(seen.values(), key=lambda lc: (len(lc.value), lc.label))
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +231,10 @@ def is_accordion_union(X: FiniteSpace) -> bool:
 # ---------------------------------------------------------------------------
 
 def z_space(m: int) -> FiniteSpace:
-    """(m+1) points 1..m+1; a set is open iff it contains m+1 or is empty."""
-    if m < 1:
-        raise SpaceError("z_space needs m >= 1")
+    """(m+1) points 1..m+1; a set is open iff it contains m+1 or is empty.
+    Points are named by single characters, so m is at most 8."""
+    if not 1 <= m <= 8:
+        raise SpaceError("z_space needs 1 <= m <= 8")
     points = [str(i) for i in range(1, m + 2)]
     top = str(m + 1)
     rest = [str(i) for i in range(1, m + 1)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space,
-                       label, lc_subsets, space_from_ref, space_ref)
+                       label, space_from_ref, space_ref)
 from .zexact import Echelon, IntMatrix, ZExactError, smith, solve_columns
 
 
@@ -114,7 +114,7 @@ class CatPresentation:
     def __init__(self, space: FiniteSpace, arrows: Sequence[Arrow],
                  relations: Sequence[Combo], reconstructed: bool = False):
         self.space = space
-        self.objects = [label(lc.value) for lc in lc_subsets(space, connected_only=True)]
+        self.objects = [lc.label for lc in space.lc_star()]
         objset = set(self.objects)
         self.arrows: Dict[str, Arrow] = {}
         for a in arrows:
@@ -204,10 +204,6 @@ class _Cycle(Exception):
     pass
 
 
-def _skey(s: FrozenSet[str]) -> str:
-    return label(s)
-
-
 class Designator:
     """Derives canonical words for the inclusion, restriction and boundary
     transformations of every open pair, by structural recursion on the
@@ -224,7 +220,6 @@ class Designator:
         for a in arrows:
             self.gen[(a.kind, a.src, a.dst)] = a
         self.lcstar = [lc.value for lc in space.lc_star()]
-        self.lcstar.sort(key=lambda s: (len(s), label(s)))
         self.memo: Dict[tuple, Combo] = {}
         self.alternates: Dict[tuple, List[Combo]] = {}
         self.stack: set = set()
@@ -232,7 +227,7 @@ class Designator:
     # -- helpers -------------------------------------------------------------
 
     def _gen_word(self, kind, src, dst) -> Optional[Combo]:
-        a = self.gen.get((kind, _skey(src), _skey(dst)))
+        a = self.gen.get((kind, label(src), label(dst)))
         return {(a.name,): 1} if a else None
 
     def _run(self, key, routes, record_alternates=False):
@@ -256,9 +251,6 @@ class Designator:
         finally:
             self.stack.discard(key)
 
-    def _sorted(self, subsets):
-        return sorted(subsets, key=lambda s: (len(s), label(s)))
-
     # -- inclusion words ------------------------------------------------------
 
     def inc(self, C: FrozenSet[str], Y: FrozenSet[str], alt=False) -> Combo:
@@ -271,12 +263,12 @@ class Designator:
             return self.memo[key]
         routes = []
         for D in self.lcstar:
-            a = self.gen.get(("i", _skey(D), _skey(Y)))
+            a = self.gen.get(("i", label(D), label(Y)))
             if a is not None and C <= D:
                 routes.append(lambda D=D, a=a:
                               combo_compose(self.inc(C, D), {(a.name,): 1}))
         for W in self.lcstar:
-            a = self.gen.get(("r", _skey(W), _skey(Y)))
+            a = self.gen.get(("r", label(W), label(Y)))
             if a is not None and C <= W and self.X.is_open_in(C, W):
                 routes.append(lambda W=W, a=a:
                               combo_compose(self.inc(C, W), {(a.name,): 1}))
@@ -284,7 +276,7 @@ class Designator:
         for W in self.lcstar:
             if W != Y and Y <= W and self.X.is_closed_in(Y, W) \
                     and self.X.is_open_in(C, W) \
-                    and ("r", _skey(W), _skey(Y)) not in self.gen:
+                    and ("r", label(W), label(Y)) not in self.gen:
                 routes.append(lambda W=W:
                               combo_compose(self.inc(C, W), self.res(W, Y)))
         return self._run(key, routes, record_alternates=alt)
@@ -301,19 +293,19 @@ class Designator:
             return self.memo[key]
         routes = []
         for E2 in self.lcstar:
-            a = self.gen.get(("r", _skey(Y), _skey(E2)))
+            a = self.gen.get(("r", label(Y), label(E2)))
             if a is not None and E <= E2:
                 routes.append(lambda E2=E2, a=a:
                               combo_compose({(a.name,): 1}, self.res(E2, E)))
         for D in self.lcstar:
-            a = self.gen.get(("i", _skey(Y), _skey(D)))
+            a = self.gen.get(("i", label(Y), label(D)))
             if a is not None and self.X.is_closed_in(E, D):
                 routes.append(lambda D=D, a=a:
                               combo_compose({(a.name,): 1}, self.res(D, E)))
         for D in self.lcstar:
             if D != Y and Y <= D and self.X.is_open_in(Y, D) \
                     and self.X.is_closed_in(E, D) \
-                    and ("i", _skey(Y), _skey(D)) not in self.gen:
+                    and ("i", label(Y), label(D)) not in self.gen:
                 routes.append(lambda D=D:
                               combo_compose(self.inc(Y, D), self.res(D, E)))
         return self._run(key, routes, record_alternates=alt)
@@ -340,7 +332,7 @@ class Designator:
             routes.append(lambda: dict(g))
         rel_opens = self.X.relative_opens(Z)
         # shrink the total space to a relatively open piece containing E
-        for Zp in self._sorted(s for s in rel_opens if E <= s and s != Z):
+        for Zp in (s for s in rel_opens if E <= s and s != Z):
             def red3(Zp=Zp):
                 Up = Zp - E
                 out: Combo = {}
@@ -350,7 +342,7 @@ class Designator:
                 return out
             routes.append(red3)
         # quotient away a relatively open piece of E
-        for W in self._sorted(s for s in rel_opens if s and s <= E):
+        for W in (s for s in rel_opens if s and s <= E):
             def red5(W=W):
                 out: Combo = {}
                 for E2 in self.X.components(E - W):
@@ -360,8 +352,7 @@ class Designator:
             routes.append(red5)
         # enlarge the ideal: realise (C, Z) as the quotient of a bigger pair
         # (C ∪ V, Z ∪ V) by the relatively open piece V
-        for Yp in self._sorted(s for s in self.lcstar
-                               if Z < s and self.X.is_closed_in(Z, s)):
+        for Yp in (s for s in self.lcstar if Z < s and self.X.is_closed_in(Z, s)):
             Up = C | (Yp - Z)
             if not self.X.is_open_in(Up, Yp):
                 continue
@@ -375,8 +366,7 @@ class Designator:
                 return out
             routes.append(red6)
         # grow the total space: Z relatively open in a bigger object
-        for Zp in self._sorted(s for s in self.lcstar
-                               if Z < s and self.X.is_open_in(Z, s)):
+        for Zp in (s for s in self.lcstar if Z < s and self.X.is_open_in(Z, s)):
             def red4(Zp=Zp):
                 Ep = next(c for c in self.X.components(Zp - C) if E <= c)
                 return combo_compose(self.inc(E, Ep), self.bnd(C, Ep))
@@ -387,16 +377,6 @@ class Designator:
 # ---------------------------------------------------------------------------
 # Relation generation
 # ---------------------------------------------------------------------------
-
-def _proper_open_pairs(space: FiniteSpace):
-    """(U, Y) with Y connected locally closed and U relatively open,
-    ∅ ⊊ U ⊊ Y."""
-    for lc in lc_subsets(space, connected_only=True):
-        Y = lc.value
-        for U in space.relative_opens(Y):
-            if U and U != Y:
-                yield U, Y
-
 
 def generate_relations(space: FiniteSpace, arrows: Sequence[Arrow]):
     """Relation set from six-term and naturality identities.
@@ -423,10 +403,7 @@ def generate_relations(space: FiniteSpace, arrows: Sequence[Arrow]):
             seen.add(key)
             rels.append(dict(key))
 
-    pairs = list(_proper_open_pairs(space))
-    for U, Y in pairs:
-        compsC = X.components(U)
-        compsE = X.components(Y - U)
+    for U, Y, compsC, compsE in X.six_term_pairs():
         incs = {C: D.inc(C, Y) for C in compsC}
         ress = {E: D.res(Y, E) for E in compsE}
         bnds = {(E, C): D.bnd(C, E) for E in compsE for C in compsC}
@@ -506,8 +483,7 @@ def generate_relations(space: FiniteSpace, arrows: Sequence[Arrow]):
     # (f) mixed squares: for Y relatively open and T relatively closed in a
     # connected D, restricting the inclusion of a component C of Y to T
     # factors through the pieces of C ∩ T
-    for lc in lc_subsets(space, connected_only=True):
-        Dtot = lc.value
+    for Dtot in (lc.value for lc in X.lc_star()):
         rel_opens = X.relative_opens(Dtot)
         for Yo in rel_opens:
             if not Yo or Yo == Dtot:

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .finspace import builtin_name, label, lc_subsets, space_from_ref, space_ref
+from .finspace import builtin_name, label, space_from_ref, space_ref
 from .ntcat import (Arrow, Combo, Element, HomTable, SpaceCategory,
                     builtin_category, ideal_checks, nil_basis, space_category)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
@@ -348,9 +348,10 @@ def validate(M: GradedModule) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
-def six_term_maps(M: GradedModule, U, Y, acts: dict, sums: dict):
+def six_term_maps(M: GradedModule, U, Y, compsU, compsE, acts: dict, sums: dict):
     """The three maps of the six-term cycle of the pair (U open in a
-    connected Y).
+    connected Y), with the components compsU of U and compsE of Y∖U (as
+    FiniteSpace.six_term_pairs lists them).
 
     For a left module: M(U) -> M(Y) -> M(Y∖U) -> M(U)[1]; for a right module
     the arrows act contravariantly and the cycle runs
@@ -362,8 +363,6 @@ def six_term_maps(M: GradedModule, U, Y, acts: dict, sums: dict):
     it; `sums` is its table of direct sums (see block_graded_hom)."""
     sc = M.category
     d = sc.designator
-    compsU = sc.space.components(U)
-    compsE = sc.space.components(Y - U)
 
     def act(key, designate, src, dst, parity):
         if key not in acts:
@@ -456,26 +455,22 @@ def check_exact(M: GradedModule) -> ExactnessReport:
     acts: dict = {}
     sums: dict = {}
     nodes: dict = {}
-    for lc in lc_subsets(X, connected_only=True):
-        Y = lc.value
-        for U in X.relative_opens(Y):
-            if not U or U == Y:
-                continue
-            f, g, h, names = six_term_maps(M, U, Y, acts, sums)
-            # the six nodes of the periodic cycle f, g, h[1], f[1], g[1], h
-            maps = [
-                (f"{names[1]} even", f.from_even, g.from_even),
-                (f"{names[2]} even", g.from_even, h.from_even),
-                (f"{names[0]} odd", h.from_even, f.from_odd),
-                (f"{names[1]} odd", f.from_odd, g.from_odd),
-                (f"{names[2]} odd", g.from_odd, h.from_odd),
-                (f"{names[0]} even", h.from_odd, f.from_even),
-            ]
-            for node, fin, fout in maps:
-                group = _node_homology(nodes, fin, fout)
-                if not group.is_trivial():
-                    failures.append(
-                        f"pair ({label(U)} ⊆ {label(Y)}) fails at {node}: {group}")
+    for U, Y, compsU, compsE in X.six_term_pairs():
+        f, g, h, names = six_term_maps(M, U, Y, compsU, compsE, acts, sums)
+        # the six nodes of the periodic cycle f, g, h[1], f[1], g[1], h
+        maps = [
+            (f"{names[1]} even", f.from_even, g.from_even),
+            (f"{names[2]} even", g.from_even, h.from_even),
+            (f"{names[0]} odd", h.from_even, f.from_odd),
+            (f"{names[1]} odd", f.from_odd, g.from_odd),
+            (f"{names[2]} odd", g.from_odd, h.from_odd),
+            (f"{names[0]} even", h.from_odd, f.from_even),
+        ]
+        for node, fin, fout in maps:
+            group = _node_homology(nodes, fin, fout)
+            if not group.is_trivial():
+                failures.append(
+                    f"pair ({label(U)} ⊆ {label(Y)}) fails at {node}: {group}")
     return ExactnessReport(not failures, failures)
 
 
@@ -610,16 +605,15 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
     sc = res.sc
     levels = res.levels
     diffs = res.diffs
-    order = sorted(sc.objects, key=lambda o: (len(o), o))
 
     while len(levels) <= depth:
         n = len(diffs)  # building d_{n+1}: L_{n+1} -> L_n
         cur_level = res.level(n)
-        dims = {(W, p): res.dims(n, W, p) for W in order for p in (0, 1)}
+        dims = {(W, p): res.dims(n, W, p) for W in sc.objects for p in (0, 1)}
         kernels = _level_kernels(res, n, dims)
         nil = _nil_part(sc, cur_level, dims, kernels)
         chosen: List[Tuple[str, int, tuple]] = []
-        for W in order:
+        for W in sc.objects:
             for parity in (0, 1):
                 K = kernels[(W, parity)]
                 if K.cols == 0:
@@ -629,9 +623,8 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
                     covered.add(v)
                 for j in range(K.cols):
                     v = K.column(j)
-                    if not covered.contains(v):
+                    if covered.add(v):
                         chosen.append((W, parity, v))
-                        covered.add(v)
         new_level = [(W, parity) for W, parity, _ in chosen]
         # differential entries: the components of each chosen kernel vector
         matrix: List[List[Optional[Element]]] = [[None] * len(chosen)

@@ -33,10 +33,11 @@ class IntMatrix:
     The public constructor checks its input: every entry must be an ``int``
     (``bool`` and ``float`` are refused) and every row must have the same
     length.  Matrices built inside this module from data that is already a
-    tuple of int tuples go through the unchecked ``_of``.
+    tuple of int tuples go through the unchecked ``_of``.  The hash is
+    computed on first use and kept in the ``_hash`` slot.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, data: Iterable[Iterable[int]], rows: Optional[int] = None,
                  cols: Optional[int] = None):
@@ -107,7 +108,12 @@ class IntMatrix:
             and self.rows == other.rows and self.cols == other.cols
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rows, self.cols, self.data))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {list(map(list, self.data))})"
@@ -557,7 +563,9 @@ class Echelon:
         self.pivots: Dict[int, dict] = {}  # pivot column -> row
 
     def add(self, vec) -> bool:
-        """Insert; returns True if the lattice grew or changed."""
+        """Insert; returns True if the lattice grew or changed.  A vector
+        already in the lattice reduces to 0 by exact divisions and leaves
+        the rows as they were, so add(v) is `not contains(v)`."""
         if len(vec) != self.n:
             raise ZExactError("vector length mismatch")
         return self._insert(_nonzeros(vec))

@@ -444,8 +444,10 @@ def reference_six_term_nodes(M):
     (U, Y, node name, incoming map, outgoing map)."""
     X = M.category.space
     out = []
-    for lc in lc_subsets(X, connected_only=True):
+    for lc in lc_subsets(X):
         Y = lc.value
+        if not Y or not X.is_connected(Y):
+            continue
         for U in X.relative_opens(Y):
             if not U or U == Y:
                 continue

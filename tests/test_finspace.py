@@ -1,11 +1,12 @@
 from itertools import combinations
 
 import pytest
+from conftest import connected_t0_spaces
 
 from fktor.finspace import (
     BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_name, builtin_space,
     hasse_edges,
-    is_accordion_union, label, lc_subsets, open_pairs, point_space,
+    is_accordion_union, label, lc_subsets, point_space,
     pseudocircle, s_space, space_from_json, space_to_json, z_space,
 )
 
@@ -78,6 +79,10 @@ MALFORMED_SPACES = {
     "int-in-open": {"points": ["1"], "opens": [[], [1]]},
     "string-open-set": {"points": ["1", "2"], "opens": [[], ["2"], "12"]},
     "repeated-point": {"points": ["1", "1"], "opens": [[], ["1"]]},
+    "two-character-point": {"points": ["1", "2", "12"],
+                            "opens": [[], ["2"], ["1", "2"], ["12"], ["2", "12"],
+                                      ["1", "2", "12"]]},
+    "empty-point-name": {"points": [""], "opens": [[], [""]]},
     "int-name": {"points": ["1"], "opens": [[], ["1"]], "name": 7},
     "list-builtin": {"builtin": ["Z1"]},
     "unknown-builtin": {"builtin": "Q"},
@@ -89,6 +94,19 @@ MALFORMED_SPACES = {
 def test_malformed_space_json_raises_space_error(data):
     with pytest.raises(SpaceError):
         space_from_json(data)
+
+
+def test_point_names_are_single_characters():
+    # a subset is named by the concatenation of its points, so a point "12"
+    # would share its name with the subset {1, 2}: LC(X)* would list 12 twice
+    with pytest.raises(SpaceError, match="one-character"):
+        FiniteSpace(["1", "2", "12"], [[], ["2"], ["1", "2"], ["12"], ["2", "12"],
+                                       ["1", "2", "12"]])
+    with pytest.raises(SpaceError, match="one-character"):
+        FiniteSpace([1], [[], [1]])
+    with pytest.raises(SpaceError):
+        z_space(9)
+    assert z_space(8).points[-1] == "9"
 
 
 @pytest.mark.parametrize("name", ["Z5", "Z04", "Z\u0663"])
@@ -120,29 +138,29 @@ def test_spaces_are_known_by_points_and_opens_not_by_name():
 # ---------------------------------------------------------------------------
 
 def test_lc_star_pseudocircle_reference_list():
-    got = set(labels(lc_subsets(pseudocircle(), connected_only=True)))
+    got = set(labels(pseudocircle().lc_star()))
     assert got == {"3", "4", "134", "234", "1234", "13", "14", "23", "24",
                    "124", "123", "1", "2"}
     assert len(got) == 13
 
 
 def test_lc_star_z3():
-    got = set(labels(lc_subsets(z_space(3), connected_only=True)))
+    got = set(labels(z_space(3).lc_star()))
     assert got == {"1", "2", "3", "4", "14", "24", "34", "124", "134", "234",
                    "1234"}
 
 
 def test_lc_star_s_space():
-    got = set(labels(lc_subsets(s_space(), connected_only=True)))
+    got = set(labels(s_space().lc_star()))
     assert got == {"4", "24", "34", "234", "1234", "123", "12", "13",
                    "1", "2", "3"}
 
 
-def test_connected_only_is_subset():
+def test_lc_star_is_a_subset_of_lc_subsets():
     for name in ("Z1", "Z2", "Z3", "S", "C2"):
         X = builtin_space(name)
         every = {lc.value for lc in lc_subsets(X)}
-        conn = {lc.value for lc in lc_subsets(X, connected_only=True)}
+        conn = {lc.value for lc in X.lc_star()}
         assert conn <= every
 
 
@@ -168,7 +186,7 @@ def test_lc_oracle_equivalence(name):
 
 
 def test_witnesses_validate():
-    for lc in lc_subsets(s_space(), connected_only=True):
+    for lc in s_space().lc_star():
         assert lc.witness_v <= lc.witness_u
 
 
@@ -176,27 +194,75 @@ def test_witnesses_validate():
 # Open pairs
 # ---------------------------------------------------------------------------
 
+def pairs_on(X, Y):
+    """The (U, Y∖U) of the six-term pairs of X on the total space Y."""
+    return [(U, YY - U) for U, YY, _, _ in X.six_term_pairs() if YY == frozenset(Y)]
+
+
 def test_open_pairs_singleton_trivial():
+    # a point has only the trivial pairs, which six_term_pairs leaves out
     X = z_space(3)
-    pairs = open_pairs(X, frozenset("4"))
-    assert pairs == [(frozenset(), frozenset("4")), (frozenset("4"), frozenset())]
+    assert X.relative_opens(frozenset("4")) == [frozenset(), frozenset("4")]
+    assert pairs_on(X, "4") == []
 
 
 def test_open_pairs_full_z3():
     X = z_space(3)
-    us = {label(u) for u, _ in open_pairs(X, frozenset("1234"))}
+    us = {label(u) for u, _ in pairs_on(X, "1234")}
     assert {"4", "14", "24", "34", "124", "134", "234"} <= us
 
 
 def test_open_pairs_s_space_234():
     X = s_space()
-    us = {label(u) for u, _ in open_pairs(X, frozenset("234"))}
+    us = {label(u) for u, _ in pairs_on(X, "234")}
     assert {"4", "24", "34"} <= us
 
 
 def test_open_pairs_requires_locally_closed():
-    with pytest.raises(SpaceError):
-        open_pairs(s_space(), frozenset("14"))
+    X = s_space()
+    assert not X.is_locally_closed(frozenset("14"))
+    assert all(Y != frozenset("14") for _, Y, _, _ in X.six_term_pairs())
+
+
+def reference_lc_star(X):
+    """Oracle for lc_star, from the opens alone: every subset S = U∖V for
+    opens V ⊆ U that is nonempty and has no relatively clopen piece other
+    than ∅ and S, sorted by (size, label)."""
+    pts = sorted(X.points)
+    subsets = [frozenset(c) for k in range(1, len(pts) + 1) for c in combinations(pts, k)]
+    lc = [s for s in subsets
+          if any(v <= u and u - v == s for u in X.opens for v in X.opens)]
+    return [s for s in lc if reference_components(X, s) == [s]]
+
+
+def reference_components(X, S):
+    """The minimal nonempty relatively clopen subsets of S, by label."""
+    rel = {o & S for o in X.opens}
+    clopen = [A for A in rel if A and S - A in rel]
+    return sorted((A for A in clopen if not any(B < A for B in clopen)),
+                  key=lambda A: "".join(sorted(A)))
+
+
+def reference_six_term_pairs(X):
+    """Oracle for six_term_pairs: for each Y of reference_lc_star, each
+    relatively open ∅ ⊊ U ⊊ Y by (size, label), with the components of U
+    and of Y∖U."""
+    out = []
+    for Y in reference_lc_star(X):
+        opens = sorted({o & Y for o in X.opens} - {frozenset(), Y},
+                       key=lambda U: (len(U), "".join(sorted(U))))
+        out += [(U, Y, tuple(reference_components(X, U)),
+                 tuple(reference_components(X, Y - U))) for U in opens]
+    return out
+
+
+@pytest.mark.parametrize("X", [builtin_space(n) for n in BUILTIN_NAMES]
+                         + [X for n in range(1, 6) for X in connected_t0_spaces(n)],
+                         ids=lambda X: X.name)
+def test_lc_star_and_six_term_pairs_match_the_brute_force_lists(X):
+    assert [lc.value for lc in X.lc_star()] == reference_lc_star(X)
+    assert X.six_term_pairs() == reference_six_term_pairs(X)
+    assert X.lc_star() is X.lc_star() and X.six_term_pairs() is X.six_term_pairs()
 
 
 # ---------------------------------------------------------------------------

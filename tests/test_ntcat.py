@@ -58,9 +58,8 @@ def test_derived_arrows_equal_hand_quivers(name):
 def test_derive_arrows_lists_lc_star_once(monkeypatch):
     calls = []
     real = finspace.lc_subsets
-    for module in (finspace, ntcat):
-        monkeypatch.setattr(module, "lc_subsets",
-                            lambda *a, **k: calls.append(a) or real(*a, **k))
+    monkeypatch.setattr(finspace, "lc_subsets",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
     # 129 candidates for Z4, each tried on its own Designator
     assert len(derive_arrows(builtin_space("Z4"))) == 40
     assert len(calls) == 1
@@ -403,17 +402,23 @@ def test_repeated_designation_is_read_from_the_memo(name, monkeypatch):
     X = sc.space
     D = Designator(X, list(sc.presentation.arrows.values()))
     queries = []
-    for U, Y in ntcat._proper_open_pairs(X):
-        for C in X.components(U):
-            queries.append((D.inc, (C, Y)))
+    for lc in finspace.lc_subsets(X):
+        Y = lc.value
+        if not Y or not X.is_connected(Y):
+            continue
+        for U in X.relative_opens(Y):
+            if not U or U == Y:
+                continue
+            for C in X.components(U):
+                queries.append((D.inc, (C, Y)))
+                for E in X.components(Y - U):
+                    queries.append((D.bnd, (C, E)))
             for E in X.components(Y - U):
-                queries.append((D.bnd, (C, E)))
-        for E in X.components(Y - U):
-            queries.append((D.res, (Y, E)))
+                queries.append((D.res, (Y, E)))
     first = [query(*args) for query, args in queries]
     calls = []
-    real = ntcat._skey
-    monkeypatch.setattr(ntcat, "_skey", lambda s: calls.append(s) or real(s))
+    real = ntcat.label
+    monkeypatch.setattr(ntcat, "label", lambda s: calls.append(s) or real(s))
     again = [query(*args) for query, args in queries]
     assert again == first
     assert all(a is b for a, b in zip(again, first) if a)

@@ -482,6 +482,23 @@ def test_sparse_echelon_matches_dense_reference(ns):
     assert_same_rows(sparse, ref)
 
 
+@PROPS
+@given(vector_streams())
+def test_add_changes_the_echelon_exactly_when_the_vector_lies_outside(ns):
+    """add(v) == not contains(v), and a vector inside the lattice leaves the
+    rows as they were: each vector of the stream is followed by a
+    combination of it and the one before, which lies inside."""
+    n, stream = ns
+    ech = Echelon(n)
+    for a, b in zip(stream, [[0] * n] + stream):
+        for vec in (a, [2 * x - 3 * y for x, y in zip(a, b)]):
+            inside = ech.contains(vec)
+            before = {p: dict(row) for p, row in ech.pivots.items()}
+            assert ech.add(vec) == (not inside)
+            if inside:
+                assert ech.pivots == before
+
+
 def assert_same_rows(ech, ref):
     """The sparse rows of `ech` have the pivots of the DenseEchelon `ref`,
     and each equals its dense row entry for entry."""
