@@ -94,8 +94,9 @@ def _parse(kind: str, build):
         return build()
     except KeyError as e:
         raise CliParseError(f"{kind} file lacks the key {e}")
-    except (TypeError, ValueError, OverflowError, ZExactError) as e:
-        # OverflowError: a count too large to index, such as gens = 2**70
+    except (TypeError, ValueError, OverflowError, ZExactError, GraphError) as e:
+        # OverflowError: a count too large to index, such as gens = 2**70;
+        # GraphError: blocks or adjacency that do not fit the space
         raise CliParseError(f"malformed {kind} file: {e}")
 
 

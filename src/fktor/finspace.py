@@ -35,6 +35,8 @@ class FiniteSpace:
         for p in points:
             if not (isinstance(p, str) and len(p) == 1):
                 raise SpaceError(f"point name {p!r} is not a one-character string")
+        if len(set(points)) != len(points):
+            raise SpaceError("points must be distinct")
         self.points = tuple(sorted(points))
         pset = frozenset(self.points)
         fam = {frozenset(o) for o in opens}
@@ -316,8 +318,6 @@ def space_from_json(data) -> FiniteSpace:
         if not isinstance(data[key], list):
             raise SpaceError(f"space {key!r} must be a list")
     points = _point_names(data["points"], "points")
-    if len(set(points)) != len(points):
-        raise SpaceError("points must be distinct")
     opens = [frozenset(_point_names(o, "open set")) for o in data["opens"]]
     name = data.get("name")
     if name is not None and not isinstance(name, str):

@@ -645,8 +645,9 @@ class HomTable:
 
     Per ordered pair of objects and parity: a free abelian group of classes
     of words, with chosen representative combos for the basis, matrices for
-    pre/post composition by generators, identity elements, and the structure
-    constants derived from them.
+    pre/post composition by generators and identity elements.  Composition
+    with any element is a sum of products of generator matrices along its
+    representative words (word_matrix).
     """
 
     def __init__(self, presentation: CatPresentation):
@@ -657,7 +658,7 @@ class HomTable:
         self.post: Dict[Tuple[str, str, int, str], IntMatrix] = {}
         self.pre: Dict[Tuple[str, str, int, str], IntMatrix] = {}
         self.id_coords: Dict[str, tuple] = {}
-        self._compose_cache: Dict[tuple, tuple] = {}
+        self._word_matrices: Dict[tuple, IntMatrix] = {}
         self._nil_cache: Optional[Dict[Tuple[str, str, int], Tuple[tuple, ...]]] = None
 
     # -- element helpers -----------------------------------------------------
@@ -691,57 +692,62 @@ class HomTable:
     def scale(self, a: Element, c: int) -> Element:
         return Element(a.src, a.dst, a.parity, tuple(c * x for x in a.vec))
 
-    def post_compose_arrow(self, el: Element, arrow_name: str) -> Element:
-        a = self.presentation.arrows[arrow_name]
-        if a.src != el.dst:
-            raise CategoryError(f"cannot post-compose {el} with {arrow_name}")
-        key = (el.src, el.dst, el.parity, arrow_name)
-        M = self.post.get(key)
-        if M is None:
-            # pair never reached within the closure bound; its classes vanish
-            return self.zero(el.src, a.dst, el.parity ^ a.parity)
-        return Element(el.src, a.dst, el.parity ^ a.parity, M.apply(el.vec))
-
-    def eval_word(self, src: str, w: Word) -> Element:
-        el = self.identity(src)
-        for nm in w:
-            el = self.post_compose_arrow(el, nm)
-        return el
-
     def eval_combo(self, src: str, c: Combo) -> Element:
         if not c:
             raise CategoryError("cannot infer endpoints of an empty combo")
         first = next(iter(c))
-        sig = self.presentation.word_signature(first, src=src)
-        out = self.zero(src, sig[1], sig[2])
+        _, dst, parity = self.presentation.word_signature(first, src=src)
+        out = self.zero(src, dst, parity)
+        ident = self.id_coords[src]
         for w, coeff in c.items():
-            out = self.add(out, self.scale(self.eval_word(src, w), coeff))
+            if self.presentation.word_signature(w, src=src) != (src, dst, parity):
+                raise CategoryError(f"word {w} is not parallel to {first} from {src}")
+            vec = self.word_matrix("post", src, 0, w).apply(ident) if w else ident
+            out = self.add(out, self.scale(Element(src, dst, parity, vec), coeff))
         return out
 
-    def _constants(self, first_key, then_key, k) -> tuple:
-        """Structure constants: row j holds the coordinates of
-        (basis k of then_key) ∘ (basis j of first_key), computed once through
-        the representative words of basis k and cached."""
-        key = first_key + then_key + (k,)
-        rows = self._compose_cache.get(key)
-        if rows is None:
-            src, dst, parity = first_key
-            rep = self.rep_combo(*then_key, k)
-            r = self.rank.get(first_key, 0)
-            out_key = (src, then_key[1], parity ^ then_key[2])
-            acc = []
-            for j in range(r):
-                base = Element(src, dst, parity,
-                               tuple(1 if i == j else 0 for i in range(r)))
-                acc_j = self.zero(*out_key)
-                for w, coeff in rep.items():
-                    cur = base
-                    for nm in w:
-                        cur = self.post_compose_arrow(cur, nm)
-                    acc_j = self.add(acc_j, self.scale(cur, coeff))
-                acc.append(acc_j.vec)
-            rows = self._compose_cache[key] = tuple(acc)
-        return rows
+    def word_matrix(self, side: str, W: str, parity: int, word: Word) -> IntMatrix:
+        """Matrix of composition with a nonempty composable word w: x ↦ w∘x from
+        NT(W, src w) at `parity` (side 'post') or x ↦ x∘w from NT(dst w, W)
+        at `parity` (side 'pre'), the product of the generators' post or
+        pre matrices.  Built once per table: post extends the prefix by its
+        last generator, pre the suffix by its first.  A generator matrix the
+        table lacks (a pair never reached within the closure bound) acts
+        as 0."""
+        key = (side, W, parity, word)
+        M = self._word_matrices.get(key)
+        if M is None:
+            arrows = self.presentation.arrows
+            if side == "post":
+                a, rest = arrows[word[-1]], word[:-1]
+            elif side == "pre":
+                a, rest = arrows[word[0]], word[1:]
+            else:
+                raise CategoryError(f"side must be 'post' or 'pre', not {side!r}")
+            p = parity
+            for nm in rest:
+                p ^= arrows[nm].parity
+            if side == "post":
+                at, to = (W, a.src, p), (W, a.dst, p ^ a.parity)
+                gen = self.post.get(at + (a.name,))
+            else:
+                at, to = (a.dst, W, p), (a.src, W, p ^ a.parity)
+                gen = self.pre.get(at + (a.name,))
+            if gen is None:
+                gen = IntMatrix.zero(self.rank.get(to, 0), self.rank.get(at, 0))
+            M = gen * self.word_matrix(side, W, parity, rest) if rest else gen
+            self._word_matrices[key] = M
+        return M
+
+    def _combo_matrix(self, side: str, el: Element, W: str, parity: int,
+                      n_in: int, n_out: int) -> IntMatrix:
+        """Sum of word_matrix over the representative words of el, the
+        identity standing for the empty word."""
+        out = IntMatrix.zero(n_out, n_in)
+        for w, c in self.element_combo(el).items():
+            M = self.word_matrix(side, W, parity, w) if w else IntMatrix.identity(n_in)
+            out = out + (M if c == 1 else M.scale(c))
+        return out
 
     def compose(self, first: Element, then: Element) -> Element:
         """then ∘ first."""
@@ -752,31 +758,17 @@ class HomTable:
 
     def post_matrix(self, el: Element, W: str, parity: int) -> IntMatrix:
         """Matrix of x ↦ el∘x from NT(W, el.src) at `parity` to
-        NT(W, el.dst), read off the structure constants."""
-        n_in = self.rank.get((W, el.src, parity), 0)
-        n_out = self.rank.get((W, el.dst, parity ^ el.parity), 0)
-        cols = [[0] * n_out for _ in range(n_in)]
-        first_key, then_key = (W, el.src, parity), (el.src, el.dst, el.parity)
-        for k, c in enumerate(el.vec):
-            if c:
-                for col, row in zip(cols, self._constants(first_key, then_key, k)):
-                    _add_scaled(col, row, c)
-        return IntMatrix.from_columns(cols, n_out)
+        NT(W, el.dst), summed over the words of el."""
+        return self._combo_matrix("post", el, W, parity,
+                                  self.rank.get((W, el.src, parity), 0),
+                                  self.rank.get((W, el.dst, parity ^ el.parity), 0))
 
     def pre_matrix(self, el: Element, W: str, parity: int) -> IntMatrix:
         """Matrix of x ↦ x∘el from NT(el.dst, W) at `parity` to
-        NT(el.src, W), read off the structure constants."""
-        n_in = self.rank.get((el.dst, W, parity), 0)
-        n_out = self.rank.get((el.src, W, parity ^ el.parity), 0)
-        cols = []
-        first_key, then_key = (el.src, el.dst, el.parity), (el.dst, W, parity)
-        for k in range(n_in):
-            col = [0] * n_out
-            for c, row in zip(el.vec, self._constants(first_key, then_key, k)):
-                if c:
-                    _add_scaled(col, row, c)
-            cols.append(col)
-        return IntMatrix.from_columns(cols, n_out)
+        NT(el.src, W), summed over the words of el."""
+        return self._combo_matrix("pre", el, W, parity,
+                                  self.rank.get((el.dst, W, parity), 0),
+                                  self.rank.get((el.src, W, parity ^ el.parity), 0))
 
     def graded_rank(self, src, dst) -> Tuple[int, int]:
         return (self.rank.get((src, dst, 0), 0), self.rank.get((src, dst, 1), 0))

@@ -1,7 +1,7 @@
 """Shared helpers: random triangular block graphs, random valid modules, a
 right module that Tor must refuse, the corpus of free and random modules
-whose JSON pins the free-module layout, the word-product action matrices that
-the Hom table's structure-constant matrices are tested against, the
+whose JSON pins the free-module layout, the word-product action matrices,
+multiplied out afresh, that the Hom table's cached ones are tested against, the
 uncached six-term and Tor loops that check_exact and tor are tested
 against, the uncached word-action loop that GradedModule.action_word is
 tested against, the dense Smith engine that zexact.smith is tested

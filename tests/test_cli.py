@@ -340,6 +340,25 @@ def test_parse_error_malformed_graph_file(tmp_path, capsys, data, verb):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _graph_with(mutate):
+    data = json.loads(json.dumps(GOOD_Z3_GRAPH))
+    mutate(data)
+    return data
+
+
+@pytest.mark.parametrize("data,needle", [
+    (_graph_with(lambda d: d["blocks"][0].update(point="9")), "biject"),
+    (_graph_with(lambda d: d["blocks"][0].update(vertices=0)), "at least one vertex"),
+    (_graph_with_entry(-1), "nonnegative"),
+], ids=["point-outside-space", "empty-block", "negative-entry"])
+def test_parse_error_graph_that_does_not_fit_its_space(tmp_path, capsys, data,
+                                                       needle):
+    code, out = run_cli("graph-check", "--space", "Z3", "--file",
+                        _write_json(tmp_path, data))
+    assert code == EXIT_PARSE and out == ""
+    assert needle in capsys.readouterr().err
+
+
 def test_parse_error_unreadable_file(tmp_path):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00")

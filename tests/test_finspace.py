@@ -109,6 +109,12 @@ def test_point_names_are_single_characters():
     assert z_space(8).points[-1] == "9"
 
 
+def test_repeated_points_are_refused():
+    # kept, ('1', '1') would make a space that is not T0 from a one-point one
+    with pytest.raises(SpaceError, match="distinct"):
+        FiniteSpace(["1", "1"], [[], ["1"]])
+
+
 @pytest.mark.parametrize("name", ["Z5", "Z04", "Z\u0663"])
 def test_builtin_space_refuses_names_outside_the_builtin_list(name):
     # Z5 has no table, Z04 is Z4 misspelt, and "Z٣" has a non-ASCII digit

@@ -656,14 +656,14 @@ def test_write_cache_file_builds_a_fresh_table(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Action matrices from the structure constants
+# Action matrices from the cached word matrices
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["pt", "Z1", "Z2", "Z3", "Z4", "S", "C2"])
 def test_action_matrices_match_word_products(name):
-    """pre_matrix/post_matrix, read off the cached structure constants,
-    equal the word-product matrices for every basis element and for one
-    random combination per Hom group, at every object and parity."""
+    """pre_matrix/post_matrix, summed from the cached word matrices, equal
+    the word products multiplied out afresh for every basis element and
+    for one random combination per Hom group, at every object and parity."""
     t = cat(name).table
     rng = random.Random(name)
     for (src, dst, p), r in sorted(t.rank.items()):
@@ -677,6 +677,52 @@ def test_action_matrices_match_word_products(name):
                         word_pre_matrix(t, el, W, parity), (el, W, parity)
                     assert t.post_matrix(el, W, parity) == \
                         word_post_matrix(t, el, W, parity), (el, W, parity)
+
+
+@pytest.mark.parametrize("name", ["pt", "Z1", "Z2", "Z3", "Z4", "S", "C2"])
+def test_pre_matrices_agree_with_post_matrices(name):
+    """Column k of pre_matrix(el, W, p) is x_k∘el for the basis element x_k
+    of NT(el.dst, W) at p, as post_matrix(x_k, el.src, el.parity) computes
+    it: the table's pre and post matrices compose alike."""
+    t = cat(name).table
+    for key in sorted(t.rank):
+        for el in t.basis_elements(*key):
+            for W in t.objects:
+                for parity in (0, 1):
+                    cols = [t.post_matrix(x, el.src, el.parity).apply(el.vec)
+                            for x in t.basis_elements(el.dst, W, parity)]
+                    n_out = t.rank.get((el.src, W, parity ^ el.parity), 0)
+                    assert t.pre_matrix(el, W, parity) == \
+                        IntMatrix.from_columns(cols, n_out), (el, W, parity)
+
+
+def test_word_matrices_are_built_once_per_table(monkeypatch):
+    """A word whose prefix (post) or suffix (pre) is cached costs one
+    matrix product, and a repeated word_matrix, post_matrix or pre_matrix
+    call costs none."""
+    t = table_from_json(table_to_json(cat("Z3"))).table
+    products = []
+    real_mul = IntMatrix.__mul__
+    monkeypatch.setattr(IntMatrix, "__mul__",
+                        lambda a, b: products.append(1) or real_mul(a, b))
+    key, k, w = max(((key, k, w) for key, reps in t.reps.items()
+                     for k, rep in enumerate(reps) for w in rep),
+                    key=lambda x: (len(x[2]), x))
+    assert len(w) >= 3
+    src, dst, _ = t.presentation.word_signature(w)
+    for side, W, part in (("post", src, w[:-1]), ("pre", dst, w[1:])):
+        t.word_matrix(side, W, 0, part)
+        del products[:]
+        M = t.word_matrix(side, W, 0, w)
+        assert len(products) == 1 and any(any(row) for row in M.data)
+        assert t.word_matrix(side, W, 0, w) is M and len(products) == 1
+    el = t.basis_elements(*key)[k]
+    for act in (t.post_matrix, t.pre_matrix):
+        for W in t.objects:
+            for parity in (0, 1):
+                first = act(el, W, parity)
+                del products[:]
+                assert act(el, W, parity) == first and not products, (act, W, parity)
 
 
 def test_nil_basis_is_computed_once_per_table():
@@ -734,6 +780,18 @@ def test_compose_keeps_its_endpoint_check():
     x = t.basis_elements(a, b, p)[0]
     with pytest.raises(CategoryError, match="endpoints do not match"):
         t.compose(x, x)
+
+
+def test_eval_combo_and_word_matrix_refuse_words_that_do_not_fit():
+    t = cat("Z3").table
+    w = ("i:124>1234", "r:1234>1", "d:1>4", "i:4>34")
+    assert not t.eval_combo("124", {w: 1}).is_zero()
+    for src, combo in [("124", {w: 1, w[:-1]: 1}), ("1", {w: 1}),
+                       ("124", {(w[0], w[2]): 1})]:
+        with pytest.raises(CategoryError):
+            t.eval_combo(src, combo)
+    with pytest.raises(CategoryError, match="side"):
+        t.word_matrix("left", "124", 0, w)
 
 
 def test_nilpotency_indices():

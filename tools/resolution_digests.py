@@ -8,14 +8,18 @@ ten connected four-point T0 spaces (tables built in process), builds the
 syzygy resolution of S_Y to depth 5 with `resolve_simple` and prints
 `<space> <Y> <digest>`: the sha256 of its levels and differentials,
 serialised as `test_engine_resolutions_are_pinned` does, or the error the
-build raised.  Then, for every module of `layout_corpus` in the tests'
+build raised.  After each builtin's lines come two more,
+`<space> post_matrix <digest>` and `<space> pre_matrix <digest>`: the
+sha256 of the matrices of `HomTable.post_matrix` (or `pre_matrix`) of every
+basis element of every Hom group at every object and parity, in sorted
+order.  Then, for every module of `layout_corpus` in the tests'
 conftest (each free module over the builtins, both sides and shifts 0 and
 1, and the seeded random valid modules), prints `<space> <name> <digest>`:
 the sha256 of its `to_json()` with sorted keys, as
 `test_module_layout_is_pinned` hashes it.  Two checkouts whose outputs are
 equal build the same resolutions, with the same generators in the same
-order, and lay out the same modules.  Each space's wall time goes to
-stderr.  The package and the helpers of the tests are imported from the
+order, compose in the shipped tables alike, and lay out the same modules.
+Each space's wall time goes to stderr.  The package and the helpers of the tests are imported from the
 checkout that holds this file.
 """
 
@@ -49,6 +53,15 @@ def digest(sc, Y) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def action_digest(t, side) -> str:
+    act = t.post_matrix if side == "post" else t.pre_matrix
+    mats = [[M.rows, M.cols, M.to_lists()]
+            for key in sorted(t.rank) for el in t.basis_elements(*key)
+            for W in t.objects for parity in (0, 1)
+            for M in [act(el, W, parity)]]
+    return hashlib.sha256(json.dumps(mats).encode()).hexdigest()
+
+
 def module_text(M) -> str:
     return json.dumps(M.to_json(), sort_keys=True)
 
@@ -66,6 +79,9 @@ def main():
         sc = make()
         for Y in sc.objects:
             print(name, Y, digest(sc, Y), flush=True)
+        if name in BUILTIN_NAMES:
+            for side in ("post", "pre"):
+                print(name, f"{side}_matrix", action_digest(sc.table, side), flush=True)
         print(f"{name}: {time.perf_counter() - start:.2f} s",
               file=sys.stderr, flush=True)
     start = time.perf_counter()
