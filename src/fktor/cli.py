@@ -264,10 +264,13 @@ def cmd_graph_check(args):
 
 def cmd_graph_k(args):
     G = _get_graph(args)
-    if args.subset is not None and (
-            not args.subset or not set(args.subset) <= set(G.space.points)):
-        raise CliParseError(
-            f"--subset {args.subset!r} is not a label of points of {G.space.name}")
+    if args.subset is not None:
+        if not args.subset or not set(args.subset) <= set(G.space.points):
+            raise CliParseError(
+                f"--subset {args.subset!r} is not a label of points of {G.space.name}")
+        if not G.space.is_locally_closed(frozenset(args.subset)):
+            raise CliParseError(
+                f"--subset {args.subset!r} is not locally closed in {G.space.name}")
     sc = space_category(G.space)
     subsets = [label(set(args.subset))] if args.subset else sc.objects
     groups = {}

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .finspace import FiniteSpace, builtin_name, label, lc_subsets, space_from_ref, space_ref
 from .ntcat import SpaceCategory, space_category
-from .ntmod import GradedModule, TorReport, sum_map, tor
+from .ntmod import GradedModule, TorReport, tor
 from .zexact import (AbGroupNF, GradedGroup, GradedHom, IntMatrix, Presentation,
                      hermite_coords, hnf_columns, kernel, subquotient_homology)
 
@@ -110,50 +110,27 @@ def _single_cycle_components(G: BlockGraph) -> List[List[int]]:
 
     A strongly connected component has at least as many edges as vertices
     when it contains a cycle, with equality exactly when it is a single
-    cycle; edges count with multiplicity, loops included.  Components come
-    from an iterative Tarjan (1972) pass, linear in the graph's size."""
+    cycle; edges count with multiplicity, loops included.  The components
+    come from the transitive closure, one n-bit int per vertex: bit w of
+    reach[v] is set when a path of length >= 1 runs from v to w (Warshall's
+    update, n² operations on n-bit ints).  A vertex v lies on a cycle when
+    its own bit is set, and its component is then the w with w in reach[v]
+    and v in reach[w]."""
     n = G.n
     A = G.adjacency
-    succ = [[w for w in range(n) if A[v, w]] for v in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
+    reach = [sum(1 << w for w in range(n) if A[v, w]) for v in range(n)]
+    for k in range(n):
+        for v in range(n):
+            if reach[v] >> k & 1:
+                reach[v] |= reach[k]
     out = []
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, i = work[-1]
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            if i < len(succ[v]):
-                work[-1] = (v, i + 1)
-                w = succ[v][i]
-                if index[w] < 0:
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                if sum(A[a, b] for a in comp for b in comp) == len(comp):
-                    out.append(sorted(comp))
+    seen = 0
+    for v in range(n):
+        if reach[v] >> v & 1 and not seen >> v & 1:
+            comp = [w for w in range(n) if reach[v] >> w & 1 and reach[w] >> v & 1]
+            seen |= sum(1 << w for w in comp)
+            if sum(A[a, b] for a in comp for b in comp) == len(comp):
+                out.append(comp)
     return out
 
 
@@ -300,7 +277,7 @@ def _three_term(G: BlockGraph, space: str, *specs):
         return M.actions[name] if sign > 0 else -M.actions[name]
 
     return tuple(
-        sum_map(M, sources, targets, [[block(b) for b in row] for row in blocks])
+        M.sum_map(0, sources, targets, [[block(b) for b in row] for row in blocks])
         for sources, targets, blocks in specs)
 
 

@@ -1071,11 +1071,14 @@ def ideal_checks(table: HomTable) -> RingIdealData:
 
 @dataclass
 class SpaceCategory:
-    """Space, presentation, computed table and designated words, bundled."""
+    """Space, presentation, computed table and designated words, bundled,
+    with the generic engine's resolutions of the simple modules by object
+    (see ntmod.resolution_for)."""
     space: FiniteSpace
     presentation: CatPresentation
     table: HomTable
     designator: Designator
+    resolutions: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def objects(self):

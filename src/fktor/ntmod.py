@@ -20,8 +20,8 @@ from .finspace import builtin_name, label, space_from_ref, space_ref
 from .ntcat import (Arrow, Combo, Element, HomTable, SpaceCategory,
                     builtin_category, ideal_checks, nil_basis, space_category)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
-                     IntMatrix, Presentation, block_diag, block_graded_hom,
-                     exact_node, kernel, hnf_columns, map_echelon,
+                     IntMatrix, Presentation, block_diag, exact_node,
+                     graded_direct_sum, kernel, hnf_columns, map_echelon,
                      shift as shift_group, solve, subquotient_homology)
 
 
@@ -62,6 +62,11 @@ class GradedModule:
     entries: object label -> GradedGroup
     actions: arrow name -> GradedHom of the arrow's parity
              (left: M(src) -> M(dst); right: M(dst) -> M(src))
+
+    A module keeps what is built from its data: the action of each word
+    (action_word), of each Hom element (action_element) and of each
+    designated word (designated), and each direct sum of its entries
+    (sum_map).
     """
 
     def __init__(self, category: SpaceCategory, variance: str,
@@ -75,6 +80,8 @@ class GradedModule:
         self.actions = dict(actions)
         self._element_cache: Dict[tuple, GradedHom] = {}
         self._word_cache: Dict[tuple, GradedHom] = {}
+        self._designated: Dict[tuple, Optional[GradedHom]] = {}
+        self._sums: Dict[tuple, GradedGroup] = {}
         for obj in category.objects:
             if obj not in self.entries:
                 raise ModuleError(f"missing entry for object {obj}")
@@ -131,12 +138,55 @@ class GradedModule:
             self._element_cache[key] = hom
         return hom
 
+    def designated(self, kind: str, A, B) -> Optional[GradedHom]:
+        """The action of the category's designated word of `kind` between
+        the subsets A and B, or None where that word is zero: "inc" the
+        inclusion of A open in B and "res" the restriction of A to B closed
+        in it (both even, from A to B), "bnd" the six-term boundary block
+        from B to A (odd).  Each is built once per module."""
+        key = (kind, A, B)
+        if key not in self._designated:
+            if kind not in ("inc", "res", "bnd"):
+                raise ModuleError(f"unknown designated word {kind!r}")
+            combo = getattr(self.category.designator, kind)(A, B)
+            src, dst, parity = (B, A, 1) if kind == "bnd" else (A, B, 0)
+            self._designated[key] = self.action_combo(
+                combo, label(src), label(dst), parity) if combo else None
+        return self._designated[key]
+
+    def sum_map(self, degree: int, sources: Sequence[Summand],
+                targets: Sequence[Summand], blocks) -> GradedHom:
+        """The map of the given degree between direct sums of shifted
+        entries, whose summands are (object, shift); blocks[i][j] is None or
+        a GradedHom of M from sources[j] to targets[i].  A block out of an
+        odd summand enters as its `shift()`, the same map between the
+        shifted groups.  Each sum of several summands is built once per
+        module, and a single summand is its shifted entry itself."""
+        src = [_shifted(self.entries[A], e) for A, e in sources]
+        tgt = [_shifted(self.entries[A], e) for A, e in targets]
+        mats = [IntMatrix.block(
+            [[None if b is None else b.component(p + e).matrix
+              for b, (_, e) in zip(row, sources)] for row in blocks],
+            [T.part(p + degree).generators for T in tgt],
+            [S.part(p).generators for S in src]) for p in (0, 1)]
+        return GradedHom.build(degree, self._sum(sources, src),
+                               self._sum(targets, tgt), *mats)
+
+    def _sum(self, summands: Sequence[Summand], groups: List[GradedGroup]) -> GradedGroup:
+        if len(groups) == 1:
+            return groups[0]
+        key = tuple(summands)
+        G = self._sums.get(key)
+        if G is None:
+            G = self._sums[key] = graded_direct_sum(groups)
+        return G
+
     # -- constructions -------------------------------------------------------
 
     def tensor_mod_k(self, k: int) -> "GradedModule":
         """Entrywise tensor with Z/k (append k·identity relations)."""
-        if k < 2:
-            raise ModuleError("tensor_mod_k needs k >= 2")
+        if type(k) is not int or k < 2:
+            raise ModuleError(f"tensor_mod_k needs an integer k >= 2, not {k!r}")
         new_entries = {}
         for obj, g in self.entries.items():
             def modk(P: Presentation) -> Presentation:
@@ -348,7 +398,7 @@ def validate(M: GradedModule) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
-def six_term_maps(M: GradedModule, U, Y, compsU, compsE, acts: dict, sums: dict):
+def six_term_maps(M: GradedModule, U, Y, compsU, compsE):
     """The three maps of the six-term cycle of the pair (U open in a
     connected Y), with the components compsU of U and compsE of Y∖U (as
     FiniteSpace.six_term_pairs lists them).
@@ -356,44 +406,26 @@ def six_term_maps(M: GradedModule, U, Y, compsU, compsE, acts: dict, sums: dict)
     For a left module: M(U) -> M(Y) -> M(Y∖U) -> M(U)[1]; for a right module
     the arrows act contravariantly and the cycle runs
     M(Y∖U) -> M(Y) -> M(U) -> M(Y∖U)[1].  Returns (f, g, h, names) with
-    f, g of degree 0 and h of degree 1 closing the cycle.
-
-    `acts` is the caller's table of designated actions on M, keyed by kind
-    and endpoints, so each action is built once however many pairs share
-    it; `sums` is its table of direct sums (see block_graded_hom)."""
-    sc = M.category
-    d = sc.designator
-
-    def act(key, designate, src, dst, parity):
-        if key not in acts:
-            combo = designate()
-            acts[key] = M.action_combo(combo, label(src), label(dst), parity) \
-                if combo else None
-        return acts[key]
-
-    def inc(C):
-        return act(("inc", C, Y), lambda: d.inc(C, Y), C, Y, 0)
-
-    def res(E):
-        return act(("res", Y, E), lambda: d.res(Y, E), Y, E, 0)
-
-    def bnd(C, E):
-        return act(("bnd", C, E), lambda: d.bnd(C, E), E, C, 1)
-
-    eU = [M.entries[label(c)] for c in compsU]
-    eY = [M.entries[label(Y)]]
-    eE = [M.entries[label(e)] for e in compsE]
+    f, g of degree 0 and h of degree 1 closing the cycle.  The blocks are
+    M's designated actions and the maps are laid out by M.sum_map, so each
+    action and each sum is built once per module however many pairs share
+    it."""
+    sU = [(label(C), 0) for C in compsU]
+    sY = [(label(Y), 0)]
+    sE = [(label(E), 0) for E in compsE]
+    inc = [M.designated("inc", C, Y) for C in compsU]
+    res = [M.designated("res", Y, E) for E in compsE]
     if M.variance == "left":
-        f = block_graded_hom(0, eU, eY, [[inc(C) for C in compsU]], sums)
-        g = block_graded_hom(0, eY, eE, [[res(E)] for E in compsE], sums)
-        h = block_graded_hom(1, eE, eU, [[bnd(C, E) for E in compsE] for C in compsU],
-                             sums)
+        f = M.sum_map(0, sU, sY, [inc])
+        g = M.sum_map(0, sY, sE, [[r] for r in res])
+        h = M.sum_map(1, sE, sU, [[M.designated("bnd", C, E) for E in compsE]
+                                  for C in compsU])
         names = (f"M({label(U)})", f"M({label(Y)})", f"M({label(Y - U)})")
     else:
-        f = block_graded_hom(0, eE, eY, [[res(E) for E in compsE]], sums)
-        g = block_graded_hom(0, eY, eU, [[inc(C)] for C in compsU], sums)
-        h = block_graded_hom(1, eU, eE, [[bnd(C, E) for C in compsU] for E in compsE],
-                             sums)
+        f = M.sum_map(0, sE, sY, [res])
+        g = M.sum_map(0, sY, sU, [[i] for i in inc])
+        h = M.sum_map(1, sU, sE, [[M.designated("bnd", C, E) for C in compsU]
+                                  for E in compsE])
         names = (f"M({label(Y - U)})", f"M({label(Y)})", f"M({label(U)})")
     return f, g, h, names
 
@@ -410,7 +442,13 @@ def _node_homology(nodes: dict, f: GroupHom, g: GroupHom) -> AbGroupNF:
     touches.  A node whose two echelons show ker(g) = im(f) + rel_B
     (exact_node) is 0; every other node, and one whose maps disagree on
     the relations of the middle group, is computed by subquotient_homology.
-    A middle group with no generators is 0 without any lookup."""
+    A middle group with no generators is 0 without any lookup.
+
+    The table lives for one call and is keyed by value, not kept on the
+    maps: equal maps from different open pairs, objects or levels share
+    their echelons only through it.  Echelons kept on each GroupHom
+    instead took 3,356 map_echelon calls per round of the seed-1 graph
+    corpus, against 1,971."""
     if f.target.generators == 0 == g.source.generators:
         return _TRIVIAL
     key = (f.matrix, g.source.relations, g.matrix, g.target.relations)
@@ -447,16 +485,14 @@ def check_exact(M: GradedModule) -> ExactnessReport:
 
     Only connected Y need checking: a disconnected Y splits its sequence
     into the direct sum over components.  Trivial pairs (U empty or all of
-    Y) are vacuous and skipped.  Each designated action, each direct sum
-    of entries, each map's echelon and each distinct node is computed once
-    per call; the tables are dropped on return."""
+    Y) are vacuous and skipped.  Each designated action and each direct
+    sum of entries is built once per module (see six_term_maps), each map's
+    echelon and each distinct node once per call (see _node_homology)."""
     X = M.category.space
     failures = []
-    acts: dict = {}
-    sums: dict = {}
     nodes: dict = {}
     for U, Y, compsU, compsE in X.six_term_pairs():
-        f, g, h, names = six_term_maps(M, U, Y, compsU, compsE, acts, sums)
+        f, g, h, names = six_term_maps(M, U, Y, compsU, compsE)
         # the six nodes of the periodic cycle f, g, h[1], f[1], g[1], h
         maps = [
             (f"{names[1]} even", f.from_even, g.from_even),
@@ -775,14 +811,13 @@ def builtin_resolution(space_name: str, Y: str) -> FreeResolution:
     return res
 
 
-_GENERIC_CACHE: Dict[Tuple[int, str], FreeResolution] = {}
-
-
 def resolution_for(sc: SpaceCategory, Y: str, depth: int,
                    engine: str = "auto") -> FreeResolution:
     """A resolution of S_Y with at least `depth` levels.  "auto" and
-    "generic" run the syzygy engine and share one cache; "builtin" reads the
-    shipped resolution and raises CatalogueError where none is shipped."""
+    "generic" run the syzygy engine and share one entry of the category's
+    `resolutions`, so a resolution, which is tied to its table's basis
+    choices, lives as long as its category; "builtin" reads the shipped
+    resolution and raises CatalogueError where none is shipped."""
     if engine == "builtin":
         res = builtin_resolution(builtin_name(sc.space), Y)
         if res.periodic is None and len(res.levels) <= depth:
@@ -791,10 +826,9 @@ def resolution_for(sc: SpaceCategory, Y: str, depth: int,
     if engine not in ("auto", "generic"):
         raise ModuleError(f"unknown resolution engine {engine!r}; "
                           "expected auto, builtin or generic")
-    key = (id(sc), Y)  # resolutions are tied to their table's basis choices
-    res = _GENERIC_CACHE.get(key)
+    res = sc.resolutions.get(Y)
     if res is None:
-        res = _GENERIC_CACHE[key] = resolve_simple(sc, Y, depth)
+        res = sc.resolutions[Y] = resolve_simple(sc, Y, depth)
     elif len(res.levels) <= depth:
         extend_resolution(res, depth)
     return res
@@ -863,37 +897,18 @@ def _nf_from_parts(rank: int, torsions: List[int]) -> AbGroupNF:
     return AbGroupNF(rank + nf.rank, nf.torsion)
 
 
-def sum_map(M: GradedModule, sources: Sequence[Summand],
-            targets: Sequence[Summand], blocks,
-            sums: Optional[dict] = None) -> GradedHom:
-    """The degree-0 map between direct sums of shifted entries of M, whose
-    summands are (object, shift); blocks[i][j] is None or a GradedHom of M
-    from sources[j] to targets[i].  A block out of an odd summand enters as
-    its `shift()`, the same map between the shifted groups.  `sums` is the
-    caller's table of direct sums (see block_graded_hom)."""
-    def entries(summands):
-        return [_shifted(M.entries[obj], e) for obj, e in summands]
-
-    return block_graded_hom(0, entries(sources), entries(targets), [
-        [None if h is None else h.shift() if sources[j][1] % 2 else h
-         for j, h in enumerate(row)] for row in blocks], sums)
-
-
-def _tensor_diff(res: FreeResolution, M: GradedModule, k: int, sums: dict) -> GradedHom:
+def _tensor_diff(res: FreeResolution, M: GradedModule, k: int) -> GradedHom:
     """The differential d_k⊗M from level k to level k-1."""
-    return sum_map(M, res.level(k), res.level(k - 1), [
+    return M.sum_map(0, res.level(k), res.level(k - 1), [
         [None if el is None else M.action_element(el) for el in row]
-        for row in res.diff(k)], sums)
+        for row in res.diff(k)])
 
 
-def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int,
-                        sums: Optional[dict] = None) -> list:
+def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int) -> list:
     """The tensored complex [None, d_1⊗M, ..., d_{n+1}⊗M], enough for Tor
     through degree n; entry k is the map out of level k.  The sum of a
-    level's entries is built once for its two differentials, and once per
-    caller's table `sums` when one is given (see block_graded_hom)."""
-    sums = {} if sums is None else sums
-    return [None] + [_tensor_diff(res, M, k, sums) for k in range(1, n + 2)]
+    level's entries is built once per module (see GradedModule.sum_map)."""
+    return [None] + [_tensor_diff(res, M, k) for k in range(1, n + 2)]
 
 
 def _homology_at(nodes: dict, d_in: GradedHom,
@@ -922,10 +937,12 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
 
     Each tensored differential d_k⊗M is built once per Y and serves as the
     outgoing map at level k and the incoming map at level k-1; each direct
-    sum of a level's entries, each map's echelon and each distinct node is
-    computed once per call (see _node_homology).  M must be a
+    sum of a level's entries is built once per module, each map's echelon
+    and each distinct node once per call (see _node_homology).  M must be a
     left module with an action for every generator arrow: it is tensored
     with resolutions of right modules."""
+    if type(n) is not int or n < 0:
+        raise ModuleError(f"Tor needs a nonnegative integer degree, not {n!r}")
     if M.variance != "left":
         raise ModuleError("Tor(S_Y, M) needs a left module M, "
                           f"not a {M.variance} module")
@@ -935,10 +952,9 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
         raise ModuleError("Tor(S_Y, M) needs an action for every arrow; "
                           f"missing: {missing}")
     groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]] = {}
-    sums: dict = {}
     nodes: dict = {}
     for Y in sc.objects:
-        d = tensor_complex_maps(resolution_for(sc, Y, n + 1, engine), M, n, sums)
+        d = tensor_complex_maps(resolution_for(sc, Y, n + 1, engine), M, n)
         groups[Y] = {k: _homology_at(nodes, d[k + 1], d[k]) for k in range(n + 1)}
     return TorReport(sc.space.name, groups)
 

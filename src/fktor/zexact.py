@@ -970,33 +970,6 @@ def graded_direct_sum(groups: Sequence[GradedGroup]) -> GradedGroup:
     return GradedGroup(Presentation(ev_g, ev_r), Presentation(od_g, od_r))
 
 
-def block_graded_hom(degree: int, sources: Sequence[GradedGroup],
-                     targets: Sequence[GradedGroup], blocks,
-                     sums: Optional[dict] = None) -> GradedHom:
-    """Assemble a GradedHom between graded direct sums from a grid of
-    GradedHoms (or None); blocks[i][j]: sources[j] -> targets[i].  Each
-    block contributes its component at the source parity, so a block whose
-    summands are shifted enters as `GradedHom.shift()` of the action.
-
-    `sums`, when given, is the caller's table of direct sums keyed by the
-    tuple of summands: each list of several summands is summed once per
-    table, and maps that share a list share its sum."""
-    def total(groups):
-        if sums is None or len(groups) == 1:
-            return graded_direct_sum(groups)
-        key = tuple(groups)
-        G = sums.get(key)
-        if G is None:
-            G = sums[key] = graded_direct_sum(groups)
-        return G
-
-    mats = [IntMatrix.block(
-        [[None if b is None else b.component(p).matrix for b in row] for row in blocks],
-        [T.part(p + degree).generators for T in targets],
-        [S.part(p).generators for S in sources]) for p in (0, 1)]
-    return GradedHom.build(degree, total(sources), total(targets), mats[0], mats[1])
-
-
 @dataclass(frozen=True)
 class GradedHom:
     """Parity respecting map of graded groups.

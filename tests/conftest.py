@@ -23,7 +23,7 @@ from fktor.ntcat import Arrow, builtin_category
 from fktor.ntmod import (GradedModule, TorReport, coker_module, free_module,
                          resolution_for, tensor_complex_maps)
 from fktor.zexact import (GradedGroup, GradedHom, GroupHom, IntMatrix,
-                          Presentation, block_graded_hom, hnf_columns,
+                          Presentation, graded_direct_sum, hnf_columns,
                           subquotient_homology)
 
 
@@ -406,6 +406,19 @@ def bnd_block_reference(D, C, E, U, Y, leaves=None):
     if leaves is not None:
         leaves.append(Yc)
     return D.bnd(C, E)
+
+
+def block_graded_hom(degree, sources, targets, blocks):
+    """The GradedHom of the given degree between the direct sums of the
+    graded groups `sources` and `targets` whose block (i, j) is blocks[i][j]
+    (a GradedHom from sources[j] to targets[i], or None), each sum built
+    afresh: the layout of the six-term reference maps."""
+    mats = [IntMatrix.block(
+        [[None if b is None else b.component(p).matrix for b in row] for row in blocks],
+        [T.part(p + degree).generators for T in targets],
+        [S.part(p).generators for S in sources]) for p in (0, 1)]
+    return GradedHom.build(degree, graded_direct_sum(sources),
+                           graded_direct_sum(targets), mats[0], mats[1])
 
 
 def reference_six_term_maps(M, U, Y):

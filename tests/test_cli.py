@@ -177,6 +177,14 @@ def test_graph_k_subset_that_names_no_points_is_a_parse_error(subset, capsys):
     assert f"--subset {subset!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subset", ["14", "41", "124"])
+def test_graph_k_subset_that_is_not_locally_closed_is_a_parse_error(subset, capsys):
+    code, out = run_cli("graph-k", "--space", "S", "--file", "ck_s.json",
+                        "--subset", subset)
+    assert code == EXIT_PARSE and out == ""
+    assert f"--subset {subset!r} is not locally closed in S" in capsys.readouterr().err
+
+
 def test_graph_check_text():
     code, out = run_cli("graph-check", "--space", "Z3", "--file", "ck_z3.json")
     assert code == EXIT_OK

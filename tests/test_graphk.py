@@ -78,6 +78,39 @@ def test_condition_k_single_loop_fails():
     assert not graph_checks(G4).condition_k
 
 
+def first_return_paths(A, v, length):
+    """Numbers of paths of length 1, ..., `length` from v back to v that
+    meet v only at their two ends, by walks on the other vertices."""
+    others = [w for w in range(len(A)) if w != v]
+    counts = [A[v][v]]
+    walks = [A[v][w] for w in others]  # paths of the current length to w
+    for _ in range(length - 1):
+        counts.append(sum(x * A[w][v] for x, w in zip(walks, others)))
+        walks = [sum(x * A[u][w] for x, u in zip(walks, others)) for w in others]
+    return counts
+
+
+def test_condition_k_agrees_with_counting_first_return_paths():
+    """(K) fails exactly at the vertices with one first-return path.  A
+    vertex with a second one has one of length at most 3n: either another
+    simple cycle through it, or its way to another cycle of its component,
+    once round that cycle, and back."""
+    rng = random.Random(11)
+    X = point_space()
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        density = rng.random() / 2
+        A = [[rng.randint(1, 2) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)]
+        bad = [v for v in range(n) if sum(first_return_paths(A, v, 3 * n)) == 1]
+        rep = graph_checks(BlockGraph(X, [("1", n)], IntMatrix(A)))
+        assert rep.condition_k == (not bad)
+        assert (f"vertices with exactly one return path: {bad}" in rep.problems) == bool(bad)
+        verdicts.add(bool(bad))
+    assert verdicts == {False, True}
+
+
 def test_triangularity_violation_detected():
     X = builtin_space("Z3")
     blocks = [("4", 1), ("1", 1), ("2", 1), ("3", 1)]

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
@@ -9,10 +11,12 @@ from conftest import (layout_corpus, random_block_graph, random_valid_module,
                       reference_check_exact, reference_tor, word_pre_matrix,
                       z1_right_module_with_i_acting_by_one)
 
-from fktor.finspace import BUILTIN_NAMES, FiniteSpace, SpaceError, space_to_json
+from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_space,
+                            space_to_json)
 from fktor.graphk import fk_module, tor_ck
 import fktor.ntmod as ntmod
-from fktor.ntcat import Element, builtin_category, nil_basis, space_category
+from fktor.ntcat import (Element, build_category, builtin_category, nil_basis,
+                         space_category)
 from fktor.ntmod import (
     CatalogueError, GradedModule, ModuleError, builtin_resolution, check_exact,
     coker_module, free_module, left_complex_underlying, m_ss,
@@ -672,11 +676,52 @@ def test_tor_builds_each_tensored_differential_once(monkeypatch):
     built = []
     real = nm._tensor_diff
     monkeypatch.setattr(nm, "_tensor_diff",
-                        lambda res, M, k, *sums: built.append((res.Y, k))
-                        or real(res, M, k, *sums))
+                        lambda res, M, k: built.append((res.Y, k))
+                        or real(res, M, k))
     rep = tor(M, 2)
     assert sorted(built) == sorted((Y, k) for Y in sc.objects for k in (1, 2, 3))
     assert rep.groups == expected
+
+
+def test_a_module_builds_its_sums_and_designated_actions_once(monkeypatch):
+    """A second check_exact and tor on the same module build no direct sum
+    of several summands and no designated action: both are kept on the
+    module, and check_exact and tor share its sums."""
+    M = fk_module(random_block_graph("Z3", random.Random(2)))
+    sums, combos = [], []
+    real_sum, real_combo = ntmod.graded_direct_sum, GradedModule.action_combo
+    monkeypatch.setattr(ntmod, "graded_direct_sum",
+                        lambda groups: sums.append(len(groups)) or real_sum(groups))
+    monkeypatch.setattr(GradedModule, "action_combo",
+                        lambda self, *args: combos.append(args) or real_combo(self, *args))
+    check_exact(M)
+    exact_sums = len(sums)
+    tor(M, 2)
+    assert exact_sums and len(sums) > exact_sums and combos
+    assert all(n > 1 for n in sums)
+    sums.clear()
+    combos.clear()
+    check_exact(M)
+    tor(M, 2)
+    assert sums == [] and combos == []
+
+
+def test_designated_refuses_an_unknown_kind():
+    M = free_module(cat("Z1"), "12", "left")
+    with pytest.raises(ModuleError, match="unknown designated word 'incl'"):
+        M.designated("incl", frozenset("2"), frozenset("12"))
+
+
+def test_a_category_frees_its_resolutions_with_it():
+    sc = build_category(builtin_space("Z1"))
+    M = free_module(sc, "12", "left")
+    tor(M, 2)
+    assert sorted(sc.resolutions) == sorted(sc.objects)
+    assert resolution_for(sc, "1", 3, "auto") is sc.resolutions["1"]
+    ref = weakref.ref(sc)
+    del sc, M
+    gc.collect()
+    assert ref() is None
 
 
 def test_tor_builds_through_the_tensored_complex(monkeypatch):
@@ -685,8 +730,8 @@ def test_tor_builds_through_the_tensored_complex(monkeypatch):
     complexes = []
     real = ntmod.tensor_complex_maps
     monkeypatch.setattr(ntmod, "tensor_complex_maps",
-                        lambda res, M, n, *sums: complexes.append((res.Y, n))
-                        or real(res, M, n, *sums))
+                        lambda res, M, n: complexes.append((res.Y, n))
+                        or real(res, M, n))
     rep = tor(M, 2)
     assert complexes == [(Y, 2) for Y in sc.objects]
     # the whole complex [None, d_1⊗M, d_2⊗M, d_3⊗M]; d_k⊗M leaves level k
@@ -862,6 +907,35 @@ def test_tensor_mod_k_requires_k_at_least_2():
     sc, M = z4_module()
     with pytest.raises(Exception):
         M.tensor_mod_k(1)
+
+
+@pytest.mark.parametrize("k", [3.0, 2.5, True])
+def test_tensor_mod_k_refuses_a_k_that_is_not_an_int(k):
+    sc, M = z4_module()
+    with pytest.raises(ModuleError, match="needs an integer k >= 2"):
+        M.tensor_mod_k(k)
+
+
+@pytest.mark.parametrize("degree", [-1, True, 1.0, "1"])
+def test_tor_refuses_a_degree_that_is_not_a_nonnegative_int(monkeypatch, degree):
+    M = free_module(cat("Z1"), "12", "left")
+    G = random_block_graph("Z1", random.Random(1))
+
+    def no_resolution(*args, **kwargs):
+        raise AssertionError("a resolution was built for a bad degree")
+
+    monkeypatch.setattr(ntmod, "resolution_for", no_resolution)
+    for call in (lambda: tor(M, degree), lambda: rational_tor(M, degree),
+                 lambda: tor_ck(G, degree)):
+        with pytest.raises(ModuleError, match="nonnegative integer degree"):
+            call()
+
+
+@pytest.mark.parametrize("max_n", [-2, 0.5])
+def test_projective_dimension_asks_tor_for_a_bad_degree(max_n):
+    # max_n + 1 is the degree projective_dimension asks tor for
+    with pytest.raises(ModuleError, match="nonnegative integer degree"):
+        projective_dimension(free_module(cat("Z1"), "12", "left"), max_n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ one line per module or fast-path run of a fixed seeded corpus.
 
 The corpus: `fk_module` of four seeded random block graphs (the tests'
 `random_block_graph`) over each of the seven builtin spaces, `m_example`,
-and the modules of `ck_z3` and `ck_s`; then `tensor_mod_k(2)` and
+the modules of `ck_z3` and `ck_s`, and the right modules: the free right
+modules on the first and the last object of each builtin with shifts 0
+and 1, and the tests' `z1_right_module_with_i_acting_by_one` (so the
+right-module branch of the six-term maps is covered; `tor` refuses them,
+and the line shows its error); then `tensor_mod_k(2)` and
 `tensor_mod_k(3)` of each of these, which are not exact in general, so
 that failure strings with their groups are printed too.  For each module
 the line is `<space> <name> <exact digest> <tor digest>`: the sha256 of the
@@ -32,11 +36,12 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from conftest import random_block_graph  # noqa: E402
+from conftest import random_block_graph, z1_right_module_with_i_acting_by_one  # noqa: E402
 from fktor.finspace import BUILTIN_NAMES  # noqa: E402
 from fktor.graphk import (BlockGraph, GraphError, fk_module, s_fast_tor1,  # noqa: E402
                           z3_fast_tor1)
-from fktor.ntmod import GradedModule, ModuleError, check_exact, tor  # noqa: E402
+from fktor.ntcat import builtin_category  # noqa: E402
+from fktor.ntmod import GradedModule, ModuleError, check_exact, free_module, tor  # noqa: E402
 from fktor.zexact import ZExactError  # noqa: E402
 
 DATA = os.path.join(ROOT, "src", "fktor", "data")
@@ -60,6 +65,12 @@ def base_corpus():
     for name in ("ck_z3", "ck_s"):
         G = BlockGraph.from_json(load(f"{name}.json"))
         yield G.space.name, name, fk_module(G)
+    for space in BUILTIN_NAMES:
+        sc = builtin_category(space)
+        for Y in (sc.objects[0], sc.objects[-1]):
+            for shift in (0, 1):
+                yield space, f"free {Y} right {shift}", free_module(sc, Y, "right", shift)
+    yield "Z1", "z1_right", z1_right_module_with_i_acting_by_one()
 
 
 def fast_corpus():
