@@ -692,20 +692,6 @@ class HomTable:
     def scale(self, a: Element, c: int) -> Element:
         return Element(a.src, a.dst, a.parity, tuple(c * x for x in a.vec))
 
-    def eval_combo(self, src: str, c: Combo) -> Element:
-        if not c:
-            raise CategoryError("cannot infer endpoints of an empty combo")
-        first = next(iter(c))
-        _, dst, parity = self.presentation.word_signature(first, src=src)
-        out = self.zero(src, dst, parity)
-        ident = self.id_coords[src]
-        for w, coeff in c.items():
-            if self.presentation.word_signature(w, src=src) != (src, dst, parity):
-                raise CategoryError(f"word {w} is not parallel to {first} from {src}")
-            vec = self.word_matrix("post", src, 0, w).apply(ident) if w else ident
-            out = self.add(out, self.scale(Element(src, dst, parity, vec), coeff))
-        return out
-
     def word_matrix(self, side: str, W: str, parity: int, word: Word) -> IntMatrix:
         """Matrix of composition with a nonempty composable word w: x ↦ w∘x from
         NT(W, src w) at `parity` (side 'post') or x ↦ x∘w from NT(dst w, W)
@@ -769,9 +755,6 @@ class HomTable:
         return self._combo_matrix("pre", el, W, parity,
                                   self.rank.get((el.dst, W, parity), 0),
                                   self.rank.get((el.src, W, parity ^ el.parity), 0))
-
-    def graded_rank(self, src, dst) -> Tuple[int, int]:
-        return (self.rank.get((src, dst, 0), 0), self.rank.get((src, dst, 1), 0))
 
     def total_rank(self) -> int:
         return sum(self.rank.values())

@@ -65,8 +65,8 @@ class GradedModule:
 
     A module keeps what is built from its data: the action of each word
     (action_word), of each Hom element (action_element) and of each
-    designated word (designated), and each direct sum of its entries
-    (sum_map).
+    designated word (designated), each direct sum of its entries
+    (sum_map), and the isomorphic module on pruned presentations (reduced).
     """
 
     def __init__(self, category: SpaceCategory, variance: str,
@@ -82,6 +82,10 @@ class GradedModule:
         self._word_cache: Dict[tuple, GradedHom] = {}
         self._designated: Dict[tuple, Optional[GradedHom]] = {}
         self._sums: Dict[tuple, GradedGroup] = {}
+        # the reduced module, or _pruned where no entry prunes: a module
+        # that held itself would be a reference cycle
+        self._reduced: Optional[GradedModule] = None
+        self._pruned = False
         for obj in category.objects:
             if obj not in self.entries:
                 raise ModuleError(f"missing entry for object {obj}")
@@ -182,6 +186,45 @@ class GradedModule:
         return G
 
     # -- constructions -------------------------------------------------------
+
+    def reduced(self) -> "GradedModule":
+        """The isomorphic module on the pruned presentations of the entries
+        (Presentation.pruned), built once per module, or the module itself
+        where no entry prunes.  The action of an arrow with module map
+        h: M(s) -> M(d) becomes to_new(d)·h restricted to the kept
+        generators of s; the kept generators include into the old ones, so
+        the pruned presentations carry the same maps.  Exactness and Tor
+        are invariants of the module up to isomorphism, and check_exact and
+        tor run on this module, sharing its sums and designated actions.
+        Actions for names that are no arrow of the category are left out:
+        nothing reads them."""
+        if self._pruned:
+            return self
+        if self._reduced is None:
+            pruned = {obj: (g.even.pruned(), g.odd.pruned())
+                      for obj, g in self.entries.items()}
+            if all(pr[0] is P for obj, g in self.entries.items()
+                   for pr, P in zip(pruned[obj], (g.even, g.odd))):
+                self._pruned = True
+                return self
+            entries = {obj: GradedGroup(ev[0], od[0]) for obj, (ev, od) in pruned.items()}
+            arrows = self.category.presentation.arrows
+            actions = {}
+            for name, h in self.actions.items():
+                a = arrows.get(name)
+                if a is None:
+                    continue
+                s, d = _along(self.variance, a.src, a.dst)
+                mats = []
+                for p in (0, 1):
+                    m = h.component(p).matrix
+                    _, to_new, _ = pruned[d][p ^ h.degree]
+                    kept = pruned[s][p][2]
+                    mats.append(to_new * m.submatrix(range(m.rows), kept))
+                actions[name] = GradedHom.build(h.degree, entries[s], entries[d], *mats)
+            self._reduced = GradedModule(self.category, self.variance, entries, actions)
+            self._reduced._pruned = True
+        return self._reduced
 
     def tensor_mod_k(self, k: int) -> "GradedModule":
         """Entrywise tensor with Z/k (append k·identity relations)."""
@@ -446,9 +489,11 @@ def _node_homology(nodes: dict, f: GroupHom, g: GroupHom) -> AbGroupNF:
 
     The table lives for one call and is keyed by value, not kept on the
     maps: equal maps from different open pairs, objects or levels share
-    their echelons only through it.  Echelons kept on each GroupHom
-    instead took 3,356 map_echelon calls per round of the seed-1 graph
-    corpus, against 1,971."""
+    their echelons only through it.  On the raw presentations of
+    fk_module, echelons kept on each GroupHom instead took 3,356
+    map_echelon calls per round of the seed-1 graph corpus, against 1,971;
+    on the pruned presentations of GradedModule.reduced the round takes
+    1,116, subquotient_homology's own included."""
     if f.target.generators == 0 == g.source.generators:
         return _TRIVIAL
     key = (f.matrix, g.source.relations, g.matrix, g.target.relations)
@@ -487,8 +532,11 @@ def check_exact(M: GradedModule) -> ExactnessReport:
     into the direct sum over components.  Trivial pairs (U empty or all of
     Y) are vacuous and skipped.  Each designated action and each direct
     sum of entries is built once per module (see six_term_maps), each map's
-    echelon and each distinct node once per call (see _node_homology)."""
+    echelon and each distinct node once per call (see _node_homology).
+    The pairs are checked on M.reduced(), the same module on pruned
+    presentations."""
     X = M.category.space
+    M = M.reduced()
     failures = []
     nodes: dict = {}
     for U, Y, compsU, compsE in X.six_term_pairs():
@@ -618,9 +666,19 @@ def resolve_simple(sc: SpaceCategory, Y: str, depth: int) -> FreeResolution:
     differential by free modules on homogeneous generators chosen minimal
     modulo the nil ideal.
     """
+    _check_simple(sc, Y, depth)
     res = FreeResolution(sc, Y, [[(Y, 0)]], [], periodic=None)
     extend_resolution(res, depth)
     return res
+
+
+def _check_simple(sc: SpaceCategory, Y: str, depth: int) -> None:
+    """Refuse a Y that is no object of sc and a depth that is no
+    nonnegative integer, before anything is built or cached."""
+    if Y not in sc.objects:
+        raise ModuleError(f"{Y!r} is not an object of {sc.space.name}")
+    if type(depth) is not int or depth < 0:
+        raise ModuleError(f"a resolution needs a nonnegative integer depth, not {depth!r}")
 
 
 def extend_resolution(res: FreeResolution, depth: int) -> None:
@@ -818,6 +876,7 @@ def resolution_for(sc: SpaceCategory, Y: str, depth: int,
     `resolutions`, so a resolution, which is tied to its table's basis
     choices, lives as long as its category; "builtin" reads the shipped
     resolution and raises CatalogueError where none is shipped."""
+    _check_simple(sc, Y, depth)
     if engine == "builtin":
         res = builtin_resolution(builtin_name(sc.space), Y)
         if res.periodic is None and len(res.levels) <= depth:
@@ -870,6 +929,7 @@ class TorReport:
         """Smallest n <= max_n with Tor_n free and Tor_{n+1} = 0, or None.
         The report must reach degree max_n + 1: a missing degree would read
         as 0."""
+        _check_max_n(max_n)
         reached = min(max(degs) for degs in self.groups.values())
         if max_n + 1 > reached:
             raise ModuleError(f"pd up to {max_n} needs Tor_{max_n + 1}; "
@@ -883,6 +943,12 @@ class TorReport:
         return {obj: {str(n): {"even": str(g[0]), "odd": str(g[1])}
                       for n, g in sorted(degs.items())}
                 for obj, degs in sorted(self.groups.items())}
+
+
+def _check_max_n(max_n) -> None:
+    if type(max_n) is not int:
+        raise ModuleError("pd up to max_n reads Tor at the nonnegative integer degree "
+                          f"max_n + 1, so max_n must be an integer, not {max_n!r}")
 
 
 def _nf_from_parts(rank: int, torsions: List[int]) -> AbGroupNF:
@@ -940,7 +1006,9 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
     sum of a level's entries is built once per module, each map's echelon
     and each distinct node once per call (see _node_homology).  M must be a
     left module with an action for every generator arrow: it is tensored
-    with resolutions of right modules."""
+    with resolutions of right modules.  The complexes are tensored with
+    M.reduced(), the same module on pruned presentations; tor_single
+    tensors with the module it is given."""
     if type(n) is not int or n < 0:
         raise ModuleError(f"Tor needs a nonnegative integer degree, not {n!r}")
     if M.variance != "left":
@@ -951,6 +1019,7 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
     if missing:
         raise ModuleError("Tor(S_Y, M) needs an action for every arrow; "
                           f"missing: {missing}")
+    M = M.reduced()
     groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]] = {}
     nodes: dict = {}
     for Y in sc.objects:
@@ -983,6 +1052,7 @@ def projective_dimension(M: GradedModule, max_n: int,
 
     Refuses (HypothesisNotVerifiedError) unless the nilpotency and
     semidirectness hypotheses hold for the space."""
+    _check_max_n(max_n)
     check_hypotheses(M.category)
     return tor(M, max_n + 1, engine).projective_dimension(max_n)
 

@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, itemgetter, mul, neg
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 
 class ZExactError(Exception):
@@ -151,6 +151,8 @@ class IntMatrix:
         return self + (-other)
 
     def scale(self, c: int) -> "IntMatrix":
+        if type(c) is not int:
+            raise ZExactError(f"a matrix is scaled by an integer, not {c!r}")
         return IntMatrix._of(tuple(tuple([c * x for x in row]) for row in self.data),
                              self.rows, self.cols)
 
@@ -791,6 +793,55 @@ class Presentation:
     def with_extra_relations(self, extra: IntMatrix) -> "Presentation":
         return Presentation(self.generators, self.relations.hstack(extra))
 
+    def pruned(self) -> Tuple["Presentation", IntMatrix, tuple]:
+        """Tietze reduction: (P, to_new, kept) with P the same group on the
+        generators `kept` of this presentation.
+
+        While a relation has a ±1 entry s at a generator g, it reads
+        g = -s·(rest of the relation): g is substituted by that in the other
+        relations and dropped with the relation.  The pivot relation is the
+        first of the sparsest relations with a unit entry, and its pivot the
+        unit at the generator in the fewest relations, then the first, so
+        that fill-in and entry growth stay small.  Relations that become
+        zero are dropped.
+        to_new (P.generators x self.generators) writes each old generator in
+        the kept ones; the inverse is the inclusion of the kept generators,
+        so to_new restricted to the kept columns is the identity.  Where no
+        generator is eliminated, P is this presentation itself."""
+        n = self.generators
+        cols = [c for c in map(_nonzeros, self.relations.columns()) if c]
+        subs = []  # (g, {h: coeff}): g = sum coeff·h when g was eliminated
+        while True:
+            with_unit = [k for k, c in enumerate(cols) if 1 in c.values() or -1 in c.values()]
+            if not with_unit:
+                break
+            rel = cols.pop(min(with_unit, key=lambda k: len(cols[k])))
+            g = min((g for g, x in rel.items() if x == 1 or x == -1),
+                    key=lambda u: (sum(u in c for c in cols), u))
+            s = rel.pop(g)
+            expr = {i: -s * x for i, x in rel.items()}
+            subs.append((g, expr))
+            for c in cols:
+                q = c.pop(g, 0)
+                if q:
+                    _add_scaled(c, expr, q)
+            cols = [c for c in cols if c]
+        if not subs:
+            return self, IntMatrix.identity(n), tuple(range(n))
+        gone = {g for g, _ in subs}
+        kept = tuple(i for i in range(n) if i not in gone)
+        new = {old: i for i, old in enumerate(kept)}
+        images = {old: {i: 1} for old, i in new.items()}
+        for g, expr in reversed(subs):
+            img: dict = {}
+            for h, q in expr.items():
+                _add_scaled(img, images[h], q)
+            images[g] = img
+        m = len(kept)
+        rels = [{new[i]: x for i, x in c.items()} for c in cols]
+        return (Presentation(m, IntMatrix.from_sparse_columns(rels, m)),
+                IntMatrix.from_sparse_columns([images[j] for j in range(n)], m), kept)
+
     def _smith(self) -> SmithForm:
         cache = self._nf_cache
         if cache is None:
@@ -886,17 +937,6 @@ class HomologyResult:
         if coords is None:
             raise ZExactError("element is not a cycle")
         return self.quotient.class_vector(coords.column(0))
-
-    def is_generator(self, v: Sequence[int]) -> bool:
-        """True if the class of v generates the homology group."""
-        nf = self.group
-        cls = self.class_of(v)
-        if nf.rank == 1 and not nf.torsion:
-            return abs(cls[0]) == 1
-        if nf.rank == 0 and len(nf.torsion) == 1:
-            from math import gcd
-            return gcd(cls[0], nf.torsion[0]) == 1
-        raise ZExactError("is_generator only supported for cyclic homology")
 
 
 def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:

@@ -17,6 +17,7 @@ Regenerate the shipped file from the repository root with
 
 import json
 
+from conftest import eval_combo
 from fktor.ntcat import CategoryError, builtin_category, combo_compose
 from fktor.ntmod import (CatalogueError, FreeResolution, _RESOLUTIONS_PATH,
                          extend_resolution, resolve_simple, validate_resolution)
@@ -24,7 +25,7 @@ from fktor.zexact import ZExactError
 
 
 def _el(sc, src, combo, sign=1):
-    el = sc.table.eval_combo(src, combo)
+    el = eval_combo(sc.table, src, combo)
     return sc.table.scale(el, sign) if sign != 1 else el
 
 

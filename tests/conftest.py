@@ -8,10 +8,13 @@ tested against, the dense Smith engine that zexact.smith is tested
 against, the Smith-form kernels and the dense Hermite reduction that
 zexact's echelon kernels are tested against, the hand-drawn generator
 quivers of the builtin spaces that ntcat.derive_arrows is tested against,
-and the connected T0 spaces on n points, one per homeomorphism class."""
+the connected T0 spaces on n points, one per homeomorphism class, and the
+Hom-table and homology helpers only the tests use (eval_combo, graded_rank,
+is_generator)."""
 
 import random
 import zlib
+from math import gcd
 from itertools import combinations, compress, permutations
 from operator import itemgetter, neg
 from typing import NamedTuple
@@ -19,12 +22,12 @@ from typing import NamedTuple
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, builtin_space, label,
                             lc_subsets)
 from fktor.graphk import BlockGraph
-from fktor.ntcat import Arrow, builtin_category
+from fktor.ntcat import Arrow, CategoryError, Element, builtin_category
 from fktor.ntmod import (GradedModule, TorReport, coker_module, free_module,
                          resolution_for, tensor_complex_maps)
 from fktor.zexact import (GradedGroup, GradedHom, GroupHom, IntMatrix,
-                          Presentation, graded_direct_sum, hnf_columns,
-                          subquotient_homology)
+                          Presentation, ZExactError, graded_direct_sum,
+                          hnf_columns, subquotient_homology)
 
 
 def random_block_graph(space_name, rng, max_vertices=3, max_entry=3):
@@ -135,6 +138,40 @@ def z1_right_module_with_i_acting_by_one():
     actions["i:2>12"] = GradedHom.build(0, entries["12"], entries["2"],
                                         IntMatrix([[1]]), IntMatrix.zero(0, 0))
     return GradedModule(sc, "right", entries, actions)
+
+
+def eval_combo(t, src, c):
+    """The element of t's Hom group that the combo c of parallel words out
+    of src names: the sum of each word's image of the identity of src."""
+    if not c:
+        raise CategoryError("cannot infer endpoints of an empty combo")
+    first = next(iter(c))
+    _, dst, parity = t.presentation.word_signature(first, src=src)
+    out = t.zero(src, dst, parity)
+    ident = t.id_coords[src]
+    for w, coeff in c.items():
+        if t.presentation.word_signature(w, src=src) != (src, dst, parity):
+            raise CategoryError(f"word {w} is not parallel to {first} from {src}")
+        vec = t.word_matrix("post", src, 0, w).apply(ident) if w else ident
+        out = t.add(out, t.scale(Element(src, dst, parity, vec), coeff))
+    return out
+
+
+def graded_rank(t, src, dst):
+    """(even rank, odd rank) of the Hom group from src to dst in table t."""
+    return (t.rank.get((src, dst, 0), 0), t.rank.get((src, dst, 1), 0))
+
+
+def is_generator(h, v):
+    """True if the class of the cycle v generates the cyclic homology group
+    of the HomologyResult h."""
+    nf = h.group
+    cls = h.class_of(v)
+    if nf.rank == 1 and not nf.torsion:
+        return abs(cls[0]) == 1
+    if nf.rank == 0 and len(nf.torsion) == 1:
+        return gcd(cls[0], nf.torsion[0]) == 1
+    raise ZExactError("is_generator only supported for cyclic homology")
 
 
 def smith_cycles(g, relations):

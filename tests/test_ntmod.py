@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 import catalogue
-from conftest import (layout_corpus, random_block_graph, random_valid_module,
+from conftest import (eval_combo, layout_corpus, random_block_graph, random_valid_module,
                       reference_check_exact, reference_tor, word_pre_matrix,
                       z1_right_module_with_i_acting_by_one)
 
@@ -40,7 +40,7 @@ def z4_module():
     f = frozenset
 
     def inc_el(a, b, sign=1):
-        el = sc.table.eval_combo(a, D.inc(f(a), f(b)))
+        el = eval_combo(sc.table, a, D.inc(f(a), f(b)))
         return sc.table.scale(el, sign) if sign != 1 else el
 
     co = ["2345", "1345", "1245", "1235"]
@@ -805,7 +805,7 @@ def test_z4_mod_k_length3_resolution_is_valid():
     f = frozenset
 
     def inc_el(a, b, sign=1):
-        el = t.eval_combo(a, D.inc(f(a), f(b)))
+        el = eval_combo(t, a, D.inc(f(a), f(b)))
         return t.scale(el, sign) if sign != 1 else el
 
     co = ["2345", "1345", "1245", "1235"]
@@ -936,6 +936,37 @@ def test_projective_dimension_asks_tor_for_a_bad_degree(max_n):
     # max_n + 1 is the degree projective_dimension asks tor for
     with pytest.raises(ModuleError, match="nonnegative integer degree"):
         projective_dimension(free_module(cat("Z1"), "12", "left"), max_n)
+
+
+@pytest.mark.parametrize("max_n", [True, False, 0.5, 1.0, "1", None])
+def test_projective_dimension_refuses_a_bound_that_is_no_integer(max_n):
+    M = free_module(cat("Z1"), "12", "left")
+    with pytest.raises(ModuleError, match="max_n must be an integer"):
+        projective_dimension(M, max_n)
+    with pytest.raises(ModuleError, match="max_n must be an integer"):
+        tor(M, 3).projective_dimension(max_n)
+    assert projective_dimension(M, 1) == 0
+
+
+def test_a_non_object_is_refused_before_anything_is_cached():
+    sc = build_category(builtin_space("Z3"))
+    for engine in ("auto", "generic", "builtin"):
+        with pytest.raises(ModuleError, match="'9' is not an object of Z3"):
+            resolution_for(sc, "9", 3, engine)
+    with pytest.raises(ModuleError, match="'9' is not an object of Z3"):
+        resolve_simple(sc, "9", 3)
+    assert sc.resolutions == {}
+
+
+@pytest.mark.parametrize("depth", [-1, True, False, 2.0, "2", None])
+def test_a_resolution_depth_must_be_a_nonnegative_integer(depth):
+    sc = build_category(builtin_space("Z3"))
+    with pytest.raises(ModuleError, match="nonnegative integer depth"):
+        resolve_simple(sc, "4", depth)
+    with pytest.raises(ModuleError, match="nonnegative integer depth"):
+        resolution_for(sc, "4", depth)
+    assert sc.resolutions == {}
+    assert len(resolve_simple(sc, "4", 0).levels) == 1
 
 
 # ---------------------------------------------------------------------------

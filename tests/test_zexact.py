@@ -72,6 +72,13 @@ def test_public_constructor_rejects_non_integers(bad):
         IntMatrix([[1, 0], [bad, 1]])
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "x", None, 2.0])
+def test_scale_refuses_a_factor_that_is_no_integer(bad):
+    with pytest.raises(ZExactError, match="scaled by an integer"):
+        IntMatrix([[1, 2]]).scale(bad)
+    assert IntMatrix([[1, 2]]).scale(-3).data == ((-3, -6),)
+
+
 def test_public_constructor_checks_shape():
     assert IntMatrix([[1, -2], [0, 3]]).data == ((1, -2), (0, 3))
     with pytest.raises(ZExactError):
