@@ -1018,25 +1018,28 @@ def _nil_power_step(table: HomTable, power: dict) -> dict:
     return {k: lat.basis() for k, lat in nxt.items() if lat.pivots}
 
 
+def end_splits(table: HomTable, obj: str) -> bool:
+    """True when End(obj) = Z·id ⊕ nil: the odd part is entirely nil (a nil
+    basis is a lattice basis), and id_coords[obj] with the even nil basis
+    are rank-many rows that span Z^rank.  Then the identity coefficient
+    End(obj)_even -> Z is onto, with the even nil lattice as its kernel."""
+    nil = nil_basis(table)
+    ev, rank = nil[(obj, obj, 0)], table.rank.get((obj, obj, 0), 0)
+    span = Echelon(rank)
+    for row in (table.id_coords[obj], *ev):
+        span.add(row)
+    return (len(nil[(obj, obj, 1)]) == table.rank.get((obj, obj, 1), 0)
+            and (rank == 0 or len(ev) + 1 == rank and span.spans_all()))
+
+
 def ideal_checks(table: HomTable) -> RingIdealData:
     """NT_nil as the classes of nonempty words; nilpotency by lattice powers;
-    semidirectness = Z·id ⊕ nil part in every End group."""
+    semidirectness = every End group splits as Z·id ⊕ nil (end_splits, the
+    predicate the resolution engine checks before it covers S_Y)."""
     nil = nil_basis(table)
-    end_nil_ranks = {}
-    semidirect = True
-    for obj in table.objects:
-        ev, od = nil[(obj, obj, 0)], nil[(obj, obj, 1)]
-        end_nil_ranks[obj] = (len(ev), len(od))
-        rank_ev = table.rank.get((obj, obj, 0), 0)
-        # odd part must be entirely nil (a nil basis is a lattice basis)
-        odd_full = len(od) == table.rank.get((obj, obj, 1), 0)
-        # even part must split as Z*id + nil: rank_ev rows that span Z^rank_ev
-        span = Echelon(rank_ev)
-        for row in [table.id_coords[obj], *ev]:
-            span.add(row)
-        even_split = rank_ev == 0 or (len(ev) + 1 == rank_ev and span.spans_all())
-        if not (odd_full and even_split):
-            semidirect = False
+    end_nil_ranks = {obj: (len(nil[(obj, obj, 0)]), len(nil[(obj, obj, 1)]))
+                     for obj in table.objects}
+    semidirect = all(end_splits(table, obj) for obj in table.objects)
 
     power = {k: vs for k, vs in nil.items() if vs}
     index = 1

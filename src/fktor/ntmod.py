@@ -18,11 +18,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .finspace import builtin_name, label, space_from_ref, space_ref
 from .ntcat import (Arrow, Combo, Element, HomTable, SpaceCategory,
-                    builtin_category, ideal_checks, nil_basis, space_category)
+                    builtin_category, end_splits, ideal_checks, nil_basis,
+                    space_category)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
                      IntMatrix, Presentation, block_diag, exact_node,
                      graded_direct_sum, kernel, hnf_columns, map_echelon,
-                     shift as shift_group, solve, subquotient_homology)
+                     shift as shift_group, subquotient_homology)
 
 
 class ModuleError(Exception):
@@ -89,6 +90,12 @@ class GradedModule:
         for obj in category.objects:
             if obj not in self.entries:
                 raise ModuleError(f"missing entry for object {obj}")
+        unknown = sorted(set(self.entries) - set(category.objects))
+        if unknown:
+            raise ModuleError(f"entries for objects not in the category: {unknown}")
+        unknown = sorted(set(self.actions) - set(category.presentation.arrows))
+        if unknown:
+            raise ModuleError(f"actions for arrows not in the category: {unknown}")
 
     def entry(self, obj: str) -> GradedGroup:
         return self.entries[obj]
@@ -195,9 +202,7 @@ class GradedModule:
         generators of s; the kept generators include into the old ones, so
         the pruned presentations carry the same maps.  Exactness and Tor
         are invariants of the module up to isomorphism, and check_exact and
-        tor run on this module, sharing its sums and designated actions.
-        Actions for names that are no arrow of the category are left out:
-        nothing reads them."""
+        tor run on this module, sharing its sums and designated actions."""
         if self._pruned:
             return self
         if self._reduced is None:
@@ -211,9 +216,7 @@ class GradedModule:
             arrows = self.category.presentation.arrows
             actions = {}
             for name, h in self.actions.items():
-                a = arrows.get(name)
-                if a is None:
-                    continue
+                a = arrows[name]
                 s, d = _along(self.variance, a.src, a.dst)
                 mats = []
                 for p in (0, 1):
@@ -416,6 +419,13 @@ class ValidationReport:
     problems: List[str] = field(default_factory=list)
 
 
+def _require_actions(M: GradedModule, what: str) -> None:
+    """Refuse a module without an action for every generator arrow."""
+    missing = sorted(set(M.category.presentation.arrows) - set(M.actions))
+    if missing:
+        raise ModuleError(f"{what} needs an action for every arrow; missing: {missing}")
+
+
 def validate(M: GradedModule) -> ValidationReport:
     """Well-definedness of all actions and vanishing of all relations."""
     pres = M.category.presentation
@@ -535,6 +545,7 @@ def check_exact(M: GradedModule) -> ExactnessReport:
     echelon and each distinct node once per call (see _node_homology).
     The pairs are checked on M.reduced(), the same module on pruned
     presentations."""
+    _require_actions(M, "check_exact")
     X = M.category.space
     M = M.reduced()
     failures = []
@@ -566,6 +577,7 @@ def m_ss(M: GradedModule) -> Dict[str, GradedGroup]:
     """Quotient of each entry by the images of all nil transformations.  A
     nil word acts into M(obj) last through one generator (as in _nil_part):
     an arrow into obj for a left module, out of obj for a right module."""
+    _require_actions(M, "m_ss")
     pres = M.category.presentation
     arrows = pres.by_dst if M.variance == "left" else pres.by_src
     out = {}
@@ -635,36 +647,14 @@ class FreeResolution:
                         self.diff(n), W, parity)
 
 
-def _ss_projection(sc: SpaceCategory, Y: str) -> IntMatrix:
-    """Row functional on End(Y)-even picking the identity coefficient."""
-    t = sc.table
-    rank = t.rank[(Y, Y, 0)]
-    nil = nil_basis(t)[(Y, Y, 0)]
-    cols = [list(t.id_coords[Y])] + [list(v) for v in nil]
-    B = IntMatrix.from_columns([tuple(c) for c in cols], rank)
-    if B.rows != B.cols:
-        raise ModuleError(f"End({Y}) does not split as Z·id + nil")
-    x = solve(B.transpose(), tuple(1 if i == 0 else 0 for i in range(rank)))
-    if x is None:
-        raise ModuleError(f"End({Y}) does not split as Z·id + nil")
-    return IntMatrix._of((tuple(x),), 1, rank)
-
-
-def _augmentation_matrix(sc: SpaceCategory, Y: str, W: str, parity: int) -> IntMatrix:
-    """Underlying matrix of Q_Y ->> S_Y at (W, parity)."""
-    t = sc.table
-    n = t.rank.get((W, Y, parity), 0)
-    if W != Y or parity != 0:
-        return IntMatrix.zero(0, n)
-    return _ss_projection(sc, Y)
-
-
 def resolve_simple(sc: SpaceCategory, Y: str, depth: int) -> FreeResolution:
     """Generic syzygy resolution of the simple right-module S_Y.
 
-    Covers S_Y by Q_Y, then repeatedly covers the kernel of the last
-    differential by free modules on homogeneous generators chosen minimal
-    modulo the nil ideal.
+    Covers S_Y by Q_Y, whose kernel J·Q_Y is read off the nil lattice of
+    End(Y) (see _level_kernels), then repeatedly covers the kernel of the
+    last differential by free modules on homogeneous generators chosen
+    minimal modulo the nil ideal; no Smith form is taken.  End(Y) must
+    split as Z·id ⊕ nil (ntcat.end_splits), checked before level 0 is read.
     """
     _check_simple(sc, Y, depth)
     res = FreeResolution(sc, Y, [[(Y, 0)]], [], periodic=None)
@@ -735,20 +725,28 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
 
 
 def _level_kernels(res: FreeResolution, n: int, dims: Slots) -> Dict[Tuple[str, int], IntMatrix]:
-    """Kernel lattice of d_n (of the augmentation for n = 0) per (W, parity),
+    """Kernel lattice of d_n (of Q_Y ->> S_Y for n = 0) per (W, parity),
     where dims[(W, parity)] = res.dims(n, W, parity).
 
-    Only a slot where level n and its target are both nonzero takes a
-    kernel.  The rest need none: a map out of 0 has the 0x0 basis
-    identity(0), and a map into 0 all of Z^c, Hermite basis identity(c)
-    (the augmentation's target S_Y is Z at (Y, 0) and 0 elsewhere)."""
+    Under End(Y)_even = Z·id ⊕ nil, the kernel of Q_Y ->> S_Y is J·Q_Y:
+    the Hermite basis of the even nil lattice of End(Y) at (Y, 0), all of
+    Q_Y(W)_p elsewhere; a Y whose End(Y) does not split is refused with
+    ModuleError.  For n >= 1 only a slot where level n and its target are
+    both nonzero takes a kernel.  The rest need none: a map out of 0 has
+    the 0x0 basis identity(0), and a map into 0 all of Z^c, Hermite basis
+    identity(c)."""
     kernels: Dict[Tuple[str, int], IntMatrix] = {}
     for key, cols in dims.items():
         c = sum(cols)
-        both = c and (sum(res.dims(n - 1, *key)) if n else key == (res.Y, 0))
-        kernels[key] = (kernel(res.underlying_diff(n, *key) if n else
-                               _augmentation_matrix(res.sc, res.Y, *key))
-                        if both else IntMatrix.identity(c))
+        if not n and key == (res.Y, 0):
+            if not end_splits(res.sc.table, res.Y):
+                raise ModuleError(f"End({res.Y}) does not split as Z·id + nil")
+            nil = nil_basis(res.sc.table)[(res.Y, res.Y, 0)]
+            kernels[key] = hnf_columns(IntMatrix.from_columns(nil, c))
+        elif n and c and sum(res.dims(n - 1, *key)):
+            kernels[key] = kernel(res.underlying_diff(n, *key))
+        else:
+            kernels[key] = IntMatrix.identity(c)
     return kernels
 
 
@@ -808,28 +806,25 @@ def _exact_at(d_in: IntMatrix, d_out: IntMatrix) -> bool:
 
 
 def validate_resolution(res: FreeResolution, depth: int) -> List[str]:
-    """d∘d = 0 and exactness on underlying groups through the given depth,
-    including correctness of the augmentation level.  Each underlying
-    differential is built once per (W, parity)."""
+    """d∘d = 0 and exactness on underlying groups through the given depth.
+    At level 0 the Hermite basis of im d_1 must be the kernel of Q_Y ->> S_Y
+    (see _level_kernels, which first checks the split of End(Y) that makes
+    Q_Y ->> S_Y onto) at every (W, parity).  Each underlying differential
+    is built once per (W, parity)."""
     sc = res.sc
+    level0 = _level_kernels(res, 0, {(W, p): res.dims(0, W, p)
+                                     for W in sc.objects for p in (0, 1)})
     problems = []
     for n in range(1, depth):
         problems += _composite_problems(res, n)
-    for W in sc.objects:
-        for parity in (0, 1):
-            aug = _augmentation_matrix(sc, res.Y, W, parity)
-            d = [aug] + [res.underlying_diff(n, W, parity)
-                         for n in range(1, max(depth, 1) + 1)]
-            if not _exact_at(d[1], aug):
-                problems.append(f"not exact under the augmentation at ({W},{parity})")
-            if aug.rows:
-                # the augmentation must be onto S_Y
-                img = hnf_columns(aug)
-                if img.cols != 1 or abs(img[0, 0]) != 1:
-                    problems.append(f"augmentation not onto at ({W},{parity})")
-            for n in range(1, depth):
-                if not _exact_at(d[n + 1], d[n]):
-                    problems.append(f"not exact at level {n}, ({W},{parity})")
+    for (W, parity), K in level0.items():
+        d = [None] + [res.underlying_diff(n, W, parity)
+                      for n in range(1, max(depth, 1) + 1)]
+        if hnf_columns(d[1]) != K:
+            problems.append(f"not exact under the augmentation at ({W},{parity})")
+        for n in range(1, depth):
+            if not _exact_at(d[n + 1], d[n]):
+                problems.append(f"not exact at level {n}, ({W},{parity})")
     return problems
 
 
@@ -1014,11 +1009,8 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
     if M.variance != "left":
         raise ModuleError("Tor(S_Y, M) needs a left module M, "
                           f"not a {M.variance} module")
+    _require_actions(M, "Tor(S_Y, M)")
     sc = M.category
-    missing = sorted(set(sc.presentation.arrows) - set(M.actions))
-    if missing:
-        raise ModuleError("Tor(S_Y, M) needs an action for every arrow; "
-                          f"missing: {missing}")
     M = M.reduced()
     groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]] = {}
     nodes: dict = {}

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import random
 import weakref
 
@@ -13,19 +14,24 @@ from conftest import (eval_combo, layout_corpus, random_block_graph, random_vali
 
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_space,
                             space_to_json)
-from fktor.graphk import fk_module, tor_ck
+from fktor.graphk import BlockGraph, fk_module, tor_ck
 import fktor.ntmod as ntmod
-from fktor.ntcat import (Element, build_category, builtin_category, nil_basis,
-                         space_category)
+from fktor.ntcat import (Element, build_category, builtin_category, end_splits,
+                         ideal_checks, nil_basis, space_category, table_from_json,
+                         table_to_json)
 from fktor.ntmod import (
-    CatalogueError, GradedModule, ModuleError, builtin_resolution, check_exact,
-    coker_module, free_module, left_complex_underlying, m_ss,
+    CatalogueError, FreeResolution, GradedModule, ModuleError, builtin_resolution,
+    check_exact, coker_module, free_module, left_complex_underlying, m_ss,
     projective_dimension, rational_tor, resolution_for, resolve_simple, tor,
     tor_single, validate, validate_resolution,
 )
+import fktor.zexact as zexact
 from fktor.zexact import (AbGroupNF, GradedGroup, GradedHom, IntMatrix,
                           Presentation, block_diag, graded_direct_sum,
                           hnf_columns, shift)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "fktor", "data")
 
 
 def cat(name):
@@ -530,9 +536,9 @@ def test_kernels_of_maps_out_of_and_into_zero():
 
 def test_resolution_work_only_on_nonzero_slots(monkeypatch):
     """Building the Z4 resolutions to depth 5 takes one kernel per
-    (level, W, parity) slot where the level and its target are both
-    nonzero, and reads no post-composition block whose source or target
-    group is 0."""
+    (level, W, parity) slot of levels 1-4 where the level and its target
+    are both nonzero, none at level 0 (read off the nil lattice), and reads
+    no post-composition block whose source or target group is 0."""
     sc = cat("Z4")
     t = sc.table
     shapes, posts = [], []
@@ -556,15 +562,82 @@ def test_resolution_work_only_on_nonzero_slots(monkeypatch):
     expected = 0
     for Y in sc.objects:
         res = resolve_simple(sc, Y, 5)
-        for n in range(5):
+        for n in range(1, 5):
             for W in sc.objects:
                 for parity in (0, 1):
-                    target = size(res.levels[n - 1], W, parity) if n else (W, parity) == (Y, 0)
+                    target = size(res.levels[n - 1], W, parity)
                     expected += bool(size(res.levels[n], W, parity) and target)
     assert expected and posts
     assert len(shapes) == expected
     assert all(rows and cols for rows, cols in shapes)
     assert all(src and dst for src, dst in posts)
+
+
+def test_building_a_resolution_takes_no_smith_form(monkeypatch):
+    """Level 0 is read off the nil lattice and every later kernel off an
+    echelon: resolving every simple module of every builtin to depth 5
+    calls zexact.smith nowhere."""
+    categories = [cat(name) for name in BUILTIN_NAMES]
+    calls = []
+    real_smith = zexact.smith
+
+    def counted_smith(A):
+        calls.append((A.rows, A.cols))
+        return real_smith(A)
+
+    monkeypatch.setattr(zexact, "smith", counted_smith)
+    for sc in categories:
+        for Y in sc.objects:
+            resolve_simple(sc, Y, 5)
+    assert calls == []
+
+
+def test_an_end_group_that_does_not_split_is_refused_before_anything_is_cached():
+    """A copy of the Z3 table with id_coords[Y] doubled: 2·id and the nil
+    part span an index-2 sublattice of End(Y)_even, so the split fails at Y
+    alone, ideal_checks says not semidirect, and the engine refuses Y
+    before it builds or caches a resolution."""
+    sc = table_from_json(table_to_json(cat("Z3")))
+    Y = "14"
+    sc.table.id_coords[Y] = tuple(2 * x for x in sc.table.id_coords[Y])
+    assert not ideal_checks(sc.table).semidirect
+    assert [W for W in sc.objects if not end_splits(sc.table, W)] == [Y]
+    message = r"End\(14\) does not split as Z·id \+ nil"
+    with pytest.raises(ModuleError, match=message):
+        resolve_simple(sc, Y, 3)
+    for engine in ("auto", "generic"):
+        with pytest.raises(ModuleError, match=message):
+            resolution_for(sc, Y, 3, engine)
+    assert sc.resolutions == {}
+    with pytest.raises(ModuleError, match=message):
+        validate_resolution(FreeResolution(sc, Y, [[(Y, 0)]], []), 0)
+
+
+def _planted_level0_errors(res):
+    """Copies of res with one error each in d_1: its first nonzero entry
+    doubled, and its last level-1 generator dropped (with the row of d_2
+    that reads it)."""
+    d1 = res.diffs[0]
+    i, j = next((i, j) for i, row in enumerate(d1)
+                for j, el in enumerate(row) if el is not None)
+    doubled = [list(row) for row in d1]
+    el = d1[i][j]
+    doubled[i][j] = Element(el.src, el.dst, el.parity, [2 * x for x in el.vec])
+    dropped_levels = [res.levels[0], res.levels[1][:-1], *res.levels[2:]]
+    dropped_diffs = [[row[:-1] for row in d1], res.diffs[1][:-1], *res.diffs[2:]]
+    return [FreeResolution(res.sc, res.Y, res.levels, [doubled, *res.diffs[1:]]),
+            FreeResolution(res.sc, res.Y, dropped_levels, dropped_diffs)]
+
+
+@pytest.mark.parametrize("name,Y", [("Z3", "1234"), ("Z4", "12345")])
+def test_validation_catches_planted_errors_at_level_0(name, Y):
+    res = resolve_simple(cat(name), Y, 3)
+    assert not validate_resolution(res, 3)
+    for planted in _planted_level0_errors(res):
+        problems = validate_resolution(planted, 1)
+        assert problems
+        assert all(p.startswith("not exact under the augmentation at")
+                   for p in problems), problems
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +680,17 @@ def test_tor_refuses_a_module_missing_an_action_before_resolving(monkeypatch):
     monkeypatch.setattr(ntmod, "resolution_for", no_resolution)
     with pytest.raises(ModuleError, match=r"missing: \['r:12>1'\]"):
         tor(M, 1)
+
+
+@pytest.mark.parametrize("compute", [check_exact, m_ss, lambda M: tor(M, 1)],
+                         ids=["check_exact", "m_ss", "tor"])
+def test_a_module_missing_an_action_is_refused(compute):
+    with open(os.path.join(DATA, "ck_z3.json")) as fh:
+        M = fk_module(BlockGraph.from_json(json.load(fh)))
+    del M.actions["i:14>124"]
+    with pytest.raises(ModuleError, match=r"needs an action for every arrow; "
+                                          r"missing: \['i:14>124'\]"):
+        compute(M)
 
 
 @pytest.mark.parametrize("name,count", [("Z3", 50), ("S", 15), ("C2", 15)])
@@ -972,6 +1056,16 @@ def test_a_resolution_depth_must_be_a_nonnegative_integer(depth):
 # ---------------------------------------------------------------------------
 # Module JSON round trip
 # ---------------------------------------------------------------------------
+
+def test_a_module_refuses_actions_and_entries_outside_its_category():
+    sc = cat("Z1")
+    M = free_module(sc, "12", "left")
+    h = M.actions["r:12>1"]
+    with pytest.raises(ModuleError, match=r"actions for arrows not in the category: \['bogus'\]"):
+        GradedModule(sc, "left", M.entries, {**M.actions, "bogus": h})
+    with pytest.raises(ModuleError, match=r"entries for objects not in the category: \['9'\]"):
+        GradedModule(sc, "left", {**M.entries, "9": M.entries["12"]}, M.actions)
+
 
 def test_module_json_round_trip():
     rng = random.Random(77)
