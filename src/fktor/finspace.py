@@ -235,8 +235,8 @@ def is_accordion_union(X: FiniteSpace) -> bool:
 def z_space(m: int) -> FiniteSpace:
     """(m+1) points 1..m+1; a set is open iff it contains m+1 or is empty.
     Points are named by single characters, so m is at most 8."""
-    if not 1 <= m <= 8:
-        raise SpaceError("z_space needs 1 <= m <= 8")
+    if type(m) is not int or not 1 <= m <= 8:
+        raise SpaceError(f"z_space needs an integer 1 <= m <= 8, not {m!r}")
     points = [str(i) for i in range(1, m + 2)]
     top = str(m + 1)
     rest = [str(i) for i in range(1, m + 1)]

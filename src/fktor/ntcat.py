@@ -779,8 +779,8 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     pres = presentation
     if max_len is None:
         max_len = DEFAULT_MAX_LEN.get(builtin_name(pres.space), 10)
-    if max_len < 1:
-        raise CategoryError("max_len must be at least 1")
+    if type(max_len) is not int or max_len < 1:
+        raise CategoryError(f"max_len must be an integer at least 1, not {max_len!r}")
 
     buckets: Dict[Tuple[str, str, int], _Bucket] = {}
 

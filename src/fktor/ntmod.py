@@ -47,6 +47,10 @@ def _shifted(G: GradedGroup, eps: int) -> GradedGroup:
     return shift_group(G) if eps % 2 else G
 
 
+def _has_generators(G: GradedGroup) -> bool:
+    return bool(G.even.generators or G.odd.generators)
+
+
 def _along(side: str, src: str, dst: str) -> Tuple[str, str]:
     """(src, dst) on a left module, (dst, src) on a right one: the ends of the
     module map along an arrow src -> dst, and the Hom group of P_src or Q_src at dst."""
@@ -126,19 +130,26 @@ class GradedModule:
 
     def action_combo(self, combo: Combo, src_obj: str, dst_obj: str,
                      parity: int) -> GradedHom:
-        mod_src, mod_dst = _along(self.variance, src_obj, dst_obj)
-        total = GradedHom.zero(parity, self.entries[mod_src], self.entries[mod_dst])
-        for w, c in combo.items():
-            h = self.action_word(w, src_obj, dst_obj)
-            if c == 1:
-                total = total.add(h)
-            else:
-                total = total.add(GradedHom(h.degree,
-                                            GroupHom(h.from_even.source, h.from_even.target,
-                                                     h.from_even.matrix.scale(c)),
-                                            GroupHom(h.from_odd.source, h.from_odd.target,
-                                                     h.from_odd.matrix.scale(c))))
-        return total
+        """Action of a sum of words.  It is the zero hom, built from no word,
+        for no words or where an end has no generators in either parity (a
+        group of generators and unit relations has some); one word with
+        coefficient 1 is action_word's hom itself."""
+        S, T = (self.entries[obj] for obj in _along(self.variance, src_obj, dst_obj))
+        if not (combo and _has_generators(S) and _has_generators(T)):
+            return GradedHom.zero(parity, S, T)
+        terms = [(self.action_word(w, src_obj, dst_obj), c) for w, c in combo.items()]
+        if any(h.degree != parity for h, _ in terms):
+            raise ModuleError(f"a word of {combo} does not act in degree {parity}")
+        if len(terms) == 1 and terms[0][1] == 1:
+            return terms[0][0]
+        mats = []  # summed per parity in one pass
+        for p in (0, 1):
+            parts = [h.component(p).matrix if c == 1 else h.component(p).matrix.scale(c)
+                     for h, c in terms]
+            rows = zip(*(m.data for m in parts))
+            mats.append(IntMatrix._of(tuple(tuple(map(sum, zip(*r))) for r in rows),
+                                      parts[0].rows, parts[0].cols))
+        return GradedHom.build(parity, S, T, *mats)
 
     def action_element(self, el: Element) -> GradedHom:
         key = (el.src, el.dst, el.parity, el.vec)
@@ -154,15 +165,18 @@ class GradedModule:
         the subsets A and B, or None where that word is zero: "inc" the
         inclusion of A open in B and "res" the restriction of A to B closed
         in it (both even, from A to B), "bnd" the six-term boundary block
-        from B to A (odd).  Each is built once per module."""
+        from B to A (odd), and None where an end has no generators.  Each is
+        built once per module."""
         key = (kind, A, B)
         if key not in self._designated:
             if kind not in ("inc", "res", "bnd"):
                 raise ModuleError(f"unknown designated word {kind!r}")
             combo = getattr(self.category.designator, kind)(A, B)
-            src, dst, parity = (B, A, 1) if kind == "bnd" else (A, B, 0)
-            self._designated[key] = self.action_combo(
-                combo, label(src), label(dst), parity) if combo else None
+            src, dst, parity = (label(B), label(A), 1) if kind == "bnd" \
+                else (label(A), label(B), 0)
+            ends = (self.entries[src], self.entries[dst])
+            self._designated[key] = self.action_combo(combo, src, dst, parity) \
+                if combo and all(map(_has_generators, ends)) else None
         return self._designated[key]
 
     def sum_map(self, degree: int, sources: Sequence[Summand],
@@ -172,7 +186,16 @@ class GradedModule:
         a GradedHom of M from sources[j] to targets[i].  A block out of an
         odd summand enters as its `shift()`, the same map between the
         shifted groups.  Each sum of several summands is built once per
-        module, and a single summand is its shifted entry itself."""
+        module, and a single summand is its shifted entry itself.  A map
+        between single unshifted summands is its block where that has the
+        given degree, and the zero hom for a None block."""
+        if len(sources) == 1 == len(targets) and sources[0][1] == 0 == targets[0][1]:
+            b = blocks[0][0]
+            if b is None:
+                return GradedHom.zero(degree, self.entries[sources[0][0]],
+                                      self.entries[targets[0][0]])
+            if b.degree == degree:
+                return b
         src = [_shifted(self.entries[A], e) for A, e in sources]
         tgt = [_shifted(self.entries[A], e) for A, e in targets]
         mats = [IntMatrix.block(
@@ -809,8 +832,9 @@ def validate_resolution(res: FreeResolution, depth: int) -> List[str]:
     """d∘d = 0 and exactness on underlying groups through the given depth.
     At level 0 the Hermite basis of im d_1 must be the kernel of Q_Y ->> S_Y
     (see _level_kernels, which first checks the split of End(Y) that makes
-    Q_Y ->> S_Y onto) at every (W, parity).  Each underlying differential
-    is built once per (W, parity)."""
+    Q_Y ->> S_Y onto) at every (W, parity).  A slot where d_n∘d_{n+1} is
+    nonzero on the underlying groups reports that instead of exactness.
+    Each underlying differential is built once per (W, parity)."""
     sc = res.sc
     level0 = _level_kernels(res, 0, {(W, p): res.dims(0, W, p)
                                      for W in sc.objects for p in (0, 1)})
@@ -823,7 +847,10 @@ def validate_resolution(res: FreeResolution, depth: int) -> List[str]:
         if hnf_columns(d[1]) != K:
             problems.append(f"not exact under the augmentation at ({W},{parity})")
         for n in range(1, depth):
-            if not _exact_at(d[n + 1], d[n]):
+            if not (d[n] * d[n + 1]).is_zero():
+                problems.append(f"d_{n}∘d_{n + 1} nonzero on the underlying groups at "
+                                f"({W},{parity})")
+            elif not _exact_at(d[n + 1], d[n]):
                 problems.append(f"not exact at level {n}, ({W},{parity})")
     return problems
 

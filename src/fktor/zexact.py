@@ -73,10 +73,14 @@ class IntMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise ZExactError(f"matrix sizes must be nonnegative integers, not {rows!r}x{cols!r}")
         return IntMatrix._of(((0,) * cols,) * rows, rows, cols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
+        if type(n) is not int or n < 0:
+            raise ZExactError(f"a matrix size must be a nonnegative integer, not {n!r}")
         zeros = (0,) * n
         return IntMatrix._of(tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)),
                              n, n)
@@ -768,6 +772,9 @@ class Presentation:
     __slots__ = ("generators", "relations", "_nf_cache")
 
     def __init__(self, generators: int, relations: Optional[IntMatrix] = None):
+        if type(generators) is not int or generators < 0:
+            raise ZExactError("a generator count must be a nonnegative integer, "
+                              f"not {generators!r}")
         if relations is None:
             relations = IntMatrix.zero(generators, 0)
         if relations.rows != generators:

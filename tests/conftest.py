@@ -8,9 +8,10 @@ tested against, the dense Smith engine that zexact.smith is tested
 against, the Smith-form kernels and the dense Hermite reduction that
 zexact's echelon kernels are tested against, the hand-drawn generator
 quivers of the builtin spaces that ntcat.derive_arrows is tested against,
-the connected T0 spaces on n points, one per homeomorphism class, and the
-Hom-table and homology helpers only the tests use (eval_combo, graded_rank,
-is_generator)."""
+the connected T0 spaces on n points, one per homeomorphism class, the shift
+and the direct sum of modules and of groups in normal form that the
+invariance tests compare Tor against, and the Hom-table and homology
+helpers only the tests use (eval_combo, graded_rank, is_generator)."""
 
 import random
 import zlib
@@ -25,9 +26,9 @@ from fktor.graphk import BlockGraph
 from fktor.ntcat import Arrow, CategoryError, Element, builtin_category
 from fktor.ntmod import (GradedModule, TorReport, coker_module, free_module,
                          resolution_for, tensor_complex_maps)
-from fktor.zexact import (GradedGroup, GradedHom, GroupHom, IntMatrix,
-                          Presentation, ZExactError, graded_direct_sum,
-                          hnf_columns, subquotient_homology)
+from fktor.zexact import (AbGroupNF, GradedGroup, GradedHom, GroupHom, IntMatrix,
+                          Presentation, ZExactError, block_diag, graded_direct_sum,
+                          hnf_columns, shift, subquotient_homology)
 
 
 def random_block_graph(space_name, rng, max_vertices=3, max_entry=3):
@@ -138,6 +139,38 @@ def z1_right_module_with_i_acting_by_one():
     actions["i:2>12"] = GradedHom.build(0, entries["12"], entries["2"],
                                         IntMatrix([[1]]), IntMatrix.zero(0, 0))
     return GradedModule(sc, "right", entries, actions)
+
+
+def shifted_module(M):
+    """M[1]: every entry with its two parities swapped, every action the
+    same map between the swapped groups."""
+    return GradedModule(M.category, M.variance,
+                        {obj: shift(g) for obj, g in M.entries.items()},
+                        {name: h.shift() for name, h in M.actions.items()})
+
+
+def direct_sum_module(M, N):
+    """M ⊕ N: every entry the direct sum of the two, every action
+    block-diagonal."""
+    entries = {obj: graded_direct_sum([M.entries[obj], N.entries[obj]])
+               for obj in M.entries}
+    actions = {}
+    for name, h in M.actions.items():
+        a = M.category.presentation.arrows[name]
+        s, d = (a.src, a.dst) if M.variance == "left" else (a.dst, a.src)
+        actions[name] = GradedHom.build(h.degree, entries[s], entries[d], *(
+            block_diag([h.component(p).matrix, N.actions[name].component(p).matrix])
+            for p in (0, 1)))
+    return GradedModule(M.category, M.variance, entries, actions)
+
+
+def nf_direct_sum(a, b):
+    """The normal form of the direct sum of two groups in normal form."""
+    torsion = [*a.torsion, *b.torsion]
+    n = len(torsion)
+    diagonal = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(torsion)]
+    nf = Presentation(n, IntMatrix(diagonal, n, n)).normal_form()
+    return AbGroupNF(a.rank + b.rank + nf.rank, nf.torsion)
 
 
 def eval_combo(t, src, c):

@@ -27,6 +27,12 @@ def test_z3_opens():
     assert len(X.opens) == 9  # all sets containing 4, plus empty
 
 
+@pytest.mark.parametrize("m", [True, 2.0, "3", None, 0, 9])
+def test_z_space_needs_an_integer_from_1_to_8(m):
+    with pytest.raises(SpaceError, match="integer 1 <= m <= 8"):
+        z_space(m)
+
+
 def test_s_space_opens():
     X = s_space()
     expected = {frozenset(), frozenset("4"), frozenset("24"), frozenset("34"),

@@ -1,13 +1,17 @@
 """Change of presentation: exactness and Tor are invariants of a module up
 to isomorphism, so twisting each entry's generators by a unimodular matrix
 must change no exactness report and no Tor report, and neither must the
-pruned presentations check_exact and tor run on (GradedModule.reduced)."""
+pruned presentations check_exact and tor run on (GradedModule.reduced).
+The shift M[1] swaps the parities of every Tor group and of every failing
+six-term node, and Tor of a direct sum is the direct sum of the Tor
+groups."""
 
 import random
 
 import pytest
 
-from conftest import random_block_graph, reference_check_exact
+from conftest import (direct_sum_module, nf_direct_sum, random_block_graph,
+                      reference_check_exact, shifted_module)
 
 from fktor.graphk import fk_module
 from fktor.ntcat import builtin_category
@@ -157,3 +161,48 @@ def test_pruning_a_hand_example():
     assert to_new == IntMatrix([[1, -1, 0], [0, 0, 1]])
     assert Q.relations == IntMatrix([[2, 0], [3, 4]])
     assert Q.normal_form() == P.normal_form()
+
+
+def swap_parities(failure):
+    return failure.replace(" even:", " odd*").replace(" odd:", " even:").replace(" odd*", " odd:")
+
+
+SHIFT_CORPUS = [(name, M) for name, M in CORPUS if "/graph0" in name]
+
+
+@pytest.mark.parametrize("name,M", SHIFT_CORPUS, ids=[name for name, _ in SHIFT_CORPUS])
+def test_the_shift_swaps_the_parities_of_tor_and_of_failing_nodes(name, M):
+    S = shifted_module(M)
+    assert validate(S).ok
+    rep = check_exact(M)
+    shifted = check_exact(S)
+    assert shifted.ok == rep.ok
+    assert sorted(shifted.failures) == sorted(map(swap_parities, rep.failures))
+    assert tor(S, DEGREE).groups == {
+        Y: {k: (odd, even) for k, (even, odd) in degs.items()}
+        for Y, degs in tor(M, DEGREE).groups.items()}
+
+
+def sum_pairs():
+    """One pair per corpus space: an fk module and the tensor_mod_k(2) of
+    another, so that the sum has torsion."""
+    rng = random.Random(SEED + 1)
+    for space in ("Z1", "Z2", "Z3", "S", "C2", "Z4"):
+        M = fk_module(random_block_graph(space, rng, max_vertices=2))
+        N = fk_module(random_block_graph(space, rng, max_vertices=2)).tensor_mod_k(2)
+        yield space, M, N
+
+
+SUM_PAIRS = list(sum_pairs())
+
+
+@pytest.mark.parametrize("space,M,N", SUM_PAIRS, ids=[space for space, _, _ in SUM_PAIRS])
+def test_tor_of_a_direct_sum_is_the_direct_sum_of_the_tor_groups(space, M, N):
+    MN = direct_sum_module(M, N)
+    assert validate(MN).ok
+    assert check_exact(MN).ok == (check_exact(M).ok and check_exact(N).ok)
+    left, right = tor(M, DEGREE), tor(N, DEGREE)
+    assert tor(MN, DEGREE).groups == {
+        Y: {k: tuple(map(nf_direct_sum, left.groups[Y][k], right.groups[Y][k]))
+            for k in degs}
+        for Y, degs in left.groups.items()}

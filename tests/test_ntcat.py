@@ -436,6 +436,12 @@ def test_non_stabilization_error():
         hom_closure(pres, max_len=2)
 
 
+@pytest.mark.parametrize("max_len", [2.5, "3", True, 0, -1])
+def test_hom_closure_needs_an_integer_bound_of_at_least_1(max_len):
+    with pytest.raises(CategoryError, match="max_len must be an integer at least 1"):
+        hom_closure(builtin_presentation("Z1"), max_len)
+
+
 def test_inconsistent_relation_error():
     space = builtin_space("Z1")
     arrows = [Arrow("i:2>12", "2", "12", 0, "i"),

@@ -9,11 +9,11 @@ import pytest
 
 import catalogue
 from conftest import (eval_combo, layout_corpus, random_block_graph, random_valid_module,
-                      reference_check_exact, reference_tor, word_pre_matrix,
-                      z1_right_module_with_i_acting_by_one)
+                      reference_check_exact, reference_tor, word_action,
+                      word_pre_matrix, z1_right_module_with_i_acting_by_one)
 
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_space,
-                            space_to_json)
+                            label, space_to_json)
 from fktor.graphk import BlockGraph, fk_module, tor_ck
 import fktor.ntmod as ntmod
 from fktor.ntcat import (Element, build_category, builtin_category, end_splits,
@@ -640,6 +640,23 @@ def test_validation_catches_planted_errors_at_level_0(name, Y):
                    for p in problems), problems
 
 
+@pytest.mark.parametrize("name,Y", [("Z3", "1234"), ("Z4", "12345")])
+def test_validation_reports_a_nonzero_composite_instead_of_raising(name, Y):
+    """With one d_1 entry doubled or one level-1 generator dropped, d_1∘d_2
+    is nonzero: validating through level 2 reports it, in the Hom table and
+    on the underlying groups, and tests no slot where it is nonzero for
+    exactness."""
+    res = resolution_for(cat(name), Y, 4)
+    assert not validate_resolution(res, 3)
+    for planted in _planted_level0_errors(res):
+        problems = validate_resolution(planted, 3)
+        assert any(p.startswith("d_1∘d_2 nonzero at block") for p in problems), problems
+        slots = [p.split(" at ")[1] for p in problems
+                 if p.startswith("d_1∘d_2 nonzero on the underlying groups")]
+        assert slots, problems
+        assert not any(f"not exact at level 1, {slot}" in problems for slot in slots)
+
+
 # ---------------------------------------------------------------------------
 # Tor
 # ---------------------------------------------------------------------------
@@ -794,6 +811,166 @@ def test_designated_refuses_an_unknown_kind():
     M = free_module(cat("Z1"), "12", "left")
     with pytest.raises(ModuleError, match="unknown designated word 'incl'"):
         M.designated("incl", frozenset("2"), frozenset("12"))
+
+
+# ---------------------------------------------------------------------------
+# Short paths of the action layer
+# ---------------------------------------------------------------------------
+
+def has_generators(M, obj):
+    g = M.entries[obj]
+    return bool(g.even.generators or g.odd.generators)
+
+
+def combo_reference(M, combo, src, dst):
+    """The even and odd matrices of a combination of words, each word's
+    action composed afresh (word_action), scaled and added."""
+    mats = None
+    for w, c in combo.items():
+        h = word_action(M, w, src, dst)
+        parts = [h.component(p).matrix.scale(c) for p in (0, 1)]
+        mats = parts if mats is None else [a + b for a, b in zip(mats, parts)]
+    return mats
+
+
+def short_path_corpus():
+    """Left modules with entries of no generators and entries with
+    generators in one parity only: free modules, and tensor_mod_k(2) of fk
+    modules, whose pruned presentations have both."""
+    rng = random.Random(28)
+    out = []
+    for name in ("Z1", "Z3", "S", "C2"):
+        sc = cat(name)
+        out += [(f"{name}/P_{sc.objects[0]}", free_module(sc, sc.objects[0], "left")),
+                (f"{name}/P_{sc.objects[-1]}[1]", free_module(sc, sc.objects[-1], "left", 1))]
+    for name in ("Z3", "S"):
+        out.append((f"{name}/fk/Z2",
+                    fk_module(random_block_graph(name, rng, max_vertices=2)).tensor_mod_k(2)))
+    return out
+
+
+SHORT_PATH_CORPUS = short_path_corpus()
+
+
+def test_the_short_path_corpus_has_bare_and_one_parity_entries():
+    for name, M in SHORT_PATH_CORPUS:
+        R = M.reduced()
+        assert any(not has_generators(R, obj) for obj in R.entries), name
+        assert any(bool(g.even.generators) != bool(g.odd.generators)
+                   for g in R.entries.values()), name
+
+
+def test_designated_is_none_where_an_end_has_no_generators(monkeypatch):
+    """A designated word between entries one of which has no generators is
+    None and builds no word; every other one is the sum of its words'
+    actions, composed afresh."""
+    words = []
+    real = GradedModule.action_word
+    monkeypatch.setattr(GradedModule, "action_word",
+                        lambda self, w, s, d: words.append(w) or real(self, w, s, d))
+    bare = laid_out = 0
+    for name, M in SHORT_PATH_CORPUS:
+        M = M.reduced()
+        D = M.category.designator
+        for U, Y, compsU, compsE in M.category.space.six_term_pairs():
+            keys = ([("inc", C, Y) for C in compsU] + [("res", Y, E) for E in compsE]
+                    + [("bnd", C, E) for C in compsU for E in compsE])
+            for kind, A, B in keys:
+                src, dst, parity = (B, A, 1) if kind == "bnd" else (A, B, 0)
+                src, dst = label(src), label(dst)
+                combo = getattr(D, kind)(A, B)
+                words.clear()
+                hom = M.designated(kind, A, B)
+                if not combo:
+                    assert hom is None
+                elif not (has_generators(M, src) and has_generators(M, dst)):
+                    assert hom is None and words == [], (name, kind, src, dst)
+                    bare += 1
+                else:
+                    assert hom.degree == parity
+                    assert [hom.component(p).matrix for p in (0, 1)] == \
+                        combo_reference(M, combo, src, dst), (name, kind, src, dst)
+                    laid_out += 1
+    assert bare and laid_out
+
+
+@pytest.mark.parametrize("bare_end", ["src", "dst"])
+def test_an_empty_end_makes_action_combo_the_zero_hom_without_words(monkeypatch, bare_end):
+    sc = cat("Z3")
+    M = free_module(sc, "124", "left")
+    arrows = [a for a in sc.presentation.arrows.values()
+              if not has_generators(M, getattr(a, bare_end))
+              and has_generators(M, a.dst if bare_end == "src" else a.src)]
+    assert arrows
+    monkeypatch.setattr(GradedModule, "action_word", None)
+    for a in arrows:
+        h = M.action_combo({(a.name,): 1}, a.src, a.dst, a.parity)
+        assert h.degree == a.parity and h.is_zero_hom()
+        assert h.from_even.source is M.entries[a.src].even
+        assert h.component(a.parity).target is M.entries[a.dst].even
+
+
+def test_a_single_word_with_coefficient_one_is_its_word_action():
+    M = fk_module(random_block_graph("Z3", random.Random(5)))
+    for a in M.category.presentation.arrows.values():
+        h = M.action_combo({(a.name,): 1}, a.src, a.dst, a.parity)
+        assert h is M.action_word((a.name,), a.src, a.dst)
+        twice = M.action_combo({(a.name,): 2}, a.src, a.dst, a.parity)
+        assert twice is not h
+        assert [twice.component(p).matrix for p in (0, 1)] == \
+            combo_reference(M, {(a.name,): 2}, a.src, a.dst)
+
+
+def test_several_words_are_summed_per_parity():
+    M = fk_module(random_block_graph("Z3", random.Random(5)))
+    pres = M.category.presentation
+    for rel in pres.relations:
+        if len(rel) < 2:
+            continue
+        src, dst, parity = pres.word_signature(next(iter(rel)))
+        combo = {w: c + 1 for w, c in rel.items()}
+        h = M.action_combo(combo, src, dst, parity)
+        assert h.degree == parity
+        assert [h.component(p).matrix for p in (0, 1)] == combo_reference(M, combo, src, dst)
+        assert M.action_combo(rel, src, dst, parity).is_zero_hom()
+
+
+def test_a_word_acting_in_the_wrong_degree_is_refused():
+    M = fk_module(random_block_graph("Z3", random.Random(5)))
+    a = next(a for a in M.category.presentation.arrows.values() if a.parity == 0)
+    with pytest.raises(ModuleError, match="does not act in degree 1"):
+        M.action_combo({(a.name,): 1}, a.src, a.dst, 1)
+
+
+def test_a_one_summand_sum_map_is_its_block():
+    sc = cat("Z1")
+    A, B, C = sc.objects
+    G = GradedGroup(Presentation(1), Presentation(1))
+    H = GradedGroup(Presentation(1), Presentation(2))
+    M = GradedModule(sc, "left", {A: G, B: G, C: H}, {})
+    b = GradedHom.identity(G)
+    assert M.sum_map(0, [(A, 0)], [(B, 0)], [[b]]) is b
+    zero = M.sum_map(1, [(A, 0)], [(C, 0)], [[None]])
+    assert zero.degree == 1 and zero.is_zero_hom()
+    assert zero.from_even.target is H.odd and zero.from_odd.target is H.even
+    # a block of the wrong degree, a shifted summand and several summands
+    # are laid out
+    for degree, sources, targets, blocks in [
+            (1, [(A, 0)], [(B, 0)], [[b]]),
+            (0, [(A, 1)], [(B, 1)], [[b]]),
+            (0, [(A, 0), (B, 0)], [(A, 0)], [[b, None]])]:
+        h = M.sum_map(degree, sources, targets, blocks)
+        assert h is not b and h.degree == degree
+        assert h.from_even.matrix == IntMatrix.block([[b.from_even.matrix, None][:len(sources)]],
+                                                     [1], [1] * len(sources))
+    with pytest.raises(zexact.ZExactError):
+        M.sum_map(1, [(C, 0)], [(C, 0)], [[GradedHom.identity(H)]])
+
+
+@pytest.mark.parametrize("name,M", SHORT_PATH_CORPUS, ids=[n for n, _ in SHORT_PATH_CORPUS])
+def test_check_exact_and_tor_agree_with_their_uncached_loops_on_bare_entries(name, M):
+    assert check_exact(M).failures == reference_check_exact(M)
+    assert tor(M, 3).to_json() == reference_tor(M, 3).to_json()
 
 
 def test_a_category_frees_its_resolutions_with_it():

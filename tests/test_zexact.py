@@ -79,6 +79,16 @@ def test_scale_refuses_a_factor_that_is_no_integer(bad):
     assert IntMatrix([[1, 2]]).scale(-3).data == ((-3, -6),)
 
 
+@pytest.mark.parametrize("bad", [True, False, -1, 2.0, "2", None])
+def test_counts_must_be_nonnegative_integers(bad):
+    for make in (lambda: Presentation(bad), lambda: IntMatrix.zero(bad, 1),
+                 lambda: IntMatrix.zero(1, bad), lambda: IntMatrix.identity(bad)):
+        with pytest.raises(ZExactError, match="nonnegative integer"):
+            make()
+    assert Presentation(0).relations == IntMatrix.zero(0, 0) == IntMatrix.identity(0)
+    assert IntMatrix.zero(2, 0).rows == 2 and IntMatrix.zero(0, 3).cols == 3
+
+
 def test_public_constructor_checks_shape():
     assert IntMatrix([[1, -2], [0, 3]]).data == ((1, -2), (0, 3))
     with pytest.raises(ZExactError):
