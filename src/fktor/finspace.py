@@ -39,7 +39,10 @@ class FiniteSpace:
             raise SpaceError("points must be distinct")
         self.points = tuple(sorted(points))
         pset = frozenset(self.points)
-        fam = {frozenset(o) for o in opens}
+        try:
+            fam = {frozenset(o) for o in opens}
+        except TypeError:
+            raise SpaceError(f"opens must be iterables of points, not {opens!r}") from None
         for o in fam:
             if not o <= pset:
                 raise SpaceError(f"open set {sorted(o)} not contained in the point set")

@@ -37,8 +37,11 @@ class BlockGraph:
         pts = [p for p, _ in blocks]
         if sorted(pts) != sorted(space.points):
             raise GraphError("blocks must biject onto the points of the space")
-        if any(n <= 0 for _, n in blocks):
-            raise GraphError("every block needs at least one vertex")
+        for _, k in blocks:
+            if type(k) is not int:
+                raise GraphError(f"block vertex counts must be integers, not {k!r}")
+            if k <= 0:
+                raise GraphError("every block needs at least one vertex")
         n = sum(n for _, n in blocks)
         if adjacency.rows != n or adjacency.cols != n:
             raise GraphError(f"adjacency must be {n}x{n}")
@@ -78,9 +81,6 @@ class BlockGraph:
         if space is None:
             space = space_from_ref(data["space"])
         blocks = [(b["point"], b["vertices"]) for b in data["blocks"]]
-        for _, k in blocks:
-            if type(k) is not int:
-                raise TypeError(f"block vertex counts must be integers, not {k!r}")
         return BlockGraph(space, blocks, IntMatrix(data["adjacency"]))
 
     def to_json(self) -> dict:

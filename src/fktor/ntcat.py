@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space,
                        label, space_from_ref, space_ref)
@@ -211,7 +211,8 @@ class Designator:
     inclusions/restrictions, naturality of the boundary under morphisms of
     extensions), so any successful derivation is a valid designation;
     alternative derivations are recorded for consistency relations.
-    A query whose word is memoised returns it before any route is built.
+    A query whose word is memoised returns it before any route is built or
+    any topology test is made.
     """
 
     def __init__(self, space: FiniteSpace, arrows: Sequence[Arrow]):
@@ -221,6 +222,7 @@ class Designator:
             self.gen[(a.kind, a.src, a.dst)] = a
         self.lcstar = [lc.value for lc in space.lc_star()]
         self.memo: Dict[tuple, Combo] = {}
+        self.split: set = set()  # bnd keys whose C ∪ E is disconnected
         self.alternates: Dict[tuple, List[Combo]] = {}
         self.stack: set = set()
 
@@ -256,11 +258,11 @@ class Designator:
     def inc(self, C: FrozenSet[str], Y: FrozenSet[str], alt=False) -> Combo:
         if C == Y:
             return dict(IDENTITY)
-        if not self.X.is_open_in(C, Y):
-            raise DesignationError(f"{label(C)} not open in {label(Y)}")
         key = ("inc", C, Y)
         if not alt and key in self.memo:
             return self.memo[key]
+        if not self.X.is_open_in(C, Y):
+            raise DesignationError(f"{label(C)} not open in {label(Y)}")
         routes = []
         for D in self.lcstar:
             a = self.gen.get(("i", label(D), label(Y)))
@@ -286,11 +288,11 @@ class Designator:
     def res(self, Y: FrozenSet[str], E: FrozenSet[str], alt=False) -> Combo:
         if Y == E:
             return dict(IDENTITY)
-        if not self.X.is_closed_in(E, Y):
-            raise DesignationError(f"{label(E)} not closed in {label(Y)}")
         key = ("res", Y, E)
         if not alt and key in self.memo:
             return self.memo[key]
+        if not self.X.is_closed_in(E, Y):
+            raise DesignationError(f"{label(E)} not closed in {label(Y)}")
         routes = []
         for E2 in self.lcstar:
             a = self.gen.get(("r", label(Y), label(E2)))
@@ -319,12 +321,15 @@ class Designator:
         along the projection of A(U) onto A(C) and pulling back along the
         inclusion of A(E) into A(Y∖U) turns (U, Y) into (C, C ∪ E), which
         splits when C ∪ E is not connected.  Only connected keys are
-        memoised."""
+        memoised; the disconnected ones are remembered in `split`."""
         Z = C | E
         key = ("bnd", C, Z)
         if not alt and key in self.memo:
             return self.memo[key]
+        if key in self.split:
+            return {}
         if not self.X.is_connected(Z):
+            self.split.add(key)
             return {}
         routes = []
         g = self._gen_word("d", E, C)
@@ -957,37 +962,58 @@ class RingIdealData:
     end_nil_ranks: Dict[str, Tuple[int, int]]
 
 
+def _along(side: str, src: str, dst: str) -> Tuple[str, str]:
+    """(src, dst) on a left module, (dst, src) on a right one: the ends of the
+    module map along an arrow src -> dst, and the Hom group of P_src or Q_src at dst."""
+    return (src, dst) if side == "left" else (dst, src)
+
+
+def generator_images(arrows: Iterable[Arrow], side: str, act: Callable,
+                     vecs: Optional[dict] = None) -> Dict[Tuple[str, int], List[tuple]]:
+    """J·N per (object, parity), for the nil ideal J and a module N on `side`
+    (see _along): the nonzero images of N under the generators in `arrows`,
+    in their order and then by parity.  A nil element is a sum of nonempty
+    words and a word acts through its generators one at a time, so these
+    span J·N; no nil element acts on its own, and for a submodule N the
+    images of vectors spanning it suffice.  act(a, p) is the matrix of a out
+    of N's parity-p part (None: nothing to build); vecs[(obj, p)] holds N's
+    spanning vectors there as columns, and None stands for all of N."""
+    out: Dict[Tuple[str, int], List[tuple]] = {}
+    for a in arrows:
+        s, d = _along(side, a.src, a.dst)
+        for p in (0, 1):
+            V = None if vecs is None else vecs.get((s, p))
+            if vecs is not None and (V is None or not V.cols):
+                continue
+            M = act(a, p)
+            if M is not None:
+                images = (M if V is None else M * V).columns()
+                out.setdefault((d, p ^ a.parity), []).extend([v for v in images if any(v)])
+    return out
+
+
 def nil_basis(table: HomTable) -> Dict[Tuple[str, str, int], Tuple[tuple, ...]]:
-    """Lattice bases of the nil part of every Hom group: the classes of all
-    composites of at least one generator (everything between distinct
-    objects, and the non-identity part of each End group).
+    """Lattice bases of the nil part of every Hom group: all of it between
+    distinct objects and in every odd group, and in End(obj)_even the echelon
+    basis of J·P_obj there, P_obj = NT(obj, -).
 
     Computed once per table; every caller shares the returned dict."""
     if table._nil_cache is not None:
         return table._nil_cache
-    pres = table.presentation
     out: Dict[Tuple[str, str, int], Tuple[tuple, ...]] = {}
     for src in table.objects:
+        images = generator_images(table.presentation.by_dst.get(src, ()), "left",
+                                  lambda a, p: table.post.get((src, a.src, p, a.name)))
         for dst in table.objects:
             for parity in (0, 1):
                 rank = table.rank.get((src, dst, parity), 0)
-                if rank == 0:
-                    out[(src, dst, parity)] = ()
-                    continue
-                if src != dst or parity == 1:
+                if src != dst or parity:
                     out[(src, dst, parity)] = tuple(
-                        tuple(1 if i == k else 0 for i in range(rank))
-                        for k in range(rank))
+                        tuple(int(i == k) for i in range(rank)) for k in range(rank))
                     continue
                 lat = Echelon(rank)
-                for a in pres.by_dst.get(dst, ()):
-                    key = (src, a.src, parity ^ a.parity)
-                    r0 = table.rank.get(key, 0)
-                    M = table.post.get((src, a.src, parity ^ a.parity, a.name))
-                    if M is None or r0 == 0:
-                        continue
-                    for j in range(r0):
-                        lat.add(list(M.column(j)))
+                for v in images.get((src, 0), ()):
+                    lat.add(v)
                 out[(src, dst, parity)] = tuple(tuple(v) for v in lat.basis())
     table._nil_cache = out
     return out
@@ -998,24 +1024,23 @@ MAX_NILPOTENCY_INDEX = 24  # ideal_checks calls J nilpotent only if J^24 = 0
 
 def _nil_power_step(table: HomTable, power: dict) -> dict:
     """Lattice bases of J^(i+1) = J·J^i from those of J^i (nonzero keys
-    only): the images of the basis of J^i under the generators span it,
-    since a nil element is a sum of nonempty words and J^i is closed under
-    post-composition."""
-    nxt: Dict[Tuple[str, str, int], Echelon] = {}
-    for (a, b, p), vecs in power.items():
-        V = IntMatrix.from_columns(vecs)
-        for g in table.presentation.by_src.get(b, ()):
-            M = table.post.get((a, b, p, g.name))
-            if M is None:
-                continue
-            key = (a, g.dst, p ^ g.parity)
-            lat = nxt.get(key)
-            if lat is None:
-                lat = nxt[key] = Echelon(M.rows)
-            for img in (M * V).columns():
-                if any(img):
-                    lat.add(list(img))
-    return {k: lat.basis() for k, lat in nxt.items() if lat.pivots}
+    only), J^i taken as a submodule of each P_src = NT(src, -)."""
+    by_src = table.presentation.by_src
+    spans: Dict[str, dict] = {}
+    for (src, dst, p), vs in power.items():
+        spans.setdefault(src, {})[(dst, p)] = IntMatrix.from_columns(vs)
+    nxt = {}
+    for src, vecs in spans.items():
+        arrows = [a for b in dict.fromkeys(b for b, _ in vecs) for a in by_src.get(b, ())]
+        images = generator_images(arrows, "left",
+                                  lambda a, p: table.post.get((src, a.src, p, a.name)), vecs)
+        for (dst, p), vs in images.items():
+            lat = Echelon(table.rank[(src, dst, p)])
+            for v in vs:
+                lat.add(v)
+            if lat.pivots:
+                nxt[(src, dst, p)] = lat.basis()
+    return nxt
 
 
 def end_splits(table: HomTable, obj: str) -> bool:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .finspace import builtin_name, label, space_from_ref, space_ref
-from .ntcat import (Arrow, Combo, Element, HomTable, SpaceCategory,
-                    builtin_category, end_splits, ideal_checks, nil_basis,
+from .ntcat import (Arrow, Combo, Element, HomTable, SpaceCategory, _along,
+                    builtin_category, end_splits, generator_images, ideal_checks,
                     space_category)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
                      IntMatrix, Presentation, block_diag, exact_node,
@@ -49,12 +49,6 @@ def _shifted(G: GradedGroup, eps: int) -> GradedGroup:
 
 def _has_generators(G: GradedGroup) -> bool:
     return bool(G.even.generators or G.odd.generators)
-
-
-def _along(side: str, src: str, dst: str) -> Tuple[str, str]:
-    """(src, dst) on a left module, (dst, src) on a right one: the ends of the
-    module map along an arrow src -> dst, and the Hom group of P_src or Q_src at dst."""
-    return (src, dst) if side == "left" else (dst, src)
 
 
 # ---------------------------------------------------------------------------
@@ -597,24 +591,18 @@ def check_exact(M: GradedModule) -> ExactnessReport:
 # ---------------------------------------------------------------------------
 
 def m_ss(M: GradedModule) -> Dict[str, GradedGroup]:
-    """Quotient of each entry by the images of all nil transformations.  A
-    nil word acts into M(obj) last through one generator (as in _nil_part):
-    an arrow into obj for a left module, out of obj for a right module."""
+    """M_ss = M/J·M, entry by entry: each entry's relations joined by the
+    images of M under the generators (ntcat.generator_images)."""
     _require_actions(M, "m_ss")
-    pres = M.category.presentation
-    arrows = pres.by_dst if M.variance == "left" else pres.by_src
+    images = generator_images(M.category.presentation.arrows.values(), M.variance,
+                              lambda a, p: M.actions[a.name].component(p).matrix)
     out = {}
     for obj in M.category.objects:
         g = M.entries[obj]
-        images = ([g.even.relations], [g.odd.relations])
-        for a in arrows.get(obj, ()):
-            h = M.actions[a.name]
-            images[h.degree].append(h.from_even.matrix)
-            images[1 - h.degree].append(h.from_odd.matrix)
         out[obj] = GradedGroup(*(
-            Presentation(P.generators, IntMatrix.block([mats], [P.generators],
-                                                       [m.cols for m in mats]))
-            for P, mats in zip((g.even, g.odd), images)))
+            Presentation(P.generators, IntMatrix.from_columns(
+                P.relations.columns() + images.get((obj, p), []), P.generators))
+            for p, P in enumerate((g.even, g.odd))))
     return out
 
 
@@ -673,12 +661,11 @@ class FreeResolution:
 def resolve_simple(sc: SpaceCategory, Y: str, depth: int) -> FreeResolution:
     """Generic syzygy resolution of the simple right-module S_Y.
 
-    Covers S_Y by Q_Y, whose kernel J·Q_Y is read off the nil lattice of
-    End(Y) (see _level_kernels), then repeatedly covers the kernel of the
-    last differential by free modules on homogeneous generators chosen
-    minimal modulo the nil ideal; no Smith form is taken.  End(Y) must
-    split as Z·id ⊕ nil (ntcat.end_splits), checked before level 0 is read.
-    """
+    Covers S_Y by Q_Y, whose kernel is J·Q_Y (see _level_kernels), then
+    repeatedly covers the kernel of the last differential by free modules on
+    homogeneous generators chosen minimal modulo the nil ideal; no Smith
+    form is taken.  End(Y) must split as Z·id ⊕ nil (ntcat.end_splits),
+    checked before level 0 is read."""
     _check_simple(sc, Y, depth)
     res = FreeResolution(sc, Y, [[(Y, 0)]], [], periodic=None)
     extend_resolution(res, depth)
@@ -751,22 +738,23 @@ def _level_kernels(res: FreeResolution, n: int, dims: Slots) -> Dict[Tuple[str, 
     """Kernel lattice of d_n (of Q_Y ->> S_Y for n = 0) per (W, parity),
     where dims[(W, parity)] = res.dims(n, W, parity).
 
-    Under End(Y)_even = Z·id ⊕ nil, the kernel of Q_Y ->> S_Y is J·Q_Y:
-    the Hermite basis of the even nil lattice of End(Y) at (Y, 0), all of
-    Q_Y(W)_p elsewhere; a Y whose End(Y) does not split is refused with
+    Under End(Y)_even = Z·id ⊕ nil the kernel of Q_Y ->> S_Y is J·Q_Y, in
+    Hermite basis; a Y whose End(Y) does not split is refused with
     ModuleError.  For n >= 1 only a slot where level n and its target are
-    both nonzero takes a kernel.  The rest need none: a map out of 0 has
-    the 0x0 basis identity(0), and a map into 0 all of Z^c, Hermite basis
-    identity(c)."""
+    both nonzero takes a kernel.  The rest need none: a map out of 0 has the
+    0x0 basis identity(0), and a map into 0 all of Z^c, identity(c)."""
+    if not n:
+        t = res.sc.table
+        if not end_splits(t, res.Y):
+            raise ModuleError(f"End({res.Y}) does not split as Z·id + nil")
+        nil = generator_images(res.sc.presentation.arrows.values(), "right",
+                               lambda a, p: t.pre.get((a.dst, res.Y, p, a.name)))
+        return {key: hnf_columns(IntMatrix.from_columns(nil[key])) if nil.get(key)
+                else IntMatrix.zero(sum(cols), 0) for key, cols in dims.items()}
     kernels: Dict[Tuple[str, int], IntMatrix] = {}
     for key, cols in dims.items():
         c = sum(cols)
-        if not n and key == (res.Y, 0):
-            if not end_splits(res.sc.table, res.Y):
-                raise ModuleError(f"End({res.Y}) does not split as Z·id + nil")
-            nil = nil_basis(res.sc.table)[(res.Y, res.Y, 0)]
-            kernels[key] = hnf_columns(IntMatrix.from_columns(nil, c))
-        elif n and c and sum(res.dims(n - 1, *key)):
+        if c and sum(res.dims(n - 1, *key)):
             kernels[key] = kernel(res.underlying_diff(n, *key))
         else:
             kernels[key] = IntMatrix.identity(c)
@@ -775,27 +763,14 @@ def _level_kernels(res: FreeResolution, n: int, dims: Slots) -> Dict[Tuple[str, 
 
 def _nil_part(sc: SpaceCategory, level: List[Summand], dims: Slots,
               kernels: Dict[Tuple[str, int], IntMatrix]) -> Dict[Tuple[str, int], List[tuple]]:
-    """Spanning vectors of the nil part of the kernel module K of the level
-    ⊕ Q_{A_i}[ε_i] per (W, parity), with the level's block sizes `dims`.
-
-    A nil element of NT(W, V) is a sum of nonempty words, and a word is
-    w∘a for its first generator a: W -> a.dst.  So k·(w∘a) = (k·w)·a, and
-    k·w lies in K(a.dst) because K is a submodule.  The nil part of K at W
-    is therefore spanned by the images K(a.dst)·a of the generators out of
-    W; no nil element needs to act on its own.  Pre-composition by a on the
-    level is one block-diagonal matrix (free_action, on the sizes `dims`)
-    per (arrow, parity), applied to all of K(a.dst) as one product; where
-    the level is 0 at the image's slot, every image is the empty vector and
-    nothing is built."""
-    out: Dict[Tuple[str, int], List[tuple]] = {key: [] for key in kernels}
-    for a in sc.presentation.arrows.values():
-        for pv in (0, 1):
-            K = kernels[(a.dst, pv)]
-            if K.cols == 0 or not sum(dims[(a.src, pv ^ a.parity)]):
-                continue
-            act = free_action(sc.table, "right", level, a, pv, dims)
-            out[(a.src, pv ^ a.parity)] += [img for img in (act * K).columns() if any(img)]
-    return out
+    """J·K per (W, parity), K the submodule of the level ⊕ Q_{A_i}[ε_i] that
+    `kernels` span, of block sizes `dims`; no free_action is built where the
+    level is 0 at the image's slot."""
+    images = generator_images(
+        sc.presentation.arrows.values(), "right",
+        lambda a, p: free_action(sc.table, "right", level, a, p, dims)
+        if sum(dims[(a.src, p ^ a.parity)]) else None, kernels)
+    return {key: images.get(key, []) for key in dims}
 
 
 def _composite_problems(res: FreeResolution, n: int) -> List[str]:

@@ -11,8 +11,15 @@ quivers of the builtin spaces that ntcat.derive_arrows is tested against,
 the connected T0 spaces on n points, one per homeomorphism class, the shift
 and the direct sum of modules and of groups in normal form that the
 invariance tests compare Tor against, and the Hom-table and homology
-helpers only the tests use (eval_combo, graded_rank, is_generator)."""
+helpers only the tests use (eval_combo, graded_rank, is_generator), the
+per-object M_ss loop and the nil-lattice formula for level 0 of a
+resolution that ntmod.m_ss and the resolution engine are tested against,
+a digest of a table's nil lattices and ideal checks, and the renumbering
+of the vertices inside the blocks of a graph."""
 
+import dataclasses
+import hashlib
+import json
 import random
 import zlib
 from math import gcd
@@ -23,7 +30,8 @@ from typing import NamedTuple
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, builtin_space, label,
                             lc_subsets)
 from fktor.graphk import BlockGraph
-from fktor.ntcat import Arrow, CategoryError, Element, builtin_category
+from fktor.ntcat import (Arrow, CategoryError, Element, builtin_category, ideal_checks,
+                         nil_basis)
 from fktor.ntmod import (GradedModule, TorReport, coker_module, free_module,
                          resolution_for, tensor_complex_maps)
 from fktor.zexact import (AbGroupNF, GradedGroup, GradedHom, GroupHom, IntMatrix,
@@ -171,6 +179,63 @@ def nf_direct_sum(a, b):
     diagonal = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(torsion)]
     nf = Presentation(n, IntMatrix(diagonal, n, n)).normal_form()
     return AbGroupNF(a.rank + b.rank + nf.rank, nf.torsion)
+
+
+def permute_within_blocks(G, rng):
+    """G with the vertices of each block renumbered by a random permutation:
+    an isomorphic graph with the same block layout."""
+    perm, at = [], 0
+    for _, k in G.blocks:
+        block = list(range(at, at + k))
+        rng.shuffle(block)
+        perm += block
+        at += k
+    A = G.adjacency.data
+    return BlockGraph(G.space, G.blocks, IntMatrix([[A[v][w] for w in perm] for v in perm]))
+
+
+def m_ss_reference(M):
+    """The loop ntmod.m_ss is tested against: each M(obj) modulo its
+    relations and the action matrices of the arrows into obj (left module)
+    or out of obj (right module), laid side by side."""
+    pres = M.category.presentation
+    arrows = pres.by_dst if M.variance == "left" else pres.by_src
+    out = {}
+    for obj in M.category.objects:
+        g = M.entries[obj]
+        images = ([g.even.relations], [g.odd.relations])
+        for a in arrows.get(obj, ()):
+            h = M.actions[a.name]
+            images[h.degree].append(h.from_even.matrix)
+            images[1 - h.degree].append(h.from_odd.matrix)
+        out[obj] = GradedGroup(*(
+            Presentation(P.generators, IntMatrix.block([mats], [P.generators],
+                                                       [m.cols for m in mats]))
+            for P, mats in zip((g.even, g.odd), images)))
+    return out
+
+
+def level0_kernels_reference(sc, Y):
+    """The kernel of Q_Y ->> S_Y that level 0 of a resolution is tested
+    against, per (W, parity): the Hermite basis of the even nil lattice of
+    End(Y) (nil_basis at (Y, Y, 0)) at (Y, 0), all of Q_Y(W)_p elsewhere."""
+    t = sc.table
+    out = {}
+    for W in sc.objects:
+        for p in (0, 1):
+            c = t.rank.get((W, Y, p), 0)
+            out[(W, p)] = (hnf_columns(IntMatrix.from_columns(nil_basis(t)[(Y, Y, 0)], c))
+                           if (W, p) == (Y, 0) else IntMatrix.identity(c))
+    return out
+
+
+def nil_digest(t):
+    """sha256 of the Hermite basis of every nil_basis lattice of the table t,
+    in sorted key order, and of its ideal_checks record."""
+    lattices = [[list(key), hnf_columns(IntMatrix.from_columns(vecs, t.rank.get(key, 0)))
+                 .to_lists()] for key, vecs in sorted(nil_basis(t).items())]
+    text = json.dumps([lattices, dataclasses.asdict(ideal_checks(t))], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def eval_combo(t, src, c):

@@ -121,6 +121,14 @@ def test_repeated_points_are_refused():
         FiniteSpace(["1", "1"], [[], ["1"]])
 
 
+@pytest.mark.parametrize("opens", [[[], ["1", "2"], 5], [[], ["1", "2"], None],
+                                   [[], ["1", "2"], [["1"]]], None],
+                         ids=["int-open", "None-open", "unhashable-point", "None"])
+def test_an_open_that_is_not_an_iterable_of_points_is_refused(opens):
+    with pytest.raises(SpaceError, match="iterables of points"):
+        FiniteSpace(["1", "2"], opens)
+
+
 @pytest.mark.parametrize("name", ["Z5", "Z04", "Z\u0663"])
 def test_builtin_space_refuses_names_outside_the_builtin_list(name):
     # Z5 has no table, Z04 is Z4 misspelt, and "Z٣" has a non-ASCII digit

@@ -125,6 +125,22 @@ def test_triangularity_violation_detected():
         k_groups(G, "14")
 
 
+@pytest.mark.parametrize("count", [True, 1.0, 1.5, "1"])
+def test_a_vertex_count_that_is_not_an_int_is_refused(count):
+    """By the constructor and so by from_json alike: True would be written
+    back as "vertices": true, 1.0 would reach IntMatrix.identity and 1.5
+    the adjacency shape check."""
+    X = builtin_space("Z2")
+    blocks = [(X.points[0], count)] + [(p, 1) for p in X.points[1:]]
+    A = IntMatrix.identity(len(blocks))
+    with pytest.raises(GraphError, match="must be integers"):
+        BlockGraph(X, blocks, A)
+    data = {"space": "Z2", "blocks": [{"point": p, "vertices": k} for p, k in blocks],
+            "adjacency": A.to_lists()}
+    with pytest.raises(GraphError, match="must be integers"):
+        BlockGraph.from_json(json.loads(json.dumps(data)))
+
+
 def test_graph_json_round_trip():
     G = ck_z3()
     clone = BlockGraph.from_json(G.to_json())

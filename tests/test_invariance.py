@@ -4,16 +4,18 @@ must change no exactness report and no Tor report, and neither must the
 pruned presentations check_exact and tor run on (GradedModule.reduced).
 The shift M[1] swaps the parities of every Tor group and of every failing
 six-term node, and Tor of a direct sum is the direct sum of the Tor
-groups."""
+groups.  Renumbering the vertices inside the blocks of a graph gives an
+isomorphic graph over the same space, so it changes no K-group, no
+exactness verdict and no Tor report."""
 
 import random
 
 import pytest
 
-from conftest import (direct_sum_module, nf_direct_sum, random_block_graph,
-                      reference_check_exact, shifted_module)
+from conftest import (direct_sum_module, nf_direct_sum, permute_within_blocks,
+                      random_block_graph, reference_check_exact, shifted_module)
 
-from fktor.graphk import fk_module
+from fktor.graphk import fk_module, k_groups
 from fktor.ntcat import builtin_category
 from fktor.ntmod import (GradedModule, _along, check_exact, free_module,
                          resolution_for, tor, tor_single, validate)
@@ -206,3 +208,29 @@ def test_tor_of_a_direct_sum_is_the_direct_sum_of_the_tor_groups(space, M, N):
         Y: {k: tuple(map(nf_direct_sum, left.groups[Y][k], right.groups[Y][k]))
             for k in degs}
         for Y, degs in left.groups.items()}
+
+
+def block_permutation_pairs():
+    rng = random.Random(SEED + 2)
+    for space in ("Z3", "S", "C2", "Z4"):
+        for i in range(2):
+            G = random_block_graph(space, rng)
+            yield f"{space}/graph{i}", G, permute_within_blocks(G, rng)
+
+
+PERMUTED = list(block_permutation_pairs())
+
+
+def test_the_block_permutations_renumber_vertices():
+    assert sum(G.adjacency != H.adjacency for _, G, H in PERMUTED) >= len(PERMUTED) // 2
+    assert all(H.blocks == G.blocks for _, G, H in PERMUTED)
+
+
+@pytest.mark.parametrize("name,G,H", PERMUTED, ids=[name for name, _, _ in PERMUTED])
+def test_permuting_the_vertices_inside_a_block_changes_nothing(name, G, H):
+    for lc in G.space.lc_star():
+        k, k_perm = k_groups(G, lc.value), k_groups(H, lc.value)
+        assert (k_perm.k0_nf(), k_perm.k1_nf()) == (k.k0_nf(), k.k1_nf()), lc.label
+    M, N = fk_module(G), fk_module(H)
+    assert exact_report(N) == exact_report(M)
+    assert tor(N, DEGREE).to_json() == tor(M, DEGREE).to_json()

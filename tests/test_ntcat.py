@@ -10,8 +10,8 @@ from functools import cached_property
 import pytest
 
 from conftest import (HAND_ARROWS, bnd_block_reference, connected_t0_spaces,
-                      eval_combo, graded_rank, smith_dense, word_post_matrix,
-                      word_pre_matrix)
+                      eval_combo, graded_rank, nil_digest, smith_dense,
+                      word_post_matrix, word_pre_matrix)
 
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_name,
                             builtin_space, is_accordion_union, space_to_json)
@@ -395,6 +395,63 @@ def test_boundary_block_recursion_reaches_bnd_of_its_two_components(X):
                     connected = X.is_connected(C | E)
                     assert leaves == ([C | E] if connected else [])
                     assert (("bnd", C, C | E) in D.memo) == connected
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z3", "S", "C2", "Z4"])
+def test_a_memoised_designator_query_makes_no_topology_call(name, monkeypatch):
+    """Once a designated word is memoised, and once a boundary pair is known
+    to be disconnected (zero), asking again tests no open, closed or
+    connected set; the disconnected pairs stay out of the memo that the
+    consistency relations read."""
+    sc = cat(name)
+    X = FiniteSpace(sc.space.points, sc.space.opens)
+    D = Designator(X, list(sc.presentation.arrows.values()))
+    queries = []
+    for Y in (lc.value for lc in finspace.lc_subsets(X)):
+        for U in X.relative_opens(Y):
+            if U and U != Y:
+                Cs, Es = X.components(U), X.components(Y - U)
+                if X.is_connected(Y):
+                    queries += [("inc", C, Y) for C in Cs] + [("res", Y, E) for E in Es]
+                queries += [("bnd", C, E) for C in Cs for E in Es]
+    first = [getattr(D, kind)(A, B) for kind, A, B in queries]
+    assert D.split and not D.split & D.memo.keys()
+
+    def refuse(*args):
+        raise AssertionError("a memoised query made a topology test")
+    for method in ("is_open_in", "is_closed_in", "is_connected", "components",
+                   "relative_opens"):
+        monkeypatch.setattr(X, method, refuse)
+    assert [getattr(D, kind)(A, B) for kind, A, B in queries] == first
+
+
+# The Hermite bases of the nil_basis lattices and the ideal_checks record of
+# each table, as tools/resolution_digests.py prints them ("<space> nil").
+NIL_DIGESTS = {
+    "Z1": "21206c825c56a9acbebaa7b52a4c3e2de109ec5ac95300d7e61550ad5b40cdb9",
+    "Z2": "48618502a7aa94c2d4619cde6fb228787718e046d921aef0583828a0a5eb2773",
+    "Z3": "e0148ea7087055ac571e792f62d9b0dd0bf7b4629331de36e4477b7369173004",
+    "Z4": "1db9abb2477570f742d41c25871e583f678bf0c3c1e19489b05213f5384ac6d0",
+    "S": "5c6f2f751e8dce6bf4a9d358eec9ec61227e5d1abcad45fd715762725a98da50",
+    "C2": "bd3b2ed3292d8a2e110d9add40fb1b3d94b235b2dcf658c1055d5403e0d45b74",
+    "pt": "76a550a1c384ed19ec3291460918e299c8ff96ea0d51c51565ec6fb3dacbb12b",
+    "1<2,1<3,1<4": "e17172ce6275616a1e44a8ad0138de4ce85018076b669239971c4affd25dfb0b",
+    "1<2,1<3,1<4,2<3": "e190a125dd256b645df42785c52fed14d32922c21247fb9559214db33c5a9ab1",
+    "1<2,1<3,1<4,2<3,2<4": "cef7a123db8e18ffb71153647eedd8b1b4ddb536de45af02066dcb1148777fc6",
+    "1<2,1<3,1<4,2<3,2<4,3<4": "35cb80bedd51379b6bf07038c194f7a08c8ff59a4703b329f518584da3ff0d8b",
+    "1<2,1<3,1<4,2<4,3<4": "5c6f2f751e8dce6bf4a9d358eec9ec61227e5d1abcad45fd715762725a98da50",
+    "1<2,1<4,2<4,3<4": "78fd370d17e531b97e3f6d7bc6ff1eb7d71fafdac6df996d41640ea04966e27e",
+    "1<2,1<4,3<4": "192295f87affe297c05d5a3695b19901b2165d331b88ab662e776363a7f114b9",
+    "1<3,1<4,2<3,2<4": "bd3b2ed3292d8a2e110d9add40fb1b3d94b235b2dcf658c1055d5403e0d45b74",
+    "1<3,1<4,2<3,2<4,3<4": "d0ff0013cbf2cb20064ddb29a60c8ad9e5c0f8892f7913f127e41a6f780954d7",
+    "1<4,2<4,3<4": "e0148ea7087055ac571e792f62d9b0dd0bf7b4629331de36e4477b7369173004",
+}
+
+
+@pytest.mark.parametrize("X", [builtin_space(n) for n in BUILTIN_NAMES]
+                         + connected_t0_spaces(4), ids=lambda X: X.name)
+def test_nil_lattices_and_ideal_checks_are_pinned(X):
+    assert nil_digest(space_category(X).table) == NIL_DIGESTS[X.name]
 
 
 @pytest.mark.parametrize("name", ["S", "C2"])

@@ -8,9 +8,10 @@ import weakref
 import pytest
 
 import catalogue
-from conftest import (eval_combo, layout_corpus, random_block_graph, random_valid_module,
-                      reference_check_exact, reference_tor, word_action,
-                      word_pre_matrix, z1_right_module_with_i_acting_by_one)
+from conftest import (connected_t0_spaces, eval_combo, graph_corpus, layout_corpus,
+                      level0_kernels_reference, m_ss_reference, random_block_graph,
+                      random_valid_module, reference_check_exact, reference_tor,
+                      word_action, word_pre_matrix, z1_right_module_with_i_acting_by_one)
 
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_space,
                             label, space_to_json)
@@ -333,6 +334,46 @@ def test_nil_part_from_generator_images(name):
                     assert hnf_columns(IntMatrix.from_columns(fast[key], K.rows)) == \
                         hnf_columns(IntMatrix.from_columns(ref[key], K.rows)), \
                         (Y, engine, n, key)
+
+
+@pytest.mark.parametrize("X", [builtin_space(n) for n in BUILTIN_NAMES]
+                         + connected_t0_spaces(4), ids=lambda X: X.name)
+def test_level_zero_kernel_is_the_nil_lattice_formula(X):
+    """Level 0 reads the kernel of Q_Y ->> S_Y as J·Q_Y at every slot; that
+    is the Hermite basis of End(Y)'s even nil lattice at (Y, 0) and all of
+    Q_Y elsewhere, slot by slot, for every object."""
+    sc = space_category(X)
+    for Y in sc.objects:
+        res = FreeResolution(sc, Y, [[(Y, 0)]], [])
+        dims = {(W, p): res.dims(0, W, p) for W in sc.objects for p in (0, 1)}
+        got = ntmod._level_kernels(res, 0, dims)
+        ref = level0_kernels_reference(sc, Y)
+        assert got.keys() == ref.keys()
+        for key, K in ref.items():
+            assert got[key] == K, (Y, key)
+
+
+LAYOUT_CORPUS = list(layout_corpus())
+
+
+def m_ss_corpus(space):
+    for _, name, M in (entry for entry in LAYOUT_CORPUS if entry[0] == space):
+        yield name, M
+    for i, G in enumerate(graph_corpus(space)[:4]):
+        M = fk_module(G)
+        yield f"fk {i}", M
+        yield f"fk {i} mod 2", M.tensor_mod_k(2)
+
+
+@pytest.mark.parametrize("space", BUILTIN_NAMES)
+def test_m_ss_is_each_entry_modulo_the_generator_images(space):
+    """m_ss against the per-object loop, on the layout corpus (free left
+    and right modules, random cokernels) and on fk modules and their
+    reductions mod 2: equal normal forms per entry and parity."""
+    for name, M in m_ss_corpus(space):
+        got, ref = m_ss(M), m_ss_reference(M)
+        for obj in M.category.objects:
+            assert got[obj].normal_form() == ref[obj].normal_form(), (name, obj)
 
 
 @pytest.mark.parametrize("name,Y", catalogue.ENTRIES)

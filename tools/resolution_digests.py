@@ -8,8 +8,10 @@ ten connected four-point T0 spaces (tables built in process), builds the
 syzygy resolution of S_Y to depth 5 with `resolve_simple` and prints
 `<space> <Y> <digest>`: the sha256 of its levels and differentials,
 serialised as `test_engine_resolutions_are_pinned` does, or the error the
-build raised.  After each builtin's lines come two more,
-`<space> post_matrix <digest>` and `<space> pre_matrix <digest>`: the
+build raised.  Then `<space> nil <digest>`: the sha256 of the Hermite
+basis (`hnf_columns`) of every `nil_basis` lattice, in sorted key order,
+and of the `ideal_checks` record (the tests' `nil_digest`).  After each
+builtin's lines come two more, `<space> post_matrix <digest>` and `<space> pre_matrix <digest>`: the
 sha256 of the matrices of `HomTable.post_matrix` (or `pre_matrix`) of every
 basis element of every Hom group at every object and parity, in sorted
 order.  Then, for every module of `layout_corpus` in the tests'
@@ -18,7 +20,8 @@ conftest (each free module over the builtins, both sides and shifts 0 and
 the sha256 of its `to_json()` with sorted keys, as
 `test_module_layout_is_pinned` hashes it.  Two checkouts whose outputs are
 equal build the same resolutions, with the same generators in the same
-order, compose in the shipped tables alike, and lay out the same modules.
+order, read the same nil ideal off every table, compose in the shipped
+tables alike, and lay out the same modules.
 Each space's wall time goes to stderr.  The package and the helpers of the tests are imported from the
 checkout that holds this file.
 """
@@ -32,7 +35,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from conftest import connected_t0_spaces, layout_corpus  # noqa: E402
+from conftest import connected_t0_spaces, layout_corpus, nil_digest  # noqa: E402
 from fktor.finspace import BUILTIN_NAMES  # noqa: E402
 from fktor.ntcat import build_category, builtin_category  # noqa: E402
 from fktor.ntmod import ModuleError, resolve_simple  # noqa: E402
@@ -79,6 +82,7 @@ def main():
         sc = make()
         for Y in sc.objects:
             print(name, Y, digest(sc, Y), flush=True)
+        print(name, "nil", nil_digest(sc.table), flush=True)
         if name in BUILTIN_NAMES:
             for side in ("post", "pre"):
                 print(name, f"{side}_matrix", action_digest(sc.table, side), flush=True)
