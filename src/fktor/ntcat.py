@@ -732,13 +732,17 @@ class HomTable:
 
     def _combo_matrix(self, side: str, el: Element, W: str, parity: int,
                       n_in: int, n_out: int) -> IntMatrix:
-        """Sum of word_matrix over the representative words of el, the
-        identity standing for the empty word."""
-        out = IntMatrix.zero(n_out, n_in)
+        """Sum of word_matrix over the representative words of el, each
+        scaled by its coefficient, the identity standing for the empty word.
+        An el that is one nonempty word with coefficient 1 is that word's
+        cached matrix itself."""
+        out = None
         for w, c in self.element_combo(el).items():
             M = self.word_matrix(side, W, parity, w) if w else IntMatrix.identity(n_in)
-            out = out + (M if c == 1 else M.scale(c))
-        return out
+            if c != 1:
+                M = M.scale(c)
+            out = M if out is None else out + M
+        return IntMatrix.zero(n_out, n_in) if out is None else out
 
     def compose(self, first: Element, then: Element) -> Element:
         """then ∘ first."""
@@ -977,14 +981,15 @@ def generator_images(arrows: Iterable[Arrow], side: str, act: Callable,
     span J·N; no nil element acts on its own, and for a submodule N the
     images of vectors spanning it suffice.  act(a, p) is the matrix of a out
     of N's parity-p part (None: nothing to build); vecs[(obj, p)] holds N's
-    spanning vectors there as columns, and None stands for all of N."""
+    spanning vectors there as columns, or None for all of N there, and a
+    slot that vecs lacks holds nothing; vecs=None stands for all of N."""
     out: Dict[Tuple[str, int], List[tuple]] = {}
     for a in arrows:
         s, d = _along(side, a.src, a.dst)
         for p in (0, 1):
-            V = None if vecs is None else vecs.get((s, p))
-            if vecs is not None and (V is None or not V.cols):
+            if vecs is not None and (s, p) not in vecs:
                 continue
+            V = None if vecs is None else vecs[(s, p)]
             M = act(a, p)
             if M is not None:
                 images = (M if V is None else M * V).columns()

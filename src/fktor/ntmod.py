@@ -342,22 +342,35 @@ class GradedModule:
 # Free modules and cokernels
 # ---------------------------------------------------------------------------
 
+def _check_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise ModuleError(f"side must be 'left' or 'right', not {side!r}")
+
+
 def free_ranks(t: HomTable, side: str, summands: Sequence[Summand], W: str,
                parity: int) -> List[int]:
     """Block sizes at (W, parity) of the free module on `summands` (A, ε):
     the rank of NT(A, W) (left, P_A) or NT(W, A) (right, Q_A) at parity + ε."""
+    _check_side(side)
     return [t.rank.get((*_along(side, A, W), (parity + eA) % 2), 0)
             for A, eA in summands]
 
 
 def free_map(t: HomTable, side: str, targets: Sequence[Summand],
-             sources: Sequence[Summand], matrix: Blocks, W: str, parity: int) -> IntMatrix:
+             sources: Sequence[Summand], matrix: Blocks, W: str, parity: int,
+             rows: Optional[List[int]] = None, cols: Optional[List[int]] = None) -> IntMatrix:
     """Matrix at (W, parity) of the map of free modules from `sources` to
     `targets` whose block (i, j) is matrix[i][j] (None for zero): an element
     of NT(B_i, A_j) acting by pre-composition on a left module, of
     NT(A_j, B_i) acting by post-composition on a right one.  Only blocks
-    with rows and columns are read off the Hom table."""
-    rows, cols = free_ranks(t, side, targets, W, parity), free_ranks(t, side, sources, W, parity)
+    with rows and columns are read off the Hom table.  `rows` and `cols`
+    are the block sizes of the targets and the sources there, read with
+    free_ranks when the caller does not hold them."""
+    _check_side(side)
+    if rows is None:
+        rows = free_ranks(t, side, targets, W, parity)
+    if cols is None:
+        cols = free_ranks(t, side, sources, W, parity)
     act = t.pre_matrix if side == "left" else t.post_matrix
     return IntMatrix.block(
         [[act(el, W, (parity + eA) % 2) if el is not None and r and c else None
@@ -371,6 +384,7 @@ def free_action(t: HomTable, side: str, summands: Sequence[Summand], a: Arrow,
     of its part of the given parity: block-diagonal, post-composition by a
     on a left module, pre-composition on a right one.  dims[(W, p)] holds
     the module's block sizes, free_ranks(t, side, summands, W, p)."""
+    _check_side(side)
     s, d = _along(side, a.src, a.dst)
     acts = t.post if side == "left" else t.pre
     return block_diag([acts.get((*_along(side, A, s), (parity + eA) % 2, a.name))
@@ -383,8 +397,7 @@ def _free_cokernel(sc: SpaceCategory, side: str, targets: Sequence[Summand],
     """Objectwise cokernel of the map of free modules on `side` from
     `sources` to `targets` given by `matrix` (see free_map), with the
     actions induced from the targets."""
-    if side not in ("left", "right"):
-        raise ModuleError("side must be 'left' or 'right'")
+    _check_side(side)
     for A, eA in [*targets, *sources]:
         if A not in sc.objects or type(eA) is not int:
             raise ModuleError(f"summand {(A, eA)!r} is not (object, integer shift)")
@@ -397,11 +410,12 @@ def _free_cokernel(sc: SpaceCategory, side: str, targets: Sequence[Summand],
                 raise ModuleError("entry ({},{}) is not in NT({}, {}) at parity {}"
                                   .format(i, j, *hom))
     t = sc.table
+    dims = {(W, p): free_ranks(t, side, targets, W, p) for W in sc.objects for p in (0, 1)}
     entries = {}
     for W in sc.objects:
-        rels = (free_map(t, side, targets, sources, matrix, W, p) for p in (0, 1))
+        rels = (free_map(t, side, targets, sources, matrix, W, p, rows=dims[(W, p)])
+                for p in (0, 1))
         entries[W] = GradedGroup(*(Presentation(R.rows, R if R.rows else None) for R in rels))
-    dims = {(W, p): free_ranks(t, side, targets, W, p) for W in sc.objects for p in (0, 1)}
     actions = {}
     for name, a in sc.presentation.arrows.items():
         s, d = _along(side, a.src, a.dst)
@@ -672,13 +686,17 @@ def resolve_simple(sc: SpaceCategory, Y: str, depth: int) -> FreeResolution:
     return res
 
 
+def _check_depth(depth: int) -> None:
+    if type(depth) is not int or depth < 0:
+        raise ModuleError(f"a resolution needs a nonnegative integer depth, not {depth!r}")
+
+
 def _check_simple(sc: SpaceCategory, Y: str, depth: int) -> None:
     """Refuse a Y that is no object of sc and a depth that is no
     nonnegative integer, before anything is built or cached."""
     if Y not in sc.objects:
         raise ModuleError(f"{Y!r} is not an object of {sc.space.name}")
-    if type(depth) is not int or depth < 0:
-        raise ModuleError(f"a resolution needs a nonnegative integer depth, not {depth!r}")
+    _check_depth(depth)
 
 
 def extend_resolution(res: FreeResolution, depth: int) -> None:
@@ -687,38 +705,38 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
     The kernel K of the last differential is a right module.  At each
     (W, parity), in a fixed order, a kernel column becomes a generator
     exactly when it lies outside the lattice spanned by the nil part J·K
-    there (see _nil_part) and the generators already chosen there.  The
-    level's block sizes are read once per step, and only its nonzero
-    slots take a kernel (see _level_kernels).
+    there (see _nil_part) and the generators already chosen there.  Each
+    step reads its level's block sizes once and carries them to the next
+    step as the sizes of its target; only the nonzero slots take a kernel
+    (see _level_kernels).
 
     This needs the nil ideal J of NT* to be nilpotent (graded Nakayama).
     Every image of a generator under a nonempty word lies in J·K, so the
     submodule S the generators span satisfies K = S + J·K, hence
     K = S + J^m·K = S once J^m = 0.  Every builtin table satisfies this
     (nilpotency index at most 7); it is not checked here."""
+    _check_depth(depth)
     sc = res.sc
     levels = res.levels
     diffs = res.diffs
+    below: Optional[Slots] = None  # the block sizes of level n - 1, once read
 
     while len(levels) <= depth:
         n = len(diffs)  # building d_{n+1}: L_{n+1} -> L_n
         cur_level = res.level(n)
         dims = {(W, p): res.dims(n, W, p) for W in sc.objects for p in (0, 1)}
-        kernels = _level_kernels(res, n, dims)
+        kernels = _level_kernels(res, n, dims, below)
         nil = _nil_part(sc, cur_level, dims, kernels)
         chosen: List[Tuple[str, int, tuple]] = []
-        for W in sc.objects:
-            for parity in (0, 1):
-                K = kernels[(W, parity)]
-                if K.cols == 0:
-                    continue
-                covered = Echelon(K.rows)
-                for v in nil[(W, parity)]:
-                    covered.add(v)
-                for j in range(K.cols):
-                    v = K.column(j)
-                    if covered.add(v):
-                        chosen.append((W, parity, v))
+        for (W, parity), K in kernels.items():
+            if K.cols == 0:
+                continue
+            covered = Echelon(K.rows)
+            for v in nil[(W, parity)]:
+                covered.add(v)
+            for v in K.columns():
+                if covered.add(v):
+                    chosen.append((W, parity, v))
         new_level = [(W, parity) for W, parity, _ in chosen]
         # differential entries: the components of each chosen kernel vector
         matrix: List[List[Optional[Element]]] = [[None] * len(chosen)
@@ -732,32 +750,45 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
                     matrix[i][col] = Element(W, A, (parity + eA) % 2, piece)
         levels.append(new_level)
         diffs.append(matrix)
+        below = dims
 
 
-def _level_kernels(res: FreeResolution, n: int, dims: Slots) -> Dict[Tuple[str, int], IntMatrix]:
-    """Kernel lattice of d_n (of Q_Y ->> S_Y for n = 0) per (W, parity),
-    where dims[(W, parity)] = res.dims(n, W, parity).
+def _level_kernels(res: FreeResolution, n: int, dims: Slots,
+                   below: Optional[Slots] = None) -> Dict[Tuple[str, int], IntMatrix]:
+    """Kernel lattice of d_n (of Q_Y ->> S_Y for n = 0) per (W, parity), in
+    Hermite basis, where dims[(W, parity)] = res.dims(n, W, parity) and
+    below holds those of level n - 1 (read here when the caller has none).
 
-    Under End(Y)_even = Z·id ⊕ nil the kernel of Q_Y ->> S_Y is J·Q_Y, in
-    Hermite basis; a Y whose End(Y) does not split is refused with
-    ModuleError.  For n >= 1 only a slot where level n and its target are
-    both nonzero takes a kernel.  The rest need none: a map out of 0 has the
-    0x0 basis identity(0), and a map into 0 all of Z^c, identity(c)."""
+    Level 0 has every slot.  Every morphism between distinct objects and
+    every odd one is nil, so J·Q_Y is all of Q_Y(W)_p, the identity, except
+    at (Y, 0), where it is spanned by the images of Q_Y under the arrows
+    out of Y.  Under End(Y)_even = Z·id ⊕ nil it is the kernel of
+    Q_Y ->> S_Y; a Y whose End(Y) does not split is refused with
+    ModuleError.  For n >= 1 a slot where level n is 0 has no entry, one
+    where the level below is 0 is all of Z^c, the identity, and only the
+    rest take a kernel."""
+    t = res.sc.table
     if not n:
-        t = res.sc.table
-        if not end_splits(t, res.Y):
-            raise ModuleError(f"End({res.Y}) does not split as Z·id + nil")
-        nil = generator_images(res.sc.presentation.arrows.values(), "right",
-                               lambda a, p: t.pre.get((a.dst, res.Y, p, a.name)))
-        return {key: hnf_columns(IntMatrix.from_columns(nil[key])) if nil.get(key)
-                else IntMatrix.zero(sum(cols), 0) for key, cols in dims.items()}
+        Y = res.Y
+        if not end_splits(t, Y):
+            raise ModuleError(f"End({Y}) does not split as Z·id + nil")
+        kernels = {key: IntMatrix.identity(sum(cols)) for key, cols in dims.items()}
+        nil = generator_images(res.sc.presentation.by_src.get(Y, ()), "right",
+                               lambda a, p: t.pre.get((a.dst, Y, p, a.name)))
+        kernels[(Y, 0)] = hnf_columns(IntMatrix.from_columns(nil.get((Y, 0), []),
+                                                             sum(dims[(Y, 0)])))
+        return kernels
+    if below is None:
+        below = {key: res.dims(n - 1, *key) for key in dims}
+    targets, sources, diff = res.level(n - 1), res.level(n), res.diff(n)
     kernels: Dict[Tuple[str, int], IntMatrix] = {}
     for key, cols in dims.items():
         c = sum(cols)
-        if c and sum(res.dims(n - 1, *key)):
-            kernels[key] = kernel(res.underlying_diff(n, *key))
-        else:
-            kernels[key] = IntMatrix.identity(c)
+        if c:
+            rows = below[key]
+            kernels[key] = (kernel(free_map(t, "right", targets, sources, diff, *key,
+                                            rows=rows, cols=cols))
+                            if sum(rows) else IntMatrix.identity(c))
     return kernels
 
 
@@ -765,11 +796,14 @@ def _nil_part(sc: SpaceCategory, level: List[Summand], dims: Slots,
               kernels: Dict[Tuple[str, int], IntMatrix]) -> Dict[Tuple[str, int], List[tuple]]:
     """J·K per (W, parity), K the submodule of the level ⊕ Q_{A_i}[ε_i] that
     `kernels` span, of block sizes `dims`; no free_action is built where the
-    level is 0 at the image's slot."""
+    level is 0 at the image's slot.  A kernel lattice is saturated, so one
+    with as many columns as rows is all of its slot, and its images are the
+    columns of the action matrix itself."""
     images = generator_images(
         sc.presentation.arrows.values(), "right",
         lambda a, p: free_action(sc.table, "right", level, a, p, dims)
-        if sum(dims[(a.src, p ^ a.parity)]) else None, kernels)
+        if sum(dims[(a.src, p ^ a.parity)]) else None,
+        {key: None if K.cols == K.rows else K for key, K in kernels.items() if K.cols})
     return {key: images.get(key, []) for key in dims}
 
 
@@ -810,6 +844,7 @@ def validate_resolution(res: FreeResolution, depth: int) -> List[str]:
     Q_Y ->> S_Y onto) at every (W, parity).  A slot where d_n∘d_{n+1} is
     nonzero on the underlying groups reports that instead of exactness.
     Each underlying differential is built once per (W, parity)."""
+    _check_depth(depth)
     sc = res.sc
     level0 = _level_kernels(res, 0, {(W, p): res.dims(0, W, p)
                                      for W in sc.objects for p in (0, 1)})

@@ -14,8 +14,9 @@ invariance tests compare Tor against, and the Hom-table and homology
 helpers only the tests use (eval_combo, graded_rank, is_generator), the
 per-object M_ss loop and the nil-lattice formula for level 0 of a
 resolution that ntmod.m_ss and the resolution engine are tested against,
-a digest of a table's nil lattices and ideal checks, and the renumbering
-of the vertices inside the blocks of a graph."""
+a digest of a table's nil lattices and ideal checks, the renumbering
+of the vertices inside the blocks of a graph, and its out-splits and
+in-splits."""
 
 import dataclasses
 import hashlib
@@ -192,6 +193,71 @@ def permute_within_blocks(G, rng):
         at += k
     A = G.adjacency.data
     return BlockGraph(G.space, G.blocks, IntMatrix([[A[v][w] for w in perm] for v in perm]))
+
+
+def _split_edges(counts, rng):
+    """The multiset of edges counts[w] (to or from vertex w) dealt at random
+    into two nonempty parts, as two count lists."""
+    edges = [w for w, c in enumerate(counts) for _ in range(c)]
+    rng.shuffle(edges)
+    parts = [[0] * len(counts) for _ in range(2)]
+    for i, w in enumerate(edges):
+        parts[i if i < 2 else rng.randrange(2)][w] += 1
+    return parts
+
+
+def _split_vertex(G, v, rows, cols, loops):
+    """G with vertex v replaced by two vertices v and v + 1 in v's block:
+    rows[i][w] edges from copy i to the old vertex w != v, cols[j][u] from u
+    to copy j, and loops[i][j] from copy i to copy j."""
+    A = G.adjacency.data
+    new = [w if w < v else w + 1 for w in range(G.n)]
+    others = [w for w in range(G.n) if w != v]
+    out = [[0] * (G.n + 1) for _ in range(G.n + 1)]
+    for u in others:
+        for w in others:
+            out[new[u]][new[w]] = A[u][w]
+    for i in range(2):
+        for w in others:
+            out[v + i][new[w]] = rows[i][w]
+            out[new[w]][v + i] = cols[i][w]
+        for j in range(2):
+            out[v + i][v + j] = loops[i][j]
+    blocks, at = [], 0
+    for p, k in G.blocks:
+        blocks.append((p, k + (at <= v < at + k)))
+        at += k
+    return BlockGraph(G.space, blocks, IntMatrix(out))
+
+
+def _vertex_with_two_edges(counts, rng):
+    return rng.choice([v for v, c in enumerate(counts) if c >= 2])
+
+
+def out_split(G, rng):
+    """A random out-split (Bates–Pask) of a vertex v with at least two
+    out-edges: they are dealt into two nonempty parts, part i leaves copy i
+    of v, and every edge into v, a loop of v included, enters both copies.
+    Both copies stay in v's block.  C*(E) is unchanged up to isomorphism,
+    and the ideals of the block structure correspond, so FK is too."""
+    A = G.adjacency.data
+    v = _vertex_with_two_edges([sum(row) for row in A], rng)
+    parts = _split_edges(A[v], rng)
+    col = [row[v] for row in A]
+    return _split_vertex(G, v, parts, [col, col], [[part[v]] * 2 for part in parts])
+
+
+def in_split(G, rng):
+    """A random in-split (Bates–Pask) of a vertex v with at least two
+    in-edges: they are dealt into two nonempty parts, part j enters copy j
+    of v, and every edge out of v, a loop of v included, leaves both copies.
+    Both copies stay in v's block.  C*(E) is unchanged up to Morita
+    equivalence, and the ideals of the block structure correspond, so FK
+    is too."""
+    A = G.adjacency.data
+    v = _vertex_with_two_edges([sum(col) for col in zip(*A)], rng)
+    parts = _split_edges([row[v] for row in A], rng)
+    return _split_vertex(G, v, [A[v], A[v]], parts, [[part[v] for part in parts]] * 2)
 
 
 def m_ss_reference(M):

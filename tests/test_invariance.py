@@ -6,16 +6,19 @@ The shift M[1] swaps the parities of every Tor group and of every failing
 six-term node, and Tor of a direct sum is the direct sum of the Tor
 groups.  Renumbering the vertices inside the blocks of a graph gives an
 isomorphic graph over the same space, so it changes no K-group, no
-exactness verdict and no Tor report."""
+exactness verdict and no Tor report, and neither does splitting a vertex
+(Bates–Pask out- and in-splits, the new vertices in the old one's
+block)."""
 
 import random
 
 import pytest
 
-from conftest import (direct_sum_module, nf_direct_sum, permute_within_blocks,
-                      random_block_graph, reference_check_exact, shifted_module)
+from conftest import (direct_sum_module, in_split, nf_direct_sum, out_split,
+                      permute_within_blocks, random_block_graph, reference_check_exact,
+                      shifted_module)
 
-from fktor.graphk import fk_module, k_groups
+from fktor.graphk import fk_module, graph_checks, k_groups
 from fktor.ntcat import builtin_category
 from fktor.ntmod import (GradedModule, _along, check_exact, free_module,
                          resolution_for, tor, tor_single, validate)
@@ -226,11 +229,42 @@ def test_the_block_permutations_renumber_vertices():
     assert all(H.blocks == G.blocks for _, G, H in PERMUTED)
 
 
-@pytest.mark.parametrize("name,G,H", PERMUTED, ids=[name for name, _, _ in PERMUTED])
-def test_permuting_the_vertices_inside_a_block_changes_nothing(name, G, H):
+def assert_same_invariants(G, H):
+    """H has G's K₀/K₁ normal forms on every locally closed subset, its
+    check_exact report and its Tor report."""
     for lc in G.space.lc_star():
-        k, k_perm = k_groups(G, lc.value), k_groups(H, lc.value)
-        assert (k_perm.k0_nf(), k_perm.k1_nf()) == (k.k0_nf(), k.k1_nf()), lc.label
+        k, k_moved = k_groups(G, lc.value), k_groups(H, lc.value)
+        assert (k_moved.k0_nf(), k_moved.k1_nf()) == (k.k0_nf(), k.k1_nf()), lc.label
     M, N = fk_module(G), fk_module(H)
     assert exact_report(N) == exact_report(M)
     assert tor(N, DEGREE).to_json() == tor(M, DEGREE).to_json()
+
+
+@pytest.mark.parametrize("name,G,H", PERMUTED, ids=[name for name, _, _ in PERMUTED])
+def test_permuting_the_vertices_inside_a_block_changes_nothing(name, G, H):
+    assert_same_invariants(G, H)
+
+
+def split_moves():
+    rng = random.Random(SEED + 3)
+    for space in ("Z3", "S", "C2", "Z4"):
+        for i in range(2):
+            G = random_block_graph(space, rng, max_vertices=2)
+            for move in (out_split, in_split):
+                yield f"{space}/graph{i}/{move.__name__}", G, move(G, rng)
+
+
+SPLITS = list(split_moves())
+
+
+@pytest.mark.parametrize("name,G,H", SPLITS, ids=[name for name, _, _ in SPLITS])
+def test_splitting_a_vertex_changes_nothing(name, G, H):
+    """The split graph has one vertex more, in one block, and passes the
+    graph checks; its K-groups, exactness and Tor are G's."""
+    assert H.n == G.n + 1
+    assert [k for _, k in H.blocks] != [k for _, k in G.blocks]
+    assert [p for p, _ in H.blocks] == [p for p, _ in G.blocks]
+    assert sum(map(sum, H.adjacency.data)) > sum(map(sum, G.adjacency.data))
+    report = graph_checks(H)
+    assert report.triangular and report.no_sinks and report.no_sources, report.problems
+    assert_same_invariants(G, H)

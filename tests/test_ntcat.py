@@ -743,6 +743,33 @@ def test_action_matrices_match_word_products(name):
                         word_post_matrix(t, el, W, parity), (el, W, parity)
 
 
+@pytest.mark.parametrize("name", ["Z1", "Z3", "Z4", "S", "C2"])
+def test_a_one_word_element_acts_by_its_cached_word_matrix(name):
+    """A basis element whose representative is one nonempty word with
+    coefficient 1 acts by that word's cached word_matrix, the same object,
+    which equals the word product multiplied out afresh, at every object and
+    parity; its negative, two terms' worth of work before, still agrees."""
+    t = cat(name).table
+    one_word = 0
+    for key in sorted(t.rank):
+        for k, el in enumerate(t.basis_elements(*key)):
+            combo = t.rep_combo(*key, k)
+            if len(combo) != 1 or list(combo.values()) != [1] or not next(iter(combo)):
+                continue
+            one_word += 1
+            [w] = combo
+            neg = t.scale(el, -1)
+            for W in t.objects:
+                for parity in (0, 1):
+                    post, pre = t.post_matrix(el, W, parity), t.pre_matrix(el, W, parity)
+                    assert post is t.word_matrix("post", W, parity, w)
+                    assert pre is t.word_matrix("pre", W, parity, w)
+                    assert post == word_post_matrix(t, el, W, parity), (el, W, parity)
+                    assert pre == word_pre_matrix(t, el, W, parity), (el, W, parity)
+                    assert t.post_matrix(neg, W, parity) == post.scale(-1)
+    assert one_word
+
+
 @pytest.mark.parametrize("name", ["pt", "Z1", "Z2", "Z3", "Z4", "S", "C2"])
 def test_pre_matrices_agree_with_post_matrices(name):
     """Column k of pre_matrix(el, W, p) is x_k∘el for the basis element x_k

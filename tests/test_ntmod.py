@@ -23,7 +23,7 @@ from fktor.ntcat import (Element, build_category, builtin_category, end_splits,
 from fktor.ntmod import (
     CatalogueError, FreeResolution, GradedModule, ModuleError, builtin_resolution,
     check_exact, coker_module, free_module, left_complex_underlying, m_ss,
-    projective_dimension, rational_tor, resolution_for, resolve_simple, tor,
+    extend_resolution, projective_dimension, rational_tor, resolution_for, resolve_simple, tor,
     tor_single, validate, validate_resolution,
 )
 import fktor.zexact as zexact
@@ -612,6 +612,76 @@ def test_resolution_work_only_on_nonzero_slots(monkeypatch):
     assert len(shapes) == expected
     assert all(rows and cols for rows, cols in shapes)
     assert all(src and dst for src, dst in posts)
+
+
+@pytest.mark.parametrize("name", ["Z3", "S", "Z4"])
+def test_level_zero_takes_one_hermite_basis_only_at_y_even(name, monkeypatch):
+    """Q_Y(W)_p is all nil except at (Y, 0), so building every resolution
+    to depth 5 takes one Hermite basis per object, of End(Y)_even's nil
+    lattice, and hands no kernel that is a whole slot to generator_images
+    as a matrix: its images are the action matrix's own columns."""
+    sc = cat(name)
+    t = sc.table
+    bases, whole = [], []
+    real_hnf, real_images = ntmod.hnf_columns, ntmod.generator_images
+
+    def counted_hnf(A):
+        bases.append(A.rows)
+        return real_hnf(A)
+
+    def counted_images(arrows, side, act, vecs=None):
+        whole.extend(V for V in (vecs or {}).values() if V is not None and V.rows == V.cols)
+        return real_images(arrows, side, act, vecs)
+
+    monkeypatch.setattr(ntmod, "hnf_columns", counted_hnf)
+    monkeypatch.setattr(ntmod, "generator_images", counted_images)
+    for Y in sc.objects:
+        before = len(bases)
+        res = resolve_simple(sc, Y, 5)
+        assert bases[before:] == [t.rank[(Y, Y, 0)]], Y
+        assert len(res.levels) == 6
+    assert whole == []
+
+
+@pytest.mark.parametrize("X", [builtin_space("Z4")] + connected_t0_spaces(4),
+                         ids=lambda X: X.name)
+def test_a_resumed_resolution_equals_a_direct_build(X):
+    """Built to depth 2 and then extended to 5, a resolution has the levels
+    and differentials of one built to depth 5 at once: the resumed step
+    reads afresh the block sizes the uninterrupted one carries."""
+    sc = space_category(X)
+    for Y in sc.objects:
+        resumed = resolve_simple(sc, Y, 2)
+        assert len(resumed.levels) == 3
+        extend_resolution(resumed, 5)
+        direct = resolve_simple(sc, Y, 5)
+        assert resumed.levels == direct.levels, Y
+        assert resumed.diffs == direct.diffs, Y
+
+
+@pytest.mark.parametrize("depth", ["3", -1, 2.5, True, None])
+def test_extending_or_validating_refuses_a_depth_that_is_no_count(depth):
+    res = resolve_simple(cat("Z3"), "14", 2)
+    levels = list(res.levels)
+    for call in (extend_resolution, validate_resolution):
+        with pytest.raises(ModuleError, match="nonnegative integer depth"):
+            call(res, depth)
+    assert res.levels == levels
+
+
+@pytest.mark.parametrize("side", ["up", "Left", "", None])
+def test_the_free_module_layout_refuses_an_unknown_side(side):
+    sc = cat("Z3")
+    t = sc.table
+    a = next(iter(sc.presentation.arrows.values()))
+    summands = [("14", 0)]
+    dims = {(W, p): [1] for W in sc.objects for p in (0, 1)}
+    for call in (lambda: ntmod.free_ranks(t, side, summands, "14", 0),
+                 lambda: ntmod.free_map(t, side, summands, summands,
+                                        [[t.identity("14")]], "14", 0),
+                 lambda: ntmod.free_action(t, side, summands, a, 0, dims)):
+        with pytest.raises(ModuleError, match="side must be 'left' or 'right'"):
+            call()
 
 
 def test_building_a_resolution_takes_no_smith_form(monkeypatch):
