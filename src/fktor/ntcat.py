@@ -601,16 +601,20 @@ def builtin_presentation(space_name: str) -> CatPresentation:
 
 @dataclass
 class _Bucket:
+    """The words of hom_closure's bound from src to dst at parity, in
+    nondecreasing length, with their index and, per arrow a out of dst,
+    ext[a.name] = (key of the bucket of the words·a, table): table[i] is
+    the index there of words[i]·a, for the `short` words shorter than the
+    bound, a prefix.  Tables name buckets by key, so buckets hold no
+    references to each other."""
     src: str
     dst: str
     parity: int
     words: List[Word] = field(default_factory=list)
     index: Dict[Word, int] = field(default_factory=dict)
-
-    def add_word(self, w: Word):
-        if w not in self.index:
-            self.index[w] = len(self.words)
-            self.words.append(w)
+    ext: Dict[str, Tuple[Tuple[str, str, int], List[int]]] = field(default_factory=dict)
+    short: int = 0
+    lattice: Optional[Echelon] = None
 
 
 class Element:
@@ -734,13 +738,21 @@ class HomTable:
                       n_in: int, n_out: int) -> IntMatrix:
         """Sum of word_matrix over the representative words of el, each
         scaled by its coefficient, the identity standing for the empty word.
-        An el that is one nonempty word with coefficient 1 is that word's
-        cached matrix itself."""
+        A nonempty word's scaled copy is kept in _word_matrices under its
+        coefficient, so an el that is one nonempty word is a cached matrix
+        itself."""
         out = None
         for w, c in self.element_combo(el).items():
-            M = self.word_matrix(side, W, parity, w) if w else IntMatrix.identity(n_in)
-            if c != 1:
-                M = M.scale(c)
+            if not w:
+                M = IntMatrix.identity(n_in)
+                M = M if c == 1 else M.scale(c)
+            elif c == 1:
+                M = self.word_matrix(side, W, parity, w)
+            else:
+                key = (side, W, parity, w, c)
+                M = self._word_matrices.get(key)
+                if M is None:
+                    M = self._word_matrices[key] = self.word_matrix(side, W, parity, w).scale(c)
             out = M if out is None else out + M
         return IntMatrix.zero(n_out, n_in) if out is None else out
 
@@ -769,11 +781,64 @@ class HomTable:
         return sum(self.rank.values())
 
 
+def _enumerate_words(presentation: CatPresentation, max_len: int):
+    """The words of length at most max_len out of every object, breadth
+    first: the buckets by key (src, dst, parity), with their extension
+    tables, and per source the words in order as (bucket, index, length)."""
+    pres = presentation
+    buckets: Dict[Tuple[str, str, int], _Bucket] = {}
+
+    def bucket(key) -> _Bucket:
+        b = buckets.get(key)
+        if b is None:
+            src, dst, parity = key
+            b = buckets[key] = _Bucket(src, dst, parity, ext={
+                a.name: ((src, a.dst, parity ^ a.parity), [])
+                for a in pres.by_src.get(dst, ())})
+        return b
+
+    words_from: Dict[str, List[Tuple[_Bucket, int, int]]] = {}
+    for src in pres.objects:
+        b = bucket((src, src, 0))
+        b.index[()] = 0
+        b.words.append(())
+        frontier = [(b, 0, 0)]
+        acc = list(frontier)
+        for n in range(1, max_len + 1):
+            # a bucket's words of one length follow its shorter ones, in
+            # frontier order, so each table grows in index order
+            nxt = []
+            for b, i, _ in frontier:
+                b.short += 1
+                w = b.words[i]
+                for nm, (key2, table) in b.ext.items():
+                    b2 = bucket(key2)
+                    j = len(b2.words)
+                    w2 = w + (nm,)
+                    b2.index[w2] = j
+                    b2.words.append(w2)
+                    table.append(j)
+                    nxt.append((b2, j, n))
+            acc.extend(nxt)
+            frontier = nxt
+        words_from[src] = acc
+    return buckets, words_from
+
+
 def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) -> HomTable:
     """Compute the Hom table by bounded path closure.
 
     Enumerates words up to max_len, saturates the two-sided ideal generated
     by the relations within that bound, and quotients per (pair, parity).
+    The saturation works on word indices: _enumerate_words lists each
+    bucket's words by length and records, per arrow, the index of each
+    short word extended by it.  Per source, the instances w·r (words in
+    breadth-first order, relations in order) are placed by walking those
+    tables from w along r's words and queued; vectors are popped last
+    first, each goes to its bucket's echelon through Echelon._insert, and
+    one that changes the lattice while its support words are all shorter
+    than max_len queues its extension by every arrow out of the target,
+    in arrow order.
     A bucket whose relations span Z^n is the zero group, with no Smith form;
     any other takes one, whose rows of U past the rank give the projection
     P onto Z^rank, and a solve of P X = I the basis representatives.  The
@@ -791,92 +856,57 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     if type(max_len) is not int or max_len < 1:
         raise CategoryError(f"max_len must be an integer at least 1, not {max_len!r}")
 
-    buckets: Dict[Tuple[str, str, int], _Bucket] = {}
+    buckets, words_from = _enumerate_words(pres, max_len)
 
-    def bucket(src, dst, parity) -> _Bucket:
-        key = (src, dst, parity)
-        b = buckets.get(key)
-        if b is None:
-            b = buckets[key] = _Bucket(src, dst, parity)
-        return b
-
-    # enumerate words from every source
-    words_from: Dict[str, List[Tuple[Word, str, int]]] = {}
-    for src in pres.objects:
-        acc = []
-        frontier = [((), src, 0)]
-        bucket(src, src, 0).add_word(())
-        acc.append(((), src, 0))
-        for _ in range(max_len):
-            nxt = []
-            for w, at, par in frontier:
-                for a in pres.by_src.get(at, ()):
-                    w2 = w + (a.name,)
-                    p2 = par ^ a.parity
-                    bucket(src, a.dst, p2).add_word(w2)
-                    nxt.append((w2, a.dst, p2))
-            acc.extend(nxt)
-            frontier = nxt
-        words_from[src] = acc
-
-    # saturate relation lattices per source
-    lattices: Dict[Tuple[str, str, int], Echelon] = {}
-
-    def lattice(key, n) -> Echelon:
-        lat = lattices.get(key)
-        if lat is None:
-            lat = lattices[key] = Echelon(n)
-        return lat
-
-    # relations by source object, in relation order
+    # relations by source object, in relation order, each as its nonzero
+    # terms (word, coefficient) and the length of its longest word
     rels_from: Dict[str, list] = {}
     for r in pres.relations:
         s, t, p = pres.word_signature(next(iter(r)))
-        rels_from.setdefault(s, []).append((r, t, p, max(len(w) for w in r)))
+        rels_from.setdefault(s, []).append(
+            ([(rw, c) for rw, c in r.items() if c], t, p, max(len(w) for w in r)))
 
+    # saturate relation lattices per source; queued vectors are sparse
+    # {word index: nonzero coefficient} on the bucket of their key
+    for b in buckets.values():
+        b.lattice = Echelon(len(b.words))
     for src in pres.objects:
         queue = []
-        for w, at, par in words_from[src]:
-            for r, t, p, maxw in rels_from.get(at, ()):
-                if len(w) + maxw <= max_len:
-                    b = bucket(src, t, par ^ p)
+        for b, i, n in words_from.pop(src):
+            for terms, t, p, maxw in rels_from.get(b.dst, ()):
+                if n + maxw <= max_len:
+                    # place w·rw by walking the tables from w along rw
                     vec: Dict[int, int] = {}
-                    for rw, c in r.items():
-                        i = b.index[w + rw]
-                        vec[i] = vec.get(i, 0) + c
-                    queue.append((b, vec))
-        # queued vectors are sparse: {word index: nonzero coefficient}
+                    for rw, c in terms:
+                        b2, j = b, i
+                        for nm in rw:
+                            key2, step = b2.ext[nm]
+                            b2, j = buckets[key2], step[j]
+                        vec[j] = c
+                    queue.append(((src, t, b.parity ^ p), vec))
         while queue:
-            b, vec = queue.pop()
-            vec = {i: c for i, c in vec.items() if c}
-            key = (b.src, b.dst, b.parity)
-            lat = lattice(key, len(b.words))
-            if not lat.add_sparse(vec):
+            key, vec = queue.pop()
+            b = buckets[key]
+            # _insert keeps and reduces its argument, so it gets a copy
+            if not b.lattice._insert(dict(vec)):
                 continue
-            # extend by one arrow if every support word stays short enough
-            maxlen = max(len(b.words[i]) for i in vec)
-            if maxlen >= max_len:
-                continue
-            for a in pres.by_src.get(b.dst, ()):
-                b2 = bucket(b.src, a.dst, b.parity ^ a.parity)
-                vec2: Dict[int, int] = {}
-                for i, c in vec.items():
-                    j = b2.index[b.words[i] + (a.name,)]
-                    vec2[j] = vec2.get(j, 0) + c
-                queue.append((b2, vec2))
+            # extend by one arrow if every support word is short
+            if max(vec) < b.short:
+                for key2, step in b.ext.values():
+                    queue.append((key2, {step[i]: c for i, c in vec.items()}))
 
     # quotient per bucket
     table = HomTable(pres)
     proj: Dict[Tuple[str, str, int], IntMatrix] = {}
     for key, b in sorted(buckets.items()):
-        lat = lattices.get(key)
+        lat = b.lattice
         n = len(b.words)
-        if lat is not None and lat.spans_all():
+        if lat.spans_all():
             # the relations span Z^n: the zero group, with no Smith form
             table.rank[key], table.reps[key] = 0, []
             proj[key] = IntMatrix.zero(0, n)
             continue
-        sf = smith(IntMatrix.from_sparse_columns(lat.sparse_basis() if lat else [], n))
+        sf = smith(IntMatrix.from_sparse_columns(lat.sparse_basis(), n))
         diag = sf.diagonal()
         t = sum(1 for d in diag if d != 0)
         if any(d not in (0, 1) for d in diag):

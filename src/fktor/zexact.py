@@ -576,14 +576,6 @@ class Echelon:
             raise ZExactError("vector length mismatch")
         return self._insert(_nonzeros(vec))
 
-    def add_sparse(self, entries: Dict[int, int]) -> bool:
-        """`add` for the vector whose entries are {index: value}; zero
-        values are dropped."""
-        cur = {i: x for i, x in entries.items() if x}
-        if cur and not (0 <= min(cur) and max(cur) < self.n):
-            raise ZExactError("vector index out of range")
-        return self._insert(cur)
-
     def _insert(self, cur: dict) -> bool:
         # Euclid on the leading entry: reduce by the pivot row there, and if
         # a remainder is left it becomes the pivot row and the displaced

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import random
@@ -527,6 +528,23 @@ def test_short_words_that_span_too_little_are_not_stabilized(relations):
     assert hom_closure(pres, max_len=4).rank[("1", "12", 0)] == 2 - len(relations)
 
 
+def test_a_relation_extends_only_while_its_longest_word_is_short():
+    """c = 2·ab, whose words differ in length, extends by e to ce = 2·abe
+    only when ab is shorter than the bound: at max_len=2 the extension
+    would hold abe, a word the bound leaves out, so none is made and the
+    build is not stabilized; at 5, Hom(A, D) is Z on abe, not Z^2."""
+    A, B, C, D = [lc.label for lc in builtin_space("Z3").lc_star()][:4]
+    arrows = [Arrow("a", A, B, 0, "i"), Arrow("b", B, C, 0, "i"),
+              Arrow("c", A, C, 0, "i"), Arrow("e", C, D, 0, "i")]
+    pres = CatPresentation(builtin_space("Z3"), arrows, [{("c",): 1, ("a", "b"): -2}])
+    with pytest.raises(NonStabilizedError):
+        hom_closure(pres, max_len=2)
+    t = hom_closure(pres, max_len=5)
+    assert (t.rank[(A, C, 0)], t.rank[(A, D, 0)]) == (1, 1)
+    [rep] = t.reps[(A, D, 0)]
+    assert {w: abs(c) for w, c in rep.items()} == {("a", "b", "e"): 1}
+
+
 def test_a_representative_word_as_long_as_the_bound_is_not_stabilized(monkeypatch):
     """Composition matrices extend each representative word by one arrow,
     so a representative holding a word of length max_len, whose extension
@@ -572,6 +590,58 @@ def test_a_fresh_z3_build_factors_each_nonzero_group_twice_and_no_zero_group(
     # the relation matrices factored are those of the nonzero groups only
     assert sorted(factored) == ranks
     assert solved == [0] * 64
+
+
+@pytest.mark.parametrize("X", [builtin_space(n) for n in BUILTIN_NAMES]
+                         + connected_t0_spaces(4), ids=lambda X: X.name)
+def test_the_word_tables_extend_each_short_word_by_each_arrow(X):
+    """Each bucket lists its words once, in nondecreasing length, with
+    their index; ext[a][i] is the index of words[i]·a in the bucket of a's
+    target, for exactly the words shorter than the bound, a prefix; and
+    the breadth-first order from each source visits every word once, by
+    length."""
+    pres = ntcat._presentation(X)[0]
+    max_len = ntcat.DEFAULT_MAX_LEN.get(builtin_name(X), 10)
+    buckets, words_from = ntcat._enumerate_words(pres, max_len)
+    for key, b in buckets.items():
+        assert (b.src, b.dst, b.parity) == key
+        lengths = [len(w) for w in b.words]
+        assert lengths == sorted(lengths) and lengths[-1] <= max_len, key
+        assert b.index == {w: i for i, w in enumerate(b.words)}, key
+        assert b.short == sum(n < max_len for n in lengths), key
+        assert list(b.ext) == [a.name for a in pres.by_src.get(b.dst, ())], key
+        for a in pres.by_src.get(b.dst, ()):
+            key2, table = b.ext[a.name]
+            assert key2 == (b.src, a.dst, b.parity ^ a.parity)
+            assert len(table) == b.short, (key, a.name)
+            assert all(buckets[key2].words[j] == w + (a.name,)
+                       for w, j in zip(b.words, table)), (key, a.name)
+    for src, order in words_from.items():
+        assert [n for _, _, n in order] == sorted(n for _, _, n in order)
+        assert all(len(b.words[i]) == n and b.src == src for b, i, n in order)
+        assert sorted((b.dst, b.parity, i) for b, i, _ in order) == sorted(
+            (b.dst, b.parity, i) for b in buckets.values() if b.src == src
+            for i in range(len(b.words)))
+
+
+def test_a_fresh_z3_build_inserts_the_pinned_vector_sequence(monkeypatch):
+    """Every relation instance and every extension that hom_closure
+    saturates goes through Echelon._insert, in one fixed order: the
+    count, the growing calls and a digest of the inserted vectors pin it."""
+    seen, growing = hashlib.sha256(), []
+    real_insert = zexact.Echelon._insert
+
+    def counted(ech, cur):
+        seen.update(repr((ech.n, sorted(cur.items()))).encode())
+        grew = real_insert(ech, cur)
+        growing.append(grew)
+        return grew
+
+    monkeypatch.setattr(zexact.Echelon, "_insert", counted)
+    hom_closure(builtin_presentation("Z3"))
+    assert (len(growing), sum(growing)) == (17367, 7763)
+    assert seen.hexdigest() == \
+        "c831a7f9ede9c015699b82b1d6baaffaedc2d13b177329de42e08e7a1de73d29"
 
 
 def test_there_are_ten_connected_four_point_spaces():
@@ -748,7 +818,8 @@ def test_a_one_word_element_acts_by_its_cached_word_matrix(name):
     """A basis element whose representative is one nonempty word with
     coefficient 1 acts by that word's cached word_matrix, the same object,
     which equals the word product multiplied out afresh, at every object and
-    parity; its negative, two terms' worth of work before, still agrees."""
+    parity; its negative agrees, and is scaled once per table and read
+    from the table's memo after that."""
     t = cat(name).table
     one_word = 0
     for key in sorted(t.rank):
@@ -766,7 +837,10 @@ def test_a_one_word_element_acts_by_its_cached_word_matrix(name):
                     assert pre is t.word_matrix("pre", W, parity, w)
                     assert post == word_post_matrix(t, el, W, parity), (el, W, parity)
                     assert pre == word_pre_matrix(t, el, W, parity), (el, W, parity)
-                    assert t.post_matrix(neg, W, parity) == post.scale(-1)
+                    negated = t.post_matrix(neg, W, parity)
+                    assert negated == post.scale(-1)
+                    assert t.post_matrix(neg, W, parity) is negated
+                    assert t.pre_matrix(neg, W, parity) is t.pre_matrix(neg, W, parity)
     assert one_word
 
 

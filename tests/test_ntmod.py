@@ -4,6 +4,7 @@ import json
 import os
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -351,6 +352,52 @@ def test_level_zero_kernel_is_the_nil_lattice_formula(X):
         assert got.keys() == ref.keys()
         for key, K in ref.items():
             assert got[key] == K, (Y, key)
+
+
+# per space: the total size of level 2 over every S_Y, and the sha256 of
+# its sorted sizes per (Y, object, parity) as JSON
+LEVEL_TWO = {
+    "Z1": (3, "4568597e18010fd4f50a3d9f873bfd99c346745b75ca3f1aa362dd8bed341696"),
+    "Z2": (6, "a4ef9ba0d8a421af6669a5b5a86e25eb92f67dafcdcc6fe7aa884ca388eae348"),
+    "Z3": (13, "58419e275209d65c51b16dd5f361a8a2a399566d40cec6a660689fe834246458"),
+    "Z4": (33, "c2e52c65c8ac1fc8545761480f22c170ea76e0f8246c0d5616da4602781c5f01"),
+    "S": (13, "794f7cf14baaec8a643def31f7cf01ed20b51e6c3766d4b2efef7eaadf280c95"),
+    "C2": (20, "560a2ae9d56c0538584061f621047262e9e95894c9f6dce895b1ac284d071f3e"),
+    "pt": (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "1<2,1<3,1<4": (13, "c416e0a84d379e19b68f81fe852cefb6dee2ebcddcc093003b4c5662f9645afc"),
+    "1<2,1<3,1<4,2<3": (10, "2f6b24a0eff072d85c1b3d1cbc80c97aa208c2cbdd53d48cc2c1e1808d692d5b"),
+    "1<2,1<3,1<4,2<3,2<4": (13, "4e54fbe8f0264254e81c0c8e9010416fc9446e6e80f9ab8ef5e5d8ccbdccf0dc"),
+    "1<2,1<3,1<4,2<3,2<4,3<4":
+        (10, "1438d6d69beb6980c4d9303daefc0230fcd018dd7b51610342a8796a2b33e5ac"),
+    "1<2,1<3,1<4,2<4,3<4": (13, "794f7cf14baaec8a643def31f7cf01ed20b51e6c3766d4b2efef7eaadf280c95"),
+    "1<2,1<4,2<4,3<4": (10, "2c8b1d37f4a4dc91ede73fb1ad318462c7f264a4c7deb74fe87e80dc70ecab44"),
+    "1<2,1<4,3<4": (10, "224eec646fc01af64b0d7ba7f957401b1e8c205558a2c4b3551d697a80aa3420"),
+    "1<3,1<4,2<3,2<4": (20, "560a2ae9d56c0538584061f621047262e9e95894c9f6dce895b1ac284d071f3e"),
+    "1<3,1<4,2<3,2<4,3<4": (13, "e34844f9ccb8236fe6daf0dc6792cccca27142fd9f391603b3a16978d8a45f1e"),
+    "1<4,2<4,3<4": (13, "58419e275209d65c51b16dd5f361a8a2a399566d40cec6a660689fe834246458"),
+}
+
+
+@pytest.mark.parametrize("X", [builtin_space(n) for n in BUILTIN_NAMES]
+                         + connected_t0_spaces(4), ids=lambda X: X.name)
+def test_levels_one_and_two_count_the_arrows_and_the_pinned_relations(X):
+    """Level 1 of every S_Y is one summand (a.src, a.parity) per generating
+    arrow a into Y, so derive_arrows lists no redundant arrow; level 2,
+    which counts a minimal set of relations, has the pinned sizes per
+    (Y, object, parity).  These compare derive_arrows and
+    generate_relations with the resolution engine, which share only the
+    table."""
+    sc = space_category(X)
+    sizes = Counter()
+    for Y in sc.objects:
+        res = resolve_simple(sc, Y, 3)
+        assert sorted(res.level(1)) == sorted(
+            (a.src, a.parity) for a in sc.presentation.by_dst.get(Y, ())), Y
+        for A, eps in res.level(2):
+            sizes[Y, A, eps] += 1
+    text = json.dumps(sorted(sizes.items()))
+    assert (sum(sizes.values()), hashlib.sha256(text.encode()).hexdigest()) == \
+        LEVEL_TWO[X.name]
 
 
 LAYOUT_CORPUS = list(layout_corpus())
