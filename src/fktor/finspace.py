@@ -10,9 +10,8 @@ usual notation for these spaces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Iterable, Optional, Sequence
+from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence
 
 
 class SpaceError(Exception):
@@ -162,18 +161,17 @@ class FiniteSpace:
         return f"FiniteSpace({nm}, points={''.join(self.points)})"
 
 
-@dataclass(frozen=True)
-class LCSubset:
+class LCSubset(NamedTuple("LCSubset", [("value", Subset), ("witness_u", Subset),
+                                        ("witness_v", Subset)])):
     """A locally closed subset with an open-pair witness Y = U \\ V, V ⊆ U."""
-    value: Subset
-    witness_u: Subset
-    witness_v: Subset
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.witness_v <= self.witness_u:
+    def __new__(cls, value: Subset, witness_u: Subset, witness_v: Subset):
+        if not witness_v <= witness_u:
             raise SpaceError("witness must satisfy V ⊆ U")
-        if self.witness_u - self.witness_v != self.value:
+        if witness_u - witness_v != value:
             raise SpaceError("witness does not reproduce the subset")
+        return tuple.__new__(cls, (value, witness_u, witness_v))
 
     @property
     def label(self) -> str:

@@ -12,14 +12,13 @@ sign convention.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .finspace import FiniteSpace, builtin_name, label, lc_subsets, space_from_ref, space_ref
 from .ntcat import SpaceCategory, space_category
 from .ntmod import GradedModule, TorReport, tor
 from .zexact import (AbGroupNF, GradedGroup, GradedHom, IntMatrix, Presentation,
-                     hermite_coords, hnf_columns, kernel, subquotient_homology)
+                     _Record, hermite_coords, hnf_columns, kernel, subquotient_homology)
 
 
 class GraphError(Exception):
@@ -95,14 +94,19 @@ class BlockGraph:
 # Structural checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GraphReport:
-    triangular: bool
-    no_sinks: bool
-    no_sources: bool
-    condition_k: bool
-    condition_k_checked: bool  # always True; kept in the report schema
-    problems: List[str] = field(default_factory=list)
+class GraphReport(_Record):
+    __slots__ = _fields = ("triangular", "no_sinks", "no_sources", "condition_k",
+                           "condition_k_checked", "problems")
+
+    def __init__(self, triangular: bool, no_sinks: bool, no_sources: bool,
+                 condition_k: bool, condition_k_checked: bool,
+                 problems: Optional[List[str]] = None):
+        self.triangular = triangular
+        self.no_sinks = no_sinks
+        self.no_sources = no_sources
+        self.condition_k = condition_k
+        self.condition_k_checked = condition_k_checked  # always True; kept in the report schema
+        self.problems = [] if problems is None else problems
 
 
 def _single_cycle_components(G: BlockGraph) -> List[List[int]]:
@@ -165,11 +169,13 @@ def graph_checks(G: BlockGraph) -> GraphReport:
 # Subquotient K-groups
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SubquotientK:
-    subset: str
-    k0: Presentation        # coker of B'[V_Y]
-    k1_basis: IntMatrix      # columns: canonical lattice basis of ker B'[V_Y]
+class SubquotientK(_Record):
+    __slots__ = _fields = ("subset", "k0", "k1_basis")
+
+    def __init__(self, subset: str, k0: Presentation, k1_basis: IntMatrix):
+        self.subset = subset
+        self.k0 = k0                # coker of B'[V_Y]
+        self.k1_basis = k1_basis    # columns: canonical lattice basis of ker B'[V_Y]
 
     def k0_nf(self) -> AbGroupNF:
         return self.k0.normal_form()
@@ -252,13 +258,19 @@ def tor_ck(G: BlockGraph, max_degree: int = 2, engine: str = "auto") -> TorRepor
 # Fast paths: the classical three-term complexes evaluated on kernels
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FastTorResult:
-    group_even: AbGroupNF
-    group_odd: AbGroupNF
-    witnesses: Dict[str, tuple] = field(default_factory=dict)
-    middle_groups: Tuple[AbGroupNF, ...] = ()
-    homology: Optional[object] = None  # HomologyResult; class_of factors nothing
+class FastTorResult(_Record):
+    __slots__ = _fields = ("group_even", "group_odd", "witnesses", "middle_groups",
+                           "homology")
+
+    def __init__(self, group_even: AbGroupNF, group_odd: AbGroupNF,
+                 witnesses: Optional[Dict[str, tuple]] = None,
+                 middle_groups: Tuple[AbGroupNF, ...] = (),
+                 homology: Optional[object] = None):
+        self.group_even = group_even
+        self.group_odd = group_odd
+        self.witnesses = {} if witnesses is None else witnesses
+        self.middle_groups = middle_groups
+        self.homology = homology  # HomologyResult; class_of factors nothing
 
 
 def _three_term(G: BlockGraph, space: str, *specs):

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space,
                        label, space_from_ref, space_ref)
-from .zexact import Echelon, IntMatrix, ZExactError, smith, solve_columns
+from .zexact import Echelon, IntMatrix, ZExactError, _Record, smith, solve_columns
 
 
 class CategoryError(Exception):
@@ -95,8 +95,7 @@ def combo_canonical(a: Combo) -> Tuple:
 IDENTITY: Combo = {(): 1}
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     src: str
     dst: str
@@ -599,22 +598,29 @@ def builtin_presentation(space_name: str) -> CatPresentation:
 # Hom table computation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Bucket:
+class _Bucket(_Record):
     """The words of hom_closure's bound from src to dst at parity, in
     nondecreasing length, with their index and, per arrow a out of dst,
     ext[a.name] = (key of the bucket of the words·a, table): table[i] is
     the index there of words[i]·a, for the `short` words shorter than the
     bound, a prefix.  Tables name buckets by key, so buckets hold no
     references to each other."""
-    src: str
-    dst: str
-    parity: int
-    words: List[Word] = field(default_factory=list)
-    index: Dict[Word, int] = field(default_factory=dict)
-    ext: Dict[str, Tuple[Tuple[str, str, int], List[int]]] = field(default_factory=dict)
-    short: int = 0
-    lattice: Optional[Echelon] = None
+    __slots__ = _fields = ("src", "dst", "parity", "words", "index", "ext", "short",
+                           "lattice")
+
+    def __init__(self, src: str, dst: str, parity: int,
+                 words: Optional[List[Word]] = None,
+                 index: Optional[Dict[Word, int]] = None,
+                 ext: Optional[Dict[str, Tuple[Tuple[str, str, int], List[int]]]] = None,
+                 short: int = 0, lattice: Optional[Echelon] = None):
+        self.src = src
+        self.dst = dst
+        self.parity = parity
+        self.words = [] if words is None else words
+        self.index = {} if index is None else index
+        self.ext = {} if ext is None else ext
+        self.short = short
+        self.lattice = lattice
 
 
 class Element:
@@ -988,12 +994,15 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
 # Ring ideal data
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RingIdealData:
-    nilpotent: bool
-    semidirect: bool
-    nilpotency_index: Optional[int]
-    end_nil_ranks: Dict[str, Tuple[int, int]]
+class RingIdealData(_Record):
+    __slots__ = _fields = ("nilpotent", "semidirect", "nilpotency_index", "end_nil_ranks")
+
+    def __init__(self, nilpotent: bool, semidirect: bool, nilpotency_index: Optional[int],
+                 end_nil_ranks: Dict[str, Tuple[int, int]]):
+        self.nilpotent = nilpotent
+        self.semidirect = semidirect
+        self.nilpotency_index = nilpotency_index
+        self.end_nil_ranks = end_nil_ranks
 
 
 def _along(side: str, src: str, dst: str) -> Tuple[str, str]:
@@ -1115,16 +1124,21 @@ def ideal_checks(table: HomTable) -> RingIdealData:
 # Bundled per-space data
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SpaceCategory:
+class SpaceCategory(_Record):
     """Space, presentation, computed table and designated words, bundled,
     with the generic engine's resolutions of the simple modules by object
-    (see ntmod.resolution_for)."""
-    space: FiniteSpace
-    presentation: CatPresentation
-    table: HomTable
-    designator: Designator
-    resolutions: dict = field(default_factory=dict, compare=False, repr=False)
+    (see ntmod.resolution_for), which equality and repr leave out.  A
+    category can be weakly referenced."""
+    _fields = ("space", "presentation", "table", "designator")
+    __slots__ = _fields + ("resolutions", "__weakref__")
+
+    def __init__(self, space: FiniteSpace, presentation: CatPresentation, table: HomTable,
+                 designator: Designator, resolutions: Optional[dict] = None):
+        self.space = space
+        self.presentation = presentation
+        self.table = table
+        self.designator = designator
+        self.resolutions = {} if resolutions is None else resolutions
 
     @property
     def objects(self):

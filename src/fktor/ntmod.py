@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .finspace import builtin_name, label, space_from_ref, space_ref
@@ -21,7 +20,7 @@ from .ntcat import (Arrow, Combo, Element, HomTable, SpaceCategory, _along,
                     builtin_category, end_splits, generator_images, ideal_checks,
                     space_category)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
-                     IntMatrix, Presentation, block_diag, exact_node,
+                     IntMatrix, Presentation, _Record, block_diag, exact_node,
                      graded_direct_sum, kernel, hnf_columns, map_echelon,
                      shift as shift_group, subquotient_homology)
 
@@ -444,10 +443,12 @@ def coker_module(sc: SpaceCategory, targets: Sequence[Summand],
 # Validation and exactness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    problems: List[str] = field(default_factory=list)
+class ValidationReport(_Record):
+    __slots__ = _fields = ("ok", "problems")
+
+    def __init__(self, ok: bool, problems: Optional[List[str]] = None):
+        self.ok = ok
+        self.problems = [] if problems is None else problems
 
 
 def _require_actions(M: GradedModule, what: str) -> None:
@@ -559,10 +560,12 @@ def _map_echelon(nodes: dict, h: GroupHom) -> Echelon:
     return ech
 
 
-@dataclass
-class ExactnessReport:
-    ok: bool
-    failures: List[str] = field(default_factory=list)
+class ExactnessReport(_Record):
+    __slots__ = _fields = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: Optional[List[str]] = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
 
 
 def check_exact(M: GradedModule) -> ExactnessReport:
@@ -929,11 +932,13 @@ def resolution_for(sc: SpaceCategory, Y: str, depth: int,
 # Tor
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TorReport:
+class TorReport(_Record):
     """Per object and degree: the graded Tor group in normal form."""
-    space: str
-    groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]]
+    __slots__ = _fields = ("space", "groups")
+
+    def __init__(self, space: str, groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]]):
+        self.space = space
+        self.groups = groups
 
     def aggregate(self, n: int) -> Tuple[AbGroupNF, AbGroupNF]:
         ev_rank = od_rank = 0

@@ -9,10 +9,9 @@ and coordinates in their Hermite bases come from row echelons.  No floats anywhe
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, itemgetter, mul, neg
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 
 class ZExactError(Exception):
@@ -21,6 +20,27 @@ class ZExactError(Exception):
 
 class CompositionNonZeroError(ZExactError):
     """Raised when a would-be complex has a nonzero composite."""
+
+
+class _Record:
+    """Base of fktor's mutable records: a subclass lists its fields in
+    `_fields`, keeps them in `__slots__` and sets them in its `__init__`.
+    Two records are equal when they are of one class with equal fields, and
+    a record is unhashable and shown as Name(field=value, ...)."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(getattr(self, f) for f in self._fields) == \
+            tuple(getattr(other, f) for f in self._fields)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
 
 
 # ---------------------------------------------------------------------------
@@ -731,18 +751,17 @@ def exact_node(f_ech: Echelon, g_ech: Echelon, n: int) -> bool:
 # Presented abelian groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbGroupNF:
+class AbGroupNF(NamedTuple("AbGroupNF", [("rank", int), ("torsion", tuple)])):
     """Canonical form Z^rank + Z/d1 + Z/d2 + ... with 1 < d1 | d2 | ..."""
-    rank: int
-    torsion: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i, d in enumerate(self.torsion):
+    def __new__(cls, rank: int, torsion: tuple):
+        for i, d in enumerate(torsion):
             if d <= 1:
                 raise ZExactError("torsion entries must exceed 1")
-            if i and d % self.torsion[i - 1] != 0:
+            if i and d % torsion[i - 1] != 0:
                 raise ZExactError("torsion divisibility chain violated")
+        return tuple.__new__(cls, (rank, torsion))
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -880,17 +899,15 @@ def normal_form(P: Presentation) -> AbGroupNF:
     return P.normal_form()
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(NamedTuple("GroupHom", [("source", Presentation), ("target", Presentation),
+                                        ("matrix", IntMatrix)])):
     """Hom of presented groups, given by a matrix on generators."""
-    source: Presentation
-    target: Presentation
-    matrix: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.matrix.rows != self.target.generators or \
-           self.matrix.cols != self.source.generators:
+    def __new__(cls, source: Presentation, target: Presentation, matrix: IntMatrix):
+        if matrix.rows != target.generators or matrix.cols != source.generators:
             raise ZExactError("hom matrix shape mismatch")
+        return tuple.__new__(cls, (source, target, matrix))
 
     def is_well_defined(self) -> bool:
         R = self.source.relations
@@ -922,8 +939,7 @@ class GroupHom:
         return GroupHom(P, P, IntMatrix.identity(P.generators))
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     group: AbGroupNF
     # presentation of ker(g)/im(f) in terms of a kernel lattice basis
     lattice_basis: IntMatrix      # columns: basis of the lifted cycle lattice
@@ -976,8 +992,7 @@ def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:
 # Z/2-graded groups and homs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradedGroup:
+class GradedGroup(NamedTuple):
     even: Presentation
     odd: Presentation
 
@@ -1009,20 +1024,19 @@ def graded_direct_sum(groups: Sequence[GradedGroup]) -> GradedGroup:
     return GradedGroup(Presentation(ev_g, ev_r), Presentation(od_g, od_r))
 
 
-@dataclass(frozen=True)
-class GradedHom:
+class GradedHom(NamedTuple("GradedHom", [("degree", int), ("from_even", GroupHom),
+                                          ("from_odd", GroupHom)])):
     """Parity respecting map of graded groups.
 
     degree 0: from_even: even->even, from_odd: odd->odd
     degree 1: from_even: even->odd,  from_odd: odd->even
     """
-    degree: int
-    from_even: GroupHom
-    from_odd: GroupHom
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree not in (0, 1):
+    def __new__(cls, degree: int, from_even: GroupHom, from_odd: GroupHom):
+        if degree not in (0, 1):
             raise ZExactError("degree must be 0 or 1")
+        return tuple.__new__(cls, (degree, from_even, from_odd))
 
     @staticmethod
     def build(degree: int, source: GradedGroup, target: GradedGroup,

@@ -15,10 +15,10 @@ helpers only the tests use (eval_combo, graded_rank, is_generator), the
 per-object M_ss loop and the nil-lattice formula for level 0 of a
 resolution that ntmod.m_ss and the resolution engine are tested against,
 a digest of a table's nil lattices and ideal checks, the renumbering
-of the vertices inside the blocks of a graph, and its out-splits and
-in-splits."""
+of the vertices inside the blocks of a graph, its out-splits and
+in-splits, and the six-term maps of a graph computed from B' alone
+(with a dense lattice solve) that fk_module's are tested against."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -300,7 +300,11 @@ def nil_digest(t):
     in sorted key order, and of its ideal_checks record."""
     lattices = [[list(key), hnf_columns(IntMatrix.from_columns(vecs, t.rank.get(key, 0)))
                  .to_lists()] for key, vecs in sorted(nil_basis(t).items())]
-    text = json.dumps([lattices, dataclasses.asdict(ideal_checks(t))], sort_keys=True)
+    ideal = ideal_checks(t)
+    record = {"nilpotent": ideal.nilpotent, "semidirect": ideal.semidirect,
+              "nilpotency_index": ideal.nilpotency_index,
+              "end_nil_ranks": ideal.end_nil_ranks}
+    text = json.dumps([lattices, record], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -651,6 +655,74 @@ def reference_six_term_maps(M, U, Y):
         h = block_graded_hom(1, eU, eE, [[bnd(C, E) for C in compsU] for E in compsE])
         names = (f"M({label(Y - U)})", f"M({label(Y)})", f"M({label(U)})")
     return f, g, h, names
+
+
+def dense_solve(A, cols):
+    """A solution x of A x = v for each column v of `cols`, read off one
+    dense Smith form U A V = S (x = V y with S y = U v and y zero past the
+    rank), or None when some v is not in the column lattice of A."""
+    sf = smith_dense(A)
+    rank = sum(1 for i in range(min(A.rows, A.cols)) if sf.S[i, i])
+    out = []
+    for v in cols:
+        w = sf.U.apply(v)
+        if any(w[rank:]) or any(w[i] % sf.S[i, i] for i in range(rank)):
+            return None
+        out.append(sf.V.apply([w[i] // sf.S[i, i] for i in range(rank)]
+                              + [0] * (A.cols - rank)))
+    return out
+
+
+def graph_six_term_maps(G, U, Y):
+    """Reference for the six-term maps of fk_module(G), from B' alone: the
+    inclusion f, restriction g and connecting map h of the pair U open in
+    Y, laid out over the components of U and of Y∖U as ntmod.six_term_maps
+    lays out a left module's maps.
+
+    The vertex sets give a short exact sequence of complexes
+    0 -> C_U -> C_Y -> C_{Y∖U} -> 0 with C_S = B'[V_S] on Z^{V_S}, K0 its
+    cokernel and K1 its kernel, whose long exact sequence is the six-term
+    one: inclusion and restriction act by vertex coordinates, and the
+    connecting map lifts a kernel vector of B'[V_E] by zero, applies B' and
+    lands in Z^{V_U}, which is the block B'(C, E) into each component C.
+    Kernel lattices are the smith_kernel bases, and K1 coordinates in them
+    come from dense_solve.  Returns three (from_even, from_odd, relations)
+    triples, relations being those of the K0 group the map's K0 part lands
+    in (the target's even part for f and g, and for h, of degree 1, the
+    target of from_odd)."""
+    X = G.space
+    compsU, compsE = X.components(U), X.components(Y - U)
+    kb = {S: smith_kernel(G.bprime_block(S, S)) for S in [Y, *compsU, *compsE]}
+    nv = {S: len(G.vertices_of(S)) for S in kb}
+    nk = {S: kb[S].cols for S in kb}
+
+    def coords(S, T):
+        pos = {v: i for i, v in enumerate(G.vertices_of(T))}
+        return IntMatrix.from_sparse_columns(
+            [{pos[v]: 1} if v in pos else {} for v in G.vertices_of(S)], nv[T])
+
+    def k1(S, T):
+        sol = dense_solve(kb[T], (coords(S, T) * kb[S]).columns())
+        assert sol is not None, f"K1({label(S)}) does not map into K1({label(T)})"
+        return IntMatrix.from_columns(sol, nk[T])
+
+    def rels(parts):
+        return block_diag([G.bprime_block(S, S) for S in parts])
+
+    def sizes(n, parts):
+        return [n[S] for S in parts]
+
+    f = (IntMatrix.block([[coords(C, Y) for C in compsU]], [nv[Y]], sizes(nv, compsU)),
+         IntMatrix.block([[k1(C, Y) for C in compsU]], [nk[Y]], sizes(nk, compsU)),
+         rels([Y]))
+    g = (IntMatrix.block([[coords(Y, E)] for E in compsE], sizes(nv, compsE), [nv[Y]]),
+         IntMatrix.block([[k1(Y, E)] for E in compsE], sizes(nk, compsE), [nk[Y]]),
+         rels(compsE))
+    h = (IntMatrix.zero(sum(sizes(nk, compsU)), sum(sizes(nv, compsE))),
+         IntMatrix.block([[G.bprime_block(C, E) * kb[E] for E in compsE] for C in compsU],
+                         sizes(nv, compsU), sizes(nk, compsE)),
+         rels(compsU))
+    return f, g, h
 
 
 def reference_six_term_nodes(M):

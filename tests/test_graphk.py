@@ -5,11 +5,11 @@ import sys
 
 import pytest
 
-from conftest import (is_generator, random_block_graph, reference_six_term_nodes,
-                      reference_tor_nodes, word_action,
+from conftest import (dense_solve, graph_six_term_maps, is_generator, random_block_graph,
+                      reference_six_term_nodes, reference_tor_nodes, word_action,
                       z1_right_module_with_i_acting_by_one)
 
-from fktor.finspace import (FiniteSpace, builtin_space, point_space,
+from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, builtin_space, label, point_space,
                             space_from_json, space_to_json)
 from fktor.graphk import (
     BlockGraph, GraphError, fk_module, graph_checks, k_groups, s_fast_tor1,
@@ -208,6 +208,55 @@ def test_fk_module_is_valid_and_exact_for_ck_examples():
         M = fk_module(G)
         assert validate(M).ok
         assert check_exact(M).ok
+
+
+def singular_block_graph(space_name, rng):
+    """A triangular graph with two vertices a block, each block's own edges
+    [[2, 1], [1, 2]], so that B' is [[1, 1], [1, 1]] there and every K1 is
+    nonzero, and random edges between blocks where triangularity allows."""
+    space = builtin_space(space_name)
+    pt = [p for p in space.points for _ in range(2)]
+    n = len(pt)
+    A = [[0] * n for _ in range(n)]
+    for v in range(n):
+        for w in range(n):
+            if pt[w] == pt[v]:
+                A[v][w] = 2 if v == w else 1
+            elif pt[w] in space.min_open(pt[v]):
+                A[v][w] = rng.randint(0, 2)
+    return BlockGraph(space, [(p, 2) for p in space.points], IntMatrix(A))
+
+
+_RNG = random.Random(17)
+# over each builtin space with a six-term pair, three seeded random graphs,
+# whose K1 groups are mostly 0, and two whose K1 groups are all nonzero;
+# then the ck examples
+SIX_TERM_GRAPHS = [(f"{name}-{i}", random_block_graph(name, _RNG))
+                   for name in BUILTIN_NAMES if name != "pt" for i in range(3)] + \
+    [(f"{name}-singular-{i}", singular_block_graph(name, _RNG))
+     for name in BUILTIN_NAMES if name != "pt" for i in range(2)] + \
+    [("ck_z3", ck_z3()), ("ck_s", ck_s())]
+
+
+@pytest.mark.parametrize("name,G", SIX_TERM_GRAPHS, ids=[n for n, _ in SIX_TERM_GRAPHS])
+def test_fk_module_six_term_maps_are_the_graphs(name, G):
+    """The maps check_exact checks, built from fk_module's actions along the
+    designated words, are the inclusion, restriction and connecting map of
+    the graph's own six-term sequences: equal on K1 coordinates and equal
+    modulo the relations of K0."""
+    M = fk_module(G)
+    for U, Y, compsU, compsE in G.space.six_term_pairs():
+        f, g, h, _ = ntmod.six_term_maps(M, U, Y, compsU, compsE)
+        for kind, hom, degree, (ev, od, rel) in zip(
+                "fgh", (f, g, h), (0, 0, 1), graph_six_term_maps(G, U, Y)):
+            at = f"{kind} of ({label(U)} ⊆ {label(Y)})"
+            assert hom.degree == degree, at
+            if degree == 0:
+                k0, k0_ref, k1, k1_ref = hom.from_even, ev, hom.from_odd, od
+            else:
+                k0, k0_ref, k1, k1_ref = hom.from_odd, od, hom.from_even, ev
+            assert k1.matrix == k1_ref, at
+            assert dense_solve(rel, (k0.matrix - k0_ref).columns()) is not None, at
 
 
 @pytest.mark.parametrize("graph", [ck_z3, ck_s])
