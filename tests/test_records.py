@@ -1,7 +1,8 @@
-"""fktor's value and report types: the frozen ones are NamedTuples, the
-mutable ones slotted records, and both behave as the frozen and plain
-dataclasses they stand for: equality, hashing, repr, construction,
-defaults and validation.  A cold `import fktor.cli` loads no
+"""fktor's value and report types: the frozen ones are NamedTuples and the
+mutable ones slotted records.  Both compare by their fields within one
+class, show as Name(field=value, ...) and build from positional or keyword
+fields with their defaults; only the frozen ones hash, and the validated
+ones refuse bad fields.  A cold `import fktor.cli` loads no
 `dataclasses`, nor what that module would pull in."""
 
 import io
@@ -134,8 +135,8 @@ def test_the_value_types_are_not_used_as_tuples(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def records():
-    """(class, fields by name, defaults by name) for each mutable record;
-    the fields are those of the dataclass the record stands for, in order."""
+    """(class, fields by name, defaults by name) for each mutable record,
+    its fields in order."""
     sc = builtin_category("Z1")
     return [
         (_Bucket, dict(src="1", dst="1", parity=0),
@@ -176,7 +177,7 @@ def test_records_keep_fields_construction_and_defaults(cls, fields, defaults):
     assert getattr(a, last) is None and a != b
 
 
-def test_record_repr_and_equality_follow_the_dataclass_form():
+def test_record_repr_and_equality():
     assert repr(ValidationReport(True)) == "ValidationReport(ok=True, problems=[])"
     assert repr(ExactnessReport(False, ["x"])) == "ExactnessReport(ok=False, failures=['x'])"
     assert ValidationReport(True) != ExactnessReport(True)
