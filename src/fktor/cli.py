@@ -22,7 +22,7 @@ from .ntcat import (CategoryError, builtin_category, ideal_checks,
                     space_category)
 from .ntmod import (GradedModule, HypothesisNotVerifiedError, ModuleError,
                     check_exact, check_hypotheses, tor, validate)
-from .zexact import ZExactError
+from .zexact import ZExactError, guard_int
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -329,10 +329,9 @@ def _nonnegative(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a nonnegative integer, not {text!r}")
+        n = None
+    guard_int(n, argparse.ArgumentTypeError, "must be a nonnegative integer, not {!r}", 0,
+              shown=text)
     return n
 
 

@@ -13,6 +13,8 @@ import json
 from itertools import combinations
 from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence
 
+from .zexact import guard_int, guard_name
+
 
 class SpaceError(Exception):
     pass
@@ -236,8 +238,7 @@ def is_accordion_union(X: FiniteSpace) -> bool:
 def z_space(m: int) -> FiniteSpace:
     """(m+1) points 1..m+1; a set is open iff it contains m+1 or is empty.
     Points are named by single characters, so m is at most 8."""
-    if type(m) is not int or not 1 <= m <= 8:
-        raise SpaceError(f"z_space needs an integer 1 <= m <= 8, not {m!r}")
+    guard_int(m, SpaceError, "z_space needs an integer 1 <= m <= 8, not {!r}", 1, 8)
     points = [str(i) for i in range(1, m + 2)]
     top = str(m + 1)
     rest = [str(i) for i in range(1, m + 1)]
@@ -270,8 +271,7 @@ BUILTIN_NAMES = ("Z1", "Z2", "Z3", "Z4", "S", "C2", "pt")
 
 def builtin_space(name: str) -> FiniteSpace:
     """The builtin space of that name; exactly the names in BUILTIN_NAMES."""
-    if name not in BUILTIN_NAMES:
-        raise SpaceError(f"unknown builtin space {name!r}")
+    guard_name(name, BUILTIN_NAMES, SpaceError, "unknown builtin space {!r}")
     if name.startswith("Z"):
         return z_space(int(name[1:]))
     if name == "S":
@@ -310,8 +310,6 @@ def space_from_json(data) -> FiniteSpace:
     if not isinstance(data, dict):
         raise SpaceError("space JSON must be an object")
     if "builtin" in data:
-        if not isinstance(data["builtin"], str):
-            raise SpaceError("builtin space name must be a string")
         return builtin_space(data["builtin"])
     for key in ("points", "opens"):
         if key not in data:

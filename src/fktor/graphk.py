@@ -18,7 +18,8 @@ from .finspace import FiniteSpace, builtin_name, label, lc_subsets, space_from_r
 from .ntcat import SpaceCategory, space_category
 from .ntmod import GradedModule, TorReport, tor
 from .zexact import (AbGroupNF, GradedGroup, GradedHom, IntMatrix, Presentation,
-                     _Record, hermite_coords, hnf_columns, kernel, subquotient_homology)
+                     _Record, guard_int, hermite_coords, hnf_columns, kernel,
+                     subquotient_homology)
 
 
 class GraphError(Exception):
@@ -37,10 +38,8 @@ class BlockGraph:
         if sorted(pts) != sorted(space.points):
             raise GraphError("blocks must biject onto the points of the space")
         for _, k in blocks:
-            if type(k) is not int:
-                raise GraphError(f"block vertex counts must be integers, not {k!r}")
-            if k <= 0:
-                raise GraphError("every block needs at least one vertex")
+            guard_int(k, GraphError, "every block needs at least one vertex: block vertex "
+                      "counts must be integers of at least 1, not {!r}", 1)
         n = sum(n for _, n in blocks)
         if adjacency.rows != n or adjacency.cols != n:
             raise GraphError(f"adjacency must be {n}x{n}")

@@ -22,7 +22,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optio
 
 from .finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space,
                        label, space_from_ref, space_ref)
-from .zexact import Echelon, IntMatrix, ZExactError, _Record, smith, solve_columns
+from .zexact import (Echelon, IntMatrix, ZExactError, _Record, guard_int, guard_name, smith,
+                     solve_columns)
 
 
 class CategoryError(Exception):
@@ -577,6 +578,9 @@ _CLASSICAL = ("Z1", "Z2", "Z3", "Z4", "pt")
 # word bound of hom_closure per builtin; the shipped caches depend on it
 DEFAULT_MAX_LEN = {"Z1": 8, "Z2": 9, "Z3": 10, "Z4": 9, "C2": 10, "S": 10, "pt": 2}
 
+_PARITY = "a parity must be 0 or 1, not {!r}"
+_SIDE = "side must be 'left' or 'right', not {!r}"
+
 
 def _presentation(space: FiniteSpace):
     """The presentation of NT*(X) on the derived arrows, with the Designator
@@ -589,8 +593,7 @@ def _presentation(space: FiniteSpace):
 
 
 def builtin_presentation(space_name: str) -> CatPresentation:
-    if space_name not in BUILTIN_NAMES:
-        raise CategoryError(f"no builtin category for space {space_name!r}")
+    guard_name(space_name, BUILTIN_NAMES, CategoryError, "no builtin category for space {!r}")
     return _presentation(builtin_space(space_name))[0]
 
 
@@ -668,6 +671,7 @@ class HomTable:
     def __init__(self, presentation: CatPresentation):
         self.presentation = presentation
         self.objects = list(presentation.objects)
+        self._no_object = f"{{!r}} is not an object of {presentation.space.name}"
         self.rank: Dict[Tuple[str, str, int], int] = {}
         self.reps: Dict[Tuple[str, str, int], List[Combo]] = {}
         self.post: Dict[Tuple[str, str, int, str], IntMatrix] = {}
@@ -678,14 +682,26 @@ class HomTable:
 
     # -- element helpers -----------------------------------------------------
 
+    def check_object(self, obj, error) -> None:
+        """Refuse, with `error`, an obj that has no identity in the table."""
+        guard_name(obj, self.id_coords, error, self._no_object)
+
+    def _hom_rank(self, src, dst, parity) -> int:
+        """The rank of NT(src, dst) at parity; refuses a triple naming no Hom group."""
+        self.check_object(src, CategoryError)
+        self.check_object(dst, CategoryError)
+        guard_int(parity, CategoryError, _PARITY, 0, 1)
+        return self.rank.get((src, dst, parity), 0)
+
     def zero(self, src, dst, parity) -> Element:
-        return Element(src, dst, parity, (0,) * self.rank.get((src, dst, parity), 0))
+        return Element(src, dst, parity, (0,) * self._hom_rank(src, dst, parity))
 
     def identity(self, obj) -> Element:
+        self.check_object(obj, CategoryError)
         return Element(obj, obj, 0, self.id_coords[obj])
 
     def basis_elements(self, src, dst, parity) -> List[Element]:
-        r = self.rank.get((src, dst, parity), 0)
+        r = self._hom_rank(src, dst, parity)
         return [Element(src, dst, parity, tuple(1 if i == k else 0 for i in range(r)))
                 for k in range(r)]
 
@@ -715,16 +731,17 @@ class HomTable:
         last generator, pre the suffix by its first.  A generator matrix the
         table lacks (a pair never reached within the closure bound) acts
         as 0."""
+        guard_name(side, ("post", "pre"), CategoryError, "side must be 'post' or 'pre', not {!r}")
+        self.check_object(W, CategoryError)
+        guard_int(parity, CategoryError, _PARITY, 0, 1)  # True would find the key of 1
         key = (side, W, parity, word)
         M = self._word_matrices.get(key)
         if M is None:
             arrows = self.presentation.arrows
             if side == "post":
                 a, rest = arrows[word[-1]], word[:-1]
-            elif side == "pre":
-                a, rest = arrows[word[0]], word[1:]
             else:
-                raise CategoryError(f"side must be 'post' or 'pre', not {side!r}")
+                a, rest = arrows[word[0]], word[1:]
             p = parity
             for nm in rest:
                 p ^= arrows[nm].parity
@@ -740,13 +757,17 @@ class HomTable:
             self._word_matrices[key] = M
         return M
 
-    def _combo_matrix(self, side: str, el: Element, W: str, parity: int,
-                      n_in: int, n_out: int) -> IntMatrix:
+    def _combo_matrix(self, side: str, el: Element, W: str, parity: int) -> IntMatrix:
         """Sum of word_matrix over the representative words of el, each
         scaled by its coefficient, the identity standing for the empty word.
         A nonempty word's scaled copy is kept in _word_matrices under its
         coefficient, so an el that is one nonempty word is a cached matrix
         itself."""
+        self.check_object(W, CategoryError)
+        guard_int(parity, CategoryError, _PARITY, 0, 1)
+        at, to = ((W, el.src), (W, el.dst)) if side == "post" else ((el.dst, W), (el.src, W))
+        n_in = self.rank.get((*at, parity), 0)
+        n_out = self.rank.get((*to, parity ^ el.parity), 0)
         out = None
         for w, c in self.element_combo(el).items():
             if not w:
@@ -772,16 +793,12 @@ class HomTable:
     def post_matrix(self, el: Element, W: str, parity: int) -> IntMatrix:
         """Matrix of x ↦ el∘x from NT(W, el.src) at `parity` to
         NT(W, el.dst), summed over the words of el."""
-        return self._combo_matrix("post", el, W, parity,
-                                  self.rank.get((W, el.src, parity), 0),
-                                  self.rank.get((W, el.dst, parity ^ el.parity), 0))
+        return self._combo_matrix("post", el, W, parity)
 
     def pre_matrix(self, el: Element, W: str, parity: int) -> IntMatrix:
         """Matrix of x ↦ x∘el from NT(el.dst, W) at `parity` to
         NT(el.src, W), summed over the words of el."""
-        return self._combo_matrix("pre", el, W, parity,
-                                  self.rank.get((el.dst, W, parity), 0),
-                                  self.rank.get((el.src, W, parity ^ el.parity), 0))
+        return self._combo_matrix("pre", el, W, parity)
 
     def total_rank(self) -> int:
         return sum(self.rank.values())
@@ -859,8 +876,7 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     pres = presentation
     if max_len is None:
         max_len = DEFAULT_MAX_LEN.get(builtin_name(pres.space), 10)
-    if type(max_len) is not int or max_len < 1:
-        raise CategoryError(f"max_len must be an integer at least 1, not {max_len!r}")
+    guard_int(max_len, CategoryError, "max_len must be an integer at least 1, not {!r}", 1)
 
     buckets, words_from = _enumerate_words(pres, max_len)
 
@@ -1022,6 +1038,7 @@ def generator_images(arrows: Iterable[Arrow], side: str, act: Callable,
     of N's parity-p part (None: nothing to build); vecs[(obj, p)] holds N's
     spanning vectors there as columns, or None for all of N there, and a
     slot that vecs lacks holds nothing; vecs=None stands for all of N."""
+    guard_name(side, ("left", "right"), CategoryError, _SIDE)
     out: Dict[Tuple[str, int], List[tuple]] = {}
     for a in arrows:
         s, d = _along(side, a.src, a.dst)
@@ -1092,6 +1109,7 @@ def end_splits(table: HomTable, obj: str) -> bool:
     basis is a lattice basis), and id_coords[obj] with the even nil basis
     are rank-many rows that span Z^rank.  Then the identity coefficient
     End(obj)_even -> Z is onto, with the even nil lattice as its kernel."""
+    table.check_object(obj, CategoryError)
     nil = nil_basis(table)
     ev, rank = nil[(obj, obj, 0)], table.rank.get((obj, obj, 0), 0)
     span = Echelon(rank)

@@ -16,13 +16,13 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .finspace import builtin_name, label, space_from_ref, space_ref
-from .ntcat import (Arrow, Combo, Element, HomTable, SpaceCategory, _along,
+from .ntcat import (_PARITY, _SIDE, Arrow, Combo, Element, HomTable, SpaceCategory, _along,
                     builtin_category, end_splits, generator_images, ideal_checks,
                     space_category)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
                      IntMatrix, Presentation, _Record, block_diag, exact_node,
-                     graded_direct_sum, kernel, hnf_columns, map_echelon,
-                     shift as shift_group, subquotient_homology)
+                     graded_direct_sum, guard_int, guard_name, kernel, hnf_columns,
+                     map_echelon, shift as shift_group, subquotient_homology)
 
 
 class ModuleError(Exception):
@@ -40,6 +40,13 @@ class CatalogueError(ModuleError):
 Summand = Tuple[str, int]  # (object, shift)
 Blocks = Sequence[Sequence[Optional[Element]]]  # a map of free modules, None for 0
 Slots = Dict[Tuple[str, int], List[int]]  # (W, parity) -> block sizes of a free module
+
+_SIDES = ("left", "right")
+_DEPTH = "a resolution needs a nonnegative integer depth, not {!r}"
+_DEGREE = "Tor needs a nonnegative integer degree, not {!r}"
+_SUMMAND = "summand {!r} is not (object, integer shift)"
+_MAX_N = ("pd up to max_n reads Tor at the nonnegative integer degree max_n + 1, "
+          "so max_n must be an integer, at least 0, not {!r}")
 
 
 def _shifted(G: GradedGroup, eps: int) -> GradedGroup:
@@ -70,8 +77,7 @@ class GradedModule:
     def __init__(self, category: SpaceCategory, variance: str,
                  entries: Dict[str, GradedGroup],
                  actions: Dict[str, GradedHom]):
-        if variance not in ("left", "right"):
-            raise ModuleError("variance must be 'left' or 'right'")
+        guard_name(variance, _SIDES, ModuleError, "variance must be 'left' or 'right', not {!r}")
         self.category = category
         self.variance = variance
         self.entries = dict(entries)
@@ -95,6 +101,7 @@ class GradedModule:
             raise ModuleError(f"actions for arrows not in the category: {unknown}")
 
     def entry(self, obj: str) -> GradedGroup:
+        self.category.table.check_object(obj, ModuleError)
         return self.entries[obj]
 
     def action_word(self, word, src_obj: str, dst_obj: str) -> GradedHom:
@@ -162,8 +169,7 @@ class GradedModule:
         built once per module."""
         key = (kind, A, B)
         if key not in self._designated:
-            if kind not in ("inc", "res", "bnd"):
-                raise ModuleError(f"unknown designated word {kind!r}")
+            guard_name(kind, ("inc", "res", "bnd"), ModuleError, "unknown designated word {!r}")
             combo = getattr(self.category.designator, kind)(A, B)
             src, dst, parity = (label(B), label(A), 1) if kind == "bnd" \
                 else (label(A), label(B), 0)
@@ -182,6 +188,7 @@ class GradedModule:
         module, and a single summand is its shifted entry itself.  A map
         between single unshifted summands is its block where that has the
         given degree, and the zero hom for a None block."""
+        guard_int(degree, ModuleError, _PARITY, 0, 1)
         if len(sources) == 1 == len(targets) and sources[0][1] == 0 == targets[0][1]:
             b = blocks[0][0]
             if b is None:
@@ -247,13 +254,11 @@ class GradedModule:
 
     def tensor_mod_k(self, k: int) -> "GradedModule":
         """Entrywise tensor with Z/k (append k·identity relations)."""
-        if type(k) is not int or k < 2:
-            raise ModuleError(f"tensor_mod_k needs an integer k >= 2, not {k!r}")
-        new_entries = {}
-        for obj, g in self.entries.items():
-            def modk(P: Presentation) -> Presentation:
-                return P.with_extra_relations(IntMatrix.identity(P.generators).scale(k))
-            new_entries[obj] = GradedGroup(modk(g.even), modk(g.odd))
+        guard_int(k, ModuleError, "tensor_mod_k needs an integer k >= 2, not {!r}", 2)
+        def modk(P: Presentation) -> Presentation:
+            return P.with_extra_relations(IntMatrix.identity(P.generators).scale(k))
+        new_entries = {obj: GradedGroup(modk(g.even), modk(g.odd))
+                       for obj, g in self.entries.items()}
         new_actions = {}
         for name, h in self.actions.items():
             a = self.category.presentation.arrows[name]
@@ -286,16 +291,14 @@ class GradedModule:
         if category is None:
             category = space_category(space_from_ref(data["space"]))
         variance = data.get("variance", "left")
-        if variance not in ("left", "right"):
-            raise ValueError(f"variance must be 'left' or 'right', not {variance!r}")
+        guard_name(variance, _SIDES, ValueError, "variance must be 'left' or 'right', not {!r}")
 
         # Every count is checked against the shapes the file gives before
         # anything is allocated: a presentation or a zero action matrix on
         # `gens` generators takes memory in proportion to `gens`.
         def gens_of(d):
             gens = d["gens"]
-            if type(gens) is not int or gens < 0:
-                raise ValueError(f"gens must be a nonnegative integer, not {gens!r}")
+            guard_int(gens, ValueError, "gens must be a nonnegative integer, not {!r}", 0)
             rels = d.get("rels") or []
             if rels and len(rels) != gens:
                 raise ValueError(f"rels has {len(rels)} rows for {gens} generators")
@@ -341,16 +344,13 @@ class GradedModule:
 # Free modules and cokernels
 # ---------------------------------------------------------------------------
 
-def _check_side(side: str) -> None:
-    if side not in ("left", "right"):
-        raise ModuleError(f"side must be 'left' or 'right', not {side!r}")
-
-
 def free_ranks(t: HomTable, side: str, summands: Sequence[Summand], W: str,
                parity: int) -> List[int]:
     """Block sizes at (W, parity) of the free module on `summands` (A, ε):
     the rank of NT(A, W) (left, P_A) or NT(W, A) (right, Q_A) at parity + ε."""
-    _check_side(side)
+    guard_name(side, _SIDES, ModuleError, _SIDE)
+    t.check_object(W, ModuleError)
+    guard_int(parity, ModuleError, _PARITY, 0, 1)
     return [t.rank.get((*_along(side, A, W), (parity + eA) % 2), 0)
             for A, eA in summands]
 
@@ -365,7 +365,9 @@ def free_map(t: HomTable, side: str, targets: Sequence[Summand],
     with rows and columns are read off the Hom table.  `rows` and `cols`
     are the block sizes of the targets and the sources there, read with
     free_ranks when the caller does not hold them."""
-    _check_side(side)
+    guard_name(side, _SIDES, ModuleError, _SIDE)
+    t.check_object(W, ModuleError)
+    guard_int(parity, ModuleError, _PARITY, 0, 1)
     if rows is None:
         rows = free_ranks(t, side, targets, W, parity)
     if cols is None:
@@ -383,7 +385,8 @@ def free_action(t: HomTable, side: str, summands: Sequence[Summand], a: Arrow,
     of its part of the given parity: block-diagonal, post-composition by a
     on a left module, pre-composition on a right one.  dims[(W, p)] holds
     the module's block sizes, free_ranks(t, side, summands, W, p)."""
-    _check_side(side)
+    guard_name(side, _SIDES, ModuleError, _SIDE)
+    guard_int(parity, ModuleError, _PARITY, 0, 1)
     s, d = _along(side, a.src, a.dst)
     acts = t.post if side == "left" else t.pre
     return block_diag([acts.get((*_along(side, A, s), (parity + eA) % 2, a.name))
@@ -396,10 +399,10 @@ def _free_cokernel(sc: SpaceCategory, side: str, targets: Sequence[Summand],
     """Objectwise cokernel of the map of free modules on `side` from
     `sources` to `targets` given by `matrix` (see free_map), with the
     actions induced from the targets."""
-    _check_side(side)
+    guard_name(side, _SIDES, ModuleError, _SIDE)
     for A, eA in [*targets, *sources]:
-        if A not in sc.objects or type(eA) is not int:
-            raise ModuleError(f"summand {(A, eA)!r} is not (object, integer shift)")
+        guard_name(A, sc.objects, ModuleError, _SUMMAND, (A, eA))
+        guard_int(eA, ModuleError, _SUMMAND, shown=(A, eA))
     if len(matrix) != len(targets) or any(len(row) != len(sources) for row in matrix):
         raise ModuleError(f"the entry matrix is not {len(targets)}x{len(sources)}")
     for i, (B, eB) in enumerate(targets):
@@ -645,25 +648,20 @@ class FreeResolution:
         self.periodic = periodic
 
     def level(self, n: int) -> List[Summand]:
-        if n < 0:
-            raise ModuleError(f"a resolution has no level {n}")
+        guard_int(n, ModuleError, "a resolution has no level {!r}", 0)
         if n < len(self.levels):
             return self.levels[n]
         if not self.periodic:
             raise CatalogueError(f"resolution of S_{self.Y} not built to level {n}")
-        _, p = self.periodic
-        base = self.level(n - p)
-        return [(obj, (eps + 1) % 2) for obj, eps in base]
+        return [(obj, (eps + 1) % 2) for obj, eps in self.level(n - self.periodic[1])]
 
     def diff(self, n: int) -> List[List[Optional[Element]]]:
-        if n < 1:
-            raise ModuleError(f"a resolution has no d_{n}")
+        guard_int(n, ModuleError, "a resolution has no d_{!r}", 1)
         if n - 1 < len(self.diffs):
             return self.diffs[n - 1]
         if not self.periodic:
             raise CatalogueError(f"resolution of S_{self.Y} has no d_{n}")
-        _, p = self.periodic
-        return self.diff(n - p)
+        return self.diff(n - self.periodic[1])
 
     def dims(self, n: int, W: str, parity: int) -> List[int]:
         """Block sizes of level n's underlying group at (W, parity)."""
@@ -671,8 +669,8 @@ class FreeResolution:
 
     def underlying_diff(self, n: int, W: str, parity: int) -> IntMatrix:
         """Matrix of d_n on the underlying groups at (W, parity)."""
-        return free_map(self.sc.table, "right", self.level(n - 1), self.level(n),
-                        self.diff(n), W, parity)
+        d = self.diff(n)  # refuses an n that names no differential
+        return free_map(self.sc.table, "right", self.level(n - 1), self.level(n), d, W, parity)
 
 
 def resolve_simple(sc: SpaceCategory, Y: str, depth: int) -> FreeResolution:
@@ -683,23 +681,11 @@ def resolve_simple(sc: SpaceCategory, Y: str, depth: int) -> FreeResolution:
     homogeneous generators chosen minimal modulo the nil ideal; no Smith
     form is taken.  End(Y) must split as Z·id ⊕ nil (ntcat.end_splits),
     checked before level 0 is read."""
-    _check_simple(sc, Y, depth)
+    sc.table.check_object(Y, ModuleError)
+    guard_int(depth, ModuleError, _DEPTH, 0)
     res = FreeResolution(sc, Y, [[(Y, 0)]], [], periodic=None)
     extend_resolution(res, depth)
     return res
-
-
-def _check_depth(depth: int) -> None:
-    if type(depth) is not int or depth < 0:
-        raise ModuleError(f"a resolution needs a nonnegative integer depth, not {depth!r}")
-
-
-def _check_simple(sc: SpaceCategory, Y: str, depth: int) -> None:
-    """Refuse a Y that is no object of sc and a depth that is no
-    nonnegative integer, before anything is built or cached."""
-    if Y not in sc.objects:
-        raise ModuleError(f"{Y!r} is not an object of {sc.space.name}")
-    _check_depth(depth)
 
 
 def extend_resolution(res: FreeResolution, depth: int) -> None:
@@ -718,7 +704,7 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
     submodule S the generators span satisfies K = S + J·K, hence
     K = S + J^m·K = S once J^m = 0.  Every builtin table satisfies this
     (nilpotency index at most 7); it is not checked here."""
-    _check_depth(depth)
+    guard_int(depth, ModuleError, _DEPTH, 0)
     sc = res.sc
     levels = res.levels
     diffs = res.diffs
@@ -847,7 +833,7 @@ def validate_resolution(res: FreeResolution, depth: int) -> List[str]:
     Q_Y ->> S_Y onto) at every (W, parity).  A slot where d_n∘d_{n+1} is
     nonzero on the underlying groups reports that instead of exactness.
     Each underlying differential is built once per (W, parity)."""
-    _check_depth(depth)
+    guard_int(depth, ModuleError, _DEPTH, 0)
     sc = res.sc
     level0 = _level_kernels(res, 0, {(W, p): res.dims(0, W, p)
                                      for W in sc.objects for p in (0, 1)})
@@ -911,15 +897,15 @@ def resolution_for(sc: SpaceCategory, Y: str, depth: int,
     `resolutions`, so a resolution, which is tied to its table's basis
     choices, lives as long as its category; "builtin" reads the shipped
     resolution and raises CatalogueError where none is shipped."""
-    _check_simple(sc, Y, depth)
+    sc.table.check_object(Y, ModuleError)
+    guard_int(depth, ModuleError, _DEPTH, 0)
+    guard_name(engine, ("auto", "generic", "builtin"), ModuleError,
+               "unknown resolution engine {!r}; expected auto, builtin or generic")
     if engine == "builtin":
         res = builtin_resolution(builtin_name(sc.space), Y)
         if res.periodic is None and len(res.levels) <= depth:
             extend_resolution(res, depth)
         return res
-    if engine not in ("auto", "generic"):
-        raise ModuleError(f"unknown resolution engine {engine!r}; "
-                          "expected auto, builtin or generic")
     res = sc.resolutions.get(Y)
     if res is None:
         res = sc.resolutions[Y] = resolve_simple(sc, Y, depth)
@@ -940,52 +926,38 @@ class TorReport(_Record):
         self.space = space
         self.groups = groups
 
+    def _reach(self, n: int, what: str) -> None:
+        """Refuse a degree the report does not hold, which would read as 0."""
+        guard_int(n, ModuleError, _DEGREE, 0)
+        reached = min(map(max, self.groups.values()))
+        if n > reached:
+            raise ModuleError(f"{what} needs Tor_{n}; the report stops at degree {reached}")
+
     def aggregate(self, n: int) -> Tuple[AbGroupNF, AbGroupNF]:
-        ev_rank = od_rank = 0
-        ev_tors: List[int] = []
-        od_tors: List[int] = []
-        for obj in self.groups:
-            g = self.groups[obj].get(n)
-            if g is None:
-                continue
-            ev_rank += g[0].rank
-            od_rank += g[1].rank
-            ev_tors.extend(g[0].torsion)
-            od_tors.extend(g[1].torsion)
-        return (_nf_from_parts(ev_rank, ev_tors), _nf_from_parts(od_rank, od_tors))
+        self._reach(n, "the aggregate")
+        pairs = [degs[n] for degs in self.groups.values()]
+        return tuple(_nf_from_parts(sum(g[p].rank for g in pairs),
+                                    [d for g in pairs for d in g[p].torsion]) for p in (0, 1))
 
     def is_zero(self, n: int) -> bool:
-        ev, od = self.aggregate(n)
-        return ev.is_trivial() and od.is_trivial()
+        return all(g.is_trivial() for g in self.aggregate(n))
 
     def is_free(self, n: int) -> bool:
-        ev, od = self.aggregate(n)
-        return ev.is_free() and od.is_free()
+        return all(g.is_free() for g in self.aggregate(n))
 
     def projective_dimension(self, max_n: int) -> Optional[int]:
         """Smallest n <= max_n with Tor_n free and Tor_{n+1} = 0, or None.
         The report must reach degree max_n + 1: a missing degree would read
         as 0."""
-        _check_max_n(max_n)
-        reached = min(max(degs) for degs in self.groups.values())
-        if max_n + 1 > reached:
-            raise ModuleError(f"pd up to {max_n} needs Tor_{max_n + 1}; "
-                              f"the report stops at degree {reached}")
-        for n in range(max_n + 1):
-            if self.is_free(n) and self.is_zero(n + 1):
-                return n
-        return None
+        guard_int(max_n, ModuleError, _MAX_N, 0)
+        self._reach(max_n + 1, f"pd up to {max_n}")
+        return next((n for n in range(max_n + 1) if self.is_free(n) and self.is_zero(n + 1)),
+                    None)
 
     def to_json(self) -> dict:
         return {obj: {str(n): {"even": str(g[0]), "odd": str(g[1])}
                       for n, g in sorted(degs.items())}
                 for obj, degs in sorted(self.groups.items())}
-
-
-def _check_max_n(max_n) -> None:
-    if type(max_n) is not int:
-        raise ModuleError("pd up to max_n reads Tor at the nonnegative integer degree "
-                          f"max_n + 1, so max_n must be an integer, not {max_n!r}")
 
 
 def _nf_from_parts(rank: int, torsions: List[int]) -> AbGroupNF:
@@ -1011,6 +983,7 @@ def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int) -> list:
     """The tensored complex [None, d_1⊗M, ..., d_{n+1}⊗M], enough for Tor
     through degree n; entry k is the map out of level k.  The sum of a
     level's entries is built once per module (see GradedModule.sum_map)."""
+    guard_int(n, ModuleError, _DEGREE, 0)
     return [None] + [_tensor_diff(res, M, k) for k in range(1, n + 2)]
 
 
@@ -1046,8 +1019,7 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
     with resolutions of right modules.  The complexes are tensored with
     M.reduced(), the same module on pruned presentations; tor_single
     tensors with the module it is given."""
-    if type(n) is not int or n < 0:
-        raise ModuleError(f"Tor needs a nonnegative integer degree, not {n!r}")
+    guard_int(n, ModuleError, _DEGREE, 0)
     if M.variance != "left":
         raise ModuleError("Tor(S_Y, M) needs a left module M, "
                           f"not a {M.variance} module")
@@ -1086,7 +1058,7 @@ def projective_dimension(M: GradedModule, max_n: int,
 
     Refuses (HypothesisNotVerifiedError) unless the nilpotency and
     semidirectness hypotheses hold for the space."""
-    _check_max_n(max_n)
+    guard_int(max_n, ModuleError, _MAX_N, 0)
     check_hypotheses(M.category)
     return tor(M, max_n + 1, engine).projective_dimension(max_n)
 

@@ -43,6 +43,23 @@ class _Record:
         return f"{type(self).__name__}({shown})"
 
 
+def guard_int(x, error, message: str, least: Optional[int] = None,
+              most: Optional[int] = None, shown=None) -> None:
+    """fktor's one test of an integer argument: a count or a degree (least 0), a
+    parity (0 to 1), a shift or a factor.  Unless x is an int, not a bool, with
+    least <= x <= most, raise error(message.format(shown)), shown defaulting to x."""
+    if type(x) is not int or (least is not None and x < least) \
+            or (most is not None and x > most):
+        raise error(message.format(x if shown is None else shown))
+
+
+def guard_name(x, names, error, message: str, shown=None) -> None:
+    """fktor's one test of a named argument (an object of a category, a side, a
+    variance, an engine, a kind of word): x must be a string among `names`."""
+    if type(x) is not str or x not in names:
+        raise error(message.format(x if shown is None else shown))
+
+
 # ---------------------------------------------------------------------------
 # Integer matrices
 # ---------------------------------------------------------------------------
@@ -64,8 +81,7 @@ class IntMatrix:
         d = tuple(map(tuple, data))
         for row in d:
             for x in row:
-                if type(x) is not int:
-                    raise ZExactError(f"matrix entries must be integers, not {x!r}")
+                guard_int(x, ZExactError, "matrix entries must be integers, not {!r}")
         if rows is None:
             rows = len(d)
         if cols is None:
@@ -93,14 +109,14 @@ class IntMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
-            raise ZExactError(f"matrix sizes must be nonnegative integers, not {rows!r}x{cols!r}")
+        for n in (rows, cols):
+            guard_int(n, ZExactError, "matrix sizes must be nonnegative integers, "
+                      "not {0[0]!r}x{0[1]!r}", 0, shown=(rows, cols))
         return IntMatrix._of(((0,) * cols,) * rows, rows, cols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        if type(n) is not int or n < 0:
-            raise ZExactError(f"a matrix size must be a nonnegative integer, not {n!r}")
+        guard_int(n, ZExactError, "a matrix size must be a nonnegative integer, not {!r}", 0)
         zeros = (0,) * n
         return IntMatrix._of(tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)),
                              n, n)
@@ -175,8 +191,7 @@ class IntMatrix:
         return self + (-other)
 
     def scale(self, c: int) -> "IntMatrix":
-        if type(c) is not int:
-            raise ZExactError(f"a matrix is scaled by an integer, not {c!r}")
+        guard_int(c, ZExactError, "a matrix is scaled by an integer, not {!r}")
         return IntMatrix._of(tuple(tuple([c * x for x in row]) for row in self.data),
                              self.rows, self.cols)
 
@@ -783,9 +798,8 @@ class Presentation:
     __slots__ = ("generators", "relations", "_nf_cache")
 
     def __init__(self, generators: int, relations: Optional[IntMatrix] = None):
-        if type(generators) is not int or generators < 0:
-            raise ZExactError("a generator count must be a nonnegative integer, "
-                              f"not {generators!r}")
+        guard_int(generators, ZExactError,
+                  "a generator count must be a nonnegative integer, not {!r}", 0)
         if relations is None:
             relations = IntMatrix.zero(generators, 0)
         if relations.rows != generators:
@@ -1034,8 +1048,7 @@ class GradedHom(NamedTuple("GradedHom", [("degree", int), ("from_even", GroupHom
     __slots__ = ()
 
     def __new__(cls, degree: int, from_even: GroupHom, from_odd: GroupHom):
-        if degree not in (0, 1):
-            raise ZExactError("degree must be 0 or 1")
+        guard_int(degree, ZExactError, "degree must be 0 or 1, not {!r}", 0, 1)
         return tuple.__new__(cls, (degree, from_even, from_odd))
 
     @staticmethod
@@ -1044,7 +1057,7 @@ class GradedHom(NamedTuple("GradedHom", [("degree", int), ("from_even", GroupHom
         if degree == 0:
             return GradedHom(0, GroupHom(source.even, target.even, even_part),
                              GroupHom(source.odd, target.odd, odd_part))
-        return GradedHom(1, GroupHom(source.even, target.odd, even_part),
+        return GradedHom(degree, GroupHom(source.even, target.odd, even_part),
                          GroupHom(source.odd, target.even, odd_part))
 
     @staticmethod

@@ -40,11 +40,17 @@ from fktor.zexact import (AbGroupNF, GradedGroup, GradedHom, GroupHom, IntMatrix
                           hnf_columns, shift, subquotient_homology)
 
 
-def random_block_graph(space_name, rng, max_vertices=3, max_entry=3):
-    """Random triangular block graph: edges v -> w only when the target's
-    point lies in every open set around the source's point; at least two
-    loops at every vertex, so condition (K) and no sinks/sources hold."""
-    space = builtin_space(space_name)
+def _space(space):
+    """A FiniteSpace, or the builtin space of that name."""
+    return space if isinstance(space, FiniteSpace) else builtin_space(space)
+
+
+def random_block_graph(space, rng, max_vertices=3, max_entry=3):
+    """Random triangular block graph over a FiniteSpace or a builtin name:
+    edges v -> w only when the target's point lies in every open set around
+    the source's point; at least two loops at every vertex, so condition (K)
+    and no sinks/sources hold."""
+    space = _space(space)
     blocks = [(p, rng.randint(1, max_vertices)) for p in space.points]
     n = sum(k for _, k in blocks)
     pt = []
@@ -57,6 +63,24 @@ def random_block_graph(space_name, rng, max_vertices=3, max_entry=3):
                 A[v][w] = rng.randint(0, max_entry)
         A[v][v] = rng.randint(2, max(2, max_entry))
     return BlockGraph(space, blocks, IntMatrix(A))
+
+
+def singular_block_graph(space, rng):
+    """A triangular graph over a FiniteSpace or a builtin name with two
+    vertices a block, each block's own edges [[2, 1], [1, 2]], so that B' is
+    [[1, 1], [1, 1]] there and every K1 is nonzero, and random edges between
+    blocks where triangularity allows."""
+    space = _space(space)
+    pt = [p for p in space.points for _ in range(2)]
+    n = len(pt)
+    A = [[0] * n for _ in range(n)]
+    for v in range(n):
+        for w in range(n):
+            if pt[w] == pt[v]:
+                A[v][w] = 2 if v == w else 1
+            elif pt[w] in space.min_open(pt[v]):
+                A[v][w] = rng.randint(0, 2)
+    return BlockGraph(space, [(p, 2) for p in space.points], IntMatrix(A))
 
 
 _GRAPH_CORPUS = {}

@@ -5,12 +5,12 @@ import sys
 
 import pytest
 
-from conftest import (dense_solve, graph_six_term_maps, is_generator, random_block_graph,
-                      reference_six_term_nodes, reference_tor_nodes, word_action,
-                      z1_right_module_with_i_acting_by_one)
+from conftest import (connected_t0_spaces, dense_solve, graph_six_term_maps, is_generator,
+                      random_block_graph, reference_six_term_nodes, reference_tor_nodes,
+                      singular_block_graph, word_action, z1_right_module_with_i_acting_by_one)
 
-from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, builtin_space, label, point_space,
-                            space_from_json, space_to_json)
+from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space, label,
+                            point_space, space_from_json, space_to_json)
 from fktor.graphk import (
     BlockGraph, GraphError, fk_module, graph_checks, k_groups, s_fast_tor1,
     tor_ck, z3_fast_tor1,
@@ -210,32 +210,20 @@ def test_fk_module_is_valid_and_exact_for_ck_examples():
         assert check_exact(M).ok
 
 
-def singular_block_graph(space_name, rng):
-    """A triangular graph with two vertices a block, each block's own edges
-    [[2, 1], [1, 2]], so that B' is [[1, 1], [1, 1]] there and every K1 is
-    nonzero, and random edges between blocks where triangularity allows."""
-    space = builtin_space(space_name)
-    pt = [p for p in space.points for _ in range(2)]
-    n = len(pt)
-    A = [[0] * n for _ in range(n)]
-    for v in range(n):
-        for w in range(n):
-            if pt[w] == pt[v]:
-                A[v][w] = 2 if v == w else 1
-            elif pt[w] in space.min_open(pt[v]):
-                A[v][w] = rng.randint(0, 2)
-    return BlockGraph(space, [(p, 2) for p in space.points], IntMatrix(A))
-
-
 _RNG = random.Random(17)
 # over each builtin space with a six-term pair, three seeded random graphs,
 # whose K1 groups are mostly 0, and two whose K1 groups are all nonzero;
-# then the ck examples
+# then the ck examples, then one graph of each kind over each connected
+# four-point space that is no builtin, on an unnamed copy of the space: the
+# process keeps one category per set of opens, with the first space's name
 SIX_TERM_GRAPHS = [(f"{name}-{i}", random_block_graph(name, _RNG))
                    for name in BUILTIN_NAMES if name != "pt" for i in range(3)] + \
     [(f"{name}-singular-{i}", singular_block_graph(name, _RNG))
      for name in BUILTIN_NAMES if name != "pt" for i in range(2)] + \
-    [("ck_z3", ck_z3()), ("ck_s", ck_s())]
+    [("ck_z3", ck_z3()), ("ck_s", ck_s())] + \
+    [(f"{X.name}-{tag}", make(FiniteSpace(X.points, X.opens), _RNG))
+     for X in connected_t0_spaces(4) if builtin_name(X) is None
+     for tag, make in (("random", random_block_graph), ("singular", singular_block_graph))]
 
 
 @pytest.mark.parametrize("name,G", SIX_TERM_GRAPHS, ids=[n for n, _ in SIX_TERM_GRAPHS])

@@ -14,8 +14,8 @@ from conftest import (connected_t0_spaces, eval_combo, graph_corpus, layout_corp
                       random_valid_module, reference_check_exact, reference_tor,
                       word_action, word_pre_matrix, z1_right_module_with_i_acting_by_one)
 
-from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_space,
-                            label, space_to_json)
+from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_name,
+                            builtin_space, label, space_to_json)
 from fktor.graphk import BlockGraph, fk_module, tor_ck
 import fktor.ntmod as ntmod
 from fktor.ntcat import (Element, build_category, builtin_category, end_splits,
@@ -398,6 +398,38 @@ def test_levels_one_and_two_count_the_arrows_and_the_pinned_relations(X):
     text = json.dumps(sorted(sizes.items()))
     assert (sum(sizes.values()), hashlib.sha256(text.encode()).hexdigest()) == \
         LEVEL_TWO[X.name]
+
+
+def simple_left_module(sc, Z):
+    """S_Z: Z at (Z, even), 0 at every other entry, every action zero."""
+    entries = {W: GradedGroup(Presentation(int(W == Z)), Presentation(0)) for W in sc.objects}
+    actions = {a.name: GradedHom.zero(a.parity, entries[a.src], entries[a.dst])
+               for a in sc.presentation.arrows.values()}
+    return GradedModule(sc, "left", entries, actions)
+
+
+@pytest.mark.parametrize("X", [builtin_space(n) for n in BUILTIN_NAMES]
+                         + [X for X in connected_t0_spaces(4) if builtin_name(X) is None],
+                         ids=lambda X: X.name)
+def test_tor_of_a_simple_left_module_counts_the_summands_of_a_level(X):
+    """Tor_n(S_Y, S_Z) is the homology of S_Y's resolution tensored with
+    S_Z.  A summand (Z, ε) of level n gives Z in parity ε and every other
+    summand 0, and the resolutions are minimal, so the tensored
+    differentials vanish: Tor_n is Z^a even and Z^b odd, a and b the
+    numbers of (Z, even) and (Z, odd) summands of level n.  This checks
+    tor's tensor layout, sum_map's shifts and parities and the homology
+    against a closed form, on one module per object, n <= 4.  The space is
+    an unnamed copy: the process keeps one category per set of opens, with
+    the first space's name."""
+    sc = space_category(FiniteSpace(X.points, X.opens))
+    for Z in sc.objects:
+        rep = tor(simple_left_module(sc, Z), 4)
+        for Y in sc.objects:
+            res = resolution_for(sc, Y, 5)
+            for n in range(5):
+                count = Counter(res.level(n))
+                assert rep.groups[Y][n] == (AbGroupNF(count[Z, 0], ()),
+                                            AbGroupNF(count[Z, 1], ())), (Y, Z, n)
 
 
 LAYOUT_CORPUS = list(layout_corpus())
@@ -1308,6 +1340,19 @@ def test_tor_report_refuses_an_unreached_degree():
     with pytest.raises(ModuleError, match="needs Tor_3"):
         rep.projective_dimension(2)
     assert tor(M, 3).projective_dimension(2) == 2
+
+
+def test_a_tor_report_refuses_a_degree_it_does_not_hold():
+    """aggregate, is_zero and is_free read every object at degree n, so a
+    report through degree 1 has no Tor_7: read as 0 it would be free and
+    zero.  They refuse it through the check that projective_dimension makes."""
+    with open(os.path.join(DATA, "ck_z3.json")) as fh:
+        rep = tor_ck(BlockGraph.from_json(json.load(fh)), 1)
+    assert rep.aggregate(1) == (AbGroupNF(0, ()), AbGroupNF(0, (2,)))
+    assert not rep.is_zero(1) and not rep.is_free(1)
+    for read in (rep.aggregate, rep.is_zero, rep.is_free):
+        with pytest.raises(ModuleError, match="needs Tor_7; the report stops at degree 1"):
+            read(7)
 
 
 def test_check_hypotheses_runs_ideal_checks(monkeypatch):
