@@ -22,8 +22,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optio
 
 from .finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space,
                        label, space_from_ref, space_ref)
-from .zexact import (Echelon, IntMatrix, ZExactError, _Record, guard_int, guard_name, smith,
-                     solve_columns)
+from .zexact import (Echelon, IntMatrix, SparseMatrix, ZExactError, _Record, guard_int,
+                     guard_name, smith, solve_columns)
 
 
 class CategoryError(Exception):
@@ -928,7 +928,7 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
             table.rank[key], table.reps[key] = 0, []
             proj[key] = IntMatrix.zero(0, n)
             continue
-        sf = smith(IntMatrix.from_sparse_columns(lat.sparse_basis(), n))
+        sf = smith(SparseMatrix._of_columns(lat.sparse_basis(), n))
         diag = sf.diagonal()
         t = sum(1 for d in diag if d != 0)
         if any(d not in (0, 1) for d in diag):
@@ -1175,11 +1175,15 @@ def build_category(space: FiniteSpace) -> SpaceCategory:
 def space_category(space: FiniteSpace) -> SpaceCategory:
     """NT*(X), once per process for each set of points and opens.  A space
     equal to a builtin, whatever its name, gets that builtin's category, from
-    the shipped table cache where it loads; any other space is built fresh."""
+    the shipped table cache where it loads; any other space is built fresh
+    over an unnamed copy, so that the space its module and table JSON write
+    does not depend on which copy of it came first."""
     sc = _CATEGORY_CACHE.get(space)
     if sc is None:
         name = builtin_name(space)
-        if name is not None:
+        if name is None:
+            space = FiniteSpace(space.points, space.opens)
+        else:
             space = builtin_space(name)
         sc = (name and _load_cache_file(name)) or build_category(space)
         _CATEGORY_CACHE[space] = sc

@@ -64,14 +64,22 @@ def guard_name(x, names, error, message: str, shown=None) -> None:
 # Integer matrices
 # ---------------------------------------------------------------------------
 
+def _guard_shape(rows, cols) -> None:
+    """Refuse a matrix shape that is not two nonnegative integers."""
+    for n in (rows, cols):
+        guard_int(n, ZExactError, "matrix sizes must be nonnegative integers, "
+                  "not {0[0]!r}x{0[1]!r}", 0, shown=(rows, cols))
+
+
 class IntMatrix:
     """Immutable integer matrix, row major.
 
-    The public constructor checks its input: every entry must be an ``int``
-    (``bool`` and ``float`` are refused) and every row must have the same
-    length.  Matrices built inside this module from data that is already a
-    tuple of int tuples go through the unchecked ``_of``.  The hash is
-    computed on first use and kept in the ``_hash`` slot.
+    The public constructor checks its input: every entry, and the shape when
+    it is given, must be an ``int`` (``bool`` and ``float`` are refused) and
+    every row must have the same length.  Matrices built inside this module
+    from data that is already a tuple of int tuples go through the unchecked
+    ``_of``.  The hash is computed on first use and kept in the ``_hash``
+    slot.
     """
 
     __slots__ = ("rows", "cols", "data", "_hash")
@@ -86,6 +94,7 @@ class IntMatrix:
             rows = len(d)
         if cols is None:
             cols = len(d[0]) if d else 0
+        _guard_shape(rows, cols)
         if len(d) != rows or any(len(r) != cols for r in d):
             raise ZExactError("ragged or mis-sized matrix data")
         object.__setattr__(self, "rows", rows)
@@ -109,9 +118,7 @@ class IntMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        for n in (rows, cols):
-            guard_int(n, ZExactError, "matrix sizes must be nonnegative integers, "
-                      "not {0[0]!r}x{0[1]!r}", 0, shown=(rows, cols))
+        _guard_shape(rows, cols)
         return IntMatrix._of(((0,) * cols,) * rows, rows, cols)
 
     @staticmethod
@@ -173,6 +180,10 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
+
+    def sparse_rows(self) -> list:
+        """The rows as fresh {column: nonzero} dicts, as `smith` reads them."""
+        return [_nonzeros(r) for r in self.data]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -275,6 +286,54 @@ class IntMatrix:
 
     def to_lists(self) -> list:
         return [list(row) for row in self.data]
+
+
+class SparseMatrix:
+    """An integer matrix given by its nonzero entries, for `smith`: row i of
+    `entries` is a {column: nonzero} dict.  The constructor checks the
+    entries and keeps a copy of each row in increasing column order, as
+    the unchecked `_of_columns` builds them; `sparse_rows` hands out copies
+    of those.  The dense `data`, as an IntMatrix holds it, is built only when
+    read and then kept."""
+
+    __slots__ = ("rows", "cols", "_entries", "_data")
+
+    def __init__(self, entries: Sequence[dict], rows: int, cols: int):
+        _guard_shape(rows, cols)
+        if len(entries) != rows:
+            raise ZExactError(f"{len(entries)} sparse rows for {rows} matrix rows")
+        for r in entries:
+            for j, x in r.items():
+                guard_int(j, ZExactError, "a column must be an integer in [0, %d), "
+                          "not {!r}" % cols, 0, cols - 1)
+                guard_int(x, ZExactError, "matrix entries must be integers, not {!r}")
+                if not x:
+                    raise ZExactError(f"a sparse row holds a zero in column {j}")
+        self.rows, self.cols = rows, cols
+        self._entries = [dict(sorted(r.items())) for r in entries]
+        self._data = None
+
+    @classmethod
+    def _of_columns(cls, cols: Sequence[dict], nrows: int) -> "SparseMatrix":
+        """Trusted constructor: the matrix whose columns are the given
+        {row < nrows: nonzero} dicts.  Nothing is checked."""
+        entries = [{} for _ in range(nrows)]
+        for k, col in enumerate(cols):
+            for i, x in col.items():
+                entries[i][k] = x
+        m = object.__new__(cls)
+        m.rows, m.cols, m._entries, m._data = nrows, len(cols), entries, None
+        return m
+
+    def sparse_rows(self) -> list:
+        """Copies of the {column: nonzero} rows, for the caller to change."""
+        return [r.copy() for r in self._entries]
+
+    @property
+    def data(self) -> tuple:
+        if self._data is None:
+            self._data = _dense_rows(self._entries, self.cols)
+        return self._data
 
 
 def block_diag(blocks: Sequence[Optional[IntMatrix]],
@@ -393,22 +452,23 @@ class SmithForm:
         return tuple(x)
 
 
-def smith(A: IntMatrix) -> SmithForm:
+def smith(A: "IntMatrix | SparseMatrix") -> SmithForm:
     """Smith normal form with transforms, on sparse rows.
 
-    M, U and V transposed are lists of {column: nonzero} rows, and the
-    column index `at[j]` is the set of rows of M with a nonzero in column j,
-    so a row or column operation touches only nonzero entries and no step
-    scans a dense row or column.  The pivot at step k is the nonzero of
-    least absolute value in the trailing block, the first one in row-major
-    order; the search stops at the first row holding a unit.  Rows below the
-    pivot are reduced by it, then the columns right of it; a remainder
-    smaller than the pivot becomes the pivot.  The diagonal is made
+    A is an IntMatrix or a SparseMatrix; M starts as A.sparse_rows(), so a
+    sparse input is never made dense.  M, U and V transposed are lists of
+    {column: nonzero} rows, and the column index `at[j]` is the set of rows of
+    M with a nonzero in column j, so a row or column operation touches only
+    nonzero entries and no step scans a dense row or column.  The pivot at step
+    k is the nonzero of least absolute value in the trailing block, the first
+    one in row-major order; the search stops at the first row holding a unit.
+    Rows below the pivot are reduced by it, then the columns right of it; a
+    remainder smaller than the pivot becomes the pivot.  The diagonal is made
     nonnegative and d_i | d_{i+1} is enforced at the end.  V is kept
     transposed, so that a column operation on it is a row operation on VT.
     """
     m, n = A.rows, A.cols
-    M = [_nonzeros(row) for row in A.data]
+    M = A.sparse_rows()
     U = [{i: 1} for i in range(m)]
     VT = [{j: 1} for j in range(n)]
     at = defaultdict(set)

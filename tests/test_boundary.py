@@ -24,7 +24,7 @@ from fktor.ntmod import (FreeResolution, GradedModule, ModuleError, TorReport,
                          free_ranks, left_complex_underlying, projective_dimension,
                          rational_tor, resolution_for, resolve_simple, tensor_complex_maps,
                          tor, tor_single, validate_resolution)
-from fktor.zexact import GradedHom, IntMatrix, Presentation, ZExactError
+from fktor.zexact import GradedHom, IntMatrix, Presentation, SparseMatrix, ZExactError
 
 # the malformed values of each kind; "1" names an object of every builtin
 # space, so an object gets an unknown name instead
@@ -70,6 +70,8 @@ def _identity_hom():
 
 # (error, callable, valid arguments, {parameter: kind or (kind, *more bad values)})
 ROWS = [
+    (ZExactError, IntMatrix, lambda: ([[1, 2]], 1, 2), {"rows": "bound", "cols": "bound"}),
+    (ZExactError, SparseMatrix, lambda: ([{1: 2}], 1, 2), {"rows": "count", "cols": "count"}),
     (ZExactError, IntMatrix.zero, lambda: (2, 3), {"rows": "count", "cols": "count"}),
     (ZExactError, IntMatrix.identity, lambda: (2,), {"n": "count"}),
     (ZExactError, IntMatrix.scale, lambda: (IntMatrix([[1, 2]]), -3), {"c": "integer"}),

@@ -754,6 +754,16 @@ def test_a_malformed_space_in_a_table_raises_space_error(space):
 TABLES = os.path.join(os.path.dirname(ntcat.__file__), "data", "tables")
 
 
+def test_a_table_whose_matrix_shape_reads_true_raises():
+    """A cached shape is a count: `true` equals 1 but is refused."""
+    with open(os.path.join(TABLES, "Z2.json")) as fh:
+        data = json.load(fh)
+    entry = next(e for e in data["post"] if e[1] == [1, 1])
+    entry[1] = json.loads("[true, 1]")
+    with pytest.raises(zexact.ZExactError, match=r"matrix sizes .* not True"):
+        table_from_json(data)
+
+
 @pytest.mark.parametrize("name", ["pt", "Z1", "Z2", "Z3", "S", "C2", "Z4"])
 def test_shipped_cache_matches_fresh_build(name):
     """A fresh build on the derived arrows serialises to the shipped cache
@@ -761,6 +771,20 @@ def test_shipped_cache_matches_fresh_build(name):
     with open(os.path.join(TABLES, f"{name}.json")) as fh:
         shipped = fh.read()
     sc = build_category(builtin_space(name))
+    assert json.dumps(table_to_json(sc), sort_keys=True) == shipped
+
+
+def test_a_fresh_build_makes_no_dense_relation_matrix(monkeypatch):
+    """hom_closure hands each relation lattice to smith as a SparseMatrix,
+    whose dense view nothing reads, and builds the shipped table."""
+    def refuse(*args):
+        raise AssertionError("a dense relation matrix was built")
+
+    monkeypatch.setattr(IntMatrix, "from_sparse_columns", staticmethod(refuse))
+    monkeypatch.setattr(zexact.SparseMatrix, "data", property(refuse))
+    with open(os.path.join(TABLES, "Z3.json")) as fh:
+        shipped = fh.read()
+    sc = build_category(builtin_space("Z3"))
     assert json.dumps(table_to_json(sc), sort_keys=True) == shipped
 
 

@@ -17,6 +17,7 @@ from conftest import (connected_t0_spaces, eval_combo, graph_corpus, layout_corp
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_name,
                             builtin_space, label, space_to_json)
 from fktor.graphk import BlockGraph, fk_module, tor_ck
+import fktor.ntcat as ntcat
 import fktor.ntmod as ntmod
 from fktor.ntcat import (Element, build_category, builtin_category, end_splits,
                          ideal_checks, nil_basis, space_category, table_from_json,
@@ -1469,6 +1470,24 @@ def test_a_module_over_a_space_that_is_not_builtin_round_trips():
     for space in (None, {"builtin": 5}, {"points": ["1"]}):
         with pytest.raises(SpaceError):
             GradedModule.from_json({**data, "space": space})
+
+
+def test_the_space_in_json_does_not_depend_on_the_copy_cached_first(monkeypatch):
+    """A named copy of the chain 1 < 2 < 3 < 4 reaches the category cache
+    first; the unnamed one still round-trips, and module and table JSON
+    write the space without the first copy's name."""
+    monkeypatch.setattr(ntcat, "_CATEGORY_CACHE", {})
+    opens = ["", "4", "34", "234", "1234"]
+    named = space_category(FiniteSpace("1234", opens, name="1<2,1<3,1<4,2<3,2<4,3<4"))
+    X = FiniteSpace("1234", opens)
+    sc = space_category(X)
+    assert sc is named
+    M = free_module(sc, sc.objects[0])
+    data = json.loads(json.dumps(M.to_json()))
+    assert data["space"] == space_to_json(X)
+    clone = GradedModule.from_json(data)
+    assert clone.category is sc and clone.to_json() == data
+    assert table_to_json(sc)["presentation"]["space"] == space_to_json(X)
 
 
 def test_coker_module_trivial_cases():

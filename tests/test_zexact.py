@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fktor.zexact import (
     AbGroupNF, CompositionNonZeroError, Echelon, GradedGroup, GradedHom,
-    GroupHom, IntMatrix, Presentation, ZExactError, block_diag,
+    GroupHom, IntMatrix, Presentation, SparseMatrix, ZExactError, block_diag,
     graded_direct_sum, hermite_coords, hnf_columns, kernel, normal_form, shift,
     smith, solve, solve_columns, subquotient_homology,
 )
@@ -312,6 +312,59 @@ def test_sparse_smith_equals_the_dense_engine_on_empty_and_thin_shapes(shape):
     assert_matches_dense(IntMatrix.zero(*shape))
     assert_matches_dense(IntMatrix([[(i + 2 * j) % 3 for j in range(shape[1])]
                                     for i in range(shape[0])], *shape))
+
+
+@st.composite
+def sparse_inputs(draw):
+    """The {column: nonzero} rows of a 0-8 by 0-8 matrix, some rows empty,
+    each drawn with its columns in any order; the entries lie in -9..9 and
+    are sometimes all multiples of 2 or 3 (no unit pivot anywhere)."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    scale = draw(st.sampled_from((1, 1, 2, 3)))
+    value = st.integers(-9, 9).filter(bool).map(lambda x: scale * x)
+    rows = [draw(st.dictionaries(st.integers(0, n - 1), value, max_size=n)) if n else {}
+            for _ in range(m)]
+    return rows, m, n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sparse_inputs())
+def test_smith_of_a_sparse_matrix_equals_smith_of_the_dense_one(entries):
+    """A SparseMatrix is factored as its dense IntMatrix is, and as the dense
+    engine factors it; its `data`, and the matrix `_of_columns` builds from
+    its columns, are that dense matrix."""
+    rows, m, n = entries
+    A = SparseMatrix(rows, m, n)
+    D = IntMatrix([[r.get(j, 0) for j in range(n)] for r in rows], m, n)
+    sf, dense, ref = smith(A), smith(D), smith_dense(D)
+    assert (sf.U, sf.S, sf.V) == (dense.U, dense.S, dense.V) == (ref.U, ref.S, ref.V)
+    assert sf.diagonal() == dense.diagonal() == [ref.S[i, i] for i in range(min(m, n))]
+    assert A.data == D.data
+    cols = [{i: r[j] for i, r in enumerate(rows) if j in r} for j in range(n)]
+    assert SparseMatrix._of_columns(cols, m).data == D.data
+
+
+def test_a_sparse_matrix_keeps_its_rows_in_column_order_and_hands_out_copies():
+    rows = [{2: 5, 0: -2}, {}]
+    A = SparseMatrix(rows, 2, 3)
+    rows[0][1] = 7
+    out = A.sparse_rows()
+    assert out == [{0: -2, 2: 5}, {}] and list(out[0]) == [0, 2]
+    out[0].clear()
+    assert smith(A).diagonal() == [1, 0]
+    assert A._data is None  # smith read the sparse rows only
+    assert A.sparse_rows()[0] == {0: -2, 2: 5}
+    assert A.data == ((-2, 0, 5), (0, 0, 0)) and A.data is A.data
+
+
+@pytest.mark.parametrize("entries, rows, cols, match", [
+    ([{}], 2, 1, "1 sparse rows for 2"), ([{1: 2}], 1, 1, r"column must be .* not 1"),
+    ([{True: 2}], 1, 2, "column"), ([{"0": 2}], 1, 1, "column"),
+    ([{0: 1.0}], 1, 1, "entries"), ([{0: True}], 1, 1, "entries"),
+    ([{0: 0}], 1, 1, "zero in column 0")])
+def test_a_sparse_matrix_refuses_malformed_entries(entries, rows, cols, match):
+    with pytest.raises(ZExactError, match=match):
+        SparseMatrix(entries, rows, cols)
 
 
 def test_dense_transforms_are_built_once_on_first_read():

@@ -10,10 +10,12 @@ the bound, read off the enumerated words (each word w times each relation r
 out of w's target whose longest word has length at most the bound minus
 len(w)); `insert` and `insert_growing`, the calls of `Echelon._insert` and
 those that changed their lattice; `bucket_index_reads`, the lookups of a
-word in a bucket's word-to-index dict (`_Bucket.index[w]`); and `smith`, the
-Smith forms taken, directly or by `solve_columns`.  The counts depend only
-on the code, so two runs of one checkout print the same lines, and the
-lines of two checkouts compare the work their closures do.  The package is
+word in a bucket's word-to-index dict (`_Bucket.index[w]`); `smith`, the
+Smith forms taken, directly or by `solve_columns`; and `smith_dense_cells`,
+rows × cols summed over the inputs of `smith` that are dense `IntMatrix`es
+(a sparse input adds nothing).  The counts depend only on the code, so two
+runs of one checkout print the same lines, and the lines of two checkouts
+compare the work their closures do.  The package is
 imported from the checkout that holds this file.
 """
 
@@ -40,9 +42,9 @@ class CountedIndex(dict):
 
 
 def install(counts: Counter) -> list:
-    """Count Echelon._insert calls and their outcomes, smith calls and
-    bucket index lookups; returns the list that collects every bucket
-    made."""
+    """Count Echelon._insert calls and their outcomes, smith calls and the
+    cells of their dense inputs, and bucket index lookups; returns the list
+    that collects every bucket made."""
     CountedIndex.counts = counts
     buckets: list = []
     B = ntcat._Bucket
@@ -67,6 +69,8 @@ def install(counts: Counter) -> list:
 
     def smith(A):
         counts["smith"] += 1
+        if isinstance(A, zexact.IntMatrix):
+            counts["smith_dense_cells"] += A.rows * A.cols
         return orig_smith(A)
 
     # hom_closure calls smith directly and through solve_columns
@@ -96,7 +100,7 @@ def main():
         counts["relation_instances"] += relation_instances(
             pres, buckets, ntcat.DEFAULT_MAX_LEN[name])
     for name in ("words", "relation_instances", "insert", "insert_growing",
-                 "bucket_index_reads", "smith"):
+                 "bucket_index_reads", "smith", "smith_dense_cells"):
         print(name, counts[name])
 
 
