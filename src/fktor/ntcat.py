@@ -22,7 +22,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optio
 
 from .finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space,
                        label, space_from_ref, space_ref)
-from .zexact import (Echelon, IntMatrix, SparseMatrix, ZExactError, _Record, guard_int,
+from .zexact import (Echelon, IntMatrix, ZExactError, _Record, _SparseMatrix, guard_int,
                      guard_name, smith, solve_columns)
 
 
@@ -928,14 +928,14 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
             table.rank[key], table.reps[key] = 0, []
             proj[key] = IntMatrix.zero(0, n)
             continue
-        sf = smith(SparseMatrix._of_columns(lat.sparse_basis(), n))
+        sf = smith(_SparseMatrix(lat.sparse_basis(), n))
         diag = sf.diagonal()
         t = sum(1 for d in diag if d != 0)
         if any(d not in (0, 1) for d in diag):
             raise InconsistentRelationError(
                 f"parallel paths with torsion in Hom({key[0]}, {key[1]})")
         rank = n - t
-        P = sf.u_rows(t, n)
+        P = sf._u_rows(t, n)
         table.rank[key] = rank
         proj[key] = P
         if rank:
@@ -995,7 +995,7 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
                 for w, c in rep.items():
                     _add_scaled(col, proj[key2].column(buckets[key2].index[extend(w)]), c)
                 cols.append(col)
-            return IntMatrix.from_columns(cols, rank2)
+            return IntMatrix._from_columns(cols, rank2)
 
         for a in pres.by_src.get(dst, ()):
             table.post[key + (a.name,)] = classes(
@@ -1089,7 +1089,8 @@ def _nil_power_step(table: HomTable, power: dict) -> dict:
     by_src = table.presentation.by_src
     spans: Dict[str, dict] = {}
     for (src, dst, p), vs in power.items():
-        spans.setdefault(src, {})[(dst, p)] = IntMatrix.from_columns(vs)
+        spans.setdefault(src, {})[(dst, p)] = IntMatrix._from_columns(
+            vs, table.rank[(src, dst, p)])
     nxt = {}
     for src, vecs in spans.items():
         arrows = [a for b in dict.fromkeys(b for b, _ in vecs) for a in by_src.get(b, ())]

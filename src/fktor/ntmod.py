@@ -110,21 +110,28 @@ class GradedModule:
 
         Each word is built once per module: a left module acts by its last
         generator after its prefix, a right module by its first generator
-        after its suffix."""
+        after its suffix.  A word not built yet is checked at that generator:
+        it must act on the module and end the word at dst_obj (left) or start
+        it at src_obj (right), and the rest of the word is checked in turn.
+        The empty word runs from an object to itself."""
         word = tuple(word)
         key = (word, src_obj, dst_obj)
         hom = self._word_cache.get(key)
         if hom is None:
-            arrows = self.category.presentation.arrows
             if not word:
-                hom = GradedHom.identity(
-                    self.entries[_along(self.variance, src_obj, dst_obj)[0]])
-            elif self.variance == "left":
-                rest = self.action_word(word[:-1], src_obj, arrows[word[-1]].src)
-                hom = self.actions[word[-1]].compose(rest)
+                if src_obj != dst_obj:
+                    raise ModuleError(f"the empty word runs from an object to itself, "
+                                      f"not from {src_obj!r} to {dst_obj!r}")
+                hom = GradedHom.identity(self.entry(src_obj))
             else:
-                rest = self.action_word(word[1:], arrows[word[0]].dst, dst_obj)
-                hom = self.actions[word[0]].compose(rest)
+                left = self.variance == "left"
+                name = word[-1] if left else word[0]
+                a, act = self.category.presentation.arrows.get(name), self.actions.get(name)
+                if act is None or (a.dst != dst_obj if left else a.src != src_obj):
+                    raise ModuleError(f"{word} does not act from {src_obj!r} to {dst_obj!r}")
+                rest = self.action_word(word[:-1], src_obj, a.src) if left \
+                    else self.action_word(word[1:], a.dst, dst_obj)
+                hom = act.compose(rest)
             self._word_cache[key] = hom
         return hom
 
@@ -134,6 +141,7 @@ class GradedModule:
         for no words or where an end has no generators in either parity (a
         group of generators and unit relations has some); one word with
         coefficient 1 is action_word's hom itself."""
+        guard_int(parity, ModuleError, _PARITY, 0, 1)
         S, T = (self.entries[obj] for obj in _along(self.variance, src_obj, dst_obj))
         if not (combo and _has_generators(S) and _has_generators(T)):
             return GradedHom.zero(parity, S, T)
@@ -620,7 +628,7 @@ def m_ss(M: GradedModule) -> Dict[str, GradedGroup]:
     for obj in M.category.objects:
         g = M.entries[obj]
         out[obj] = GradedGroup(*(
-            Presentation(P.generators, IntMatrix.from_columns(
+            Presentation(P.generators, IntMatrix._from_columns(
                 P.relations.columns() + images.get((obj, p), []), P.generators))
             for p, P in enumerate((g.even, g.odd))))
     return out
@@ -764,8 +772,8 @@ def _level_kernels(res: FreeResolution, n: int, dims: Slots,
         kernels = {key: IntMatrix.identity(sum(cols)) for key, cols in dims.items()}
         nil = generator_images(res.sc.presentation.by_src.get(Y, ()), "right",
                                lambda a, p: t.pre.get((a.dst, Y, p, a.name)))
-        kernels[(Y, 0)] = hnf_columns(IntMatrix.from_columns(nil.get((Y, 0), []),
-                                                             sum(dims[(Y, 0)])))
+        kernels[(Y, 0)] = hnf_columns(IntMatrix._from_columns(nil.get((Y, 0), []),
+                                                              sum(dims[(Y, 0)])))
         return kernels
     if below is None:
         below = {key: res.dims(n - 1, *key) for key in dims}

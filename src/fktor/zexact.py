@@ -76,10 +76,10 @@ class IntMatrix:
 
     The public constructor checks its input: every entry, and the shape when
     it is given, must be an ``int`` (``bool`` and ``float`` are refused) and
-    every row must have the same length.  Matrices built inside this module
-    from data that is already a tuple of int tuples go through the unchecked
-    ``_of``.  The hash is computed on first use and kept in the ``_hash``
-    slot.
+    every row must have the same length.  Matrices that fktor builds from
+    data it made itself go through the unchecked ``_of``, directly or by the
+    column constructors ``_from_columns`` and ``_from_sparse_columns``.  The
+    hash is computed on first use and kept in the ``_hash`` slot.
     """
 
     __slots__ = ("rows", "cols", "data", "_hash")
@@ -128,25 +128,21 @@ class IntMatrix:
         return IntMatrix._of(tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)),
                              n, n)
 
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntMatrix":
-        if not cols:
-            if nrows is None:
-                raise ZExactError("from_columns needs nrows for an empty column list")
-            return IntMatrix.zero(nrows, 0)
-        n = len(cols[0])
-        if any(len(c) != n for c in cols) or nrows not in (None, n):
-            raise ZExactError("ragged or mis-sized columns")
-        return IntMatrix._of(tuple(zip(*cols)), n, len(cols))
+    @classmethod
+    def _from_columns(cls, cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
+        """Trusted constructor: the matrix whose columns are `cols`, each a
+        sequence of `nrows` ints.  Nothing is checked."""
+        return cls._of(tuple(zip(*cols)) if cols else ((),) * nrows, nrows, len(cols))
 
-    @staticmethod
-    def from_sparse_columns(cols: Sequence[dict], nrows: int) -> "IntMatrix":
-        """The matrix whose columns are the {row < nrows: nonzero} dicts."""
+    @classmethod
+    def _from_sparse_columns(cls, cols: Sequence[dict], nrows: int) -> "IntMatrix":
+        """Trusted constructor: the matrix whose columns are the given
+        {row < nrows: nonzero} dicts.  Nothing is checked."""
         data = [[0] * len(cols) for _ in range(nrows)]
         for k, col in enumerate(cols):
             for i, x in col.items():
                 data[i][k] = x
-        return IntMatrix._of(tuple(map(tuple, data)), nrows, len(cols))
+        return cls._of(tuple(map(tuple, data)), nrows, len(cols))
 
     # -- basic queries -----------------------------------------------------
 
@@ -288,42 +284,22 @@ class IntMatrix:
         return [list(row) for row in self.data]
 
 
-class SparseMatrix:
-    """An integer matrix given by its nonzero entries, for `smith`: row i of
-    `entries` is a {column: nonzero} dict.  The constructor checks the
-    entries and keeps a copy of each row in increasing column order, as
-    the unchecked `_of_columns` builds them; `sparse_rows` hands out copies
-    of those.  The dense `data`, as an IntMatrix holds it, is built only when
-    read and then kept."""
+class _SparseMatrix:
+    """An integer matrix given by its nonzero entries, for `smith`, built
+    from the {row < nrows: nonzero} dicts of its columns.  A trusted path, as
+    `IntMatrix._of` is: nothing is checked.  Row i of the matrix is a
+    {column: nonzero} dict in increasing column order; `sparse_rows` hands
+    out copies of them.  The dense `data`, as an IntMatrix holds it, is
+    built only when read and then kept."""
 
     __slots__ = ("rows", "cols", "_entries", "_data")
 
-    def __init__(self, entries: Sequence[dict], rows: int, cols: int):
-        _guard_shape(rows, cols)
-        if len(entries) != rows:
-            raise ZExactError(f"{len(entries)} sparse rows for {rows} matrix rows")
-        for r in entries:
-            for j, x in r.items():
-                guard_int(j, ZExactError, "a column must be an integer in [0, %d), "
-                          "not {!r}" % cols, 0, cols - 1)
-                guard_int(x, ZExactError, "matrix entries must be integers, not {!r}")
-                if not x:
-                    raise ZExactError(f"a sparse row holds a zero in column {j}")
-        self.rows, self.cols = rows, cols
-        self._entries = [dict(sorted(r.items())) for r in entries]
-        self._data = None
-
-    @classmethod
-    def _of_columns(cls, cols: Sequence[dict], nrows: int) -> "SparseMatrix":
-        """Trusted constructor: the matrix whose columns are the given
-        {row < nrows: nonzero} dicts.  Nothing is checked."""
+    def __init__(self, cols: Sequence[dict], nrows: int):
         entries = [{} for _ in range(nrows)]
         for k, col in enumerate(cols):
             for i, x in col.items():
                 entries[i][k] = x
-        m = object.__new__(cls)
-        m.rows, m.cols, m._entries, m._data = nrows, len(cols), entries, None
-        return m
+        self.rows, self.cols, self._entries, self._data = nrows, len(cols), entries, None
 
     def sparse_rows(self) -> list:
         """Copies of the {column: nonzero} rows, for the caller to change."""
@@ -393,7 +369,7 @@ class SmithForm:
 
     `rows` and `cols` are the shape of A.  `smith` hands over sparse rows: the rows
     of U and of V transposed (the columns of V), each a {column: nonzero} dict, and
-    the diagonal of S; `solve`, `u_rows` and `Presentation.class_vector` work on
+    the diagonal of S; `solve`, `_u_rows` and `Presentation.class_vector` work on
     them.  The dense `U`, `S` and `V` are built when first read and then kept."""
 
     def __init__(self, rows: int, cols: int, u_rows: list, diag: list,
@@ -416,7 +392,7 @@ class SmithForm:
         n = self.cols
         return IntMatrix._of(tuple(zip(*_dense_rows(self._vt, n))), n, n)
 
-    def u_rows(self, start: int, stop: int) -> IntMatrix:
+    def _u_rows(self, start: int, stop: int) -> IntMatrix:
         """Rows start..stop-1 of U, without building the rest of U."""
         return IntMatrix._of(_dense_rows(self._u[start:stop], self.rows),
                              stop - start, self.rows)
@@ -452,10 +428,10 @@ class SmithForm:
         return tuple(x)
 
 
-def smith(A: "IntMatrix | SparseMatrix") -> SmithForm:
+def smith(A: "IntMatrix | _SparseMatrix") -> SmithForm:
     """Smith normal form with transforms, on sparse rows.
 
-    A is an IntMatrix or a SparseMatrix; M starts as A.sparse_rows(), so a
+    A is an IntMatrix or a _SparseMatrix; M starts as A.sparse_rows(), so a
     sparse input is never made dense.  M, U and V transposed are lists of
     {column: nonzero} rows, and the column index `at[j]` is the set of rows of
     M with a nonzero in column j, so a row or column operation touches only
@@ -632,7 +608,7 @@ def solve_columns(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
         return IntMatrix.zero(A.cols, 0)
     sf = smith(A)
     cols = [sf.solve(b) for b in B.columns()]
-    return None if None in cols else IntMatrix.from_columns(cols, A.cols)
+    return None if None in cols else IntMatrix._from_columns(cols, A.cols)
 
 
 def _reduce(cur: dict, pivots: Dict[int, dict]) -> Optional[dict]:
@@ -660,6 +636,7 @@ class Echelon:
     __slots__ = ("n", "pivots")
 
     def __init__(self, n: int):
+        guard_int(n, ZExactError, "an echelon's width must be a nonnegative integer, not {!r}", 0)
         self.n = n
         self.pivots: Dict[int, dict] = {}  # pivot column -> row
 
@@ -728,7 +705,7 @@ def _hermite(ech: Echelon, start: int) -> IntMatrix:
             q = ri.get(pj, 0) // rj[pj]
             if q:
                 _add_scaled(ri, rj, -q)
-    return IntMatrix.from_sparse_columns([r for _, r in out], ech.n - start)
+    return IntMatrix._from_sparse_columns([r for _, r in out], ech.n - start)
 
 
 def hnf_columns(A: IntMatrix) -> IntMatrix:
@@ -759,7 +736,7 @@ def hermite_coords(H: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     coords = [_reduce(_nonzeros(b), pivots) for b in B.columns()]
     if None in coords:
         return None
-    return IntMatrix.from_sparse_columns(
+    return IntMatrix._from_sparse_columns(
         [{index[p]: q for p, q in c.items()} for c in coords], H.cols)
 
 
@@ -808,6 +785,8 @@ def exact_node(f_ech: Echelon, g_ech: Echelon, n: int) -> bool:
     from C to D is then triangular with a ±1 diagonal, and D = C.  False
     means D != C: the homology is not 0, or D is not contained in C
     (g∘f is not zero, or a relation of B is not a cycle)."""
+    guard_int(n, ZExactError, "exact_node needs a generator count n with 0 <= n <= "
+              "{0[1]}, not {0[0]!r}", 0, g_ech.n, shown=(n, g_ech.n))
     m = g_ech.n - n
     cyc = g_ech.pivots
     bnd = [(p, row) for p, row in f_ech.pivots.items() if p < n]
@@ -931,8 +910,8 @@ class Presentation:
             images[g] = img
         m = len(kept)
         rels = [{new[i]: x for i, x in c.items()} for c in cols]
-        return (Presentation(m, IntMatrix.from_sparse_columns(rels, m)),
-                IntMatrix.from_sparse_columns([images[j] for j in range(n)], m), kept)
+        return (Presentation(m, IntMatrix._from_sparse_columns(rels, m)),
+                IntMatrix._from_sparse_columns([images[j] for j in range(n)], m), kept)
 
     def _smith(self) -> SmithForm:
         cache = self._nf_cache
@@ -1022,7 +1001,7 @@ class HomologyResult(NamedTuple):
     def class_of(self, v: Sequence[int]) -> tuple:
         """Canonical class of an element of the middle group given by a
         coordinate vector in its generators.  The vector must be a cycle."""
-        coords = hermite_coords(self.lattice_basis, IntMatrix.from_columns([v], len(v)))
+        coords = hermite_coords(self.lattice_basis, IntMatrix(zip(v), len(v), 1))
         if coords is None:
             raise ZExactError("element is not a cycle")
         return self.quotient.class_vector(coords.column(0))

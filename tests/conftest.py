@@ -40,6 +40,12 @@ from fktor.zexact import (AbGroupNF, GradedGroup, GradedHom, GroupHom, IntMatrix
                           hnf_columns, shift, subquotient_homology)
 
 
+def matrix_of_columns(cols, nrows):
+    """The nrows x len(cols) matrix whose columns are `cols`, built through
+    the checked IntMatrix constructor."""
+    return IntMatrix(cols, len(cols), nrows).transpose()
+
+
 def _space(space):
     """A FiniteSpace, or the builtin space of that name."""
     return space if isinstance(space, FiniteSpace) else builtin_space(space)
@@ -314,7 +320,7 @@ def level0_kernels_reference(sc, Y):
     for W in sc.objects:
         for p in (0, 1):
             c = t.rank.get((W, Y, p), 0)
-            out[(W, p)] = (hnf_columns(IntMatrix.from_columns(nil_basis(t)[(Y, Y, 0)], c))
+            out[(W, p)] = (hnf_columns(matrix_of_columns(nil_basis(t)[(Y, Y, 0)], c))
                            if (W, p) == (Y, 0) else IntMatrix.identity(c))
     return out
 
@@ -322,7 +328,7 @@ def level0_kernels_reference(sc, Y):
 def nil_digest(t):
     """sha256 of the Hermite basis of every nil_basis lattice of the table t,
     in sorted key order, and of its ideal_checks record."""
-    lattices = [[list(key), hnf_columns(IntMatrix.from_columns(vecs, t.rank.get(key, 0)))
+    lattices = [[list(key), hnf_columns(matrix_of_columns(vecs, t.rank.get(key, 0)))
                  .to_lists()] for key, vecs in sorted(nil_basis(t).items())]
     ideal = ideal_checks(t)
     record = {"nilpotent": ideal.nilpotent, "semidirect": ideal.semidirect,
@@ -375,7 +381,7 @@ def smith_cycles(g, relations):
     sf = smith_dense(stacked)
     rank = sum(1 for i in range(min(stacked.rows, stacked.cols)) if sf.S[i, i])
     cols = [sf.V.column(j)[:g.cols] for j in range(rank, stacked.cols)]
-    return hnf_columns(IntMatrix.from_columns(cols, g.cols))
+    return hnf_columns(matrix_of_columns(cols, g.cols))
 
 
 def smith_kernel(A):
@@ -548,7 +554,7 @@ def hermite_dense(pivots, n, start):
             if ri[pj]:
                 q = ri[pj] // rj[pj]
                 ri[:] = [x - q * y for x, y in zip(ri, rj)]
-    return IntMatrix.from_columns(out, n - start)
+    return matrix_of_columns(out, n - start)
 
 
 def word_action(M, word, src_obj, dst_obj):
@@ -721,14 +727,13 @@ def graph_six_term_maps(G, U, Y):
     nk = {S: kb[S].cols for S in kb}
 
     def coords(S, T):
-        pos = {v: i for i, v in enumerate(G.vertices_of(T))}
-        return IntMatrix.from_sparse_columns(
-            [{pos[v]: 1} if v in pos else {} for v in G.vertices_of(S)], nv[T])
+        return IntMatrix([[int(w == v) for v in G.vertices_of(S)] for w in G.vertices_of(T)],
+                         nv[T], nv[S])
 
     def k1(S, T):
         sol = dense_solve(kb[T], (coords(S, T) * kb[S]).columns())
         assert sol is not None, f"K1({label(S)}) does not map into K1({label(T)})"
-        return IntMatrix.from_columns(sol, nk[T])
+        return matrix_of_columns(sol, nk[T])
 
     def rels(parts):
         return block_diag([G.bprime_block(S, S) for S in parts])

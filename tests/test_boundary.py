@@ -1,5 +1,5 @@
 """The checked boundary: every documented argument of a count, degree,
-parity, shift, object or name kind refuses a malformed value with its
+parity, shift, object, name or word kind refuses a malformed value with its
 module's error class, never with a bare TypeError, ValueError or KeyError
 and never with a result.
 
@@ -9,14 +9,17 @@ a row fails when the parameter it names is renamed or gone.  The valid
 call must succeed, so a refusal comes from the spoiled argument alone.
 """
 
+import functools
 import inspect
+import json
+import os
 import random
 
 import pytest
 
 from conftest import random_block_graph
 from fktor.finspace import SpaceError, builtin_space, z_space
-from fktor.graphk import tor_ck
+from fktor.graphk import BlockGraph, fk_module, tor_ck
 from fktor.ntcat import (CategoryError, HomTable, builtin_category, builtin_presentation,
                          end_splits, generator_images, hom_closure)
 from fktor.ntmod import (FreeResolution, GradedModule, ModuleError, TorReport,
@@ -24,7 +27,10 @@ from fktor.ntmod import (FreeResolution, GradedModule, ModuleError, TorReport,
                          free_ranks, left_complex_underlying, projective_dimension,
                          rational_tor, resolution_for, resolve_simple, tensor_complex_maps,
                          tor, tor_single, validate_resolution)
-from fktor.zexact import GradedHom, IntMatrix, Presentation, SparseMatrix, ZExactError
+from fktor.zexact import (Echelon, GradedHom, IntMatrix, Presentation, ZExactError,
+                          exact_node, map_echelon)
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "fktor", "data")
 
 # the malformed values of each kind; "1" names an object of every builtin
 # space, so an object gets an unknown name instead
@@ -35,6 +41,7 @@ BAD = {
     "integer": (True, 1.0, 2.5, "1", None),  # a shift or a factor: any int is one
     "object": (True, 1.0, 2.5, None, "9"),
     "name": (True, 1.0, 2.5, "1", None),
+    "word": (("bogus",),),  # a word of arrows; a row adds words that do not compose
 }
 
 
@@ -64,6 +71,19 @@ def _dims():
             for W in sc.objects for p in (0, 1)}
 
 
+@functools.cache
+def _ck_z3():
+    """fk_module of the graph ck_z3 over Z3, whose arrow d:1>4 acts in degree 1;
+    shared, since a refused word is never cached."""
+    with open(os.path.join(DATA, "ck_z3.json")) as fh:
+        return fk_module(BlockGraph.from_json(json.load(fh)))
+
+
+def _echelons():
+    """(f_ech, g_ech, n) for the zero maps Z -> Z^2 -> Z: g_ech.n is 3."""
+    return map_echelon(IntMatrix.zero(2, 1), []), map_echelon(IntMatrix.zero(1, 2), []), 2
+
+
 def _identity_hom():
     return GradedHom.identity(_left().entry("14"))
 
@@ -71,12 +91,13 @@ def _identity_hom():
 # (error, callable, valid arguments, {parameter: kind or (kind, *more bad values)})
 ROWS = [
     (ZExactError, IntMatrix, lambda: ([[1, 2]], 1, 2), {"rows": "bound", "cols": "bound"}),
-    (ZExactError, SparseMatrix, lambda: ([{1: 2}], 1, 2), {"rows": "count", "cols": "count"}),
     (ZExactError, IntMatrix.zero, lambda: (2, 3), {"rows": "count", "cols": "count"}),
     (ZExactError, IntMatrix.identity, lambda: (2,), {"n": "count"}),
     (ZExactError, IntMatrix.scale, lambda: (IntMatrix([[1, 2]]), -3), {"c": "integer"}),
     (ZExactError, Presentation, lambda: (2,), {"generators": "count"}),
     (ZExactError, GradedHom, lambda: (0, *_identity_hom()[1:]), {"degree": "parity"}),
+    (ZExactError, Echelon, lambda: (2,), {"n": "count"}),
+    (ZExactError, exact_node, _echelons, {"n": ("count", 4)}),
     (SpaceError, z_space, lambda: (3,), {"m": ("count", 0, 9)}),
     (SpaceError, builtin_space, lambda: ("Z3",), {"name": ("name", "Z5")}),
     (SpaceError, builtin_category, lambda: ("Z3",), {"space_name": ("name", "Z5")}),
@@ -104,6 +125,10 @@ ROWS = [
     (ModuleError, GradedModule.entry, lambda: (_left(), "14"), {"obj": "object"}),
     (ModuleError, GradedModule.designated,
      lambda: (_left(), "inc", frozenset("4"), frozenset("14")), {"kind": "name"}),
+    (ModuleError, GradedModule.action_word, lambda: (_ck_z3(), ("d:1>4",), "1", "4"),
+     {"word": ("word", (), ("d:1>4", "d:1>4")), "src_obj": "object", "dst_obj": "object"}),
+    (ModuleError, GradedModule.action_combo,
+     lambda: (_ck_z3(), {("d:1>4",): 1}, "1", "4", 1), {"parity": "parity"}),
     (ModuleError, GradedModule.sum_map,
      lambda: (_left(), 0, [("14", 0)], [("14", 0)], [[None]]), {"degree": "parity"}),
     (ModuleError, GradedModule.tensor_mod_k, lambda: (_left(), 2), {"k": ("count", 0, 1)}),

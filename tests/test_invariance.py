@@ -8,15 +8,19 @@ groups.  Renumbering the vertices inside the blocks of a graph gives an
 isomorphic graph over the same space, so it changes no K-group, no
 exactness verdict and no Tor report, and neither does splitting a vertex
 (Bates–Pask out- and in-splits, the new vertices in the old one's
-block)."""
+block).
+
+Each relation is checked on random_block_graphs, whose K₁ is 0 on nearly
+every subset, and on singular_block_graphs, whose K₁ is nonzero on every
+block, so that the odd actions and the boundary maps carry something."""
 
 import random
 
 import pytest
 
-from conftest import (direct_sum_module, in_split, nf_direct_sum, out_split,
-                      permute_within_blocks, random_block_graph, reference_check_exact,
-                      shifted_module)
+from conftest import (direct_sum_module, in_split, matrix_of_columns, nf_direct_sum,
+                      out_split, permute_within_blocks, random_block_graph,
+                      reference_check_exact, shifted_module, singular_block_graph)
 
 from fktor.graphk import fk_module, graph_checks, k_groups
 from fktor.ntcat import builtin_category
@@ -72,6 +76,13 @@ def twisted(M, rng):
     return GradedModule(M.category, M.variance, entries, actions)
 
 
+def singular_graphs(salt):
+    """(space, singular_block_graph) for each corpus space, from its own
+    seed, so that adding them moves none of the random graphs."""
+    rng = random.Random(SEED + 100 + salt)
+    return [(space, singular_block_graph(space, rng)) for space in ("Z3", "S", "C2", "Z4")]
+
+
 def corpus():
     rng = random.Random(SEED)
     for space in ("Z3", "S", "C2", "Z4"):
@@ -79,6 +90,10 @@ def corpus():
             M = fk_module(random_block_graph(space, rng, max_vertices=2))
             yield f"{space}/graph{i}", M
             yield f"{space}/graph{i}/Z2", M.tensor_mod_k(2)
+    for space, G in singular_graphs(0):
+        M = fk_module(G)
+        yield f"{space}/singular", M
+        yield f"{space}/singular/Z2", M.tensor_mod_k(2)
 
 
 CORPUS = list(corpus())
@@ -131,7 +146,7 @@ def test_a_module_that_does_not_prune_is_its_own_reduced_module():
 def random_presentation(rng, n, m):
     """n generators and m relations, sparse, with some unit entries."""
     cols = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n)] for _ in range(m)]
-    return Presentation(n, IntMatrix.from_columns(cols, n) if m else None)
+    return Presentation(n, matrix_of_columns(cols, n))
 
 
 @pytest.mark.parametrize("trial", range(40))
@@ -145,7 +160,7 @@ def test_pruning_keeps_the_group_and_includes_the_kept_generators(trial):
     assert to_new.submatrix(range(Q.generators), kept) == IntMatrix.identity(Q.generators)
     # to_new and the inclusion of the kept generators are inverse
     # isomorphisms of presented groups
-    inc = IntMatrix.from_sparse_columns([{k: 1} for k in kept], n)
+    inc = matrix_of_columns([[int(i == k) for i in range(n)] for k in kept], n)
     forward, back = GroupHom(P, Q, to_new), GroupHom(Q, P, inc)
     assert forward.is_well_defined() and back.is_well_defined()
     assert to_new * inc == IntMatrix.identity(Q.generators)
@@ -172,7 +187,7 @@ def swap_parities(failure):
     return failure.replace(" even:", " odd*").replace(" odd:", " even:").replace(" odd*", " odd:")
 
 
-SHIFT_CORPUS = [(name, M) for name, M in CORPUS if "/graph0" in name]
+SHIFT_CORPUS = [(name, M) for name, M in CORPUS if "/graph0" in name or "/singular" in name]
 
 
 @pytest.mark.parametrize("name,M", SHIFT_CORPUS, ids=[name for name, _ in SHIFT_CORPUS])
@@ -196,6 +211,9 @@ def sum_pairs():
         M = fk_module(random_block_graph(space, rng, max_vertices=2))
         N = fk_module(random_block_graph(space, rng, max_vertices=2)).tensor_mod_k(2)
         yield space, M, N
+    for space, G in singular_graphs(1):
+        M = fk_module(G)
+        yield f"{space}/singular", M, M.tensor_mod_k(2)
 
 
 SUM_PAIRS = list(sum_pairs())
@@ -219,6 +237,8 @@ def block_permutation_pairs():
         for i in range(2):
             G = random_block_graph(space, rng)
             yield f"{space}/graph{i}", G, permute_within_blocks(G, rng)
+    for space, G in singular_graphs(2):
+        yield f"{space}/singular", G, permute_within_blocks(G, rng)
 
 
 PERMUTED = list(block_permutation_pairs())
@@ -252,6 +272,9 @@ def split_moves():
             G = random_block_graph(space, rng, max_vertices=2)
             for move in (out_split, in_split):
                 yield f"{space}/graph{i}/{move.__name__}", G, move(G, rng)
+    for space, G in singular_graphs(3):
+        for move in (out_split, in_split):
+            yield f"{space}/singular/{move.__name__}", G, move(G, rng)
 
 
 SPLITS = list(split_moves())

@@ -11,7 +11,7 @@ from functools import cached_property
 import pytest
 
 from conftest import (HAND_ARROWS, bnd_block_reference, connected_t0_spaces,
-                      eval_combo, graded_rank, nil_digest, smith_dense,
+                      eval_combo, graded_rank, matrix_of_columns, nil_digest, smith_dense,
                       word_post_matrix, word_pre_matrix)
 
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_name,
@@ -558,7 +558,7 @@ def test_a_representative_word_as_long_as_the_bound_is_not_stabilized(monkeypatc
         v[last] += 1
         cols = X.columns()
         cols[0] = [x + y for x, y in zip(cols[0], v)]
-        return IntMatrix.from_columns(cols, X.rows)
+        return matrix_of_columns(cols, X.rows)
 
     monkeypatch.setattr(ntcat, "solve_columns", shifted)
     with pytest.raises(NonStabilizedError,
@@ -775,13 +775,13 @@ def test_shipped_cache_matches_fresh_build(name):
 
 
 def test_a_fresh_build_makes_no_dense_relation_matrix(monkeypatch):
-    """hom_closure hands each relation lattice to smith as a SparseMatrix,
+    """hom_closure hands each relation lattice to smith as a _SparseMatrix,
     whose dense view nothing reads, and builds the shipped table."""
     def refuse(*args):
         raise AssertionError("a dense relation matrix was built")
 
-    monkeypatch.setattr(IntMatrix, "from_sparse_columns", staticmethod(refuse))
-    monkeypatch.setattr(zexact.SparseMatrix, "data", property(refuse))
+    monkeypatch.setattr(IntMatrix, "_from_sparse_columns", classmethod(refuse))
+    monkeypatch.setattr(zexact._SparseMatrix, "data", property(refuse))
     with open(os.path.join(TABLES, "Z3.json")) as fh:
         shipped = fh.read()
     sc = build_category(builtin_space("Z3"))
@@ -882,7 +882,7 @@ def test_pre_matrices_agree_with_post_matrices(name):
                             for x in t.basis_elements(el.dst, W, parity)]
                     n_out = t.rank.get((el.src, W, parity ^ el.parity), 0)
                     assert t.pre_matrix(el, W, parity) == \
-                        IntMatrix.from_columns(cols, n_out), (el, W, parity)
+                        matrix_of_columns(cols, n_out), (el, W, parity)
 
 
 def test_word_matrices_are_built_once_per_table(monkeypatch):
@@ -957,8 +957,8 @@ def test_nil_powers_from_generator_images_match_pairwise_products(name):
     for i, ref in enumerate(expected, 1):
         assert sorted(power) == sorted(ref), (name, i)
         for key, basis in ref.items():
-            assert hnf_columns(IntMatrix.from_columns(power[key])) == \
-                hnf_columns(IntMatrix.from_columns(basis)), (name, i, key)
+            assert hnf_columns(matrix_of_columns(power[key], t.rank[key])) == \
+                hnf_columns(matrix_of_columns(basis, t.rank[key])), (name, i, key)
         power = ntcat._nil_power_step(t, power)
     assert ideal_checks(t).nilpotency_index == len(expected)
 

@@ -10,9 +10,10 @@ import pytest
 
 import catalogue
 from conftest import (connected_t0_spaces, eval_combo, graph_corpus, layout_corpus,
-                      level0_kernels_reference, m_ss_reference, random_block_graph,
-                      random_valid_module, reference_check_exact, reference_tor,
-                      word_action, word_pre_matrix, z1_right_module_with_i_acting_by_one)
+                      level0_kernels_reference, m_ss_reference, matrix_of_columns,
+                      random_block_graph, random_valid_module, reference_check_exact,
+                      reference_tor, word_action, word_pre_matrix,
+                      z1_right_module_with_i_acting_by_one)
 
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, SpaceError, builtin_name,
                             builtin_space, label, space_to_json)
@@ -333,8 +334,8 @@ def test_nil_part_from_generator_images(name):
                 fast = ntmod._nil_part(sc, level, dims, kernels)
                 ref = _nil_part_per_element(sc, level, kernels)
                 for key, K in kernels.items():
-                    assert hnf_columns(IntMatrix.from_columns(fast[key], K.rows)) == \
-                        hnf_columns(IntMatrix.from_columns(ref[key], K.rows)), \
+                    assert hnf_columns(matrix_of_columns(fast[key], K.rows)) == \
+                        hnf_columns(matrix_of_columns(ref[key], K.rows)), \
                         (Y, engine, n, key)
 
 
@@ -1124,6 +1125,18 @@ def test_several_words_are_summed_per_parity():
         assert h.degree == parity
         assert [h.component(p).matrix for p in (0, 1)] == combo_reference(M, combo, src, dst)
         assert M.action_combo(rel, src, dst, parity).is_zero_hom()
+
+
+def test_a_right_module_refuses_a_word_that_does_not_compose():
+    """A right module builds a word from its first generator, which must
+    start at src_obj; the rest of the word is checked in turn."""
+    M = z1_right_module_with_i_acting_by_one()
+    word = ("i:2>12", "r:12>1")
+    assert M.action_word(word, "2", "1") == word_action(M, word, "2", "1")
+    for bad, src, dst in ((word[::-1], "12", "12"), (word[:1], "1", "12"),
+                          ((), "1", "2"), (("x:1>2",), "1", "2")):
+        with pytest.raises(ModuleError, match="does not act from|runs from an object to itself"):
+            M.action_word(bad, src, dst)
 
 
 def test_a_word_acting_in_the_wrong_degree_is_refused():

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from fktor.zexact import (
     AbGroupNF, CompositionNonZeroError, Echelon, GradedGroup, GradedHom,
-    GroupHom, IntMatrix, Presentation, SparseMatrix, ZExactError, block_diag,
+    GroupHom, IntMatrix, Presentation, SmithForm, ZExactError, block_diag,
     graded_direct_sum, hermite_coords, hnf_columns, kernel, normal_form, shift,
     smith, solve, solve_columns, subquotient_homology,
 )
 import fktor.ntmod as ntmod
 import fktor.zexact as zexact
-from conftest import hermite_dense, smith_cycles, smith_dense, smith_kernel
+from conftest import (hermite_dense, matrix_of_columns, smith_cycles, smith_dense,
+                      smith_kernel)
 
 PROPS = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -93,8 +94,23 @@ def test_public_constructor_checks_shape():
     assert IntMatrix([[1, -2], [0, 3]]).data == ((1, -2), (0, 3))
     with pytest.raises(ZExactError):
         IntMatrix([[1, 2], [3]])
-    with pytest.raises(ZExactError):
-        IntMatrix.from_columns([(1, 2), (3,)])
+
+
+def test_the_unchecked_constructors_are_private():
+    """A matrix comes into zexact from outside through the checked
+    IntMatrix(...) only; the column constructors, the sparse input of smith
+    and the rows of U are trusted paths for data fktor built itself."""
+    for owner, name in ((IntMatrix, "from_columns"), (IntMatrix, "from_sparse_columns"),
+                        (SmithForm, "u_rows"), (zexact, "SparseMatrix")):
+        assert not hasattr(owner, name), name
+
+
+@PROPS
+@given(int_matrices())
+def test_the_column_constructors_rebuild_a_matrix_from_its_columns(A):
+    cols = A.columns()
+    assert IntMatrix._from_columns(cols, A.rows) == A == matrix_of_columns(cols, A.rows)
+    assert IntMatrix._from_sparse_columns([zexact._nonzeros(c) for c in cols], A.rows) == A
 
 
 @PROPS
@@ -330,24 +346,25 @@ def sparse_inputs(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(sparse_inputs())
 def test_smith_of_a_sparse_matrix_equals_smith_of_the_dense_one(entries):
-    """A SparseMatrix is factored as its dense IntMatrix is, and as the dense
-    engine factors it; its `data`, and the matrix `_of_columns` builds from
-    its columns, are that dense matrix."""
+    """A _SparseMatrix built from the columns of a matrix is factored as its
+    dense IntMatrix is, and as the dense engine factors it; its rows are the
+    matrix's in increasing column order, and its `data` is that matrix."""
     rows, m, n = entries
-    A = SparseMatrix(rows, m, n)
+    cols = [{i: r[j] for i, r in enumerate(rows) if j in r} for j in range(n)]
+    A = zexact._SparseMatrix(cols, m)
     D = IntMatrix([[r.get(j, 0) for j in range(n)] for r in rows], m, n)
     sf, dense, ref = smith(A), smith(D), smith_dense(D)
     assert (sf.U, sf.S, sf.V) == (dense.U, dense.S, dense.V) == (ref.U, ref.S, ref.V)
     assert sf.diagonal() == dense.diagonal() == [ref.S[i, i] for i in range(min(m, n))]
-    assert A.data == D.data
-    cols = [{i: r[j] for i, r in enumerate(rows) if j in r} for j in range(n)]
-    assert SparseMatrix._of_columns(cols, m).data == D.data
+    assert [list(r.items()) for r in A.sparse_rows()] == \
+        [sorted(r.items()) for r in rows]
+    assert (A.rows, A.cols, A.data) == (m, n, D.data)
 
 
 def test_a_sparse_matrix_keeps_its_rows_in_column_order_and_hands_out_copies():
-    rows = [{2: 5, 0: -2}, {}]
-    A = SparseMatrix(rows, 2, 3)
-    rows[0][1] = 7
+    cols = [{0: -2}, {}, {0: 5}]
+    A = zexact._SparseMatrix(cols, 2)
+    cols[1][0] = 7
     out = A.sparse_rows()
     assert out == [{0: -2, 2: 5}, {}] and list(out[0]) == [0, 2]
     out[0].clear()
@@ -357,22 +374,12 @@ def test_a_sparse_matrix_keeps_its_rows_in_column_order_and_hands_out_copies():
     assert A.data == ((-2, 0, 5), (0, 0, 0)) and A.data is A.data
 
 
-@pytest.mark.parametrize("entries, rows, cols, match", [
-    ([{}], 2, 1, "1 sparse rows for 2"), ([{1: 2}], 1, 1, r"column must be .* not 1"),
-    ([{True: 2}], 1, 2, "column"), ([{"0": 2}], 1, 1, "column"),
-    ([{0: 1.0}], 1, 1, "entries"), ([{0: True}], 1, 1, "entries"),
-    ([{0: 0}], 1, 1, "zero in column 0")])
-def test_a_sparse_matrix_refuses_malformed_entries(entries, rows, cols, match):
-    with pytest.raises(ZExactError, match=match):
-        SparseMatrix(entries, rows, cols)
-
-
 def test_dense_transforms_are_built_once_on_first_read():
     sf = smith(M([[2, 4], [6, 8]]))
     assert "U" not in vars(sf) and "V" not in vars(sf)
     U, V = sf.U, sf.V
     assert sf.U is U and sf.V is V and sf.S is sf.S
-    assert sf.u_rows(1, 2) == U.submatrix([1], [0, 1])
+    assert sf._u_rows(1, 2) == U.submatrix([1], [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +434,7 @@ def test_hnf_columns_ignores_order_and_redundant_generators(A, rnd):
     if cols:
         cols += [cols[0], tuple(x + y for x, y in zip(cols[0], cols[-1]))]
     rnd.shuffle(cols)
-    assert hnf_columns(IntMatrix.from_columns(cols, A.rows)) == hnf_columns(A)
+    assert hnf_columns(matrix_of_columns(cols, A.rows)) == hnf_columns(A)
 
 
 def test_solve_columns_block():
@@ -467,7 +474,7 @@ def test_solve_columns_agrees_with_solve(AB):
     if any(x is None for x in per_column):
         assert X is None
     else:
-        assert X == IntMatrix.from_columns(per_column, A.cols)
+        assert X == matrix_of_columns(per_column, A.cols)
         assert A * X == B
 
 
@@ -602,10 +609,10 @@ def test_hermite_bases_match_the_dense_oracle(ns, k):
     ref = DenseEchelon()
     for vec in stream:
         ref.add(vec)
-    assert hnf_columns(IntMatrix.from_columns(stream, n)) == \
+    assert hnf_columns(matrix_of_columns(stream, n)) == \
         hermite_dense(ref.pivots, n, 0)
     k = min(k, len(stream))
-    g, rels = IntMatrix.from_columns(stream[:k], n), stream[k:]
+    g, rels = matrix_of_columns(stream[:k], n), stream[k:]
     ref = DenseEchelon()
     for j, col in enumerate(stream[:k]):
         ref.add(list(col) + [int(i == j) for i in range(k)])
@@ -623,17 +630,17 @@ def test_an_echelon_spans_all_exactly_when_its_smith_diagonal_is_all_units(ns, k
     """The stream, then the unit vectors e_k, ..., e_(n-1): `spans_all` (a
     pivot ±1 in every column) holds exactly when the Smith form of the
     basis matrix has n unit diagonal entries, and then its cokernel
-    projection u_rows(n, n) is the empty 0×n matrix."""
+    projection _u_rows(n, n) is the empty 0×n matrix."""
     n, stream = ns
     ech = Echelon(n)
     for vec in stream + [[int(i == j) for i in range(n)] for j in range(k, n)]:
         ech.add(vec)
-    R = IntMatrix.from_sparse_columns(ech.sparse_basis(), n)
+    R = matrix_of_columns(ech.basis(), n)
     S = smith_dense(R).S
     units = sum(1 for i in range(min(R.rows, R.cols)) if S.data[i][i] == 1)
     assert ech.spans_all() == (units == n)
     if ech.spans_all():
-        assert smith(R).u_rows(n, n) == IntMatrix.zero(0, n)
+        assert smith(R)._u_rows(n, n) == IntMatrix.zero(0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +749,15 @@ def test_homology_witness_class():
     assert res.group == AbGroupNF(0, (2, 2))
     assert any(c for c in res.class_of((1, 0)))
     assert not any(c for c in res.class_of((2, 0)))
+
+
+@pytest.mark.parametrize("v", [[2.0, True], [1, True], [1, "1"], [1, None]])
+def test_class_of_refuses_a_vector_that_is_not_integral(v):
+    free = subquotient_homology(GroupHom.zero(Presentation.zero(), Presentation.free(2)),
+                                GroupHom.zero(Presentation.free(2), Presentation.zero()))
+    assert free.class_of([2, 1]) == (2, 1)
+    with pytest.raises(ZExactError, match="matrix entries must be integers"):
+        free.class_of(v)
 
 
 def test_class_of_never_factors_the_cycle_basis(monkeypatch):
