@@ -679,6 +679,7 @@ class HomTable:
         self.id_coords: Dict[str, tuple] = {}
         self._word_matrices: Dict[tuple, IntMatrix] = {}
         self._nil_cache: Optional[Dict[Tuple[str, str, int], Tuple[tuple, ...]]] = None
+        self._nil_index: Optional[int] = 0  # 0: not yet computed (see _nilpotency_index)
 
     # -- element helpers -----------------------------------------------------
 
@@ -689,8 +690,7 @@ class HomTable:
     def _hom_rank(self, src, dst, parity) -> int:
         """The rank of NT(src, dst) at parity; refuses a triple naming no Hom group."""
         self.check_object(src, CategoryError)
-        self.check_object(dst, CategoryError)
-        guard_int(parity, CategoryError, _PARITY, 0, 1)
+        self._check_slot(dst, parity)
         return self.rank.get((src, dst, parity), 0)
 
     def zero(self, src, dst, parity) -> Element:
@@ -732,8 +732,14 @@ class HomTable:
         table lacks (a pair never reached within the closure bound) acts
         as 0."""
         guard_name(side, ("post", "pre"), CategoryError, "side must be 'post' or 'pre', not {!r}")
-        self.check_object(W, CategoryError)
-        guard_int(parity, CategoryError, _PARITY, 0, 1)  # True would find the key of 1
+        self._check_slot(W, parity)
+        return self._word_matrix(side, W, parity, word)
+
+    def _check_slot(self, W, parity, error=CategoryError) -> None:
+        self.check_object(W, error)
+        guard_int(parity, error, _PARITY, 0, 1)  # True would find the key of 1
+
+    def _word_matrix(self, side: str, W: str, parity: int, word: Word) -> IntMatrix:
         key = (side, W, parity, word)
         M = self._word_matrices.get(key)
         if M is None:
@@ -753,7 +759,7 @@ class HomTable:
                 gen = self.pre.get(at + (a.name,))
             if gen is None:
                 gen = IntMatrix.zero(self.rank.get(to, 0), self.rank.get(at, 0))
-            M = gen * self.word_matrix(side, W, parity, rest) if rest else gen
+            M = gen * self._word_matrix(side, W, parity, rest) if rest else gen
             self._word_matrices[key] = M
         return M
 
@@ -763,8 +769,6 @@ class HomTable:
         A nonempty word's scaled copy is kept in _word_matrices under its
         coefficient, so an el that is one nonempty word is a cached matrix
         itself."""
-        self.check_object(W, CategoryError)
-        guard_int(parity, CategoryError, _PARITY, 0, 1)
         at, to = ((W, el.src), (W, el.dst)) if side == "post" else ((el.dst, W), (el.src, W))
         n_in = self.rank.get((*at, parity), 0)
         n_out = self.rank.get((*to, parity ^ el.parity), 0)
@@ -774,12 +778,12 @@ class HomTable:
                 M = IntMatrix.identity(n_in)
                 M = M if c == 1 else M.scale(c)
             elif c == 1:
-                M = self.word_matrix(side, W, parity, w)
+                M = self._word_matrix(side, W, parity, w)
             else:
                 key = (side, W, parity, w, c)
                 M = self._word_matrices.get(key)
                 if M is None:
-                    M = self._word_matrices[key] = self.word_matrix(side, W, parity, w).scale(c)
+                    M = self._word_matrices[key] = self._word_matrix(side, W, parity, w).scale(c)
             out = M if out is None else out + M
         return IntMatrix.zero(n_out, n_in) if out is None else out
 
@@ -788,16 +792,18 @@ class HomTable:
         if first.dst != then.src:
             raise CategoryError("endpoints do not match in compose")
         return Element(first.src, then.dst, first.parity ^ then.parity,
-                       self.post_matrix(then, first.src, first.parity).apply(first.vec))
+                       self._combo_matrix("post", then, first.src, first.parity).apply(first.vec))
 
     def post_matrix(self, el: Element, W: str, parity: int) -> IntMatrix:
         """Matrix of x ↦ el∘x from NT(W, el.src) at `parity` to
         NT(W, el.dst), summed over the words of el."""
+        self._check_slot(W, parity)
         return self._combo_matrix("post", el, W, parity)
 
     def pre_matrix(self, el: Element, W: str, parity: int) -> IntMatrix:
         """Matrix of x ↦ x∘el from NT(el.dst, W) at `parity` to
         NT(el.src, W), summed over the words of el."""
+        self._check_slot(W, parity)
         return self._combo_matrix("pre", el, W, parity)
 
     def total_rank(self) -> int:
@@ -1120,23 +1126,31 @@ def end_splits(table: HomTable, obj: str) -> bool:
             and (rank == 0 or len(ev) + 1 == rank and span.spans_all()))
 
 
+def _nilpotency_index(table: HomTable) -> Optional[int]:
+    """The least i with J^i = 0, or None where J^MAX_NILPOTENCY_INDEX is not
+    0: computed once per table from its nil basis and generator matrices,
+    as nil_basis is, and shared by ideal_checks and the resolution engine."""
+    if table._nil_index == 0:
+        power = {k: vs for k, vs in nil_basis(table).items() if vs}
+        index = 1
+        while power and index < MAX_NILPOTENCY_INDEX:
+            power = _nil_power_step(table, power)
+            index += 1
+        table._nil_index = None if power else index
+    return table._nil_index
+
+
 def ideal_checks(table: HomTable) -> RingIdealData:
-    """NT_nil as the classes of nonempty words; nilpotency by lattice powers;
-    semidirectness = every End group splits as Z·id ⊕ nil (end_splits, the
-    predicate the resolution engine checks before it covers S_Y)."""
+    """NT_nil as the classes of nonempty words; nilpotency by lattice powers
+    (_nilpotency_index); semidirectness = every End group splits as
+    Z·id ⊕ nil (end_splits, the predicate the resolution engine checks
+    before it covers S_Y)."""
     nil = nil_basis(table)
     end_nil_ranks = {obj: (len(nil[(obj, obj, 0)]), len(nil[(obj, obj, 1)]))
                      for obj in table.objects}
     semidirect = all(end_splits(table, obj) for obj in table.objects)
-
-    power = {k: vs for k, vs in nil.items() if vs}
-    index = 1
-    while power and index < MAX_NILPOTENCY_INDEX:
-        power = _nil_power_step(table, power)
-        index += 1
-    nilpotent = not power
-    return RingIdealData(nilpotent, semidirect,
-                         index if nilpotent else None, end_nil_ranks)
+    index = _nilpotency_index(table)
+    return RingIdealData(index is not None, semidirect, index, end_nil_ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .finspace import builtin_name, label, space_from_ref, space_ref
 from .ntcat import (_PARITY, _SIDE, Arrow, Combo, Element, HomTable, SpaceCategory, _along,
-                    builtin_category, end_splits, generator_images, ideal_checks,
-                    space_category)
+                    _nilpotency_index, builtin_category, end_splits, generator_images,
+                    ideal_checks, space_category)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
-                     IntMatrix, Presentation, _Record, block_diag, exact_node,
+                     IntMatrix, Presentation, _Record, _inexact_homology, block_diag, exact_node,
                      graded_direct_sum, guard_int, guard_name, kernel, hnf_columns,
                      map_echelon, shift as shift_group, subquotient_homology)
 
@@ -40,6 +40,7 @@ class CatalogueError(ModuleError):
 Summand = Tuple[str, int]  # (object, shift)
 Blocks = Sequence[Sequence[Optional[Element]]]  # a map of free modules, None for 0
 Slots = Dict[Tuple[str, int], List[int]]  # (W, parity) -> block sizes of a free module
+Kernels = Dict[Tuple[str, int], Optional[IntMatrix]]  # (W, parity) -> basis, None: all of it
 
 _SIDES = ("left", "right")
 _DEPTH = "a resolution needs a nonnegative integer depth, not {!r}"
@@ -357,33 +358,35 @@ def free_ranks(t: HomTable, side: str, summands: Sequence[Summand], W: str,
     """Block sizes at (W, parity) of the free module on `summands` (A, ε):
     the rank of NT(A, W) (left, P_A) or NT(W, A) (right, Q_A) at parity + ε."""
     guard_name(side, _SIDES, ModuleError, _SIDE)
-    t.check_object(W, ModuleError)
-    guard_int(parity, ModuleError, _PARITY, 0, 1)
-    return [t.rank.get((*_along(side, A, W), (parity + eA) % 2), 0)
-            for A, eA in summands]
+    t._check_slot(W, parity, ModuleError)
+    return _free_ranks(t, side, summands, W, parity)
+
+
+def _free_ranks(t: HomTable, side: str, summands: Sequence[Summand], W: str,
+                parity: int) -> List[int]:
+    return [t.rank.get((*_along(side, A, W), (parity + eA) % 2), 0) for A, eA in summands]
 
 
 def free_map(t: HomTable, side: str, targets: Sequence[Summand],
-             sources: Sequence[Summand], matrix: Blocks, W: str, parity: int,
-             rows: Optional[List[int]] = None, cols: Optional[List[int]] = None) -> IntMatrix:
+             sources: Sequence[Summand], matrix: Blocks, W: str, parity: int) -> IntMatrix:
     """Matrix at (W, parity) of the map of free modules from `sources` to
     `targets` whose block (i, j) is matrix[i][j] (None for zero): an element
     of NT(B_i, A_j) acting by pre-composition on a left module, of
     NT(A_j, B_i) acting by post-composition on a right one.  Only blocks
-    with rows and columns are read off the Hom table.  `rows` and `cols`
-    are the block sizes of the targets and the sources there, read with
-    free_ranks when the caller does not hold them."""
+    with rows and columns are read off the Hom table."""
     guard_name(side, _SIDES, ModuleError, _SIDE)
-    t.check_object(W, ModuleError)
-    guard_int(parity, ModuleError, _PARITY, 0, 1)
-    if rows is None:
-        rows = free_ranks(t, side, targets, W, parity)
-    if cols is None:
-        cols = free_ranks(t, side, sources, W, parity)
-    act = t.pre_matrix if side == "left" else t.post_matrix
+    t._check_slot(W, parity, ModuleError)
+    return _free_map(t, side, sources, matrix, W, parity, _free_ranks(t, side, targets, W, parity),
+                     _free_ranks(t, side, sources, W, parity))
+
+
+def _free_map(t: HomTable, side: str, sources: Sequence[Summand], matrix: Blocks, W: str,
+              parity: int, rows: List[int], cols: List[int]) -> IntMatrix:
+    """free_map on the block sizes `rows` of its targets and `cols` of its sources."""
+    act = "pre" if side == "left" else "post"
     return IntMatrix.block(
-        [[act(el, W, (parity + eA) % 2) if el is not None and r and c else None
-          for el, (_, eA), c in zip(row, sources, cols)]
+        [[t._combo_matrix(act, el, W, (parity + eA) % 2) if el is not None and r and c
+          else None for el, (_, eA), c in zip(row, sources, cols)]
          for row, r in zip(matrix, rows)], rows, cols)
 
 
@@ -395,6 +398,11 @@ def free_action(t: HomTable, side: str, summands: Sequence[Summand], a: Arrow,
     the module's block sizes, free_ranks(t, side, summands, W, p)."""
     guard_name(side, _SIDES, ModuleError, _SIDE)
     guard_int(parity, ModuleError, _PARITY, 0, 1)
+    return _free_action(t, side, summands, a, parity, dims)
+
+
+def _free_action(t: HomTable, side: str, summands: Sequence[Summand], a: Arrow,
+                 parity: int, dims: Slots) -> IntMatrix:
     s, d = _along(side, a.src, a.dst)
     acts = t.post if side == "left" else t.pre
     return block_diag([acts.get((*_along(side, A, s), (parity + eA) % 2, a.name))
@@ -420,17 +428,17 @@ def _free_cokernel(sc: SpaceCategory, side: str, targets: Sequence[Summand],
                 raise ModuleError("entry ({},{}) is not in NT({}, {}) at parity {}"
                                   .format(i, j, *hom))
     t = sc.table
-    dims = {(W, p): free_ranks(t, side, targets, W, p) for W in sc.objects for p in (0, 1)}
+    dims = {(W, p): _free_ranks(t, side, targets, W, p) for W in sc.objects for p in (0, 1)}
     entries = {}
     for W in sc.objects:
-        rels = (free_map(t, side, targets, sources, matrix, W, p, rows=dims[(W, p)])
-                for p in (0, 1))
+        rels = (_free_map(t, side, sources, matrix, W, p, dims[(W, p)],
+                          _free_ranks(t, side, sources, W, p)) for p in (0, 1))
         entries[W] = GradedGroup(*(Presentation(R.rows, R if R.rows else None) for R in rels))
     actions = {}
     for name, a in sc.presentation.arrows.items():
         s, d = _along(side, a.src, a.dst)
         actions[name] = GradedHom.build(a.parity, entries[s], entries[d],
-                                        *(free_action(t, side, targets, a, p, dims)
+                                        *(_free_action(t, side, targets, a, p, dims)
                                           for p in (0, 1)))
     return GradedModule(sc, side, entries, actions)
 
@@ -536,9 +544,10 @@ def _node_homology(nodes: dict, f: GroupHom, g: GroupHom) -> AbGroupNF:
     subquotient_homology reads, and the augmented echelon of each map
     (see _map_echelon), so that one echelon serves both nodes a map
     touches.  A node whose two echelons show ker(g) = im(f) + rel_B
-    (exact_node) is 0; every other node, and one whose maps disagree on
-    the relations of the middle group, is computed by subquotient_homology.
-    A middle group with no generators is 0 without any lookup.
+    (exact_node) is 0; every other node is factored from g's echelon in
+    the table, and one whose maps disagree on the relations of the middle
+    group is computed by subquotient_homology.  A middle group with no
+    generators is 0 without any lookup.
 
     The table lives for one call and is keyed by value, not kept on the
     maps: equal maps from different open pairs, objects or levels share
@@ -546,15 +555,16 @@ def _node_homology(nodes: dict, f: GroupHom, g: GroupHom) -> AbGroupNF:
     fk_module, echelons kept on each GroupHom instead took 3,356
     map_echelon calls per round of the seed-1 graph corpus, against 1,971;
     on the pruned presentations of GradedModule.reduced the round takes
-    1,116, subquotient_homology's own included."""
+    1,030, and its 43 nodes that are not exact reuse their echelons."""
     if f.target.generators == 0 == g.source.generators:
         return _TRIVIAL
     key = (f.matrix, g.source.relations, g.matrix, g.target.relations)
     group = nodes.get(key)
     if group is None:
-        if f.target.relations == g.source.relations and exact_node(
-                _map_echelon(nodes, f), _map_echelon(nodes, g), g.source.generators):
-            group = _TRIVIAL
+        if f.target.relations == g.source.relations:
+            g_ech = _map_echelon(nodes, g)
+            group = _TRIVIAL if exact_node(_map_echelon(nodes, f), g_ech, g.source.generators) \
+                else _inexact_homology(f, g, g_ech).group
         else:
             group = subquotient_homology(f, g).group
         nodes[key] = group
@@ -654,26 +664,40 @@ class FreeResolution:
         self.levels = levels
         self.diffs = diffs  # diffs[n-1] = matrix of d_n, rows: L_{n-1}, cols: L_n
         self.periodic = periodic
+        self._slot_tables: Dict[int, Slots] = {}  # n -> level n's sizes, on first read
 
     def level(self, n: int) -> List[Summand]:
         guard_int(n, ModuleError, "a resolution has no level {!r}", 0)
+        return self._level(n)
+
+    def _level(self, n: int) -> List[Summand]:
         if n < len(self.levels):
             return self.levels[n]
         if not self.periodic:
             raise CatalogueError(f"resolution of S_{self.Y} not built to level {n}")
-        return [(obj, (eps + 1) % 2) for obj, eps in self.level(n - self.periodic[1])]
+        return [(obj, (eps + 1) % 2) for obj, eps in self._level(n - self.periodic[1])]
 
     def diff(self, n: int) -> List[List[Optional[Element]]]:
         guard_int(n, ModuleError, "a resolution has no d_{!r}", 1)
+        return self._diff(n)
+
+    def _diff(self, n: int) -> List[List[Optional[Element]]]:
         if n - 1 < len(self.diffs):
             return self.diffs[n - 1]
         if not self.periodic:
             raise CatalogueError(f"resolution of S_{self.Y} has no d_{n}")
-        return self.diff(n - self.periodic[1])
+        return self._diff(n - self.periodic[1])
 
     def dims(self, n: int, W: str, parity: int) -> List[int]:
         """Block sizes of level n's underlying group at (W, parity)."""
         return free_ranks(self.sc.table, "right", self.level(n), W, parity)
+
+    def _slots(self, n: int) -> Slots:
+        if n not in self._slot_tables:
+            level, t = self._level(n), self.sc.table
+            self._slot_tables[n] = {(W, p): _free_ranks(t, "right", level, W, p)
+                                    for W in self.sc.objects for p in (0, 1)}
+        return self._slot_tables[n]
 
     def underlying_diff(self, n: int, W: str, parity: int) -> IntMatrix:
         """Matrix of d_n on the underlying groups at (W, parity)."""
@@ -691,8 +715,8 @@ def resolve_simple(sc: SpaceCategory, Y: str, depth: int) -> FreeResolution:
     checked before level 0 is read."""
     sc.table.check_object(Y, ModuleError)
     guard_int(depth, ModuleError, _DEPTH, 0)
-    res = FreeResolution(sc, Y, [[(Y, 0)]], [], periodic=None)
-    extend_resolution(res, depth)
+    res = FreeResolution(sc, Y, [[(Y, 0)]], [])
+    _extend(res, depth)
     return res
 
 
@@ -702,119 +726,99 @@ def extend_resolution(res: FreeResolution, depth: int) -> None:
     The kernel K of the last differential is a right module.  At each
     (W, parity), in a fixed order, a kernel column becomes a generator
     exactly when it lies outside the lattice spanned by the nil part J·K
-    there (see _nil_part) and the generators already chosen there.  Each
-    step reads its level's block sizes once and carries them to the next
-    step as the sizes of its target; only the nonzero slots take a kernel
-    (see _level_kernels).
+    there (see _nil_part) and the generators already chosen there; only the
+    nonzero slots take a kernel (see _level_kernels).
 
     This needs the nil ideal J of NT* to be nilpotent (graded Nakayama).
     Every image of a generator under a nonempty word lies in J·K, so the
     submodule S the generators span satisfies K = S + J·K, hence
-    K = S + J^m·K = S once J^m = 0.  Every builtin table satisfies this
-    (nilpotency index at most 7); it is not checked here."""
+    K = S + J^m·K = S once J^m = 0.  A table whose J is not nilpotent
+    (ntcat._nilpotency_index, kept on the table) is refused with
+    HypothesisNotVerifiedError before a level is built."""
     guard_int(depth, ModuleError, _DEPTH, 0)
-    sc = res.sc
-    levels = res.levels
-    diffs = res.diffs
-    below: Optional[Slots] = None  # the block sizes of level n - 1, once read
+    _extend(res, depth)
 
+
+def _extend(res: FreeResolution, depth: int) -> None:
+    sc, levels, diffs = res.sc, res.levels, res.diffs
+    if len(levels) <= depth and _nilpotency_index(sc.table) is None:
+        raise HypothesisNotVerifiedError("the nil ideal of the Hom table is not nilpotent, so "
+                                         "generators chosen modulo it need not cover a kernel")
     while len(levels) <= depth:
         n = len(diffs)  # building d_{n+1}: L_{n+1} -> L_n
-        cur_level = res.level(n)
-        dims = {(W, p): res.dims(n, W, p) for W in sc.objects for p in (0, 1)}
-        kernels = _level_kernels(res, n, dims, below)
-        nil = _nil_part(sc, cur_level, dims, kernels)
+        level, slots = res._level(n), res._slots(n)
+        kernels = _level_kernels(res, n)
+        nil = _nil_part(res, n, kernels)
         chosen: List[Tuple[str, int, tuple]] = []
         for (W, parity), K in kernels.items():
-            if K.cols == 0:
-                continue
-            covered = Echelon(K.rows)
-            for v in nil[(W, parity)]:
+            c = sum(slots[(W, parity)])
+            covered = Echelon(c)
+            for v in nil.get((W, parity), ()):
                 covered.add(v)
-            for v in K.columns():
+            for v in (K.columns() if K is not None else  # a whole slot: its unit vectors
+                      (tuple(int(i == j) for i in range(c)) for j in range(c))):
                 if covered.add(v):
                     chosen.append((W, parity, v))
-        new_level = [(W, parity) for W, parity, _ in chosen]
         # differential entries: the components of each chosen kernel vector
-        matrix: List[List[Optional[Element]]] = [[None] * len(chosen)
-                                                 for _ in cur_level]
+        matrix: List[List[Optional[Element]]] = [[None] * len(chosen) for _ in level]
         for col, (W, parity, vec) in enumerate(chosen):
             offset = 0
-            for i, ((A, eA), r) in enumerate(zip(cur_level, dims[(W, parity)])):
+            for i, ((A, eA), r) in enumerate(zip(level, slots[(W, parity)])):
                 piece = vec[offset:offset + r]
                 offset += r
                 if any(piece):
                     matrix[i][col] = Element(W, A, (parity + eA) % 2, piece)
-        levels.append(new_level)
+        levels.append([(W, parity) for W, parity, _ in chosen])
         diffs.append(matrix)
-        below = dims
 
 
-def _level_kernels(res: FreeResolution, n: int, dims: Slots,
-                   below: Optional[Slots] = None) -> Dict[Tuple[str, int], IntMatrix]:
-    """Kernel lattice of d_n (of Q_Y ->> S_Y for n = 0) per (W, parity), in
-    Hermite basis, where dims[(W, parity)] = res.dims(n, W, parity) and
-    below holds those of level n - 1 (read here when the caller has none).
+def _level_kernels(res: FreeResolution, n: int) -> Kernels:
+    """Kernel lattice of d_n (of Q_Y ->> S_Y for n = 0) at each (W, parity)
+    where level n is nonzero: its Hermite basis, or None for the whole slot.
 
-    Level 0 has every slot.  Every morphism between distinct objects and
-    every odd one is nil, so J·Q_Y is all of Q_Y(W)_p, the identity, except
-    at (Y, 0), where it is spanned by the images of Q_Y under the arrows
-    out of Y.  Under End(Y)_even = Z·id ⊕ nil it is the kernel of
-    Q_Y ->> S_Y; a Y whose End(Y) does not split is refused with
-    ModuleError.  For n >= 1 a slot where level n is 0 has no entry, one
-    where the level below is 0 is all of Z^c, the identity, and only the
-    rest take a kernel."""
-    t = res.sc.table
-    if not n:
-        Y = res.Y
-        if not end_splits(t, Y):
-            raise ModuleError(f"End({Y}) does not split as Z·id + nil")
-        kernels = {key: IntMatrix.identity(sum(cols)) for key, cols in dims.items()}
-        nil = generator_images(res.sc.presentation.by_src.get(Y, ()), "right",
-                               lambda a, p: t.pre.get((a.dst, Y, p, a.name)))
-        kernels[(Y, 0)] = hnf_columns(IntMatrix._from_columns(nil.get((Y, 0), []),
-                                                              sum(dims[(Y, 0)])))
-        return kernels
-    if below is None:
-        below = {key: res.dims(n - 1, *key) for key in dims}
-    targets, sources, diff = res.level(n - 1), res.level(n), res.diff(n)
-    kernels: Dict[Tuple[str, int], IntMatrix] = {}
-    for key, cols in dims.items():
-        c = sum(cols)
-        if c:
-            rows = below[key]
-            kernels[key] = (kernel(free_map(t, "right", targets, sources, diff, *key,
-                                            rows=rows, cols=cols))
-                            if sum(rows) else IntMatrix.identity(c))
+    Every morphism between distinct objects and every odd one is nil, so at
+    level 0 J·Q_Y is all of Q_Y(W)_p except at (Y, 0), where it is spanned
+    by the images of Q_Y under the arrows out of Y.  Under
+    End(Y)_even = Z·id ⊕ nil it is the kernel of Q_Y ->> S_Y; a Y whose
+    End(Y) does not split is refused with ModuleError.  For n >= 1 a slot
+    where the level below is 0 is whole, and only the rest take a kernel."""
+    t, slots = res.sc.table, res._slots(n)
+    if n:
+        below, sources, d = res._slots(n - 1), res._level(n), res._diff(n)
+        return {key: kernel(_free_map(t, "right", sources, d, *key, below[key], cols))
+                if sum(below[key]) else None for key, cols in slots.items() if sum(cols)}
+    Y = res.Y
+    if not end_splits(t, Y):
+        raise ModuleError(f"End({Y}) does not split as Z·id + nil")
+    kernels = dict.fromkeys(key for key, cols in slots.items() if sum(cols))
+    nil = generator_images(res.sc.presentation.by_src.get(Y, ()), "right",
+                           lambda a, p: t.pre.get((a.dst, Y, p, a.name)))
+    kernels[(Y, 0)] = hnf_columns(IntMatrix._from_columns(nil.get((Y, 0), []),
+                                                          sum(slots[(Y, 0)])))
     return kernels
 
 
-def _nil_part(sc: SpaceCategory, level: List[Summand], dims: Slots,
-              kernels: Dict[Tuple[str, int], IntMatrix]) -> Dict[Tuple[str, int], List[tuple]]:
-    """J·K per (W, parity), K the submodule of the level ⊕ Q_{A_i}[ε_i] that
-    `kernels` span, of block sizes `dims`; no free_action is built where the
-    level is 0 at the image's slot.  A kernel lattice is saturated, so one
-    with as many columns as rows is all of its slot, and its images are the
-    columns of the action matrix itself."""
-    images = generator_images(
-        sc.presentation.arrows.values(), "right",
-        lambda a, p: free_action(sc.table, "right", level, a, p, dims)
-        if sum(dims[(a.src, p ^ a.parity)]) else None,
-        {key: None if K.cols == K.rows else K for key, K in kernels.items() if K.cols})
-    return {key: images.get(key, []) for key in dims}
+def _nil_part(res: FreeResolution, n: int, kernels: Kernels) -> Dict[Tuple[str, int], List[tuple]]:
+    """J·K per (W, parity), K the submodule of level n that `kernels` span
+    (see _level_kernels); no free_action is built where the level is 0 at
+    the image's slot."""
+    t, level, slots = res.sc.table, res._level(n), res._slots(n)
+    return generator_images(
+        res.sc.presentation.arrows.values(), "right",
+        lambda a, p: _free_action(t, "right", level, a, p, slots)
+        if sum(slots[(a.src, p ^ a.parity)]) else None,
+        {key: K for key, K in kernels.items() if K is None or K.cols})
 
 
 def _composite_problems(res: FreeResolution, n: int) -> List[str]:
     """Blocks where d_n∘d_{n+1} is nonzero in the Hom table."""
     t = res.sc.table
-    dn = res.diff(n)
-    dn1 = res.diff(n + 1)
-    Ln_1, Ln, Ln1 = res.level(n - 1), res.level(n), res.level(n + 1)
+    dn, dn1 = res._diff(n), res._diff(n + 1)
     problems = []
-    for i in range(len(Ln_1)):
-        for j in range(len(Ln1)):
+    for i in range(len(res._level(n - 1))):
+        for j in range(len(res._level(n + 1))):
             total = None
-            for k in range(len(Ln)):
+            for k in range(len(res._level(n))):
                 a, b = dn[i][k], dn1[k][j]
                 if a is None or b is None:
                     continue
@@ -842,16 +846,14 @@ def validate_resolution(res: FreeResolution, depth: int) -> List[str]:
     nonzero on the underlying groups reports that instead of exactness.
     Each underlying differential is built once per (W, parity)."""
     guard_int(depth, ModuleError, _DEPTH, 0)
-    sc = res.sc
-    level0 = _level_kernels(res, 0, {(W, p): res.dims(0, W, p)
-                                     for W in sc.objects for p in (0, 1)})
+    level0 = _level_kernels(res, 0)
     problems = []
     for n in range(1, depth):
         problems += _composite_problems(res, n)
-    for (W, parity), K in level0.items():
-        d = [None] + [res.underlying_diff(n, W, parity)
-                      for n in range(1, max(depth, 1) + 1)]
-        if hnf_columns(d[1]) != K:
+    for (W, parity), cols in res._slots(0).items():
+        K = level0.get((W, parity))
+        d = [None] + [res.underlying_diff(n, W, parity) for n in range(1, max(depth, 1) + 1)]
+        if hnf_columns(d[1]) != (IntMatrix.identity(sum(cols)) if K is None else K):
             problems.append(f"not exact under the augmentation at ({W},{parity})")
         for n in range(1, depth):
             if not (d[n] * d[n + 1]).is_zero():
@@ -911,14 +913,12 @@ def resolution_for(sc: SpaceCategory, Y: str, depth: int,
                "unknown resolution engine {!r}; expected auto, builtin or generic")
     if engine == "builtin":
         res = builtin_resolution(builtin_name(sc.space), Y)
-        if res.periodic is None and len(res.levels) <= depth:
-            extend_resolution(res, depth)
+        if res.periodic is None:
+            _extend(res, depth)
         return res
-    res = sc.resolutions.get(Y)
-    if res is None:
-        res = sc.resolutions[Y] = resolve_simple(sc, Y, depth)
-    elif len(res.levels) <= depth:
-        extend_resolution(res, depth)
+    res = sc.resolutions.get(Y) or FreeResolution(sc, Y, [[(Y, 0)]], [])
+    _extend(res, depth)
+    sc.resolutions[Y] = res  # once built: a refused Y caches nothing
     return res
 
 
@@ -982,9 +982,9 @@ def _nf_from_parts(rank: int, torsions: List[int]) -> AbGroupNF:
 
 def _tensor_diff(res: FreeResolution, M: GradedModule, k: int) -> GradedHom:
     """The differential d_k⊗M from level k to level k-1."""
-    return M.sum_map(0, res.level(k), res.level(k - 1), [
+    return M.sum_map(0, res._level(k), res._level(k - 1), [
         [None if el is None else M.action_element(el) for el in row]
-        for row in res.diff(k)])
+        for row in res._diff(k)])
 
 
 def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int) -> list:

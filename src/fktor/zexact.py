@@ -1027,14 +1027,21 @@ def subquotient_homology(f: GroupHom, g: GroupHom) -> HomologyResult:
     if n == 0:
         return HomologyResult(AbGroupNF(0, ()), IntMatrix.zero(0, 0), Presentation(0))
     g_ech = map_echelon(g.matrix, g.target.relations.columns())
-    cyc = _hermite(g_ech, g.matrix.rows)
     if exact_node(map_echelon(f.matrix, B.relations.columns()), g_ech, n):
+        cyc = _hermite(g_ech, g.matrix.rows)
         return HomologyResult(AbGroupNF(0, ()), cyc,
                               Presentation(cyc.cols, IntMatrix.identity(cyc.cols)))
+    return _inexact_homology(f, g, g_ech)
+
+
+def _inexact_homology(f: GroupHom, g: GroupHom, g_ech: Echelon) -> HomologyResult:
+    """subquotient_homology at a node that exact_node found not exact, from
+    g's augmented echelon g_ech = map_echelon(g, rel_C)."""
+    cyc = _hermite(g_ech, g.matrix.rows)
     images = hermite_coords(cyc, f.matrix)
     if images is None:
         raise CompositionNonZeroError("g∘f is not zero on presentations")
-    rels = hermite_coords(cyc, B.relations)
+    rels = hermite_coords(cyc, g.source.relations)
     if rels is None:
         raise ZExactError("boundary not contained in cycles")
     quotient = Presentation(cyc.cols, images.hstack(rels))

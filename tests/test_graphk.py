@@ -316,16 +316,17 @@ def test_each_distinct_node_is_factored_once_per_call(monkeypatch, graph,
                                                       exact_counts, tor_counts):
     """check_exact and tor(M, 3) decide each distinct node whose middle
     group has generators once, from one augmented echelon per distinct
-    (map, target relations), and compute a homology with
-    subquotient_homology only at the nodes where it is not 0: none in
-    check_exact of these exact modules.  Both run on M.reduced(), the
-    module on pruned presentations, so its nodes are the reference."""
+    (map, target relations), and factor a homology only at the nodes where
+    it is not 0 (none in check_exact of these exact modules), from the
+    echelon of g already in the node table, never with a fresh
+    subquotient_homology.  Both run on M.reduced(), the module on pruned
+    presentations, so its nodes are the reference."""
     M = fk_module(graph())
     R = M.reduced()
     echelons, decided, computed = [], [], []
     key_of = {}
     real_echelon, real_exact = ntmod.map_echelon, ntmod.exact_node
-    real_homology = ntmod.subquotient_homology
+    real_homology, real_inexact = ntmod.subquotient_homology, ntmod._inexact_homology
 
     def map_echelon(h, relations):
         ech = real_echelon(h, relations)
@@ -336,11 +337,17 @@ def test_each_distinct_node_is_factored_once_per_call(monkeypatch, graph,
     monkeypatch.setattr(ntmod, "map_echelon", map_echelon)
     monkeypatch.setattr(ntmod, "exact_node", lambda fe, ge, n: decided.append(
         (key_of[id(fe)], key_of[id(ge)])) or real_exact(fe, ge, n))
-    monkeypatch.setattr(ntmod, "subquotient_homology", lambda f, g: computed.append(
-        _node_key(f, g)) or real_homology(f, g))
-
     def map_key(h):
         return (h.matrix, tuple(h.target.relations.columns()))
+
+    def inexact(f, g, g_ech):
+        assert key_of[id(g_ech)] == map_key(g)
+        computed.append(_node_key(f, g))
+        return real_inexact(f, g, g_ech)
+
+    monkeypatch.setattr(ntmod, "_inexact_homology", inexact)
+    monkeypatch.setattr(ntmod, "subquotient_homology",
+                        lambda f, g: pytest.fail("a node was computed afresh"))
 
     for run, nodes, (total, distinct) in [
             (lambda: check_exact(M), reference_six_term_nodes(R), exact_counts),

@@ -328,13 +328,14 @@ def test_nil_part_from_generator_images(name):
             except CatalogueError:
                 continue
             for n in range(6):
-                level = res.level(n)
-                dims = {(W, p): res.dims(n, W, p) for W in sc.objects for p in (0, 1)}
-                kernels = ntmod._level_kernels(res, n, dims)
-                fast = ntmod._nil_part(sc, level, dims, kernels)
-                ref = _nil_part_per_element(sc, level, kernels)
+                kernels = ntmod._level_kernels(res, n)
+                fast = ntmod._nil_part(res, n, kernels)
+                # a whole slot, None, is spanned by its unit vectors
+                kernels = {key: IntMatrix.identity(sum(res.dims(n, *key))) if K is None else K
+                           for key, K in kernels.items()}
+                ref = _nil_part_per_element(sc, res.level(n), kernels)
                 for key, K in kernels.items():
-                    assert hnf_columns(matrix_of_columns(fast[key], K.rows)) == \
+                    assert hnf_columns(matrix_of_columns(fast.get(key, []), K.rows)) == \
                         hnf_columns(matrix_of_columns(ref[key], K.rows)), \
                         (Y, engine, n, key)
 
@@ -347,13 +348,13 @@ def test_level_zero_kernel_is_the_nil_lattice_formula(X):
     Q_Y elsewhere, slot by slot, for every object."""
     sc = space_category(X)
     for Y in sc.objects:
-        res = FreeResolution(sc, Y, [[(Y, 0)]], [])
-        dims = {(W, p): res.dims(0, W, p) for W in sc.objects for p in (0, 1)}
-        got = ntmod._level_kernels(res, 0, dims)
+        got = ntmod._level_kernels(FreeResolution(sc, Y, [[(Y, 0)]], []), 0)
         ref = level0_kernels_reference(sc, Y)
-        assert got.keys() == ref.keys()
-        for key, K in ref.items():
-            assert got[key] == K, (Y, key)
+        # a slot where Q_Y is 0 has no entry, and every whole slot is None
+        assert got.keys() == {key for key, K in ref.items() if K.rows}
+        for key, K in got.items():
+            assert (K is None) == (key != (Y, 0)), (Y, key)
+            assert (IntMatrix.identity(ref[key].rows) if K is None else K) == ref[key], (Y, key)
 
 
 # per space: the total size of level 2 over every S_Y, and the sha256 of
@@ -595,14 +596,15 @@ def test_cokernel_reads_only_nonempty_blocks(monkeypatch):
     sc = cat("Z4")
     t = sc.table
     pres = []
-    real_pre = type(t).pre_matrix
+    real_combo = type(t)._combo_matrix
 
-    def counted_pre(table, el, W, parity):
+    def counted_combo(table, side, el, W, parity):
+        assert side == "pre"
         pres.append((t.rank.get((el.dst, W, parity), 0),
                      t.rank.get((el.src, W, parity ^ el.parity), 0)))
-        return real_pre(table, el, W, parity)
+        return real_combo(table, side, el, W, parity)
 
-    monkeypatch.setattr(type(t), "pre_matrix", counted_pre)
+    monkeypatch.setattr(type(t), "_combo_matrix", counted_combo)
     _, M = z4_module()
     assert pres and all(src and dst for src, dst in pres)
     assert M.to_json()["entries"]["12345"]["even"] == {"gens": 6, "rels": [
@@ -664,19 +666,20 @@ def test_resolution_work_only_on_nonzero_slots(monkeypatch):
     sc = cat("Z4")
     t = sc.table
     shapes, posts = [], []
-    real_kernel, real_post = ntmod.kernel, type(t).post_matrix
+    real_kernel, real_combo = ntmod.kernel, type(t)._combo_matrix
 
     def counted_kernel(A):
         shapes.append((A.rows, A.cols))
         return real_kernel(A)
 
-    def counted_post(table, el, W, parity):
+    def counted_combo(table, side, el, W, parity):
+        assert side == "post"
         posts.append((t.rank.get((W, el.src, parity), 0),
                       t.rank.get((W, el.dst, parity ^ el.parity), 0)))
-        return real_post(table, el, W, parity)
+        return real_combo(table, side, el, W, parity)
 
     monkeypatch.setattr(ntmod, "kernel", counted_kernel)
-    monkeypatch.setattr(type(t), "post_matrix", counted_post)
+    monkeypatch.setattr(type(t), "_combo_matrix", counted_combo)
 
     def size(level, W, parity):
         return sum(t.rank.get((W, A, (parity + e) % 2), 0) for A, e in level)
@@ -738,6 +741,112 @@ def test_a_resumed_resolution_equals_a_direct_build(X):
         direct = resolve_simple(sc, Y, 5)
         assert resumed.levels == direct.levels, Y
         assert resumed.diffs == direct.diffs, Y
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_hand_built_resolution_extends_to_a_direct_build(name):
+    """A resolution made by hand from another's first levels and
+    differentials, as builtin_resolution makes them, has no slot table
+    yet; extended to depth 5 it reads its own and has the levels and
+    differentials of a direct build."""
+    sc = cat(name)
+    for Y in sc.objects:
+        direct = resolve_simple(sc, Y, 5)
+        for cut in (1, 2):
+            hand = FreeResolution(sc, Y, [list(lv) for lv in direct.levels[:cut + 1]],
+                                  list(direct.diffs[:cut]))
+            assert hand._slot_tables == {}
+            extend_resolution(hand, 5)
+            assert hand.levels == direct.levels, (Y, cut)
+            assert hand.diffs == direct.diffs, (Y, cut)
+
+
+def test_the_engine_calls_no_checked_public_entry(monkeypatch):
+    """The syzygy engine, the free-module layout and Tor's tensored complex
+    call the unchecked bodies with values they built.  With every checked
+    entry they share patched to raise, resolving every S_Y of every builtin
+    to depth 5, on fresh copies of the tables so that no word matrix is
+    cached, gives the levels and differentials of an unpatched build, and
+    a free module's Tor is unchanged."""
+    fresh = {name: table_from_json(table_to_json(cat(name))) for name in BUILTIN_NAMES}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine called a checked public entry")
+
+    for name in ("free_ranks", "free_map", "free_action"):
+        monkeypatch.setattr(ntmod, name, refuse)
+    for name in ("level", "diff", "dims"):
+        monkeypatch.setattr(FreeResolution, name, refuse)
+    for name in ("word_matrix", "post_matrix", "pre_matrix"):
+        monkeypatch.setattr(ntcat.HomTable, name, refuse)
+    built = {(name, Y): resolve_simple(sc, Y, 5)
+             for name, sc in fresh.items() for Y in sc.objects}
+    report = tor(free_module(fresh["Z3"], "14", "left"), 3).to_json()
+    monkeypatch.undo()
+    assert len(built) == 65
+    for (name, Y), res in built.items():
+        direct = resolve_simple(cat(name), Y, 5)
+        assert (res.levels, res.diffs) == (direct.levels, direct.diffs), (name, Y)
+    assert report == tor(free_module(cat("Z3"), "14", "left"), 3).to_json()
+
+
+def _category_with_a_nil_cycle():
+    """A hand-made table over Z2's presentation whose nil ideal J is not
+    nilpotent, though every End group splits as Z·id + nil.  Every object
+    has End = Z·id, except 3: in P_3 = NT(3, -) the cycle 3 -> 13 -> 123 ->
+    1 -> 3 of the arrows i, i, r and d acts by 1 in both parities, into
+    End(3)_even = Z·id + Z·x, so that every power of J holds the cycle."""
+    sc = cat("Z2")
+    t = ntcat.HomTable(sc.presentation)
+    for W in sc.objects:
+        t.rank[(W, W, 0)] = 1
+        t.id_coords[W] = (1,)
+    t.rank[("3", "3", 0)], t.id_coords["3"], t.rank[("3", "3", 1)] = 2, (1, 0), 1
+    one = IntMatrix([[1]])
+    for p in (0, 1):
+        for W in ("13", "123", "1"):
+            t.rank[("3", W, p)] = 1
+        t.post[("3", "13", p, "i:13>123")] = t.post[("3", "123", p, "r:123>1")] = one
+    t.post[("3", "3", 0, "i:3>13")], t.post[("3", "3", 1, "i:3>13")] = IntMatrix([[0, 1]]), one
+    t.post[("3", "1", 0, "d:1>3")], t.post[("3", "1", 1, "d:1>3")] = one, IntMatrix([[0], [1]])
+    return ntcat.SpaceCategory(sc.space, sc.presentation, t, sc.designator)
+
+
+def test_a_nil_ideal_that_is_not_nilpotent_is_refused_before_a_level_is_built():
+    """The engine covers a kernel by generators chosen modulo J·K, which
+    spans it only when J is nilpotent (graded Nakayama).  Over a table
+    whose J is not, every resolution is refused before a level is built or
+    cached, whatever the object, and the pd gate refuses it too."""
+    sc = _category_with_a_nil_cycle()
+    chk = ideal_checks(sc.table)
+    assert chk.semidirect and not chk.nilpotent and chk.nilpotency_index is None
+    message = "nil ideal of the Hom table is not nilpotent"
+    for Y in sc.objects:
+        for call in (lambda: resolve_simple(sc, Y, 1), lambda: resolution_for(sc, Y, 3)):
+            with pytest.raises(ntmod.HypothesisNotVerifiedError, match=message):
+                call()
+    assert sc.resolutions == {}
+    res = FreeResolution(sc, "3", [[("3", 0)]], [])
+    with pytest.raises(ntmod.HypothesisNotVerifiedError, match=message):
+        extend_resolution(res, 2)
+    assert (res.levels, res.diffs) == ([[("3", 0)]], [])
+    with pytest.raises(ntmod.HypothesisNotVerifiedError):
+        ntmod.check_hypotheses(sc)
+
+
+def test_the_nilpotency_verdict_is_computed_once_per_table(monkeypatch):
+    """check_hypotheses, ideal_checks and the engine's nilpotency gate share
+    one computation of the powers of J, kept on the table."""
+    sc = table_from_json(table_to_json(cat("Z4")))
+    steps = []
+    real_step = ntcat._nil_power_step
+    monkeypatch.setattr(ntcat, "_nil_power_step",
+                        lambda t, power: steps.append(power) or real_step(t, power))
+    ntmod.check_hypotheses(sc)
+    resolve_simple(sc, "12345", 2)
+    resolution_for(sc, "2345", 2)
+    chk = ideal_checks(sc.table)
+    assert chk.nilpotent and len(steps) == chk.nilpotency_index - 1
 
 
 @pytest.mark.parametrize("depth", ["3", -1, 2.5, True, None])

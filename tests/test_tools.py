@@ -19,7 +19,7 @@ COUNTERS = {
     "table_counts.py": ("words", "relation_instances", "insert", "insert_growing",
                         "bucket_index_reads", "smith", "smith_dense_cells"),
     "setup_counts.py": ("IntMatrix", "free_ranks", "free_map", "free_action", "kernel",
-                        "hnf_columns", "generator_images"),
+                        "hnf_columns", "generator_images", "guards"),
 }
 
 

@@ -3,17 +3,21 @@ of the six graph-corpus spaces, built to depth 4.
 
     python3 tools/setup_counts.py
 
-Loads the shipped tables of Z1, Z2, Z3, S, C2 and Z4 first, uncounted,
-then builds every S_Y with `resolve_simple` to depth 4 (the depth the
-graph-corpus benchmark's set-up asks for) and prints one `<name> <count>`
-line per counter:
+Loads the shipped tables of Z1, Z2, Z3, S, C2 and Z4 first and runs each
+category's nilpotency gate (`ntcat._nilpotency_index`, kept on the table,
+which also computes its nil basis), both uncounted, then builds every S_Y
+with `resolve_simple` to depth 4 (the depth the graph-corpus benchmark's
+set-up asks for) and prints one `<name> <count>` line per counter:
 `IntMatrix` constructions (the checked `__init__` plus the trusted `_of`),
-and the calls of `free_ranks`, `free_map`, `free_action`, `kernel`,
-`hnf_columns` and `generator_images`, however they are reached.  The
-counts depend only on the code and the shipped tables, so two runs of one
-checkout print the same lines, and the lines of two checkouts compare the
-work their resolution engines do.  The package is imported from the
-checkout that holds this file.
+the calls of `free_ranks`, `free_map`, `free_action`, `kernel`,
+`hnf_columns` and `generator_images`, however they are reached, each
+counted at the function that holds its body (`ntmod._free_ranks`,
+`_free_map` and `_free_action` for the first three), and last `guards`,
+the calls of `zexact.guard_int` and `guard_name`, those of
+`HomTable.check_object` included.  The counts depend only on the code and
+the shipped tables, so two runs of one checkout print the same lines, and
+the lines of two checkouts compare the work their resolution engines do.
+The package is imported from the checkout that holds this file.
 """
 
 import os
@@ -23,25 +27,29 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from fktor import ntcat, ntmod, zexact  # noqa: E402
+from fktor import finspace, ntcat, ntmod, zexact  # noqa: E402
 
 SPACES = ("Z1", "Z2", "Z3", "S", "C2", "Z4")
 DEPTH = 4
-FUNCTIONS = ((ntmod, "free_ranks"), (ntmod, "free_map"), (ntmod, "free_action"),
-             (zexact, "kernel"), (zexact, "hnf_columns"), (ntcat, "generator_images"))
+# (module, function, printed name)
+FUNCTIONS = ((ntmod, "_free_ranks", "free_ranks"), (ntmod, "_free_map", "free_map"),
+             (ntmod, "_free_action", "free_action"), (zexact, "kernel", "kernel"),
+             (zexact, "hnf_columns", "hnf_columns"),
+             (ntcat, "generator_images", "generator_images"),
+             (zexact, "guard_int", "guards"), (zexact, "guard_name", "guards"))
 
 
 def install(counts: Counter) -> None:
     """Count every call of FUNCTIONS through whichever fktor module binds
     it, and every IntMatrix construction."""
-    for home, name in FUNCTIONS:
+    for home, name, shown in FUNCTIONS:
         orig = getattr(home, name)
 
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            counts[_name] += 1
+        def counted(*args, _orig=orig, _shown=shown, **kwargs):
+            counts[_shown] += 1
             return _orig(*args, **kwargs)
 
-        for m in (ntmod, zexact, ntcat):
+        for m in (ntmod, zexact, ntcat, finspace):
             for attr, val in list(vars(m).items()):
                 if val is orig:
                     setattr(m, attr, counted)
@@ -62,12 +70,14 @@ def install(counts: Counter) -> None:
 
 def main():
     categories = [ntcat.builtin_category(name) for name in SPACES]
+    for sc in categories:
+        ntcat._nilpotency_index(sc.table)
     counts: Counter = Counter()
     install(counts)
     for sc in categories:
         for Y in sc.objects:
             ntmod.resolve_simple(sc, Y, DEPTH)
-    for name in ["IntMatrix", *(n for _, n in FUNCTIONS)]:
+    for name in ["IntMatrix", *dict.fromkeys(shown for _, _, shown in FUNCTIONS)]:
         print(name, counts[name])
 
 
