@@ -22,8 +22,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optio
 
 from .finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space,
                        label, space_from_ref, space_ref)
-from .zexact import (Echelon, IntMatrix, ZExactError, _Record, _SparseMatrix, guard_int,
-                     guard_name, smith, solve_columns)
+from .zexact import (Echelon, IntMatrix, ZExactError, _Record, _reduce, _SparseMatrix,
+                     guard_int, guard_name, smith, solve_columns)
 
 
 class CategoryError(Exception):
@@ -136,6 +136,8 @@ class CatPresentation:
         self.reconstructed = reconstructed
         for r in self.relations:
             self._check_relation(r)
+        # indices of the relations hom_closure need not place, on first read
+        self._redundant: Optional[FrozenSet[int]] = None
 
     def _check_relation(self, r: Combo):
         sig = None
@@ -854,6 +856,80 @@ def _enumerate_words(presentation: CatPresentation, max_len: int):
     return buckets, words_from
 
 
+def _redundant_relations(presentation: CatPresentation) -> FrozenSet[int]:
+    """The indices of the relations whose instances hom_closure's saturation
+    already holds when they pop, memoised on the presentation.
+
+    Relation r (index k, source s, longest word of length m) is marked when
+    it lies in the Z-span of the parallel vectors x·r'·y, for r' a relation
+    and x, y words, with every word of length at most m, and with x
+    nonempty or r' after r in `relations`.  Let w·r be an instance that
+    fits the bound.  Each w·x·r' fits it too and is placed; the instances
+    pop in reverse, longer words first and, at one word, later relations
+    first, so w·x·r' pops before w·r, and the extensions of every vector
+    that grows a lattice pop (depth first) before the next instance.  So
+    every term w·x·r'·y has reached its lattice when w·r pops, and w·r
+    would reduce to zero: skipping it leaves every lattice, echelon row and
+    table as they were.  The one step not proved is a term reached only
+    through an extension chain whose middle vector reduced to zero, which
+    the closure does not extend; its completeness assumes that step too.
+    The rule does not depend on the bound.  Membership is tested in one
+    small echelon per relation, on the words of length at most the longest
+    relation word."""
+    pres = presentation
+    if pres._redundant is not None:
+        return pres._redundant
+    nrel = len(pres.relations)
+    rels_from: Dict[str, list] = {}
+    for k, r in enumerate(pres.relations):
+        s, t, p = pres.word_signature(next(iter(r)))
+        rels_from.setdefault(s, []).append(
+            (k, t, p, [(rw, c) for rw, c in r.items() if c], max(len(w) for w in r)))
+    top = max((rel[-1] for own in rels_from.values() for rel in own), default=0)
+    buckets, words_from = _enumerate_words(pres, top)
+
+    def place(b: _Bucket, i: int, terms) -> Dict[int, int]:
+        # words[i]·terms, by walking the tables from word i of b as
+        # hom_closure does inline, where a call per instance costs time
+        vec = {}
+        for rw, c in terms:
+            b2, j = b, i
+            for nm in rw:
+                key2, step = b2.ext[nm]
+                b2, j = buckets[key2], step[j]
+            vec[j] = c
+        return vec
+
+    marked = set()
+    for s, own in rels_from.items():
+        longest = max(rel[-1] for rel in own)
+        # the vectors x·r'·y out of s, by bucket, as (length of the longest
+        # word, k' when x is empty else past every index, vector)
+        found: Dict[Tuple[str, str, int], list] = defaultdict(list)
+        stack = []
+        for b, i, n in words_from[s]:
+            for k2, t2, p2, terms2, m2 in rels_from.get(b.dst, ()):
+                if n + m2 <= longest:
+                    stack.append(((s, t2, b.parity ^ p2), n + m2, nrel if n else k2,
+                                  place(b, i, terms2)))
+        while stack:
+            key, n, k2, vec = stack.pop()
+            found[key].append((n, k2, vec))
+            if n < longest:
+                for key2, step in buckets[key].ext.values():
+                    stack.append((key2, n + 1, k2, {step[i]: c for i, c in vec.items()}))
+        for k, t, p, terms, m in own:
+            key = (s, t, p)
+            lattice = Echelon(len(buckets[key].words))
+            for n, k2, vec in found[key]:
+                if n <= m and k2 > k:
+                    lattice._insert(dict(vec))
+            if _reduce(place(buckets[(s, s, 0)], 0, terms), lattice.pivots) is not None:
+                marked.add(k)
+    pres._redundant = frozenset(marked)
+    return pres._redundant
+
+
 def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) -> HomTable:
     """Compute the Hom table by bounded path closure.
 
@@ -867,7 +943,9 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     first, each goes to its bucket's echelon through Echelon._insert, and
     one that changes the lattice while its support words are all shorter
     than max_len queues its extension by every arrow out of the target,
-    in arrow order.
+    in arrow order.  No instance of a relation that _redundant_relations
+    marks is placed: each would reduce to zero when it popped, so every
+    vector that grows a lattice enters it in the same order.
     A bucket whose relations span Z^n is the zero group, with no Smith form;
     any other takes one, whose rows of U past the rank give the projection
     P onto Z^rank, and a solve of P X = I the basis representatives.  The
@@ -887,9 +965,13 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     buckets, words_from = _enumerate_words(pres, max_len)
 
     # relations by source object, in relation order, each as its nonzero
-    # terms (word, coefficient) and the length of its longest word
+    # terms (word, coefficient) and the length of its longest word; the
+    # instances of a redundant relation would reduce to zero, so none is placed
+    redundant = _redundant_relations(pres)
     rels_from: Dict[str, list] = {}
-    for r in pres.relations:
+    for k, r in enumerate(pres.relations):
+        if k in redundant:
+            continue
         s, t, p = pres.word_signature(next(iter(r)))
         rels_from.setdefault(s, []).append(
             ([(rw, c) for rw, c in r.items() if c], t, p, max(len(w) for w in r)))

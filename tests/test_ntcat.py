@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import pytest
 
@@ -545,6 +545,41 @@ def test_a_relation_extends_only_while_its_longest_word_is_short():
     assert {w: abs(c) for w, c in rep.items()} == {("a", "b", "e"): 1}
 
 
+@pytest.mark.parametrize("relations, marked", [
+    # a left multiple a·r' of a relation r' = be
+    ([W("b", "e"), W("a", "b", "e")], {1}),
+    # abe = (ab)·e: its only certificate extends a later relation on the right
+    ([W("a", "b", "e"), W("a", "b")], {0}),
+    # the same extension of an earlier relation is no certificate
+    ([W("a", "b"), W("a", "b", "e")], set()),
+    # a relation equal to a later one is marked, the later one is not
+    ([{("c",): 1, ("a", "b"): -1}] * 2, {0}),
+    # twice a left multiple
+    ([W("b", "e"), {("a", "b", "e"): 2}], {1}),
+    # ce is outside the span of abe
+    ([W("a", "b", "e"), W("c", "e")], set()),
+    # ce = (ce - abe) + abe, but both later relations hold a word of
+    # length 3 and ce only words of length 2
+    ([W("c", "e"), {("c", "e"): 1, ("a", "b", "e"): -1}, W("a", "b", "e")], set()),
+], ids=["left-multiple", "right-extension", "earlier-right-extension", "equal-later",
+        "twice-left-multiple", "outside-the-span", "certificate-too-long"])
+def test_the_redundancy_rule_marks_a_relation_its_certificates_give(
+        relations, marked, monkeypatch):
+    """A relation is marked when it lies in the span of the x·r'·y whose
+    words are no longer than its own, with x nonempty or r' later; the
+    build that places its instances gives the same table as the one that
+    skips them."""
+    A, B, C, D = [lc.label for lc in builtin_space("Z3").lc_star()][:4]
+    arrows = [Arrow("a", A, B, 0, "i"), Arrow("b", B, C, 0, "i"),
+              Arrow("c", A, C, 0, "i"), Arrow("e", C, D, 0, "i")]
+    pres = CatPresentation(builtin_space("Z3"), arrows, relations)
+    assert ntcat._redundant_relations(pres) == marked
+    sc = SpaceCategory(pres.space, pres, hom_closure(pres), None)
+    monkeypatch.setattr(ntcat, "_redundant_relations", lambda pres: frozenset())
+    unruled = SpaceCategory(pres.space, pres, hom_closure(pres), None)
+    assert table_to_json(unruled) == table_to_json(sc)
+
+
 def test_a_representative_word_as_long_as_the_bound_is_not_stabilized(monkeypatch):
     """Composition matrices extend each representative word by one arrow,
     so a representative holding a word of length max_len, whose extension
@@ -625,23 +660,118 @@ def test_the_word_tables_extend_each_short_word_by_each_arrow(X):
 
 
 def test_a_fresh_z3_build_inserts_the_pinned_vector_sequence(monkeypatch):
-    """Every relation instance and every extension that hom_closure
-    saturates goes through Echelon._insert, in one fixed order: the
-    count, the growing calls and a digest of the inserted vectors pin it."""
-    seen, growing = hashlib.sha256(), []
+    """Every relation instance hom_closure places and every extension it
+    makes goes through Echelon._insert, in one fixed order: the count, the
+    growing calls and digests of all inserted vectors and of the growing
+    ones pin it.  The redundancy rule is read first (it is memoised on the
+    presentation), so none of its own inserts is counted.  The growing
+    digest is that of the closure that placed every instance."""
+    pres = builtin_presentation("Z3")
+    ntcat._redundant_relations(pres)
+    seen, grown, growing = hashlib.sha256(), hashlib.sha256(), []
     real_insert = zexact.Echelon._insert
 
     def counted(ech, cur):
-        seen.update(repr((ech.n, sorted(cur.items()))).encode())
+        vec = repr((ech.n, sorted(cur.items()))).encode()
+        seen.update(vec)
         grew = real_insert(ech, cur)
+        if grew:
+            grown.update(vec)
         growing.append(grew)
         return grew
 
     monkeypatch.setattr(zexact.Echelon, "_insert", counted)
-    hom_closure(builtin_presentation("Z3"))
-    assert (len(growing), sum(growing)) == (17367, 7763)
+    hom_closure(pres)
+    assert (len(growing), sum(growing)) == (12558, 7763)
+    assert grown.hexdigest() == \
+        "6f432576cc52e5dd2e44edfd396075b58ac8e013bb39ea02127c7a5da4d0cbae"
     assert seen.hexdigest() == \
-        "c831a7f9ede9c015699b82b1d6baaffaedc2d13b177329de42e08e7a1de73d29"
+        "ba30c44c7cab597dcfd4c2bdbeff283ecdf83d28c9963ff4a0d3902951b363f3"
+
+
+@lru_cache(maxsize=None)
+def _cached_presentation(X):
+    return ntcat._presentation(X)
+
+
+def _saturate(pres, designator, bound):
+    """hom_closure's Echelon._insert calls as (echelon, vector, grew), the
+    echelons numbered in the order they are first filled, and the table it
+    builds as sorted JSON, or the error it raises."""
+    numbers, calls = {}, []
+    real_insert = zexact.Echelon._insert
+
+    def recorded(ech, cur):
+        vec = tuple(sorted(cur.items()))
+        grew = real_insert(ech, cur)
+        calls.append((numbers.setdefault(id(ech), (len(numbers), ech))[0], vec, grew))
+        return grew
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zexact.Echelon, "_insert", recorded)
+        try:
+            table = hom_closure(pres, bound)
+        except (CategoryError, zexact.ZExactError) as e:
+            return calls, f"{type(e).__name__}: {e}"
+    sc = SpaceCategory(pres.space, pres, table, designator)
+    return calls, json.dumps(table_to_json(sc), sort_keys=True)
+
+
+@pytest.fixture(scope="module", params=[
+    (builtin_space(n), bound) for n in BUILTIN_NAMES
+    for bound in range(1, ntcat.DEFAULT_MAX_LEN[n] + 2)] + [
+    (X, ntcat.DEFAULT_MAX_LEN.get(builtin_name(X), 10)) for X in connected_t0_spaces(4)],
+    ids=lambda p: f"{p[0].name}-{p[1]}")
+def closures_with_and_without_the_rule(request):
+    """The presentation and bound, then the saturations of hom_closure as it
+    is and with _redundant_relations marking nothing."""
+    X, bound = request.param
+    pres, designator = _cached_presentation(X)
+    ntcat._redundant_relations(pres)  # memoised, so its inserts are not recorded
+    ruled = _saturate(pres, designator, bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ntcat, "_redundant_relations", lambda pres: frozenset())
+        unruled = _saturate(pres, designator, bound)
+    return pres, bound, ruled, unruled
+
+
+def test_the_closure_that_places_every_instance_builds_the_same_table(
+        closures_with_and_without_the_rule):
+    """Oracle: the closure with no relation marked redundant grows its
+    lattices by the same vectors in the same order, and builds the same
+    table or raises the same error."""
+    _, _, (ruled, table), (unruled, oracle) = closures_with_and_without_the_rule
+    assert [c for c in ruled if c[2]] == [c for c in unruled if c[2]]
+    assert table == oracle
+
+
+def test_each_skipped_instance_already_lies_in_its_lattice(
+        closures_with_and_without_the_rule):
+    """Replay: the closure that places every instance makes the same
+    Echelon._insert calls plus one per instance of a marked relation within
+    the bound, and each of those reduces to zero, so its vector lay in its
+    lattice when it popped, a lattice that only zero reductions have made
+    differ from the one the skipping closure holds at that point."""
+    pres, bound, (ruled, _), (unruled, _) = closures_with_and_without_the_rule
+    extra, j = [], 0
+    for call in unruled:
+        if j < len(ruled) and call == ruled[j]:
+            j += 1
+        else:
+            extra.append(call)
+    assert j == len(ruled)
+    assert not any(grew for _, _, grew in extra)
+    # the instances w·r of the marked relations r that fit the bound
+    marked = Counter()
+    for k in ntcat._redundant_relations(pres):
+        r = pres.relations[k]
+        marked[pres.word_signature(next(iter(r)))[0], max(len(w) for w in r)] += 1
+    lengths = Counter()
+    for b in ntcat._enumerate_words(pres, bound)[0].values():
+        lengths.update((b.dst, len(w)) for w in b.words)
+    assert len(extra) == sum(k * count for (s, m), k in marked.items()
+                             for (dst, n), count in lengths.items()
+                             if dst == s and n + m <= bound)
 
 
 def test_there_are_ten_connected_four_point_spaces():

@@ -16,7 +16,8 @@ import pytest
 TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
 
 COUNTERS = {
-    "table_counts.py": ("words", "relation_instances", "insert", "insert_growing",
+    "table_counts.py": ("words", "relation_instances", "instances_placed",
+                        "redundant_relations", "insert", "insert_growing",
                         "bucket_index_reads", "smith", "smith_dense_cells"),
     "setup_counts.py": ("IntMatrix", "free_ranks", "free_map", "free_action", "kernel",
                         "hnf_columns", "generator_images", "guards"),

@@ -8,8 +8,12 @@ Prints one `<name> <count>` line per counter, summed over the four builds:
 buckets); `relation_instances`, the instances w·r of the relations that fit
 the bound, read off the enumerated words (each word w times each relation r
 out of w's target whose longest word has length at most the bound minus
-len(w)); `insert` and `insert_growing`, the calls of `Echelon._insert` and
-those that changed their lattice; `bucket_index_reads`, the lookups of a
+len(w)); `instances_placed`, those of them that hom_closure places, the
+instances of the relations it does not skip as redundant;
+`redundant_relations`, the relations `_redundant_relations` marks, whose
+instances it skips; `insert` and `insert_growing`, the calls of
+`Echelon._insert` and those that changed their lattice, the small echelons
+of the redundancy rule included; `bucket_index_reads`, the lookups of a
 word in a bucket's word-to-index dict (`_Bucket.index[w]`); `smith`, the
 Smith forms taken, directly or by `solve_columns`; and `smith_dense_cells`,
 rows × cols summed over the inputs of `smith` that are dense `IntMatrix`es
@@ -78,11 +82,14 @@ def install(counts: Counter) -> list:
     return buckets
 
 
-def relation_instances(pres, buckets, max_len) -> int:
+def relation_instances(pres, buckets, max_len, skip=frozenset()) -> int:
     """The instances w·r within the bound max_len: for each enumerated
-    word w, the relations out of w's target whose longest word fits."""
+    word w, the relations out of w's target whose longest word fits,
+    those whose index is in `skip` left out."""
     longest = Counter()
-    for r in pres.relations:
+    for k, r in enumerate(pres.relations):
+        if k in skip:
+            continue
         src = pres.word_signature(next(iter(r)))[0]
         longest[src, max(len(w) for w in r)] += 1
     return sum(k for b in buckets for w in b.words
@@ -94,13 +101,19 @@ def main():
     counts: Counter = Counter()
     buckets = install(counts)
     for name, pres in zip(SPACES, presentations):
+        # the rule hom_closure reads first, memoised on pres; its inserts
+        # count, and the buckets of its own short words are dropped
+        redundant = ntcat._redundant_relations(pres)
         buckets.clear()
         ntcat.hom_closure(pres)
+        max_len = ntcat.DEFAULT_MAX_LEN[name]
         counts["words"] += sum(len(b.words) for b in buckets)
-        counts["relation_instances"] += relation_instances(
-            pres, buckets, ntcat.DEFAULT_MAX_LEN[name])
-    for name in ("words", "relation_instances", "insert", "insert_growing",
-                 "bucket_index_reads", "smith", "smith_dense_cells"):
+        counts["relation_instances"] += relation_instances(pres, buckets, max_len)
+        counts["instances_placed"] += relation_instances(pres, buckets, max_len, redundant)
+        counts["redundant_relations"] += len(redundant)
+    for name in ("words", "relation_instances", "instances_placed", "redundant_relations",
+                 "insert", "insert_growing", "bucket_index_reads", "smith",
+                 "smith_dense_cells"):
         print(name, counts[name])
 
 
