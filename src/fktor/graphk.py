@@ -28,7 +28,16 @@ class GraphError(Exception):
 
 class BlockGraph:
     """Finite graph with vertices grouped into blocks labelled by the points
-    of a finite space; the block order of the input fixes the matrix layout."""
+    of a finite space; the block order of the input fixes the matrix layout.
+
+    `triangular` is decided once, by one pass over the edges: it holds when
+    every edge v -> w has the point of w in min_open of the point of v.
+    That is the triangularity condition, B'[Y∖U, U] = 0 for every locally
+    closed Y and U open in Y, since that block holds the edges from U into
+    Y∖U: if U = O ∩ Y with O open and x in U, then min_open(x) ⊆ O, so
+    every edge out of x stays in U or leaves Y.  Conversely an edge x -> y
+    with y outside min_open(x) is a nonzero entry of B'[X∖U, U] for
+    U = min_open(x), and X is locally closed."""
 
     def __init__(self, space: FiniteSpace, blocks: Sequence[Tuple[str, int]],
                  adjacency: IntMatrix):
@@ -52,6 +61,10 @@ class BlockGraph:
         for p, k in blocks:
             self._offsets[p] = (at, at + k)
             at += k
+        pt = [p for p, k in blocks for _ in range(k)]
+        self.triangular = all(space.specializes(pt[v], pt[w])
+                              for v, row in enumerate(adjacency.data)
+                              for w, x in enumerate(row) if x)
         # B' = A^t - I, the matrix whose sub-blocks compute the K-groups
         bt = adjacency.transpose()
         self.bprime = bt - IntMatrix.identity(n)
@@ -138,19 +151,18 @@ def _single_cycle_components(G: BlockGraph) -> List[List[int]]:
 
 
 def graph_checks(G: BlockGraph) -> GraphReport:
+    """Triangularity, no sinks, no sources and condition (K), with a
+    problem string for each failure.  Triangularity is G.triangular; only
+    a graph that fails it has its blocks B'[Y∖U, U] tested, one per
+    locally closed Y and relative open U, to name each nonzero block."""
     problems = []
     X = G.space
-    triangular = True
-    for lc in lc_subsets(X):
-        Y = lc.value
-        for U in X.relative_opens(Y):
-            if not U or U == Y:
-                continue
-            blk = G.bprime_block(Y - U, U)
-            if not blk.is_zero():
-                triangular = False
-                problems.append(
-                    f"B'[{label(Y - U)}, {label(U)}] is nonzero")
+    if not G.triangular:
+        for lc in lc_subsets(X):
+            Y = lc.value
+            for U in X.relative_opens(Y):
+                if U and U != Y and not G.bprime_block(Y - U, U).is_zero():
+                    problems.append(f"B'[{label(Y - U)}, {label(U)}] is nonzero")
     no_sinks = all(any(G.adjacency[v, w] for w in range(G.n)) for v in range(G.n))
     no_sources = all(any(G.adjacency[w, v] for w in range(G.n)) for v in range(G.n))
     if not no_sinks:
@@ -161,7 +173,7 @@ def graph_checks(G: BlockGraph) -> GraphReport:
     bad = sorted(v for comp in _single_cycle_components(G) for v in comp)
     if bad:
         problems.append(f"vertices with exactly one return path: {bad}")
-    return GraphReport(triangular, no_sinks, no_sources, not bad, True, problems)
+    return GraphReport(G.triangular, no_sinks, no_sources, not bad, True, problems)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +196,16 @@ class SubquotientK(_Record):
 
 
 def k_groups(G: BlockGraph, Y) -> SubquotientK:
+    """K0 and K1 of the subquotient on the locally closed Y, from B'[Y, Y].
+    The graph must be triangular on Y: where G.triangular fails, the blocks
+    B'[Y∖U, U] of Y are tested, and a nonzero one is refused."""
     YY = frozenset(Y)
     if not G.space.is_locally_closed(YY):
         raise GraphError(f"{label(YY)} is not locally closed")
-    for U in G.space.relative_opens(YY):
-        if U and U != YY and not G.bprime_block(YY - U, U).is_zero():
-            raise GraphError(f"triangularity violated on {label(YY)}")
+    if not G.triangular:
+        for U in G.space.relative_opens(YY):
+            if U and U != YY and not G.bprime_block(YY - U, U).is_zero():
+                raise GraphError(f"triangularity violated on {label(YY)}")
     B = G.bprime_block(YY, YY)
     return SubquotientK(label(YY), Presentation(B.rows, B), kernel(B))
 

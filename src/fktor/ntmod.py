@@ -72,7 +72,8 @@ class GradedModule:
     A module keeps what is built from its data: the action of each word
     (action_word), of each Hom element (action_element) and of each
     designated word (designated), each direct sum of its entries
-    (sum_map), and the isomorphic module on pruned presentations (reduced).
+    (sum_map), the isomorphic module on pruned presentations (reduced),
+    and the node table of check_exact and tor run on it (_node_homology).
     """
 
     def __init__(self, category: SpaceCategory, variance: str,
@@ -87,6 +88,7 @@ class GradedModule:
         self._word_cache: Dict[tuple, GradedHom] = {}
         self._designated: Dict[tuple, Optional[GradedHom]] = {}
         self._sums: Dict[tuple, GradedGroup] = {}
+        self._nodes: dict = {}
         # the reduced module, or _pruned where no entry prunes: a module
         # that held itself would be a reference cycle
         self._reduced: Optional[GradedModule] = None
@@ -109,30 +111,56 @@ class GradedModule:
         """Action of a composite word of generators, src/dst in category
         direction (the module map runs contravariantly for right modules).
 
-        Each word is built once per module: a left module acts by its last
-        generator after its prefix, a right module by its first generator
-        after its suffix.  A word not built yet is checked at that generator:
-        it must act on the module and end the word at dst_obj (left) or start
-        it at src_obj (right), and the rest of the word is checked in turn.
-        The empty word runs from an object to itself."""
+        A word not built yet is checked whole: each of its generators must
+        act on the module, each must end where the next starts, and the
+        word must run from src_obj to dst_obj; the empty word runs from an
+        object to itself.  The refusal names the word and ends given here.
+        Each word is then built once per module (see _word)."""
         word = tuple(word)
+        hom = self._word_cache.get((word, src_obj, dst_obj))
+        if hom is not None:
+            return hom
+        if not word:
+            if src_obj != dst_obj:
+                raise ModuleError(f"the empty word runs from an object to itself, "
+                                  f"not from {src_obj!r} to {dst_obj!r}")
+            self.entry(src_obj)
+        else:
+            arrows, at = self.category.presentation.arrows, src_obj
+            for name in word:
+                a = arrows.get(name)
+                if a is None or name not in self.actions or a.src != at:
+                    at = None
+                    break
+                at = a.dst
+            if at is None or at != dst_obj:
+                raise ModuleError(f"{word} does not act from {src_obj!r} to {dst_obj!r}")
+        return self._word(word, src_obj, dst_obj)
+
+    def _word(self, word: tuple, src_obj: str, dst_obj: str) -> GradedHom:
+        """action_word of a word that acts from src_obj to dst_obj, kept in
+        the module's word cache: a left module acts by its last generator
+        after its prefix, a right module by its first generator after its
+        suffix.  A one-letter word is its generator's action where that
+        action's source groups are the entry it starts from, as the product
+        with the entry's identity would give; otherwise it is that product."""
         key = (word, src_obj, dst_obj)
         hom = self._word_cache.get(key)
         if hom is None:
             if not word:
-                if src_obj != dst_obj:
-                    raise ModuleError(f"the empty word runs from an object to itself, "
-                                      f"not from {src_obj!r} to {dst_obj!r}")
-                hom = GradedHom.identity(self.entry(src_obj))
+                hom = GradedHom.identity(self.entries[src_obj])
             else:
                 left = self.variance == "left"
                 name = word[-1] if left else word[0]
-                a, act = self.category.presentation.arrows.get(name), self.actions.get(name)
-                if act is None or (a.dst != dst_obj if left else a.src != src_obj):
-                    raise ModuleError(f"{word} does not act from {src_obj!r} to {dst_obj!r}")
-                rest = self.action_word(word[:-1], src_obj, a.src) if left \
-                    else self.action_word(word[1:], a.dst, dst_obj)
-                hom = act.compose(rest)
+                a, act = self.category.presentation.arrows[name], self.actions[name]
+                rest = word[:-1] if left else word[1:]
+                s, d = (src_obj, a.src) if left else (a.dst, dst_obj)
+                if rest:
+                    hom = act.compose(self._word(rest, s, d))
+                else:
+                    E = self.entries[s]
+                    hom = act if act.from_even.source == E.even and act.from_odd.source == E.odd \
+                        else act.compose(GradedHom.identity(E))
             self._word_cache[key] = hom
         return hom
 
@@ -234,7 +262,8 @@ class GradedModule:
         generators of s; the kept generators include into the old ones, so
         the pruned presentations carry the same maps.  Exactness and Tor
         are invariants of the module up to isomorphism, and check_exact and
-        tor run on this module, sharing its sums and designated actions."""
+        tor run on this module, sharing its sums, designated actions and
+        node table."""
         if self._pruned:
             return self
         if self._reduced is None:
@@ -538,7 +567,7 @@ _TRIVIAL = AbGroupNF(0, ())
 
 
 def _node_homology(nodes: dict, f: GroupHom, g: GroupHom) -> AbGroupNF:
-    """The group ker(g)/im(f), from the caller's table `nodes`.
+    """The group ker(g)/im(f), from the node table `nodes`.
 
     The table holds the group of each distinct node, keyed by exactly what
     subquotient_homology reads, and the augmented echelon of each map
@@ -549,13 +578,18 @@ def _node_homology(nodes: dict, f: GroupHom, g: GroupHom) -> AbGroupNF:
     group is computed by subquotient_homology.  A middle group with no
     generators is 0 without any lookup.
 
-    The table lives for one call and is keyed by value, not kept on the
-    maps: equal maps from different open pairs, objects or levels share
-    their echelons only through it.  On the raw presentations of
-    fk_module, echelons kept on each GroupHom instead took 3,356
-    map_echelon calls per round of the seed-1 graph corpus, against 1,971;
-    on the pruned presentations of GradedModule.reduced the round takes
-    1,030, and its 43 nodes that are not exact reuse their echelons."""
+    check_exact and tor keep the table on the module they run on,
+    M.reduced(), so each reuses the echelons and nodes the other built;
+    tor_single passes a table of its own.  The table is keyed by value,
+    not kept on the maps: equal maps from different open pairs, objects,
+    levels or calls share their echelons only through it, and a hit
+    returns what a fresh computation would, since the key is everything
+    the computation reads.  On the raw presentations of fk_module,
+    echelons kept on each GroupHom instead took 3,356 map_echelon calls
+    per round of the seed-1 graph corpus, against 1,971; on the pruned
+    presentations with a table per call the round took 1,030, and with
+    one table per module 607 (tools/round_counts.py counts a corpus of
+    its own)."""
     if f.target.generators == 0 == g.source.generators:
         return _TRIVIAL
     key = (f.matrix, g.source.relations, g.matrix, g.target.relations)
@@ -572,8 +606,8 @@ def _node_homology(nodes: dict, f: GroupHom, g: GroupHom) -> AbGroupNF:
 
 
 def _map_echelon(nodes: dict, h: GroupHom) -> Echelon:
-    """map_echelon of h with its target's relations, kept in the caller's
-    node table under (matrix, target relations)."""
+    """map_echelon of h with its target's relations, kept in the node
+    table under (matrix, target relations)."""
     key = (h.matrix, h.target.relations)
     ech = nodes.get(key)
     if ech is None:
@@ -596,15 +630,14 @@ def check_exact(M: GradedModule) -> ExactnessReport:
     Only connected Y need checking: a disconnected Y splits its sequence
     into the direct sum over components.  Trivial pairs (U empty or all of
     Y) are vacuous and skipped.  Each designated action and each direct
-    sum of entries is built once per module (see six_term_maps), each map's
-    echelon and each distinct node once per call (see _node_homology).
-    The pairs are checked on M.reduced(), the same module on pruned
-    presentations."""
+    sum of entries is built once per module (see six_term_maps), and so is
+    each map's echelon and each distinct node, shared with tor (see
+    _node_homology).  The pairs are checked on M.reduced(), the same
+    module on pruned presentations."""
     _require_actions(M, "check_exact")
     X = M.category.space
     M = M.reduced()
     failures = []
-    nodes: dict = {}
     for U, Y, compsU, compsE in X.six_term_pairs():
         f, g, h, names = six_term_maps(M, U, Y, compsU, compsE)
         # the six nodes of the periodic cycle f, g, h[1], f[1], g[1], h
@@ -617,7 +650,7 @@ def check_exact(M: GradedModule) -> ExactnessReport:
             (f"{names[0]} even", h.from_odd, f.from_even),
         ]
         for node, fin, fout in maps:
-            group = _node_homology(nodes, fin, fout)
+            group = _node_homology(M._nodes, fin, fout)
             if not group.is_trivial():
                 failures.append(
                     f"pair ({label(U)} ⊆ {label(Y)}) fails at {node}: {group}")
@@ -998,7 +1031,7 @@ def tensor_complex_maps(res: FreeResolution, M: GradedModule, n: int) -> list:
 def _homology_at(nodes: dict, d_in: GradedHom,
                  d_out: Optional[GradedHom]) -> Tuple[AbGroupNF, AbGroupNF]:
     """ker(d_out)/im(d_in) per parity; no d_out means the zero map.  `nodes`
-    is the caller's node table (see _node_homology)."""
+    is the node table (see _node_homology)."""
     parts = []
     for parity in (0, 1):
         f = d_in.component(parity)
@@ -1021,12 +1054,12 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
 
     Each tensored differential d_k⊗M is built once per Y and serves as the
     outgoing map at level k and the incoming map at level k-1; each direct
-    sum of a level's entries is built once per module, each map's echelon
-    and each distinct node once per call (see _node_homology).  M must be a
-    left module with an action for every generator arrow: it is tensored
-    with resolutions of right modules.  The complexes are tensored with
-    M.reduced(), the same module on pruned presentations; tor_single
-    tensors with the module it is given."""
+    sum of a level's entries is built once per module, and so is each
+    map's echelon and each distinct node, shared with check_exact (see
+    _node_homology).  M must be a left module with an action for every
+    generator arrow: it is tensored with resolutions of right modules.
+    The complexes are tensored with M.reduced(), the same module on
+    pruned presentations; tor_single tensors with the module it is given."""
     guard_int(n, ModuleError, _DEGREE, 0)
     if M.variance != "left":
         raise ModuleError("Tor(S_Y, M) needs a left module M, "
@@ -1035,10 +1068,9 @@ def tor(M: GradedModule, n: int, engine: str = "auto") -> TorReport:
     sc = M.category
     M = M.reduced()
     groups: Dict[str, Dict[int, Tuple[AbGroupNF, AbGroupNF]]] = {}
-    nodes: dict = {}
     for Y in sc.objects:
         d = tensor_complex_maps(resolution_for(sc, Y, n + 1, engine), M, n)
-        groups[Y] = {k: _homology_at(nodes, d[k + 1], d[k]) for k in range(n + 1)}
+        groups[Y] = {k: _homology_at(M._nodes, d[k + 1], d[k]) for k in range(n + 1)}
     return TorReport(sc.space.name, groups)
 
 

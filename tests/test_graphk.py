@@ -6,11 +6,12 @@ import sys
 import pytest
 
 from conftest import (connected_t0_spaces, dense_solve, graph_six_term_maps, is_generator,
-                      random_block_graph, reference_six_term_nodes, reference_tor_nodes,
-                      singular_block_graph, word_action, z1_right_module_with_i_acting_by_one)
+                      random_block_graph, reference_check_exact, reference_six_term_nodes,
+                      reference_tor, reference_tor_nodes, singular_block_graph, word_action,
+                      z1_right_module_with_i_acting_by_one)
 
 from fktor.finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space, label,
-                            point_space, space_from_json, space_to_json)
+                            lc_subsets, point_space, space_from_json, space_to_json)
 from fktor.graphk import (
     BlockGraph, GraphError, fk_module, graph_checks, k_groups, s_fast_tor1,
     tor_ck, z3_fast_tor1,
@@ -308,25 +309,20 @@ def _node_key(f, g):
     return (f.matrix, g.source.relations, g.matrix, g.target.relations)
 
 
-@pytest.mark.parametrize("graph,exact_counts,tor_counts", [
-    (ck_z3, (114, 54), (88, 48)),
-    (ck_s, (84, 40), (88, 52)),
-])
-def test_each_distinct_node_is_factored_once_per_call(monkeypatch, graph,
-                                                      exact_counts, tor_counts):
-    """check_exact and tor(M, 3) decide each distinct node whose middle
-    group has generators once, from one augmented echelon per distinct
-    (map, target relations), and factor a homology only at the nodes where
-    it is not 0 (none in check_exact of these exact modules), from the
-    echelon of g already in the node table, never with a fresh
-    subquotient_homology.  Both run on M.reduced(), the module on pruned
-    presentations, so its nodes are the reference."""
-    M = fk_module(graph())
-    R = M.reduced()
+def _map_key(h):
+    return (h.matrix, tuple(h.target.relations.columns()))
+
+
+def _record_node_work(monkeypatch):
+    """Record the node table's work from here on: each map_echelon by its
+    (matrix, target relations), each exact_node decision by the keys of
+    its two echelons, and each node factored by _inexact_homology, which
+    must take g's echelon from the table; a fresh subquotient_homology
+    fails the test.  Returns the three lists."""
     echelons, decided, computed = [], [], []
     key_of = {}
     real_echelon, real_exact = ntmod.map_echelon, ntmod.exact_node
-    real_homology, real_inexact = ntmod.subquotient_homology, ntmod._inexact_homology
+    real_inexact = ntmod._inexact_homology
 
     def map_echelon(h, relations):
         ech = real_echelon(h, relations)
@@ -337,36 +333,174 @@ def test_each_distinct_node_is_factored_once_per_call(monkeypatch, graph,
     monkeypatch.setattr(ntmod, "map_echelon", map_echelon)
     monkeypatch.setattr(ntmod, "exact_node", lambda fe, ge, n: decided.append(
         (key_of[id(fe)], key_of[id(ge)])) or real_exact(fe, ge, n))
-    def map_key(h):
-        return (h.matrix, tuple(h.target.relations.columns()))
 
     def inexact(f, g, g_ech):
-        assert key_of[id(g_ech)] == map_key(g)
+        assert key_of[id(g_ech)] == _map_key(g)
         computed.append(_node_key(f, g))
         return real_inexact(f, g, g_ech)
 
     monkeypatch.setattr(ntmod, "_inexact_homology", inexact)
     monkeypatch.setattr(ntmod, "subquotient_homology",
                         lambda f, g: pytest.fail("a node was computed afresh"))
+    return echelons, decided, computed
 
-    for run, nodes, (total, distinct) in [
-            (lambda: check_exact(M), reference_six_term_nodes(R), exact_counts),
-            (lambda: tor(M, 3), reference_tor_nodes(R, 3), tor_counts)]:
-        for calls in (echelons, decided, computed, key_of):
-            calls.clear()
-        run()
-        live = [(f, g) for *_, f, g in nodes if g.source.generators]
-        assert all(f.target.relations == g.source.relations for f, g in live)
-        wanted = {(map_key(f), map_key(g)) for f, g in live}
-        assert (len(nodes), len({_node_key(f, g) for f, g in live})) == (total, distinct)
-        assert len(decided) == len(wanted) == distinct and set(decided) == wanted
-        maps = {k for pair in wanted for k in pair}
-        assert len(echelons) == len(maps) and set(echelons) == maps
-        nonzero = {_node_key(f, g) for f, g in live
-                   if not real_homology(f, g).group.is_trivial()}
-        assert len(computed) == len(nonzero) and set(computed) == nonzero
+
+def _assert_each_piece_once(nodes, work):
+    """The recorded work is one echelon per distinct map, one decision per
+    distinct node whose middle group has generators, and one factoring
+    per such node that is not 0; returns the number of distinct nodes."""
+    echelons, decided, computed = work
+    live = [(f, g) for *_, f, g in nodes if g.source.generators]
+    assert all(f.target.relations == g.source.relations for f, g in live)
+    wanted = {(_map_key(f), _map_key(g)) for f, g in live}
+    assert len(decided) == len(wanted) and set(decided) == wanted
+    maps = {k for pair in wanted for k in pair}
+    assert len(echelons) == len(maps) and set(echelons) == maps
+    nonzero = {_node_key(f, g) for f, g in live
+               if not zexact.subquotient_homology(f, g).group.is_trivial()}
+    assert len(computed) == len(nonzero) and set(computed) == nonzero
+    distinct = len({_node_key(f, g) for f, g in live})
+    assert distinct == len(wanted)
+    return distinct
+
+
+@pytest.mark.parametrize("graph,exact_counts,tor_counts", [
+    (ck_z3, (114, 54), (88, 48)),
+    (ck_s, (84, 40), (88, 52)),
+])
+def test_each_distinct_node_is_factored_once_per_call(monkeypatch, graph,
+                                                      exact_counts, tor_counts):
+    """check_exact and tor(M, 3), each on a fresh fk_module whose node
+    table starts empty, decide each distinct node whose middle group has
+    generators once, from one augmented echelon per distinct (map, target
+    relations), and factor a homology only at the nodes where it is not 0
+    (none in check_exact of these exact modules), from the echelon of g
+    already in the node table, never with a fresh subquotient_homology.
+    Both run on M.reduced(), the module on pruned presentations, so its
+    nodes are the reference."""
+    for run, reference, (total, distinct) in [
+            (check_exact, reference_six_term_nodes, exact_counts),
+            (lambda M: tor(M, 3), lambda R: reference_tor_nodes(R, 3), tor_counts)]:
+        M = fk_module(graph())
+        nodes = reference(M.reduced())
+        with monkeypatch.context() as patch:
+            work = _record_node_work(patch)
+            run(M)
+        assert (len(nodes), _assert_each_piece_once(nodes, work)) == (total, distinct)
     # ck_z3 and ck_s are exact, so only tor computed groups
-    assert computed and not check_exact(M).failures
+    assert work[2] and not check_exact(M).failures
+
+
+@pytest.mark.parametrize("graph,distinct,echelons", [(ck_z3, 78, 62), (ck_s, 69, 50)])
+def test_check_exact_and_tor_share_the_node_table_of_their_module(monkeypatch, graph,
+                                                                  distinct, echelons):
+    """check_exact then tor(M, 3) on one module build each distinct echelon
+    and decide each distinct node exactly once across both calls, since
+    both keep the node table on M.reduced().  Apart, the two calls take
+    54 + 48 nodes and 45 + 38 echelons on ck_z3, 40 + 52 and 32 + 39 on
+    ck_s.  Running either again builds nothing."""
+    M = fk_module(graph())
+    R = M.reduced()
+    nodes = reference_six_term_nodes(R) + reference_tor_nodes(R, 3)
+    work = _record_node_work(monkeypatch)
+    exact, report = check_exact(M), tor(M, 3)
+    assert (_assert_each_piece_once(nodes, work), len(work[0])) == (distinct, echelons)
+    for calls in work:
+        calls.clear()
+    assert (check_exact(M), tor(M, 3).to_json()) == (exact, report.to_json())
+    assert work == ([], [], [])
+
+
+def _shared_nodes_modules():
+    """(id, module builder) of a random and a singular graph of each of
+    the six graph-corpus spaces, and of their modules tensored with Z/2,
+    whose nodes are not all exact."""
+    out = []
+    for space in ("Z1", "Z2", "Z3", "S", "C2", "Z4"):
+        rng = random.Random(f"shared-nodes/{space}")
+        for kind, G in (("random", random_block_graph(space, rng)),
+                        ("singular", singular_block_graph(space, rng))):
+            out.append((f"{space}-{kind}", lambda G=G: fk_module(G)))
+            out.append((f"{space}-{kind}-mod2", lambda G=G: fk_module(G).tensor_mod_k(2)))
+    return out
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in _shared_nodes_modules()])
+def test_reports_from_the_shared_node_table_equal_those_from_fresh_tables(build):
+    """check_exact and tor(M, 3) give the same reports whichever of them
+    ran first on the module, as on fresh modules whose tables start
+    empty, and as the references that compute each node on its own."""
+    exact_first = build()
+    reports = (check_exact(exact_first), tor(exact_first, 3).to_json())
+    tor_first = build()
+    report = tor(tor_first, 3).to_json()
+    assert (check_exact(tor_first), report) == reports
+    assert (check_exact(build()), tor(build(), 3).to_json()) == reports
+    M = build()
+    assert (reference_check_exact(M), reference_tor(M, 3).to_json()) == \
+        (reports[0].failures, reports[1])
+
+
+def _nonzero_blocks(G):
+    """The per-subset reference of triangularity: the pairs (Y, U), U open
+    in the locally closed Y and neither empty nor all of it, whose block
+    B'[Y∖U, U] is nonzero, in graph_checks's order."""
+    X = G.space
+    return [(lc.value, U) for lc in lc_subsets(X) for U in X.relative_opens(lc.value)
+            if U and U != lc.value and not G.bprime_block(lc.value - U, U).is_zero()]
+
+
+def _triangularity_graphs():
+    """Seeded graphs over the builtins and the connected four-point spaces:
+    a random triangular graph, the same graph with one edge added against
+    the order, and a graph whose every entry is random."""
+    rng = random.Random("one-pass-triangularity")
+    spaces = [builtin_space(name) for name in BUILTIN_NAMES] + connected_t0_spaces(4)
+    out = []
+    for X in spaces:
+        for _ in range(3):
+            G = random_block_graph(X, rng)
+            out.append(G)
+            A = [list(row) for row in G.adjacency.data]
+            pt = [p for p, k in G.blocks for _ in range(k)]
+            bad = [(v, w) for v in range(G.n) for w in range(G.n)
+                   if not X.specializes(pt[v], pt[w])]
+            if bad:
+                v, w = rng.choice(bad)
+                A[v][w] = rng.randint(1, 3)
+                out.append(BlockGraph(X, G.blocks, IntMatrix(A)))
+            sizes = [rng.randint(1, 2) for _ in X.points]
+            m = sum(sizes)
+            A = [[rng.choice((0, 0, 1, 2)) for _ in range(m)] for _ in range(m)]
+            out.append(BlockGraph(X, list(zip(X.points, sizes)), IntMatrix(A)))
+    return out
+
+
+def test_one_pass_triangularity_agrees_with_the_per_subset_blocks():
+    """BlockGraph.triangular, decided by one pass over the edges, holds
+    exactly when every block B'[Y∖U, U] is zero; graph_checks names the
+    nonzero blocks in order, and k_groups refuses exactly the locally
+    closed Y that have one.  Most of the graphs are not triangular."""
+    graphs = _triangularity_graphs()
+    verdicts = []
+    for G in graphs:
+        bad = _nonzero_blocks(G)
+        verdicts.append(G.triangular)
+        assert G.triangular == (not bad)
+        rep = graph_checks(G)
+        assert rep.triangular == G.triangular
+        named = [p for p in rep.problems if p.startswith("B'")]
+        assert named == [f"B'[{label(Y - U)}, {label(U)}] is nonzero" for Y, U in bad]
+        refused = {Y for Y, _ in bad}
+        for lc in lc_subsets(G.space):
+            if not lc.value:
+                continue
+            if lc.value in refused:
+                with pytest.raises(GraphError, match="triangularity violated on"):
+                    k_groups(G, lc.value)
+            else:
+                k_groups(G, lc.value)
+    assert (verdicts.count(True), verdicts.count(False)) == (56, 94)
 
 
 def test_fk_module_block_diagonal_graph():

@@ -774,6 +774,31 @@ def test_each_skipped_instance_already_lies_in_its_lattice(
                              if dst == s and n + m <= bound)
 
 
+@lru_cache(maxsize=None)
+def _five_point_spaces():
+    return {X.name: X for X in connected_t0_spaces(5)}
+
+
+@pytest.mark.parametrize("name,hom", [("1<2,1<3,1<4,1<5,2<3,2<5,4<5", "('1', '124', 0)"),
+                                      ("1<2,1<4,1<5,2<4,3<4,3<5", "('1', '1245', 0)")])
+def test_two_five_point_builds_fail_alike_with_and_without_the_redundancy_rule(
+        name, hom, monkeypatch):
+    """Oracle on five points, where the builtins and the four-point spaces
+    are blind: at bound 10 these two builds are not stabilized, and the
+    closure that places every relation instance names the same Hom group
+    as the one that skips the marked relations.  A rule that admitted
+    certificate words one letter longer than the relation marks the same
+    relations on every builtin, yet makes these builds name another."""
+    pres, _ = _cached_presentation(_five_point_spaces()[name])
+    with pytest.raises(NonStabilizedError) as ruled:
+        hom_closure(pres, 10)
+    monkeypatch.setattr(ntcat, "_redundant_relations", lambda pres: frozenset())
+    with pytest.raises(NonStabilizedError) as unruled:
+        hom_closure(pres, 10)
+    assert str(ruled.value) == str(unruled.value) == \
+        f"Hom({hom}) not spanned by short words at max_len=10"
+
+
 def test_there_are_ten_connected_four_point_spaces():
     spaces = connected_t0_spaces(4)
     assert len(spaces) == 10

@@ -1248,6 +1248,26 @@ def test_a_right_module_refuses_a_word_that_does_not_compose():
             M.action_word(bad, src, dst)
 
 
+@pytest.mark.parametrize("word,src,dst", [
+    (("i:14>124", "i:124>1234"), "4", "1234"),   # composes, but starts at 14
+    (("i:14>124", "i:124>1234"), "14", "124"),   # composes, but ends at 1234
+    (("i:14>124", "i:134>1234"), "14", "1234"),  # breaks in the middle
+    (("i:14>124", "bogus"), "14", "1234"),       # a name that is no generator
+    (("i:14>124",), "4", "124"),                 # one letter, the wrong start
+    (("i:14>124",), "14", "1234"),               # one letter, the wrong end
+], ids=["wrong-start", "wrong-end", "broken", "unknown-name", "letter-wrong-start",
+        "letter-wrong-end"])
+def test_a_refused_word_is_named_with_the_callers_ends(word, src, dst):
+    """The whole word is checked before any of it is built, so the refusal
+    names the word and ends the caller gave, not a part of the word."""
+    with open(os.path.join(DATA, "ck_z3.json")) as fh:
+        M = fk_module(BlockGraph.from_json(json.load(fh)))
+    with pytest.raises(ModuleError) as refused:
+        M.action_word(word, src, dst)
+    assert str(refused.value) == f"{word} does not act from {src!r} to {dst!r}"
+    assert M._word_cache == {}
+
+
 def test_a_word_acting_in_the_wrong_degree_is_refused():
     M = fk_module(random_block_graph("Z3", random.Random(5)))
     a = next(a for a in M.category.presentation.arrows.values() if a.parity == 0)

@@ -1,8 +1,9 @@
 """The work-count scripts in tools/ run and print every counter they document.
 
-tools/table_counts.py and tools/setup_counts.py count the work of a table
-build and of the graph-corpus set-up by patching names inside fktor, so a
-rename there breaks them.  Each runs here in a subprocess, as it is run by
+tools/table_counts.py, tools/setup_counts.py and tools/round_counts.py
+count the work of a table build, of the graph-corpus set-up and of the
+per-graph pipeline by patching names inside fktor, so a rename there
+breaks them.  Each runs here in a subprocess, as it is run by
 hand, and must exit 0 and print one `<name> <integer>` line per counter, in
 the documented order."""
 
@@ -21,6 +22,7 @@ COUNTERS = {
                         "bucket_index_reads", "smith", "smith_dense_cells"),
     "setup_counts.py": ("IntMatrix", "free_ranks", "free_map", "free_action", "kernel",
                         "hnf_columns", "generator_images", "guards"),
+    "round_counts.py": ("compose", "map_echelon", "exact_node", "bprime_block"),
 }
 
 
