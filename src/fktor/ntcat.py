@@ -605,24 +605,22 @@ def builtin_presentation(space_name: str) -> CatPresentation:
 
 class _Bucket(_Record):
     """The words of hom_closure's bound from src to dst at parity, in
-    nondecreasing length, with their index and, per arrow a out of dst,
+    nondecreasing length, and, per arrow a out of dst,
     ext[a.name] = (key of the bucket of the words·a, table): table[i] is
     the index there of words[i]·a, for the `short` words shorter than the
-    bound, a prefix.  Tables name buckets by key, so buckets hold no
-    references to each other."""
-    __slots__ = _fields = ("src", "dst", "parity", "words", "index", "ext", "short",
-                           "lattice")
+    bound, a prefix.  A word is found only by walking these tables (see
+    _walk).  Tables name buckets by key, so buckets hold no references to
+    each other."""
+    __slots__ = _fields = ("src", "dst", "parity", "words", "ext", "short", "lattice")
 
     def __init__(self, src: str, dst: str, parity: int,
                  words: Optional[List[Word]] = None,
-                 index: Optional[Dict[Word, int]] = None,
                  ext: Optional[Dict[str, Tuple[Tuple[str, str, int], List[int]]]] = None,
                  short: int = 0, lattice: Optional[Echelon] = None):
         self.src = src
         self.dst = dst
         self.parity = parity
         self.words = [] if words is None else words
-        self.index = {} if index is None else index
         self.ext = {} if ext is None else ext
         self.short = short
         self.lattice = lattice
@@ -815,7 +813,8 @@ class HomTable:
 def _enumerate_words(presentation: CatPresentation, max_len: int):
     """The words of length at most max_len out of every object, breadth
     first: the buckets by key (src, dst, parity), with their extension
-    tables, and per source the words in order as (bucket, index, length)."""
+    tables, and per source the words in order as (bucket, index, length).
+    The empty word out of obj is index 0 of the bucket (obj, obj, 0)."""
     pres = presentation
     buckets: Dict[Tuple[str, str, int], _Bucket] = {}
 
@@ -831,7 +830,6 @@ def _enumerate_words(presentation: CatPresentation, max_len: int):
     words_from: Dict[str, List[Tuple[_Bucket, int, int]]] = {}
     for src in pres.objects:
         b = bucket((src, src, 0))
-        b.index[()] = 0
         b.words.append(())
         frontier = [(b, 0, 0)]
         acc = list(frontier)
@@ -845,15 +843,36 @@ def _enumerate_words(presentation: CatPresentation, max_len: int):
                 for nm, (key2, table) in b.ext.items():
                     b2 = bucket(key2)
                     j = len(b2.words)
-                    w2 = w + (nm,)
-                    b2.index[w2] = j
-                    b2.words.append(w2)
+                    b2.words.append(w + (nm,))
                     table.append(j)
                     nxt.append((b2, j, n))
             acc.extend(nxt)
             frontier = nxt
         words_from[src] = acc
     return buckets, words_from
+
+
+def _walk(buckets: Dict[Tuple[str, str, int], _Bucket], b: _Bucket, i: int,
+          word: Word) -> int:
+    """The index of words[i]·word in its bucket, by walking the extension
+    tables from word i of b; every word on the way but the last must be
+    shorter than the bound."""
+    for nm in word:
+        key, step = b.ext[nm]
+        b, i = buckets[key], step[i]
+    return i
+
+
+def _relations_by_source(pres: CatPresentation) -> Dict[str, list]:
+    """The relations by source object, in relation order, each as
+    (index, target, parity, nonzero terms (word, coefficient), length of
+    its longest word)."""
+    out: Dict[str, list] = {}
+    for k, r in enumerate(pres.relations):
+        s, t, p = pres.word_signature(next(iter(r)))
+        out.setdefault(s, []).append(
+            (k, t, p, [(rw, c) for rw, c in r.items() if c], max(len(w) for w in r)))
+    return out
 
 
 def _redundant_relations(presentation: CatPresentation) -> FrozenSet[int]:
@@ -875,31 +894,14 @@ def _redundant_relations(presentation: CatPresentation) -> FrozenSet[int]:
     the closure does not extend; its completeness assumes that step too.
     The rule does not depend on the bound.  Membership is tested in one
     small echelon per relation, on the words of length at most the longest
-    relation word."""
+    relation word, placed as hom_closure places its instances."""
     pres = presentation
     if pres._redundant is not None:
         return pres._redundant
     nrel = len(pres.relations)
-    rels_from: Dict[str, list] = {}
-    for k, r in enumerate(pres.relations):
-        s, t, p = pres.word_signature(next(iter(r)))
-        rels_from.setdefault(s, []).append(
-            (k, t, p, [(rw, c) for rw, c in r.items() if c], max(len(w) for w in r)))
+    rels_from = _relations_by_source(pres)
     top = max((rel[-1] for own in rels_from.values() for rel in own), default=0)
     buckets, words_from = _enumerate_words(pres, top)
-
-    def place(b: _Bucket, i: int, terms) -> Dict[int, int]:
-        # words[i]·terms, by walking the tables from word i of b as
-        # hom_closure does inline, where a call per instance costs time
-        vec = {}
-        for rw, c in terms:
-            b2, j = b, i
-            for nm in rw:
-                key2, step = b2.ext[nm]
-                b2, j = buckets[key2], step[j]
-            vec[j] = c
-        return vec
-
     marked = set()
     for s, own in rels_from.items():
         longest = max(rel[-1] for rel in own)
@@ -911,7 +913,7 @@ def _redundant_relations(presentation: CatPresentation) -> FrozenSet[int]:
             for k2, t2, p2, terms2, m2 in rels_from.get(b.dst, ()):
                 if n + m2 <= longest:
                     stack.append(((s, t2, b.parity ^ p2), n + m2, nrel if n else k2,
-                                  place(b, i, terms2)))
+                                  {_walk(buckets, b, i, rw): c for rw, c in terms2}))
         while stack:
             key, n, k2, vec = stack.pop()
             found[key].append((n, k2, vec))
@@ -924,7 +926,9 @@ def _redundant_relations(presentation: CatPresentation) -> FrozenSet[int]:
             for n, k2, vec in found[key]:
                 if n <= m and k2 > k:
                     lattice._insert(dict(vec))
-            if _reduce(place(buckets[(s, s, 0)], 0, terms), lattice.pivots) is not None:
+            start = buckets[(s, s, 0)]
+            if _reduce({_walk(buckets, start, 0, rw): c for rw, c in terms},
+                       lattice.pivots) is not None:
                 marked.add(k)
     pres._redundant = frozenset(marked)
     return pres._redundant
@@ -937,9 +941,10 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     by the relations within that bound, and quotients per (pair, parity).
     The saturation works on word indices: _enumerate_words lists each
     bucket's words by length and records, per arrow, the index of each
-    short word extended by it.  Per source, the instances w·r (words in
-    breadth-first order, relations in order) are placed by walking those
-    tables from w along r's words and queued; vectors are popped last
+    short word extended by it, and every word is found by walking those
+    tables (_walk).  Per source, the instances w·r (words in breadth-first
+    order, relations in order) are placed by walking from w along r's
+    words and queued; vectors are popped last
     first, each goes to its bucket's echelon through Echelon._insert, and
     one that changes the lattice while its support words are all shorter
     than max_len queues its extension by every arrow out of the target,
@@ -954,8 +959,11 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     in every coordinate) and every representative word is shorter than
     max_len; otherwise NonStabilizedError.  Column k of the composition
     matrix by an arrow a is then the class of rep_k·a (post) or a·rep_k
-    (pre), read off P of the target group.  The default bound is that of
-    the builtin equal to the space, else 10.
+    (pre), read off P of the target group at the index reached by walking
+    from the empty word along w·a or a·w, for each word w of rep_k.  The
+    identity of obj is the class of the empty word, index 0 of
+    (obj, obj, 0).  The default bound is that of the builtin equal to the
+    space, else 10.
     """
     pres = presentation
     if max_len is None:
@@ -964,17 +972,10 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
 
     buckets, words_from = _enumerate_words(pres, max_len)
 
-    # relations by source object, in relation order, each as its nonzero
-    # terms (word, coefficient) and the length of its longest word; the
-    # instances of a redundant relation would reduce to zero, so none is placed
+    # the instances of a redundant relation would reduce to zero, so none is placed
     redundant = _redundant_relations(pres)
-    rels_from: Dict[str, list] = {}
-    for k, r in enumerate(pres.relations):
-        if k in redundant:
-            continue
-        s, t, p = pres.word_signature(next(iter(r)))
-        rels_from.setdefault(s, []).append(
-            ([(rw, c) for rw, c in r.items() if c], t, p, max(len(w) for w in r)))
+    rels_from = {s: [rel for rel in own if rel[0] not in redundant]
+                 for s, own in _relations_by_source(pres).items()}
 
     # saturate relation lattices per source; queued vectors are sparse
     # {word index: nonzero coefficient} on the bucket of their key
@@ -983,17 +984,10 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
     for src in pres.objects:
         queue = []
         for b, i, n in words_from.pop(src):
-            for terms, t, p, maxw in rels_from.get(b.dst, ()):
-                if n + maxw <= max_len:
-                    # place w·rw by walking the tables from w along rw
-                    vec: Dict[int, int] = {}
-                    for rw, c in terms:
-                        b2, j = b, i
-                        for nm in rw:
-                            key2, step = b2.ext[nm]
-                            b2, j = buckets[key2], step[j]
-                        vec[j] = c
-                    queue.append(((src, t, b.parity ^ p), vec))
+            for _, t, p, terms, m in rels_from.get(b.dst, ()):
+                if n + m <= max_len:
+                    queue.append(((src, t, b.parity ^ p),
+                                  {_walk(buckets, b, i, rw): c for rw, c in terms}))
         while queue:
             key, vec = queue.pop()
             b = buckets[key]
@@ -1051,7 +1045,7 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
             continue
         P = proj[key]
         span = Echelon(rank)
-        for w, i in b.index.items():
+        for i, w in enumerate(b.words):
             if len(w) <= max_len - 2:
                 span.add(list(P.column(i)))
         if not span.spans_all():
@@ -1063,34 +1057,35 @@ def hom_closure(presentation: CatPresentation, max_len: Optional[int] = None) ->
 
     # identity coordinates
     for obj in pres.objects:
-        key = (obj, obj, 0)
-        b = buckets[key]
-        table.id_coords[obj] = tuple(proj[key].column(b.index[()]))
+        table.id_coords[obj] = tuple(proj[(obj, obj, 0)].column(0))
         if all(x == 0 for x in table.id_coords[obj]):
             raise InconsistentRelationError(f"identity of {obj} collapsed to zero")
 
     # pre/post composition matrices: column k of post by a is the class of
-    # rep_k·a, and of pre by a the class of a·rep_k
+    # rep_k·a, and of pre by a the class of a·rep_k, each word reached by
+    # walking from the empty word of its source
     for key in sorted(buckets):
         src, dst, parity = key
         reps = table.reps[key]
 
-        def classes(key2, extend) -> IntMatrix:
+        def classes(key2, start, extend) -> IntMatrix:
             rank2 = table.rank.get(key2, 0)
             cols = []
             for rep in reps:
                 col = [0] * rank2
                 for w, c in rep.items():
-                    _add_scaled(col, proj[key2].column(buckets[key2].index[extend(w)]), c)
+                    _add_scaled(col, proj[key2].column(_walk(buckets, start, 0, extend(w))), c)
                 cols.append(col)
             return IntMatrix._from_columns(cols, rank2)
 
         for a in pres.by_src.get(dst, ()):
             table.post[key + (a.name,)] = classes(
-                (src, a.dst, parity ^ a.parity), lambda w: w + (a.name,))
+                (src, a.dst, parity ^ a.parity), buckets[(src, src, 0)],
+                lambda w: w + (a.name,))
         for a in pres.by_dst.get(src, ()):
             table.pre[key + (a.name,)] = classes(
-                (a.src, dst, parity ^ a.parity), lambda w: (a.name,) + w)
+                (a.src, dst, parity ^ a.parity), buckets[(a.src, a.src, 0)],
+                lambda w: (a.name,) + w)
     return table
 
 

@@ -69,11 +69,14 @@ class GradedModule:
     actions: arrow name -> GradedHom of the arrow's parity
              (left: M(src) -> M(dst); right: M(dst) -> M(src))
 
-    A module keeps what is built from its data: the action of each word
-    (action_word), of each Hom element (action_element) and of each
-    designated word (designated), each direct sum of its entries
-    (sum_map), the isomorphic module on pruned presentations (reduced),
-    and the node table of check_exact and tor run on it (_node_homology).
+    An action whose degree is not its arrow's parity, or whose parts lack
+    the generator counts and relation matrices of the entries at its
+    arrow's ends, is refused.  A module keeps what is built from its data:
+    the action of each word (action_word), of each Hom element
+    (action_element) and of each designated word (designated), each direct
+    sum of its entries (sum_map), the isomorphic module on pruned
+    presentations (reduced), and the node table of check_exact and tor run
+    on it (_node_homology).
     """
 
     def __init__(self, category: SpaceCategory, variance: str,
@@ -99,9 +102,23 @@ class GradedModule:
         unknown = sorted(set(self.entries) - set(category.objects))
         if unknown:
             raise ModuleError(f"entries for objects not in the category: {unknown}")
-        unknown = sorted(set(self.actions) - set(category.presentation.arrows))
+        arrows = category.presentation.arrows
+        unknown = sorted(set(self.actions) - set(arrows))
         if unknown:
             raise ModuleError(f"actions for arrows not in the category: {unknown}")
+        for name, h in self.actions.items():
+            a = arrows[name]
+            if h.degree != a.parity:
+                raise ModuleError(f"action of {name} has degree {h.degree}, "
+                                  f"arrow parity {a.parity}")
+            s, d = _along(variance, a.src, a.dst)
+            S, T = self.entries[s], self.entries[d]
+            parts = (h.from_even.source, h.from_odd.source, h.from_even.target, h.from_odd.target)
+            ends = (S.even, S.odd, T.part(a.parity), T.part(a.parity ^ 1))
+            # a relation matrix has one row per generator, so it fixes the count too
+            if any(P.relations != E.relations for P, E in zip(parts, ends)):
+                raise ModuleError(f"action of {name} does not run from the entry of "
+                                  f"{s} to the entry of {d}")
 
     def entry(self, obj: str) -> GradedGroup:
         self.category.table.check_object(obj, ModuleError)
@@ -141,9 +158,7 @@ class GradedModule:
         """action_word of a word that acts from src_obj to dst_obj, kept in
         the module's word cache: a left module acts by its last generator
         after its prefix, a right module by its first generator after its
-        suffix.  A one-letter word is its generator's action where that
-        action's source groups are the entry it starts from, as the product
-        with the entry's identity would give; otherwise it is that product."""
+        suffix, and a one-letter word is its generator's action."""
         key = (word, src_obj, dst_obj)
         hom = self._word_cache.get(key)
         if hom is None:
@@ -155,12 +170,7 @@ class GradedModule:
                 a, act = self.category.presentation.arrows[name], self.actions[name]
                 rest = word[:-1] if left else word[1:]
                 s, d = (src_obj, a.src) if left else (a.dst, dst_obj)
-                if rest:
-                    hom = act.compose(self._word(rest, s, d))
-                else:
-                    E = self.entries[s]
-                    hom = act if act.from_even.source == E.even and act.from_odd.source == E.odd \
-                        else act.compose(GradedHom.identity(E))
+                hom = act.compose(self._word(rest, s, d)) if rest else act
             self._word_cache[key] = hom
         return hom
 
@@ -510,13 +520,10 @@ def validate(M: GradedModule) -> ValidationReport:
     """Well-definedness of all actions and vanishing of all relations."""
     pres = M.category.presentation
     problems = []
-    for name, a in pres.arrows.items():
+    for name in pres.arrows:
         h = M.actions.get(name)
         if h is None:
             problems.append(f"missing action for arrow {name}")
-            continue
-        if h.degree != a.parity:
-            problems.append(f"action of {name} has degree {h.degree}, arrow parity {a.parity}")
             continue
         if not h.is_well_defined():
             problems.append(f"action of {name} is not well defined on presentations")
@@ -570,13 +577,14 @@ def _node_homology(nodes: dict, f: GroupHom, g: GroupHom) -> AbGroupNF:
     """The group ker(g)/im(f), from the node table `nodes`.
 
     The table holds the group of each distinct node, keyed by exactly what
-    subquotient_homology reads, and the augmented echelon of each map
+    subquotient_homology reads, and the augmented echelons of the maps
     (see _map_echelon), so that one echelon serves both nodes a map
-    touches.  A node whose two echelons show ker(g) = im(f) + rel_B
+    touches.  As in subquotient_homology, the middle group B is g's
+    source: f's echelon is taken on B's relations and g's on those of
+    its target.  A node whose two echelons show ker(g) = im(f) + rel_B
     (exact_node) is 0; every other node is factored from g's echelon in
-    the table, and one whose maps disagree on the relations of the middle
-    group is computed by subquotient_homology.  A middle group with no
-    generators is 0 without any lookup.
+    the table.  A middle group with no generators is 0 without any
+    lookup.
 
     check_exact and tor keep the table on the module they run on,
     M.reduced(), so each reuses the echelons and nodes the other built;
@@ -584,34 +592,27 @@ def _node_homology(nodes: dict, f: GroupHom, g: GroupHom) -> AbGroupNF:
     not kept on the maps: equal maps from different open pairs, objects,
     levels or calls share their echelons only through it, and a hit
     returns what a fresh computation would, since the key is everything
-    the computation reads.  On the raw presentations of fk_module,
-    echelons kept on each GroupHom instead took 3,356 map_echelon calls
-    per round of the seed-1 graph corpus, against 1,971; on the pruned
-    presentations with a table per call the round took 1,030, and with
-    one table per module 607 (tools/round_counts.py counts a corpus of
-    its own)."""
+    the computation reads."""
     if f.target.generators == 0 == g.source.generators:
         return _TRIVIAL
     key = (f.matrix, g.source.relations, g.matrix, g.target.relations)
     group = nodes.get(key)
     if group is None:
-        if f.target.relations == g.source.relations:
-            g_ech = _map_echelon(nodes, g)
-            group = _TRIVIAL if exact_node(_map_echelon(nodes, f), g_ech, g.source.generators) \
-                else _inexact_homology(f, g, g_ech).group
-        else:
-            group = subquotient_homology(f, g).group
+        g_ech = _map_echelon(nodes, g.matrix, g.target.relations)
+        f_ech = _map_echelon(nodes, f.matrix, g.source.relations)
+        group = _TRIVIAL if exact_node(f_ech, g_ech, g.source.generators) \
+            else _inexact_homology(f, g, g_ech).group
         nodes[key] = group
     return group
 
 
-def _map_echelon(nodes: dict, h: GroupHom) -> Echelon:
-    """map_echelon of h with its target's relations, kept in the node
-    table under (matrix, target relations)."""
-    key = (h.matrix, h.target.relations)
+def _map_echelon(nodes: dict, matrix: IntMatrix, relations: IntMatrix) -> Echelon:
+    """map_echelon of a map's matrix with the relations of a group of
+    matrix.rows generators, kept in the node table under (matrix, relations)."""
+    key = (matrix, relations)
     ech = nodes.get(key)
     if ech is None:
-        ech = nodes[key] = map_echelon(h.matrix, h.target.relations.columns())
+        ech = nodes[key] = map_echelon(matrix, relations.columns())
     return ech
 
 
@@ -813,8 +814,9 @@ def _level_kernels(res: FreeResolution, n: int) -> Kernels:
     level 0 J·Q_Y is all of Q_Y(W)_p except at (Y, 0), where it is spanned
     by the images of Q_Y under the arrows out of Y.  Under
     End(Y)_even = Z·id ⊕ nil it is the kernel of Q_Y ->> S_Y; a Y whose
-    End(Y) does not split is refused with ModuleError.  For n >= 1 a slot
-    where the level below is 0 is whole, and only the rest take a kernel."""
+    End(Y) does not split is refused with HypothesisNotVerifiedError, as
+    check_hypotheses refuses it.  For n >= 1 a slot where the level below
+    is 0 is whole, and only the rest take a kernel."""
     t, slots = res.sc.table, res._slots(n)
     if n:
         below, sources, d = res._slots(n - 1), res._level(n), res._diff(n)
@@ -822,7 +824,7 @@ def _level_kernels(res: FreeResolution, n: int) -> Kernels:
                 if sum(below[key]) else None for key, cols in slots.items() if sum(cols)}
     Y = res.Y
     if not end_splits(t, Y):
-        raise ModuleError(f"End({Y}) does not split as Z·id + nil")
+        raise HypothesisNotVerifiedError(f"End({Y}) does not split as Z·id + nil")
     kernels = dict.fromkeys(key for key, cols in slots.items() if sum(cols))
     nil = generator_images(res.sc.presentation.by_src.get(Y, ()), "right",
                            lambda a, p: t.pre.get((a.dst, Y, p, a.name)))

@@ -16,8 +16,10 @@ per-object M_ss loop and the nil-lattice formula for level 0 of a
 resolution that ntmod.m_ss and the resolution engine are tested against,
 a digest of a table's nil lattices and ideal checks, the renumbering
 of the vertices inside the blocks of a graph, its out-splits and
-in-splits, and the six-term maps of a graph computed from B' alone
-(with a dense lattice solve) that fk_module's are tested against."""
+in-splits, the six-term maps of a graph computed from B' alone
+(with a dense lattice solve) that fk_module's are tested against, and
+the per-subset B' blocks that the reversed-edge test of triangularity
+is tested against."""
 
 import hashlib
 import json
@@ -87,6 +89,31 @@ def singular_block_graph(space, rng):
             elif pt[w] in space.min_open(pt[v]):
                 A[v][w] = rng.randint(0, 2)
     return BlockGraph(space, [(p, 2) for p in space.points], IntMatrix(A))
+
+
+def nonzero_bprime_blocks(G):
+    """The per-subset reference of triangularity: the pairs (Y, U), U open
+    in the locally closed Y and neither empty nor all of it, whose block
+    B'[Y∖U, U] is nonzero, in graph_checks's order."""
+    X = G.space
+    return [(lc.value, U) for lc in lc_subsets(X) for U in X.relative_opens(lc.value)
+            if U and U != lc.value and not G.bprime_block(lc.value - U, U).is_zero()]
+
+
+def add_edges_against_the_order(G, rng, count):
+    """G with `count` edges v -> w added, each drawn from the pairs whose
+    point of w lies outside min_open of the point of v, with multiplicity
+    1 to 3; G itself where there is no such pair."""
+    X = G.space
+    pt = [p for p, k in G.blocks for _ in range(k)]
+    bad = [(v, w) for v in range(G.n) for w in range(G.n) if not X.specializes(pt[v], pt[w])]
+    if not bad:
+        return G
+    A = [list(row) for row in G.adjacency.data]
+    for _ in range(count):
+        v, w = rng.choice(bad)
+        A[v][w] += rng.randint(1, 3)
+    return BlockGraph(X, G.blocks, IntMatrix(A))
 
 
 _GRAPH_CORPUS = {}

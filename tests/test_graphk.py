@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from conftest import (connected_t0_spaces, dense_solve, graph_six_term_maps, is_generator,
+from conftest import (add_edges_against_the_order, connected_t0_spaces, dense_solve,
+                      graph_six_term_maps, is_generator, nonzero_bprime_blocks,
                       random_block_graph, reference_check_exact, reference_six_term_nodes,
                       reference_tor, reference_tor_nodes, singular_block_graph, word_action,
                       z1_right_module_with_i_acting_by_one)
@@ -441,15 +442,6 @@ def test_reports_from_the_shared_node_table_equal_those_from_fresh_tables(build)
         (reports[0].failures, reports[1])
 
 
-def _nonzero_blocks(G):
-    """The per-subset reference of triangularity: the pairs (Y, U), U open
-    in the locally closed Y and neither empty nor all of it, whose block
-    B'[Y∖U, U] is nonzero, in graph_checks's order."""
-    X = G.space
-    return [(lc.value, U) for lc in lc_subsets(X) for U in X.relative_opens(lc.value)
-            if U and U != lc.value and not G.bprime_block(lc.value - U, U).is_zero()]
-
-
 def _triangularity_graphs():
     """Seeded graphs over the builtins and the connected four-point spaces:
     a random triangular graph, the same graph with one edge added against
@@ -461,14 +453,9 @@ def _triangularity_graphs():
         for _ in range(3):
             G = random_block_graph(X, rng)
             out.append(G)
-            A = [list(row) for row in G.adjacency.data]
-            pt = [p for p, k in G.blocks for _ in range(k)]
-            bad = [(v, w) for v in range(G.n) for w in range(G.n)
-                   if not X.specializes(pt[v], pt[w])]
-            if bad:
-                v, w = rng.choice(bad)
-                A[v][w] = rng.randint(1, 3)
-                out.append(BlockGraph(X, G.blocks, IntMatrix(A)))
+            H = add_edges_against_the_order(G, rng, 1)
+            if H is not G:
+                out.append(H)
             sizes = [rng.randint(1, 2) for _ in X.points]
             m = sum(sizes)
             A = [[rng.choice((0, 0, 1, 2)) for _ in range(m)] for _ in range(m)]
@@ -476,15 +463,13 @@ def _triangularity_graphs():
     return out
 
 
-def test_one_pass_triangularity_agrees_with_the_per_subset_blocks():
-    """BlockGraph.triangular, decided by one pass over the edges, holds
-    exactly when every block B'[Y∖U, U] is zero; graph_checks names the
-    nonzero blocks in order, and k_groups refuses exactly the locally
-    closed Y that have one.  Most of the graphs are not triangular."""
-    graphs = _triangularity_graphs()
+def _assert_triangularity_agrees_with_the_blocks(graphs):
+    """G.triangular holds exactly when every block B'[Y∖U, U] is zero;
+    graph_checks names the nonzero blocks in order, and k_groups refuses
+    exactly the locally closed Y that have one.  Returns the verdicts."""
     verdicts = []
     for G in graphs:
-        bad = _nonzero_blocks(G)
+        bad = nonzero_bprime_blocks(G)
         verdicts.append(G.triangular)
         assert G.triangular == (not bad)
         rep = graph_checks(G)
@@ -500,7 +485,32 @@ def test_one_pass_triangularity_agrees_with_the_per_subset_blocks():
                     k_groups(G, lc.value)
             else:
                 k_groups(G, lc.value)
+    return verdicts
+
+
+def test_one_pass_triangularity_agrees_with_the_per_subset_blocks():
+    """BlockGraph.triangular and the problems and refusals read off its
+    reversed edges agree with the per-subset blocks B'[Y∖U, U] (see
+    _assert_triangularity_agrees_with_the_blocks).  Most of the graphs are
+    not triangular."""
+    verdicts = _assert_triangularity_agrees_with_the_blocks(_triangularity_graphs())
     assert (verdicts.count(True), verdicts.count(False)) == (56, 94)
+
+
+def test_reversed_edges_agree_with_the_blocks_on_singular_graphs():
+    """The same agreement on a singular_block_graph of each builtin and
+    connected four-point space, and on that graph with one and with three
+    edges added against the order: two vertices a block, each block's own
+    edges fixed, so the reversed edges alone decide the blocks.  The
+    one-point space has no pair against the order."""
+    rng = random.Random("reversed-edges/singular")
+    graphs = []
+    for X in [builtin_space(name) for name in BUILTIN_NAMES] + connected_t0_spaces(4):
+        G = singular_block_graph(X, rng)
+        graphs += [G, add_edges_against_the_order(G, rng, 1),
+                   add_edges_against_the_order(G, rng, 3)]
+    verdicts = _assert_triangularity_agrees_with_the_blocks(graphs)
+    assert (verdicts.count(True), verdicts.count(False)) == (19, 32)
 
 
 def test_fk_module_block_diagonal_graph():

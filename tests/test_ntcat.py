@@ -630,8 +630,9 @@ def test_a_fresh_z3_build_factors_each_nonzero_group_twice_and_no_zero_group(
 @pytest.mark.parametrize("X", [builtin_space(n) for n in BUILTIN_NAMES]
                          + connected_t0_spaces(4), ids=lambda X: X.name)
 def test_the_word_tables_extend_each_short_word_by_each_arrow(X):
-    """Each bucket lists its words once, in nondecreasing length, with
-    their index; ext[a][i] is the index of words[i]·a in the bucket of a's
+    """Each bucket lists its words once, in nondecreasing length, and
+    walking from the empty word of its source along a word reaches that
+    word's index; ext[a][i] is the index of words[i]·a in the bucket of a's
     target, for exactly the words shorter than the bound, a prefix; and
     the breadth-first order from each source visits every word once, by
     length."""
@@ -642,7 +643,10 @@ def test_the_word_tables_extend_each_short_word_by_each_arrow(X):
         assert (b.src, b.dst, b.parity) == key
         lengths = [len(w) for w in b.words]
         assert lengths == sorted(lengths) and lengths[-1] <= max_len, key
-        assert b.index == {w: i for i, w in enumerate(b.words)}, key
+        start = buckets[(b.src, b.src, 0)]
+        assert start.words[0] == ()
+        assert [ntcat._walk(buckets, start, 0, w) for w in b.words] == \
+            list(range(len(b.words))), key
         assert b.short == sum(n < max_len for n in lengths), key
         assert list(b.ext) == [a.name for a in pres.by_src.get(b.dst, ())], key
         for a in pres.by_src.get(b.dst, ()):

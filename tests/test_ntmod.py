@@ -128,6 +128,51 @@ def test_validate_reports_broken_action():
     assert any("relation" in p for p in rep.problems)
 
 
+def _z1_actions(i_action):
+    """Entries and actions over Z1: entry 2 is Z/2 and entry 12 is Z, both
+    even, every other entry 0, the action of i:2>12 is i_action(entries)
+    and every other action is zero."""
+    sc = cat("Z1")
+    Z, Z2, O = Presentation(1), Presentation(1, IntMatrix([[2]])), Presentation(0)
+    E = {"1": GradedGroup(O, O), "2": GradedGroup(Z2, O), "12": GradedGroup(Z, O)}
+    arrows = sc.presentation.arrows
+    actions = {name: GradedHom.zero(a.parity, E[a.src], E[a.dst])
+               for name, a in arrows.items()}
+    actions["i:2>12"] = i_action(E)
+    return sc, E, actions
+
+
+@pytest.mark.parametrize("i_action, needle", [
+    (lambda E: GradedHom.build(0, GradedGroup(Presentation(1), Presentation(0)), E["12"],
+                               IntMatrix([[1]]), IntMatrix.zero(0, 0)),
+     "action of i:2>12 does not run from the entry of 2 to the entry of 12"),
+    (lambda E: GradedHom.build(0, E["2"], GradedGroup(Presentation(1, IntMatrix([[3]])),
+                                                      Presentation(0)),
+                               IntMatrix([[0]]), IntMatrix.zero(0, 0)),
+     "action of i:2>12 does not run from the entry of 2 to the entry of 12"),
+    (lambda E: GradedHom.build(0, E["2"], GradedGroup(Presentation(2), Presentation(0)),
+                               IntMatrix([[0], [0]]), IntMatrix.zero(0, 0)),
+     "action of i:2>12 does not run from the entry of 2 to the entry of 12"),
+    (lambda E: GradedHom.zero(1, E["2"], E["12"]),
+     "action of i:2>12 has degree 1, arrow parity 0"),
+], ids=["foreign-source-relations", "foreign-target-relations", "foreign-generators",
+        "wrong-degree"])
+def test_an_action_that_does_not_run_between_its_entries_is_refused(i_action, needle):
+    """The action Z -> Z of i:2>12 by 1, built over a foreign Z where the
+    entry of 2 is Z/2, is not well defined on the entries (2 ↦ 2 ≠ 0), yet
+    validate read only its own presentations and passed it.  The
+    constructor refuses it, an action whose target or generator count is
+    not its entry's, and an action whose degree is not its arrow's parity;
+    the same map built over the entries is a module that validate rejects."""
+    sc, E, actions = _z1_actions(i_action)
+    with pytest.raises(ModuleError, match=needle):
+        GradedModule(sc, "left", E, actions)
+    sc, E, actions = _z1_actions(lambda E: GradedHom.build(
+        0, E["2"], E["12"], IntMatrix([[1]]), IntMatrix.zero(0, 0)))
+    assert validate(GradedModule(sc, "left", E, actions)).problems == \
+        ["action of i:2>12 is not well defined on presentations"]
+
+
 def test_fk_module_validates():
     rng = random.Random(11)
     G = random_block_graph("Z3", rng)
@@ -897,20 +942,21 @@ def test_an_end_group_that_does_not_split_is_refused_before_anything_is_cached()
     """A copy of the Z3 table with id_coords[Y] doubled: 2·id and the nil
     part span an index-2 sublattice of End(Y)_even, so the split fails at Y
     alone, ideal_checks says not semidirect, and the engine refuses Y
-    before it builds or caches a resolution."""
+    before it builds or caches a resolution, with the error that
+    check_hypotheses raises for the same fact."""
     sc = table_from_json(table_to_json(cat("Z3")))
     Y = "14"
     sc.table.id_coords[Y] = tuple(2 * x for x in sc.table.id_coords[Y])
     assert not ideal_checks(sc.table).semidirect
     assert [W for W in sc.objects if not end_splits(sc.table, W)] == [Y]
     message = r"End\(14\) does not split as Z·id \+ nil"
-    with pytest.raises(ModuleError, match=message):
+    with pytest.raises(ntmod.HypothesisNotVerifiedError, match=message):
         resolve_simple(sc, Y, 3)
     for engine in ("auto", "generic"):
-        with pytest.raises(ModuleError, match=message):
+        with pytest.raises(ntmod.HypothesisNotVerifiedError, match=message):
             resolution_for(sc, Y, 3, engine)
     assert sc.resolutions == {}
-    with pytest.raises(ModuleError, match=message):
+    with pytest.raises(ntmod.HypothesisNotVerifiedError, match=message):
         validate_resolution(FreeResolution(sc, Y, [[(Y, 0)]], []), 0)
 
 

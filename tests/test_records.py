@@ -140,7 +140,7 @@ def records():
     sc = builtin_category("Z1")
     return [
         (_Bucket, dict(src="1", dst="1", parity=0),
-         dict(words=[], index={}, ext={}, short=0, lattice=None)),
+         dict(words=[], ext={}, short=0, lattice=None)),
         (SpaceCategory, dict(space=sc.space, presentation=sc.presentation, table=sc.table,
                              designator=sc.designator), dict(resolutions={})),
         (RingIdealData, dict(nilpotent=True, semidirect=True, nilpotency_index=2,

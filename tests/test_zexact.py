@@ -1091,10 +1091,10 @@ def test_exact_node_decides_exactly_the_zero_homology(pair):
           GroupHom(Presentation.free(1), Presentation.zero(), IntMatrix.zero(0, 1))), 1)
 def test_node_with_other_middle_relations_falls_back(pair, extra):
     """When f lands in a presentation of B with other relations (extra·I
-    added) than g starts from, the node routine ignores f's echelon and
-    returns what subquotient_homology gives on the relations of g's source.
-    In the example f lands in Z/1 = 0, whose echelon would read the node
-    Z -> 0 as exact."""
+    added) than g starts from, the node routine takes f's echelon on the
+    relations of g's source, as subquotient_homology does, and returns
+    what it gives.  In the example f lands in Z/1 = 0, whose own echelon
+    would read the node Z -> 0 as exact."""
     f, g = pair
     B = g.source
     rels = IntMatrix.identity(B.generators).scale(extra).hstack(B.relations)
@@ -1102,6 +1102,26 @@ def test_node_with_other_middle_relations_falls_back(pair, extra):
     expected = _reference_node(f, g)
     assert _outcome(lambda: subquotient_homology(f, g).group) == expected
     assert _outcome(lambda: ntmod._node_homology({}, f, g)) == expected
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_a_node_table_keys_f_by_the_relations_of_the_middle_group(order):
+    """Two nodes share one table and f's matrix, the zero map out of 0:
+    one whose f lands in Z/1 while g starts from Z (homology Z), and one
+    whose f and g meet at Z/1 (homology 0).  Each equals
+    subquotient_homology, in either order, because f's echelon is kept
+    under the relations of g's source, not of f's target."""
+    Z, Z1 = Presentation.free(1), Presentation(1, M([[1]]))
+    zero = Presentation.zero()
+    nodes = [(GroupHom(zero, Z1, IntMatrix.zero(1, 0)), GroupHom(Z, zero, IntMatrix.zero(0, 1))),
+             (GroupHom(zero, Z1, IntMatrix.zero(1, 0)), GroupHom(Z1, zero, IntMatrix.zero(0, 1)))]
+    expected = [AbGroupNF(1, ()), AbGroupNF(0, ())]
+    assert [subquotient_homology(f, g).group for f, g in nodes] == expected
+    table = {}
+    for k in order:
+        assert ntmod._node_homology(table, *nodes[k]) == expected[k]
+    assert (IntMatrix.zero(1, 0), Z.relations) in table
+    assert (IntMatrix.zero(1, 0), Z1.relations) in table
 
 
 def test_homology_sign_flip_invariance():

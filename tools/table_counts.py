@@ -13,14 +13,13 @@ instances of the relations it does not skip as redundant;
 `redundant_relations`, the relations `_redundant_relations` marks, whose
 instances it skips; `insert` and `insert_growing`, the calls of
 `Echelon._insert` and those that changed their lattice, the small echelons
-of the redundancy rule included; `bucket_index_reads`, the lookups of a
-word in a bucket's word-to-index dict (`_Bucket.index[w]`); `smith`, the
-Smith forms taken, directly or by `solve_columns`; and `smith_dense_cells`,
-rows × cols summed over the inputs of `smith` that are dense `IntMatrix`es
-(a sparse input adds nothing).  The counts depend only on the code, so two
-runs of one checkout print the same lines, and the lines of two checkouts
-compare the work their closures do.  The package is
-imported from the checkout that holds this file.
+of the redundancy rule included; `smith`, the Smith forms taken, directly
+or by `solve_columns`; and `smith_dense_cells`, rows × cols summed over the
+inputs of `smith` that are dense `IntMatrix`es (a sparse input adds
+nothing).  The counts depend only on the code, so two runs of one checkout
+print the same lines, and the lines of two checkouts compare the work
+their closures do.  The package is imported from the checkout that holds
+this file.
 """
 
 import os
@@ -35,28 +34,16 @@ from fktor import ntcat, zexact  # noqa: E402
 SPACES = ("Z2", "Z3", "S", "C2")
 
 
-class CountedIndex(dict):
-    """A bucket's word-to-index dict that counts its lookups."""
-
-    counts: Counter = Counter()
-
-    def __getitem__(self, w):
-        self.counts["bucket_index_reads"] += 1
-        return dict.__getitem__(self, w)
-
-
 def install(counts: Counter) -> list:
     """Count Echelon._insert calls and their outcomes, smith calls and the
-    cells of their dense inputs, and bucket index lookups; returns the list
-    that collects every bucket made."""
-    CountedIndex.counts = counts
+    cells of their dense inputs; returns the list that collects every
+    bucket made."""
     buckets: list = []
     B = ntcat._Bucket
     orig_init = B.__init__
 
     def init(self, *args, **kwargs):
         orig_init(self, *args, **kwargs)
-        self.index = CountedIndex(self.index)
         buckets.append(self)
 
     B.__init__ = init
@@ -112,8 +99,7 @@ def main():
         counts["instances_placed"] += relation_instances(pres, buckets, max_len, redundant)
         counts["redundant_relations"] += len(redundant)
     for name in ("words", "relation_instances", "instances_placed", "redundant_relations",
-                 "insert", "insert_growing", "bucket_index_reads", "smith",
-                 "smith_dense_cells"):
+                 "insert", "insert_growing", "smith", "smith_dense_cells"):
         print(name, counts[name])
 
 
