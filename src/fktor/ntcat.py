@@ -22,8 +22,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optio
 
 from .finspace import (BUILTIN_NAMES, FiniteSpace, builtin_name, builtin_space,
                        label, space_from_ref, space_ref)
-from .zexact import (Echelon, IntMatrix, ZExactError, _Record, _reduce, _SparseMatrix,
-                     guard_int, guard_name, smith, solve_columns)
+from .zexact import (Echelon, IntMatrix, ZExactError, _nonzeros, _Record, _reduce,
+                     _SparseMatrix, guard_int, guard_name, smith, solve_columns, sparse_image)
 
 
 class CategoryError(Exception):
@@ -678,6 +678,8 @@ class HomTable:
         self.pre: Dict[Tuple[str, str, int, str], IntMatrix] = {}
         self.id_coords: Dict[str, tuple] = {}
         self._word_matrices: Dict[tuple, IntMatrix] = {}
+        self._element_matrices: Dict[tuple, IntMatrix] = {}
+        self._element_columns: Dict[tuple, list] = {}
         self._nil_cache: Optional[Dict[Tuple[str, str, int], Tuple[tuple, ...]]] = None
         self._nil_index: Optional[int] = 0  # 0: not yet computed (see _nilpotency_index)
 
@@ -766,26 +768,37 @@ class HomTable:
     def _combo_matrix(self, side: str, el: Element, W: str, parity: int) -> IntMatrix:
         """Sum of word_matrix over the representative words of el, each
         scaled by its coefficient, the identity standing for the empty word.
-        A nonempty word's scaled copy is kept in _word_matrices under its
-        coefficient, so an el that is one nonempty word is a cached matrix
-        itself."""
-        at, to = ((W, el.src), (W, el.dst)) if side == "post" else ((el.dst, W), (el.src, W))
-        n_in = self.rank.get((*at, parity), 0)
-        n_out = self.rank.get((*to, parity ^ el.parity), 0)
-        out = None
+        Summed once per table for each (side, W, parity, element) and kept
+        in _element_matrices; an el that is one nonempty word with
+        coefficient 1 is that word's cached matrix itself."""
+        key = (side, W, parity, el.src, el.dst, el.parity, el.vec)
+        out = self._element_matrices.get(key)
+        if out is not None:
+            return out
         for w, c in self.element_combo(el).items():
-            if not w:
-                M = IntMatrix.identity(n_in)
-                M = M if c == 1 else M.scale(c)
-            elif c == 1:
+            if w:
                 M = self._word_matrix(side, W, parity, w)
             else:
-                key = (side, W, parity, w, c)
-                M = self._word_matrices.get(key)
-                if M is None:
-                    M = self._word_matrices[key] = self._word_matrix(side, W, parity, w).scale(c)
+                at = (W, el.src) if side == "post" else (el.dst, W)
+                M = IntMatrix.identity(self.rank.get((*at, parity), 0))
+            M = M if c == 1 else M.scale(c)
             out = M if out is None else out + M
-        return IntMatrix.zero(n_out, n_in) if out is None else out
+        if out is None:
+            at, to = ((W, el.src), (W, el.dst)) if side == "post" else ((el.dst, W), (el.src, W))
+            out = IntMatrix.zero(self.rank.get((*to, parity ^ el.parity), 0),
+                                 self.rank.get((*at, parity), 0))
+        self._element_matrices[key] = out
+        return out
+
+    def _combo_columns(self, side: str, el: Element, W: str, parity: int) -> list:
+        """The columns of _combo_matrix as {row: nonzero} dicts, kept on the
+        table per (side, W, parity, element); the caller reads them only."""
+        key = (side, W, parity, el.src, el.dst, el.parity, el.vec)
+        cols = self._element_columns.get(key)
+        if cols is None:
+            cols = self._element_columns[key] = \
+                self._combo_matrix(side, el, W, parity).sparse_columns()
+        return cols
 
     def compose(self, first: Element, then: Element) -> Element:
         """then ∘ first."""
@@ -1111,28 +1124,34 @@ def _along(side: str, src: str, dst: str) -> Tuple[str, str]:
 
 
 def generator_images(arrows: Iterable[Arrow], side: str, act: Callable,
-                     vecs: Optional[dict] = None) -> Dict[Tuple[str, int], List[tuple]]:
+                     vecs: Optional[dict] = None) -> Dict[Tuple[str, int], List[dict]]:
     """J·N per (object, parity), for the nil ideal J and a module N on `side`
     (see _along): the nonzero images of N under the generators in `arrows`,
-    in their order and then by parity.  A nil element is a sum of nonempty
-    words and a word acts through its generators one at a time, so these
-    span J·N; no nil element acts on its own, and for a submodule N the
-    images of vectors spanning it suffice.  act(a, p) is the matrix of a out
-    of N's parity-p part (None: nothing to build); vecs[(obj, p)] holds N's
-    spanning vectors there as columns, or None for all of N there, and a
-    slot that vecs lacks holds nothing; vecs=None stands for all of N."""
+    in their order and then by parity, as fresh {index: nonzero} dicts.  A
+    nil element is a sum of nonempty words and a word acts through its
+    generators one at a time, so these span J·N; no nil element acts on its
+    own, and for a submodule N the images of vectors spanning it suffice.
+    act(a, p) gives the columns of a's matrix out of N's parity-p part as
+    fresh {row: nonzero} dicts (None: nothing to build), which are the
+    images themselves where N is taken whole; a block-diagonal action,
+    as on a free module, lists each block's columns shifted to its rows, so
+    a vector's image reads only the blocks where it is nonzero (see
+    zexact.sparse_image).  vecs[(obj, p)] holds N's spanning vectors there
+    as {index: nonzero} dicts, or None for all of N there, whose images are
+    the columns themselves; a slot that vecs lacks holds nothing, and
+    vecs=None stands for all of N."""
     guard_name(side, ("left", "right"), CategoryError, _SIDE)
-    out: Dict[Tuple[str, int], List[tuple]] = {}
+    out: Dict[Tuple[str, int], List[dict]] = {}
     for a in arrows:
         s, d = _along(side, a.src, a.dst)
         for p in (0, 1):
             if vecs is not None and (s, p) not in vecs:
                 continue
             V = None if vecs is None else vecs[(s, p)]
-            M = act(a, p)
-            if M is not None:
-                images = (M if V is None else M * V).columns()
-                out.setdefault((d, p ^ a.parity), []).extend([v for v in images if any(v)])
+            cols = act(a, p)
+            if cols is not None:
+                images = cols if V is None else (sparse_image(cols, v) for v in V)
+                out.setdefault((d, p ^ a.parity), []).extend(filter(None, images))
     return out
 
 
@@ -1147,7 +1166,7 @@ def nil_basis(table: HomTable) -> Dict[Tuple[str, str, int], Tuple[tuple, ...]]:
     out: Dict[Tuple[str, str, int], Tuple[tuple, ...]] = {}
     for src in table.objects:
         images = generator_images(table.presentation.by_dst.get(src, ()), "left",
-                                  lambda a, p: table.post.get((src, a.src, p, a.name)))
+                                  lambda a, p: _columns(table.post.get((src, a.src, p, a.name))))
         for dst in table.objects:
             for parity in (0, 1):
                 rank = table.rank.get((src, dst, parity), 0)
@@ -1157,7 +1176,7 @@ def nil_basis(table: HomTable) -> Dict[Tuple[str, str, int], Tuple[tuple, ...]]:
                     continue
                 lat = Echelon(rank)
                 for v in images.get((src, 0), ()):
-                    lat.add(v)
+                    lat._insert(v)
                 out[(src, dst, parity)] = tuple(tuple(v) for v in lat.basis())
     table._nil_cache = out
     return out
@@ -1166,25 +1185,31 @@ def nil_basis(table: HomTable) -> Dict[Tuple[str, str, int], Tuple[tuple, ...]]:
 MAX_NILPOTENCY_INDEX = 24  # ideal_checks calls J nilpotent only if J^24 = 0
 
 
+def _columns(M: Optional[IntMatrix]) -> Optional[list]:
+    """The sparse columns of a generator matrix, or None for a missing one."""
+    return None if M is None else M.sparse_columns()
+
+
 def _nil_power_step(table: HomTable, power: dict) -> dict:
     """Lattice bases of J^(i+1) = J·J^i from those of J^i (nonzero keys
-    only), J^i taken as a submodule of each P_src = NT(src, -)."""
+    only, each a list of {index: nonzero} vectors), J^i taken as a
+    submodule of each P_src = NT(src, -)."""
     by_src = table.presentation.by_src
     spans: Dict[str, dict] = {}
     for (src, dst, p), vs in power.items():
-        spans.setdefault(src, {})[(dst, p)] = IntMatrix._from_columns(
-            vs, table.rank[(src, dst, p)])
+        spans.setdefault(src, {})[(dst, p)] = vs
     nxt = {}
     for src, vecs in spans.items():
         arrows = [a for b in dict.fromkeys(b for b, _ in vecs) for a in by_src.get(b, ())]
         images = generator_images(arrows, "left",
-                                  lambda a, p: table.post.get((src, a.src, p, a.name)), vecs)
+                                  lambda a, p: _columns(table.post.get((src, a.src, p, a.name))),
+                                  vecs)
         for (dst, p), vs in images.items():
             lat = Echelon(table.rank[(src, dst, p)])
             for v in vs:
-                lat.add(v)
+                lat._insert(v)
             if lat.pivots:
-                nxt[(src, dst, p)] = lat.basis()
+                nxt[(src, dst, p)] = lat.sparse_basis()
     return nxt
 
 
@@ -1208,7 +1233,7 @@ def _nilpotency_index(table: HomTable) -> Optional[int]:
     0: computed once per table from its nil basis and generator matrices,
     as nil_basis is, and shared by ideal_checks and the resolution engine."""
     if table._nil_index == 0:
-        power = {k: vs for k, vs in nil_basis(table).items() if vs}
+        power = {k: [_nonzeros(v) for v in vs] for k, vs in nil_basis(table).items() if vs}
         index = 1
         while power and index < MAX_NILPOTENCY_INDEX:
             power = _nil_power_step(table, power)

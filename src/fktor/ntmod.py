@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from itertools import accumulate
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .finspace import builtin_name, label, space_from_ref, space_ref
 from .ntcat import (_PARITY, _SIDE, Arrow, Combo, Element, HomTable, SpaceCategory, _along,
-                    _nilpotency_index, builtin_category, end_splits, generator_images,
+                    _columns, _nilpotency_index, builtin_category, end_splits, generator_images,
                     ideal_checks, space_category)
 from .zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom,
-                     IntMatrix, Presentation, _Record, _inexact_homology, block_diag, exact_node,
-                     graded_direct_sum, guard_int, guard_name, kernel, hnf_columns,
-                     map_echelon, shift as shift_group, subquotient_homology)
+                     IntMatrix, Presentation, _Record, _inexact_homology, exact_node,
+                     graded_direct_sum, guard_int, guard_name, hermite_basis, hnf_columns,
+                     kernel_columns, map_echelon, shift as shift_group, subquotient_homology)
 
 
 class ModuleError(Exception):
@@ -40,7 +43,8 @@ class CatalogueError(ModuleError):
 Summand = Tuple[str, int]  # (object, shift)
 Blocks = Sequence[Sequence[Optional[Element]]]  # a map of free modules, None for 0
 Slots = Dict[Tuple[str, int], List[int]]  # (W, parity) -> block sizes of a free module
-Kernels = Dict[Tuple[str, int], Optional[IntMatrix]]  # (W, parity) -> basis, None: all of it
+# (W, parity) -> Hermite basis as {index: nonzero} columns, None: all of the slot
+Kernels = Dict[Tuple[str, int], Optional[List[dict]]]
 
 _SIDES = ("left", "right")
 _DEPTH = "a resolution needs a nonnegative integer depth, not {!r}"
@@ -68,6 +72,8 @@ class GradedModule:
     entries: object label -> GradedGroup
     actions: arrow name -> GradedHom of the arrow's parity
              (left: M(src) -> M(dst); right: M(dst) -> M(src))
+    Both are read-only mappings over copies taken by the constructor, so
+    the data its checks passed cannot change afterwards.
 
     An action whose degree is not its arrow's parity, or whose parts lack
     the generator counts and relation matrices of the entries at its
@@ -85,8 +91,9 @@ class GradedModule:
         guard_name(variance, _SIDES, ModuleError, "variance must be 'left' or 'right', not {!r}")
         self.category = category
         self.variance = variance
-        self.entries = dict(entries)
-        self.actions = dict(actions)
+        # read-only views of private copies: the checks below hold for good
+        self.entries = MappingProxyType(dict(entries))
+        self.actions = MappingProxyType(dict(actions))
         self._element_cache: Dict[tuple, GradedHom] = {}
         self._word_cache: Dict[tuple, GradedHom] = {}
         self._designated: Dict[tuple, Optional[GradedHom]] = {}
@@ -403,7 +410,10 @@ def free_ranks(t: HomTable, side: str, summands: Sequence[Summand], W: str,
 
 def _free_ranks(t: HomTable, side: str, summands: Sequence[Summand], W: str,
                 parity: int) -> List[int]:
-    return [t.rank.get((*_along(side, A, W), (parity + eA) % 2), 0) for A, eA in summands]
+    rank = t.rank
+    if side == "left":
+        return [rank.get((A, W, (parity + eA) % 2), 0) for A, eA in summands]
+    return [rank.get((W, A, (parity + eA) % 2), 0) for A, eA in summands]
 
 
 def free_map(t: HomTable, side: str, targets: Sequence[Summand],
@@ -412,7 +422,9 @@ def free_map(t: HomTable, side: str, targets: Sequence[Summand],
     `targets` whose block (i, j) is matrix[i][j] (None for zero): an element
     of NT(B_i, A_j) acting by pre-composition on a left module, of
     NT(A_j, B_i) acting by post-composition on a right one.  Only blocks
-    with rows and columns are read off the Hom table."""
+    with rows and columns are read off the Hom table.  This is the dense
+    render of the layout's columns (_map_columns), which the syzygy step
+    reads as they are."""
     guard_name(side, _SIDES, ModuleError, _SIDE)
     t._check_slot(W, parity, ModuleError)
     return _free_map(t, side, sources, matrix, W, parity, _free_ranks(t, side, targets, W, parity),
@@ -422,11 +434,29 @@ def free_map(t: HomTable, side: str, targets: Sequence[Summand],
 def _free_map(t: HomTable, side: str, sources: Sequence[Summand], matrix: Blocks, W: str,
               parity: int, rows: List[int], cols: List[int]) -> IntMatrix:
     """free_map on the block sizes `rows` of its targets and `cols` of its sources."""
+    return IntMatrix._from_sparse_columns(
+        list(_map_columns(t, side, sources, matrix, W, parity, rows, cols)), sum(rows))
+
+
+def _map_columns(t: HomTable, side: str, sources: Sequence[Summand], matrix: Blocks, W: str,
+                 parity: int, rows: List[int], cols: List[int]) -> Iterator[dict]:
+    """The columns of free_map as fresh {row: nonzero} dicts, in order, each
+    put together from the table's sparse columns of the blocks of its
+    source summand (HomTable._combo_columns), so no zero block is laid
+    out."""
     act = "pre" if side == "left" else "post"
-    return IntMatrix.block(
-        [[t._combo_matrix(act, el, W, (parity + eA) % 2) if el is not None and r and c
-          else None for el, (_, eA), c in zip(row, sources, cols)]
-         for row, r in zip(matrix, rows)], rows, cols)
+    for k, ((_, eA), c) in enumerate(zip(sources, cols)):
+        q, offset, blocks = (parity + eA) % 2, 0, []
+        for row, r in zip(matrix, rows):
+            if row[k] is not None and r and c:
+                blocks.append((offset, t._combo_columns(act, row[k], W, q)))
+            offset += r
+        for jk in range(c):
+            col = {}
+            for offset, block in blocks:
+                for i, x in block[jk].items():
+                    col[offset + i] = x
+            yield col
 
 
 def free_action(t: HomTable, side: str, summands: Sequence[Summand], a: Arrow,
@@ -434,7 +464,8 @@ def free_action(t: HomTable, side: str, summands: Sequence[Summand], a: Arrow,
     """Matrix of the generator arrow a on the free module on `summands`, out
     of its part of the given parity: block-diagonal, post-composition by a
     on a left module, pre-composition on a right one.  dims[(W, p)] holds
-    the module's block sizes, free_ranks(t, side, summands, W, p)."""
+    the module's block sizes, free_ranks(t, side, summands, W, p).  This
+    is the dense render of the layout's columns (_action_columns)."""
     guard_name(side, _SIDES, ModuleError, _SIDE)
     guard_int(parity, ModuleError, _PARITY, 0, 1)
     return _free_action(t, side, summands, a, parity, dims)
@@ -443,10 +474,29 @@ def free_action(t: HomTable, side: str, summands: Sequence[Summand], a: Arrow,
 def _free_action(t: HomTable, side: str, summands: Sequence[Summand], a: Arrow,
                  parity: int, dims: Slots) -> IntMatrix:
     s, d = _along(side, a.src, a.dst)
+    rows = dims[(d, parity ^ a.parity)]
+    return IntMatrix._from_sparse_columns(
+        _action_columns(t, side, summands, a, parity, rows, dims[(s, parity)]), sum(rows))
+
+
+def _action_columns(t: HomTable, side: str, summands: Sequence[Summand], a: Arrow,
+                    parity: int, rows: List[int], cols: List[int]) -> List[dict]:
+    """The columns of free_action as fresh {row: nonzero} dicts, on the block
+    sizes `rows` of its image and `cols` of its source: each summand's
+    generator block, shifted to the summand's rows."""
+    s = _along(side, a.src, a.dst)[0]
     acts = t.post if side == "left" else t.pre
-    return block_diag([acts.get((*_along(side, A, s), (parity + eA) % 2, a.name))
-                       for A, eA in summands],
-                      dims[(d, parity ^ a.parity)], dims[(s, parity)])
+    out, offset = [], 0
+    for (A, eA), r, c in zip(summands, rows, cols):
+        M = acts.get((*_along(side, A, s), (parity + eA) % 2, a.name))
+        if M is None:
+            out += [{}] * c
+        else:
+            block = M.sparse_columns()
+            out += [{offset + i: x for i, x in col.items()} for col in block] if offset \
+                else block
+        offset += r
+    return out
 
 
 def _free_cokernel(sc: SpaceCategory, side: str, targets: Sequence[Summand],
@@ -667,13 +717,13 @@ def m_ss(M: GradedModule) -> Dict[str, GradedGroup]:
     images of M under the generators (ntcat.generator_images)."""
     _require_actions(M, "m_ss")
     images = generator_images(M.category.presentation.arrows.values(), M.variance,
-                              lambda a, p: M.actions[a.name].component(p).matrix)
+                              lambda a, p: M.actions[a.name].component(p).matrix.sparse_columns())
     out = {}
     for obj in M.category.objects:
         g = M.entries[obj]
         out[obj] = GradedGroup(*(
-            Presentation(P.generators, IntMatrix._from_columns(
-                P.relations.columns() + images.get((obj, p), []), P.generators))
+            Presentation(P.generators, IntMatrix._from_sparse_columns(
+                P.relations.sparse_columns() + images.get((obj, p), []), P.generators))
             for p, P in enumerate((g.even, g.odd))))
     return out
 
@@ -727,10 +777,16 @@ class FreeResolution:
         return free_ranks(self.sc.table, "right", self.level(n), W, parity)
 
     def _slots(self, n: int) -> Slots:
+        """Level n's block sizes at each slot where it is nonzero; a slot
+        the table lacks is 0."""
         if n not in self._slot_tables:
-            level, t = self._level(n), self.sc.table
-            self._slot_tables[n] = {(W, p): _free_ranks(t, "right", level, W, p)
-                                    for W in self.sc.objects for p in (0, 1)}
+            level, t, slots = self._level(n), self.sc.table, {}
+            for W in self.sc.objects:
+                for p in (0, 1):
+                    sizes = _free_ranks(t, "right", level, W, p)
+                    if any(sizes):
+                        slots[(W, p)] = sizes
+            self._slot_tables[n] = slots
         return self._slot_tables[n]
 
     def underlying_diff(self, n: int, W: str, parity: int) -> IntMatrix:
@@ -783,32 +839,37 @@ def _extend(res: FreeResolution, depth: int) -> None:
         level, slots = res._level(n), res._slots(n)
         kernels = _level_kernels(res, n)
         nil = _nil_part(res, n, kernels)
-        chosen: List[Tuple[str, int, tuple]] = []
+        chosen: List[Tuple[str, int, dict]] = []
         for (W, parity), K in kernels.items():
             c = sum(slots[(W, parity)])
             covered = Echelon(c)
             for v in nil.get((W, parity), ()):
-                covered.add(v)
-            for v in (K.columns() if K is not None else  # a whole slot: its unit vectors
-                      (tuple(int(i == j) for i in range(c)) for j in range(c))):
-                if covered.add(v):
+                covered._insert(v)
+            for v in (K if K is not None else  # a whole slot: its unit vectors
+                      ({j: 1} for j in range(c))):
+                if covered._insert(dict(v)):
                     chosen.append((W, parity, v))
-        # differential entries: the components of each chosen kernel vector
+        # differential entries: the components of each chosen kernel vector,
+        # a dense piece only for each block where it is nonzero
         matrix: List[List[Optional[Element]]] = [[None] * len(chosen) for _ in level]
         for col, (W, parity, vec) in enumerate(chosen):
-            offset = 0
-            for i, ((A, eA), r) in enumerate(zip(level, slots[(W, parity)])):
-                piece = vec[offset:offset + r]
-                offset += r
-                if any(piece):
-                    matrix[i][col] = Element(W, A, (parity + eA) % 2, piece)
+            sizes = slots[(W, parity)]
+            starts = list(accumulate(sizes, initial=0))
+            pieces: Dict[int, List[int]] = {}
+            for j, x in vec.items():
+                i = bisect_right(starts, j) - 1  # the last block starting at j or before
+                pieces.setdefault(i, [0] * sizes[i])[j - starts[i]] = x
+            for i, piece in pieces.items():
+                A, eA = level[i]
+                matrix[i][col] = Element(W, A, (parity + eA) % 2, piece)
         levels.append([(W, parity) for W, parity, _ in chosen])
         diffs.append(matrix)
 
 
 def _level_kernels(res: FreeResolution, n: int) -> Kernels:
     """Kernel lattice of d_n (of Q_Y ->> S_Y for n = 0) at each (W, parity)
-    where level n is nonzero: its Hermite basis, or None for the whole slot.
+    where level n is nonzero: its Hermite basis as {index: nonzero}
+    columns, or None for the whole slot.
 
     Every morphism between distinct objects and every odd one is nil, so at
     level 0 J·Q_Y is all of Q_Y(W)_p except at (Y, 0), where it is spanned
@@ -816,33 +877,48 @@ def _level_kernels(res: FreeResolution, n: int) -> Kernels:
     End(Y)_even = Z·id ⊕ nil it is the kernel of Q_Y ->> S_Y; a Y whose
     End(Y) does not split is refused with HypothesisNotVerifiedError, as
     check_hypotheses refuses it.  For n >= 1 a slot where the level below
-    is 0 is whole, and only the rest take a kernel."""
+    is 0 is whole, and only the rest take a kernel (_slot_kernel)."""
     t, slots = res.sc.table, res._slots(n)
     if n:
         below, sources, d = res._slots(n - 1), res._level(n), res._diff(n)
-        return {key: kernel(_free_map(t, "right", sources, d, *key, below[key], cols))
-                if sum(below[key]) else None for key, cols in slots.items() if sum(cols)}
+        return {key: _slot_kernel(t, sources, d, *key, below[key], cols)
+                if key in below else None for key, cols in slots.items()}
     Y = res.Y
     if not end_splits(t, Y):
         raise HypothesisNotVerifiedError(f"End({Y}) does not split as Z·id + nil")
-    kernels = dict.fromkeys(key for key, cols in slots.items() if sum(cols))
+    kernels = dict.fromkeys(slots)
     nil = generator_images(res.sc.presentation.by_src.get(Y, ()), "right",
-                           lambda a, p: t.pre.get((a.dst, Y, p, a.name)))
-    kernels[(Y, 0)] = hnf_columns(IntMatrix._from_columns(nil.get((Y, 0), []),
-                                                          sum(slots[(Y, 0)])))
+                           lambda a, p: _columns(t.pre.get((a.dst, Y, p, a.name))))
+    kernels[(Y, 0)] = hermite_basis(nil.get((Y, 0), ()), sum(slots[(Y, 0)]))
     return kernels
 
 
-def _nil_part(res: FreeResolution, n: int, kernels: Kernels) -> Dict[Tuple[str, int], List[tuple]]:
+def _slot_kernel(t: HomTable, sources: Sequence[Summand], d: Blocks, W: str, parity: int,
+                 rows: List[int], cols: List[int]) -> List[dict]:
+    """Hermite basis, as {index: nonzero} columns, of the kernel of the map
+    of free right modules from `sources` given by d at (W, parity), on the
+    block sizes `rows` of its targets and `cols` of its sources:
+    zexact.kernel_columns of the layout's sparse columns (_map_columns),
+    with no dense matrix laid out."""
+    return kernel_columns(_map_columns(t, "right", sources, d, W, parity, rows, cols),
+                          sum(rows), sum(cols))
+
+
+def _nil_part(res: FreeResolution, n: int, kernels: Kernels) -> Dict[Tuple[str, int], List[dict]]:
     """J·K per (W, parity), K the submodule of level n that `kernels` span
-    (see _level_kernels); no free_action is built where the level is 0 at
-    the image's slot."""
+    (see _level_kernels).  Each generator acts by its layout's sparse
+    columns (_action_columns), so a kernel vector meets only the blocks
+    where it is nonzero, and none are built where the level is 0 at the
+    image's slot."""
     t, level, slots = res.sc.table, res._level(n), res._slots(n)
-    return generator_images(
-        res.sc.presentation.arrows.values(), "right",
-        lambda a, p: _free_action(t, "right", level, a, p, slots)
-        if sum(slots[(a.src, p ^ a.parity)]) else None,
-        {key: K for key, K in kernels.items() if K is None or K.cols})
+
+    def act(a: Arrow, p: int) -> Optional[List[dict]]:
+        rows = slots.get((a.src, p ^ a.parity))
+        return None if rows is None else \
+            _action_columns(t, "right", level, a, p, rows, slots[(a.dst, p)])
+
+    return generator_images(res.sc.presentation.arrows.values(), "right", act,
+                            {key: K for key, K in kernels.items() if K is None or K})
 
 
 def _composite_problems(res: FreeResolution, n: int) -> List[str]:
@@ -885,10 +961,11 @@ def validate_resolution(res: FreeResolution, depth: int) -> List[str]:
     problems = []
     for n in range(1, depth):
         problems += _composite_problems(res, n)
-    for (W, parity), cols in res._slots(0).items():
-        K = level0.get((W, parity))
+    for W, parity in ((W, p) for W in res.sc.objects for p in (0, 1)):
+        c, K = sum(res._slots(0).get((W, parity), ())), level0.get((W, parity))
         d = [None] + [res.underlying_diff(n, W, parity) for n in range(1, max(depth, 1) + 1)]
-        if hnf_columns(d[1]) != (IntMatrix.identity(sum(cols)) if K is None else K):
+        if hnf_columns(d[1]) != (IntMatrix.identity(c) if K is None
+                                 else IntMatrix._from_sparse_columns(K, c)):
             problems.append(f"not exact under the augmentation at ({W},{parity})")
         for n in range(1, depth):
             if not (d[n] * d[n + 1]).is_zero():

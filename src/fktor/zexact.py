@@ -181,6 +181,10 @@ class IntMatrix:
         """The rows as fresh {column: nonzero} dicts, as `smith` reads them."""
         return [_nonzeros(r) for r in self.data]
 
+    def sparse_columns(self) -> list:
+        """The columns as fresh {row: nonzero} dicts, as an echelon reads them."""
+        return [_nonzeros(c) for c in self.columns()]
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -362,6 +366,17 @@ def _add_scaled(dst: dict, src: dict, q: int) -> None:
             dst[j] = y
         else:
             del dst[j]
+
+
+def sparse_image(cols: Sequence[dict], vec: dict) -> dict:
+    """The image of the {index: nonzero} vector `vec` under the matrix whose
+    columns are the {row: nonzero} dicts `cols`: a fresh dict, the sum of
+    x·cols[j] over the entries (j, x) of vec, so only the columns where vec
+    is nonzero are read."""
+    out: dict = {}
+    for j, x in vec.items():
+        _add_scaled(out, cols[j], x)
+    return out
 
 
 class SmithForm:
@@ -688,13 +703,19 @@ class Echelon:
 
 
 def _hermite(ech: Echelon, start: int) -> IntMatrix:
+    """_hermite_columns as a matrix of ech.n - start rows."""
+    return IntMatrix._from_sparse_columns(_hermite_columns(ech, start), ech.n - start)
+
+
+def _hermite_columns(ech: Echelon, start: int) -> list:
     """The Hermite basis of the lattice spanned by the rows of `ech` whose
-    pivot is at `start` or later, read on the coordinates from `start` on.
+    pivot is at `start` or later, read on the coordinates from `start` on,
+    as fresh {row: nonzero} columns in pivot order.
 
     Those rows span exactly the vectors of the lattice that are zero before
     `start`.  Each is made positive at its pivot, and the entries above
     each pivot are reduced into [0, pivot); the result is unique, so equal
-    lattices yield equal matrices."""
+    lattices yield equal bases."""
     out = []  # (pivot, row) read from `start` on, positive at the pivot
     for p in sorted(p for p in ech.pivots if p >= start):
         row = ech.pivots[p]
@@ -705,7 +726,17 @@ def _hermite(ech: Echelon, start: int) -> IntMatrix:
             q = ri.get(pj, 0) // rj[pj]
             if q:
                 _add_scaled(ri, rj, -q)
-    return IntMatrix._from_sparse_columns([r for _, r in out], ech.n - start)
+    return [r for _, r in out]
+
+
+def hermite_basis(vectors: Iterable[dict], n: int) -> list:
+    """hnf_columns on sparse columns: the Hermite basis, as {row: nonzero}
+    columns, of the lattice that the {index < n: nonzero} dicts `vectors`
+    span.  The dicts are consumed (see Echelon._insert)."""
+    ech = Echelon(n)
+    for v in vectors:
+        ech._insert(v)
+    return _hermite_columns(ech, 0)
 
 
 def hnf_columns(A: IntMatrix) -> IntMatrix:
@@ -713,10 +744,7 @@ def hnf_columns(A: IntMatrix) -> IntMatrix:
 
     Zero columns are dropped; equal lattices yield equal matrices.
     """
-    ech = Echelon(A.rows)
-    for c in A.columns():
-        ech.add(c)
-    return _hermite(ech, 0)
+    return IntMatrix._from_sparse_columns(hermite_basis(A.sparse_columns(), A.rows), A.rows)
 
 
 def hermite_coords(H: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
@@ -762,6 +790,19 @@ def map_echelon(h: IntMatrix, relations) -> Echelon:
             raise ZExactError("vector length mismatch")
         ech._insert(_nonzeros(col))
     return ech
+
+
+def kernel_columns(columns: Iterable[dict], m: int, n: int) -> list:
+    """kernel on sparse columns: the Hermite basis, as {row: nonzero}
+    columns, of the kernel of the map from Z^n to Z^m whose columns are the
+    {row < m: nonzero} dicts `columns` (consumed).  The augmented columns
+    (c_j ; e_j) go into one echelon as map_echelon puts them, and the rows
+    pivoting from m on are read as kernel reads them."""
+    ech = Echelon(m + n)
+    for j, col in enumerate(columns):
+        col[m + j] = 1
+        ech._insert(col)
+    return _hermite_columns(ech, m)
 
 
 def _cycles(g: IntMatrix, relations) -> IntMatrix:

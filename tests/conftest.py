@@ -12,8 +12,9 @@ the connected T0 spaces on n points, one per homeomorphism class, the shift
 and the direct sum of modules and of groups in normal form that the
 invariance tests compare Tor against, and the Hom-table and homology
 helpers only the tests use (eval_combo, graded_rank, is_generator), the
-per-object M_ss loop and the nil-lattice formula for level 0 of a
-resolution that ntmod.m_ss and the resolution engine are tested against,
+per-object M_ss loop, the nil-lattice formula for level 0 of a
+resolution and the dense syzygy step that ntmod.m_ss and the resolution
+engine are tested against,
 a digest of a table's nil lattices and ideal checks, the renumbering
 of the vertices inside the blocks of a graph, its out-splits and
 in-splits, the six-term maps of a graph computed from B' alone
@@ -37,9 +38,9 @@ from fktor.ntcat import (Arrow, CategoryError, Element, builtin_category, ideal_
                          nil_basis)
 from fktor.ntmod import (GradedModule, TorReport, coker_module, free_module,
                          resolution_for, tensor_complex_maps)
-from fktor.zexact import (AbGroupNF, GradedGroup, GradedHom, GroupHom, IntMatrix,
+from fktor.zexact import (AbGroupNF, Echelon, GradedGroup, GradedHom, GroupHom, IntMatrix,
                           Presentation, ZExactError, block_diag, graded_direct_sum,
-                          hnf_columns, shift, subquotient_homology)
+                          hnf_columns, kernel, shift, subquotient_homology)
 
 
 def matrix_of_columns(cols, nrows):
@@ -350,6 +351,65 @@ def level0_kernels_reference(sc, Y):
             out[(W, p)] = (hnf_columns(matrix_of_columns(nil_basis(t)[(Y, Y, 0)], c))
                            if (W, p) == (Y, 0) else IntMatrix.identity(c))
     return out
+
+
+def dense_resolution(sc, Y, depth):
+    """The syzygy step laid out densely, the oracle the sparse engine of
+    ntmod.resolve_simple is tested against: (levels, diffs) of S_Y to
+    `depth`.  At every (W, parity) slot the kernel of d_n is zexact.kernel
+    of the whole block matrix (IntMatrix.block of the table's
+    post-composition matrices; level 0 reads it off
+    level0_kernels_reference), J·K is spanned by the columns of each
+    arrow's block-diagonal action (block_diag of its pre-composition
+    matrices) times that kernel basis, and the kernel columns outside the
+    lattice of J·K and the columns chosen before them become generators,
+    each split into its blocks for the differential's entries."""
+    t = sc.table
+    keys = [(W, p) for W in sc.objects for p in (0, 1)]
+
+    def sizes(level, W, p):
+        return [t.rank.get((W, A, (p + eA) % 2), 0) for A, eA in level]
+
+    levels, diffs = [[(Y, 0)]], []
+    while len(levels) <= depth:
+        n = len(diffs)
+        level = levels[n]
+        dims = {key: sizes(level, *key) for key in keys}
+        if n == 0:
+            kernels = level0_kernels_reference(sc, Y)
+        else:
+            kernels = {}
+            for W, p in keys:
+                rows, d = sizes(levels[n - 1], W, p), diffs[n - 1]
+                kernels[(W, p)] = kernel(IntMatrix.block(
+                    [[t._combo_matrix("post", el, W, (p + eA) % 2) if el is not None and r and c
+                      else None for el, (_, eA), c in zip(row, level, dims[(W, p)])]
+                     for row, r in zip(d, rows)], rows, dims[(W, p)]))
+        nil = {}
+        for a in sc.presentation.arrows.values():
+            for p in (0, 1):
+                action = block_diag([t.pre.get((a.dst, A, (p + eA) % 2, a.name))
+                                     for A, eA in level],
+                                    dims[(a.src, p ^ a.parity)], dims[(a.dst, p)])
+                nil.setdefault((a.src, p ^ a.parity), []).extend(
+                    v for v in (action * kernels[(a.dst, p)]).columns() if any(v))
+        chosen = []
+        for key in keys:
+            covered = Echelon(sum(dims[key]))
+            for v in nil.get(key, ()):
+                covered.add(v)
+            chosen += [(*key, v) for v in kernels[key].columns() if covered.add(v)]
+        matrix = [[None] * len(chosen) for _ in level]
+        for col, (W, parity, vec) in enumerate(chosen):
+            offset = 0
+            for i, ((A, eA), r) in enumerate(zip(level, dims[(W, parity)])):
+                piece = vec[offset:offset + r]
+                offset += r
+                if any(piece):
+                    matrix[i][col] = Element(W, A, (parity + eA) % 2, piece)
+        levels.append([(W, parity) for W, parity, _ in chosen])
+        diffs.append(matrix)
+    return levels, diffs
 
 
 def nil_digest(t):

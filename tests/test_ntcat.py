@@ -1112,11 +1112,13 @@ def pairwise_nil_powers(table):
 def test_nil_powers_from_generator_images_match_pairwise_products(name):
     t = cat(name).table
     expected = pairwise_nil_powers(t)
-    power = {k: vs for k, vs in nil_basis(t).items() if vs}
+    # the powers are lists of {index: nonzero} vectors
+    power = {k: [{i: x for i, x in enumerate(v) if x} for v in vs]
+             for k, vs in nil_basis(t).items() if vs}
     for i, ref in enumerate(expected, 1):
         assert sorted(power) == sorted(ref), (name, i)
         for key, basis in ref.items():
-            assert hnf_columns(matrix_of_columns(power[key], t.rank[key])) == \
+            assert hnf_columns(IntMatrix._from_sparse_columns(power[key], t.rank[key])) == \
                 hnf_columns(matrix_of_columns(basis, t.rank[key])), (name, i, key)
         power = ntcat._nil_power_step(t, power)
     assert ideal_checks(t).nilpotency_index == len(expected)

@@ -9,7 +9,8 @@ from collections import Counter
 import pytest
 
 import catalogue
-from conftest import (connected_t0_spaces, eval_combo, graph_corpus, layout_corpus,
+from conftest import (connected_t0_spaces, dense_resolution, eval_combo, graph_corpus,
+                      layout_corpus,
                       level0_kernels_reference, m_ss_reference, matrix_of_columns,
                       random_block_graph, random_valid_module, reference_check_exact,
                       reference_tor, word_action, word_pre_matrix,
@@ -117,15 +118,35 @@ def test_validate_reports_broken_action():
     M = free_module(sc, "1234", "left")
     # deliberately rescale one delta action; the sum relation must now fail
     h = M.actions["d:1>4"]
-    M.actions["d:1>4"] = GradedHom(
+    rescaled = GradedHom(
         h.degree,
         GroupHom(h.from_even.source, h.from_even.target,
                  h.from_even.matrix.scale(3)),
         GroupHom(h.from_odd.source, h.from_odd.target,
                  h.from_odd.matrix.scale(3)))
+    M = GradedModule(sc, "left", M.entries, {**M.actions, "d:1>4": rescaled})
     rep = validate(M)
     assert not rep.ok
     assert any("relation" in p for p in rep.problems)
+
+
+def test_module_entries_and_actions_are_read_only():
+    """A module's entries and actions are read-only views of copies the
+    constructor took: item assignment and deletion raise TypeError, and
+    changing the dicts it was built from changes nothing."""
+    sc = cat("Z3")
+    M = free_module(sc, "1234", "left")
+    entries, actions = dict(M.entries), dict(M.actions)
+    N = GradedModule(sc, "left", entries, actions)
+    for mapping, key in ((N.entries, "1234"), (N.actions, "d:1>4")):
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+    entries.clear()
+    actions.clear()
+    assert dict(N.entries) == dict(M.entries) and dict(N.actions) == dict(M.actions)
+    assert validate(N).ok
 
 
 def _z1_actions(i_action):
@@ -340,7 +361,8 @@ def test_z4_resolution_shape():
 
 def _nil_part_per_element(sc, level, kernels):
     """Reference for ntmod._nil_part: pre-compose every kernel vector with
-    every nil basis element, each acting through its word products."""
+    every nil basis element, each acting through its word products, on
+    dense block-diagonal matrices."""
     t = sc.table
     nil = nil_basis(t)
     out = {key: [] for key in kernels}
@@ -375,12 +397,15 @@ def test_nil_part_from_generator_images(name):
             for n in range(6):
                 kernels = ntmod._level_kernels(res, n)
                 fast = ntmod._nil_part(res, n, kernels)
-                # a whole slot, None, is spanned by its unit vectors
-                kernels = {key: IntMatrix.identity(sum(res.dims(n, *key))) if K is None else K
-                           for key, K in kernels.items()}
+                # a whole slot, None, is spanned by its unit vectors; the
+                # sparse kernel columns and images are read as dense ones
+                kernels = {key: IntMatrix._from_sparse_columns(
+                               [{j: 1} for j in range(c)] if K is None else K, c)
+                           for key, K in kernels.items() for c in [sum(res.dims(n, *key))]}
                 ref = _nil_part_per_element(sc, res.level(n), kernels)
                 for key, K in kernels.items():
-                    assert hnf_columns(matrix_of_columns(fast.get(key, []), K.rows)) == \
+                    images = IntMatrix._from_sparse_columns(fast.get(key, []), K.rows)
+                    assert hnf_columns(images) == \
                         hnf_columns(matrix_of_columns(ref[key], K.rows)), \
                         (Y, engine, n, key)
 
@@ -399,7 +424,9 @@ def test_level_zero_kernel_is_the_nil_lattice_formula(X):
         assert got.keys() == {key for key, K in ref.items() if K.rows}
         for key, K in got.items():
             assert (K is None) == (key != (Y, 0)), (Y, key)
-            assert (IntMatrix.identity(ref[key].rows) if K is None else K) == ref[key], (Y, key)
+            c = ref[key].rows
+            assert (IntMatrix.identity(c) if K is None
+                    else IntMatrix._from_sparse_columns(K, c)) == ref[key], (Y, key)
 
 
 # per space: the total size of level 2 over every S_Y, and the sha256 of
@@ -641,15 +668,15 @@ def test_cokernel_reads_only_nonempty_blocks(monkeypatch):
     sc = cat("Z4")
     t = sc.table
     pres = []
-    real_combo = type(t)._combo_matrix
+    real_columns = type(t)._combo_columns
 
-    def counted_combo(table, side, el, W, parity):
+    def counted_columns(table, side, el, W, parity):
         assert side == "pre"
         pres.append((t.rank.get((el.dst, W, parity), 0),
                      t.rank.get((el.src, W, parity ^ el.parity), 0)))
-        return real_combo(table, side, el, W, parity)
+        return real_columns(table, side, el, W, parity)
 
-    monkeypatch.setattr(type(t), "_combo_matrix", counted_combo)
+    monkeypatch.setattr(type(t), "_combo_columns", counted_columns)
     _, M = z4_module()
     assert pres and all(src and dst for src, dst in pres)
     assert M.to_json()["entries"]["12345"]["even"] == {"gens": 6, "rels": [
@@ -699,32 +726,40 @@ def test_kernels_of_maps_out_of_and_into_zero():
     a map into 0 has all of Z^c (Hermite basis: the identity), a map out
     of 0 the 0x0 basis."""
     for n in range(5):
-        assert ntmod.kernel(IntMatrix.zero(0, n)) == IntMatrix.identity(n)
-        assert ntmod.kernel(IntMatrix.zero(n, 0)) == IntMatrix.zero(0, 0)
+        assert zexact.kernel(IntMatrix.zero(0, n)) == IntMatrix.identity(n)
+        assert zexact.kernel(IntMatrix.zero(n, 0)) == IntMatrix.zero(0, 0)
 
 
 def test_resolution_work_only_on_nonzero_slots(monkeypatch):
     """Building the Z4 resolutions to depth 5 takes one kernel per
     (level, W, parity) slot of levels 1-4 where the level and its target
     are both nonzero, none at level 0 (read off the nil lattice), and reads
-    no post-composition block whose source or target group is 0."""
+    no post-composition block whose source or target group is 0; it lays
+    out no dense block matrix (free_map), block-diagonal action
+    (free_action) or dense kernel."""
     sc = cat("Z4")
     t = sc.table
     shapes, posts = [], []
-    real_kernel, real_combo = ntmod.kernel, type(t)._combo_matrix
+    real_kernel, real_columns = ntmod._slot_kernel, type(t)._combo_columns
 
-    def counted_kernel(A):
-        shapes.append((A.rows, A.cols))
-        return real_kernel(A)
+    def counted_kernel(table, sources, d, W, parity, rows, cols):
+        shapes.append((sum(rows), sum(cols)))
+        return real_kernel(table, sources, d, W, parity, rows, cols)
 
-    def counted_combo(table, side, el, W, parity):
+    def counted_columns(table, side, el, W, parity):
         assert side == "post"
         posts.append((t.rank.get((W, el.src, parity), 0),
                       t.rank.get((W, el.dst, parity ^ el.parity), 0)))
-        return real_combo(table, side, el, W, parity)
+        return real_columns(table, side, el, W, parity)
 
-    monkeypatch.setattr(ntmod, "kernel", counted_kernel)
-    monkeypatch.setattr(type(t), "_combo_matrix", counted_combo)
+    def refuse(*args):
+        raise AssertionError("the engine laid out a dense step")
+
+    monkeypatch.setattr(ntmod, "_slot_kernel", counted_kernel)
+    monkeypatch.setattr(type(t), "_combo_columns", counted_columns)
+    for name in ("_free_map", "_free_action", "kernel"):
+        monkeypatch.setattr(ntmod, name, refuse, raising=False)
+    monkeypatch.setattr(zexact, "kernel", refuse)
 
     def size(level, W, parity):
         return sum(t.rank.get((W, A, (parity + e) % 2), 0) for A, e in level)
@@ -748,22 +783,25 @@ def test_level_zero_takes_one_hermite_basis_only_at_y_even(name, monkeypatch):
     """Q_Y(W)_p is all nil except at (Y, 0), so building every resolution
     to depth 5 takes one Hermite basis per object, of End(Y)_even's nil
     lattice, and hands no kernel that is a whole slot to generator_images
-    as a matrix: its images are the action matrix's own columns."""
+    as vectors: its images are the action's own columns."""
     sc = cat(name)
     t = sc.table
     bases, whole = [], []
-    real_hnf, real_images = ntmod.hnf_columns, ntmod.generator_images
+    real_hermite, real_nil_part = ntmod.hermite_basis, ntmod._nil_part
 
-    def counted_hnf(A):
-        bases.append(A.rows)
-        return real_hnf(A)
+    def counted_hermite(vectors, n):
+        bases.append(n)
+        return real_hermite(vectors, n)
 
-    def counted_images(arrows, side, act, vecs=None):
-        whole.extend(V for V in (vecs or {}).values() if V is not None and V.rows == V.cols)
-        return real_images(arrows, side, act, vecs)
+    def counted_nil_part(res, n, kernels):
+        # _nil_part hands its nonempty kernels to generator_images as they are
+        slots = res._slots(n)
+        whole.extend(K for key, K in kernels.items()
+                     if K is not None and len(K) == sum(slots[key]))
+        return real_nil_part(res, n, kernels)
 
-    monkeypatch.setattr(ntmod, "hnf_columns", counted_hnf)
-    monkeypatch.setattr(ntmod, "generator_images", counted_images)
+    monkeypatch.setattr(ntmod, "hermite_basis", counted_hermite)
+    monkeypatch.setattr(ntmod, "_nil_part", counted_nil_part)
     for Y in sc.objects:
         before = len(bases)
         res = resolve_simple(sc, Y, 5)
@@ -1036,7 +1074,8 @@ def test_tor_refuses_right_modules_before_resolving(monkeypatch, module, compute
 
 def test_tor_refuses_a_module_missing_an_action_before_resolving(monkeypatch):
     M = free_module(cat("Z1"), "12", "left")
-    del M.actions["r:12>1"]
+    M = GradedModule(M.category, "left", M.entries,
+                     {name: h for name, h in M.actions.items() if name != "r:12>1"})
 
     def no_resolution(*args, **kwargs):
         raise AssertionError("a resolution was built for an incomplete module")
@@ -1051,7 +1090,8 @@ def test_tor_refuses_a_module_missing_an_action_before_resolving(monkeypatch):
 def test_a_module_missing_an_action_is_refused(compute):
     with open(os.path.join(DATA, "ck_z3.json")) as fh:
         M = fk_module(BlockGraph.from_json(json.load(fh)))
-    del M.actions["i:14>124"]
+    M = GradedModule(M.category, M.variance, M.entries,
+                     {name: h for name, h in M.actions.items() if name != "i:14>124"})
     with pytest.raises(ModuleError, match=r"needs an action for every arrow; "
                                           r"missing: \['i:14>124'\]"):
         compute(M)
@@ -1691,3 +1731,19 @@ def test_coker_module_trivial_cases():
     for obj in sc.objects:
         assert M2.entries[obj].even.normal_form() == P.entries[obj].even.normal_form()
         assert M2.entries[obj].odd.normal_form() == P.entries[obj].odd.normal_form()
+
+
+@pytest.mark.parametrize("X", [builtin_space(n) for n in BUILTIN_NAMES]
+                         + connected_t0_spaces(4), ids=lambda X: X.name)
+def test_the_sparse_syzygy_step_equals_the_dense_oracle(X):
+    """Every S_Y of the seven builtins and the ten connected four-point
+    spaces, resolved to depth 5 by the engine, which reads kernels and the
+    nil part block by block on sparse columns, has the levels and
+    differentials of the dense step (conftest.dense_resolution), which
+    lays out every slot's whole block matrix and block-diagonal actions."""
+    sc = space_category(X)
+    for Y in sc.objects:
+        res = resolve_simple(sc, Y, 5)
+        levels, diffs = dense_resolution(sc, Y, 5)
+        assert res.levels == levels, Y
+        assert res.diffs == diffs, Y

@@ -20,8 +20,8 @@ COUNTERS = {
     "table_counts.py": ("words", "relation_instances", "instances_placed",
                         "redundant_relations", "insert", "insert_growing", "smith",
                         "smith_dense_cells"),
-    "setup_counts.py": ("IntMatrix", "free_ranks", "free_map", "free_action", "kernel",
-                        "hnf_columns", "generator_images", "guards"),
+    "setup_counts.py": ("IntMatrix", "matrix_sums", "free_ranks", "slot_kernel", "sparse_image",
+                        "hermite_basis", "generator_images", "guards"),
     "round_counts.py": ("compose", "map_echelon", "exact_node", "bprime_block"),
 }
 

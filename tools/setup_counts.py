@@ -9,15 +9,19 @@ which also computes its nil basis), both uncounted, then builds every S_Y
 with `resolve_simple` to depth 4 (the depth the graph-corpus benchmark's
 set-up asks for) and prints one `<name> <count>` line per counter:
 `IntMatrix` constructions (the checked `__init__` plus the trusted `_of`),
-the calls of `free_ranks`, `free_map`, `free_action`, `kernel`,
-`hnf_columns` and `generator_images`, however they are reached, each
-counted at the function that holds its body (`ntmod._free_ranks`,
-`_free_map` and `_free_action` for the first three), and last `guards`,
-the calls of `zexact.guard_int` and `guard_name`, those of
-`HomTable.check_object` included.  The counts depend only on the code and
-the shipped tables, so two runs of one checkout print the same lines, and
-the lines of two checkouts compare the work their resolution engines do.
-The package is imported from the checkout that holds this file.
+`matrix_sums`, the calls of `IntMatrix.__add__` (a Hom-table element of
+several words is summed there, once per table and slot), then the calls
+of `free_ranks`, `slot_kernel` (one sparse kernel per slot, read block by
+block), `sparse_image` (one image of a sparse kernel vector under a
+generator), `hermite_basis`, `generator_images`, however they are
+reached, each counted at the function that holds its body
+(`ntmod._free_ranks` and `ntmod._slot_kernel` for the first two), and
+last `guards`, the calls of `zexact.guard_int` and `guard_name`, those
+of `HomTable.check_object` included.  The counts depend only on the code
+and the shipped tables, so two runs of one checkout print the same lines,
+and the lines of two checkouts compare the work their resolution engines
+do; a checkout without one of the functions prints 0 for it.  The
+package is imported from the checkout that holds this file.
 """
 
 import os
@@ -32,9 +36,8 @@ from fktor import finspace, ntcat, ntmod, zexact  # noqa: E402
 SPACES = ("Z1", "Z2", "Z3", "S", "C2", "Z4")
 DEPTH = 4
 # (module, function, printed name)
-FUNCTIONS = ((ntmod, "_free_ranks", "free_ranks"), (ntmod, "_free_map", "free_map"),
-             (ntmod, "_free_action", "free_action"), (zexact, "kernel", "kernel"),
-             (zexact, "hnf_columns", "hnf_columns"),
+FUNCTIONS = ((ntmod, "_free_ranks", "free_ranks"), (ntmod, "_slot_kernel", "slot_kernel"),
+             (zexact, "sparse_image", "sparse_image"), (zexact, "hermite_basis", "hermite_basis"),
              (ntcat, "generator_images", "generator_images"),
              (zexact, "guard_int", "guards"), (zexact, "guard_name", "guards"))
 
@@ -43,7 +46,9 @@ def install(counts: Counter) -> None:
     """Count every call of FUNCTIONS through whichever fktor module binds
     it, and every IntMatrix construction."""
     for home, name, shown in FUNCTIONS:
-        orig = getattr(home, name)
+        orig = getattr(home, name, None)
+        if orig is None:
+            continue
 
         def counted(*args, _orig=orig, _shown=shown, **kwargs):
             counts[_shown] += 1
@@ -54,7 +59,7 @@ def install(counts: Counter) -> None:
                 if val is orig:
                     setattr(m, attr, counted)
     M = zexact.IntMatrix
-    orig_init, orig_of = M.__init__, M._of.__func__
+    orig_init, orig_of, orig_add = M.__init__, M._of.__func__, M.__add__
 
     def init(self, *args, **kwargs):
         counts["IntMatrix"] += 1
@@ -64,8 +69,13 @@ def install(counts: Counter) -> None:
         counts["IntMatrix"] += 1
         return orig_of(cls, *args)
 
+    def add(self, other):
+        counts["matrix_sums"] += 1
+        return orig_add(self, other)
+
     M.__init__ = init
     M._of = classmethod(of)
+    M.__add__ = add
 
 
 def main():
@@ -77,7 +87,7 @@ def main():
     for sc in categories:
         for Y in sc.objects:
             ntmod.resolve_simple(sc, Y, DEPTH)
-    for name in ["IntMatrix", *dict.fromkeys(shown for _, _, shown in FUNCTIONS)]:
+    for name in ["IntMatrix", "matrix_sums", *dict.fromkeys(shown for _, _, shown in FUNCTIONS)]:
         print(name, counts[name])
 
 
